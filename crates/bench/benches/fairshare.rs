@@ -2,6 +2,8 @@
 //! inner loops of the fluid simulator and the IDC.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use gvc_bench::perfsuite::{net_solve, net_solve_problem, NET_SOLVE_FLOWS};
+use gvc_net::fairshare::FairShareSolver;
 use gvc_net::{max_min_allocation, CapacityConstraint, FlowDemand};
 use gvc_topology::{constrained_shortest_path, shortest_path, study_topology, Site};
 
@@ -27,6 +29,22 @@ fn bench_max_min(c: &mut Criterion) {
     g.finish();
 }
 
+/// The shapes the simulator actually solves: a handful of flows on
+/// study-topology routes, each crossing ~13 constraints, solved on one
+/// warm workspace. Same workload as the `net` perf suite.
+fn bench_max_min_study(c: &mut Criterion) {
+    let mut g = c.benchmark_group("max_min_study");
+    let mut solver = FairShareSolver::new();
+    for nflows in NET_SOLVE_FLOWS {
+        let problem = net_solve_problem(nflows);
+        g.throughput(Throughput::Elements(1));
+        g.bench_function(format!("flows_{nflows}"), |b| {
+            b.iter(|| net_solve(&mut solver, std::hint::black_box(&problem), 1));
+        });
+    }
+    g.finish();
+}
+
 fn bench_routing(c: &mut Criterion) {
     let topo = study_topology();
     let (src, dst) = (topo.dtn(Site::Nersc), topo.dtn(Site::Ornl));
@@ -42,5 +60,5 @@ fn bench_routing(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_max_min, bench_routing);
+criterion_group!(benches, bench_max_min, bench_max_min_study, bench_routing);
 criterion_main!(benches);

@@ -14,7 +14,8 @@ use gvc_core::sweep::SessionStore;
 use gvc_engine::{EventQueue, SimTime};
 use gvc_gridftp::{Driver, ServerCaps, SessionSpec, Shards, TransferJob};
 use gvc_logs::{Dataset, TransferRecord, TransferType};
-use gvc_net::NetworkSim;
+use gvc_net::fairshare::FairShareSolver;
+use gvc_net::{FlowDemand, NetworkSim};
 use gvc_scenario::{run_scenario, ScenarioSpec};
 use gvc_telemetry::parse_trace;
 use gvc_telemetry::perf::{measure_throughput, median, BenchMetric, PerfSnapshot};
@@ -24,7 +25,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// The snapshot names `gvc perf snapshot` produces, in emission order.
-pub const SNAPSHOT_NAMES: &[&str] = &["kernel", "sweep", "analysis", "shard", "tidy", "scenario"];
+pub const SNAPSHOT_NAMES: &[&str] =
+    &["kernel", "sweep", "analysis", "shard", "tidy", "scenario", "net"];
 
 /// The committed `esnet-backbone` scenario spec, embedded so the
 /// snapshot measures exactly the workload the golden corpus gates
@@ -37,6 +39,11 @@ pub const GAPS_S: [f64; 8] = [0.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0
 pub const DELAYS_S: [f64; 4] = [60.0, 5.0, 1.0, 0.05];
 /// Circuit-worthiness overhead factor used across the suite.
 pub const FACTOR: f64 = 10.0;
+
+/// Flow counts of the `net` suite's fair-share problems: one transfer
+/// alone, a SLAC-like busy instant (5 flows per solve on average),
+/// and a congested one.
+pub const NET_SOLVE_FLOWS: [usize; 3] = [1, 5, 12];
 
 /// Scales a base workload size, clamped to stay meaningful.
 fn scaled(base: usize, scale: f64) -> usize {
@@ -163,6 +170,66 @@ pub fn sharded_sim(sessions_per_pair: usize, shards: Shards) -> u64 {
     out.log.len() as u64
 }
 
+/// A fair-share problem shaped like the ones the fluid simulator
+/// solves: `nflows` transfers between study-topology DTNs, each
+/// crossing its routed links plus both clusters' aggregate resources
+/// and a disk resource (about 13 constraints), with distinct rate caps
+/// and a circuit guarantee on every fourth flow. Returns the capacity
+/// table (links, then three resources per site) and the flows, whose
+/// constraint lists are sorted and duplicate-free.
+pub fn net_solve_problem(nflows: usize) -> (Vec<f64>, Vec<FlowDemand>) {
+    const PAIRS: [(Site, Site); 4] = [
+        (Site::Nersc, Site::Ornl),
+        (Site::Slac, Site::Bnl),
+        (Site::Ncar, Site::Nics),
+        (Site::Anl, Site::Nersc),
+    ];
+    let topo = study_topology();
+    let n_links = topo.graph.link_count();
+    let mut capacities: Vec<f64> = topo.graph.links().iter().map(|l| l.capacity_bps).collect();
+    // Per site: aggregate, disk read, disk write.
+    for i in 0..Site::ALL.len() {
+        let servers = (1 + i % 3) as f64;
+        capacities.extend([2.4e9 * servers, 2.8e9 * servers, 2.2e9 * servers]);
+    }
+    let flows = (0..nflows)
+        .map(|i| {
+            let (a, b) = PAIRS[i % PAIRS.len()];
+            let (sa, sb) = (n_links + 3 * a as usize, n_links + 3 * b as usize);
+            let mut constraints: Vec<usize> =
+                topo.path(a, b).links.iter().map(|l| l.0 as usize).collect();
+            constraints.extend([sa, sb, if i % 2 == 0 { sa + 1 } else { sb + 2 }]);
+            constraints.sort_unstable();
+            constraints.dedup();
+            FlowDemand {
+                constraints,
+                min_rate_bps: if i % 4 == 3 { 1e9 } else { 0.0 },
+                max_rate_bps: 0.6e9 + i as f64 * 0.37e9,
+            }
+        })
+        .collect();
+    (capacities, flows)
+}
+
+/// Solves `problem` (from [`net_solve_problem`]) `solves` times on one
+/// warm workspace, as the simulator does at each arrival or departure.
+/// Returns `solves`.
+pub fn net_solve(
+    solver: &mut FairShareSolver,
+    problem: &(Vec<f64>, Vec<FlowDemand>),
+    solves: u64,
+) -> u64 {
+    let (capacities, flows) = problem;
+    for _ in 0..solves {
+        solver.clear();
+        for f in flows {
+            solver.push_flow(&f.constraints, f.min_rate_bps, f.max_rate_bps);
+        }
+        std::hint::black_box(solver.solve(capacities));
+    }
+    solves
+}
+
 /// One full scenario run through the corpus runner (spec topology,
 /// synthetic workload, faults, telemetry, flight recorder, golden
 /// serialization); returns the number of transfers produced, 0 on a
@@ -247,7 +314,9 @@ fn throughput_metric(id: &str, unit: &str, items: u64, samples: Vec<f64>) -> Ben
 /// records × the 8×4 grid, analysis 50k trace lines + 100k records,
 /// shard 160 sessions × 4 transfers × 3 lanes at shard counts 1 and
 /// auto, tidy 120 synthetic source files through the full v2 engine,
-/// scenario one full `esnet-backbone` corpus run (scale-independent).
+/// scenario one full `esnet-backbone` corpus run (scale-independent),
+/// net 20k fair-share solves at each of 1, 5 and 12 study-topology
+/// flows.
 pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
     let mut snap = PerfSnapshot::new(name, reps);
     match name {
@@ -344,6 +413,21 @@ pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
                 rates,
             ));
         }
+        "net" => {
+            let solves = scaled(20_000, scale) as u64;
+            let mut solver = FairShareSolver::new();
+            for nflows in NET_SOLVE_FLOWS {
+                let problem = net_solve_problem(nflows);
+                let (items, rates) =
+                    measure_throughput(reps, || net_solve(&mut solver, &problem, solves));
+                snap.metrics.push(throughput_metric(
+                    &format!("net.solve.flows_{nflows}.solves_per_sec"),
+                    "solves/sec",
+                    items,
+                    rates,
+                ));
+            }
+        }
         _ => return None,
     }
     Some(snap)
@@ -398,6 +482,26 @@ mod tests {
         let report = run_sources(&refs, &RuleSet::v2());
         assert!(report.clean(), "{:#?}", report.violations);
         assert_eq!(tidy_analyze(&a), a.iter().map(|(_, s)| s.lines().count() as u64).sum());
+    }
+
+    #[test]
+    fn net_problems_have_the_simulated_shape() {
+        for nflows in NET_SOLVE_FLOWS {
+            let (capacities, flows) = net_solve_problem(nflows);
+            assert_eq!(flows.len(), nflows);
+            for f in &flows {
+                assert!((11..=15).contains(&f.constraints.len()), "{}", f.constraints.len());
+                assert!(f.constraints.windows(2).all(|w| w[0] < w[1]));
+                assert!(f.constraints.iter().all(|&c| c < capacities.len()));
+            }
+            let mut solver = FairShareSolver::new();
+            assert_eq!(net_solve(&mut solver, &(capacities.clone(), flows.clone()), 3), 3);
+            let cons: Vec<gvc_net::CapacityConstraint> = capacities
+                .iter()
+                .map(|&c| gvc_net::CapacityConstraint { capacity_bps: c })
+                .collect();
+            assert_eq!(solver.solve(&capacities), gvc_net::max_min_allocation(&cons, &flows));
+        }
     }
 
     #[test]

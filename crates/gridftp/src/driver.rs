@@ -237,6 +237,10 @@ pub struct Driver {
     recovery_lat_n: u64,
     /// Original capacity of each currently-flapped link, by flap index.
     flap_orig: BTreeMap<usize, (LinkId, f64)>,
+    /// Memoised [`Driver::path_between`] per `(src, dst)` cluster pair.
+    /// Exact: routing weighs links by delay only, and nothing changes a
+    /// delay during a run.
+    routes: BTreeMap<(usize, usize), Option<Path>>,
     log: Vec<TransferRecord>,
     tstat: Vec<TransferStat>,
     telemetry: Option<DriverTelemetry>,
@@ -283,6 +287,7 @@ impl Driver {
             recovery_lat_sum_s: 0.0,
             recovery_lat_n: 0,
             flap_orig: BTreeMap::new(),
+            routes: BTreeMap::new(),
             log: Vec::new(),
             tstat: Vec::new(),
             telemetry: None,
@@ -919,7 +924,12 @@ impl Driver {
     /// disconnected clusters are dropped.
     fn launch_job(&mut self, idx: usize, job_index: usize, job: TransferJob) -> bool {
         let (src, dst) = (self.sessions[idx].src, self.sessions[idx].dst);
-        let Some(path) = self.path_between(src, dst) else {
+        let key = (src.0, dst.0);
+        if !self.routes.contains_key(&key) {
+            let path = self.path_between(src, dst);
+            self.routes.insert(key, path);
+        }
+        let Some(Some(path)) = self.routes.get(&key) else {
             return false;
         };
         // Failure draws come from a stream keyed by (session, job) so
@@ -927,7 +937,7 @@ impl Driver {
         let mut fail_rng = component_rng(self.seed, &format!("gridftp-fail/{idx}/{job_index}"));
         let mut prepared: PreparedTransfer = prepare_transfer(
             self.sim.graph(),
-            &path,
+            path,
             &self.clusters[src.0],
             &self.clusters[dst.0],
             job,

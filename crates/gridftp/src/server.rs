@@ -201,6 +201,35 @@ mod tests {
     }
 
     #[test]
+    fn resize_under_active_flows_reaches_the_solver() {
+        use gvc_net::FlowSpec;
+        // Two flows through the cluster's aggregate resource only. A
+        // 3 → 1 resize mid-flight must leave exactly the rates of a
+        // cluster registered with one server from the start.
+        let rates = |sim: &mut NetworkSim, c: &ServerCluster| -> Vec<u64> {
+            let spec =
+                FlowSpec::best_effort(vec![], 1e12).with_resources(vec![c.aggregate_resource()]);
+            let ids = [sim.add_flow(spec.clone()), sim.add_flow(spec.with_cap(0.5e9))];
+            ids.iter().map(|&id| sim.flow_rate(id).map(f64::to_bits).unwrap_or_default()).collect()
+        };
+        let (mut live, node) = sim();
+        let mut c = ServerCluster::register(&mut live, "s", node, ServerCaps::default(), 3);
+        let before = rates(&mut live, &c);
+        c.resize(&mut live, 1);
+        let ids: Vec<_> = (0..2).map(gvc_net::FlowId).collect();
+        let after: Vec<u64> = ids
+            .iter()
+            .map(|&id| live.flow_rate(id).map(f64::to_bits).unwrap_or_default())
+            .collect();
+
+        let (mut fresh, node) = sim();
+        let one = ServerCluster::register(&mut fresh, "s", node, ServerCaps::default(), 1);
+        assert_eq!(after, rates(&mut fresh, &one));
+        assert_ne!(before, after);
+        assert_eq!(f64::from_bits(after[0]), 2.4e9 - 0.5e9);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one server")]
     fn zero_servers_panics() {
         let (mut sim, node) = sim();

@@ -8,6 +8,25 @@
 //! share) or a flow reaches its own maximum (it freezes at its cap).
 //! The result is the classic max-min fair allocation with floors and
 //! ceilings.
+//!
+//! [`FairShareSolver`] is the reusable workspace the fluid simulator
+//! owns: it allocates nothing once warm and only visits the
+//! constraints the current flows cross. [`max_min_allocation`] is the
+//! one-shot convenience form over a fresh workspace.
+//!
+//! # Bit-identity
+//!
+//! The solver performs the same float operations in the same order as
+//! the textbook dense formulation (every constraint, every flow, counts
+//! rebuilt each round), so its output is identical bit for bit — the
+//! test suite holds it to that against a dense oracle. Only
+//! order-independent work is reorganised: untouched constraints never
+//! bound an increment, the minimum over strictly positive candidates
+//! does not depend on scan order, and active counts are decremented as
+//! flows freeze instead of being rebuilt. Solving disconnected
+//! components separately would *not* be bit-identical: each round's
+//! increment is the minimum over all flows, so splitting changes how
+//! the accumulated rates round.
 
 /// Index of a capacity constraint in the solver's constraint table.
 pub type ConstraintIx = usize;
@@ -36,150 +55,453 @@ pub struct FlowDemand {
 /// unit; tiny relative to any real capacity.
 const EPS: f64 = 1e-9;
 
-/// Computes the max-min fair allocation. Returns one rate per flow, in
-/// input order.
+/// One pushed flow: its constraint list is `cons[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct FlowSlot {
+    start: usize,
+    end: usize,
+    min_rate_bps: f64,
+    max_rate_bps: f64,
+}
+
+/// A reusable max-min solver workspace.
 ///
-/// Guarantees that exceed a constraint's capacity are scaled down
-/// proportionally on that constraint (over-admission is the admission
-/// controller's bug, but the solver stays well-defined). Flows with an
-/// empty constraint list receive their `max_rate_bps` (or 0 if
-/// infinite).
-pub fn max_min_allocation(constraints: &[CapacityConstraint], flows: &[FlowDemand]) -> Vec<f64> {
-    let mut alloc: Vec<f64> = flows.iter().map(|f| f.min_rate_bps.min(f.max_rate_bps)).collect();
+/// Push the problem's flows with [`FairShareSolver::push_flow`], then
+/// call [`FairShareSolver::solve`] with the capacity table; call
+/// [`FairShareSolver::clear`] before the next problem. Buffers keep
+/// their capacity across problems, so a warm workspace solves without
+/// allocating.
+///
+/// ```
+/// use gvc_net::fairshare::FairShareSolver;
+///
+/// let mut solver = FairShareSolver::new();
+/// // Link 0 (10 units) carries both flows; link 1 (4 units) only the
+/// // second, which is bottlenecked there.
+/// solver.push_flow(&[0], 0.0, f64::INFINITY);
+/// solver.push_flow(&[0, 1], 0.0, f64::INFINITY);
+/// assert_eq!(solver.solve(&[10.0, 4.0]), &[6.0, 4.0]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct FairShareSolver {
+    /// Every pushed flow's constraint list, concatenated.
+    cons: Vec<ConstraintIx>,
+    flows: Vec<FlowSlot>,
+    /// Per-flow rate (the result) and growth flag.
+    alloc: Vec<f64>,
+    active: Vec<bool>,
+    /// Per-flow merge cursor and membership scratch for the
+    /// over-admission pass.
+    cursor: Vec<usize>,
+    member: Vec<bool>,
+    /// Per-constraint state, indexed by [`ConstraintIx`]; only the
+    /// entries listed in `touched` are meaningful during a solve.
+    remaining: Vec<f64>,
+    counts: Vec<usize>,
+    seen: Vec<bool>,
+    /// The constraints crossed by at least one flow.
+    touched: Vec<ConstraintIx>,
+}
 
-    // De-duplicate each flow's constraint list once up front.
-    let flow_constraints: Vec<Vec<ConstraintIx>> = flows
-        .iter()
-        .map(|f| {
-            let mut v = f.constraints.clone();
-            v.sort_unstable();
-            v.dedup();
-            for &c in &v {
-                assert!(c < constraints.len(), "constraint index out of range");
+impl FairShareSolver {
+    /// An empty workspace.
+    pub fn new() -> FairShareSolver {
+        FairShareSolver::default()
+    }
+
+    /// Forgets the pushed flows, keeping every buffer's capacity.
+    pub fn clear(&mut self) {
+        self.cons.clear();
+        self.flows.clear();
+    }
+
+    /// Adds a flow crossing `constraints` with a guaranteed minimum and
+    /// a maximum rate (`f64::INFINITY` for uncapped).
+    ///
+    /// # Panics
+    /// Panics unless `constraints` is strictly increasing (sorted,
+    /// without duplicates); [`max_min_allocation`] normalises for
+    /// callers holding unsorted lists.
+    pub fn push_flow(
+        &mut self,
+        constraints: &[ConstraintIx],
+        min_rate_bps: f64,
+        max_rate_bps: f64,
+    ) {
+        assert!(
+            constraints.windows(2).all(|w| w.first() < w.last()),
+            "constraint list must be sorted and duplicate-free"
+        );
+        let start = self.cons.len();
+        self.cons.extend_from_slice(constraints);
+        self.flows.push(FlowSlot { start, end: self.cons.len(), min_rate_bps, max_rate_bps });
+    }
+
+    /// Solves the pushed flows against `capacities` (bps, indexed by
+    /// [`ConstraintIx`]). Returns one rate per flow, in push order.
+    ///
+    /// Guarantees that exceed a constraint's capacity are scaled down
+    /// proportionally on that constraint (over-admission is the
+    /// admission controller's bug, but the solver stays well-defined).
+    /// Flows with an empty constraint list receive their maximum rate
+    /// (or their guarantee if the maximum is infinite).
+    ///
+    /// # Panics
+    /// Panics when a flow names a constraint outside `capacities`.
+    pub fn solve(&mut self, capacities: &[f64]) -> &[f64] {
+        let FairShareSolver {
+            cons,
+            flows,
+            alloc,
+            active,
+            cursor,
+            member,
+            remaining,
+            counts,
+            seen,
+            touched,
+        } = self;
+        if seen.len() < capacities.len() {
+            remaining.resize(capacities.len(), 0.0);
+            counts.resize(capacities.len(), 0);
+            seen.resize(capacities.len(), false);
+        }
+
+        // Touch only the constraints some flow crosses.
+        touched.clear();
+        for &c in cons.iter() {
+            assert!(c < capacities.len(), "constraint index out of range");
+            if !seen[c] {
+                seen[c] = true;
+                touched.push(c);
+                remaining[c] = capacities[c];
+                counts[c] = 0;
             }
-            v
-        })
-        .collect();
+        }
+        for &c in touched.iter() {
+            seen[c] = false;
+        }
 
-    // Scale guarantees down where over-admitted.
-    for (ci, c) in constraints.iter().enumerate() {
-        let committed: f64 = flows
-            .iter()
-            .enumerate()
-            .filter(|(fi, _)| flow_constraints[*fi].contains(&ci))
-            .map(|(fi, _)| alloc[fi])
-            .sum();
-        if committed > c.capacity_bps {
-            let scale = c.capacity_bps / committed;
-            for (fi, _) in flows.iter().enumerate() {
-                if flow_constraints[fi].contains(&ci) {
-                    alloc[fi] *= scale;
+        alloc.clear();
+        alloc.extend(flows.iter().map(|f| f.min_rate_bps.min(f.max_rate_bps)));
+
+        // Scale guarantees down where over-admitted. With every
+        // starting allocation zero no committed sum can exceed a
+        // non-negative capacity, so the pass is skipped.
+        if alloc.iter().any(|&a| a != 0.0) || touched.iter().any(|&c| capacities[c] < 0.0) {
+            // Constraints in ascending order, as each scaling sees the
+            // allocations earlier constraints left. Every flow list is
+            // sorted, so a per-flow cursor finds the flows crossing
+            // each constraint in one merge.
+            touched.sort_unstable();
+            cursor.clear();
+            cursor.extend(flows.iter().map(|f| f.start));
+            for &c in touched.iter() {
+                member.clear();
+                member.extend(flows.iter().zip(cursor.iter_mut()).map(|(f, at)| {
+                    let hit = *at < f.end && cons.get(*at) == Some(&c);
+                    if hit {
+                        *at += 1;
+                    }
+                    hit
+                }));
+                let committed: f64 =
+                    alloc.iter().zip(member.iter()).filter(|(_, &m)| m).map(|(&a, _)| a).sum();
+                if committed > capacities[c] {
+                    let scale = capacities[c] / committed;
+                    for (a, _) in alloc.iter_mut().zip(member.iter()).filter(|(_, &m)| m) {
+                        *a *= scale;
+                    }
                 }
             }
         }
-    }
 
-    let mut remaining: Vec<f64> = constraints.iter().map(|c| c.capacity_bps).collect();
-    for (fi, _) in flows.iter().enumerate() {
-        for &c in &flow_constraints[fi] {
-            remaining[c] -= alloc[fi];
+        for (f, &a) in flows.iter().zip(alloc.iter()) {
+            for &c in &cons[f.start..f.end] {
+                remaining[c] -= a;
+            }
         }
-    }
-    for r in &mut remaining {
-        *r = r.max(0.0);
-    }
-
-    // Active = can still grow: below max and on no saturated constraint.
-    let mut active: Vec<bool> = flows
-        .iter()
-        .enumerate()
-        .map(|(fi, f)| !flow_constraints[fi].is_empty() && alloc[fi] + EPS < f.max_rate_bps)
-        .collect();
-    // Flows with no constraints get their cap immediately (nothing to
-    // share against); infinite caps degrade to zero extra.
-    for (fi, f) in flows.iter().enumerate() {
-        if flow_constraints[fi].is_empty() && f.max_rate_bps.is_finite() {
-            alloc[fi] = f.max_rate_bps;
+        for &c in touched.iter() {
+            remaining[c] = remaining[c].max(0.0);
         }
-    }
 
-    loop {
-        // Count active flows per constraint.
-        let mut counts = vec![0usize; constraints.len()];
-        for (fi, _) in flows.iter().enumerate() {
-            if active[fi] {
-                for &c in &flow_constraints[fi] {
+        // Active = can still grow: below max and on no saturated
+        // constraint. Flows with no constraints get their cap
+        // immediately (nothing to share against); infinite caps
+        // degrade to zero extra.
+        active.clear();
+        let mut n_active = 0usize;
+        for (f, a) in flows.iter().zip(alloc.iter_mut()) {
+            let cs = &cons[f.start..f.end];
+            if cs.is_empty() {
+                if f.max_rate_bps.is_finite() {
+                    *a = f.max_rate_bps;
+                }
+                active.push(false);
+                continue;
+            }
+            let grows = *a + EPS < f.max_rate_bps && cs.iter().all(|&c| remaining[c] > EPS);
+            if grows {
+                n_active += 1;
+                for &c in cs {
                     counts[c] += 1;
                 }
             }
+            active.push(grows);
         }
 
-        // Freeze flows on already-saturated constraints.
-        let mut changed = false;
-        for (fi, _) in flows.iter().enumerate() {
-            if active[fi]
-                && flow_constraints[fi].iter().any(|&c| remaining[c] <= EPS && counts[c] > 0)
-            {
-                // Saturated constraint with active flows: no growth room.
-                if flow_constraints[fi].iter().any(|&c| remaining[c] <= EPS) {
-                    active[fi] = false;
-                    changed = true;
+        while n_active > 0 {
+            // Largest uniform increment before a constraint saturates
+            // or a flow hits its cap. Every candidate is strictly
+            // positive, so the scan order cannot change the minimum.
+            let mut delta = f64::INFINITY;
+            for &c in touched.iter() {
+                if counts[c] > 0 {
+                    delta = delta.min(remaining[c] / counts[c] as f64);
                 }
             }
-        }
-        if changed {
-            continue;
-        }
-
-        if !active.iter().any(|&a| a) {
-            break;
-        }
-
-        // Largest uniform increment before a constraint saturates or a
-        // flow hits its cap.
-        let mut delta = f64::INFINITY;
-        for (ci, _) in constraints.iter().enumerate() {
-            if counts[ci] > 0 {
-                delta = delta.min(remaining[ci] / counts[ci] as f64);
+            for ((f, &a), _) in
+                flows.iter().zip(alloc.iter()).zip(active.iter()).filter(|(_, &on)| on)
+            {
+                delta = delta.min(f.max_rate_bps - a);
             }
-        }
-        for (fi, f) in flows.iter().enumerate() {
-            if active[fi] {
-                delta = delta.min(f.max_rate_bps - alloc[fi]);
+            if !delta.is_finite() || delta <= 0.0 {
+                break;
             }
-        }
-        if !delta.is_finite() || delta <= 0.0 {
-            break;
-        }
 
-        for (fi, f) in flows.iter().enumerate() {
-            if active[fi] {
-                alloc[fi] += delta;
-                for &c in &flow_constraints[fi] {
+            for ((f, a), on) in flows.iter().zip(alloc.iter_mut()).zip(active.iter_mut()) {
+                if !*on {
+                    continue;
+                }
+                *a += delta;
+                let cs = &cons[f.start..f.end];
+                for &c in cs {
                     remaining[c] -= delta;
                 }
-                if alloc[fi] + EPS >= f.max_rate_bps {
-                    active[fi] = false;
+                if *a + EPS >= f.max_rate_bps {
+                    *on = false;
+                    n_active -= 1;
+                    for &c in cs {
+                        counts[c] -= 1;
+                    }
+                }
+            }
+            for &c in touched.iter() {
+                remaining[c] = remaining[c].max(0.0);
+            }
+            for (f, on) in flows.iter().zip(active.iter_mut()) {
+                let cs = &cons[f.start..f.end];
+                if *on && cs.iter().any(|&c| remaining[c] <= EPS) {
+                    *on = false;
+                    n_active -= 1;
+                    for &c in cs {
+                        counts[c] -= 1;
+                    }
                 }
             }
         }
-        for r in &mut remaining {
-            *r = r.max(0.0);
-        }
-        for (fi, _) in flows.iter().enumerate() {
-            if active[fi] && flow_constraints[fi].iter().any(|&c| remaining[c] <= EPS) {
-                active[fi] = false;
-            }
-        }
-    }
 
-    alloc
+        alloc
+    }
+}
+
+/// Computes the max-min fair allocation over a fresh
+/// [`FairShareSolver`]. Returns one rate per flow, in input order; see
+/// [`FairShareSolver::solve`] for the handling of over-admitted
+/// guarantees and unconstrained flows.
+///
+/// # Panics
+/// Panics when a flow names a constraint outside `constraints`.
+pub fn max_min_allocation(constraints: &[CapacityConstraint], flows: &[FlowDemand]) -> Vec<f64> {
+    let capacities: Vec<f64> = constraints.iter().map(|c| c.capacity_bps).collect();
+    let mut solver = FairShareSolver::new();
+    let mut cs = Vec::new();
+    for f in flows {
+        cs.clone_from(&f.constraints);
+        cs.sort_unstable();
+        cs.dedup();
+        solver.push_flow(&cs, f.min_rate_bps, f.max_rate_bps);
+    }
+    solver.solve(&capacities).to_vec()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The dense reference formulation: every constraint and every flow
+    /// each round, counts rebuilt per round, an over-admission pass
+    /// over all constraints. [`FairShareSolver`] must match it bit for
+    /// bit.
+    fn dense_oracle(constraints: &[CapacityConstraint], flows: &[FlowDemand]) -> Vec<f64> {
+        let mut alloc: Vec<f64> =
+            flows.iter().map(|f| f.min_rate_bps.min(f.max_rate_bps)).collect();
+
+        let flow_constraints: Vec<Vec<ConstraintIx>> = flows
+            .iter()
+            .map(|f| {
+                let mut v = f.constraints.clone();
+                v.sort_unstable();
+                v.dedup();
+                for &c in &v {
+                    assert!(c < constraints.len(), "constraint index out of range");
+                }
+                v
+            })
+            .collect();
+
+        for (ci, c) in constraints.iter().enumerate() {
+            let committed: f64 = flows
+                .iter()
+                .enumerate()
+                .filter(|(fi, _)| flow_constraints[*fi].contains(&ci))
+                .map(|(fi, _)| alloc[fi])
+                .sum();
+            if committed > c.capacity_bps {
+                let scale = c.capacity_bps / committed;
+                for (fi, _) in flows.iter().enumerate() {
+                    if flow_constraints[fi].contains(&ci) {
+                        alloc[fi] *= scale;
+                    }
+                }
+            }
+        }
+
+        let mut remaining: Vec<f64> = constraints.iter().map(|c| c.capacity_bps).collect();
+        for (fi, _) in flows.iter().enumerate() {
+            for &c in &flow_constraints[fi] {
+                remaining[c] -= alloc[fi];
+            }
+        }
+        for r in &mut remaining {
+            *r = r.max(0.0);
+        }
+
+        let mut active: Vec<bool> = flows
+            .iter()
+            .enumerate()
+            .map(|(fi, f)| !flow_constraints[fi].is_empty() && alloc[fi] + EPS < f.max_rate_bps)
+            .collect();
+        for (fi, f) in flows.iter().enumerate() {
+            if flow_constraints[fi].is_empty() && f.max_rate_bps.is_finite() {
+                alloc[fi] = f.max_rate_bps;
+            }
+        }
+
+        loop {
+            let mut counts = vec![0usize; constraints.len()];
+            for (fi, _) in flows.iter().enumerate() {
+                if active[fi] {
+                    for &c in &flow_constraints[fi] {
+                        counts[c] += 1;
+                    }
+                }
+            }
+
+            let mut changed = false;
+            for (fi, _) in flows.iter().enumerate() {
+                if active[fi]
+                    && flow_constraints[fi].iter().any(|&c| remaining[c] <= EPS && counts[c] > 0)
+                    && flow_constraints[fi].iter().any(|&c| remaining[c] <= EPS)
+                {
+                    active[fi] = false;
+                    changed = true;
+                }
+            }
+            if changed {
+                continue;
+            }
+
+            if !active.iter().any(|&a| a) {
+                break;
+            }
+
+            let mut delta = f64::INFINITY;
+            for (ci, _) in constraints.iter().enumerate() {
+                if counts[ci] > 0 {
+                    delta = delta.min(remaining[ci] / counts[ci] as f64);
+                }
+            }
+            for (fi, f) in flows.iter().enumerate() {
+                if active[fi] {
+                    delta = delta.min(f.max_rate_bps - alloc[fi]);
+                }
+            }
+            if !delta.is_finite() || delta <= 0.0 {
+                break;
+            }
+
+            for (fi, f) in flows.iter().enumerate() {
+                if active[fi] {
+                    alloc[fi] += delta;
+                    for &c in &flow_constraints[fi] {
+                        remaining[c] -= delta;
+                    }
+                    if alloc[fi] + EPS >= f.max_rate_bps {
+                        active[fi] = false;
+                    }
+                }
+            }
+            for r in &mut remaining {
+                *r = r.max(0.0);
+            }
+            for (fi, _) in flows.iter().enumerate() {
+                if active[fi] && flow_constraints[fi].iter().any(|&c| remaining[c] <= EPS) {
+                    active[fi] = false;
+                }
+            }
+        }
+
+        alloc
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A rate drawn from `(kind, value)`: kinds 0–1 give small integers
+    /// (ties and exact saturations), 2 gives a continuous value, 3 the
+    /// special value `special`.
+    fn rate(kind: u8, value: f64, special: f64) -> f64 {
+        match kind {
+            0 | 1 => value.floor(),
+            2 => value,
+            _ => special,
+        }
+    }
+
+    /// Raw draws for one flow: constraint list, guarantee, cap.
+    type FlowDraw = (Vec<usize>, (u8, f64), (u8, f64));
+
+    /// Builds one solver problem from raw draws: capacities mixing zero
+    /// (a flapped link), infinite, integer and continuous values; flows
+    /// with empty or duplicated lists, guarantees that may over-admit,
+    /// and finite or infinite caps.
+    fn problem(
+        caps: &[(u8, f64)],
+        flows: &[FlowDraw],
+    ) -> (Vec<CapacityConstraint>, Vec<FlowDemand>) {
+        let constraints: Vec<CapacityConstraint> = caps
+            .iter()
+            .map(|&(k, v)| CapacityConstraint {
+                capacity_bps: match k {
+                    0 => 0.0,
+                    1 => f64::INFINITY,
+                    _ => rate(k - 2, v, v),
+                },
+            })
+            .collect();
+        let demands = flows
+            .iter()
+            .map(|(cs, (gk, gv), (mk, mv))| FlowDemand {
+                constraints: cs.iter().map(|&c| c % constraints.len()).collect(),
+                min_rate_bps: if *gk % 2 == 0 { 0.0 } else { rate(*gk / 2, *gv, *gv) },
+                max_rate_bps: rate(*mk, *mv, f64::INFINITY),
+            })
+            .collect();
+        (constraints, demands)
+    }
 
     fn caps(v: &[f64]) -> Vec<CapacityConstraint> {
         v.iter().map(|&c| CapacityConstraint { capacity_bps: c }).collect()
@@ -352,6 +674,61 @@ mod tests {
                 // bottlenecked by a saturated constraint.
                 let sat = d.constraints.iter().any(|&c| used[c] >= 9.0 - 1e-3);
                 prop_assert!(sat, "flow {fi} rate {} not bottlenecked: used={used:?}", alloc[fi]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and duplicate-free")]
+    fn unsorted_push_panics() {
+        FairShareSolver::new().push_flow(&[2, 1], 0.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "constraint index out of range")]
+    fn out_of_range_constraint_panics() {
+        let mut solver = FairShareSolver::new();
+        solver.push_flow(&[3], 0.0, 1.0);
+        solver.solve(&[1.0]);
+    }
+
+    proptest! {
+        /// The workspace solver is bit-identical to the dense oracle.
+        /// Each case solves a sequence of problems on one workspace, so
+        /// state left behind by a larger or differently shaped problem
+        /// is exercised too.
+        #[test]
+        fn prop_bit_identical_to_dense_oracle(
+            problems in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u8..6, 0.0f64..20.0), 1..9),
+                    proptest::collection::vec(
+                        (
+                            proptest::collection::vec(0usize..16, 0..6),
+                            (0u8..8, 0.0f64..12.0),
+                            (0u8..5, 0.1f64..15.0),
+                        ),
+                        0..12,
+                    ),
+                ),
+                1..6,
+            ),
+        ) {
+            let mut solver = FairShareSolver::new();
+            let mut cs = Vec::new();
+            for (cap_draws, flow_draws) in &problems {
+                let (cons, flows) = problem(cap_draws, flow_draws);
+                let want = bits(&dense_oracle(&cons, &flows));
+                let capacities: Vec<f64> = cons.iter().map(|c| c.capacity_bps).collect();
+                solver.clear();
+                for f in &flows {
+                    cs.clone_from(&f.constraints);
+                    cs.sort_unstable();
+                    cs.dedup();
+                    solver.push_flow(&cs, f.min_rate_bps, f.max_rate_bps);
+                }
+                prop_assert_eq!(bits(solver.solve(&capacities)), want.clone(), "{:?} {:?}", cons, flows);
+                prop_assert_eq!(bits(&max_min_allocation(&cons, &flows)), want);
             }
         }
     }

@@ -11,7 +11,7 @@
 //! [`NetworkSim::run_until`]: advance to `t`, harvesting any flow
 //! completions on the way, then inject the next external event.
 
-use crate::fairshare::{max_min_allocation, CapacityConstraint, FlowDemand};
+use crate::fairshare::{ConstraintIx, FairShareSolver};
 use crate::flow::{FlowCompletion, FlowId, FlowSpec, ResourceId};
 use crate::snmp_rec::SnmpRecorder;
 use gvc_engine::{SimSpan, SimTime};
@@ -81,6 +81,10 @@ const DONE_EPS_BYTES: f64 = 0.5;
 
 struct FlowState {
     spec: FlowSpec,
+    /// The flow's route links and resources as indices into
+    /// [`NetworkSim`]'s capacity table, sorted and deduplicated once at
+    /// injection.
+    constraints: Vec<ConstraintIx>,
     remaining_bytes: f64,
     rate_bps: f64,
     peak_rate_bps: f64,
@@ -107,7 +111,11 @@ struct FlowState {
 /// ```
 pub struct NetworkSim {
     graph: Graph,
-    resources: Vec<f64>,
+    /// The solver's capacity table: one entry per graph link (indexed
+    /// by `LinkId`), then one per registered resource.
+    capacities: Vec<f64>,
+    /// Max-min workspace, reused by every recomputation.
+    solver: FairShareSolver,
     flows: BTreeMap<FlowId, FlowState>,
     next_id: u64,
     now: SimTime,
@@ -133,9 +141,11 @@ impl NetworkSim {
     /// A simulator over `graph` whose `SimTime::ZERO` maps to
     /// `epoch_unix_us` (unix microseconds, UTC).
     pub fn new(graph: Graph, epoch_unix_us: i64) -> NetworkSim {
+        let capacities = graph.links().iter().map(|l| l.capacity_bps).collect();
         NetworkSim {
             graph,
-            resources: Vec::new(),
+            capacities,
+            solver: FairShareSolver::new(),
             flows: BTreeMap::new(),
             next_id: 0,
             now: SimTime::ZERO,
@@ -187,15 +197,21 @@ impl NetworkSim {
     /// Panics on non-positive capacity.
     pub fn add_resource(&mut self, capacity_bps: f64) -> ResourceId {
         assert!(capacity_bps > 0.0, "resource capacity must be positive");
-        self.resources.push(capacity_bps);
-        ResourceId((self.resources.len() - 1) as u32)
+        self.capacities.push(capacity_bps);
+        ResourceId((self.capacities.len() - 1 - self.graph.link_count()) as u32)
+    }
+
+    /// The capacity-table index of resource `id`.
+    fn resource_ix(&self, id: ResourceId) -> ConstraintIx {
+        self.graph.link_count() + id.0 as usize
     }
 
     /// Changes a resource's capacity (e.g. the NCAR frost cluster
     /// shrinking from 3 servers to 1 across 2009–2011).
     pub fn set_resource_capacity(&mut self, id: ResourceId, capacity_bps: f64) {
         assert!(capacity_bps > 0.0, "resource capacity must be positive");
-        self.resources[id.0 as usize] = capacity_bps;
+        let ix = self.resource_ix(id);
+        self.capacities[ix] = capacity_bps;
         self.rates_dirty = true;
     }
 
@@ -206,6 +222,7 @@ impl NetworkSim {
     pub fn set_link_capacity(&mut self, link: LinkId, capacity_bps: f64) -> bool {
         let ok = self.graph.set_link_capacity(link, capacity_bps);
         if ok {
+            self.capacities[link.0 as usize] = self.graph.link(link).capacity_bps;
             self.rates_dirty = true;
             if let Some(t) = &self.telemetry {
                 t.tracer.emit_with(|| {
@@ -311,14 +328,20 @@ impl NetworkSim {
     /// Panics on a non-positive payload or an unknown resource id.
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
         assert!(spec.size_bytes > 0.0, "flow payload must be positive");
-        for r in &spec.resources {
-            assert!((r.0 as usize) < self.resources.len(), "unknown resource {r:?}");
+        let mut constraints: Vec<ConstraintIx> = spec.route.iter().map(|l| l.0 as usize).collect();
+        for &r in &spec.resources {
+            let ix = self.resource_ix(r);
+            assert!(ix < self.capacities.len(), "unknown resource {r:?}");
+            constraints.push(ix);
         }
+        constraints.sort_unstable();
+        constraints.dedup();
         let id = FlowId(self.next_id);
         self.next_id += 1;
         self.flows.insert(
             id,
             FlowState {
+                constraints,
                 remaining_bytes: spec.size_bytes,
                 spec,
                 rate_bps: 0.0,
@@ -376,33 +399,13 @@ impl NetworkSim {
                 TraceEvent::new(self.now.micros() as i64, "net.fairshare").field("flows", n_flows)
             });
         }
-        let n_links = self.graph.link_count();
-        let mut constraints: Vec<CapacityConstraint> = self
-            .graph
-            .links()
-            .iter()
-            .map(|l| CapacityConstraint { capacity_bps: l.capacity_bps })
-            .collect();
-        constraints.extend(self.resources.iter().map(|&c| CapacityConstraint { capacity_bps: c }));
-
-        let ids: Vec<FlowId> = self.flows.keys().copied().collect();
-        let demands: Vec<FlowDemand> = ids
-            .iter()
-            .map(|id| {
-                let f = &self.flows[id];
-                let mut cs: Vec<usize> = f.spec.route.iter().map(|l| l.0 as usize).collect();
-                cs.extend(f.spec.resources.iter().map(|r| n_links + r.0 as usize));
-                FlowDemand {
-                    constraints: cs,
-                    min_rate_bps: f.spec.min_rate_bps,
-                    max_rate_bps: f.spec.max_rate_bps,
-                }
-            })
-            .collect();
-        let alloc = max_min_allocation(&constraints, &demands);
+        self.solver.clear();
+        for f in self.flows.values() {
+            self.solver.push_flow(&f.constraints, f.spec.min_rate_bps, f.spec.max_rate_bps);
+        }
+        let alloc = self.solver.solve(&self.capacities);
         let now = self.now;
-        for (id, rate) in ids.into_iter().zip(alloc) {
-            let Some(f) = self.flows.get_mut(&id) else { continue };
+        for (f, &rate) in self.flows.values_mut().zip(alloc) {
             let changed = (f.rate_bps - rate).abs() > 1e-6;
             f.rate_bps = rate;
             f.peak_rate_bps = f.peak_rate_bps.max(rate);
@@ -829,6 +832,46 @@ mod tests {
         assert!(sim.set_link_capacity(l, 8e9));
         let done = sim.run_until(SimTime::from_secs(10));
         assert_eq!(done.len(), 1);
+    }
+
+    #[test]
+    fn capacity_changes_after_injection_reach_the_solver() {
+        // Flow 1 crosses the link and a resource, flow 2 the link only.
+        fn build(link_bps: f64, res_bps: f64) -> (NetworkSim, LinkId, ResourceId, [FlowId; 2]) {
+            let mut g = Graph::new();
+            let a = g.add_node("a", NodeKind::Host);
+            let b = g.add_node("b", NodeKind::Host);
+            let (l, _) = g.add_duplex_link(a, b, link_bps, 0.01);
+            let mut sim = NetworkSim::new(g, 0);
+            let r = sim.add_resource(res_bps);
+            let f1 = sim.add_flow(FlowSpec::best_effort(vec![l], 1e12).with_resources(vec![r]));
+            let f2 = sim.add_flow(FlowSpec::best_effort(vec![l], 1e12));
+            (sim, l, r, [f1, f2])
+        }
+        fn rate_bits(sim: &mut NetworkSim, ids: [FlowId; 2]) -> [u64; 2] {
+            ids.map(|id| sim.flow_rate(id).map(f64::to_bits).unwrap_or_default())
+        }
+        let (mut sim, l, r, ids) = build(8e9, 6e9);
+        assert_eq!(rate_bits(&mut sim, ids), [4e9f64.to_bits(); 2]);
+
+        // Each change must yield exactly the rates of a simulator built
+        // with the new capacities from the start.
+        sim.set_resource_capacity(r, 1e9);
+        let (mut fresh, ..) = build(8e9, 1e9);
+        assert_eq!(rate_bits(&mut sim, ids), rate_bits(&mut fresh, ids));
+        assert_eq!(sim.flow_rate(ids[1]), Some(7e9));
+
+        assert!(sim.set_link_capacity(l, 1.5e9));
+        let (mut fresh, ..) = build(1.5e9, 1e9);
+        assert_eq!(rate_bits(&mut sim, ids), rate_bits(&mut fresh, ids));
+        assert_eq!(sim.flow_rate(ids[0]), Some(0.75e9));
+
+        // A resource registered mid-run extends the table without
+        // disturbing the link and resource entries before it.
+        let r2 = sim.add_resource(0.25e9);
+        let f3 = sim.add_flow(FlowSpec::best_effort(vec![l], 1e12).with_resources(vec![r2, r]));
+        assert_eq!(sim.flow_rate(f3), Some(0.25e9));
+        assert_eq!(sim.flow_rate(ids[0]), Some(0.625e9));
     }
 
     #[test]

@@ -9,12 +9,14 @@
 
 use gvc_logs::SnmpSeries;
 use gvc_topology::LinkId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Byte counters for a set of monitored interfaces.
 #[derive(Debug, Clone, Default)]
 pub struct SnmpRecorder {
-    series: HashMap<LinkId, SnmpSeries>,
+    /// Ordered, and a handful of entries: a lookup is a few integer
+    /// compares on the per-flow deposit path, with no hashing.
+    series: BTreeMap<LinkId, SnmpSeries>,
 }
 
 impl SnmpRecorder {
@@ -58,9 +60,7 @@ impl SnmpRecorder {
 
     /// All monitored links in deterministic (id) order.
     pub fn monitored_links(&self) -> Vec<LinkId> {
-        let mut v: Vec<LinkId> = self.series.keys().copied().collect();
-        v.sort();
-        v
+        self.series.keys().copied().collect()
     }
 
     /// Folds another recorder's counters into this one: interfaces
