@@ -6,27 +6,6 @@ use gvc_workload::nersc_anl::{self, NerscAnlConfig};
 use gvc_workload::nersc_ornl::{self, NerscOrnlConfig, NerscOrnlOutput};
 use gvc_workload::{ncar_nics, slac_bnl};
 
-/// `rayon::join` under the default-on `parallel` feature, plain
-/// sequential evaluation without it. The `Send` bounds match in both
-/// builds so callers compile identically either way.
-#[cfg(feature = "parallel")]
-fn join<A, B>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B + Send) -> (A, B)
-where
-    A: Send,
-    B: Send,
-{
-    rayon::join(a, b)
-}
-
-#[cfg(not(feature = "parallel"))]
-fn join<A, B>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B + Send) -> (A, B)
-where
-    A: Send,
-    B: Send,
-{
-    (a(), b())
-}
-
 /// Generation scale preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -81,12 +60,11 @@ pub struct Scenarios {
 }
 
 impl Scenarios {
-    /// Generates all four scenarios (in parallel when the `parallel`
-    /// feature is on) with fixed seeds.
+    /// Generates all four scenarios in parallel with fixed seeds.
     pub fn generate(scale: Scale) -> Scenarios {
-        let ((ncar, slac), (ornl, anl)) = join(
+        let ((ncar, slac), (ornl, anl)) = rayon::join(
             || {
-                join(
+                rayon::join(
                     || {
                         ncar_nics::generate(ncar_nics::NcarNicsConfig {
                             seed: 2009,
@@ -102,7 +80,7 @@ impl Scenarios {
                 )
             },
             || {
-                join(
+                rayon::join(
                     || {
                         nersc_ornl::generate(NerscOrnlConfig {
                             seed: 2010,

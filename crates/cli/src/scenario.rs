@@ -10,8 +10,8 @@
 //!   behaviour change.
 //!
 //! Scenario outputs are deterministic per seed at every `--shards`
-//! value and in the sequential (`--no-default-features`) build, so the
-//! goldens gate both behaviour and the kernel's determinism contract.
+//! value, including the sequential `--shards 1`, so the goldens gate
+//! both behaviour and the kernel's determinism contract.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};

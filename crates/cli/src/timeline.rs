@@ -214,9 +214,11 @@ pub fn cmd_serve_metrics<W: Write>(
     writeln!(w, "serving /metrics and /timeline.json on http://{addr}")?;
     // Serve on a background thread while the simulation runs, so a
     // scrape observes the run in flight; the registry and timeline
-    // handles are shared with the driver's telemetry context.
-    let handle = std::thread::spawn(move || server.serve_requests(max_requests));
+    // handles are shared with the driver's telemetry context. The
+    // driver is built first, so its metric families are registered
+    // before the first scrape is answered.
     let d = study_driver(seed, jobs, faults, telemetry);
+    let handle = std::thread::spawn(move || server.serve_requests(max_requests));
     let result = d.run_sharded(SimTime::from_secs_f64(horizon), shards);
     if let Some(tl) = &telemetry.timeline {
         result.sim.record_timeline(tl);

@@ -88,90 +88,11 @@ fn full_workflow_through_files() {
     std::fs::remove_file(&anon).ok();
 }
 
-/// Minimal JSON syntax check: one value, whole line consumed. Enough
-/// to catch unescaped quotes, truncated objects, and trailing junk
-/// without a parser dependency.
+/// One JSON value, whole line consumed: catches unescaped quotes,
+/// truncated objects, and trailing junk.
 fn assert_valid_json(line: &str) {
-    fn skip_ws(b: &[u8], mut i: usize) -> usize {
-        while i < b.len() && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        i
-    }
-    fn string(b: &[u8], i: usize) -> Result<usize, String> {
-        if b.get(i) != Some(&b'"') {
-            return Err(format!("expected '\"' at {i}"));
-        }
-        let mut i = i + 1;
-        while let Some(&c) = b.get(i) {
-            match c {
-                b'\\' => i += 2,
-                b'"' => return Ok(i + 1),
-                _ => i += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-    fn value(b: &[u8], i: usize) -> Result<usize, String> {
-        let i = skip_ws(b, i);
-        match b.get(i) {
-            Some(b'{') => {
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b'}') {
-                    return Ok(i + 1);
-                }
-                loop {
-                    i = string(b, skip_ws(b, i))?;
-                    i = skip_ws(b, i);
-                    if b.get(i) != Some(&b':') {
-                        return Err(format!("expected ':' at {i}"));
-                    }
-                    i = value(b, i + 1)?;
-                    i = skip_ws(b, i);
-                    match b.get(i) {
-                        Some(b',') => i += 1,
-                        Some(b'}') => return Ok(i + 1),
-                        _ => return Err(format!("expected ',' or '}}' at {i}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b']') {
-                    return Ok(i + 1);
-                }
-                loop {
-                    i = value(b, i)?;
-                    i = skip_ws(b, i);
-                    match b.get(i) {
-                        Some(b',') => i += 1,
-                        Some(b']') => return Ok(i + 1),
-                        _ => return Err(format!("expected ',' or ']' at {i}")),
-                    }
-                }
-            }
-            Some(b'"') => string(b, i),
-            Some(_) => {
-                let start = i;
-                let mut j = i;
-                while j < b.len() && !b" \t,:]}".contains(&b[j]) {
-                    j += 1;
-                }
-                let tok = std::str::from_utf8(&b[start..j]).map_err(|e| e.to_string())?;
-                if tok == "true" || tok == "false" || tok == "null" || tok.parse::<f64>().is_ok() {
-                    Ok(j)
-                } else {
-                    Err(format!("bad token {tok:?} at {start}"))
-                }
-            }
-            None => Err("unexpected end".into()),
-        }
-    }
-    let b = line.as_bytes();
-    match value(b, 0) {
-        Ok(end) => assert_eq!(skip_ws(b, end), b.len(), "trailing junk in {line:?}"),
-        Err(e) => panic!("invalid JSON ({e}): {line:?}"),
-    }
+    gvc_telemetry::json::Json::parse(line)
+        .unwrap_or_else(|e| panic!("invalid JSON ({e}): {line:?}"));
 }
 
 #[test]

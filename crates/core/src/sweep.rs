@@ -24,8 +24,8 @@
 //!   one sort plus O(n · |delays|) merge work, independent of
 //!   `|gaps|`.
 //! * Pairs are independent, so the merge walk runs in parallel across
-//!   server pairs under the `parallel` feature (rayon), combining
-//!   per-pair partial aggregates at the end.
+//!   server pairs (rayon), combining per-pair partial aggregates at
+//!   the end.
 //!
 //! The proptest in this module and the workload-level test in
 //! `tests/sweep_equivalence.rs` pin the engine to the reference
@@ -39,9 +39,8 @@ use gvc_telemetry::{Histogram, SpanTimer, Telemetry};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Pair-record slices below this size are swept sequentially even
-/// with the `parallel` feature on (thread spawn outweighs the work).
-#[cfg(feature = "parallel")]
+/// Pair-record slices below this size are swept sequentially
+/// (thread spawn outweighs the work).
 const PARALLEL_THRESHOLD_RECORDS: usize = 50_000;
 
 /// One session as a half-open index range into the store's record
@@ -472,18 +471,15 @@ impl GapAgg {
 /// (ascending-slot order matching `ctx.gap_order`'s output slots —
 /// i.e. indexed by the caller's original gap positions).
 fn sweep_pairs(ctx: &SweepCtx<'_>, pairs: &[(u32, u32)]) -> Vec<GapAgg> {
-    #[cfg(feature = "parallel")]
-    {
-        let total: usize = pairs.iter().map(|&(lo, hi)| (hi - lo) as usize).sum();
-        if pairs.len() > 1 && total > PARALLEL_THRESHOLD_RECORDS {
-            let mid = pairs.len() / 2;
-            let (mut a, b) =
-                rayon::join(|| sweep_pairs(ctx, &pairs[..mid]), || sweep_pairs(ctx, &pairs[mid..]));
-            for (x, y) in a.iter_mut().zip(&b) {
-                x.absorb(y);
-            }
-            return a;
+    let total: usize = pairs.iter().map(|&(lo, hi)| (hi - lo) as usize).sum();
+    if pairs.len() > 1 && total > PARALLEL_THRESHOLD_RECORDS {
+        let mid = pairs.len() / 2;
+        let (mut a, b) =
+            rayon::join(|| sweep_pairs(ctx, &pairs[..mid]), || sweep_pairs(ctx, &pairs[mid..]));
+        for (x, y) in a.iter_mut().zip(&b) {
+            x.absorb(y);
         }
+        return a;
     }
     let n_gaps = ctx.gap_order.len();
     let mut out = vec![GapAgg::zero(ctx.thresholds_s.len()); n_gaps];

@@ -1386,8 +1386,8 @@ impl Driver {
     ///
     /// Determinism contract:
     ///
-    /// * outputs are byte-identical for every `shards` value and for
-    ///   parallel vs. `--no-default-features` sequential builds;
+    /// * outputs are byte-identical for every `shards` value, including
+    ///   `Shards::Fixed(1)`, which runs the lanes one after another;
     /// * a schedule that partitions into a single lane (everything
     ///   shares a path, which includes the paper's one-pair studies)
     ///   delegates to [`Driver::run`] and is bit-for-bit the legacy
@@ -1511,11 +1511,11 @@ impl Driver {
 }
 
 /// Executes lane sub-drivers, returning results in lane order. With
-/// the `parallel` feature and more than one worker, lanes run via
-/// recursive `rayon::join` splits bounded by the worker budget; the
-/// halves concatenate back in lane order however execution
-/// interleaves, so results never depend on scheduling.
-#[cfg(feature = "parallel")]
+/// more than one worker, lanes run via recursive `rayon::join` splits
+/// bounded by the worker budget; the halves concatenate back in lane
+/// order however execution interleaves, so results never depend on
+/// scheduling. With one worker, lanes run one after another, in lane
+/// order.
 fn run_lanes(lanes: Vec<Driver>, limit: SimTime, threads: usize) -> Vec<(DriverOutput, LaneStats)> {
     fn go(
         mut lanes: Vec<Driver>,
@@ -1533,16 +1533,6 @@ fn run_lanes(lanes: Vec<Driver>, limit: SimTime, threads: usize) -> Vec<(DriverO
         l
     }
     go(lanes, limit, threads)
-}
-
-/// Sequential fallback: lanes run one after another, in lane order.
-#[cfg(not(feature = "parallel"))]
-fn run_lanes(
-    lanes: Vec<Driver>,
-    limit: SimTime,
-    _threads: usize,
-) -> Vec<(DriverOutput, LaneStats)> {
-    lanes.into_iter().map(|d| d.run_core(limit)).collect()
 }
 
 /// Per-transfer connection statistics, in the spirit of the `tstat`
@@ -2545,9 +2535,8 @@ mod tests {
 
     /// The flight-recorder arm of the determinism contract: the
     /// merged timeline (driver, kernel, IDC, fault, and derived SNMP
-    /// series alike) is byte-identical at every shard count — and,
-    /// because this test also runs under `--no-default-features`, in
-    /// the sequential build.
+    /// series alike) is byte-identical at every shard count, including
+    /// the sequential `Shards::Fixed(1)` run.
     #[test]
     fn sharded_timeline_bytes_identical_across_shard_counts() {
         use gvc_faults::FaultPlan;
@@ -2635,7 +2624,7 @@ mod tests {
         /// Property form of the determinism contract: random session
         /// shapes and fault plans over disjoint pairs produce
         /// identical logs, tstat, and resilience at shard counts
-        /// 1, 2, and N — with the parallel feature on or off.
+        /// 1, 2, and N.
         #[test]
         fn prop_sharded_equivalence_across_shard_counts(
             seed in 0u64..500,

@@ -61,8 +61,7 @@ fn long_diffs_are_elided_after_ten_lines() {
 
 /// Every committed golden is reproduced byte-exactly by a fresh run,
 /// and the report is invariant across shard counts — including the
-/// sequential `Shards::Fixed(1)` path that `--no-default-features`
-/// builds always take.
+/// sequential `Shards::Fixed(1)` path.
 #[test]
 fn corpus_goldens_match_at_every_shard_count() {
     let dir = corpus_dir();

@@ -3,10 +3,10 @@
 //! and structural checks.
 //!
 //! The wire format is the flat one-object-per-line JSON emitted by
-//! [`crate::trace`] (see `docs/observability.md`); the parser here is
-//! deliberately restricted to that shape — scalar values only, no
-//! nesting — and hand-rolled so the analysis toolchain stays std-only
-//! like the rest of the crate.
+//! [`crate::trace`] (see `docs/observability.md`). Lines are read with
+//! the crate's one JSON reader ([`crate::json`]) and then held to that
+//! shape: a top-level object of scalar values only, with an integer
+//! `t_us` and a string `kind`.
 //!
 //! Time attribution (the `profile` self-time column) partitions each
 //! span tree's timeline over its *innermost open* spans: at every
@@ -17,53 +17,9 @@
 //! lets `gvc trace profile` reconcile phase sums against the run's
 //! total simulated time.
 
+use crate::json::{Json, Reader};
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// A scalar JSON value from a trace line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null` (also used for non-finite floats on the wire).
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number with no fractional part or exponent.
-    Int(i64),
-    /// Any other number.
-    Float(f64),
-    /// A string.
-    Str(String),
-}
-
-impl JsonValue {
-    /// Numeric view of the value, if it has one.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Int(v) => Some(*v as f64),
-            JsonValue::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Integer view of the value, if it is an integer.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// String view of the value, if it is a string.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-}
 
 /// One parsed trace line.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,33 +28,33 @@ pub struct TraceRecord {
     pub t_us: i64,
     /// Dot-namespaced event kind.
     pub kind: String,
-    /// Remaining fields, in wire order.
-    pub fields: Vec<(String, JsonValue)>,
+    /// Remaining fields (scalars only), in wire order.
+    pub fields: Vec<(String, Json)>,
 }
 
 impl TraceRecord {
     /// Looks up a field by key.
     #[must_use]
-    pub fn field(&self, key: &str) -> Option<&JsonValue> {
+    pub fn field(&self, key: &str) -> Option<&Json> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Integer field shorthand.
     #[must_use]
     pub fn int(&self, key: &str) -> Option<i64> {
-        self.field(key).and_then(JsonValue::as_i64)
+        self.field(key).and_then(Json::as_i64)
     }
 
     /// Numeric field shorthand.
     #[must_use]
     pub fn num(&self, key: &str) -> Option<f64> {
-        self.field(key).and_then(JsonValue::as_f64)
+        self.field(key).and_then(Json::as_f64)
     }
 
     /// String field shorthand.
     #[must_use]
     pub fn text(&self, key: &str) -> Option<&str> {
-        self.field(key).and_then(JsonValue::as_str)
+        self.field(key).and_then(Json::as_str)
     }
 }
 
@@ -123,11 +79,12 @@ impl std::error::Error for ParseError {}
 /// must be a flat JSON object with integer `t_us` and string `kind`.
 pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, ParseError> {
     let mut out = Vec::new();
+    let mut reader = Reader::default();
     for (idx, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        match parse_line(line) {
+        match parse_line(&mut reader, line) {
             Ok(rec) => out.push(rec),
             Err(message) => return Err(ParseError { line: idx + 1, message }),
         }
@@ -137,186 +94,48 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, ParseError> {
 
 /// Parses one trace line.
 pub fn parse_record(line: &str) -> Result<TraceRecord, ParseError> {
-    parse_line(line).map_err(|message| ParseError { line: 1, message })
+    parse_line(&mut Reader::default(), line).map_err(|message| ParseError { line: 1, message })
 }
 
-fn parse_line(line: &str) -> Result<TraceRecord, String> {
-    let mut p = Scanner { b: line.as_bytes(), i: 0 };
-    p.skip_ws();
-    p.eat(b'{')?;
-    let mut t_us: Option<i64> = None;
-    let mut kind: Option<String> = None;
-    let mut fields = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.i += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.eat(b':')?;
-            p.skip_ws();
-            let value = p.value()?;
-            match key.as_str() {
-                "t_us" => match value.as_i64() {
-                    Some(v) => t_us = Some(v),
-                    None => return Err("t_us is not an integer".to_string()),
-                },
-                "kind" => match value {
-                    JsonValue::Str(s) => kind = Some(s),
-                    _ => return Err("kind is not a string".to_string()),
-                },
-                _ => fields.push((key, value)),
-            }
-            p.skip_ws();
-            match p.next_byte() {
-                Some(b',') => {}
-                Some(b'}') => break,
-                _ => return Err("expected `,` or `}`".to_string()),
-            }
+fn parse_line(reader: &mut Reader, line: &str) -> Result<TraceRecord, String> {
+    let Json::Obj(pairs) = reader.parse(line).map_err(|e| e.to_string())? else {
+        return Err("trace line is not a JSON object".to_string());
+    };
+    // Take `t_us` and `kind` out in place: the parsed list is already
+    // exactly sized, and records live for the whole analysis. The
+    // first shape violation in wire order wins.
+    let mut fields = pairs.into_vec();
+    let (mut t_us, mut kind, mut bad) = (None, None, None);
+    fields.retain_mut(|(key, value)| match (key.as_str(), value) {
+        (_, Json::Arr(_) | Json::Obj(_)) => {
+            bad.get_or_insert("nested values are not part of the trace format");
+            true
         }
-    }
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err("trailing bytes after object".to_string());
+        ("t_us", Json::Int(v)) => {
+            t_us = Some(*v);
+            false
+        }
+        ("kind", Json::Str(s)) => {
+            kind = Some(std::mem::take(s));
+            false
+        }
+        ("t_us", _) => {
+            bad.get_or_insert("t_us is not an integer");
+            false
+        }
+        ("kind", _) => {
+            bad.get_or_insert("kind is not a string");
+            false
+        }
+        _ => true,
+    });
+    if let Some(msg) = bad {
+        return Err(msg.to_string());
     }
     match (t_us, kind) {
         (Some(t_us), Some(kind)) => Ok(TraceRecord { t_us, kind, fields }),
         (None, _) => Err("missing t_us".to_string()),
         (_, None) => Err("missing kind".to_string()),
-    }
-}
-
-struct Scanner<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Scanner<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn next_byte(&mut self) -> Option<u8> {
-        let c = self.peek();
-        if c.is_some() {
-            self.i += 1;
-        }
-        c
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, want: u8) -> Result<(), String> {
-        match self.next_byte() {
-            Some(c) if c == want => Ok(()),
-            _ => Err(format!("expected `{}`", char::from(want))),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next_byte() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next_byte() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => out.push(self.unicode_escape()?),
-                    _ => return Err("bad escape".to_string()),
-                },
-                Some(c) if c < 0x80 => out.push(char::from(c)),
-                Some(c) => {
-                    // Re-assemble a UTF-8 sequence: the input is a
-                    // &str, so the bytes are valid by construction.
-                    let len = match c {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let start = self.i - 1;
-                    let end = (start + len).min(self.b.len());
-                    if let Ok(s) = std::str::from_utf8(self.b.get(start..end).unwrap_or(&[])) {
-                        out.push_str(s);
-                    }
-                    self.i = end;
-                }
-            }
-        }
-    }
-
-    fn unicode_escape(&mut self) -> Result<char, String> {
-        let hi = self.hex4()?;
-        if (0xd800..0xdc00).contains(&hi) {
-            // Surrogate pair: expect `\uXXXX` low half.
-            if self.next_byte() == Some(b'\\') && self.next_byte() == Some(b'u') {
-                let lo = self.hex4()?;
-                let code = 0x10000 + ((hi - 0xd800) << 10) + (lo.wrapping_sub(0xdc00) & 0x3ff);
-                return char::from_u32(code).ok_or_else(|| "bad surrogate pair".to_string());
-            }
-            return Err("lone high surrogate".to_string());
-        }
-        char::from_u32(hi).ok_or_else(|| "bad \\u escape".to_string())
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let c = self.next_byte().ok_or("truncated \\u escape")?;
-            let d = char::from(c).to_digit(16).ok_or("bad hex digit")?;
-            v = v * 16 + d;
-        }
-        Ok(v)
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'{' | b'[') => Err("nested values are not part of the trace format".to_string()),
-            Some(_) => self.number(),
-            None => Err("expected a value".to_string()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        let end = self.i + word.len();
-        if self.b.get(self.i..end) == Some(word.as_bytes()) {
-            self.i = end;
-            Ok(v)
-        } else {
-            Err(format!("expected `{word}`"))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.i;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-            self.i += 1;
-        }
-        let s = std::str::from_utf8(self.b.get(start..self.i).unwrap_or(&[]))
-            .map_err(|_| "bad number".to_string())?;
-        if s.bytes().all(|c| c == b'-' || c.is_ascii_digit()) {
-            if let Ok(v) = s.parse::<i64>() {
-                return Ok(JsonValue::Int(v));
-            }
-        }
-        s.parse::<f64>().map(JsonValue::Float).map_err(|_| format!("bad number `{s}`"))
     }
 }
 
@@ -334,7 +153,7 @@ pub struct SpanNode {
     /// End, if the `span.end` event was seen.
     pub end_us: Option<i64>,
     /// Extra `span.start` fields (session index, reservation id, ...).
-    pub fields: Vec<(String, JsonValue)>,
+    pub fields: Vec<(String, Json)>,
 }
 
 impl SpanNode {
@@ -996,9 +815,9 @@ mod tests {
         assert_eq!(r.kind, "idc.admit");
         assert_eq!(r.int("id"), Some(3));
         assert_eq!(r.num("rate_bps"), Some(1e9));
-        assert_eq!(r.field("ok"), Some(&JsonValue::Bool(true)));
+        assert_eq!(r.field("ok"), Some(&Json::Bool(true)));
         assert_eq!(r.text("note"), Some("a\nb"));
-        assert_eq!(r.field("nothing"), Some(&JsonValue::Null));
+        assert_eq!(r.field("nothing"), Some(&Json::Null));
         assert_eq!(r.num("neg"), Some(-2.5));
     }
 

@@ -48,6 +48,7 @@
 //! ```
 
 pub mod analyze;
+pub mod json;
 pub mod manifest;
 pub mod metrics;
 pub mod perf;
@@ -57,8 +58,8 @@ pub mod timeline;
 pub mod trace;
 
 pub use analyze::{
-    check, parse_trace, profile, sessions, CheckConfig, CheckReport, JsonValue, ParseError,
-    PhaseRow, Profile, SessionPhase, SessionRow, SpanNode, TraceModel, TraceRecord,
+    check, parse_trace, profile, sessions, CheckConfig, CheckReport, ParseError, PhaseRow, Profile,
+    SessionPhase, SessionRow, SpanNode, TraceModel, TraceRecord,
 };
 pub use manifest::{fnv1a64, RunManifest};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};

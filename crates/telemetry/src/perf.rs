@@ -27,292 +27,12 @@
 //!   warnings; the `gvc perf gate` exit code is derived from
 //!   [`DiffReport::gate_failures`].
 
+use crate::json::Json;
 use crate::metrics::{Histogram, Registry};
 use crate::trace::{json_escape_into, Stopwatch};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-
-// ---------------------------------------------------------------------------
-// Minimal nested JSON value (the analyze-layer parser is flat-only).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Objects preserve key order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-/// A JSON parse error: byte offset and message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the error.
-    pub pos: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "json error at byte {}: {}", self.pos, self.msg)
-    }
-}
-
-impl Json {
-    /// Parses one JSON document (trailing whitespace allowed).
-    pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { b: s.as_bytes(), i: 0 };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.i < p.b.len() {
-            return Err(p.err("trailing characters after document"));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup (first match); `None` for non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as `u64` (rejects negatives and fractions).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-const MAX_DEPTH: usize = 32;
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: &str) -> JsonError {
-        JsonError { pos: self.i, msg: msg.to_string() }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
-        if self.b.get(self.i..self.i + word.len()) == Some(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected `{word}`")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.i;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(self.b.get(start..self.i).unwrap_or_default())
-            .map_err(|_| self.err("invalid utf-8 in number"))?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| self.err("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = self.peek().ok_or_else(|| self.err("unterminated string"))?;
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                self.eat(b'\\')?;
-                                self.eat(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-scan the full UTF-8 sequence starting here.
-                    let start = self.i - 1;
-                    let rest = std::str::from_utf8(self.b.get(start..).unwrap_or_default())
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.err("empty string tail"))?;
-                    out.push(ch);
-                    self.i = start + ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let c = self.peek().ok_or_else(|| self.err("truncated \\u escape"))?;
-            let d = (c as char).to_digit(16).ok_or_else(|| self.err("non-hex in \\u escape"))?;
-            v = v * 16 + d;
-            self.i += 1;
-        }
-        Ok(v)
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let val = self.value(depth + 1)?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-}
 
 fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
@@ -1292,25 +1012,6 @@ mod tests {
             });
         }
         s
-    }
-
-    #[test]
-    fn json_parser_round_trips_nested_values() {
-        let text = r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\"y\n", "d": null}, "e": true}"#;
-        let v = Json::parse(text).expect("parse");
-        assert_eq!(v.get("a").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
-        assert_eq!(v.get("b").and_then(|b| b.get("c")).and_then(Json::as_str), Some("x\"y\n"));
-        assert_eq!(v.get("b").and_then(|b| b.get("d")), Some(&Json::Null));
-        assert_eq!(v.get("e").and_then(Json::as_bool), Some(true));
-        assert!(Json::parse("{\"a\": }").is_err());
-        assert!(Json::parse("[1, 2] trailing").is_err());
-    }
-
-    #[test]
-    fn json_parser_handles_unicode_escapes() {
-        let v = Json::parse(r#""aéb 😀""#).expect("parse");
-        assert_eq!(v.as_str(), Some("a\u{e9}b \u{1F600}"));
-        assert!(Json::parse(r#""\ud83d""#).is_err(), "lone high surrogate must fail");
     }
 
     #[test]

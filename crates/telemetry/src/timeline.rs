@@ -20,8 +20,8 @@
 //! Shard lanes each hold a private recorder; the coordinator absorbs
 //! them in deterministic lane order ([`TimelineRecorder::absorb`]),
 //! and every emitting subsystem is resource-confined to one lane, so
-//! the merged timeline is byte-identical at every shard count and in
-//! the sequential build. Two *derived* series — `kernel.queue_depth`
+//! the merged timeline is byte-identical at every shard count,
+//! `--shards 1` included. Two *derived* series — `kernel.queue_depth`
 //! and `driver.active_sessions` — are materialized at render time as
 //! cumulative differences of shard-invariant counters (a lane-local
 //! depth sample would not survive re-partitioning; the cumulative
@@ -35,6 +35,7 @@
 //! Series names are doc-pinned in `docs/observability.md` (the
 //! `schema_drift` meta-test closes the loop).
 
+use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -592,216 +593,47 @@ impl WindowDoc {
 impl TimelineDoc {
     /// Parses the canonical timeline JSON back into a document.
     pub fn parse(text: &str) -> Result<TimelineDoc, String> {
-        let v = JsonParser { b: text.as_bytes(), at: 0 }.parse()?;
-        let Json::Obj(top) = v else { return Err("timeline: top level is not an object".into()) };
-        let width_us = match find(&top, "width_us") {
-            Some(Json::Num(n)) if *n >= 1.0 => *n as u64,
+        let v = Json::parse(text).map_err(|e| format!("timeline: {e}"))?;
+        if !matches!(v, Json::Obj(_)) {
+            return Err("timeline: top level is not an object".into());
+        }
+        let width_us = match v.get("width_us").and_then(Json::as_f64) {
+            Some(n) if n >= 1.0 => n as u64,
             _ => return Err("timeline: missing or invalid width_us".into()),
         };
-        let Some(Json::Arr(series_v)) = find(&top, "series") else {
+        let Some(series_v) = v.get("series").and_then(Json::as_arr) else {
             return Err("timeline: missing series array".into());
         };
         let mut series = Vec::with_capacity(series_v.len());
-        for sv in series_v {
-            let Json::Obj(s) = sv else {
+        for s in series_v {
+            if !matches!(s, Json::Obj(_)) {
                 return Err("timeline: series entry not an object".into());
+            }
+            let Some(name) = s.get("name").and_then(Json::as_str).map(str::to_string) else {
+                return Err("timeline: series without a name".into());
             };
-            let name = match find(s, "name") {
-                Some(Json::Str(n)) => n.clone(),
-                _ => return Err("timeline: series without a name".into()),
-            };
-            let kind = match find(s, "kind") {
-                Some(Json::Str(k)) => k.clone(),
-                _ => return Err(format!("timeline: series {name:?} without a kind")),
+            let Some(kind) = s.get("kind").and_then(Json::as_str).map(str::to_string) else {
+                return Err(format!("timeline: series {name:?} without a kind"));
             };
             let mut windows = Vec::new();
-            if let Some(Json::Arr(ws)) = find(s, "windows") {
-                for wv in ws {
-                    let Json::Obj(fields) = wv else {
-                        return Err(format!("timeline: window of {name:?} not an object"));
-                    };
-                    let w = match find(fields, "w") {
-                        Some(Json::Num(n)) if *n >= 0.0 => *n as u64,
-                        _ => return Err(format!("timeline: window of {name:?} without w")),
-                    };
-                    let nums = fields
-                        .iter()
-                        .filter(|(k, _)| k != "w")
-                        .filter_map(|(k, v)| match v {
-                            Json::Num(n) => Some((k.clone(), *n)),
-                            _ => None,
-                        })
-                        .collect();
-                    windows.push(WindowDoc { w, fields: nums });
-                }
+            for wv in s.get("windows").and_then(Json::as_arr).unwrap_or_default() {
+                let Json::Obj(fields) = wv else {
+                    return Err(format!("timeline: window of {name:?} not an object"));
+                };
+                let w = match wv.get("w").and_then(Json::as_f64) {
+                    Some(n) if n >= 0.0 => n as u64,
+                    _ => return Err(format!("timeline: window of {name:?} without w")),
+                };
+                let nums = fields
+                    .iter()
+                    .filter(|(k, _)| k != "w")
+                    .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+                    .collect();
+                windows.push(WindowDoc { w, fields: nums });
             }
             series.push(SeriesDoc { name, kind, windows });
         }
         Ok(TimelineDoc { width_us, series })
-    }
-}
-
-fn find<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// Minimal recursive JSON value — just enough for timeline documents.
-#[derive(Debug, Clone)]
-enum Json {
-    Null,
-    Bool,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-/// A small recursive-descent JSON parser (std-only; the trace-side
-/// parser in [`crate::analyze`] is line-oriented and flat, timeline
-/// documents are nested).
-struct JsonParser<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl JsonParser<'_> {
-    fn parse(mut self) -> Result<Json, String> {
-        let v = self.value(0)?;
-        self.skip_ws();
-        if self.at != self.b.len() {
-            return Err(format!("timeline json: trailing bytes at {}", self.at));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.b.get(self.at).is_some_and(u8::is_ascii_whitespace) {
-            self.at += 1;
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > 32 {
-            return Err("timeline json: nesting too deep".into());
-        }
-        self.skip_ws();
-        match self.b.get(self.at) {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool),
-            Some(b'f') => self.literal("false", Json::Bool),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("timeline json: unexpected end".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.at..].starts_with(word.as_bytes()) {
-            self.at += word.len();
-            Ok(v)
-        } else {
-            Err(format!("timeline json: bad literal at {}", self.at))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.at;
-        while self
-            .b
-            .get(self.at)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.at += 1;
-        }
-        let s = std::str::from_utf8(&self.b[start..self.at]).map_err(|e| e.to_string())?;
-        s.parse::<f64>().map(Json::Num).map_err(|_| format!("timeline json: bad number `{s}`"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.at += 1; // opening quote
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.at) {
-                None => return Err("timeline json: unterminated string".into()),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.b.get(self.at) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(&c) => out.push(c as char),
-                        None => return Err("timeline json: bad escape".into()),
-                    }
-                    self.at += 1;
-                }
-                Some(&c) => {
-                    out.push(c as char);
-                    self.at += 1;
-                }
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
-        self.at += 1; // '{'
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.b.get(self.at) == Some(&b'}') {
-            self.at += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            if self.b.get(self.at) != Some(&b'"') {
-                return Err(format!("timeline json: expected key at {}", self.at));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if self.b.get(self.at) != Some(&b':') {
-                return Err(format!("timeline json: expected ':' at {}", self.at));
-            }
-            self.at += 1;
-            let v = self.value(depth + 1)?;
-            out.push((key, v));
-            self.skip_ws();
-            match self.b.get(self.at) {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(format!("timeline json: expected ',' or '}}' at {}", self.at)),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
-        self.at += 1; // '['
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.b.get(self.at) == Some(&b']') {
-            self.at += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.b.get(self.at) {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(format!("timeline json: expected ',' or ']' at {}", self.at)),
-            }
-        }
     }
 }
 
@@ -1205,6 +1037,23 @@ mod tests {
         assert_eq!(t.kind, "counter");
         assert_eq!(t.windows.len(), 2);
         assert_eq!(t.windows.first().and_then(|w| w.get("value")), Some(2.0));
+    }
+
+    #[test]
+    fn non_ascii_names_and_escapes_survive_the_doc_parser() {
+        // `to_json` writes names raw, so multi-byte text must come
+        // back as the same characters, not one Latin-1 char per byte.
+        let mut r = TimelineRecorder::new(DEFAULT_WIDTH_US);
+        r.add("net.link_util[café->zürich]", 0, 1.0);
+        let doc = TimelineDoc::parse(&r.to_json()).expect("parse");
+        let names: Vec<&str> = doc.series.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, vec!["net.link_util[café->zürich]"]);
+
+        let text = r#"{"width_us": 30000000, "series": [
+            {"name": "caf\u00e9\r", "kind": "counter", "windows": [{"w": 0, "value": 1}]}
+        ]}"#;
+        let doc = TimelineDoc::parse(text).expect("parse");
+        assert_eq!(doc.series.first().map(|s| s.name.as_str()), Some("café\r"));
     }
 
     #[test]

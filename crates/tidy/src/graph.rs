@@ -5,10 +5,8 @@
 //! comment contents can never fake an item or a call. The scanner is
 //! line-oriented with a brace-depth scope stack: items are only
 //! collected at module/impl/trait scope (never inside fn bodies or
-//! macro bodies), headers may span lines (multi-line signatures,
-//! `where` clauses), and `#[cfg(feature = "parallel")]` attributes
-//! are read from the *raw* lines, since the masked view blanks the
-//! string inside the attribute.
+//! macro bodies), and headers may span lines (multi-line signatures,
+//! `where` clauses).
 //!
 //! The resulting [`ItemGraph`] is deliberately "call-graph-lite":
 //! calls resolve through the per-file `use` map and workspace path
@@ -20,17 +18,6 @@ use std::collections::BTreeMap;
 
 use crate::lexer::SourceFile;
 use crate::resolve::{crate_of_path, module_of_path, resolve_root, Root, UseMap};
-
-/// Which side of the `parallel` feature gate an item sits on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cfg {
-    /// Ungated (or gated on something other than `parallel`).
-    None,
-    /// `#[cfg(feature = "parallel")]`.
-    Parallel,
-    /// `#[cfg(not(feature = "parallel"))]`.
-    NotParallel,
-}
 
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
@@ -65,8 +52,6 @@ pub struct FnItem {
     pub line: usize,
     /// 0-based body line range (empty for bodyless trait fns).
     pub body: std::ops::Range<usize>,
-    /// Feature-gate side.
-    pub cfg: Cfg,
     /// Inside a `#[cfg(test)]` / `#[test]` region.
     pub is_test: bool,
     /// Declared inside an `impl` or `trait` block.
@@ -94,28 +79,6 @@ pub struct TypeItem {
     pub is_test: bool,
 }
 
-/// A module-level item on either side of the `parallel` gate —
-/// the unit of the cfg-parity check.
-#[derive(Debug, Clone)]
-pub struct GatedItem {
-    /// Item kind keyword (`fn`, `struct`, `impl`, …).
-    pub kind: &'static str,
-    /// Pairing key: qualified name, or normalized header text for
-    /// `impl` / `use` items.
-    pub key: String,
-    /// Index into [`ItemGraph::files`].
-    pub file: usize,
-    /// 0-based declaration line.
-    pub line: usize,
-    /// Which side of the gate.
-    pub cfg: Cfg,
-    /// For fns: normalized signature and visibility, compared
-    /// between twins.
-    pub sig: Option<String>,
-    /// Declared `pub`.
-    pub is_pub: bool,
-}
-
 /// Per-file facts the graph keeps alongside the global item lists.
 #[derive(Debug, Clone)]
 pub struct FileInfo {
@@ -138,8 +101,6 @@ pub struct ItemGraph {
     pub fns: Vec<FnItem>,
     /// Every `struct` / `enum` item.
     pub types: Vec<TypeItem>,
-    /// Every `parallel`-gated module-level item.
-    pub gated: Vec<GatedItem>,
     /// Bare fn name → indices into `fns`.
     pub fn_names: BTreeMap<String, Vec<usize>>,
     /// Type name → indices into `types`.
@@ -256,7 +217,6 @@ struct Header {
     kind: &'static str,
     text: String,
     start_line: usize,
-    cfg: Cfg,
     is_pub: bool,
     /// Paren/bracket nesting inside the header (a `{` only ends the
     /// header at depth 0, so `fn f(x: impl Fn() -> {…}` stays safe).
@@ -272,7 +232,6 @@ struct Scanner<'a> {
     inline_mods: Vec<String>,
     depth: usize,
     scopes: Vec<Scope>,
-    pending_cfg: Cfg,
     header: Option<Header>,
     /// Scope kind produced by a just-finished header whose body `{`
     /// is being opened (one word of hand-off state between
@@ -291,7 +250,6 @@ impl<'a> Scanner<'a> {
             inline_mods: Vec::new(),
             depth: 0,
             scopes: Vec::new(),
-            pending_cfg: Cfg::None,
             header: None,
             finished_kind: None,
             uses: UseMap::new(),
@@ -336,38 +294,14 @@ impl<'a> Scanner<'a> {
         let code = self.file.code[ln].clone();
         if self.header.is_none() && self.at_item_scope() {
             let trimmed = code.trim_start();
-            if trimmed.starts_with("#[") || trimmed.starts_with("#!") {
-                // Attributes are read from the raw line: the feature
-                // name is a string literal, blanked in the code view.
-                let raw = &self.file.raw[ln];
-                if raw.contains("cfg(not(feature = \"parallel\"))")
-                    || raw.contains("cfg(not(feature=\"parallel\"))")
-                {
-                    self.pending_cfg = Cfg::NotParallel;
-                } else if raw.contains("cfg(feature = \"parallel\")")
-                    || raw.contains("cfg(feature=\"parallel\")")
-                {
-                    self.pending_cfg = Cfg::Parallel;
-                }
-                return;
-            }
-            if trimmed.is_empty() {
-                // Blank (or comment-only) lines keep a pending
-                // attribute alive between `#[cfg]` and the item.
+            if trimmed.starts_with("#[") || trimmed.starts_with("#!") || trimmed.is_empty() {
+                // Attributes and blank (or comment-only) lines
+                // declare nothing.
                 return;
             }
             if let Some((kind, is_pub)) = item_start(trimmed) {
-                let cfg = std::mem::replace(&mut self.pending_cfg, Cfg::None);
-                self.header = Some(Header {
-                    kind,
-                    text: String::new(),
-                    start_line: ln,
-                    cfg,
-                    is_pub,
-                    nest: 0,
-                });
-            } else {
-                self.pending_cfg = Cfg::None;
+                self.header =
+                    Some(Header { kind, text: String::new(), start_line: ln, is_pub, nest: 0 });
             }
         }
         self.walk_chars(ln, &code, g);
@@ -447,7 +381,6 @@ impl<'a> Scanner<'a> {
     fn finish_header(&mut self, h: Header, ln: usize, has_body: bool, g: &mut ItemGraph) {
         let text = h.text.trim().to_string();
         let is_test = self.file.is_test.get(h.start_line).copied().unwrap_or(false);
-        let mods = self.mod_path();
         let kind_scope = match h.kind {
             "fn" => {
                 let name = ident_after(&text, "fn ").unwrap_or_default();
@@ -455,7 +388,7 @@ impl<'a> Scanner<'a> {
                     Some(ScopeKind::Impl(t) | ScopeKind::Trait(t)) => Some(t.clone()),
                     _ => None,
                 };
-                let mut qsegs = mods.clone();
+                let mut qsegs = self.mod_path();
                 if let Some(t) = &owner {
                     qsegs.push(t.clone());
                 }
@@ -473,22 +406,10 @@ impl<'a> Scanner<'a> {
                     // bodies (`fn f() { g() }`) are scanned too; the
                     // end is patched when the scope closes.
                     body: if has_body { ln..ln + 1 } else { 0..0 },
-                    cfg: h.cfg,
                     is_test,
                     is_method: owner.is_some(),
                     calls: Vec::new(),
                 });
-                if h.cfg != Cfg::None {
-                    g.gated.push(GatedItem {
-                        kind: "fn",
-                        key: g.fns[idx].qname.clone(),
-                        file: self.file_idx,
-                        line: h.start_line,
-                        cfg: h.cfg,
-                        sig: Some(crate::resolve::normalize_sig(&text)),
-                        is_pub: h.is_pub,
-                    });
-                }
                 has_body.then_some(ScopeKind::Fn(idx))
             }
             "struct" | "enum" | "union" => {
@@ -502,58 +423,19 @@ impl<'a> Scanner<'a> {
                 g.types.push(TypeItem {
                     file: self.file_idx,
                     krate: self.krate.clone(),
-                    name: name.clone(),
+                    name,
                     line: h.start_line,
                     fields,
                     is_test,
                 });
-                if h.cfg != Cfg::None {
-                    let mut qsegs = mods.clone();
-                    qsegs.push(name);
-                    g.gated.push(GatedItem {
-                        kind: h.kind,
-                        key: qsegs.join("::"),
-                        file: self.file_idx,
-                        line: h.start_line,
-                        cfg: h.cfg,
-                        sig: None,
-                        is_pub: h.is_pub,
-                    });
-                }
                 has_body.then_some(ScopeKind::Type(idx))
             }
             "trait" => {
                 let name = ident_after(&text, "trait ").unwrap_or_default();
-                if h.cfg != Cfg::None {
-                    let mut qsegs = mods.clone();
-                    qsegs.push(name.clone());
-                    g.gated.push(GatedItem {
-                        kind: "trait",
-                        key: qsegs.join("::"),
-                        file: self.file_idx,
-                        line: h.start_line,
-                        cfg: h.cfg,
-                        sig: None,
-                        is_pub: h.is_pub,
-                    });
-                }
                 has_body.then_some(ScopeKind::Trait(name))
             }
             "mod" => {
                 let name = ident_after(&text, "mod ").unwrap_or_default();
-                if h.cfg != Cfg::None {
-                    let mut qsegs = mods.clone();
-                    qsegs.push(name.clone());
-                    g.gated.push(GatedItem {
-                        kind: "mod",
-                        key: qsegs.join("::"),
-                        file: self.file_idx,
-                        line: h.start_line,
-                        cfg: h.cfg,
-                        sig: None,
-                        is_pub: h.is_pub,
-                    });
-                }
                 if has_body {
                     self.inline_mods.push(name);
                     Some(ScopeKind::Mod)
@@ -563,17 +445,6 @@ impl<'a> Scanner<'a> {
             }
             "impl" => {
                 let ty = impl_type_name(&text);
-                if h.cfg != Cfg::None {
-                    g.gated.push(GatedItem {
-                        kind: "impl",
-                        key: crate::resolve::normalize_sig(&text),
-                        file: self.file_idx,
-                        line: h.start_line,
-                        cfg: h.cfg,
-                        sig: None,
-                        is_pub: false,
-                    });
-                }
                 has_body.then_some(ScopeKind::Impl(ty))
             }
             "use" => {
@@ -584,17 +455,6 @@ impl<'a> Scanner<'a> {
                     None => text.clone(),
                 };
                 self.uses.add_decl(&decl);
-                if h.cfg != Cfg::None {
-                    g.gated.push(GatedItem {
-                        kind: "use",
-                        key: crate::resolve::normalize_sig(&decl),
-                        file: self.file_idx,
-                        line: h.start_line,
-                        cfg: h.cfg,
-                        sig: None,
-                        is_pub: h.is_pub,
-                    });
-                }
                 // Group braces stay inside the header, so a `use`
                 // never opens a scope.
                 None
@@ -869,28 +729,6 @@ mod tests {
         for c in caller.calls.iter().filter(|c| c.path.contains("sink_like")) {
             assert_eq!(g.resolve_call(c, caller.file), CallTarget::Fn(id), "path {}", c.path);
         }
-    }
-
-    #[test]
-    fn cfg_gated_items_are_recorded_from_raw_attrs() {
-        let src = "#[cfg(feature = \"parallel\")]\n\
-                   pub fn fan_out(n: usize) -> u32 { 0 }\n\
-                   #[cfg(not(feature = \"parallel\"))]\n\
-                   pub fn fan_out(_n: usize) -> u32 { 0 }\n";
-        let g = graph(&[("crates/core/src/run.rs", src)]);
-        assert_eq!(g.gated.len(), 2);
-        assert_eq!(g.gated[0].cfg, Cfg::Parallel);
-        assert_eq!(g.gated[1].cfg, Cfg::NotParallel);
-        assert_eq!(g.gated[0].key, g.gated[1].key);
-        // `_n` vs `n` normalize to the same comparable signature.
-        assert_eq!(g.gated[0].sig, g.gated[1].sig);
-    }
-
-    #[test]
-    fn cfg_inside_fn_bodies_is_not_an_item() {
-        let src = "pub fn f() {\n    #[cfg(feature = \"parallel\")]\n    {\n        let x = 1;\n    }\n}\n";
-        let g = graph(&[("crates/core/src/lib.rs", src)]);
-        assert!(g.gated.is_empty());
     }
 
     #[test]

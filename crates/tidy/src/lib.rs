@@ -8,8 +8,7 @@
 //! graph with lexical name resolution and a call-graph-lite
 //! ([`graph`], [`resolve`]) feeds interprocedural rules
 //! ([`semrules`]) that prove determinism confinement, lane isolation,
-//! `parallel`-feature cfg-parity, and unordered-iteration flow across
-//! crate boundaries. The [`runner`] walks the workspace and applies
+//! and unordered-iteration flow across crate boundaries. The [`runner`] walks the workspace and applies
 //! every rule; the `gvc-tidy` binary wires that to an exit code, the
 //! telemetry registry (`tidy_*` counters), and CI.
 //!

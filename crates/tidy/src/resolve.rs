@@ -169,48 +169,6 @@ pub fn resolve_root(
     }
 }
 
-/// Normalizes a function signature for cfg-parity comparison:
-/// whitespace collapsed, leading underscores stripped from parameter
-/// names (`_threads: usize` ≡ `threads: usize` — a sequential twin
-/// legitimately ignores a worker-count argument).
-pub fn normalize_sig(sig: &str) -> String {
-    let mut out = String::with_capacity(sig.len());
-    let mut last_space = true;
-    let mut chars = sig.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c.is_whitespace() {
-            if !last_space {
-                out.push(' ');
-                last_space = true;
-            }
-            continue;
-        }
-        if c == '_' && !out.ends_with(|p: char| p.is_ascii_alphanumeric() || p == '_') {
-            // Leading underscore of an identifier: drop it when a
-            // real identifier follows (`_x` → `x`), keep a bare `_`.
-            if chars.peek().is_some_and(char::is_ascii_alphanumeric) {
-                last_space = false;
-                continue;
-            }
-        }
-        out.push(c);
-        last_space = false;
-    }
-    // Spacing around delimiters and trailing commas (multi-line arg
-    // lists), trailing `{`, and `where` clauses don't change the API.
-    for (from, to) in [("( ", "("), (" )", ")"), (" ,", ","), (",)", ")")] {
-        while out.contains(from) {
-            out = out.replace(from, to);
-        }
-    }
-    let out = out.trim().trim_end_matches('{').trim();
-    let out = match out.find(" where ") {
-        Some(at) => &out[..at],
-        None => out,
-    };
-    out.trim().trim_end_matches(',').trim().to_string()
-}
-
 /// The short crate name a workspace-relative path belongs to:
 /// `crates/net/...` → `net`, root `src/` → `gridftp_vc`, integration
 /// tests and examples each form their own target (`test:<stem>`).
@@ -306,23 +264,6 @@ mod tests {
         assert_eq!(p.join("::"), "a::g");
         let (_, p) = resolve_root(&seg("super::super::h"), &m, "core", &mods);
         assert_eq!(p.join("::"), "h");
-    }
-
-    #[test]
-    fn signature_normalization() {
-        assert_eq!(
-            normalize_sig(
-                "fn run_lanes(lanes: Vec<Driver>, limit: SimTime, _threads: usize,\n) -> Vec<R> {"
-            ),
-            normalize_sig(
-                "fn run_lanes(lanes: Vec<Driver>, limit: SimTime, threads: usize) -> Vec<R>"
-            )
-        );
-        assert_ne!(normalize_sig("fn f(a: u32)"), normalize_sig("fn f(a: u64)"));
-        // `where` clauses are not part of the comparable surface.
-        assert_eq!(normalize_sig("fn f<T>(t: T) where T: Send {"), normalize_sig("fn f<T>(t: T)"));
-        // A bare `_` placeholder survives.
-        assert_eq!(normalize_sig("fn f(_: u32)"), "fn f(_: u32)");
     }
 
     #[test]

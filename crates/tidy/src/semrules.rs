@@ -12,9 +12,6 @@
 //! * `lane-isolation` — crates the sharded driver fans out over hold
 //!   no shared mutable state, and types crossing a lane-spawn
 //!   boundary hold no non-`Send` interior mutability;
-//! * `cfg-parity` — every `#[cfg(feature = "parallel")]` module-level
-//!   item has a sequential twin with an agreeing signature, so
-//!   `--no-default-features` builds cannot drift;
 //! * `unordered-iteration-v2` — `HashMap`/`HashSet` values are
 //!   tracked through `let` bindings and workspace-fn returns into
 //!   presentation code, not just literal iteration sites.
@@ -25,7 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::diag::Violation;
-use crate::graph::{CallTarget, Cfg, ItemGraph};
+use crate::graph::{CallTarget, ItemGraph};
 use crate::lexer::SourceFile;
 use crate::rules::{crate_of, token_cols, violation, LIB_CRATES, PRESENTATION_FILES};
 
@@ -74,7 +71,6 @@ pub fn default_workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
     vec![
         Box::new(DeterminismConfinement::new(Vec::new())),
         Box::new(LaneIsolation::new(Vec::new())),
-        Box::new(CfgParity::new(Vec::new())),
         Box::new(UnorderedFlow::new(Vec::new())),
     ]
 }
@@ -481,97 +477,6 @@ fn type_idents(text: &str) -> Vec<String> {
     out
 }
 
-/// `cfg-parity`: every module-level item gated on
-/// `#[cfg(feature = "parallel")]` has a twin gated on the negation,
-/// and fn twins agree on normalized signature and visibility.
-/// Consts, statics, and blocks inside fn bodies are exempt — those
-/// legitimately differ between the two builds (thresholds, inner
-/// strategies); the *public surface* may not.
-pub struct CfgParity {
-    allow: Vec<String>,
-}
-
-impl CfgParity {
-    /// New instance with `allow` path substrings.
-    pub fn new(allow: Vec<String>) -> CfgParity {
-        CfgParity { allow }
-    }
-}
-
-impl WorkspaceRule for CfgParity {
-    fn name(&self) -> &'static str {
-        "cfg-parity"
-    }
-
-    fn description(&self) -> &'static str {
-        "every #[cfg(feature = \"parallel\")] item has a sequential twin with an agreeing signature"
-    }
-
-    fn allowlist(&self) -> &[String] {
-        &self.allow
-    }
-
-    fn check(&self, ws: &Workspace) -> Vec<Violation> {
-        let g = &ws.graph;
-        let mut groups: BTreeMap<(&'static str, &str), Vec<usize>> = BTreeMap::new();
-        for (i, item) in g.gated.iter().enumerate() {
-            let file = &ws.files[item.file];
-            if self.allowlisted(&file.rel_path) {
-                continue;
-            }
-            groups.entry((item.kind, item.key.as_str())).or_default().push(i);
-        }
-        let mut out = Vec::new();
-        for ((kind, key), ids) in groups {
-            let par: Vec<usize> =
-                ids.iter().copied().filter(|&i| g.gated[i].cfg == Cfg::Parallel).collect();
-            let seq: Vec<usize> =
-                ids.iter().copied().filter(|&i| g.gated[i].cfg == Cfg::NotParallel).collect();
-            let orphans: Option<(&[usize], &str)> = if seq.is_empty() {
-                Some((&par, "#[cfg(not(feature = \"parallel\"))]"))
-            } else if par.is_empty() {
-                Some((&seq, "#[cfg(feature = \"parallel\")]"))
-            } else {
-                None
-            };
-            if let Some((present, missing_side)) = orphans {
-                for &i in present {
-                    let item = &g.gated[i];
-                    out.push(violation(
-                        "cfg-parity",
-                        &ws.files[item.file],
-                        item.line,
-                        1,
-                        format!(
-                            "{kind} `{key}` is feature-gated but has no {missing_side} twin; \
-                             sequential and parallel builds will drift"
-                        ),
-                    ));
-                }
-            }
-            // Fn twins must agree on the comparable surface.
-            if let (Some(&p), Some(&s)) = (par.first(), seq.first()) {
-                let (pi, si) = (&g.gated[p], &g.gated[s]);
-                if kind == "fn" && (pi.sig != si.sig || pi.is_pub != si.is_pub) {
-                    out.push(violation(
-                        "cfg-parity",
-                        &ws.files[pi.file],
-                        pi.line,
-                        1,
-                        format!(
-                            "feature-gated twins of fn `{key}` disagree on their public \
-                             signature: `{}` vs `{}`",
-                            pi.sig.clone().unwrap_or_default(),
-                            si.sig.clone().unwrap_or_default()
-                        ),
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
 /// Patterns that iterate a tracked binding.
 const ITER_SUFFIXES: &[&str] =
     &[".iter()", ".iter_mut()", ".into_iter()", ".keys()", ".values()", ".values_mut()", ".drain("];
@@ -787,26 +692,6 @@ mod tests {
             &LaneIsolation::new(Vec::new()),
             &[("crates/telemetry/src/t.rs", tele), ("crates/core/src/ok.rs", test)],
         );
-        assert!(vs.is_empty(), "{vs:?}");
-    }
-
-    #[test]
-    fn cfg_parity_missing_twin_and_sig_drift() {
-        let orphan = "#[cfg(feature = \"parallel\")]\npub fn solo(n: usize) -> u32 { 0 }\n";
-        let vs = check_rule(&CfgParity::new(Vec::new()), &[("crates/core/src/a.rs", orphan)]);
-        assert_eq!(vs, vec![("crates/core/src/a.rs".to_string(), 2)]);
-
-        let drift = "#[cfg(feature = \"parallel\")]\npub fn run(n: usize) -> u32 { 0 }\n\
-                     #[cfg(not(feature = \"parallel\"))]\npub fn run(n: usize) -> u64 { 0 }\n";
-        let vs = check_rule(&CfgParity::new(Vec::new()), &[("crates/core/src/b.rs", drift)]);
-        assert_eq!(vs, vec![("crates/core/src/b.rs".to_string(), 2)]);
-    }
-
-    #[test]
-    fn cfg_parity_accepts_twins_with_underscore_params() {
-        let ok = "#[cfg(feature = \"parallel\")]\npub fn run(threads: usize) -> u32 { 0 }\n\
-                  #[cfg(not(feature = \"parallel\"))]\npub fn run(_threads: usize) -> u32 { 0 }\n";
-        let vs = check_rule(&CfgParity::new(Vec::new()), &[("crates/core/src/c.rs", ok)]);
         assert!(vs.is_empty(), "{vs:?}");
     }
 

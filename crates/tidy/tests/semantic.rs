@@ -15,7 +15,6 @@ const MID: &str = include_str!("fixtures/sem/confinement_mid.rs");
 const ENTRY: &str = include_str!("fixtures/sem/confinement_entry.rs");
 const LANE_SHARED: &str = include_str!("fixtures/sem/lane_shared_state.rs");
 const LANE_SEND: &str = include_str!("fixtures/sem/lane_send_boundary.rs");
-const CFG_PARITY: &str = include_str!("fixtures/sem/cfg_parity.rs");
 const UNORDERED_PRODUCER: &str = include_str!("fixtures/sem/unordered_producer.rs");
 const UNORDERED_CONSUMER: &str = include_str!("fixtures/sem/unordered_consumer.rs");
 
@@ -27,7 +26,6 @@ fn corpus() -> Vec<(&'static str, &'static str)> {
         ("crates/gridftp/src/entry.rs", ENTRY),
         ("crates/engine/src/shared.rs", LANE_SHARED),
         ("crates/engine/src/lanes.rs", LANE_SEND),
-        ("crates/core/src/gated.rs", CFG_PARITY),
         ("crates/hntes/src/pairs.rs", UNORDERED_PRODUCER),
         ("crates/cli/src/report.rs", UNORDERED_CONSUMER),
     ]
@@ -107,15 +105,6 @@ fn lane_isolation_follows_send_hazards_through_nested_fields() {
 }
 
 #[test]
-fn cfg_parity_flags_orphan_and_drift_but_not_twins_or_consts() {
-    // lanes_only (6) has no sequential twin; the merge twins (12)
-    // disagree on return type. The run pair and the gated const are
-    // clean.
-    let vs = check_ws("cfg-parity");
-    assert_eq!(vs, vec![at("crates/core/src/gated.rs", 6), at("crates/core/src/gated.rs", 12)]);
-}
-
-#[test]
 fn unordered_v2_tracks_returns_through_let_bindings() {
     // `pairs` (bound line 8, iterated line 9) and `weights` (bound
     // line 12, `.keys()` line 13) both come from gvc-hntes fns whose
@@ -135,8 +124,6 @@ fn full_engine_run_combines_v1_and_v2_findings() {
     assert_eq!(
         by_rule,
         vec![
-            ("cfg-parity", "crates/core/src/gated.rs", 6),
-            ("cfg-parity", "crates/core/src/gated.rs", 12),
             // v1 catches the sink line itself; v2 catches the wrappers.
             ("determinism", "crates/net/src/clock.rs", 7),
             ("determinism-confinement", "crates/core/src/mid.rs", 9),

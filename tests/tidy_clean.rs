@@ -4,7 +4,7 @@
 //! violation introduced anywhere in the tree fails the test with the
 //! same `file:line:col` diagnostics `gvc-tidy` prints. Since tidy v2
 //! the run covers the workspace semantic rules (determinism
-//! confinement over the call graph, lane isolation, cfg-parity,
+//! confinement over the call graph, lane isolation,
 //! unordered-iteration dataflow) alongside the per-file rules, and
 //! the suppression budget is asserted to stay visible: every
 //! suppressed site must carry a justification and be counted.
@@ -24,10 +24,9 @@ fn workspace_is_tidy_clean() {
         report.files_scanned
     );
     assert_eq!(report.rules_run, rules.len());
-    // All four v2 semantic rules must actually have run (a registry
+    // All three v2 semantic rules must actually have run (a registry
     // regression would silently drop workspace coverage).
-    for sem in ["determinism-confinement", "lane-isolation", "cfg-parity", "unordered-iteration-v2"]
-    {
+    for sem in ["determinism-confinement", "lane-isolation", "unordered-iteration-v2"] {
         assert!(
             report.timings.iter().any(|t| t.name == sem),
             "semantic rule `{sem}` missing from the run"
