@@ -40,6 +40,24 @@ fn unknown_command_exits_1_with_message() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 }
 
+/// Fault-plan times past the simulation clock are refused at parse
+/// time with a typed error instead of panicking the driver.
+#[test]
+fn simulate_rejects_fault_times_past_the_sim_clock() {
+    for (tag, plan) in [("flap", "flap=a->b@1e300+1"), ("preempt", "preempt-after=1e300")] {
+        let log = tmp(&format!("huge-{tag}.log"));
+        let out = gvc()
+            .args(["simulate", log.to_str().unwrap(), "--seed", "7", "--jobs", "3"])
+            .args(["--faults", plan])
+            .output()
+            .expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{plan}: {err}");
+        assert!(err.contains("invalid fault spec"), "{plan}: {err}");
+        assert!(!err.contains("panicked"), "{plan}: {err}");
+    }
+}
+
 #[test]
 fn full_workflow_through_files() {
     let log = tmp("wf.log");

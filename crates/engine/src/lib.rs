@@ -20,6 +20,6 @@ pub mod shard;
 pub mod time;
 
 pub use calendar::{CivilDateTime, EPOCH_2009_UTC};
-pub use queue::{EventQueue, QueueTelemetry};
+pub use queue::EventQueue;
 pub use shard::{merge_ordered, ResourcePartition, UnionFind};
 pub use time::{SimSpan, SimTime};

@@ -9,61 +9,26 @@
 
 use crate::time::{SimSpan, SimTime};
 use gvc_telemetry::timeline::series;
-use gvc_telemetry::{Counter, Gauge, Registry, SpanId, TimelineHandle, Tracer};
+use gvc_telemetry::{Counter, Gauge, SpanId, Telemetry, TimelineHandle, Tracer};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// Kernel calendar metrics, shared with a [`Registry`]. Attach one via
-/// [`EventQueue::set_telemetry`]; a queue without telemetry pays one
+/// Kernel calendar hooks, built from a [`Telemetry`] context by
+/// [`EventQueue::set_telemetry`]; a queue without them pays one
 /// `Option` check per operation.
-#[derive(Clone)]
-pub struct QueueTelemetry {
+struct QueueTelemetry {
     /// `sim_events_scheduled_total`: pushes onto the calendar.
-    pub scheduled: Arc<Counter>,
+    scheduled: Arc<Counter>,
     /// `sim_events_dispatched_total`: pops off the calendar.
-    pub dispatched: Arc<Counter>,
+    dispatched: Arc<Counter>,
     /// `sim_event_queue_depth_hwm`: high-water mark of pending events.
-    pub depth_hwm: Arc<Gauge>,
+    depth_hwm: Arc<Gauge>,
     /// Span handle for `kernel.queue_wait` spans (schedule → pop).
-    /// Disabled by default; see [`QueueTelemetry::with_tracer`].
-    pub tracer: Tracer,
-    /// Sim-time flight recorder feeding the `kernel.scheduled` /
-    /// `kernel.dispatched` windowed series (`None` unless
-    /// [`QueueTelemetry::with_timeline`] attached one).
-    pub timeline: Option<TimelineHandle>,
-}
-
-impl QueueTelemetry {
-    /// Registers the kernel metrics in `registry` (spans disabled).
-    pub fn register(registry: &Registry) -> QueueTelemetry {
-        QueueTelemetry {
-            scheduled: registry.counter("sim_events_scheduled_total", &[]),
-            dispatched: registry.counter("sim_events_dispatched_total", &[]),
-            depth_hwm: registry.gauge("sim_event_queue_depth_hwm", &[]),
-            tracer: Tracer::disabled(),
-            timeline: None,
-        }
-    }
-
-    /// Attaches the run's tracer so every calendar entry opens a
-    /// `kernel.queue_wait` span at schedule time and closes it when
-    /// it pops — the time an event sat on the calendar.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: Tracer) -> QueueTelemetry {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Attaches a sim-time flight recorder. Windowed schedule and
-    /// dispatch counts are shard-invariant: each calendar entry is
-    /// scheduled and popped in exactly one lane, so the lane-merged
-    /// per-window sums equal the unsharded run's.
-    #[must_use]
-    pub fn with_timeline(mut self, timeline: Option<TimelineHandle>) -> QueueTelemetry {
-        self.timeline = timeline;
-        self
-    }
+    tracer: Tracer,
+    /// Flight recorder for the `kernel.scheduled` /
+    /// `kernel.dispatched` windowed series.
+    timeline: Option<TimelineHandle>,
 }
 
 struct Entry<E> {
@@ -134,10 +99,22 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Attaches kernel metrics (push/pop counts, depth high-water
-    /// mark). Counting starts from the moment of attachment.
-    pub fn set_telemetry(&mut self, telemetry: QueueTelemetry) {
-        self.telemetry = Some(telemetry);
+    /// Instruments the calendar from `ctx`: push/pop counts and the
+    /// depth high-water mark in its registry, a `kernel.queue_wait`
+    /// span per entry (schedule → pop) through its tracer, and the
+    /// windowed schedule/dispatch counts in its flight recorder. Each
+    /// entry is scheduled and popped in exactly one shard lane, so the
+    /// lane-merged windows equal the unsharded run's. Counting starts
+    /// from the moment of attachment.
+    pub fn set_telemetry(&mut self, ctx: &Telemetry) {
+        let registry = &ctx.registry;
+        self.telemetry = Some(QueueTelemetry {
+            scheduled: registry.counter("sim_events_scheduled_total", &[]),
+            dispatched: registry.counter("sim_events_dispatched_total", &[]),
+            depth_hwm: registry.gauge("sim_event_queue_depth_hwm", &[]),
+            tracer: ctx.tracer.clone(),
+            timeline: ctx.timeline.clone(),
+        });
     }
 
     /// Current simulation time.
@@ -329,9 +306,10 @@ mod tests {
 
     #[test]
     fn telemetry_counts_pushes_pops_and_depth() {
-        let reg = Registry::new();
+        let ctx = Telemetry::metrics_only();
+        let reg = &ctx.registry;
         let mut q = EventQueue::new();
-        q.set_telemetry(QueueTelemetry::register(&reg));
+        q.set_telemetry(&ctx);
         q.schedule(SimTime::from_secs(1), ());
         q.schedule(SimTime::from_secs(2), ());
         q.schedule(SimTime::from_secs(3), ());
@@ -345,10 +323,9 @@ mod tests {
     #[test]
     fn queue_wait_spans_pair_schedule_with_pop() {
         use gvc_telemetry::RingSink;
-        let reg = Registry::new();
         let ring = Arc::new(RingSink::new(16));
         let mut q = EventQueue::new();
-        q.set_telemetry(QueueTelemetry::register(&reg).with_tracer(Tracer::to_sink(ring.clone())));
+        q.set_telemetry(&Telemetry::with_sink(ring.clone()));
         q.schedule(SimTime::from_secs(2), "a");
         q.schedule(SimTime::from_secs(1), "b");
         q.pop();
@@ -367,10 +344,9 @@ mod tests {
     #[test]
     fn clear_closes_pending_queue_wait_spans() {
         use gvc_telemetry::RingSink;
-        let reg = Registry::new();
         let ring = Arc::new(RingSink::new(16));
         let mut q = EventQueue::new();
-        q.set_telemetry(QueueTelemetry::register(&reg).with_tracer(Tracer::to_sink(ring.clone())));
+        q.set_telemetry(&Telemetry::with_sink(ring.clone()));
         q.schedule(SimTime::from_secs(1), "a");
         q.schedule(SimTime::from_secs(2), "b");
         q.pop();

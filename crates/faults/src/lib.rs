@@ -14,10 +14,11 @@
 //!   deterministic exponential backoff + jitter, a setup-timeout
 //!   deadline, and fallback to the routed IP path (the contingency
 //!   the paper itself assumes: transfers run today without circuits).
-//! * [`FaultTelemetry`] ([`telemetry`]) — `fault_injected_total`,
+//! * [`telemetry::FaultTelemetry`] — `fault_injected_total`,
 //!   `recovery_retries_total`, `fallback_ip_total`, and
 //!   `recovery_latency_seconds`, plus the `fault.*` / `recovery.*`
-//!   trace events the resilience harness asserts on.
+//!   trace events the resilience harness asserts on, built from a
+//!   run's `Telemetry` context.
 //!
 //! The fault-spec grammar accepted by [`FaultPlan::parse`] (and the
 //! CLI's `--faults` flag) is documented in `docs/faults.md`.
@@ -28,4 +29,3 @@ pub mod telemetry;
 
 pub use plan::{FaultInjector, FaultKind, FaultPlan, FaultSpecError, LinkFlapSpec};
 pub use policy::{PolicyError, RecoveryAction, RecoveryPolicy};
-pub use telemetry::FaultTelemetry;

@@ -10,6 +10,7 @@
 
 use rand::Rng;
 
+use gvc_engine::{SimSpan, SimTime};
 use gvc_stats::rng::component_rng;
 use rand::rngs::SmallRng;
 
@@ -31,6 +32,15 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every kind, in declaration order (`kind as usize` indexes it).
+    pub const ALL: [FaultKind; 5] = [
+        FaultKind::SignallingFailure,
+        FaultKind::SetupTimeout,
+        FaultKind::Preemption,
+        FaultKind::LinkFlap,
+        FaultKind::ServerRestart,
+    ];
+
     /// Stable label used for metric labels and trace event fields.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -152,6 +162,14 @@ fn parse_flap(value: &str) -> Result<LinkFlapSpec, FaultSpecError> {
             "flap: start must be >= 0 and duration > 0, got {value:?}"
         )));
     }
+    // The driver schedules the flap and its restore on the sim clock.
+    if SimTime::try_from_secs_f64(at_s).is_none()
+        || SimTime::try_from_secs_f64(at_s + duration_s).is_none()
+    {
+        return Err(FaultSpecError(format!(
+            "flap: start and start + duration must fit the simulation clock, got {value:?}"
+        )));
+    }
     Ok(LinkFlapSpec { link: link.to_string(), at_s, duration_s, residual_frac: residual })
 }
 
@@ -167,8 +185,9 @@ impl FaultPlan {
     /// ```
     ///
     /// # Errors
-    /// [`FaultSpecError`] on unknown keys, malformed numbers, or
-    /// out-of-range probabilities.
+    /// [`FaultSpecError`] on unknown keys, malformed numbers,
+    /// out-of-range probabilities, or times the simulation clock
+    /// cannot represent.
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultSpecError> {
         let mut plan = FaultPlan::default();
         for token in spec.split(',') {
@@ -198,6 +217,11 @@ impl FaultPlan {
                     if v <= 0.0 {
                         return Err(FaultSpecError(format!(
                             "preempt-after: must be > 0, got {value}"
+                        )));
+                    }
+                    if SimSpan::try_from_secs_f64(v).is_none() {
+                        return Err(FaultSpecError(format!(
+                            "preempt-after: must fit the simulation clock, got {value}"
                         )));
                     }
                     plan.preempt_after_s = Some(v);
@@ -232,7 +256,8 @@ pub struct FaultInjector {
     plan: FaultPlan,
     provision_rng: SmallRng,
     fail_first_left: u32,
-    injected: u64,
+    /// Faults delivered so far, indexed by `FaultKind as usize`.
+    injected: [u64; 5],
 }
 
 impl FaultInjector {
@@ -240,7 +265,7 @@ impl FaultInjector {
     pub fn new(plan: FaultPlan) -> FaultInjector {
         let provision_rng = component_rng(plan.seed, "faults/provision");
         let fail_first_left = plan.fail_first_provisions;
-        FaultInjector { plan, provision_rng, fail_first_left, injected: 0 }
+        FaultInjector { plan, provision_rng, fail_first_left, injected: [0; 5] }
     }
 
     /// The plan this injector executes.
@@ -250,7 +275,18 @@ impl FaultInjector {
 
     /// Total faults injected so far (all kinds).
     pub fn injected_total(&self) -> u64 {
-        self.injected
+        self.injected.iter().sum()
+    }
+
+    /// Faults of one kind injected so far.
+    pub fn injected_count(&self, kind: FaultKind) -> u64 {
+        self.injected[kind as usize]
+    }
+
+    /// Records a fault delivered outside the injector's own draws: a
+    /// preemption or a link flap the driver actually carried out.
+    pub fn note(&mut self, kind: FaultKind) {
+        self.injected[kind as usize] += 1;
     }
 
     /// Decides the fate of one circuit-establishment attempt. Draws
@@ -265,20 +301,18 @@ impl FaultInjector {
             && self.provision_rng.gen_bool(self.plan.provision_failure_p);
         let timeout_draw = self.plan.setup_timeout_p > 0.0
             && self.provision_rng.gen_bool(self.plan.setup_timeout_p);
-        if self.fail_first_left > 0 {
+        let kind = if self.fail_first_left > 0 {
             self.fail_first_left -= 1;
-            self.injected += 1;
-            return Some(FaultKind::SignallingFailure);
-        }
-        if fail_draw {
-            self.injected += 1;
-            return Some(FaultKind::SignallingFailure);
-        }
-        if timeout_draw {
-            self.injected += 1;
-            return Some(FaultKind::SetupTimeout);
-        }
-        None
+            FaultKind::SignallingFailure
+        } else if fail_draw {
+            FaultKind::SignallingFailure
+        } else if timeout_draw {
+            FaultKind::SetupTimeout
+        } else {
+            return None;
+        };
+        self.note(kind);
+        Some(kind)
     }
 
     /// Seconds after circuit readiness at which to preempt, if the
@@ -287,19 +321,9 @@ impl FaultInjector {
         self.plan.preempt_after_s
     }
 
-    /// Records a preemption actually carried out by the driver.
-    pub fn note_preemption(&mut self) {
-        self.injected += 1;
-    }
-
     /// Scheduled link flaps, in plan order.
     pub fn link_flaps(&self) -> &[LinkFlapSpec] {
         &self.plan.link_flaps
-    }
-
-    /// Records a link flap actually applied to the network.
-    pub fn note_link_flap(&mut self) {
-        self.injected += 1;
     }
 
     /// Whether a given transfer suffers a forced server restart. The
@@ -313,7 +337,7 @@ impl FaultInjector {
         let label = format!("faults/restart/{session}/{job}");
         let hit = component_rng(self.plan.seed, &label).gen_bool(self.plan.server_restart_p);
         if hit {
-            self.injected += 1;
+            self.note(FaultKind::ServerRestart);
         }
         hit
     }
@@ -370,6 +394,16 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_times_past_the_sim_clock() {
+        // Each used to parse and then panic the driver converting it.
+        for spec in ["flap=a->b@1e300+1", "flap=a->b@1+1e300", "preempt-after=1e300"] {
+            let err = FaultPlan::parse(spec).expect_err(spec);
+            assert!(err.0.contains("simulation clock"), "{spec}: {err}");
+        }
+        assert!(FaultPlan::parse("flap=a->b@1e6+1e6,preempt-after=1e6").is_ok());
+    }
+
+    #[test]
     fn parse_empty_is_inert() {
         assert!(FaultPlan::parse("").unwrap().is_inert());
         assert!(FaultPlan::parse(" , ,").unwrap().is_inert());
@@ -384,6 +418,10 @@ mod tests {
         }
         assert_eq!(inj.provision_fault(), None);
         assert_eq!(inj.injected_total(), 3);
+        assert_eq!(inj.injected_count(FaultKind::SignallingFailure), 3);
+        inj.note(FaultKind::Preemption);
+        assert_eq!(inj.injected_count(FaultKind::Preemption), 1);
+        assert_eq!(inj.injected_total(), 4);
     }
 
     #[test]

@@ -5,12 +5,12 @@
 
 use crate::plan::FaultKind;
 use gvc_telemetry::timeline::series;
-use gvc_telemetry::{Counter, Histogram, Registry, TimelineHandle, Tracer};
+use gvc_telemetry::{Counter, Histogram, Telemetry, TimelineHandle};
 use std::sync::Arc;
 
-/// Fault/recovery metrics, shared with a [`Registry`]. One instance
-/// per run; attach wherever the injector and recovery policy act.
-#[derive(Clone)]
+/// Fault/recovery metrics, built from a run's [`Telemetry`] context
+/// wherever the injector and recovery policy act. Reports never read
+/// them back: they take the injector's and the caller's own counts.
 pub struct FaultTelemetry {
     /// `fault_injected_total{kind=...}`, one counter per fault kind.
     injected: [Arc<Counter>; 5],
@@ -22,26 +22,18 @@ pub struct FaultTelemetry {
     /// `recovery_latency_seconds`: first attempt to final outcome
     /// (success or fallback), per session.
     pub recovery_latency: Arc<Histogram>,
-    /// Trace handle for `fault.*` / `recovery.*` events.
-    pub tracer: Tracer,
-    /// Sim-time flight recorder feeding the `fault.injected` windowed
-    /// series (`None` unless [`FaultTelemetry::with_timeline`]
-    /// attached one).
-    pub timeline: Option<TimelineHandle>,
+    /// Flight recorder for the `fault.injected` windowed series. Each
+    /// fault fires in exactly one shard lane, so the per-window sums
+    /// are shard-invariant.
+    timeline: Option<TimelineHandle>,
 }
 
-const KINDS: [FaultKind; 5] = [
-    FaultKind::SignallingFailure,
-    FaultKind::SetupTimeout,
-    FaultKind::Preemption,
-    FaultKind::LinkFlap,
-    FaultKind::ServerRestart,
-];
-
 impl FaultTelemetry {
-    /// Registers the fault metrics in `registry`, tracing into
-    /// `tracer`.
-    pub fn register(registry: &Registry, tracer: Tracer) -> FaultTelemetry {
+    /// Registers the fault metrics in `ctx`'s registry, windowing
+    /// injections in its flight recorder. Callers trace the `fault.*`
+    /// / `recovery.*` events through `ctx`'s tracer themselves.
+    pub fn new(ctx: &Telemetry) -> FaultTelemetry {
+        let registry = &ctx.registry;
         registry.describe("fault_injected_total", "Injected faults, by kind");
         registry.describe("recovery_retries_total", "Circuit establishment attempts retried");
         registry
@@ -53,7 +45,7 @@ impl FaultTelemetry {
         let counter =
             |kind: FaultKind| registry.counter("fault_injected_total", &[("kind", kind.as_str())]);
         FaultTelemetry {
-            injected: KINDS.map(counter),
+            injected: FaultKind::ALL.map(counter),
             retries: registry.counter("recovery_retries_total", &[]),
             fallback_ip: registry.counter("fallback_ip_total", &[]),
             recovery_latency: registry.histogram(
@@ -61,52 +53,17 @@ impl FaultTelemetry {
                 &[],
                 Histogram::timing,
             ),
-            tracer,
-            timeline: None,
+            timeline: ctx.timeline.clone(),
         }
     }
 
-    /// Attaches a sim-time flight recorder for windowed injection
-    /// counts (each fault fires in exactly one shard lane, so the
-    /// per-window sums are shard-invariant).
-    #[must_use]
-    pub fn with_timeline(mut self, timeline: Option<TimelineHandle>) -> FaultTelemetry {
-        self.timeline = timeline;
-        self
-    }
-
-    /// A disconnected instance (private registry, tracing off) for
-    /// callers that run without telemetry.
-    pub fn disabled() -> FaultTelemetry {
-        FaultTelemetry::register(&Registry::new(), Tracer::disabled())
-    }
-
-    /// Counts one injected fault of `kind`.
-    pub fn count_injected(&self, kind: FaultKind) {
-        for (i, k) in KINDS.iter().enumerate() {
-            if *k == kind {
-                self.injected[i].inc();
-            }
-        }
-    }
-
-    /// Counts one injected fault of `kind` at sim time `t_us`, adding
-    /// it to the `fault.injected` timeline window as well.
-    pub fn count_injected_at(&self, kind: FaultKind, t_us: u64) {
-        self.count_injected(kind);
+    /// Counts one injected fault of `kind` at sim time `t_us`, in its
+    /// counter and in the `fault.injected` timeline window.
+    pub fn count_injected(&self, kind: FaultKind, t_us: u64) {
+        self.injected[kind as usize].inc();
         if let Some(tl) = &self.timeline {
             tl.add(series::FAULT_INJECTED, t_us, 1.0);
         }
-    }
-
-    /// Current count for one fault kind (test/report convenience).
-    pub fn injected_count(&self, kind: FaultKind) -> u64 {
-        KINDS.iter().position(|k| *k == kind).map_or(0, |i| self.injected[i].get())
-    }
-
-    /// Total injected faults across all kinds.
-    pub fn injected_total(&self) -> u64 {
-        self.injected.iter().map(|c| c.get()).sum()
     }
 }
 
@@ -116,28 +73,14 @@ mod tests {
 
     #[test]
     fn counters_route_by_kind() {
-        let registry = Registry::new();
-        let t = FaultTelemetry::register(&registry, Tracer::disabled());
-        t.count_injected(FaultKind::SignallingFailure);
-        t.count_injected(FaultKind::SignallingFailure);
-        t.count_injected(FaultKind::Preemption);
-        assert_eq!(t.injected_count(FaultKind::SignallingFailure), 2);
-        assert_eq!(t.injected_count(FaultKind::Preemption), 1);
-        assert_eq!(t.injected_count(FaultKind::LinkFlap), 0);
-        assert_eq!(t.injected_total(), 3);
-        let text = registry.render();
+        let ctx = Telemetry::metrics_only();
+        let t = FaultTelemetry::new(&ctx);
+        t.count_injected(FaultKind::SignallingFailure, 0);
+        t.count_injected(FaultKind::SignallingFailure, 0);
+        t.count_injected(FaultKind::Preemption, 0);
+        let text = ctx.registry.render();
         assert!(text.contains("fault_injected_total{kind=\"signalling_failure\"} 2"));
         assert!(text.contains("fault_injected_total{kind=\"preemption\"} 1"));
-    }
-
-    #[test]
-    fn disabled_instance_is_inert_but_usable() {
-        let t = FaultTelemetry::disabled();
-        t.count_injected(FaultKind::ServerRestart);
-        t.retries.inc();
-        t.fallback_ip.inc();
-        t.recovery_latency.record(1.5);
-        assert_eq!(t.injected_total(), 1);
-        assert!(!t.tracer.enabled());
+        assert!(text.contains("fault_injected_total{kind=\"link_flap\"} 0"));
     }
 }

@@ -10,60 +10,53 @@
 use crate::server::{ServerCaps, ServerCluster};
 use crate::session::SessionSpec;
 use crate::transfer::{prepare_transfer, FailureModel, PreparedTransfer, ServerNoise, TransferJob};
-use gvc_engine::{EventQueue, QueueTelemetry, ResourcePartition, SimSpan, SimTime};
-use gvc_faults::{
-    FaultInjector, FaultKind, FaultPlan, FaultTelemetry, RecoveryAction, RecoveryPolicy,
-};
+use gvc_engine::{EventQueue, ResourcePartition, SimSpan, SimTime};
+use gvc_faults::telemetry::FaultTelemetry;
+use gvc_faults::{FaultInjector, FaultKind, FaultPlan, RecoveryAction, RecoveryPolicy};
 use gvc_logs::{Dataset, TransferRecord, TransferType};
 use gvc_net::tcp::TcpModel;
-use gvc_net::{FlowCompletion, FlowId, FlowSpec, NetTelemetry, NetworkSim};
-use gvc_oscars::{Idc, IdcTelemetry, ReservationId, ReservationRequest};
+use gvc_net::{FlowCompletion, FlowId, FlowSpec, NetworkSim};
+use gvc_oscars::{Idc, ReservationId, ReservationRequest};
 use gvc_stats::rng::component_rng;
 use gvc_telemetry::timeline::series;
 use gvc_telemetry::{
-    BufferSink, Counter, Histogram, Perf, Registry, SpanId, Stopwatch, Telemetry, TimelineHandle,
-    TraceEvent, Tracer,
+    Counter, Histogram, SpanId, Stopwatch, Telemetry, TimelineHandle, TraceEvent, Tracer,
 };
 use gvc_topology::{LinkId, NodeId, Path};
 use rand::rngs::SmallRng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Driver/transfer-lifecycle telemetry, registered from a
-/// [`Telemetry`] context by [`Driver::with_telemetry`].
-#[derive(Clone)]
-pub struct DriverTelemetry {
+/// Driver hooks, built from a [`Telemetry`] context by
+/// [`Driver::with_telemetry`]. The context itself is kept: its tracer,
+/// flight recorder and perf recorder serve the driver, and it
+/// instruments a controller attached later and forks lane contexts.
+struct DriverTelemetry {
+    ctx: Telemetry,
     /// `gridftp_sessions_started_total`.
-    pub sessions_started: Arc<Counter>,
+    sessions_started: Arc<Counter>,
     /// `gridftp_sessions_completed_total`.
-    pub sessions_completed: Arc<Counter>,
+    sessions_completed: Arc<Counter>,
     /// `gridftp_transfers_started_total`.
-    pub transfers_started: Arc<Counter>,
+    transfers_started: Arc<Counter>,
     /// `gridftp_transfers_completed_total`.
-    pub transfers_completed: Arc<Counter>,
+    transfers_completed: Arc<Counter>,
     /// `gridftp_transferred_bytes_total`: payload bytes completed.
-    pub transferred_bytes: Arc<Counter>,
+    transferred_bytes: Arc<Counter>,
     /// `gridftp_transfer_throughput_mbps`: logged per-transfer rates.
-    pub throughput_mbps: Arc<Histogram>,
+    throughput_mbps: Arc<Histogram>,
     /// `sim_event_handle_seconds{class=...}`: wall time spent handling
-    /// each script-event class, indexed by [`Event`] discriminant.
+    /// each script-event class, indexed like [`EVENT_CLASSES`].
     event_seconds: [Arc<Histogram>; 7],
-    /// Trace handle for `transfer.*` and `kernel.*` events.
-    pub tracer: Tracer,
-    /// Sim-time flight recorder for the `driver.*` windowed series
-    /// (`None` unless the [`Telemetry`] context carries one).
-    pub timeline: Option<TimelineHandle>,
+    /// Fault and recovery metrics.
+    faults: FaultTelemetry,
 }
 
 impl DriverTelemetry {
-    /// Registers driver metrics in `ctx`'s registry, tracing through
-    /// `ctx`'s tracer.
-    pub fn register(ctx: &Telemetry) -> DriverTelemetry {
+    fn new(ctx: &Telemetry) -> DriverTelemetry {
         let reg = &ctx.registry;
-        let class_hist = |class: &str| {
-            reg.histogram("sim_event_handle_seconds", &[("class", class)], Histogram::timing)
-        };
         DriverTelemetry {
+            ctx: ctx.clone(),
             sessions_started: reg.counter("gridftp_sessions_started_total", &[]),
             sessions_completed: reg.counter("gridftp_sessions_completed_total", &[]),
             transfers_started: reg.counter("gridftp_transfers_started_total", &[]),
@@ -74,17 +67,19 @@ impl DriverTelemetry {
                 &[],
                 Histogram::rate_mbps,
             ),
-            event_seconds: [
-                class_hist("start_session"),
-                class_hist("launch_next"),
-                class_hist("inject_background"),
-                class_hist("resize_cluster"),
-                class_hist("retry_vc"),
-                class_hist("preempt_vc"),
-                class_hist("link_flap"),
-            ],
-            tracer: ctx.tracer.clone(),
-            timeline: ctx.timeline.clone(),
+            event_seconds: EVENT_CLASSES.map(|class| {
+                reg.histogram("sim_event_handle_seconds", &[("class", class)], Histogram::timing)
+            }),
+            faults: FaultTelemetry::new(ctx),
+        }
+    }
+
+    /// Bumps `counter` and adds 1 to the timeline's `series` window at
+    /// `t_us`.
+    fn tally(&self, counter: &Counter, series: &str, t_us: u64) {
+        counter.inc();
+        if let Some(tl) = &self.ctx.timeline {
+            tl.add(series, t_us, 1.0);
         }
     }
 }
@@ -131,12 +126,14 @@ struct ShardScript {
 
 /// Per-lane bookkeeping [`Driver::run_core`] reports alongside its
 /// output: what the coordinator needs to recompute pooled statistics
-/// (the recovery-latency mean cannot be rebuilt from per-lane means).
+/// (the recovery-latency mean cannot be rebuilt from per-lane means)
+/// and the lane's telemetry context, to absorb.
 struct LaneStats {
     /// Kernel pops plus flow completions (perf-phase item count).
     events: u64,
     recovery_lat_sum_s: f64,
     recovery_lat_n: u64,
+    telemetry: Option<Telemetry>,
 }
 
 /// Handle to a registered cluster.
@@ -158,18 +155,29 @@ enum Event {
     LinkRestore(usize),
 }
 
+/// Script-event classes: the `class` label of
+/// `sim_event_handle_seconds` and of `kernel.event` traces.
+const EVENT_CLASSES: [&str; 7] = [
+    "start_session",
+    "launch_next",
+    "inject_background",
+    "resize_cluster",
+    "retry_vc",
+    "preempt_vc",
+    "link_flap",
+];
+
 impl Event {
-    /// Index into [`DriverTelemetry::event_seconds`] and the trace
-    /// `class` field.
-    fn class(&self) -> (usize, &'static str) {
+    /// Index into [`EVENT_CLASSES`].
+    fn class(&self) -> usize {
         match self {
-            Event::StartSession(_) => (0, "start_session"),
-            Event::LaunchNext(_) => (1, "launch_next"),
-            Event::InjectBackground(_) => (2, "inject_background"),
-            Event::ResizeCluster(_, _) => (3, "resize_cluster"),
-            Event::RetryVc(_) => (4, "retry_vc"),
-            Event::PreemptVc(_) => (5, "preempt_vc"),
-            Event::LinkFlap(_) | Event::LinkRestore(_) => (6, "link_flap"),
+            Event::StartSession(_) => 0,
+            Event::LaunchNext(_) => 1,
+            Event::InjectBackground(_) => 2,
+            Event::ResizeCluster(_, _) => 3,
+            Event::RetryVc(_) => 4,
+            Event::PreemptVc(_) => 5,
+            Event::LinkFlap(_) | Event::LinkRestore(_) => 6,
         }
     }
 }
@@ -208,10 +216,6 @@ struct InFlight {
     span: SpanId,
 }
 
-/// A lane sub-driver plus the private sink/registry/timeline the
-/// coordinator later absorbs in lane order.
-type LaneParts = (Driver, Option<Arc<BufferSink>>, Option<Arc<Registry>>, Option<TimelineHandle>);
-
 /// The session/transfer driver over a fluid network simulation.
 pub struct Driver {
     sim: NetworkSim,
@@ -230,9 +234,12 @@ pub struct Driver {
     idc: Option<Idc>,
     faults: Option<FaultInjector>,
     recovery: Option<RecoveryPolicy>,
-    ftel: FaultTelemetry,
     vc_requested: u64,
     vc_established: u64,
+    /// Establishment attempts retried.
+    retries: u64,
+    /// Sessions that fell back to the routed IP path.
+    fallbacks: u64,
     recovery_lat_sum_s: f64,
     recovery_lat_n: u64,
     /// Original capacity of each currently-flapped link, by flap index.
@@ -244,11 +251,6 @@ pub struct Driver {
     log: Vec<TransferRecord>,
     tstat: Vec<TransferStat>,
     telemetry: Option<DriverTelemetry>,
-    /// Kept so `with_idc` after `with_telemetry` still instruments the
-    /// controller.
-    telemetry_ctx: Option<Telemetry>,
-    /// Span handle; disabled (zero-cost) unless telemetry is attached.
-    tracer: Tracer,
     /// The `driver.run` root span, opened by [`Driver::run`].
     run_span: SpanId,
     /// The recorded schedule, for [`Driver::run_sharded`].
@@ -281,9 +283,10 @@ impl Driver {
             idc: None,
             faults: None,
             recovery: None,
-            ftel: FaultTelemetry::disabled(),
             vc_requested: 0,
             vc_established: 0,
+            retries: 0,
+            fallbacks: 0,
             recovery_lat_sum_s: 0.0,
             recovery_lat_n: 0,
             flap_orig: BTreeMap::new(),
@@ -291,8 +294,6 @@ impl Driver {
             log: Vec::new(),
             tstat: Vec::new(),
             telemetry: None,
-            telemetry_ctx: None,
-            tracer: Tracer::disabled(),
             run_span: SpanId::NONE,
             script: ShardScript::default(),
             lane_root: None,
@@ -301,26 +302,23 @@ impl Driver {
 
     /// Attaches a telemetry context, instrumenting the event calendar,
     /// the fluid simulator, the IDC (if present), and the driver's own
-    /// transfer lifecycle. Order-independent with [`Driver::with_idc`].
+    /// transfer lifecycle and recovery chain. Order-independent with
+    /// [`Driver::with_idc`].
     pub fn with_telemetry(mut self, ctx: &Telemetry) -> Driver {
-        self.pending.set_telemetry(
-            QueueTelemetry::register(&ctx.registry)
-                .with_tracer(ctx.tracer.clone())
-                .with_timeline(ctx.timeline.clone()),
-        );
-        self.sim.set_telemetry(NetTelemetry::register(&ctx.registry, ctx.tracer.clone()));
-        if let Some(idc) = self.idc.as_mut() {
-            idc.set_telemetry(
-                IdcTelemetry::register(&ctx.registry, ctx.tracer.clone())
-                    .with_timeline(ctx.timeline.clone()),
-            );
-        }
-        self.telemetry = Some(DriverTelemetry::register(ctx));
-        self.ftel = FaultTelemetry::register(&ctx.registry, ctx.tracer.clone())
-            .with_timeline(ctx.timeline.clone());
-        self.telemetry_ctx = Some(ctx.clone());
-        self.tracer = ctx.tracer.clone();
+        self.telemetry = Some(DriverTelemetry::new(ctx));
+        self.instrument();
         self
+    }
+
+    /// Attaches the telemetry context, if any, to the subsystems the
+    /// driver owns.
+    fn instrument(&mut self) {
+        let Some(t) = &self.telemetry else { return };
+        self.pending.set_telemetry(&t.ctx);
+        self.sim.set_telemetry(&t.ctx);
+        if let Some(idc) = self.idc.as_mut() {
+            idc.set_telemetry(&t.ctx);
+        }
     }
 
     /// Attaches a fault plan, returning `self`. Sessions requesting
@@ -363,12 +361,7 @@ impl Driver {
     /// returning `self`.
     pub fn with_idc(mut self, idc: Idc) -> Driver {
         self.idc = Some(idc);
-        if let (Some(ctx), Some(idc)) = (&self.telemetry_ctx, self.idc.as_mut()) {
-            idc.set_telemetry(
-                IdcTelemetry::register(&ctx.registry, ctx.tracer.clone())
-                    .with_timeline(ctx.timeline.clone()),
-            );
-        }
+        self.instrument();
         self
     }
 
@@ -470,7 +463,30 @@ impl Driver {
     /// quantile observations), each fired in exactly one shard lane,
     /// so the per-window merges are shard-invariant.
     fn tl(&self) -> Option<&TimelineHandle> {
-        self.telemetry.as_ref().and_then(|t| t.timeline.as_ref())
+        self.telemetry.as_ref().and_then(|t| t.ctx.timeline.as_ref())
+    }
+
+    /// The run's tracer; disabled (zero-cost) unless telemetry is
+    /// attached.
+    fn tracer(&self) -> &Tracer {
+        self.telemetry.as_ref().map_or(Tracer::disabled_ref(), |t| &t.ctx.tracer)
+    }
+
+    /// Reports an injected fault: counted in the metrics and the
+    /// timeline, and traced as `fault.injected` with `fields` after
+    /// the kind.
+    fn fault_injected(
+        &self,
+        kind: FaultKind,
+        t_us: u64,
+        fields: impl FnOnce(TraceEvent) -> TraceEvent,
+    ) {
+        if let Some(t) = &self.telemetry {
+            t.faults.count_injected(kind, t_us);
+            t.ctx.tracer.emit_with(|| {
+                fields(TraceEvent::new(t_us as i64, "fault.injected").field("fault", kind.as_str()))
+            });
+        }
     }
 
     fn path_between(&self, src: ClusterId, dst: ClusterId) -> Option<Path> {
@@ -484,19 +500,23 @@ impl Driver {
     /// Handles one script event, timing it per class when telemetry is
     /// attached.
     fn dispatch(&mut self, ev: Event) {
-        let Some(t) = self.telemetry.clone() else {
+        if self.telemetry.is_none() {
             self.handle_event(ev);
             return;
-        };
-        let (class_idx, class) = ev.class();
+        }
+        let class = ev.class();
         let t_us = self.sim.now().micros() as i64;
         let started = Stopwatch::start();
         self.handle_event(ev);
         let wall = started.elapsed_s();
-        t.event_seconds[class_idx].record(wall);
-        t.tracer.emit_with(|| {
-            TraceEvent::new(t_us, "kernel.event").field("class", class).field("wall_us", wall * 1e6)
-        });
+        if let Some(t) = &self.telemetry {
+            t.event_seconds[class].record(wall);
+            t.ctx.tracer.emit_with(|| {
+                TraceEvent::new(t_us, "kernel.event")
+                    .field("class", EVENT_CLASSES[class])
+                    .field("wall_us", wall * 1e6)
+            });
+        }
     }
 
     fn handle_event(&mut self, ev: Event) {
@@ -525,15 +545,12 @@ impl Driver {
             (s.src, s.dst, s.spec.vc)
         };
         if let Some(t) = &self.telemetry {
-            t.sessions_started.inc();
-            if let Some(tl) = &t.timeline {
-                tl.add(series::DRIVER_SESSION_STARTS, now.micros(), 1.0);
-            }
+            t.tally(&t.sessions_started, series::DRIVER_SESSION_STARTS, now.micros());
             let (jobs, conc) = {
                 let s = &self.sessions[idx];
                 (s.spec.jobs.len(), s.spec.concurrency)
             };
-            t.tracer.emit_with(|| {
+            t.ctx.tracer.emit_with(|| {
                 TraceEvent::new(now.micros() as i64, "transfer.session_start")
                     .field("session", idx)
                     .field("jobs", jobs)
@@ -541,13 +558,15 @@ impl Driver {
                     .field("vc", vc_spec.is_some())
             });
         }
-        let session_span =
-            self.tracer.span_enter_with(self.run_span, now.micros() as i64, "session.run", |ev| {
-                ev.field("session", idx).field("vc", vc_spec.is_some())
-            });
+        let session_span = self.tracer().span_enter_with(
+            self.run_span,
+            now.micros() as i64,
+            "session.run",
+            |ev| ev.field("session", idx).field("vc", vc_spec.is_some()),
+        );
         self.sessions[idx].span = session_span;
         self.sessions[idx].wait_span =
-            self.tracer.span_enter(session_span, now.micros() as i64, "session.queue_wait");
+            self.tracer().span_enter(session_span, now.micros() as i64, "session.queue_wait");
         if vc_spec.is_some() && self.idc.is_some() {
             self.vc_requested += 1;
             if self.recovery.is_some() {
@@ -557,10 +576,10 @@ impl Driver {
                 if self.try_establish_vc(idx) {
                     return;
                 }
-            } else if let (Some(vc), Some(idc)) = (vc_spec, self.idc.as_mut()) {
+            } else if let Some(vc) = vc_spec {
                 // Legacy single-shot path, kept bit-for-bit: no faults
                 // or recovery configured.
-                let vc_span = self.tracer.span_enter_with(
+                let vc_span = self.tracer().span_enter_with(
                     session_span,
                     now.micros() as i64,
                     "session.vc_setup",
@@ -573,24 +592,22 @@ impl Driver {
                     start: now,
                     end: now + SimSpan::from_secs_f64(vc.max_duration_s),
                 };
-                let mut outcome = "blocked";
-                if let Ok(id) = idc.create_reservation(req) {
-                    // Provisioning a freshly admitted reservation
-                    // cannot fail; if it somehow does, the session
-                    // simply runs IP-routed.
-                    outcome = "provision_error";
-                    if let Ok(ready) = idc.provision(id, now) {
+                // Provisioning a freshly admitted reservation cannot
+                // fail; if it somehow does, the session simply runs
+                // IP-routed.
+                let admitted = self.idc.as_mut().and_then(|idc| {
+                    let id = idc.create_reservation(req).ok()?;
+                    Some((id, idc.provision(id, now)))
+                });
+                let outcome = match admitted {
+                    Some((id, Ok(ready))) => {
                         self.sessions[idx].vc = Some((id, ready, vc.rate_bps));
                         self.vc_established += 1;
-                        if let Some(tl) = self.telemetry.as_ref().and_then(|t| t.timeline.as_ref())
-                        {
-                            tl.observe(
-                                series::DRIVER_VC_SETUP,
-                                now.micros(),
-                                (ready - now).as_secs_f64(),
-                            );
+                        if let Some(tl) = self.tl() {
+                            let setup_s = (ready - now).as_secs_f64();
+                            tl.observe(series::DRIVER_VC_SETUP, now.micros(), setup_s);
                         }
-                        self.tracer.span_exit_with(vc_span, ready.micros() as i64, |ev| {
+                        self.tracer().span_exit_with(vc_span, ready.micros() as i64, |ev| {
                             ev.field("outcome", "established")
                         });
                         if vc.wait_for_circuit {
@@ -600,8 +617,10 @@ impl Driver {
                         self.launch_ready_jobs(idx);
                         return;
                     }
-                }
-                self.tracer.span_exit_with(vc_span, now.micros() as i64, |ev| {
+                    Some((_, Err(_))) => "provision_error",
+                    None => "blocked",
+                };
+                self.tracer().span_exit_with(vc_span, now.micros() as i64, |ev| {
                     ev.field("outcome", outcome)
                 });
             }
@@ -627,7 +646,7 @@ impl Driver {
         self.sessions[idx].vc_attempts += 1;
         let attempt = self.sessions[idx].vc_attempts;
         if self.sessions[idx].vc_span.is_none() {
-            self.sessions[idx].vc_span = self.tracer.span_enter_with(
+            self.sessions[idx].vc_span = self.tracer().span_enter_with(
                 self.sessions[idx].span,
                 now.micros() as i64,
                 "session.vc_setup",
@@ -636,7 +655,7 @@ impl Driver {
         }
         let vc_span = self.sessions[idx].vc_span;
         let attempt_span =
-            self.tracer.span_enter_with(vc_span, now.micros() as i64, "vc.attempt", |ev| {
+            self.tracer().span_enter_with(vc_span, now.micros() as i64, "vc.attempt", |ev| {
                 ev.field("session", idx).field("attempt", attempt)
             });
         let injected = self.faults.as_mut().and_then(FaultInjector::provision_fault);
@@ -676,21 +695,17 @@ impl Driver {
             }
         }
         if let Some(kind) = injected {
-            self.ftel.count_injected_at(kind, now.micros());
             reason = kind.as_str();
-            self.ftel.tracer.emit_with(|| {
-                TraceEvent::new(now.micros() as i64, "fault.injected")
-                    .field("fault", kind.as_str())
-                    .field("session", idx)
-                    .field("attempt", attempt)
+            self.fault_injected(kind, now.micros(), |ev| {
+                ev.field("session", idx).field("attempt", attempt)
             });
         }
 
         if let Some((id, ready)) = established {
-            self.tracer.span_exit_with(attempt_span, now.micros() as i64, |ev| {
+            self.tracer().span_exit_with(attempt_span, now.micros() as i64, |ev| {
                 ev.field("outcome", "established")
             });
-            self.tracer.span_exit_with(vc_span, ready.micros() as i64, |ev| {
+            self.tracer().span_exit_with(vc_span, ready.micros() as i64, |ev| {
                 ev.field("outcome", "established")
             });
             self.sessions[idx].vc_span = SpanId::NONE;
@@ -706,7 +721,7 @@ impl Driver {
                 let waited_s =
                     self.sessions[idx].vc_started.map_or(0.0, |t0| (now - t0).as_secs_f64());
                 self.record_recovery_latency(waited_s);
-                self.ftel.tracer.emit_with(|| {
+                self.tracer().emit_with(|| {
                     TraceEvent::new(now.micros() as i64, "recovery.established")
                         .field("session", idx)
                         .field("attempts", attempt)
@@ -729,28 +744,30 @@ impl Driver {
         let waited_s = self.sessions[idx].vc_started.map_or(0.0, |t0| (now - t0).as_secs_f64());
         match policy.decide(seed, attempt) {
             RecoveryAction::Retry { delay_s_micros } => {
-                self.ftel.retries.inc();
-                if let Some(tl) = self.tl() {
-                    tl.add(series::DRIVER_RETRIES, now.micros(), 1.0);
+                self.retries += 1;
+                if let Some(t) = &self.telemetry {
+                    t.tally(&t.faults.retries, series::DRIVER_RETRIES, now.micros());
                 }
                 let delay_s = delay_s_micros as f64 / 1e6;
-                self.ftel.tracer.emit_with(|| {
+                self.tracer().emit_with(|| {
                     TraceEvent::new(now.micros() as i64, "recovery.retry")
                         .field("session", idx)
                         .field("attempt", attempt)
                         .field("reason", reason)
                         .field("delay_s", delay_s)
                 });
-                self.tracer.span_exit_with(attempt_span, now.micros() as i64, |ev| {
+                self.tracer().span_exit_with(attempt_span, now.micros() as i64, |ev| {
                     ev.field("outcome", "retry").field("reason", reason)
                 });
                 // The backoff window's end is decided now, so the span
                 // closes immediately with a future timestamp.
-                let backoff =
-                    self.tracer.span_enter_with(vc_span, now.micros() as i64, "vc.backoff", |ev| {
-                        ev.field("session", idx).field("attempt", attempt)
-                    });
-                self.tracer
+                let backoff = self.tracer().span_enter_with(
+                    vc_span,
+                    now.micros() as i64,
+                    "vc.backoff",
+                    |ev| ev.field("session", idx).field("attempt", attempt),
+                );
+                self.tracer()
                     .span_exit(backoff, (now + SimSpan(delay_s_micros as i64)).micros() as i64);
                 self.pending.schedule(now + SimSpan(delay_s_micros as i64), Event::RetryVc(idx));
                 // Blocking sessions keep waiting through retries;
@@ -758,27 +775,27 @@ impl Driver {
                 vc.wait_for_circuit
             }
             RecoveryAction::FallbackToIp => {
-                self.ftel.fallback_ip.inc();
-                if let Some(tl) = self.tl() {
-                    tl.add(series::DRIVER_FALLBACKS, now.micros(), 1.0);
+                self.fallbacks += 1;
+                if let Some(t) = &self.telemetry {
+                    t.tally(&t.faults.fallback_ip, series::DRIVER_FALLBACKS, now.micros());
                 }
                 self.record_recovery_latency(waited_s);
                 self.sessions[idx].vc_given_up = true;
-                self.tracer.span_exit_with(attempt_span, now.micros() as i64, |ev| {
+                self.tracer().span_exit_with(attempt_span, now.micros() as i64, |ev| {
                     ev.field("outcome", "fallback_ip").field("reason", reason)
                 });
-                self.tracer.span_exit_with(vc_span, now.micros() as i64, |ev| {
+                self.tracer().span_exit_with(vc_span, now.micros() as i64, |ev| {
                     ev.field("outcome", "fallback_ip")
                 });
                 self.sessions[idx].vc_span = SpanId::NONE;
-                let marker = self.tracer.span_enter_with(
+                let marker = self.tracer().span_enter_with(
                     self.sessions[idx].span,
                     now.micros() as i64,
                     "session.fallback",
                     |ev| ev.field("session", idx).field("reason", reason),
                 );
-                self.tracer.span_exit(marker, now.micros() as i64);
-                self.ftel.tracer.emit_with(|| {
+                self.tracer().span_exit(marker, now.micros() as i64);
+                self.tracer().emit_with(|| {
                     TraceEvent::new(now.micros() as i64, "recovery.fallback")
                         .field("session", idx)
                         .field("attempts", attempt)
@@ -789,14 +806,14 @@ impl Driver {
             RecoveryAction::GiveUp => {
                 self.record_recovery_latency(waited_s);
                 self.sessions[idx].vc_given_up = true;
-                self.tracer.span_exit_with(attempt_span, now.micros() as i64, |ev| {
+                self.tracer().span_exit_with(attempt_span, now.micros() as i64, |ev| {
                     ev.field("outcome", "giveup").field("reason", reason)
                 });
-                self.tracer.span_exit_with(vc_span, now.micros() as i64, |ev| {
+                self.tracer().span_exit_with(vc_span, now.micros() as i64, |ev| {
                     ev.field("outcome", "giveup")
                 });
                 self.sessions[idx].vc_span = SpanId::NONE;
-                self.ftel.tracer.emit_with(|| {
+                self.tracer().emit_with(|| {
                     TraceEvent::new(now.micros() as i64, "recovery.giveup")
                         .field("session", idx)
                         .field("attempts", attempt)
@@ -810,7 +827,9 @@ impl Driver {
     }
 
     fn record_recovery_latency(&mut self, waited_s: f64) {
-        self.ftel.recovery_latency.record(waited_s);
+        if let Some(t) = &self.telemetry {
+            t.faults.recovery_latency.record(waited_s);
+        }
         self.recovery_lat_sum_s += waited_s;
         self.recovery_lat_n += 1;
     }
@@ -847,14 +866,9 @@ impl Driver {
             self.sim.set_flow_guarantee(fid, 0.0);
         }
         if let Some(f) = self.faults.as_mut() {
-            f.note_preemption();
+            f.note(FaultKind::Preemption);
         }
-        self.ftel.count_injected_at(FaultKind::Preemption, now.micros());
-        self.ftel.tracer.emit_with(|| {
-            TraceEvent::new(now.micros() as i64, "fault.injected")
-                .field("fault", FaultKind::Preemption.as_str())
-                .field("session", idx)
-        });
+        self.fault_injected(FaultKind::Preemption, now.micros(), |ev| ev.field("session", idx));
     }
 
     fn apply_link_flap(&mut self, i: usize) {
@@ -873,15 +887,10 @@ impl Driver {
         }
         self.flap_orig.insert(i, (lid, orig));
         if let Some(f) = self.faults.as_mut() {
-            f.note_link_flap();
+            f.note(FaultKind::LinkFlap);
         }
-        self.ftel.count_injected_at(FaultKind::LinkFlap, self.sim.now().micros());
-        let t_us = self.sim.now().micros() as i64;
-        self.ftel.tracer.emit_with(|| {
-            TraceEvent::new(t_us, "fault.injected")
-                .field("fault", FaultKind::LinkFlap.as_str())
-                .field("link", flap.link.as_str())
-                .field("residual_frac", flap.residual_frac)
+        self.fault_injected(FaultKind::LinkFlap, self.sim.now().micros(), |ev| {
+            ev.field("link", flap.link.as_str()).field("residual_frac", flap.residual_frac)
         });
     }
 
@@ -891,7 +900,7 @@ impl Driver {
         };
         self.sim.set_link_capacity(lid, orig);
         let t_us = self.sim.now().micros() as i64;
-        self.ftel.tracer.emit_with(|| {
+        self.tracer().emit_with(|| {
             TraceEvent::new(t_us, "fault.cleared")
                 .field("fault", FaultKind::LinkFlap.as_str())
                 .field("flap", i)
@@ -954,13 +963,8 @@ impl Driver {
         if forced {
             prepared.overhead_s += self.failures.sample_forced_penalty_s(&mut fail_rng);
             prepared.failed = true;
-            self.ftel.count_injected_at(FaultKind::ServerRestart, self.sim.now().micros());
-            let t_us = self.sim.now().micros() as i64;
-            self.ftel.tracer.emit_with(|| {
-                TraceEvent::new(t_us, "fault.injected")
-                    .field("fault", FaultKind::ServerRestart.as_str())
-                    .field("session", idx)
-                    .field("job", job_index)
+            self.fault_injected(FaultKind::ServerRestart, self.sim.now().micros(), |ev| {
+                ev.field("session", idx).field("job", job_index)
             });
         }
         let tag = self.next_tag;
@@ -977,7 +981,7 @@ impl Driver {
             t.transfers_started.inc();
             let (bytes, streams, stripes) =
                 (prepared.job.size_bytes, prepared.job.streams, prepared.job.stripes);
-            t.tracer.emit_with(|| {
+            t.ctx.tracer.emit_with(|| {
                 TraceEvent::new(self.sim.now().micros() as i64, "transfer.start")
                     .field("tag", tag)
                     .field("session", idx)
@@ -988,14 +992,16 @@ impl Driver {
         }
         let t_us = self.sim.now().micros() as i64;
         if !self.sessions[idx].wait_span.is_none() {
-            self.tracer.span_exit(self.sessions[idx].wait_span, t_us);
+            self.tracer().span_exit(self.sessions[idx].wait_span, t_us);
             self.sessions[idx].wait_span = SpanId::NONE;
         }
         let bytes = prepared.job.size_bytes;
-        let span =
-            self.tracer.span_enter_with(self.sessions[idx].span, t_us, "session.transfer", |ev| {
-                ev.field("tag", tag).field("session", idx).field("bytes", bytes)
-            });
+        let span = self.tracer().span_enter_with(
+            self.sessions[idx].span,
+            t_us,
+            "session.transfer",
+            |ev| ev.field("tag", tag).field("session", idx).field("bytes", bytes),
+        );
         self.in_flight.insert(
             tag,
             InFlight {
@@ -1054,15 +1060,12 @@ impl Driver {
             } else {
                 0.0
             };
-            t.transfers_completed.inc();
+            t.tally(&t.transfers_completed, series::DRIVER_TRANSFERS, c.end.micros());
             t.transferred_bytes.add(info.job.size_bytes);
             t.throughput_mbps.record(mbps);
-            if let Some(tl) = &t.timeline {
-                tl.add(series::DRIVER_TRANSFERS, c.end.micros(), 1.0);
-            }
             let (bytes, streams, lossy, failed) =
                 (info.job.size_bytes, info.job.streams, info.lossy, info.failed);
-            t.tracer.emit_with(|| {
+            t.ctx.tracer.emit_with(|| {
                 TraceEvent::new(c.end.micros() as i64, "transfer.complete")
                     .field("tag", c.tag)
                     .field("session", idx)
@@ -1074,7 +1077,7 @@ impl Driver {
                     .field("failed", failed)
             });
         }
-        self.tracer.span_exit(info.span, c.end.micros() as i64);
+        self.tracer().span_exit(info.span, c.end.micros() as i64);
 
         // Session bookkeeping: free a slot and continue after the gap.
         let s = &mut self.sessions[idx];
@@ -1091,13 +1094,11 @@ impl Driver {
                 // the IDC; teardown is also idempotent.
                 let _ = idc.teardown(id, self.sim.now());
             }
-            self.tracer.span_exit(session_span, self.sim.now().micros() as i64);
+            self.tracer().span_exit(session_span, self.sim.now().micros() as i64);
             if let Some(t) = &self.telemetry {
-                t.sessions_completed.inc();
-                if let Some(tl) = &t.timeline {
-                    tl.add(series::DRIVER_SESSION_COMPLETIONS, self.sim.now().micros(), 1.0);
-                }
-                t.tracer.emit_with(|| {
+                let now_us = self.sim.now().micros();
+                t.tally(&t.sessions_completed, series::DRIVER_SESSION_COMPLETIONS, now_us);
+                t.ctx.tracer.emit_with(|| {
                     TraceEvent::new(self.sim.now().micros() as i64, "transfer.session_complete")
                         .field("session", idx)
                 });
@@ -1119,16 +1120,16 @@ impl Driver {
     fn run_core(mut self, limit: SimTime) -> (DriverOutput, LaneStats) {
         // Host-perf phase around the whole drive loop; items = kernel
         // pops + flow completions. Disabled handle = one branch here.
-        let perf = self.telemetry_ctx.as_ref().map(|c| c.perf.clone()).unwrap_or_default();
+        let perf = self.telemetry.as_ref().map(|t| t.ctx.perf.clone()).unwrap_or_default();
         let mut perf_phase = perf.phase("simulate");
         let mut completions: u64 = 0;
         let start_us = self.sim.now().micros() as i64;
         self.run_span = match self.lane_root {
             Some((parent, lane)) => {
-                self.tracer
+                self.tracer()
                     .span_enter_with(parent, start_us, "driver.lane", |ev| ev.field("lane", lane))
             }
-            None => self.tracer.span_enter(SpanId::NONE, start_us, "driver.run"),
+            None => self.tracer().span_enter(SpanId::NONE, start_us, "driver.run"),
         };
         // Scheduled link flaps from the fault plan become calendar
         // events before anything else runs.
@@ -1183,33 +1184,35 @@ impl Driver {
                 }
             }
         }
-        self.tracer.span_exit(self.run_span, self.sim.now().micros() as i64);
+        self.tracer().span_exit(self.run_span, self.sim.now().micros() as i64);
         let idc_stats = self.idc.as_ref().map(gvc_oscars::Idc::stats);
         let open_reservations = self.idc.as_ref().map(Idc::open_reservations);
         let resilience = self.recovery.map(|_| ResilienceReport {
             vc_requested: self.vc_requested,
             vc_established: self.vc_established,
             faults_injected: self.faults.as_ref().map_or(0, FaultInjector::injected_total),
-            retries: self.ftel.retries.get(),
-            fallbacks: self.ftel.fallback_ip.get(),
-            preemptions: self.ftel.injected_count(FaultKind::Preemption),
+            retries: self.retries,
+            fallbacks: self.fallbacks,
+            preemptions: self
+                .faults
+                .as_ref()
+                .map_or(0, |f| f.injected_count(FaultKind::Preemption)),
             mean_recovery_latency_s: if self.recovery_lat_n > 0 {
                 self.recovery_lat_sum_s / self.recovery_lat_n as f64
             } else {
                 0.0
             },
         });
+        let events = self.pending.dispatched() + completions;
+        perf_phase.items(events);
+        drop(perf_phase);
+        self.tracer().flush();
         let stats = LaneStats {
-            events: self.pending.dispatched() + completions,
+            events,
             recovery_lat_sum_s: self.recovery_lat_sum_s,
             recovery_lat_n: self.recovery_lat_n,
+            telemetry: self.telemetry.map(|t| t.ctx),
         };
-        perf_phase.items(stats.events);
-        drop(perf_phase);
-        if let Some(t) = &self.telemetry {
-            t.tracer.flush();
-        }
-        self.ftel.tracer.flush();
         self.tstat.sort_by_key(|t| t.start_unix_us);
         (
             DriverOutput {
@@ -1293,8 +1296,9 @@ impl Driver {
     /// Builds the sub-driver for one lane: a fresh simulator over the
     /// same topology, every cluster and session slot registered in
     /// global order (preserving ids and per-session RNG streams), but
-    /// only the lane's own items scheduled.
-    fn build_lane(&self, k: usize, members: &[usize], parent: SpanId) -> LaneParts {
+    /// only the lane's own items scheduled, instrumented with a lane
+    /// fork of the run's telemetry context.
+    fn build_lane(&self, k: usize, members: &[usize], parent: SpanId) -> Driver {
         let s_n = self.script.sessions.len();
         let b_n = self.script.backgrounds.len();
         let r_n = self.script.resizes.len();
@@ -1332,31 +1336,8 @@ impl Driver {
                 .collect();
             lane.faults = Some(FaultInjector::new(plan));
         }
-        let mut sink = None;
-        let mut registry = None;
-        let mut timeline = None;
-        if let Some(ctx) = &self.telemetry_ctx {
-            let tracer = if ctx.tracer.enabled() {
-                let buf = Arc::new(BufferSink::new());
-                sink = Some(Arc::clone(&buf));
-                // Disjoint span-id blocks per lane: ids stay unique
-                // after the lane buffers concatenate.
-                Tracer::to_sink_with_span_base(buf, (k as u64 + 1) << 40)
-            } else {
-                Tracer::disabled()
-            };
-            // Each lane records into its own flight recorder (same
-            // window width); the coordinator absorbs them in lane
-            // order, so the merged timeline is shard-invariant.
-            timeline = ctx.timeline.as_ref().map(|tl| TimelineHandle::new(tl.width_us()));
-            let lane_ctx = Telemetry {
-                registry: Arc::new(Registry::new()),
-                tracer,
-                perf: Perf::disabled(),
-                timeline: timeline.clone(),
-            };
-            registry = Some(Arc::clone(&lane_ctx.registry));
-            lane = lane.with_telemetry(&lane_ctx);
+        if let Some(t) = &self.telemetry {
+            lane = lane.with_telemetry(&t.ctx.lane(k));
         }
         for (name, node, caps, n) in &self.script.clusters {
             lane.register_cluster(name, *node, *caps, *n);
@@ -1377,7 +1358,7 @@ impl Driver {
                 lane.pending.schedule(*at, Event::ResizeCluster(*cluster, *n));
             }
         }
-        (lane, sink, registry, timeline)
+        lane
     }
 
     /// Runs the recorded schedule as independent event lanes —
@@ -1402,69 +1383,43 @@ impl Driver {
         if lanes.len() <= 1 {
             return self.run(limit);
         }
-        let perf = self.telemetry_ctx.as_ref().map(|c| c.perf.clone()).unwrap_or_default();
+        let perf = self.telemetry.as_ref().map(|t| t.ctx.perf.clone()).unwrap_or_default();
         let mut perf_phase = perf.phase("simulate");
         // Events recorded on the coordinator's calendar are replayed
         // into the lanes instead; close their queue-wait spans as
         // cancelled so the trace stays balanced.
         self.pending.clear();
         let lane_count = lanes.len();
-        let run_span = self.tracer.span_enter_with(
+        let run_span = self.tracer().span_enter_with(
             SpanId::NONE,
             self.sim.now().micros() as i64,
             "driver.run",
             |ev| ev.field("lanes", lane_count),
         );
-        let mut drivers = Vec::with_capacity(lane_count);
-        let mut sinks = Vec::with_capacity(lane_count);
-        let mut registries = Vec::with_capacity(lane_count);
-        let mut timelines = Vec::with_capacity(lane_count);
-        for (k, members) in lanes.iter().enumerate() {
-            let (d, sink, registry, timeline) = self.build_lane(k, members, run_span);
-            drivers.push(d);
-            sinks.push(sink);
-            registries.push(registry);
-            timelines.push(timeline);
-        }
+        let drivers = lanes
+            .iter()
+            .enumerate()
+            .map(|(k, members)| self.build_lane(k, members, run_span))
+            .collect();
         let results = run_lanes(drivers, limit, shards.threads());
-        // Stitch the trace: coordinator events first, then each
-        // lane's buffer whole, in lane order. Within-lane order is
-        // the lane's own emit order; the offline tools sort by
-        // timestamp where they need a global timeline.
-        for sink in sinks.into_iter().flatten() {
-            for ev in sink.take() {
-                self.tracer.emit_with(move || ev);
-            }
-        }
-        if let Some(ctx) = &self.telemetry_ctx {
-            for registry in registries.into_iter().flatten() {
-                ctx.registry.merge_from(&registry);
-            }
-            // Fold lane flight recorders in lane order. Per-window
-            // cell merges are commutative, so the merged timeline is
-            // identical for every shard count and thread schedule.
-            if let Some(parent_tl) = &ctx.timeline {
-                for tl in timelines.into_iter().flatten() {
-                    parent_tl.absorb(&tl);
-                }
+        // Fold the lane contexts back in lane order: the trace is the
+        // coordinator's events, then each lane's buffer whole (the
+        // offline tools sort by timestamp where they need a global
+        // timeline), and metrics and timeline windows merge the same
+        // for every shard count and thread schedule.
+        if let Some(t) = &self.telemetry {
+            for lane in results.iter().filter_map(|(_, ls)| ls.telemetry.as_ref()) {
+                t.ctx.absorb_lane(lane);
             }
         }
         let end_us = results.iter().map(|(o, _)| o.sim.now().micros() as i64).max().unwrap_or(0);
-        self.tracer.span_exit(run_span, end_us);
+        self.tracer().span_exit(run_span, end_us);
         let mut records = Vec::new();
         let mut transfers = Vec::new();
         let mut idc_sum = gvc_oscars::IdcStats::default();
         let mut open_sum = 0usize;
         let mut events = 0u64;
-        let mut rep = ResilienceReport {
-            vc_requested: 0,
-            vc_established: 0,
-            faults_injected: 0,
-            retries: 0,
-            fallbacks: 0,
-            preemptions: 0,
-            mean_recovery_latency_s: 0.0,
-        };
+        let mut rep = ResilienceReport::default();
         let (mut lat_sum, mut lat_n) = (0.0_f64, 0_u64);
         for (o, ls) in results {
             self.sim.absorb_snmp(o.sim.snmp());
@@ -1492,10 +1447,7 @@ impl Driver {
         rep.mean_recovery_latency_s = if lat_n > 0 { lat_sum / lat_n as f64 } else { 0.0 };
         perf_phase.items(events);
         drop(perf_phase);
-        if let Some(t) = &self.telemetry {
-            t.tracer.flush();
-        }
-        self.ftel.tracer.flush();
+        self.tracer().flush();
         // Stable sort: equal start times keep lane-concatenation
         // order, which is itself deterministic.
         transfers.sort_by_key(|t| t.start_unix_us);
@@ -1581,7 +1533,7 @@ impl TstatReport {
 
 /// Fault/recovery outcome summary for one run, produced whenever a
 /// recovery policy was configured.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResilienceReport {
     /// Sessions that requested a circuit.
     pub vc_requested: u64,
@@ -2208,6 +2160,39 @@ mod tests {
         assert_eq!(r.preemptions, 1);
         assert_eq!(r.faults_injected, 1);
         assert_eq!(out.open_reservations, Some(0), "preempted circuit must be released");
+    }
+
+    /// Runs sharing one telemetry context each report their own
+    /// resilience ledger; only the shared registry sums them.
+    #[test]
+    fn runs_sharing_a_context_report_their_own_resilience() {
+        use gvc_faults::FaultPlan;
+        let ctx = Telemetry::metrics_only();
+        let run = || {
+            let (d, a, b) = vc_driver(9);
+            // Session 0 exhausts its four attempts and falls back;
+            // session 1 fails once, then holds a circuit until the
+            // preemption.
+            let plan = FaultPlan {
+                fail_first_provisions: 5,
+                preempt_after_s: Some(5.0),
+                ..FaultPlan::default()
+            };
+            let mut d = d.with_telemetry(&ctx).with_faults(plan);
+            for at in [0, 10_000] {
+                let spec = SessionSpec::sequential(vec![job(4096)], 0.0).with_vc(vc_spec());
+                d.schedule_session(SimTime::from_secs(at), a, b, spec);
+            }
+            d.run(SimTime::from_secs(1_000_000)).resilience.expect("recovery configured")
+        };
+        let first = run();
+        let second = run();
+        assert_eq!(first, second);
+        assert_eq!((first.retries, first.fallbacks, first.preemptions), (4, 1, 1));
+        assert_eq!(first.faults_injected, 6);
+        let reg = &ctx.registry;
+        assert_eq!(reg.counter("recovery_retries_total", &[]).get(), 2 * first.retries);
+        assert_eq!(reg.counter("fallback_ip_total", &[]).get(), 2 * first.fallbacks);
     }
 
     #[test]

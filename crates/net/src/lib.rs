@@ -38,5 +38,5 @@ pub mod tcp;
 
 pub use fairshare::{max_min_allocation, CapacityConstraint, FlowDemand};
 pub use flow::{FlowCompletion, FlowId, FlowSpec, ResourceId};
-pub use sim::{FlowTrace, NetTelemetry, NetworkSim};
+pub use sim::{FlowTrace, NetworkSim};
 pub use tcp::TcpModel;

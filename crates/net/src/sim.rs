@@ -16,43 +16,27 @@ use crate::flow::{FlowCompletion, FlowId, FlowSpec, ResourceId};
 use crate::snmp_rec::SnmpRecorder;
 use gvc_engine::{SimSpan, SimTime};
 use gvc_telemetry::timeline::series;
-use gvc_telemetry::{Counter, Gauge, Registry, TimelineHandle, TraceEvent, Tracer};
+use gvc_telemetry::{Counter, Gauge, Telemetry, TimelineHandle, TraceEvent, Tracer};
 use gvc_topology::{Graph, LinkId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Fluid-simulator telemetry, shared with a [`Registry`]. Attach via
+/// Fluid-simulator hooks, built from a [`Telemetry`] context by
 /// [`NetworkSim::set_telemetry`].
-#[derive(Clone)]
-pub struct NetTelemetry {
+struct NetTelemetry {
     /// `net_fairshare_recomputations_total`: max-min solver runs.
-    pub recomputations: Arc<Counter>,
+    recomputations: Arc<Counter>,
     /// `net_flows_started_total`: flows injected.
-    pub flows_started: Arc<Counter>,
+    flows_started: Arc<Counter>,
     /// `net_flows_completed_total`: flows finished (not aborted).
-    pub flows_completed: Arc<Counter>,
+    flows_completed: Arc<Counter>,
     /// `net_flows_active`: currently active flows.
-    pub flows_active: Arc<Gauge>,
+    flows_active: Arc<Gauge>,
     /// `net_snmp_deposited_bytes_total`: bytes deposited into monitored
     /// SNMP interface counters.
-    pub snmp_bytes: Arc<Counter>,
+    snmp_bytes: Arc<Counter>,
     /// Trace handle for `net.*` events.
-    pub tracer: Tracer,
-}
-
-impl NetTelemetry {
-    /// Registers the simulator metrics in `registry`, tracing into
-    /// `tracer`.
-    pub fn register(registry: &Registry, tracer: Tracer) -> NetTelemetry {
-        NetTelemetry {
-            recomputations: registry.counter("net_fairshare_recomputations_total", &[]),
-            flows_started: registry.counter("net_flows_started_total", &[]),
-            flows_completed: registry.counter("net_flows_completed_total", &[]),
-            flows_active: registry.gauge("net_flows_active", &[]),
-            snmp_bytes: registry.counter("net_snmp_deposited_bytes_total", &[]),
-            tracer,
-        }
-    }
+    tracer: Tracer,
 }
 
 /// A recorded rate timeline for one traced flow: `(instant, bps)`
@@ -160,9 +144,18 @@ impl NetworkSim {
         }
     }
 
-    /// Attaches fluid-simulator telemetry.
-    pub fn set_telemetry(&mut self, telemetry: NetTelemetry) {
-        self.telemetry = Some(telemetry);
+    /// Instruments the simulator from `ctx`: flow and solver counters
+    /// in its registry, `net.*` events through its tracer.
+    pub fn set_telemetry(&mut self, ctx: &Telemetry) {
+        let registry = &ctx.registry;
+        self.telemetry = Some(NetTelemetry {
+            recomputations: registry.counter("net_fairshare_recomputations_total", &[]),
+            flows_started: registry.counter("net_flows_started_total", &[]),
+            flows_completed: registry.counter("net_flows_completed_total", &[]),
+            flows_active: registry.gauge("net_flows_active", &[]),
+            snmp_bytes: registry.counter("net_snmp_deposited_bytes_total", &[]),
+            tracer: ctx.tracer.clone(),
+        });
     }
 
     /// Starts recording the rate timeline of flows carrying `tag`
@@ -777,12 +770,12 @@ mod tests {
 
     #[test]
     fn telemetry_counts_recomputes_flows_and_snmp() {
-        use gvc_telemetry::{Registry, RingSink, Tracer};
-        use std::sync::Arc;
+        use gvc_telemetry::RingSink;
         let (mut sim, l) = sim_one_link();
-        let reg = Registry::new();
         let ring = Arc::new(RingSink::new(256));
-        sim.set_telemetry(NetTelemetry::register(&reg, Tracer::to_sink(ring.clone())));
+        let ctx = Telemetry::with_sink(ring.clone());
+        let reg = &ctx.registry;
+        sim.set_telemetry(&ctx);
         sim.monitor_link(l);
 
         sim.add_flow(FlowSpec::best_effort(vec![l], 1e9).with_tag(1));

@@ -13,80 +13,35 @@ use crate::setup::SetupDelayModel;
 use gvc_engine::SimTime;
 use gvc_telemetry::timeline::series;
 use gvc_telemetry::{
-    Counter, Gauge, Histogram, Registry, SpanId, TimelineHandle, TraceEvent, Tracer,
+    Counter, Gauge, Histogram, SpanId, Telemetry, TimelineHandle, TraceEvent, Tracer,
 };
 use gvc_topology::{constrained_shortest_path, Graph};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// IDC admission/provisioning telemetry, shared with a [`Registry`].
-/// Attach via [`Idc::set_telemetry`].
-#[derive(Clone)]
-pub struct IdcTelemetry {
+/// IDC admission/provisioning hooks, built from a [`Telemetry`]
+/// context by [`Idc::set_telemetry`].
+struct IdcTelemetry {
     /// `idc_requests_total`: `createReservation` calls.
-    pub requests: Arc<Counter>,
+    requests: Arc<Counter>,
     /// `idc_admitted_total`: admitted requests.
-    pub admitted: Arc<Counter>,
+    admitted: Arc<Counter>,
     /// `idc_blocked_total{reason="invalid_request"}`.
-    pub blocked_invalid: Arc<Counter>,
+    blocked_invalid: Arc<Counter>,
     /// `idc_blocked_total{reason="no_feasible_path"}`.
-    pub blocked_no_path: Arc<Counter>,
+    blocked_no_path: Arc<Counter>,
     /// `idc_reservations_active`: provisioned minus torn down.
-    pub active: Arc<Gauge>,
+    active: Arc<Gauge>,
     /// `idc_setup_delay_seconds`: provision-to-usable delay.
-    pub setup_delay: Arc<Histogram>,
+    setup_delay: Arc<Histogram>,
     /// `idc_path_utilization`: peak committed fraction of the
     /// bottleneck link on the admitted path, *after* the commit — how
     /// full the calendar runs (§II high-utilization claim).
-    pub path_utilization: Arc<Histogram>,
+    path_utilization: Arc<Histogram>,
     /// Trace handle for `idc.*` events.
-    pub tracer: Tracer,
-    /// Sim-time flight recorder feeding the `oscars.*` windowed
-    /// series (`None` unless [`IdcTelemetry::with_timeline`] attached
-    /// one).
-    pub timeline: Option<TimelineHandle>,
-}
-
-impl IdcTelemetry {
-    /// Registers the IDC metrics in `registry`, tracing into `tracer`.
-    pub fn register(registry: &Registry, tracer: Tracer) -> IdcTelemetry {
-        registry.describe("idc_requests_total", "createReservation calls received");
-        registry.describe("idc_admitted_total", "Reservation requests admitted by CSPF");
-        registry.describe("idc_blocked_total", "Reservation requests blocked, by reason");
-        registry.describe("idc_reservations_active", "Provisioned reservations not yet torn down");
-        registry.describe("idc_setup_delay_seconds", "Provision-to-usable circuit setup delay");
-        registry.describe(
-            "idc_path_utilization",
-            "Post-commit peak utilization of the admitted path's bottleneck link",
-        );
-        IdcTelemetry {
-            requests: registry.counter("idc_requests_total", &[]),
-            admitted: registry.counter("idc_admitted_total", &[]),
-            blocked_invalid: registry
-                .counter("idc_blocked_total", &[("reason", "invalid_request")]),
-            blocked_no_path: registry
-                .counter("idc_blocked_total", &[("reason", "no_feasible_path")]),
-            active: registry.gauge("idc_reservations_active", &[]),
-            setup_delay: registry.histogram("idc_setup_delay_seconds", &[], Histogram::timing),
-            path_utilization: registry.histogram("idc_path_utilization", &[], || {
-                // Linear-ish fine buckets over (0, 1.28]: utilization
-                // is a ratio, so a shallow growth factor keeps
-                // resolution near full.
-                Histogram::new(0.01, 1.6, 11)
-            }),
-            tracer,
-            timeline: None,
-        }
-    }
-
-    /// Attaches a sim-time flight recorder. The IDC lives in exactly
-    /// one shard lane, so its calendar-occupancy samples are
-    /// shard-invariant by construction.
-    #[must_use]
-    pub fn with_timeline(mut self, timeline: Option<TimelineHandle>) -> IdcTelemetry {
-        self.timeline = timeline;
-        self
-    }
+    tracer: Tracer,
+    /// Flight recorder for the `oscars.*` windowed series.
+    timeline: Option<TimelineHandle>,
 }
 
 /// Why a reservation was rejected.
@@ -195,9 +150,41 @@ impl Idc {
         }
     }
 
-    /// Attaches admission/provisioning telemetry.
-    pub fn set_telemetry(&mut self, telemetry: IdcTelemetry) {
-        self.telemetry = Some(telemetry);
+    /// Instruments the controller from `ctx`: admission and
+    /// provisioning metrics in its registry, `idc.*` events and
+    /// `circuit.lifetime` spans through its tracer, and calendar
+    /// occupancy samples in its flight recorder. The IDC lives in
+    /// exactly one shard lane, so those samples are shard-invariant by
+    /// construction.
+    pub fn set_telemetry(&mut self, ctx: &Telemetry) {
+        let registry = &ctx.registry;
+        registry.describe("idc_requests_total", "createReservation calls received");
+        registry.describe("idc_admitted_total", "Reservation requests admitted by CSPF");
+        registry.describe("idc_blocked_total", "Reservation requests blocked, by reason");
+        registry.describe("idc_reservations_active", "Provisioned reservations not yet torn down");
+        registry.describe("idc_setup_delay_seconds", "Provision-to-usable circuit setup delay");
+        registry.describe(
+            "idc_path_utilization",
+            "Post-commit peak utilization of the admitted path's bottleneck link",
+        );
+        self.telemetry = Some(IdcTelemetry {
+            requests: registry.counter("idc_requests_total", &[]),
+            admitted: registry.counter("idc_admitted_total", &[]),
+            blocked_invalid: registry
+                .counter("idc_blocked_total", &[("reason", "invalid_request")]),
+            blocked_no_path: registry
+                .counter("idc_blocked_total", &[("reason", "no_feasible_path")]),
+            active: registry.gauge("idc_reservations_active", &[]),
+            setup_delay: registry.histogram("idc_setup_delay_seconds", &[], Histogram::timing),
+            path_utilization: registry.histogram("idc_path_utilization", &[], || {
+                // Linear-ish fine buckets over (0, 1.28]: utilization
+                // is a ratio, so a shallow growth factor keeps
+                // resolution near full.
+                Histogram::new(0.01, 1.6, 11)
+            }),
+            tracer: ctx.tracer.clone(),
+            timeline: ctx.timeline.clone(),
+        });
     }
 
     /// Caps the reservable fraction of every link (policy headroom).
@@ -591,9 +578,10 @@ mod tests {
     fn telemetry_tracks_admissions_and_lifecycle() {
         use gvc_telemetry::RingSink;
         let (mut i, req) = idc();
-        let reg = Registry::new();
         let ring = Arc::new(RingSink::new(64));
-        i.set_telemetry(IdcTelemetry::register(&reg, Tracer::to_sink(ring.clone())));
+        let ctx = Telemetry::with_sink(ring.clone());
+        let reg = &ctx.registry;
+        i.set_telemetry(&ctx);
 
         let a = i.create_reservation(req).unwrap();
         let _b = i.create_reservation(req).unwrap();
@@ -653,11 +641,8 @@ mod tests {
     fn timeline_samples_calendar_occupancy() {
         use gvc_telemetry::{TimelineDoc, TimelineHandle};
         let (mut i, req) = idc();
-        let reg = Registry::new();
         let tl = TimelineHandle::new(30_000_000);
-        i.set_telemetry(
-            IdcTelemetry::register(&reg, Tracer::disabled()).with_timeline(Some(tl.clone())),
-        );
+        i.set_telemetry(&Telemetry::metrics_only().with_timeline(tl.clone()));
         let a = i.create_reservation(req).unwrap();
         let _b = i.create_reservation(req).unwrap();
         i.teardown(a, SimTime::from_secs(45)).unwrap();

@@ -20,8 +20,9 @@
 use crate::idc::{BlockReason, Idc};
 use crate::reservation::{ReservationId, ReservationRequest};
 use gvc_engine::{SimSpan, SimTime};
-use gvc_faults::{FaultInjector, FaultKind, FaultTelemetry, RecoveryAction, RecoveryPolicy};
-use gvc_telemetry::{SpanId, TraceEvent};
+use gvc_faults::telemetry::FaultTelemetry;
+use gvc_faults::{FaultInjector, FaultKind, RecoveryAction, RecoveryPolicy};
+use gvc_telemetry::{SpanId, Telemetry, TraceEvent};
 use gvc_topology::NodeId;
 use std::collections::HashMap;
 
@@ -222,7 +223,8 @@ impl InterDomainController {
     ///
     /// Waiting is virtual: the returned outcome's `finished_at` is
     /// `now` plus all backoff delays spent, which callers fold into
-    /// their own clocks.
+    /// their own clocks. Faults, retries, fallbacks and the recovery
+    /// latency are counted, traced and windowed through `telemetry`.
     #[allow(clippy::too_many_arguments)]
     pub fn create_circuit_with_recovery(
         &mut self,
@@ -234,23 +236,23 @@ impl InterDomainController {
         now: SimTime,
         policy: &RecoveryPolicy,
         injector: &mut FaultInjector,
-        telemetry: &FaultTelemetry,
+        telemetry: &Telemetry,
     ) -> RecoveryOutcome {
+        let faults = FaultTelemetry::new(telemetry);
+        let tracer = &telemetry.tracer;
         let seed = injector.plan().seed;
         let mut at = now;
         let mut attempts = 0u32;
         // The whole establishment sequence as one span, each attempt
         // and each backoff wait as children.
-        let chain = telemetry.tracer.span_enter_with(
-            SpanId::NONE,
-            now.micros() as i64,
-            "idc.interdomain",
-            |ev| ev.field("rate_bps", rate_bps),
-        );
+        let chain =
+            tracer.span_enter_with(SpanId::NONE, now.micros() as i64, "idc.interdomain", |ev| {
+                ev.field("rate_bps", rate_bps)
+            });
         loop {
             attempts += 1;
             let attempt_span =
-                telemetry.tracer.span_enter_with(chain, at.micros() as i64, "idc.attempt", |ev| {
+                tracer.span_enter_with(chain, at.micros() as i64, "idc.attempt", |ev| {
                     ev.field("attempt", u64::from(attempts))
                 });
             let fault = injector.provision_fault();
@@ -264,14 +266,14 @@ impl InterDomainController {
                         self.teardown(&circuit, at);
                         AttemptFailure::Fault(FaultKind::SetupTimeout)
                     } else {
-                        telemetry.recovery_latency.record((at - now).as_secs_f64());
-                        telemetry.tracer.emit_with(|| {
+                        faults.recovery_latency.record((at - now).as_secs_f64());
+                        tracer.emit_with(|| {
                             TraceEvent::new(at.micros() as i64, "recovery.established")
                                 .field("attempts", u64::from(attempts))
                                 .field("waited_s", (at - now).as_secs_f64())
                         });
-                        telemetry.tracer.span_exit(attempt_span, at.micros() as i64);
-                        telemetry.tracer.span_exit_with(chain, at.micros() as i64, |ev| {
+                        tracer.span_exit(attempt_span, at.micros() as i64);
+                        tracer.span_exit_with(chain, at.micros() as i64, |ev| {
                             ev.field("outcome", "established")
                         });
                         return RecoveryOutcome {
@@ -289,8 +291,8 @@ impl InterDomainController {
                     if let Ok(circuit) = result {
                         self.teardown(&circuit, at);
                     }
-                    telemetry.count_injected(kind);
-                    telemetry.tracer.emit_with(|| {
+                    faults.count_injected(kind, at.micros());
+                    tracer.emit_with(|| {
                         TraceEvent::new(at.micros() as i64, "fault.injected")
                             .field("fault", kind.as_str())
                             .field("attempt", u64::from(attempts))
@@ -302,27 +304,26 @@ impl InterDomainController {
 
             match policy.decide(seed, attempts) {
                 RecoveryAction::Retry { delay_s_micros } => {
-                    telemetry.retries.inc();
-                    telemetry.tracer.emit_with(|| {
+                    faults.retries.inc();
+                    tracer.emit_with(|| {
                         TraceEvent::new(at.micros() as i64, "recovery.retry")
                             .field("attempt", u64::from(attempts))
                             .field("delay_s", delay_s_micros as f64 / 1e6)
                     });
-                    telemetry.tracer.span_exit(attempt_span, at.micros() as i64);
-                    let backoff =
-                        telemetry.tracer.span_enter(chain, at.micros() as i64, "idc.backoff");
+                    tracer.span_exit(attempt_span, at.micros() as i64);
+                    let backoff = tracer.span_enter(chain, at.micros() as i64, "idc.backoff");
                     at += SimSpan(delay_s_micros as i64);
-                    telemetry.tracer.span_exit(backoff, at.micros() as i64);
+                    tracer.span_exit(backoff, at.micros() as i64);
                 }
                 RecoveryAction::FallbackToIp => {
-                    telemetry.fallback_ip.inc();
-                    telemetry.recovery_latency.record((at - now).as_secs_f64());
-                    telemetry.tracer.emit_with(|| {
+                    faults.fallback_ip.inc();
+                    faults.recovery_latency.record((at - now).as_secs_f64());
+                    tracer.emit_with(|| {
                         TraceEvent::new(at.micros() as i64, "recovery.fallback")
                             .field("attempts", u64::from(attempts))
                     });
-                    telemetry.tracer.span_exit(attempt_span, at.micros() as i64);
-                    telemetry.tracer.span_exit_with(chain, at.micros() as i64, |ev| {
+                    tracer.span_exit(attempt_span, at.micros() as i64);
+                    tracer.span_exit_with(chain, at.micros() as i64, |ev| {
                         ev.field("outcome", "fallback_ip")
                     });
                     return RecoveryOutcome {
@@ -332,13 +333,13 @@ impl InterDomainController {
                     };
                 }
                 RecoveryAction::GiveUp => {
-                    telemetry.recovery_latency.record((at - now).as_secs_f64());
-                    telemetry.tracer.emit_with(|| {
+                    faults.recovery_latency.record((at - now).as_secs_f64());
+                    tracer.emit_with(|| {
                         TraceEvent::new(at.micros() as i64, "recovery.giveup")
                             .field("attempts", u64::from(attempts))
                     });
-                    telemetry.tracer.span_exit(attempt_span, at.micros() as i64);
-                    telemetry.tracer.span_exit_with(chain, at.micros() as i64, |ev| {
+                    tracer.span_exit(attempt_span, at.micros() as i64);
+                    tracer.span_exit_with(chain, at.micros() as i64, |ev| {
                         ev.field("outcome", "giveup")
                     });
                     return RecoveryOutcome {
@@ -543,13 +544,13 @@ mod tests {
 
     #[test]
     fn recovery_retries_then_establishes() {
-        use gvc_faults::{FaultInjector, FaultPlan, FaultTelemetry, RecoveryPolicy};
+        use gvc_faults::{FaultInjector, FaultPlan, RecoveryPolicy};
         let mut c = controller(10e9);
         // First two attempts die on injected signalling failures; the
         // third succeeds within the default budget of 4 attempts.
         let plan = FaultPlan { fail_first_provisions: 2, ..FaultPlan::default() };
         let mut inj = FaultInjector::new(plan);
-        let tel = FaultTelemetry::disabled();
+        let tel = Telemetry::metrics_only();
         let out = c.create_circuit_with_recovery(
             "ep-a",
             "ep-b",
@@ -564,8 +565,8 @@ mod tests {
         assert_eq!(out.attempts, 3);
         assert!(matches!(out.result, CircuitResult::Established(_)));
         assert!(out.finished_at > t(0), "backoff waits must advance the clock");
-        assert_eq!(tel.retries.get(), 2);
-        assert_eq!(tel.fallback_ip.get(), 0);
+        assert_eq!(tel.registry.counter("recovery_retries_total", &[]).get(), 2);
+        assert_eq!(tel.registry.counter("fallback_ip_total", &[]).get(), 0);
         // The two failed attempts left nothing behind.
         let CircuitResult::Established(circuit) = &out.result else { unreachable!() };
         assert_eq!(c.open_reservations(), circuit.segments.len());
@@ -573,14 +574,14 @@ mod tests {
 
     #[test]
     fn recovery_chain_emits_paired_spans() {
-        use gvc_faults::{FaultInjector, FaultPlan, FaultTelemetry, RecoveryPolicy};
-        use gvc_telemetry::{Registry, RingSink, TraceModel, Tracer};
+        use gvc_faults::{FaultInjector, FaultPlan, RecoveryPolicy};
+        use gvc_telemetry::{RingSink, TraceModel};
         use std::sync::Arc;
         let mut c = controller(10e9);
         let plan = FaultPlan { fail_first_provisions: 2, ..FaultPlan::default() };
         let mut inj = FaultInjector::new(plan);
         let ring = Arc::new(RingSink::new(64));
-        let tel = FaultTelemetry::register(&Registry::new(), Tracer::to_sink(ring.clone()));
+        let tel = Telemetry::with_sink(ring.clone());
         let out = c.create_circuit_with_recovery(
             "ep-a",
             "ep-b",
@@ -636,11 +637,11 @@ mod tests {
 
     #[test]
     fn recovery_exhaustion_falls_back_without_leaks() {
-        use gvc_faults::{FaultInjector, FaultPlan, FaultTelemetry, RecoveryPolicy};
+        use gvc_faults::{FaultInjector, FaultPlan, RecoveryPolicy};
         let mut c = controller(10e9);
         let plan = FaultPlan { fail_first_provisions: 100, ..FaultPlan::default() };
         let mut inj = FaultInjector::new(plan);
-        let tel = FaultTelemetry::disabled();
+        let tel = Telemetry::metrics_only();
         let policy = RecoveryPolicy { max_retries: 2, ..RecoveryPolicy::default() };
         let out = c.create_circuit_with_recovery(
             "ep-a",
@@ -655,7 +656,7 @@ mod tests {
         );
         assert_eq!(out.attempts, 3);
         assert!(matches!(out.result, CircuitResult::FellBack(_)));
-        assert_eq!(tel.fallback_ip.get(), 1);
+        assert_eq!(tel.registry.counter("fallback_ip_total", &[]).get(), 1);
         assert_eq!(c.open_reservations(), 0, "failed attempts leaked reservations");
 
         // Same plan with fallback disabled: abandoned instead.

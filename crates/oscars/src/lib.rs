@@ -24,7 +24,7 @@ pub mod reservation;
 pub mod setup;
 
 pub use calendar::{LinkCalendar, NetworkCalendar};
-pub use idc::{BlockReason, Idc, IdcError, IdcStats, IdcTelemetry};
+pub use idc::{BlockReason, Idc, IdcError, IdcStats};
 pub use interdomain::{
     AttemptFailure, CircuitResult, Domain, InterDomainBlock, InterDomainCircuit,
     InterDomainController, RecoveryOutcome,

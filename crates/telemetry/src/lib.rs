@@ -97,6 +97,9 @@ pub struct Telemetry {
     /// this handle into their hooks; `None` keeps the hot paths at
     /// one branch per potential emit.
     pub timeline: Option<TimelineHandle>,
+    /// The in-memory buffer a [`Telemetry::lane`] fork traces into,
+    /// drained by [`Telemetry::absorb_lane`].
+    lane_buffer: Option<Arc<BufferSink>>,
 }
 
 impl Telemetry {
@@ -107,6 +110,7 @@ impl Telemetry {
             tracer: Tracer::to_sink(sink),
             perf: Perf::disabled(),
             timeline: None,
+            lane_buffer: None,
         }
     }
 
@@ -117,6 +121,7 @@ impl Telemetry {
             tracer: Tracer::disabled(),
             perf: Perf::disabled(),
             timeline: None,
+            lane_buffer: None,
         }
     }
 
@@ -135,6 +140,46 @@ impl Telemetry {
         self.timeline = Some(timeline);
         self
     }
+
+    /// Forks the context for lane `k` of a sharded run: a fresh
+    /// registry, a flight recorder of the same window width (when this
+    /// context has one), perf off, and — when this context traces — a
+    /// tracer buffering in memory whose span ids start above
+    /// `(k + 1) << 40`, so lane ids stay disjoint once the buffers are
+    /// concatenated. [`Telemetry::absorb_lane`] folds the fork back.
+    pub fn lane(&self, k: usize) -> Telemetry {
+        let lane_buffer = self.tracer.enabled().then(|| Arc::new(BufferSink::new()));
+        let tracer = match &lane_buffer {
+            Some(buf) => Tracer::to_sink_with_span_base(buf.clone(), (k as u64 + 1) << 40),
+            None => Tracer::disabled(),
+        };
+        Telemetry {
+            registry: Arc::new(Registry::new()),
+            tracer,
+            perf: Perf::disabled(),
+            timeline: self.timeline.as_ref().map(|tl| TimelineHandle::new(tl.width_us())),
+            lane_buffer,
+        }
+    }
+
+    /// Folds a [`Telemetry::lane`] fork back into this context:
+    /// re-emits its buffered trace events through this tracer, adds
+    /// its metrics into this registry and its windows into this flight
+    /// recorder. Absorbing the lanes in lane order makes the merged
+    /// trace, exposition and timeline independent of how the lanes
+    /// were scheduled (cell merges are commutative; the trace is the
+    /// lane buffers concatenated).
+    pub fn absorb_lane(&self, lane: &Telemetry) {
+        if let Some(buf) = &lane.lane_buffer {
+            for ev in buf.take() {
+                self.tracer.emit_with(move || ev);
+            }
+        }
+        self.registry.merge_from(&lane.registry);
+        if let (Some(tl), Some(lane_tl)) = (&self.timeline, &lane.timeline) {
+            tl.absorb(lane_tl);
+        }
+    }
 }
 
 impl Default for Telemetry {
@@ -148,3 +193,47 @@ impl Default for Telemetry {
 #[cfg(all(test, feature = "perf-alloc"))]
 #[global_allocator]
 static TEST_ALLOC: perf::CountingAlloc = perf::CountingAlloc;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lanes_fork_and_absorb_in_lane_order() {
+        let sink = Arc::new(BufferSink::new());
+        let ctx =
+            Telemetry::with_sink(sink.clone()).with_timeline(TimelineHandle::new(DEFAULT_WIDTH_US));
+        let lanes: Vec<Telemetry> = (0..2).map(|k| ctx.lane(k)).collect();
+        // Lane 1 runs first; absorption order alone fixes the output.
+        for (k, lane) in lanes.iter().enumerate().rev() {
+            let span = lane.tracer.span_enter(SpanId::NONE, k as i64, "driver.lane");
+            lane.tracer.span_exit(span, 10);
+            lane.registry.counter("jobs_total", &[]).add(k as u64 + 1);
+            lane.timeline.as_ref().expect("forked recorder").add("driver.transfers", 0, 1.0);
+        }
+        assert!(sink.is_empty(), "lanes buffer privately until absorbed");
+        for lane in &lanes {
+            ctx.absorb_lane(lane);
+        }
+        let spans: Vec<String> = sink.take().iter().map(TraceEvent::to_json).collect();
+        assert_eq!(spans.len(), 4);
+        assert!(spans[0].contains(&format!("\"span\":{}", (1u64 << 40) + 1)), "{}", spans[0]);
+        assert!(spans[2].contains(&format!("\"span\":{}", (2u64 << 40) + 1)), "{}", spans[2]);
+        assert_eq!(ctx.registry.counter("jobs_total", &[]).get(), 3);
+        let doc = TimelineDoc::parse(&ctx.timeline.as_ref().expect("recorder").to_json())
+            .expect("timeline");
+        assert_eq!(doc.series[0].windows[0].get("value"), Some(2.0));
+    }
+
+    #[test]
+    fn lanes_of_an_untraced_context_stay_untraced() {
+        let ctx = Telemetry::metrics_only();
+        let lane = ctx.lane(3);
+        assert!(!lane.tracer.enabled());
+        assert!(lane.timeline.is_none());
+        assert!(!Arc::ptr_eq(&lane.registry, &ctx.registry));
+        lane.registry.counter("jobs_total", &[]).inc();
+        ctx.absorb_lane(&lane);
+        assert_eq!(ctx.registry.counter("jobs_total", &[]).get(), 1);
+    }
+}

@@ -6,13 +6,15 @@
 //! paper's measurement hosts were scraped over SNMP.
 //!
 //! Deliberately tiny: HTTP/1.0 semantics, request line only,
-//! `Connection: close` on every response. Wall-clock use (socket
-//! timeouts, the accept loop) is confined to this telemetry module —
-//! nothing here feeds back into simulation state, which is the
-//! determinism boundary `gvc-tidy` enforces.
+//! `Connection: close` on every response, one thread per connection so
+//! a stalled client never delays another scrape. Wall-clock use
+//! (socket timeouts, the accept loop) is confined to this telemetry
+//! module — nothing here feeds back into simulation state, which is
+//! the determinism boundary `gvc-tidy` enforces.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,6 +24,10 @@ use crate::timeline::TimelineHandle;
 /// How long a single request may take to arrive before the
 /// connection is dropped.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long the accept loop waits for an answer before polling for the
+/// next connection again.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// A bound scrape endpoint.
 pub struct MetricsServer {
@@ -48,22 +54,46 @@ impl MetricsServer {
         self.listener.local_addr()
     }
 
-    /// Accepts and answers requests on the calling thread. With
-    /// `max_requests` set, returns after that many requests — the
-    /// deterministic-exit mode the CI smoke test uses; with `None`
-    /// it loops until the process exits.
+    /// Accepts connections on the calling thread and answers each on
+    /// a thread of its own. With `max_requests` set, returns once that
+    /// many requests have been answered — the deterministic-exit mode
+    /// the CI smoke test uses; with `None` it loops until the process
+    /// exits.
     pub fn serve_requests(&self, max_requests: Option<u64>) -> std::io::Result<u64> {
+        // Non-blocking accepts let the loop notice answers while no
+        // client is connecting.
+        self.listener.set_nonblocking(true)?;
+        let (answered_tx, answered) = mpsc::channel::<bool>();
         let mut served = 0u64;
         loop {
             if max_requests.is_some_and(|m| served >= m) {
                 return Ok(served);
             }
-            let (stream, _) = self.listener.accept()?;
-            // A stalled client must not wedge the endpoint.
-            let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-            let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
-            if self.handle(stream).is_ok() {
-                served += 1;
+            // One answer at a time, so the count stops at the limit.
+            if let Ok(ok) = answered.try_recv() {
+                served += u64::from(ok);
+                continue;
+            }
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    let _ = stream.set_nonblocking(false);
+                    // A stalled client must not wedge its thread.
+                    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+                    let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
+                    let registry = Arc::clone(&self.registry);
+                    let timeline = self.timeline.clone();
+                    let answered_tx = answered_tx.clone();
+                    std::thread::spawn(move || {
+                        let ok = handle(stream, &registry, timeline.as_ref()).is_ok();
+                        let _ = answered_tx.send(ok);
+                    });
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    if let Ok(ok) = answered.recv_timeout(ACCEPT_POLL) {
+                        served += u64::from(ok);
+                    }
+                }
+                Err(e) => return Err(e),
             }
         }
     }
@@ -75,61 +105,61 @@ impl MetricsServer {
             let _ = self.serve_requests(None);
         })
     }
+}
 
-    fn handle(&self, mut stream: TcpStream) -> std::io::Result<()> {
-        let mut buf = [0u8; 4096];
-        let mut len = 0usize;
-        // Read until the end of the request head (or buffer full):
-        // the request line is all we route on.
-        loop {
-            match stream.read(&mut buf[len..]) {
-                Ok(0) => break,
-                Ok(n) => {
-                    len += n;
-                    if buf[..len].windows(4).any(|w| w == b"\r\n\r\n") || len == buf.len() {
-                        break;
-                    }
+/// Answers one connection: reads the request head and routes on its
+/// request line.
+fn handle(
+    mut stream: TcpStream,
+    registry: &Registry,
+    timeline: Option<&TimelineHandle>,
+) -> std::io::Result<()> {
+    let mut buf = [0u8; 4096];
+    let mut len = 0usize;
+    // Read until the end of the request head (or buffer full):
+    // the request line is all we route on.
+    loop {
+        match stream.read(&mut buf[len..]) {
+            Ok(0) => break,
+            Ok(n) => {
+                len += n;
+                if buf[..len].windows(4).any(|w| w == b"\r\n\r\n") || len == buf.len() {
+                    break;
                 }
-                Err(e) => return Err(e),
             }
+            Err(e) => return Err(e),
         }
-        let head = String::from_utf8_lossy(&buf[..len]);
-        let mut parts = head.lines().next().unwrap_or("").split_whitespace();
-        let method = parts.next().unwrap_or("");
-        let path = parts.next().unwrap_or("");
-        let (status, content_type, body) = if method != "GET" {
-            (
-                "405 Method Not Allowed",
-                "text/plain; charset=utf-8",
-                "method not allowed\n".to_string(),
-            )
-        } else {
-            match path {
-                "/metrics" => {
-                    ("200 OK", "text/plain; version=0.0.4; charset=utf-8", self.registry.render())
-                }
-                "/timeline.json" => match &self.timeline {
-                    Some(t) => ("200 OK", "application/json; charset=utf-8", t.to_json()),
-                    None => (
-                        "404 Not Found",
-                        "text/plain; charset=utf-8",
-                        "no timeline recorder attached (run with --timeline)\n".to_string(),
-                    ),
-                },
-                _ => (
+    }
+    let head = String::from_utf8_lossy(&buf[..len]);
+    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
+    let method = parts.next().unwrap_or("");
+    let path = parts.next().unwrap_or("");
+    let (status, content_type, body) = if method != "GET" {
+        ("405 Method Not Allowed", "text/plain; charset=utf-8", "method not allowed\n".to_string())
+    } else {
+        match path {
+            "/metrics" => ("200 OK", "text/plain; version=0.0.4; charset=utf-8", registry.render()),
+            "/timeline.json" => match timeline {
+                Some(t) => ("200 OK", "application/json; charset=utf-8", t.to_json()),
+                None => (
                     "404 Not Found",
                     "text/plain; charset=utf-8",
-                    "try /metrics or /timeline.json\n".to_string(),
+                    "no timeline recorder attached (run with --timeline)\n".to_string(),
                 ),
-            }
-        };
-        let response = format!(
-            "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(response.as_bytes())?;
-        stream.flush()
-    }
+            },
+            _ => (
+                "404 Not Found",
+                "text/plain; charset=utf-8",
+                "try /metrics or /timeline.json\n".to_string(),
+            ),
+        }
+    };
+    let response = format!(
+        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(response.as_bytes())?;
+    stream.flush()
 }
 
 #[cfg(test)]
@@ -181,5 +211,30 @@ mod tests {
 
         let served = handle.join().expect("join").expect("serve");
         assert_eq!(served, 4);
+    }
+
+    #[test]
+    fn stalled_client_does_not_delay_scrapes() {
+        let registry = Arc::new(Registry::new());
+        registry.counter("demo_total", &[]).inc();
+        let server = MetricsServer::bind("127.0.0.1:0", registry, None).expect("bind");
+        let addr = server.local_addr().expect("local addr");
+        let handle = std::thread::spawn(move || server.serve_requests(Some(2)));
+
+        // Connects and sends nothing: its handler waits out READ_TIMEOUT.
+        let silent = TcpStream::connect(addr).expect("connect");
+        std::thread::sleep(Duration::from_millis(50));
+        let started = std::time::Instant::now();
+        let metrics = get(addr, "/metrics");
+        let waited = started.elapsed();
+        assert!(metrics.contains("demo_total 1"), "{metrics}");
+        assert!(waited < READ_TIMEOUT / 5, "scrape waited {waited:?} behind a silent client");
+
+        // `max_requests` counts answered requests: the silent client
+        // is still pending, so a second scrape is what stops the server.
+        assert!(get(addr, "/metrics").contains("demo_total 1"));
+        let served = handle.join().expect("join").expect("serve");
+        assert_eq!(served, 2);
+        drop(silent);
     }
 }

@@ -289,6 +289,13 @@ impl Tracer {
         Tracer { sink: None, span_seq: Arc::default() }
     }
 
+    /// A shared disabled tracer, for holders of optional telemetry
+    /// that want a `&Tracer` either way.
+    pub fn disabled_ref() -> &'static Tracer {
+        static DISABLED: std::sync::LazyLock<Tracer> = std::sync::LazyLock::new(Tracer::disabled);
+        &DISABLED
+    }
+
     /// A tracer writing into `sink`.
     pub fn to_sink(sink: Arc<dyn TraceSink>) -> Tracer {
         Tracer { sink: Some(sink), span_seq: Arc::default() }
