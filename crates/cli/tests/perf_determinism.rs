@@ -187,3 +187,14 @@ fn snapshot_then_gate_passes_end_to_end() {
     assert!(out.contains("perf gate: ok"), "{out}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn committed_baselines_re_render_byte_identically() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for name in ["analysis", "kernel", "net", "scenario", "shard", "sweep", "tidy"] {
+        let text = std::fs::read_to_string(root.join(format!("BENCH_{name}.json")))
+            .expect("read committed baseline");
+        let snap = PerfSnapshot::parse(&text).expect("parse committed baseline");
+        assert_eq!(snap.to_json(), text, "BENCH_{name}.json does not round-trip");
+    }
+}

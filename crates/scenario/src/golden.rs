@@ -11,32 +11,7 @@ use gvc_core::gap_sensitivity::GapRow;
 use gvc_core::tables::SessionTable;
 use gvc_core::{FeasibilityReport, ResilienceSummary, VcSuitability};
 use gvc_stats::Summary;
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Shortest round-trip decimal for finite values; `null` otherwise
-/// (JSON has no inf/nan).
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
+use gvc_telemetry::json::{Number, Quoted};
 
 fn summary_json(s: &Summary, indent: &str) -> String {
     format!(
@@ -44,13 +19,13 @@ fn summary_json(s: &Summary, indent: &str) -> String {
          {indent}  \"median\": {},\n{indent}  \"mean\": {},\n{indent}  \"q3\": {},\n\
          {indent}  \"max\": {},\n{indent}  \"sd\": {}\n{indent}}}",
         s.n,
-        num(s.min),
-        num(s.q1),
-        num(s.median),
-        num(s.mean),
-        num(s.q3),
-        num(s.max),
-        num(s.sd)
+        Number(s.min),
+        Number(s.q1),
+        Number(s.median),
+        Number(s.mean),
+        Number(s.q3),
+        Number(s.max),
+        Number(s.sd)
     )
 }
 
@@ -71,11 +46,11 @@ fn gap_row_json(r: &GapRow, indent: &str) -> String {
          {indent}  \"single_transfer\": {},\n{indent}  \"multi_transfer\": {},\n\
          {indent}  \"pct_with_1_or_2\": {},\n{indent}  \"max_transfers\": {},\n\
          {indent}  \"with_100_plus\": {}\n{indent}}}",
-        num(r.gap_s),
+        Number(r.gap_s),
         r.sessions,
         r.single_transfer,
         r.multi_transfer,
-        num(r.pct_with_1_or_2),
+        Number(r.pct_with_1_or_2),
         r.max_transfers,
         r.with_100_plus
     )
@@ -87,9 +62,9 @@ fn suitability_json(c: &VcSuitability, indent: &str) -> String {
          {indent}  \"q3_throughput_mbps\": {},\n{indent}  \"suitable_sessions\": {},\n\
          {indent}  \"total_sessions\": {},\n{indent}  \"suitable_transfers\": {},\n\
          {indent}  \"total_transfers\": {}\n{indent}}}",
-        num(c.setup_delay_s),
-        num(c.gap_s),
-        num(c.q3_throughput_mbps),
+        Number(c.setup_delay_s),
+        Number(c.gap_s),
+        Number(c.q3_throughput_mbps),
         c.suitable_sessions,
         c.total_sessions,
         c.suitable_transfers,
@@ -107,7 +82,7 @@ fn resilience_json(r: &ResilienceSummary, indent: &str) -> String {
         r.faults_injected,
         r.retries,
         r.fallbacks,
-        num(r.mean_recovery_latency_s)
+        Number(r.mean_recovery_latency_s)
     )
 }
 
@@ -117,10 +92,10 @@ pub fn report_json(r: &FeasibilityReport) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"manifest\": {\n");
-    s.push_str(&format!("    \"tool\": \"{}\",\n", esc(&r.manifest.tool)));
+    s.push_str(&format!("    \"tool\": {},\n", Quoted(&r.manifest.tool)));
     s.push_str(&format!("    \"seed\": {},\n", r.manifest.seed));
     s.push_str(&format!("    \"config_digest\": {},\n", r.manifest.config_digest));
-    s.push_str(&format!("    \"config\": \"{}\"\n", esc(&r.manifest.config)));
+    s.push_str(&format!("    \"config\": {}\n", Quoted(&r.manifest.config)));
     s.push_str("  },\n");
     s.push_str(&format!("  \"n_transfers\": {},\n", r.n_transfers));
     s.push_str(&format!("  \"degenerate_records\": {},\n", r.degenerate_records));

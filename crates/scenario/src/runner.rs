@@ -17,6 +17,7 @@ use gvc_gridftp::driver::{Driver, Shards};
 use gvc_gridftp::ServerCaps;
 use gvc_net::NetworkSim;
 use gvc_oscars::{Idc, InterDomainController, SetupDelayModel};
+use gvc_telemetry::json::Number;
 use gvc_telemetry::{BufferSink, CheckConfig, Telemetry, TimelineHandle, DEFAULT_WIDTH_US};
 use gvc_workload::{builtin_generator, EPOCH_FEB_2012_US};
 
@@ -43,14 +44,6 @@ pub struct ScenarioOutcome {
     pub timeline_json: Option<String>,
     /// Expectation-bound and trace-check violations (empty = pass).
     pub violations: Vec<String>,
-}
-
-fn fmt_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Runs a scenario at the given shard setting.
@@ -90,8 +83,8 @@ fn run_paper(
 fn push_headline(stats: &mut String, report: &FeasibilityReport) {
     match report.headline() {
         Some((ps, pt)) => {
-            stats.push_str(&format!("headline_pct_sessions {}\n", fmt_num(ps)));
-            stats.push_str(&format!("headline_pct_transfers {}\n", fmt_num(pt)));
+            stats.push_str(&format!("headline_pct_sessions {}\n", Number(ps)));
+            stats.push_str(&format!("headline_pct_transfers {}\n", Number(pt)));
         }
         None => stats.push_str("headline none\n"),
     }
@@ -273,7 +266,7 @@ fn eval_expect(
             Some((ps, _)) if ps >= min_pct => {}
             Some((ps, _)) => out.push(format!(
                 "min_suitable_sessions_pct: expected >= {min_pct}, got {}",
-                fmt_num(ps)
+                Number(ps)
             )),
             None => out.push("min_suitable_sessions_pct: no headline cell".to_string()),
         }

@@ -1,9 +1,22 @@
-//! The one JSON reader behind every document the toolchain reads back:
-//! trace JSONL lines ([`crate::analyze`]), timeline documents
-//! ([`crate::timeline`]), and `BENCH_*.json` snapshots and `--perf`
-//! reports ([`crate::perf`]).
+//! The one JSON reader and the one JSON writer behind every document
+//! the toolchain emits or reads back: trace JSONL lines
+//! ([`crate::trace`], [`crate::analyze`]), timeline documents
+//! ([`crate::timeline`]), `BENCH_*.json` snapshots and `--perf`
+//! reports ([`crate::perf`]), run manifests, scenario report goldens
+//! and `gvc-tidy --format json`.
 //!
-//! A small std-only recursive-descent parser over the `&str` input:
+//! **Writing.** Emitters lay out their own keys and whitespace (each
+//! format is byte-pinned by a golden or a round-trip test) and render
+//! every value through two adapters:
+//!
+//! * [`Quoted`] — a string literal, quotes included: `"` and `\`
+//!   backslash-escaped, `\n`/`\r`/`\t` by name, every other control
+//!   character as `\u00XX`;
+//! * [`Number`] — a float as its shortest round-trip `Display`, or
+//!   `null` when it is not finite (JSON has no inf/nan).
+//!
+//! **Reading.** A small std-only recursive-descent parser over the
+//! `&str` input:
 //!
 //! * integer lexemes (`-?[0-9]+` that fit in an `i64`) stay exact as
 //!   [`Json::Int`]; every other number is a [`Json::Num`];
@@ -16,7 +29,7 @@
 //! reads a stream of them (one per trace line) and reuses its buffers
 //! between documents.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Deepest array/object nesting [`Json::parse`] accepts.
 pub const MAX_DEPTH: usize = 32;
@@ -120,6 +133,54 @@ impl Json {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
+        }
+    }
+}
+
+/// A string rendered as a JSON string literal, quotes included.
+///
+/// `format!("{}", Quoted("a\"b"))` is `"a\"b"`. Unescaped runs are
+/// written in one slice each.
+#[derive(Debug, Clone, Copy)]
+pub struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        let mut rest = self.0;
+        while let Some(i) = rest.bytes().position(|c| c == b'"' || c == b'\\' || c < 0x20) {
+            // The byte at `i` is ASCII, so both cuts are char
+            // boundaries.
+            let (run, tail) = rest.split_at(i);
+            f.write_str(run)?;
+            let mut tail = tail.chars();
+            match tail.next() {
+                Some('"') => f.write_str("\\\"")?,
+                Some('\\') => f.write_str("\\\\")?,
+                Some('\n') => f.write_str("\\n")?,
+                Some('\r') => f.write_str("\\r")?,
+                Some('\t') => f.write_str("\\t")?,
+                Some(c) => write!(f, "\\u{:04x}", u32::from(c))?,
+                None => {}
+            }
+            rest = tail.as_str();
+        }
+        f.write_str(rest)?;
+        f.write_char('"')
+    }
+}
+
+/// A float rendered as a JSON number: the shortest round-trip
+/// `Display` when finite, `null` otherwise.
+#[derive(Debug, Clone, Copy)]
+pub struct Number(pub f64);
+
+impl fmt::Display for Number {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
         }
     }
 }
@@ -398,5 +459,16 @@ mod tests {
         assert_eq!(e.to_string(), "json error at byte 4: expected a JSON value");
         let deep = "[".repeat(MAX_DEPTH + 2);
         assert_eq!(Json::parse(&deep).expect_err("too deep").msg, "nesting too deep");
+    }
+
+    #[test]
+    fn writer_escapes_and_round_trips() {
+        let nasty = "a\"b\\c\n\r\t\u{1}\u{1f} é 😀/";
+        let text = Quoted(nasty).to_string();
+        assert_eq!(text, "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f é 😀/\"");
+        assert!(text.bytes().all(|b| b >= 0x20), "{text:?}");
+        assert_eq!(Json::parse(&text), Ok(Json::Str(nasty.to_string())));
+        assert_eq!(Quoted("").to_string(), "\"\"");
+        assert_eq!(Quoted("plain").to_string(), "\"plain\"");
     }
 }

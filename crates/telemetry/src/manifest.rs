@@ -7,6 +7,7 @@
 //! alongside trace/metrics output, so a result can always be traced
 //! back to the exact inputs that produced it.
 
+use crate::json::Quoted;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// FNV-1a 64-bit digest — stable, dependency-free, good enough to
@@ -56,13 +57,13 @@ impl RunManifest {
     /// One JSON object (the `run.manifest` trace event payload shape).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"tool\":\"{}\",\"seed\":{},\"config_digest\":\"{:016x}\",\"config\":\"{}\",\
-             \"version\":\"{}\",\"started_unix_ms\":{}}}",
-            escape(&self.tool),
+            "{{\"tool\":{},\"seed\":{},\"config_digest\":\"{:016x}\",\"config\":{},\
+             \"version\":{},\"started_unix_ms\":{}}}",
+            Quoted(&self.tool),
             self.seed,
             self.config_digest,
-            escape(&self.config),
-            escape(&self.version),
+            Quoted(&self.config),
+            Quoted(&self.version),
             self.started_unix_ms,
         )
     }
@@ -74,10 +75,6 @@ impl RunManifest {
             self.tool, self.seed, self.config_digest, self.version, self.started_unix_ms
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -110,5 +107,12 @@ mod tests {
         let a = RunManifest::new("t", 1, "x=1");
         let b = RunManifest::new("t", 1, "x=1");
         assert_eq!(a.config_digest, b.config_digest);
+    }
+
+    #[test]
+    fn control_characters_in_config_are_escaped() {
+        let j = RunManifest::new("gvc-tidy", 0, "root=/tmp/a\tb\nc").to_json();
+        assert!(j.contains("\"config\":\"root=/tmp/a\\tb\\nc\""), "{j}");
+        assert!(j.bytes().all(|b| b >= 0x20), "raw control byte in {j:?}");
     }
 }

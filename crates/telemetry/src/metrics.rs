@@ -74,6 +74,84 @@ impl Gauge {
     }
 }
 
+/// The bucket layout of a log-bucketed histogram, and the one place
+/// its bucket maths live: sample → bucket index, bucket bounds, and
+/// bucket-quantile estimates over a count vector. [`Histogram`],
+/// [`HistogramSnapshot`] and the timeline's quantile cells all go
+/// through it.
+///
+/// Bucket `i`'s upper bound is `start * growth^i`: bucket 0 is the
+/// `[0, start)` underflow, the last is the `+Inf` overflow, and the
+/// `len - 2` in between are geometric.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Layout {
+    start: f64,
+    growth: f64,
+    /// Bucket count, underflow and overflow included.
+    len: usize,
+}
+
+impl Layout {
+    /// Wall-clock and sim-time latencies in seconds: 1 µs to ~1000 s,
+    /// ~2 buckets per decade.
+    pub(crate) const TIMING: Layout = Layout { start: 1e-6, growth: 3.1622776601683795, len: 20 };
+
+    /// Number of buckets, underflow and overflow included.
+    pub(crate) fn len(self) -> usize {
+        self.len
+    }
+
+    /// The bucket a sample falls in (NaN counts as overflow).
+    pub(crate) fn index(self, v: f64) -> usize {
+        if v.is_nan() {
+            return self.len - 1;
+        }
+        if v < self.start {
+            return 0;
+        }
+        // Smallest i with v < start * growth^(i+1)  ⇒ log ratio.
+        let i = ((v / self.start).ln() / self.growth.ln()).floor() as usize + 1;
+        i.min(self.len - 1)
+    }
+
+    /// Upper bound of bucket `i` (`+Inf` for the overflow bucket).
+    fn upper_bound(self, i: usize) -> f64 {
+        if i + 1 >= self.len {
+            f64::INFINITY
+        } else {
+            self.start * self.growth.powi(i as i32)
+        }
+    }
+
+    /// Lower bound of bucket `i` (0 for the underflow bucket).
+    fn lower_bound(self, i: usize) -> f64 {
+        if i == 0 {
+            0.0
+        } else {
+            self.start * self.growth.powi(i as i32 - 1)
+        }
+    }
+
+    /// Estimated `q`-quantile (0 ≤ q ≤ 1) of per-bucket `counts`: the
+    /// upper bound of the bucket containing the quantile rank. `None`
+    /// when empty or when `q` is out of range.
+    pub(crate) fn quantile(self, counts: &[u64], q: f64) -> Option<f64> {
+        let total: u64 = counts.iter().sum();
+        if total == 0 || !(0.0..=1.0).contains(&q) {
+            return None;
+        }
+        let rank = (q * total as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, &c) in counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return Some(self.upper_bound(i));
+            }
+        }
+        Some(f64::INFINITY)
+    }
+}
+
 /// A log-bucketed histogram of non-negative `f64` samples.
 ///
 /// Bucket upper bounds are `start * growth^i` for `i in 0..buckets`,
@@ -84,9 +162,8 @@ impl Gauge {
 /// deployed one land 3 decades apart).
 #[derive(Debug)]
 pub struct Histogram {
-    start: f64,
-    growth: f64,
-    /// `buckets.len() == n + 2`: underflow, n geometric, overflow.
+    layout: Layout,
+    /// `buckets.len() == layout.len()`: underflow, geometric, overflow.
     buckets: Vec<AtomicU64>,
     /// Sum of samples, as `f64` bits (CAS loop).
     sum_bits: AtomicU64,
@@ -103,10 +180,13 @@ impl Histogram {
         assert!(start > 0.0, "histogram start must be positive");
         assert!(growth > 1.0, "histogram growth must exceed 1");
         assert!(n >= 1, "histogram needs at least one bucket");
+        Histogram::with_layout(Layout { start, growth, len: n + 2 })
+    }
+
+    fn with_layout(layout: Layout) -> Histogram {
         Histogram {
-            start,
-            growth,
-            buckets: (0..n + 2).map(|_| AtomicU64::new(0)).collect(),
+            layout,
+            buckets: (0..layout.len).map(|_| AtomicU64::new(0)).collect(),
             sum_bits: AtomicU64::new(0f64.to_bits()),
             count: AtomicU64::new(0),
         }
@@ -115,7 +195,7 @@ impl Histogram {
     /// Default layout for wall-clock timings: 1 µs to ~1000 s, ~2
     /// buckets per decade.
     pub fn timing() -> Histogram {
-        Histogram::new(1e-6, 3.1622776601683795, 18)
+        Histogram::with_layout(Layout::TIMING)
     }
 
     /// Default layout for rates in Mbps: 0.1 Mbps to ~100 Gbps.
@@ -123,23 +203,11 @@ impl Histogram {
         Histogram::new(0.1, 3.1622776601683795, 12)
     }
 
-    fn bucket_index(&self, v: f64) -> usize {
-        if v.is_nan() {
-            return self.buckets.len() - 1; // count NaN as overflow
-        }
-        if v < self.start {
-            return 0;
-        }
-        // Smallest i with v < start * growth^(i+1)  ⇒ log ratio.
-        let i = ((v / self.start).ln() / self.growth.ln()).floor() as usize + 1;
-        i.min(self.buckets.len() - 1)
-    }
-
     /// Records one sample (clamped into the underflow/overflow buckets
     /// when out of range).
     #[inline]
     pub fn record(&self, v: f64) {
-        let idx = self.bucket_index(v);
+        let idx = self.layout.index(v);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.add_sum(v.max(0.0));
@@ -169,9 +237,7 @@ impl Histogram {
     /// # Panics
     /// Panics on a layout mismatch.
     fn absorb(&self, snap: &HistogramSnapshot) {
-        assert_eq!(self.start, snap.start, "histogram layout mismatch");
-        assert_eq!(self.growth, snap.growth, "histogram layout mismatch");
-        assert_eq!(self.buckets.len(), snap.counts.len(), "histogram layout mismatch");
+        assert_eq!(self.layout, snap.layout, "histogram layout mismatch");
         for (b, &c) in self.buckets.iter().zip(&snap.counts) {
             b.fetch_add(c, Ordering::Relaxed);
         }
@@ -193,8 +259,7 @@ impl Histogram {
     /// relaxed; exact consistency is not needed for reporting).
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            start: self.start,
-            growth: self.growth,
+            layout: self.layout,
             counts: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
             sum: self.sum(),
         }
@@ -204,8 +269,7 @@ impl Histogram {
 /// An owned, mergeable histogram snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
-    start: f64,
-    growth: f64,
+    layout: Layout,
     counts: Vec<u64>,
     sum: f64,
 }
@@ -213,20 +277,12 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Upper bound of bucket `i` (`+Inf` for the overflow bucket).
     pub fn upper_bound(&self, i: usize) -> f64 {
-        if i + 1 >= self.counts.len() {
-            f64::INFINITY
-        } else {
-            self.start * self.growth.powi(i as i32)
-        }
+        self.layout.upper_bound(i)
     }
 
     /// Lower bound of bucket `i` (0 for the underflow bucket).
     pub fn lower_bound(&self, i: usize) -> f64 {
-        if i == 0 {
-            0.0
-        } else {
-            self.start * self.growth.powi(i as i32 - 1)
-        }
+        self.layout.lower_bound(i)
     }
 
     /// Per-bucket counts (underflow first, overflow last).
@@ -249,9 +305,7 @@ impl HistogramSnapshot {
     /// # Panics
     /// Panics on a layout mismatch.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
-        assert_eq!(self.start, other.start, "histogram layout mismatch");
-        assert_eq!(self.growth, other.growth, "histogram layout mismatch");
-        assert_eq!(self.counts.len(), other.counts.len(), "histogram layout mismatch");
+        assert_eq!(self.layout, other.layout, "histogram layout mismatch");
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -263,19 +317,7 @@ impl HistogramSnapshot {
     /// `P(X ≤ v) ≥ q` that over-estimates the true quantile by at most
     /// one bucket's relative width. `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let rank = (q * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(self.upper_bound(i));
-            }
-        }
-        Some(f64::INFINITY)
+        self.layout.quantile(&self.counts, q)
     }
 }
 
@@ -420,11 +462,7 @@ impl Registry {
                     Metric::Histogram(h) => {
                         let snap = h.snapshot();
                         let entry = ours.entry(key.clone()).or_insert_with(|| {
-                            Metric::Histogram(Arc::new(Histogram::new(
-                                snap.start,
-                                snap.growth,
-                                snap.counts.len().saturating_sub(2).max(1),
-                            )))
+                            Metric::Histogram(Arc::new(Histogram::with_layout(snap.layout)))
                         });
                         match entry {
                             Metric::Histogram(mine) => mine.absorb(&snap),

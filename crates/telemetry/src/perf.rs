@@ -27,24 +27,12 @@
 //!   warnings; the `gvc perf gate` exit code is derived from
 //!   [`DiffReport::gate_failures`].
 
-use crate::json::Json;
+use crate::json::{Json, Number, Quoted};
 use crate::metrics::{Histogram, Registry};
-use crate::trace::{json_escape_into, Stopwatch};
+use crate::trace::Stopwatch;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-
-fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    json_escape_into(out, s);
-}
 
 // ---------------------------------------------------------------------------
 // Host fingerprint
@@ -91,20 +79,19 @@ impl HostFingerprint {
     }
 
     fn to_json_into(&self, out: &mut String) {
-        out.push_str("{\"host\":");
-        write_str(out, &self.host);
-        out.push_str(",\"os\":");
-        write_str(out, &self.os);
-        out.push_str(",\"arch\":");
-        write_str(out, &self.arch);
-        let _ = write!(out, ",\"cpus\":{}", self.cpus);
-        out.push_str(",\"rustc\":");
-        write_str(out, &self.rustc);
-        out.push_str(",\"git_sha\":");
-        write_str(out, &self.git_sha);
-        out.push_str(",\"version\":");
-        write_str(out, &self.version);
-        let _ = write!(out, ",\"created_unix_ms\":{}}}", self.created_unix_ms);
+        let _ = write!(
+            out,
+            "{{\"host\":{},\"os\":{},\"arch\":{},\"cpus\":{},\"rustc\":{},\"git_sha\":{},\
+             \"version\":{},\"created_unix_ms\":{}}}",
+            Quoted(&self.host),
+            Quoted(&self.os),
+            Quoted(&self.arch),
+            self.cpus,
+            Quoted(&self.rustc),
+            Quoted(&self.git_sha),
+            Quoted(&self.version),
+            self.created_unix_ms
+        );
     }
 
     fn from_json(v: &Json) -> Result<HostFingerprint, String> {
@@ -272,31 +259,30 @@ impl PerfSnapshot {
     /// order, one metric per line block, trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512 + self.metrics.len() * 160);
-        out.push_str("{\n  \"schema\": ");
-        write_str(&mut out, SNAPSHOT_SCHEMA);
-        out.push_str(",\n  \"name\": ");
-        write_str(&mut out, &self.name);
-        let _ = write!(out, ",\n  \"reps\": {},\n  \"fingerprint\": ", self.reps);
+        let _ = write!(
+            out,
+            "{{\n  \"schema\": {},\n  \"name\": {},\n  \"reps\": {},\n  \"fingerprint\": ",
+            Quoted(SNAPSHOT_SCHEMA),
+            Quoted(&self.name),
+            self.reps
+        );
         self.fingerprint.to_json_into(&mut out);
         out.push_str(",\n  \"metrics\": [");
         for (i, m) in self.metrics.iter().enumerate() {
             out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            out.push_str("{\"id\": ");
-            write_str(&mut out, &m.id);
-            out.push_str(", \"unit\": ");
-            write_str(&mut out, &m.unit);
             let _ = write!(
                 out,
-                ", \"higher_is_better\": {}, \"items\": {}, \"value\": ",
-                m.higher_is_better, m.items
+                "{{\"id\": {}, \"unit\": {}, \"higher_is_better\": {}, \"items\": {}, \
+                 \"value\": {}, \"samples\": [",
+                Quoted(&m.id),
+                Quoted(&m.unit),
+                m.higher_is_better,
+                m.items,
+                Number(m.value)
             );
-            write_f64(&mut out, m.value);
-            out.push_str(", \"samples\": [");
             for (j, s) in m.samples.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                write_f64(&mut out, *s);
+                let sep = if j > 0 { ", " } else { "" };
+                let _ = write!(out, "{sep}{}", Number(*s));
             }
             out.push_str("]}");
         }
@@ -462,48 +448,35 @@ impl DiffReport {
     /// Machine-readable JSON rendering.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.rows.len() * 140);
-        out.push_str("{\"baseline\": ");
-        write_str(&mut out, &self.baseline_name);
-        out.push_str(", \"candidate\": ");
-        write_str(&mut out, &self.candidate_name);
-        out.push_str(", \"tolerance\": ");
-        write_f64(&mut out, self.tolerance);
-        out.push_str(", \"clean\": ");
-        let _ = write!(out, "{}", self.is_clean());
-        out.push_str(", \"warnings\": [");
+        let _ = write!(
+            out,
+            "{{\"baseline\": {}, \"candidate\": {}, \"tolerance\": {}, \"clean\": {}, \
+             \"warnings\": [",
+            Quoted(&self.baseline_name),
+            Quoted(&self.candidate_name),
+            Number(self.tolerance),
+            self.is_clean()
+        );
         for (i, w) in self.warnings.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            write_str(&mut out, w);
+            let sep = if i > 0 { ", " } else { "" };
+            let _ = write!(out, "{sep}{}", Quoted(w));
         }
         out.push_str("], \"rows\": [");
+        // An absent value renders as `null`, like a non-finite one.
+        let opt = |v: Option<f64>| Number(v.unwrap_or(f64::NAN));
         for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"id\": ");
-            write_str(&mut out, &r.id);
-            out.push_str(", \"unit\": ");
-            write_str(&mut out, &r.unit);
-            out.push_str(", \"baseline\": ");
-            match r.baseline {
-                Some(v) => write_f64(&mut out, v),
-                None => out.push_str("null"),
-            }
-            out.push_str(", \"candidate\": ");
-            match r.candidate {
-                Some(v) => write_f64(&mut out, v),
-                None => out.push_str("null"),
-            }
-            out.push_str(", \"ratio\": ");
-            match r.ratio {
-                Some(v) => write_f64(&mut out, v),
-                None => out.push_str("null"),
-            }
-            out.push_str(", \"status\": ");
-            write_str(&mut out, r.status.token());
-            out.push('}');
+            let sep = if i > 0 { ", " } else { "" };
+            let _ = write!(
+                out,
+                "{sep}{{\"id\": {}, \"unit\": {}, \"baseline\": {}, \"candidate\": {}, \
+                 \"ratio\": {}, \"status\": {}}}",
+                Quoted(&r.id),
+                Quoted(&r.unit),
+                opt(r.baseline),
+                opt(r.candidate),
+                opt(r.ratio),
+                Quoted(r.status.token())
+            );
         }
         out.push_str("]}");
         out
@@ -787,10 +760,12 @@ impl PerfReport {
     /// Renders the report as JSON (single line, trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(160 + self.phases.len() * 96);
-        out.push_str("{\"schema\": ");
-        write_str(&mut out, REPORT_SCHEMA);
-        out.push_str(", \"total_seconds\": ");
-        write_f64(&mut out, self.total_seconds);
+        let _ = write!(
+            out,
+            "{{\"schema\": {}, \"total_seconds\": {}",
+            Quoted(REPORT_SCHEMA),
+            Number(self.total_seconds)
+        );
         let opt = |out: &mut String, v: Option<u64>| match v {
             Some(x) => {
                 let _ = write!(out, "{x}");
@@ -805,16 +780,15 @@ impl PerfReport {
         opt(&mut out, self.allocated_bytes);
         out.push_str(", \"phases\": [");
         for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"name\": ");
-            write_str(&mut out, &p.name);
-            out.push_str(", \"seconds\": ");
-            write_f64(&mut out, p.seconds);
-            let _ = write!(out, ", \"items\": {}, \"per_sec\": ", p.items);
-            write_f64(&mut out, p.per_sec);
-            out.push('}');
+            let sep = if i > 0 { ", " } else { "" };
+            let _ = write!(
+                out,
+                "{sep}{{\"name\": {}, \"seconds\": {}, \"items\": {}, \"per_sec\": {}}}",
+                Quoted(&p.name),
+                Number(p.seconds),
+                p.items,
+                Number(p.per_sec)
+            );
         }
         out.push_str("]}\n");
         out

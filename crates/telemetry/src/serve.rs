@@ -107,6 +107,61 @@ impl MetricsServer {
     }
 }
 
+/// What a request asks for, decided from its request line alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    Metrics,
+    Timeline,
+    NotFound,
+    MethodNotAllowed,
+}
+
+impl Route {
+    /// Routes the request head received so far. Total over any bytes:
+    /// a truncated head, garbage or non-UTF-8 input routes to 404/405,
+    /// never to a panic.
+    fn of(head: &[u8]) -> Route {
+        let line = head.split(|&b| b == b'\n').next().unwrap_or_default();
+        let mut parts = line.split(u8::is_ascii_whitespace).filter(|p| !p.is_empty());
+        if parts.next() != Some(b"GET".as_slice()) {
+            return Route::MethodNotAllowed;
+        }
+        match parts.next() {
+            Some(b"/metrics") => Route::Metrics,
+            Some(b"/timeline.json") => Route::Timeline,
+            _ => Route::NotFound,
+        }
+    }
+
+    /// Status line, content type and body of the answer.
+    fn respond(
+        self,
+        registry: &Registry,
+        timeline: Option<&TimelineHandle>,
+    ) -> (&'static str, &'static str, String) {
+        const TEXT: &str = "text/plain; charset=utf-8";
+        match (self, timeline) {
+            (Route::Metrics, _) => {
+                ("200 OK", "text/plain; version=0.0.4; charset=utf-8", registry.render())
+            }
+            (Route::Timeline, Some(t)) => {
+                ("200 OK", "application/json; charset=utf-8", t.to_json())
+            }
+            (Route::Timeline, None) => (
+                "404 Not Found",
+                TEXT,
+                "no timeline recorder attached (run with --timeline)\n".to_string(),
+            ),
+            (Route::NotFound, _) => {
+                ("404 Not Found", TEXT, "try /metrics or /timeline.json\n".to_string())
+            }
+            (Route::MethodNotAllowed, _) => {
+                ("405 Method Not Allowed", TEXT, "method not allowed\n".to_string())
+            }
+        }
+    }
+}
+
 /// Answers one connection: reads the request head and routes on its
 /// request line.
 fn handle(
@@ -130,30 +185,7 @@ fn handle(
             Err(e) => return Err(e),
         }
     }
-    let head = String::from_utf8_lossy(&buf[..len]);
-    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, content_type, body) = if method != "GET" {
-        ("405 Method Not Allowed", "text/plain; charset=utf-8", "method not allowed\n".to_string())
-    } else {
-        match path {
-            "/metrics" => ("200 OK", "text/plain; version=0.0.4; charset=utf-8", registry.render()),
-            "/timeline.json" => match timeline {
-                Some(t) => ("200 OK", "application/json; charset=utf-8", t.to_json()),
-                None => (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    "no timeline recorder attached (run with --timeline)\n".to_string(),
-                ),
-            },
-            _ => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "try /metrics or /timeline.json\n".to_string(),
-            ),
-        }
-    };
+    let (status, content_type, body) = Route::of(&buf[..len]).respond(registry, timeline);
     let response = format!(
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
@@ -236,5 +268,69 @@ mod tests {
         let served = handle.join().expect("join").expect("serve");
         assert_eq!(served, 2);
         drop(silent);
+    }
+
+    #[test]
+    fn routes_on_the_request_line() {
+        for (head, want) in [
+            (&b"GET /metrics HTTP/1.0\r\n\r\n"[..], Route::Metrics),
+            (b"GET /timeline.json HTTP/1.1\r\nHost: x\r\n\r\n", Route::Timeline),
+            (b"GET   /metrics", Route::Metrics),
+            (b"GET /nope HTTP/1.0\r\n", Route::NotFound),
+            (b"GET", Route::NotFound),
+            (b"POST /metrics HTTP/1.0\r\n", Route::MethodNotAllowed),
+            (b"", Route::MethodNotAllowed),
+            (b"\xff\xfe /metrics", Route::MethodNotAllowed),
+        ] {
+            assert_eq!(Route::of(head), want, "{:?}", String::from_utf8_lossy(head));
+        }
+    }
+
+    fn status_code(head: &[u8], timeline: Option<&TimelineHandle>) -> u16 {
+        let registry = Registry::new();
+        let (status, _, _) = Route::of(head).respond(&registry, timeline);
+        status.split(' ').next().and_then(|c| c.parse().ok()).unwrap_or(0)
+    }
+
+    /// Request-line prefixes the generators build on, so arbitrary
+    /// tails land on every route and not only on 405.
+    const PREFIXES: [&str; 5] =
+        ["", "GET ", "GET /metrics", "GET /timeline.json ", "POST /metrics "];
+
+    proptest::proptest! {
+        #[test]
+        fn routing_is_total_over_arbitrary_bytes(
+            prefix in 0usize..PREFIXES.len(),
+            tail in proptest::collection::vec(0u16..256, 0..128),
+        ) {
+            let mut bytes = PREFIXES[prefix].as_bytes().to_vec();
+            bytes.extend(tail.iter().map(|&b| b as u8));
+            let timeline = TimelineHandle::new(DEFAULT_WIDTH_US);
+            for tl in [None, Some(&timeline)] {
+                let code = status_code(&bytes, tl);
+                proptest::prop_assert!([200, 404, 405].contains(&code), "status {}", code);
+            }
+        }
+
+        #[test]
+        fn truncated_and_mangled_requests_route_totally(
+            prefix in 0usize..PREFIXES.len(),
+            cut in 0usize..64,
+            flip in (proptest::prelude::any::<bool>(), 0usize..64, 0u16..256),
+        ) {
+            let mut head = format!("{} HTTP/1.0\r\nHost: h\r\n\r\n", PREFIXES[prefix]).into_bytes();
+            let (flipped, at, byte) = flip;
+            if flipped {
+                let at = at % head.len();
+                head[at] = byte as u8;
+            }
+            head.truncate(cut.min(head.len()));
+            let code = status_code(&head, None);
+            proptest::prop_assert!([200, 404, 405].contains(&code), "status {}", code);
+            // An intact, untruncated GET of /metrics is always answered.
+            if !flipped && prefix == 2 && cut >= 12 {
+                proptest::prop_assert_eq!(code, 200);
+            }
+        }
     }
 }

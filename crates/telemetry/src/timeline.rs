@@ -13,9 +13,10 @@
 //! * **gauge** — per-window `{sum, n, max}` of samples (`sample`),
 //!   rendered as mean/max;
 //! * **quantile** — a per-window log-bucketed histogram with the
-//!   fixed timing layout (`observe`), rendered as p50/p90/p99. Cells
-//!   hold only integer bucket counts — no float sample sum — so lane
-//!   merges cannot reorder float additions.
+//!   layout and quantile estimate of [`crate::Histogram::timing`]
+//!   (`observe`), rendered as p50/p90/p99. Cells hold only integer
+//!   bucket counts — no float sample sum — so lane merges cannot
+//!   reorder float additions.
 //!
 //! Shard lanes each hold a private recorder; the coordinator absorbs
 //! them in deterministic lane order ([`TimelineRecorder::absorb`]),
@@ -35,7 +36,8 @@
 //! Series names are doc-pinned in `docs/observability.md` (the
 //! `schema_drift` meta-test closes the loop).
 
-use crate::json::Json;
+use crate::json::{Json, Number, Quoted};
+use crate::metrics::Layout;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -43,13 +45,6 @@ use std::sync::{Arc, Mutex};
 /// Default window width: 30 simulated seconds, the paper's SNMP poll
 /// period.
 pub const DEFAULT_WIDTH_US: u64 = 30_000_000;
-
-/// Quantile-cell histogram layout, mirroring
-/// [`crate::Histogram::timing`]: 1 µs to ~1000 s, ~2 buckets per
-/// decade, plus underflow and overflow.
-const HIST_START: f64 = 1e-6;
-const HIST_GROWTH: f64 = 3.162_277_660_168_379_5;
-const HIST_BUCKETS: usize = 20;
 
 /// The timeline series base names every subsystem hook emits, pinned
 /// here so emit sites, the documentation table in
@@ -142,38 +137,6 @@ struct Series {
     windows: BTreeMap<u64, Cell>,
 }
 
-/// Bucket index for a quantile-cell sample, mirroring the registry
-/// histogram's layout maths.
-fn bucket_index(v: f64) -> usize {
-    if v.is_nan() {
-        return HIST_BUCKETS - 1;
-    }
-    if v < HIST_START {
-        return 0;
-    }
-    let i = ((v / HIST_START).ln() / HIST_GROWTH.ln()).floor() as usize + 1;
-    i.min(HIST_BUCKETS - 1)
-}
-
-/// Upper bound of quantile-cell bucket `i` (`+Inf` for overflow).
-fn bucket_upper(i: usize) -> f64 {
-    if i + 1 >= HIST_BUCKETS {
-        f64::INFINITY
-    } else {
-        HIST_START * HIST_GROWTH.powi(i as i32)
-    }
-}
-
-/// Golden-style number formatting: finite values via the shortest
-/// round-trip `Display`, non-finite as `null`.
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// The windowed aggregation state for one run (or one shard lane).
 #[derive(Clone, Debug)]
 pub struct TimelineRecorder {
@@ -206,11 +169,7 @@ impl TimelineRecorder {
             // mismatched operation rather than corrupt the cell.
             return None;
         }
-        Some(s.windows.entry(w).or_insert_with(|| match kind {
-            SeriesKind::Counter => Cell::Counter(0.0),
-            SeriesKind::Gauge => Cell::Gauge { sum: 0.0, n: 0, max: f64::NEG_INFINITY },
-            SeriesKind::Quantile => Cell::Quantile { counts: vec![0; HIST_BUCKETS] },
-        }))
+        Some(s.windows.entry(w).or_insert_with(|| cell_zero(kind)))
     }
 
     /// Adds `v` to the counter series `name` in the window containing
@@ -259,7 +218,7 @@ impl TimelineRecorder {
     /// Records one quantile observation (seconds) for `name` at `t_us`.
     pub fn observe(&mut self, name: &str, t_us: u64, v: f64) {
         let w = self.window(t_us);
-        let idx = bucket_index(v);
+        let idx = Layout::TIMING.index(v);
         if let Some(Cell::Quantile { counts }) = self.cell(name, SeriesKind::Quantile, w) {
             if let Some(c) = counts.get_mut(idx) {
                 *c += 1;
@@ -369,56 +328,20 @@ impl TimelineRecorder {
             let comma = if i + 1 < all.len() { "," } else { "" };
             let _ = write!(
                 out,
-                "\n    {{\"name\": \"{name}\", \"kind\": \"{}\", \"windows\": [",
+                "\n    {{\"name\": {}, \"kind\": \"{}\", \"windows\": [",
+                Quoted(name),
                 s.kind.label()
             );
             for (j, (&w, cell)) in s.windows.iter().enumerate() {
                 let wc = if j + 1 < s.windows.len() { "," } else { "" };
-                let t_s = num(w as f64 * self.width_us as f64 / 1e6);
-                let body = render_cell(cell);
-                let _ = write!(out, "\n      {{\"w\": {w}, \"t_s\": {t_s}, {body}}}{wc}");
+                let t_s = Number(w as f64 * self.width_us as f64 / 1e6);
+                let _ = write!(out, "\n      {{\"w\": {w}, \"t_s\": {t_s}, ");
+                write_cell(&mut out, cell);
+                let _ = write!(out, "}}{wc}");
             }
             let _ = write!(out, "\n    ]}}{comma}");
         }
         out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// CSV rendering: one row per (series, window) with kind-specific
-    /// columns left empty when not applicable.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("series,kind,w,t_s,value,mean,max,n,p50,p90,p99\n");
-        for (name, s) in self.render_set() {
-            for (&w, cell) in &s.windows {
-                let t_s = num(w as f64 * self.width_us as f64 / 1e6);
-                let kind = s.kind.label();
-                match cell {
-                    Cell::Counter(v) => {
-                        let _ = writeln!(out, "{name},{kind},{w},{t_s},{},,,,,,", num(*v));
-                    }
-                    Cell::Gauge { sum, n, max } => {
-                        let mean = if *n > 0 { *sum / *n as f64 } else { f64::NAN };
-                        let _ = writeln!(
-                            out,
-                            "{name},{kind},{w},{t_s},,{},{},{n},,,",
-                            num(mean),
-                            num(*max)
-                        );
-                    }
-                    Cell::Quantile { counts } => {
-                        let n: u64 = counts.iter().sum();
-                        let q = |p: f64| num(quantile_of(counts, p));
-                        let _ = writeln!(
-                            out,
-                            "{name},{kind},{w},{t_s},,,,{n},{},{},{}",
-                            q(0.5),
-                            q(0.9),
-                            q(0.99)
-                        );
-                    }
-                }
-            }
-        }
         out
     }
 }
@@ -433,45 +356,31 @@ fn cell_zero(kind: SeriesKind) -> Cell {
     match kind {
         SeriesKind::Counter => Cell::Counter(0.0),
         SeriesKind::Gauge => Cell::Gauge { sum: 0.0, n: 0, max: f64::NEG_INFINITY },
-        SeriesKind::Quantile => Cell::Quantile { counts: vec![0; HIST_BUCKETS] },
+        SeriesKind::Quantile => Cell::Quantile { counts: vec![0; Layout::TIMING.len()] },
     }
 }
 
-/// Bucket-quantile estimate over a quantile cell (upper bound of the
-/// bucket containing the rank; `NaN` when empty).
-fn quantile_of(counts: &[u64], q: f64) -> f64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 || !(0.0..=1.0).contains(&q) {
-        return f64::NAN;
-    }
-    let rank = (q * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return bucket_upper(i);
-        }
-    }
-    f64::INFINITY
-}
-
-fn render_cell(cell: &Cell) -> String {
-    match cell {
-        Cell::Counter(v) => format!("\"value\": {}", num(*v)),
+/// Appends a cell's kind-specific fields; an empty quantile cell
+/// renders its quantiles as `null`.
+fn write_cell(out: &mut String, cell: &Cell) {
+    let _ = match cell {
+        Cell::Counter(v) => write!(out, "\"value\": {}", Number(*v)),
         Cell::Gauge { sum, n, max } => {
             let mean = if *n > 0 { *sum / *n as f64 } else { f64::NAN };
-            format!("\"mean\": {}, \"max\": {}, \"n\": {n}", num(mean), num(*max))
+            write!(out, "\"mean\": {}, \"max\": {}, \"n\": {n}", Number(mean), Number(*max))
         }
         Cell::Quantile { counts } => {
             let n: u64 = counts.iter().sum();
-            format!(
+            let q = |q: f64| Number(Layout::TIMING.quantile(counts, q).unwrap_or(f64::NAN));
+            write!(
+                out,
                 "\"n\": {n}, \"p50\": {}, \"p90\": {}, \"p99\": {}",
-                num(quantile_of(counts, 0.5)),
-                num(quantile_of(counts, 0.9)),
-                num(quantile_of(counts, 0.99))
+                q(0.5),
+                q(0.9),
+                q(0.99)
             )
         }
-    }
+    };
 }
 
 /// A cheap cloneable handle to a shared recorder — the `Option` every
@@ -528,11 +437,6 @@ impl TimelineHandle {
     /// Canonical JSON of the recorder so far.
     pub fn to_json(&self) -> String {
         self.lock().to_json()
-    }
-
-    /// CSV of the recorder so far.
-    pub fn to_csv(&self) -> String {
-        self.lock().to_csv()
     }
 
     /// True when nothing has been recorded.
@@ -897,8 +801,8 @@ pub fn check_rules(doc: &TimelineDoc, rules: &[SloRule]) -> Vec<SloOutcome> {
                 detail: format!(
                     "{passing}/{total} windows have {key} {} {} (need {}%)",
                     rule.cmp.token(),
-                    num(rule.bound),
-                    num(rule.min_pct)
+                    Number(rule.bound),
+                    Number(rule.min_pct)
                 ),
             });
         }
@@ -979,7 +883,8 @@ mod tests {
         let doc = TimelineDoc::parse(&json).expect("parse");
         let vc = doc.series.iter().find(|s| s.name == "driver.vc_setup").expect("series");
         let p99 = vc.windows.first().and_then(|w| w.get("p99")).expect("p99");
-        assert!((60.0..=60.0 * HIST_GROWTH).contains(&p99), "{p99}");
+        // The timing layout grows by √10 per bucket.
+        assert!((60.0..=60.0 * 10f64.sqrt()).contains(&p99), "{p99}");
     }
 
     #[test]
@@ -1007,7 +912,25 @@ mod tests {
         // Counter and quantile cells match the serial interleaving
         // exactly; gauge sums here are exact dyadics too.
         assert_eq!(ab.to_json(), serial.to_json());
-        assert_eq!(ab.to_csv(), serial.to_csv());
+    }
+
+    #[test]
+    fn series_names_are_escaped_and_parse_back() {
+        let name = "net.link_util[a\"b\\c->d]";
+        let mut r = TimelineRecorder::new(DEFAULT_WIDTH_US);
+        r.add(name, 0, 0.5);
+        let doc = TimelineDoc::parse(&r.to_json()).expect("escaped names parse");
+        let names: Vec<&str> = doc.series.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, [name]);
+    }
+
+    #[test]
+    fn empty_or_out_of_range_quantiles_render_null() {
+        let cell = Cell::Quantile { counts: vec![0; Layout::TIMING.len()] };
+        let mut out = String::new();
+        write_cell(&mut out, &cell);
+        assert_eq!(out, "\"n\": 0, \"p50\": null, \"p90\": null, \"p99\": null");
+        assert_eq!(Layout::TIMING.quantile(&[0, 1], 1.5), None);
     }
 
     #[test]

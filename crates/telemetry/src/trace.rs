@@ -11,6 +11,7 @@
 //! the event (callers pass a closure), which is what makes it safe to
 //! leave tracing compiled into the kernel's hot loop.
 
+use crate::json::{Number, Quoted};
 use crate::metrics::Histogram;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -102,53 +103,20 @@ impl TraceEvent {
     /// Renders the event as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(64 + self.fields.len() * 24);
-        let _ = write!(s, "{{\"t_us\":{},\"kind\":\"{}\"", self.t_us, self.kind);
+        let _ = write!(s, "{{\"t_us\":{},\"kind\":{}", self.t_us, Quoted(self.kind));
         for (k, v) in &self.fields {
-            let _ = write!(s, ",\"{k}\":");
-            match v {
-                Value::U64(x) => {
-                    let _ = write!(s, "{x}");
-                }
-                Value::I64(x) => {
-                    let _ = write!(s, "{x}");
-                }
-                Value::F64(x) => {
-                    if x.is_finite() {
-                        let _ = write!(s, "{x}");
-                    } else {
-                        // JSON has no Inf/NaN; encode as null.
-                        s.push_str("null");
-                    }
-                }
-                Value::Bool(x) => {
-                    let _ = write!(s, "{x}");
-                }
-                Value::Str(x) => {
-                    json_escape_into(&mut s, x);
-                }
-            }
+            let _ = write!(s, ",{}:", Quoted(k));
+            let _ = match v {
+                Value::U64(x) => write!(s, "{x}"),
+                Value::I64(x) => write!(s, "{x}"),
+                Value::F64(x) => write!(s, "{}", Number(*x)),
+                Value::Bool(x) => write!(s, "{x}"),
+                Value::Str(x) => write!(s, "{}", Quoted(x)),
+            };
         }
         s.push('}');
         s
     }
-}
-
-pub(crate) fn json_escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Where trace events go.

@@ -1,6 +1,7 @@
 //! Diagnostics: one violation per finding, renderable as a human
 //! `file:line:col` line or as a JSON object for machine consumers.
 
+use gvc_telemetry::json::Quoted;
 use std::fmt::Write as _;
 
 /// One rule violation at a source location.
@@ -35,34 +36,15 @@ impl Violation {
     /// One JSON object (no trailing newline).
     pub fn render_json(&self) -> String {
         format!(
-            "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\",\"snippet\":\"{}\"}}",
-            json_escape(self.rule),
-            json_escape(&self.path),
+            "{{\"rule\":{},\"path\":{},\"line\":{},\"col\":{},\"message\":{},\"snippet\":{}}}",
+            Quoted(self.rule),
+            Quoted(&self.path),
             self.line,
             self.col,
-            json_escape(&self.message),
-            json_escape(&self.snippet)
+            Quoted(&self.message),
+            Quoted(&self.snippet)
         )
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

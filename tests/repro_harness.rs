@@ -1,6 +1,7 @@
 //! The repro harness itself: every paper artifact renders from one
-//! quick-scale scenario bundle, and the renders carry the signals the
-//! paper reports.
+//! quick-scale scenario bundle, the renders carry the signals the
+//! paper reports, and `repro all`'s output is byte-identical to the
+//! committed `docs/repro_quick_output.txt`.
 
 use gvc_bench::{run_experiment, Scale, Scenarios, EXPERIMENT_IDS};
 use std::sync::OnceLock;
@@ -16,6 +17,22 @@ fn all_experiments_render_nonempty() {
     for id in EXPERIMENT_IDS {
         let out = run_experiment(s, id).unwrap_or_else(|| panic!("unknown id {id}"));
         assert!(out.lines().count() >= 3, "{id}:\n{out}");
+    }
+}
+
+#[test]
+fn quick_output_matches_the_committed_file() {
+    let s = scenarios();
+    let actual: String = EXPERIMENT_IDS
+        .iter()
+        .map(|id| run_experiment(s, id).unwrap_or_else(|| panic!("unknown id {id}")))
+        .collect();
+    let expected = include_str!("../docs/repro_quick_output.txt");
+    if let Some(diff) = gvc_scenario::golden::line_diff(expected, &actual) {
+        panic!(
+            "`repro all` drifted from docs/repro_quick_output.txt; if the change is \
+             intended, regenerate it with `cargo run --release -p gvc-bench --bin repro -- all`:\n{diff}"
+        );
     }
 }
 
