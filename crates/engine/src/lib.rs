@@ -21,5 +21,5 @@ pub mod time;
 
 pub use calendar::{CivilDateTime, EPOCH_2009_UTC};
 pub use queue::EventQueue;
-pub use shard::{merge_ordered, ResourcePartition, UnionFind};
+pub use shard::{ResourcePartition, UnionFind};
 pub use time::{SimSpan, SimTime};

@@ -194,27 +194,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drops all pending events, keeping the clock.
-    ///
-    /// Pending entries' open `kernel.queue_wait` spans are closed at
-    /// the current clock with a `cancelled` marker — dropping them
-    /// unpaired left traces that `gvc trace check` rejects.
-    pub fn clear(&mut self) {
-        if let Some(t) = &self.telemetry {
-            let now_us = self.now.micros() as i64;
-            // Close in schedule order so the cancellation tail of the
-            // trace is deterministic and readable.
-            let mut dropped: Vec<(u64, SpanId)> =
-                self.heap.drain().map(|e| (e.seq, e.span)).collect();
-            dropped.sort_unstable_by_key(|&(seq, _)| seq);
-            for (_, span) in dropped {
-                t.tracer.span_exit_with(span, now_us, |ev| ev.field("cancelled", true));
-            }
-        } else {
-            self.heap.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -281,13 +260,15 @@ mod tests {
     }
 
     #[test]
-    fn len_and_clear() {
+    fn len_and_is_empty() {
         let mut q = EventQueue::new();
+        assert!(q.is_empty());
         q.schedule(SimTime::from_secs(1), ());
         q.schedule(SimTime::from_secs(2), ());
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
-        q.clear();
+        q.pop();
+        q.pop();
         assert!(q.is_empty());
         assert!(q.pop().is_none());
     }
@@ -339,30 +320,6 @@ mod tests {
         assert!(evs[3].to_json().contains("\"span\":1"));
         assert_eq!(evs[3].t_us, 2_000_000);
         assert!(evs[0].to_json().contains("\"name\":\"kernel.queue_wait\""));
-    }
-
-    #[test]
-    fn clear_closes_pending_queue_wait_spans() {
-        use gvc_telemetry::RingSink;
-        let ring = Arc::new(RingSink::new(16));
-        let mut q = EventQueue::new();
-        q.set_telemetry(&Telemetry::with_sink(ring.clone()));
-        q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(2), "b");
-        q.pop();
-        q.clear();
-        let evs = ring.events();
-        // Two starts, one pop exit, one cancellation exit — pre-fix
-        // the second span leaked open and this read 3 events.
-        let kinds: Vec<&str> = evs.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec!["span.start", "span.start", "span.end", "span.end"]);
-        let cancelled = evs[3].to_json();
-        assert!(cancelled.contains("\"span\":2"), "{cancelled}");
-        assert!(cancelled.contains("\"cancelled\":true"), "{cancelled}");
-        // Cancellation closes at the clock (1s after the pop), not at
-        // the event's scheduled future time.
-        assert_eq!(evs[3].t_us, 1_000_000);
-        assert!(q.is_empty());
     }
 
     proptest! {

@@ -2,19 +2,16 @@
 //!
 //! The kernel stays a single serial [`crate::EventQueue`] per *lane*;
 //! what this module provides is the deterministic machinery for
-//! splitting one simulation into independent lanes and merging their
-//! outputs back:
-//!
-//! * [`ResourcePartition`] — a union-find over opaque resource keys.
-//!   Every scheduled item (a session, a background flow, a cluster
-//!   resize, a link flap) declares the resources it touches; items
-//!   whose resource sets are transitively connected land in the same
-//!   lane. Two items in different lanes therefore *cannot* interact
-//!   through any shared resource, which is the whole determinism
-//!   argument: each lane is a closed simulation, and a closed
-//!   simulation run on one thread is bit-for-bit reproducible.
-//! * [`merge_ordered`] — a k-way merge of per-lane `(time, seq)`-keyed
-//!   streams for consumers that need one globally ordered stream.
+//! splitting one simulation into independent lanes.
+//! [`ResourcePartition`] is a union-find over opaque resource keys.
+//! Every scheduled item (a session, a background flow, a cluster
+//! resize, a link flap) declares the resources it touches; items whose
+//! resource sets are transitively connected land in the same lane. Two
+//! items in different lanes therefore *cannot* interact through any
+//! shared resource, which is the whole determinism argument: each lane
+//! is a closed simulation, and a closed simulation run on one thread
+//! is bit-for-bit reproducible. The caller merges the lanes' outputs
+//! back in lane order.
 //!
 //! Crucially the partition is *maximal* and depends only on the
 //! workload, never on the shard count: `--shards N` only sizes the
@@ -144,36 +141,6 @@ impl<K: Ord> ResourcePartition<K> {
     }
 }
 
-/// Merges per-lane streams of `(time_us, seq, item)` entries into one
-/// stream ordered by `(time_us, seq)`. Each lane's stream must itself
-/// be sorted by that key; ties across lanes break toward the earlier
-/// lane, so the result is a pure function of the lane contents —
-/// independent of how the lanes were executed.
-pub fn merge_ordered<T>(lanes: Vec<Vec<(i64, u64, T)>>) -> Vec<(i64, u64, T)> {
-    let total: usize = lanes.iter().map(Vec::len).sum();
-    let mut iters: Vec<_> = lanes.into_iter().map(|l| l.into_iter().peekable()).collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(usize, (i64, u64))> = None;
-        for (lane, it) in iters.iter_mut().enumerate() {
-            if let Some((t, s, _)) = it.peek() {
-                let key = (*t, *s);
-                // Strict `<`: on a cross-lane tie the earlier lane wins.
-                if best.is_none_or(|(_, b)| key < b) {
-                    best = Some((lane, key));
-                }
-            }
-        }
-        let Some((lane, _)) = best else {
-            break;
-        };
-        if let Some(entry) = iters[lane].next() {
-            out.push(entry);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,17 +194,5 @@ mod tests {
     fn empty_partition_has_no_lanes() {
         let p: ResourcePartition<u32> = ResourcePartition::new();
         assert!(p.lanes().is_empty());
-    }
-
-    #[test]
-    fn merge_is_ordered_and_tie_breaks_toward_earlier_lane() {
-        let lanes = vec![
-            vec![(5, 1, "a0"), (9, 0, "a1")],
-            vec![(5, 0, "b0"), (5, 1, "b1"), (12, 3, "b2")],
-            vec![],
-        ];
-        let merged: Vec<&str> = merge_ordered(lanes).into_iter().map(|(_, _, v)| v).collect();
-        // (5,0)b0 < (5,1): tie between a0 and b1 → earlier lane (a0).
-        assert_eq!(merged, vec!["b0", "a0", "b1", "a1", "b2"]);
     }
 }

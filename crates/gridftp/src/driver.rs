@@ -112,18 +112,6 @@ impl Shards {
     }
 }
 
-/// Everything scheduled on a driver so far, replayable into per-lane
-/// sub-drivers. [`Driver::run_sharded`] needs to re-schedule the
-/// workload lane by lane, and the event calendar is a heap that
-/// cannot be iterated, so the schedule is also recorded at call time.
-#[derive(Default)]
-struct ShardScript {
-    clusters: Vec<(String, NodeId, ServerCaps, u32)>,
-    sessions: Vec<(SimTime, ClusterId, ClusterId, SessionSpec)>,
-    backgrounds: Vec<(SimTime, FlowSpec)>,
-    resizes: Vec<(SimTime, ClusterId, u32)>,
-}
-
 /// Per-lane bookkeeping [`Driver::run_core`] reports alongside its
 /// output: what the coordinator needs to recompute pooled statistics
 /// (the recovery-latency mean cannot be rebuilt from per-lane means)
@@ -251,10 +239,13 @@ pub struct Driver {
     log: Vec<TransferRecord>,
     tstat: Vec<TransferStat>,
     telemetry: Option<DriverTelemetry>,
-    /// The `driver.run` root span, opened by [`Driver::run`].
+    /// The `driver.run` root span, opened by [`Driver::run_sharded`].
     run_span: SpanId,
-    /// The recorded schedule, for [`Driver::run_sharded`].
-    script: ShardScript,
+    /// The schedule in call order: every `schedule_*` call appends its
+    /// calendar event here and nothing else. A run partitions it into
+    /// lanes and each lane's calendar is filled from its own entries,
+    /// so the coordinator's calendar stays empty in a multi-lane run.
+    script: Vec<(SimTime, Event)>,
     /// Set on lane sub-drivers: `(coordinator run span, lane index)`.
     /// The lane's root span is then `driver.lane` under that parent.
     lane_root: Option<(SpanId, usize)>,
@@ -295,7 +286,7 @@ impl Driver {
             tstat: Vec::new(),
             telemetry: None,
             run_span: SpanId::NONE,
-            script: ShardScript::default(),
+            script: Vec::new(),
             lane_root: None,
         }
     }
@@ -385,7 +376,6 @@ impl Driver {
     ) -> ClusterId {
         let c = ServerCluster::register(&mut self.sim, name, node, caps, n_servers);
         self.clusters.push(c);
-        self.script.clusters.push((name.to_owned(), node, caps, n_servers));
         ClusterId(self.clusters.len() - 1)
     }
 
@@ -402,15 +392,14 @@ impl Driver {
         dst: ClusterId,
         spec: SessionSpec,
     ) {
-        self.script.sessions.push((at, src, dst, spec.clone()));
         let idx = self.push_session_slot(src, dst, spec);
-        self.pending.schedule(at, Event::StartSession(idx));
+        self.script.push((at, Event::StartSession(idx)));
     }
 
     /// Registers a session's state without scheduling it. Lane
     /// sub-drivers register *every* session slot — so global session
     /// indices (and the RNG streams keyed on them) are preserved —
-    /// but only schedule the sessions their lane owns.
+    /// but run only the sessions their lane owns.
     fn push_session_slot(&mut self, src: ClusterId, dst: ClusterId, spec: SessionSpec) -> usize {
         let idx = self.sessions.len();
         self.sessions.push(SessionState {
@@ -447,15 +436,13 @@ impl Driver {
     pub fn schedule_background(&mut self, arrivals: Vec<gvc_net::background::BackgroundArrival>) {
         for a in arrivals {
             let spec = a.spec.with_tag(BACKGROUND_TAG);
-            self.script.backgrounds.push((a.at, spec.clone()));
-            self.pending.schedule(a.at, Event::InjectBackground(Box::new(spec)));
+            self.script.push((a.at, Event::InjectBackground(Box::new(spec))));
         }
     }
 
     /// Schedules a cluster resize (the frost 3 → 2 → 1 shrink).
     pub fn schedule_resize(&mut self, at: SimTime, cluster: ClusterId, n_servers: u32) {
-        self.script.resizes.push((at, cluster, n_servers));
-        self.pending.schedule(at, Event::ResizeCluster(cluster, n_servers));
+        self.script.push((at, Event::ResizeCluster(cluster, n_servers)));
     }
 
     /// The attached sim-time flight recorder, if any. Driver-side
@@ -1107,17 +1094,25 @@ impl Driver {
     }
 
     /// Runs to completion: processes every scheduled event and every
-    /// flow completion, then returns the usage log.
+    /// flow completion, then returns the usage log. This is the
+    /// one-worker sharded run, `run_sharded(limit, Shards::Fixed(1))`.
     ///
     /// `limit` bounds the simulation clock as a safety net against
     /// stalled flows.
     pub fn run(self, limit: SimTime) -> DriverOutput {
-        self.run_core(limit).0
+        self.run_sharded(limit, Shards::Fixed(1))
     }
 
-    /// The drive loop proper, also reporting the lane-level stats the
-    /// sharded coordinator needs to pool runs.
+    /// The drive loop proper over this driver's own script, also
+    /// reporting the lane-level stats the sharded coordinator needs to
+    /// pool runs.
     fn run_core(mut self, limit: SimTime) -> (DriverOutput, LaneStats) {
+        // The script goes on the calendar in call order before the
+        // run's root span opens, so FIFO sequence numbers and
+        // `kernel.queue_wait` span ids follow the `schedule_*` calls.
+        for (at, ev) in std::mem::take(&mut self.script) {
+            self.pending.schedule(at, ev);
+        }
         // Host-perf phase around the whole drive loop; items = kernel
         // pops + flow completions. Disabled handle = one branch here.
         let perf = self.telemetry.as_ref().map(|t| t.ctx.perf.clone()).unwrap_or_default();
@@ -1227,12 +1222,13 @@ impl Driver {
         )
     }
 
-    /// Partitions the recorded schedule into independent event lanes:
-    /// a union-find over the resources each scheduled item can touch
-    /// — its endpoint clusters, every link on its routed path, and
-    /// (for circuit-requesting sessions) the shared IDC calendar.
-    /// Items in the same component must run in one lane; disjoint
-    /// components never interact and can run in parallel.
+    /// Partitions the script into independent event lanes: a
+    /// union-find over the resources each scheduled item can touch —
+    /// its endpoint clusters, every link on its routed path, and (for
+    /// circuit-requesting sessions) the shared IDC calendar. Item `i`
+    /// is script entry `i`; the fault plan's link flaps follow. Items
+    /// in the same component must run in one lane; disjoint components
+    /// never interact and can run in parallel.
     ///
     /// The partition depends only on the workload and topology, never
     /// on the shard count, which is what makes sharded outputs
@@ -1249,60 +1245,63 @@ impl Driver {
             Resource(u32),
         }
         let mut part = ResourcePartition::new();
-        let mut idx = 0;
-        for (_, src, dst, spec) in &self.script.sessions {
-            let mut keys = vec![LaneKey::Cluster(src.0), LaneKey::Cluster(dst.0)];
-            if let Some(path) = self.path_between(*src, *dst) {
-                keys.extend(path.links.iter().map(|&l| LaneKey::Link(l.0)));
+        // Sessions repeat a few cluster pairs (the full SLAC drive has
+        // about 10 000 over one pair), so each pair is routed once.
+        let mut routes: BTreeMap<(usize, usize), Option<Path>> = BTreeMap::new();
+        for (idx, (_, ev)) in self.script.iter().enumerate() {
+            match ev {
+                Event::StartSession(i) => {
+                    let s = &self.sessions[*i];
+                    let path = routes
+                        .entry((s.src.0, s.dst.0))
+                        .or_insert_with(|| self.path_between(s.src, s.dst));
+                    let links = path.iter().flat_map(|p| &p.links).map(|&l| LaneKey::Link(l.0));
+                    let idc = (s.spec.vc.is_some() && self.idc.is_some()).then_some(LaneKey::Idc);
+                    let ends = [LaneKey::Cluster(s.src.0), LaneKey::Cluster(s.dst.0)];
+                    part.add_item(idx, ends.into_iter().chain(links).chain(idc));
+                }
+                Event::InjectBackground(spec) => part.add_item(
+                    idx,
+                    spec.route
+                        .iter()
+                        .map(|&l| LaneKey::Link(l.0))
+                        .chain(spec.resources.iter().map(|&r| LaneKey::Resource(r.0))),
+                ),
+                Event::ResizeCluster(cluster, _) => {
+                    part.add_item(idx, [LaneKey::Cluster(cluster.0)]);
+                }
+                // Only `schedule_*` calls write the script; an event of
+                // any other class would touch nothing: its own lane.
+                _ => part.add_item(idx, None),
             }
-            if spec.vc.is_some() && self.idc.is_some() {
-                keys.push(LaneKey::Idc);
-            }
-            part.add_item(idx, keys);
-            idx += 1;
         }
-        for (_, spec) in &self.script.backgrounds {
-            let keys: Vec<LaneKey> = spec
-                .route
-                .iter()
-                .map(|&l| LaneKey::Link(l.0))
-                .chain(spec.resources.iter().map(|&r| LaneKey::Resource(r.0)))
-                .collect();
-            part.add_item(idx, keys);
-            idx += 1;
-        }
-        for (_, cluster, _) in &self.script.resizes {
-            part.add_item(idx, [LaneKey::Cluster(cluster.0)]);
-            idx += 1;
-        }
-        for flap in self.faults.iter().flat_map(FaultInjector::link_flaps) {
+        let n = self.script.len();
+        for (fi, flap) in self.faults.iter().flat_map(FaultInjector::link_flaps).enumerate() {
             let key = flap
                 .link
                 .split_once("->")
                 .and_then(|(s, d)| self.sim.link_by_names(s, d))
                 .map(|l| LaneKey::Link(l.0));
-            part.add_item(idx, key);
-            idx += 1;
+            part.add_item(n + fi, key);
         }
         part.lanes()
     }
 
     /// Number of independent event lanes the current schedule splits
-    /// into (1 = [`Driver::run_sharded`] degenerates to [`Driver::run`]).
+    /// into. With one lane, every [`Shards`] setting runs the same
+    /// single drive loop on the calling thread.
     pub fn lane_count(&self) -> usize {
         self.lane_partition().len().max(1)
     }
 
     /// Builds the sub-driver for one lane: a fresh simulator over the
     /// same topology, every cluster and session slot registered in
-    /// global order (preserving ids and per-session RNG streams), but
-    /// only the lane's own items scheduled, instrumented with a lane
-    /// fork of the run's telemetry context.
+    /// global order (preserving ids and per-session RNG streams), the
+    /// lane's own link flaps, and a lane fork of the run's telemetry
+    /// context. Its script is dealt in afterwards by
+    /// [`Driver::run_sharded`].
     fn build_lane(&self, k: usize, members: &[usize], parent: SpanId) -> Driver {
-        let s_n = self.script.sessions.len();
-        let b_n = self.script.backgrounds.len();
-        let r_n = self.script.resizes.len();
-        let owns = |i: usize| members.binary_search(&i).is_ok();
+        let n = self.script.len();
         let mut sim = NetworkSim::new(self.sim.graph().clone(), self.sim.to_unix_us(SimTime::ZERO));
         for link in self.sim.snmp().monitored_links() {
             sim.monitor_link(link);
@@ -1319,11 +1318,15 @@ impl Driver {
         lane.recovery = self.recovery;
         lane.lane_root = Some((parent, k));
         // At most one lane contains circuit-requesting sessions (they
-        // all share the IDC lane key), so its fork keeps the legacy
-        // reservation-id space and sees every reservation.
-        let owns_vc = members.iter().any(|&i| i < s_n && self.script.sessions[i].3.vc.is_some());
+        // all share the IDC lane key), so its fork keeps the
+        // controller's reservation-id numbering and sees every
+        // reservation.
+        let owns_vc = members.iter().any(|&i| {
+            matches!(self.script.get(i), Some((_, Event::StartSession(s)))
+                if self.sessions[*s].spec.vc.is_some())
+        });
         if owns_vc {
-            lane.idc = self.idc.as_ref().map(|idc| idc.fork_with_id_base(0));
+            lane.idc = self.idc.as_ref().map(Idc::fork);
         }
         if let Some(f) = &self.faults {
             let mut plan = f.plan().clone();
@@ -1331,7 +1334,7 @@ impl Driver {
             // the lane, matching the LinkFlap events its run schedules.
             plan.link_flaps = members
                 .iter()
-                .filter_map(|&i| i.checked_sub(s_n + b_n + r_n))
+                .filter_map(|&i| i.checked_sub(n))
                 .filter_map(|fi| f.plan().link_flaps.get(fi).cloned())
                 .collect();
             lane.faults = Some(FaultInjector::new(plan));
@@ -1339,56 +1342,39 @@ impl Driver {
         if let Some(t) = &self.telemetry {
             lane = lane.with_telemetry(&t.ctx.lane(k));
         }
-        for (name, node, caps, n) in &self.script.clusters {
-            lane.register_cluster(name, *node, *caps, *n);
+        for c in &self.clusters {
+            lane.register_cluster(&c.name, c.node, c.caps, c.n_servers());
         }
-        for (i, (at, src, dst, spec)) in self.script.sessions.iter().enumerate() {
-            lane.push_session_slot(*src, *dst, spec.clone());
-            if owns(i) {
-                lane.pending.schedule(*at, Event::StartSession(i));
-            }
-        }
-        for (j, (at, spec)) in self.script.backgrounds.iter().enumerate() {
-            if owns(s_n + j) {
-                lane.pending.schedule(*at, Event::InjectBackground(Box::new(spec.clone())));
-            }
-        }
-        for (r, (at, cluster, n)) in self.script.resizes.iter().enumerate() {
-            if owns(s_n + b_n + r) {
-                lane.pending.schedule(*at, Event::ResizeCluster(*cluster, *n));
-            }
+        for s in &self.sessions {
+            lane.push_session_slot(s.src, s.dst, s.spec.clone());
         }
         lane
     }
 
-    /// Runs the recorded schedule as independent event lanes —
-    /// potentially in parallel — and merges the results through a
-    /// deterministic, lane-ordered fold.
+    /// Runs the script as independent event lanes — potentially in
+    /// parallel — and merges the results through a deterministic,
+    /// lane-ordered fold.
     ///
     /// Determinism contract:
     ///
     /// * outputs are byte-identical for every `shards` value, including
-    ///   `Shards::Fixed(1)`, which runs the lanes one after another;
+    ///   `Shards::Fixed(1)`, which runs the lanes one after another and
+    ///   is what [`Driver::run`] does;
     /// * a schedule that partitions into a single lane (everything
     ///   shares a path, which includes the paper's one-pair studies)
-    ///   delegates to [`Driver::run`] and is bit-for-bit the legacy
-    ///   serial run;
-    /// * a multi-lane schedule is its own deterministic mode: the
-    ///   serial kernel threads one noise stream through all sessions
-    ///   in event order, while lanes draw from per-lane streams, so
-    ///   multi-lane outputs are reproducible but not byte-equal to
-    ///   [`Driver::run`] (see `docs/kernel.md`).
+    ///   runs this driver's own drive loop on the calling thread, with
+    ///   the `gridftp-driver` noise stream;
+    /// * a multi-lane schedule runs one sub-driver per lane, each
+    ///   drawing server noise from its own `gridftp-driver/lane{k}`
+    ///   stream, and the coordinator never touches its own calendar
+    ///   (see `docs/kernel.md`).
     pub fn run_sharded(mut self, limit: SimTime, shards: Shards) -> DriverOutput {
         let lanes = self.lane_partition();
         if lanes.len() <= 1 {
-            return self.run(limit);
+            return self.run_core(limit).0;
         }
         let perf = self.telemetry.as_ref().map(|t| t.ctx.perf.clone()).unwrap_or_default();
         let mut perf_phase = perf.phase("simulate");
-        // Events recorded on the coordinator's calendar are replayed
-        // into the lanes instead; close their queue-wait spans as
-        // cancelled so the trace stays balanced.
-        self.pending.clear();
         let lane_count = lanes.len();
         let run_span = self.tracer().span_enter_with(
             SpanId::NONE,
@@ -1396,11 +1382,22 @@ impl Driver {
             "driver.run",
             |ev| ev.field("lanes", lane_count),
         );
-        let drivers = lanes
+        let mut drivers: Vec<Driver> = lanes
             .iter()
             .enumerate()
             .map(|(k, members)| self.build_lane(k, members, run_span))
             .collect();
+        // Deal the script out in call order: each entry moves to the
+        // lane that owns it, so every lane's script keeps call order.
+        // Members past the script are link flaps, already placed.
+        let n = self.script.len();
+        let mut lane_of = vec![0; n];
+        for (k, members) in lanes.iter().enumerate() {
+            members.iter().filter(|&&i| i < n).for_each(|&i| lane_of[i] = k);
+        }
+        for (entry, k) in std::mem::take(&mut self.script).into_iter().zip(lane_of) {
+            drivers[k].script.push(entry);
+        }
         let results = run_lanes(drivers, limit, shards.threads());
         // Fold the lane contexts back in lane order: the trace is the
         // coordinator's events, then each lane's buffer whole (the
@@ -2369,8 +2366,8 @@ mod tests {
     fn lane_partition_separates_disjoint_pairs_and_merges_shared_paths() {
         let d = disjoint_pairs_driver(11, None, false);
         assert_eq!(d.lane_count(), 3, "hub-local pairs must not share a lane");
-        // The study pairs all cross the shared backbone: one lane, so
-        // run_sharded degenerates to the bit-for-bit legacy run.
+        // The study pairs all cross the shared backbone: one lane, run
+        // by the driver's own drive loop.
         let (mut d, a, b) = base_driver(11);
         d.schedule_transfer(SimTime::ZERO, a, b, job(64));
         assert_eq!(d.lane_count(), 1);
@@ -2479,6 +2476,14 @@ mod tests {
         assert_eq!(reg.counter("gridftp_sessions_completed_total", &[]).get(), 6);
         assert_eq!(reg.counter("gridftp_transfers_completed_total", &[]).get(), 12);
         assert_eq!(reg.counter("idc_admitted_total", &[]).get(), 1);
+        // The coordinator never schedules: every event is scheduled and
+        // dispatched once, in its lane, and no queue-wait span is
+        // cancelled.
+        assert_eq!(
+            reg.counter("sim_events_scheduled_total", &[]).get(),
+            reg.counter("sim_events_dispatched_total", &[]).get()
+        );
+        assert!(!text.contains("\"cancelled\""), "cancelled spans in a drained run");
     }
 
     #[test]
@@ -2560,49 +2565,50 @@ mod tests {
 
     #[test]
     fn sharded_background_and_resize_stay_on_their_lanes() {
+        use gvc_net::background::BackgroundArrival;
         let t = study_topology();
         let (nersc, slac) = (t.dtn(Site::Nersc), t.dtn(Site::Slac));
         let (ornl, nics) = (t.dtn(Site::Ornl), t.dtn(Site::Nics));
-        let run = |shards: Option<Shards>| {
+        // Cross traffic confined to the ORNL–NICS path: it shares only
+        // that pair's lane, like the resize of the ORNL cluster.
+        let bg_route = t.path(Site::Ornl, Site::Nics).links;
+        let run = |shards: Shards, ornl_side_items: bool| {
             let mut d = Driver::new(NetworkSim::new(t.graph.clone(), 0), 17);
             let a = d.register_cluster("nersc", nersc, ServerCaps::default(), 2);
             let b = d.register_cluster("slac", slac, ServerCaps::default(), 2);
             let c = d.register_cluster("ornl", ornl, ServerCaps::default(), 2);
             let e = d.register_cluster("nics", nics, ServerCaps::default(), 2);
-            d.schedule_session(
-                SimTime::ZERO,
-                a,
-                b,
-                SessionSpec::sequential(vec![job(512); 2], 0.0),
-            );
-            d.schedule_session(
-                SimTime::ZERO,
-                c,
-                e,
-                SessionSpec::sequential(vec![job(512); 2], 0.0),
-            );
-            d.schedule_resize(SimTime::from_secs(1), c, 1);
-            let bg = generate_background(
-                &t.graph,
-                &BackgroundConfig::default(),
-                SimTime::from_secs(60),
-                17,
-            );
-            d.schedule_background(bg);
-            match shards {
-                Some(s) => d.run_sharded(SimTime::from_secs(1_000_000), s),
-                None => d.run(SimTime::from_secs(1_000_000)),
+            for (src, dst) in [(a, b), (c, e)] {
+                let spec = SessionSpec::sequential(vec![job(512); 2], 0.0);
+                d.schedule_session(SimTime::ZERO, src, dst, spec);
             }
+            if ornl_side_items {
+                d.schedule_resize(SimTime::from_secs(1), c, 1);
+                d.schedule_background(
+                    (0..8)
+                        .map(|i| BackgroundArrival {
+                            at: SimTime::from_secs(i),
+                            spec: FlowSpec::best_effort(bg_route.clone(), 10e9),
+                        })
+                        .collect(),
+                );
+            }
+            assert!(d.lane_count() > 1, "the two pairs must run on separate lanes");
+            d.run_sharded(SimTime::from_secs(1_000_000), shards)
         };
-        let one = run(Some(Shards::Fixed(1)));
-        let many = run(Some(Shards::Fixed(8)));
+        let one = run(Shards::Fixed(1), true);
+        let many = run(Shards::Fixed(8), true);
         assert_eq!(one.log, many.log);
         assert_eq!(one.tstat.transfers, many.tstat.transfers);
         assert_eq!(one.log.len(), 4);
-        // Background flows land somewhere; the resize slows the ORNL
-        // pair's second transfer in both modes alike.
-        let serial = run(None);
-        assert_eq!(serial.log.len(), 4, "serial baseline logs the same transfers");
+        // The NERSC–SLAC lane never sees the ORNL-side items; the ORNL
+        // pair's transfers are slowed by them.
+        let quiet = run(Shards::Fixed(1), false);
+        let pair = |out: &DriverOutput, server: &str| -> Vec<TransferRecord> {
+            out.log.records().iter().filter(|r| r.server == server).cloned().collect()
+        };
+        assert_eq!(pair(&one, "nersc"), pair(&quiet, "nersc"));
+        assert_ne!(pair(&one, "ornl"), pair(&quiet, "ornl"));
     }
 
     proptest! {

@@ -204,24 +204,16 @@ impl Idc {
 
     /// A fresh controller sharing this one's graph, setup model, and
     /// reservable-fraction policy, with an empty calendar and ids
-    /// starting at `id_base`.
+    /// starting at 0.
     ///
-    /// Sharded runs hand each lane a fork with a disjoint id range so
-    /// lane-issued [`ReservationId`]s never collide in merged output.
-    /// The fork's calendar is private: correctness relies on the lane
-    /// partition guaranteeing no two lanes reserve on the same links,
-    /// so the calendars can never disagree about shared capacity.
-    pub fn fork_with_id_base(&self, id_base: u64) -> Idc {
+    /// A sharded run hands the fork to the one lane that owns every
+    /// circuit-requesting session (they all share the IDC lane key),
+    /// so that lane numbers and admits reservations exactly as an
+    /// unforked controller would.
+    pub fn fork(&self) -> Idc {
         Idc {
-            graph: self.graph.clone(),
-            calendar: NetworkCalendar::new(),
-            setup: self.setup,
             reservable_fraction: self.reservable_fraction,
-            reservations: HashMap::new(),
-            next_id: id_base,
-            stats: IdcStats::default(),
-            telemetry: None,
-            circuit_spans: BTreeMap::new(),
+            ..Idc::new(self.graph.clone(), self.setup)
         }
     }
 
@@ -728,10 +720,10 @@ mod tests {
     fn fork_shares_policy_but_not_state() {
         let (mut idc, req) = idc();
         idc.create_reservation(req).unwrap();
-        let mut lane = idc.fork_with_id_base(1u64 << 32);
+        let mut lane = idc.fork();
         // Fresh calendar: the fork admits as if nothing were committed.
         let id = lane.create_reservation(req).unwrap();
-        assert_eq!(id, ReservationId(1u64 << 32), "ids start at the base");
+        assert_eq!(id, ReservationId(0), "ids restart from 0");
         assert_eq!(lane.stats(), IdcStats { requests: 1, admitted: 1, blocked: 0 });
         assert_eq!(lane.setup_model(), idc.setup_model());
         assert_eq!(idc.stats().requests, 1, "parent untouched");

@@ -35,7 +35,8 @@ struct Scenario {
     faults: FaultPlan,
 }
 
-fn run_scenario(sc: &Scenario, shards: Shards) -> DriverOutput {
+/// The scenario's driver, scheduled and ready to run.
+fn scenario_driver(sc: &Scenario) -> Driver {
     let topo = study_topology();
     let mut driver = Driver::new(NetworkSim::new(topo.graph.clone(), 0), sc.seed);
     if sc.vc_on_first_pair {
@@ -69,7 +70,15 @@ fn run_scenario(sc: &Scenario, shards: Shards) -> DriverOutput {
             driver.schedule_session(SimTime::from_secs_f64(start_s), src, dst, spec);
         }
     }
-    driver.run_sharded(SimTime::from_secs(2_000_000), shards)
+    driver
+}
+
+fn limit() -> SimTime {
+    SimTime::from_secs(2_000_000)
+}
+
+fn run_scenario(sc: &Scenario, shards: Shards) -> DriverOutput {
+    scenario_driver(sc).run_sharded(limit(), shards)
 }
 
 /// Report from a run, resilience folded in when the run produced one
@@ -125,6 +134,27 @@ fn feasibility_report_invariant_under_shard_count() {
     let res = r.resilience.expect("faulted VC run carries a resilience summary");
     assert_eq!(res.vc_requested, 1);
     assert!(res.faults_injected >= 1);
+}
+
+/// `Driver::run` is the one-worker sharded run, on a workload that
+/// genuinely splits into lanes as much as on a single-lane one.
+#[test]
+fn run_is_the_one_shard_sharded_run() {
+    let sc = Scenario {
+        seed: 71,
+        sessions_per_pair: 6,
+        vc_on_first_pair: true,
+        faults: FaultPlan { fail_first_provisions: 1, ..FaultPlan::default() },
+    };
+    let driver = scenario_driver(&sc);
+    assert!(driver.lane_count() > 1, "the disjoint pairs must split into lanes");
+    let run = driver.run(limit());
+    let sharded = run_scenario(&sc, Shards::Fixed(1));
+    assert_eq!(run.log, sharded.log);
+    assert_eq!(run.tstat.transfers, sharded.tstat.transfers);
+    assert_eq!(run.resilience, sharded.resilience);
+    assert_eq!(run.idc_stats, sharded.idc_stats);
+    assert_eq!(run.open_reservations, sharded.open_reservations);
 }
 
 proptest! {
