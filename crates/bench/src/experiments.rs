@@ -5,13 +5,13 @@ use crate::scenarios::Scenarios;
 use gvc_core::concurrency::{concurrency_profile, prediction_analysis};
 use gvc_core::gap_sensitivity::gap_sensitivity;
 use gvc_core::scatter;
-use gvc_core::sessions::group_sessions;
 use gvc_core::snmp_attr::{link_load_bps, raw_bins};
 use gvc_core::snmp_corr::{router_correlation_directional, CorrelationKind, RouterCorrelation};
 use gvc_core::stream_analysis::{stream_analysis_full, stream_analysis_small, StreamAnalysis};
+use gvc_core::sweep::{sweep_dataset, SessionRange, SessionStore};
 use gvc_core::tables::{endpoint_type_table, session_table, transfer_table};
 use gvc_core::time_of_day::by_hour;
-use gvc_core::vc_suitability::vc_suitability_grid;
+use gvc_core::vc_suitability::DEFAULT_OVERHEAD_FACTOR;
 use gvc_logs::{Dataset, TransferType};
 use gvc_stats::{BoxplotSummary, Summary};
 use gvc_workload::ablations;
@@ -91,8 +91,8 @@ pub fn run_experiment(s: &Scenarios, id: &str) -> Option<String> {
 
 fn table_1_2(ds: &Dataset, title: &str) -> String {
     let mut o = banner(title);
-    let grouping = group_sessions(ds, 60.0);
-    match session_table(&grouping, ds) {
+    let store = SessionStore::from_dataset(ds);
+    match session_table(&store, 60.0) {
         Some(t) => {
             let _ = writeln!(o, "{}", summary_header("sessions/transfers"));
             let _ = writeln!(o, "{}", summary_row("session size (MB)", &t.session_size_mb, 1.0, 1));
@@ -110,8 +110,8 @@ fn table_1_2(ds: &Dataset, title: &str) -> String {
                 o,
                 "({} transfers in {} sessions; {} largest session)",
                 ds.len(),
-                grouping.sessions.len(),
-                grouping.max_transfers()
+                t.session_size_mb.n,
+                store.sessions_at(60.0).into_iter().map(SessionRange::len).max().unwrap_or(0)
             );
         }
         None => {
@@ -155,10 +155,10 @@ fn table_4(s: &Scenarios) -> String {
         "Data set", "g (s)", "setup 1 min", "setup 50 ms"
     );
     for (name, ds) in [("NCAR-NICS", &s.ncar), ("SLAC-BNL", &s.slac)] {
-        let grid = vc_suitability_grid(ds, &[0.0, 60.0, 120.0], &[60.0, 0.05], 10.0);
+        let sweep = sweep_dataset(ds, &[0.0, 60.0, 120.0], &[60.0, 0.05], 10.0);
         for g in [0.0, 60.0, 120.0] {
-            let slow = grid.iter().find(|c| c.gap_s == g && c.setup_delay_s == 60.0).expect("cell");
-            let fast = grid.iter().find(|c| c.gap_s == g && c.setup_delay_s == 0.05).expect("cell");
+            let slow = sweep.cell(g, 60.0).expect("cell");
+            let fast = sweep.cell(g, 0.05).expect("cell");
             let _ = writeln!(
                 o,
                 "{name:<12} {g:>8.0} | {:>9.2}% ({:>7.2}%) {:>9.2}% ({:>7.2}%)",
@@ -607,9 +607,13 @@ fn ablation_suite(ncar: &Dataset) -> String {
         );
     }
 
+    // One NCAR sweep behind both parameter tables.
+    let delays = [0.05, 1.0, 10.0, 60.0, 300.0];
+    let sweep =
+        sweep_dataset(ncar, &[0.0, 30.0, 60.0, 120.0, 300.0], &delays, DEFAULT_OVERHEAD_FACTOR);
     let _ = writeln!(o, "\n-- VC-suitable sessions vs setup delay (NCAR data, g = 1 min) --");
     let _ = writeln!(o, "{:>12} {:>12} {:>12}", "delay (s)", "% sessions", "% transfers");
-    for c in ablations::setup_delay_sweep(ncar, &[0.05, 1.0, 10.0, 60.0, 300.0]) {
+    for c in delays.iter().map(|&d| sweep.cell(60.0, d).expect("cell")) {
         let _ = writeln!(
             o,
             "{:>12.2} {:>11.2}% {:>11.2}%",
@@ -621,7 +625,7 @@ fn ablation_suite(ncar: &Dataset) -> String {
 
     let _ = writeln!(o, "\n-- session count vs g (NCAR data) --");
     let _ = writeln!(o, "{:>10} {:>10} {:>10} {:>12}", "g (s)", "sessions", "single", "max xfers");
-    for row in ablations::gap_sweep(ncar, &[0.0, 30.0, 60.0, 120.0, 300.0]) {
+    for row in &sweep.gap_rows {
         let _ = writeln!(
             o,
             "{:>10.0} {:>10} {:>10} {:>12}",
@@ -841,10 +845,16 @@ fn collector_experiment(slac: &Dataset) -> String {
         "{:>10} {:>12} {:>16} {:>16}",
         "UDP loss", "records", "local metric", "central metric"
     );
+    // The g = 1 min / setup 1 min transfer share; the local one is
+    // the same at every loss level.
+    let metric = |ds: &Dataset| {
+        sweep_dataset(ds, &[60.0], &[60.0], DEFAULT_OVERHEAD_FACTOR).cells[0].pct_transfers()
+    };
+    let local_pct = metric(slac);
     for loss in [0.0, 0.02, 0.10, 0.30] {
         let model = CollectorModel { udp_loss: loss, disabled_servers: Default::default() };
         let central = model.collect(slac, 42);
-        let (local_pct, central_pct) = gvc_logs::robustness_check(slac, &model, 42);
+        let central_pct = metric(&central);
         let _ = writeln!(
             o,
             "{:>9.0}% {:>12} {:>15.1}% {:>15.1}%",

@@ -9,7 +9,6 @@
 //! — the bench crate itself is held to the determinism lint and never
 //! reads a clock directly.
 
-use gvc_core::sessions::group_sessions;
 use gvc_core::sweep::SessionStore;
 use gvc_engine::{EventQueue, SimTime};
 use gvc_gridftp::{Driver, ServerCaps, SessionSpec, Shards, TransferJob};
@@ -357,11 +356,11 @@ pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
             let n = scaled(100_000, scale);
             let ds = synth_analysis_log(n, 20);
             let (items, rates) = measure_throughput(reps, || {
-                std::hint::black_box(group_sessions(&ds, 60.0));
+                std::hint::black_box(SessionStore::from_dataset(&ds).sessions_at(60.0));
                 n as u64
             });
             snap.metrics.push(throughput_metric(
-                "analysis.group_sessions.records_per_sec",
+                "analysis.sessions_at.records_per_sec",
                 "records/sec",
                 items,
                 rates,

@@ -1,10 +1,8 @@
 //! The `gvc` subcommands.
 
 use crate::args::{CliError, ParsedArgs};
-use gvc_core::gap_sensitivity::gap_sensitivity;
-use gvc_core::sessions::group_sessions;
 use gvc_core::sweep::SessionStore;
-use gvc_core::vc_suitability::vc_suitability;
+use gvc_core::vc_suitability::DEFAULT_OVERHEAD_FACTOR;
 use gvc_core::ResilienceSummary;
 use gvc_engine::SimTime;
 use gvc_faults::FaultPlan;
@@ -178,37 +176,60 @@ fn cmd_summary<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The `g` values of `gvc sessions`' sensitivity rows.
+const SENSITIVITY_GAPS_S: [f64; 4] = [0.0, 60.0, 120.0, 300.0];
+
+/// The one parameter check behind `sessions`, `suitability` and
+/// `sweep`: gaps and setup delays must be finite and ≥ 0.
+fn check_durations(flag: &str, values: &[f64]) -> Result<(), CliError> {
+    if values.is_empty() || values.iter().any(|v| !v.is_finite() || *v < 0.0) {
+        return Err(CliError(format!("--{flag} must be finite and >= 0")));
+    }
+    Ok(())
+}
+
+/// The overhead factor must be finite and > 0.
+fn check_factor(factor: f64) -> Result<(), CliError> {
+    if !factor.is_finite() || factor <= 0.0 {
+        return Err(CliError("--factor must be finite and > 0".into()));
+    }
+    Ok(())
+}
+
 fn cmd_sessions<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
     let ds = load(a.positional(1, "log")?)?;
     let gap: f64 = a.flag_or("gap", 60.0)?;
-    if gap < 0.0 {
-        return Err(CliError("--gap must be non-negative".into()));
-    }
-    let g = group_sessions(&ds, gap);
+    check_durations("gap", &[gap])?;
+    // One store behind both the g = --gap summary and the sensitivity
+    // rows; the first sweep row is --gap itself.
+    let store = SessionStore::from_dataset(&ds);
+    let mut gaps = vec![gap];
+    gaps.extend(SENSITIVITY_GAPS_S);
+    let rows = store.sweep(&gaps, &[], DEFAULT_OVERHEAD_FACTOR).gap_rows;
+    let g = &rows[0];
     writeln!(w, "gap parameter g = {gap} s")?;
     writeln!(
         w,
         "{} sessions over {} transfers ({} not sessionizable)",
-        g.sessions.len(),
-        g.grouped_transfers(),
-        g.ungroupable
+        g.sessions,
+        store.grouped(),
+        store.ungroupable()
     )?;
     writeln!(
         w,
         "single-transfer {}  multi-transfer {}  largest {} transfers",
-        g.single_transfer_sessions(),
-        g.multi_transfer_sessions(),
-        g.max_transfers()
+        g.single_transfer, g.multi_transfer, g.max_transfers
     )?;
-    if !g.sessions.is_empty() {
-        let sizes: Vec<f64> = g.sessions.iter().map(|s| s.size_bytes() as f64 / 1e6).collect();
-        let durs: Vec<f64> = g.sessions.iter().map(gvc_core::Session::duration_s).collect();
+    let sessions: Vec<_> = store.sessions_at(gap).into_iter().map(|r| store.session(r)).collect();
+    if !sessions.is_empty() {
+        let sizes: Vec<f64> = sessions.iter().map(|s| s.size_bytes() as f64 / 1e6).collect();
+        let durs: Vec<f64> = sessions.iter().map(gvc_core::SessionView::duration_s).collect();
         print_summary(w, "session size", &Summary::of(&sizes).expect("non-empty"), "MB")?;
         print_summary(w, "session duration", &Summary::of(&durs).expect("non-empty"), "s")?;
     }
     // A quick g sweep for context.
     writeln!(w, "\nsensitivity:")?;
-    for row in gap_sensitivity(&ds, &[0.0, 60.0, 120.0, 300.0]) {
+    for row in &rows[1..] {
         writeln!(
             w,
             "  g={:>4.0}s  sessions {:>7}  single {:>7}  max {:>7}",
@@ -223,11 +244,10 @@ fn cmd_suitability<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> 
     let gap: f64 = a.flag_or("gap", 60.0)?;
     let setup: f64 = a.flag_or("setup", 60.0)?;
     let factor: f64 = a.flag_or("factor", 10.0)?;
-    if setup <= 0.0 || factor <= 0.0 {
-        return Err(CliError("--setup and --factor must be positive".into()));
-    }
-    let grouping = group_sessions(&ds, gap);
-    let v = vc_suitability(&grouping, &ds, setup, factor);
+    check_durations("gap", &[gap])?;
+    check_durations("setup", &[setup])?;
+    check_factor(factor)?;
+    let v = SessionStore::from_dataset(&ds).sweep(&[gap], &[setup], factor).cells[0];
     writeln!(w, "g = {gap} s, setup delay = {setup} s, overhead factor = {factor}")?;
     writeln!(w, "q3 transfer throughput: {:.1} Mbps", v.q3_throughput_mbps)?;
     writeln!(
@@ -267,15 +287,9 @@ fn cmd_sweep<W: Write>(a: &ParsedArgs, w: &mut W, telemetry: &Telemetry) -> Resu
     let gaps = list_flag_or(a, "gaps", &[0.0, 60.0, 120.0])?;
     let delays = list_flag_or(a, "delays", &[60.0, 0.05])?;
     let factor: f64 = a.flag_or("factor", 10.0)?;
-    if gaps.is_empty() || gaps.iter().any(|g| !g.is_finite() || *g < 0.0) {
-        return Err(CliError("--gaps needs non-negative finite values".into()));
-    }
-    if delays.is_empty() || delays.iter().any(|d| !d.is_finite() || *d < 0.0) {
-        return Err(CliError("--delays needs non-negative finite values".into()));
-    }
-    if factor <= 0.0 {
-        return Err(CliError("--factor must be positive".into()));
-    }
+    check_durations("gaps", &gaps)?;
+    check_durations("delays", &delays)?;
+    check_factor(factor)?;
     let store = SessionStore::from_dataset(&ds);
     let sweep = store.sweep_with_telemetry(&gaps, &delays, factor, telemetry);
     let emit_phase = telemetry.perf.phase("report_emission");

@@ -225,3 +225,41 @@ fn determinism_across_processes() {
     std::fs::remove_file(&a).ok();
     std::fs::remove_file(&b).ok();
 }
+
+/// `sessions`, `suitability` and `sweep` share one parameter check:
+/// gaps and setup delays finite and >= 0, the overhead factor finite
+/// and > 0. A NaN gap used to group silently at g = 0, and
+/// `suitability` accepted negative gaps and non-finite delays/factors.
+#[test]
+fn analysis_commands_reject_non_finite_and_negative_parameters() {
+    let log = tmp("params.log");
+    let out = gvc()
+        .args(["generate", "ncar", log.to_str().unwrap(), "--scale", "0.02", "--seed", "1"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let cases: &[(&[&str], &str)] = &[
+        (&["sessions", "--gap", "nan"], "--gap"),
+        (&["sessions", "--gap", "inf"], "--gap"),
+        (&["sessions", "--gap", "-1"], "--gap"),
+        (&["suitability", "--gap", "-5"], "--gap"),
+        (&["suitability", "--gap", "nan"], "--gap"),
+        (&["suitability", "--setup", "nan"], "--setup"),
+        (&["suitability", "--setup", "-1"], "--setup"),
+        (&["suitability", "--factor", "inf"], "--factor"),
+        (&["suitability", "--factor", "0"], "--factor"),
+        (&["sweep", "--gaps", "0,nan"], "--gaps"),
+        (&["sweep", "--delays", "inf"], "--delays"),
+        (&["sweep", "--factor", "nan"], "--factor"),
+    ];
+    for (args, flag) in cases {
+        let (cmd, flags) = args.split_first().unwrap();
+        let out = gvc().arg(cmd).arg(&log).args(flags).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} accepted: {err}");
+        assert!(err.contains(flag), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
+    std::fs::remove_file(&log).ok();
+}

@@ -7,10 +7,11 @@
 //!
 //! | Module | Paper artifact |
 //! |---|---|
-//! | [`sessions`] | §V/§VI-A session grouping with the gap parameter `g` |
+//! | [`sweep`] | the session index (§V/§VI-A grouping with gap `g`) behind every session analysis, and the one-pass Table III/IV grid |
+//! | [`sessions`] | the reference session grouper, kept as the test oracle for [`sweep`] |
 //! | [`tables`] | Tables I, II, V, VI, VII (descriptive summaries) |
 //! | [`gap_sensitivity`] | Table III (session counts vs `g`) |
-//! | [`mod@vc_suitability`] | Table IV (% sessions/transfers that tolerate VC setup delay) |
+//! | [`mod@vc_suitability`] | Table IV cells (% sessions/transfers that tolerate VC setup delay), plus the reference scorer |
 //! | [`factors`] | Tables VIII, IX (year- and stripe-based throughput) |
 //! | [`stream_analysis`] | Figs. 3, 4, 5 (streams × file-size bins) |
 //! | [`time_of_day`] | Fig. 6 (throughput vs start hour) |
@@ -20,7 +21,6 @@
 //! | [`scatter`] | Fig. 2 (throughput vs file size) |
 //! | [`report`] | finding (i): the headline feasibility numbers |
 //! | [`session_stats`] | §VI-A session call-outs + Table VIII trend fits |
-//! | [`sweep`] | incremental session-sweep engine: the whole Table III/IV grid in one pass |
 
 pub mod concurrency;
 pub mod factors;

@@ -8,7 +8,7 @@
 
 use crate::gap_sensitivity::GapRow;
 use crate::sweep::SessionStore;
-use crate::tables::{session_table_from_store, SessionTable};
+use crate::tables::{session_table, SessionTable};
 use crate::vc_suitability::{VcSuitability, DEFAULT_OVERHEAD_FACTOR};
 use gvc_logs::Dataset;
 use gvc_telemetry::RunManifest;
@@ -140,7 +140,7 @@ pub fn feasibility_report(ds: &Dataset) -> FeasibilityReport {
     FeasibilityReport {
         manifest: RunManifest::new("feasibility-report", 0, &config),
         n_transfers: ds.len(),
-        session_table_g1: session_table_from_store(&store, 60.0),
+        session_table_g1: session_table(&store, 60.0),
         gap_rows: sweep.gap_rows,
         suitability: sweep.cells,
         degenerate_records: sweep.degenerate_records,

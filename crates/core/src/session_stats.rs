@@ -10,13 +10,12 @@
 //! the year-over-year decline of Table VIII. This module computes
 //! those call-outs and trend fits.
 
-use crate::sessions::{Session, SessionGrouping};
-use crate::sweep::SessionStore;
+use crate::sweep::{SessionStore, SessionView};
 use gvc_logs::Dataset;
 use gvc_stats::regression::{linear_fit, LinearFit};
 use gvc_stats::{quantile, Summary};
 
-/// The §VI-A call-out facts for one grouping.
+/// The §VI-A call-out facts for the sessions at one gap value.
 #[derive(Debug, Clone)]
 pub struct SessionHighlights {
     /// `(size_bytes, duration_s, effective_mbps)` of the largest
@@ -37,47 +36,17 @@ pub struct SessionHighlights {
     pub frac_below_transfer_q3: f64,
 }
 
-fn triple(s: &Session) -> (u64, f64, Option<f64>) {
-    (s.size_bytes(), s.duration_s(), s.effective_throughput_mbps())
-}
-
-/// Computes the highlights for a grouping over dataset `ds`.
-pub fn session_highlights(grouping: &SessionGrouping, ds: &Dataset) -> SessionHighlights {
-    let largest = grouping.sessions.iter().max_by_key(|s| s.size_bytes()).map(triple);
-    let longest = grouping
-        .sessions
-        .iter()
-        .max_by(|a, b| a.duration_s().total_cmp(&b.duration_s()))
-        .map(triple);
-    let rates: Vec<f64> =
-        grouping.sessions.iter().filter_map(Session::effective_throughput_mbps).collect();
-    let q3_transfer = quantile(&ds.throughputs_mbps(), 0.75).unwrap_or(0.0);
-    let below = if rates.is_empty() {
-        0.0
-    } else {
-        rates.iter().filter(|&&r| r < q3_transfer).count() as f64 / rates.len() as f64
-    };
-    SessionHighlights {
-        largest,
-        longest,
-        effective_throughput_mbps: Summary::of(&rates),
-        frac_below_transfer_q3: below,
-    }
-}
-
-/// [`session_highlights`] over a [`SessionStore`] at one gap value —
-/// identical numbers without cloning records into sessions.
-pub fn session_highlights_from_store(store: &SessionStore, gap_s: f64) -> SessionHighlights {
-    let ranges = store.sessions_at(gap_s);
-    let views: Vec<_> = ranges.iter().map(|&r| store.session(r)).collect();
-    let triple = |v: &crate::sweep::SessionView<'_>| {
-        (v.size_bytes(), v.duration_s(), v.effective_throughput_mbps())
-    };
+/// Computes the highlights of the sessions a [`SessionStore`] forms at
+/// one gap value, without cloning records into sessions.
+pub fn session_highlights(store: &SessionStore, gap_s: f64) -> SessionHighlights {
+    let views: Vec<SessionView<'_>> =
+        store.sessions_at(gap_s).into_iter().map(|r| store.session(r)).collect();
+    let triple =
+        |v: &SessionView<'_>| (v.size_bytes(), v.duration_s(), v.effective_throughput_mbps());
     let largest = views.iter().max_by_key(|v| v.size_bytes()).map(triple);
     let longest = views.iter().max_by(|a, b| a.duration_s().total_cmp(&b.duration_s())).map(triple);
-    let rates: Vec<f64> =
-        views.iter().filter_map(super::sweep::SessionView::effective_throughput_mbps).collect();
-    let q3_transfer = quantile(&store.throughputs_mbps(), 0.75).unwrap_or(0.0);
+    let rates: Vec<f64> = views.iter().filter_map(SessionView::effective_throughput_mbps).collect();
+    let q3_transfer = quantile(store.throughputs_mbps(), 0.75).unwrap_or(0.0);
     let below = if rates.is_empty() {
         0.0
     } else {
@@ -102,7 +71,7 @@ pub fn yearly_trend(ds: &Dataset) -> Option<LinearFit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sessions::group_sessions;
+    use crate::sessions::{group_sessions, Session};
     use gvc_logs::{TransferRecord, TransferType};
 
     fn rec(start_s: f64, dur_s: f64, size: u64, remote: &str) -> TransferRecord {
@@ -116,21 +85,23 @@ mod tests {
         )
     }
 
-    fn fixture() -> (SessionGrouping, Dataset) {
+    fn fixture() -> Dataset {
         // Session A: 2 x 1 GB back to back over 200 s (big).
         // Session B: 1 x 1 MB over 1000 s (long and slow).
-        let ds = Dataset::from_records(vec![
+        Dataset::from_records(vec![
             rec(0.0, 100.0, 1_000_000_000, "a"),
             rec(101.0, 99.0, 1_000_000_000, "a"),
             rec(0.0, 1000.0, 1_000_000, "b"),
-        ]);
-        (group_sessions(&ds, 60.0), ds)
+        ])
+    }
+
+    fn highlights(ds: &Dataset) -> SessionHighlights {
+        session_highlights(&SessionStore::from_dataset(ds), 60.0)
     }
 
     #[test]
     fn largest_and_longest_identified() {
-        let (g, ds) = fixture();
-        let h = session_highlights(&g, &ds);
+        let h = highlights(&fixture());
         let (size, dur, mbps) = h.largest.unwrap();
         assert_eq!(size, 2_000_000_000);
         assert!((dur - 200.0).abs() < 1e-6);
@@ -142,8 +113,7 @@ mod tests {
 
     #[test]
     fn session_rates_sit_below_transfer_q3() {
-        let (g, ds) = fixture();
-        let h = session_highlights(&g, &ds);
+        let h = highlights(&fixture());
         // The slow 1 MB session is below q3; the big one is at the
         // transfer rate.
         assert!(h.frac_below_transfer_q3 >= 0.5);
@@ -159,30 +129,42 @@ mod tests {
             rec(0.0, 100.0, 1_000_000_000, "a"),
             rec(5000.0, 0.0, 1_000_000, "b"),
         ]);
-        let g = group_sessions(&ds, 60.0);
-        assert_eq!(g.sessions.len(), 2);
-        let h = session_highlights(&g, &ds);
-        let s = h.effective_throughput_mbps.unwrap();
+        assert_eq!(group_sessions(&ds, 60.0).sessions.len(), 2);
+        let s = highlights(&ds).effective_throughput_mbps.unwrap();
         assert_eq!(s.n, 1, "instantaneous session must be excluded");
         assert!((s.min - 80.0).abs() < 1e-6, "min {}", s.min);
     }
 
+    /// The store-backed highlights equal the call-outs read straight
+    /// off the reference grouping.
     #[test]
     fn store_backed_highlights_match_grouping_backed() {
-        let (g, ds) = fixture();
-        let a = session_highlights(&g, &ds);
-        let b = session_highlights_from_store(&SessionStore::from_dataset(&ds), 60.0);
-        assert_eq!(a.largest, b.largest);
-        assert_eq!(a.longest, b.longest);
-        assert_eq!(a.effective_throughput_mbps, b.effective_throughput_mbps);
-        assert_eq!(a.frac_below_transfer_q3, b.frac_below_transfer_q3);
+        let ds = fixture();
+        let oracle = group_sessions(&ds, 60.0);
+        let triple = |s: &Session| (s.size_bytes(), s.duration_s(), s.effective_throughput_mbps());
+        let rates: Vec<f64> =
+            oracle.sessions.iter().filter_map(Session::effective_throughput_mbps).collect();
+        let q3 = quantile(&ds.throughputs_mbps(), 0.75).unwrap();
+        let h = highlights(&ds);
+        assert_eq!(h.largest, oracle.sessions.iter().max_by_key(|s| s.size_bytes()).map(triple));
+        assert_eq!(
+            h.longest,
+            oracle
+                .sessions
+                .iter()
+                .max_by(|a, b| a.duration_s().total_cmp(&b.duration_s()))
+                .map(triple)
+        );
+        assert_eq!(h.effective_throughput_mbps, Summary::of(&rates));
+        assert_eq!(
+            h.frac_below_transfer_q3,
+            rates.iter().filter(|&&r| r < q3).count() as f64 / rates.len() as f64
+        );
     }
 
     #[test]
     fn empty_grouping() {
-        let ds = Dataset::new();
-        let g = group_sessions(&ds, 60.0);
-        let h = session_highlights(&g, &ds);
+        let h = highlights(&Dataset::new());
         assert!(h.largest.is_none());
         assert!(h.longest.is_none());
         assert!(h.effective_throughput_mbps.is_none());

@@ -12,6 +12,11 @@
 //! `next.start − session.end ≤ g`, where `session.end` is the latest
 //! end seen so far. Transfers with an anonymized remote (the NERSC
 //! logs) cannot be grouped and are reported separately.
+//!
+//! This module is the reference implementation: it clones every
+//! record into its session, once per gap value. Production analyses
+//! read the columnar [`crate::sweep::SessionStore`] instead, and the
+//! tests hold the store to this grouper.
 
 use gvc_logs::{Dataset, TransferRecord};
 use std::collections::BTreeMap;

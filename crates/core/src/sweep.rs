@@ -1,16 +1,20 @@
-//! Incremental session-sweep engine: the full Table III/IV grid in a
+//! The session index behind every session analysis, and the
+//! incremental sweep that computes the full Table III/IV grid in a
 //! single pass.
 //!
-//! [`group_sessions`](crate::sessions::group_sessions) is the
-//! reference implementation: it re-partitions the dataset and clones
-//! every record into its session for *each* gap value, so a grid over
-//! `|gaps|` values costs O(|gaps| · n log n) with String-heavy copies.
-//! This module exploits the monotone structure of the gap parameter
-//! instead:
+//! [`SessionStore`] is the one session representation in production
+//! code: Tables I–IV, the feasibility report, the ablations, the
+//! collector experiment and the `gvc sessions`/`suitability`/`sweep`
+//! commands all read it. [`group_sessions`](crate::sessions::group_sessions)
+//! is kept only as the reference oracle for tests: it re-partitions the
+//! dataset and clones every record into its session for *each* gap
+//! value. This module avoids both costs:
 //!
-//! * Sessions are **index ranges** over one [`Arc`]-shared record
-//!   store, sorted by (server pair, start time). No per-session
-//!   clones.
+//! * The store is **columnar**. It keeps only what session analysis
+//!   reads — start, end and size of each groupable record, in
+//!   pair-contiguous start order — plus the pair ranges, the record
+//!   counts and the transfer-throughput multiset. No record is copied.
+//! * Sessions are **index ranges** over those columns.
 //! * For each pair, the candidate session boundary at position `k` has
 //!   a fixed **boundary gap** `start[k] − max(end[0..k])`. A boundary
 //!   is active at gap parameter `g` iff its boundary gap exceeds `g` —
@@ -33,19 +37,18 @@
 
 use crate::gap_sensitivity::GapRow;
 use crate::vc_suitability::VcSuitability;
-use gvc_logs::{Dataset, TransferRecord};
+use gvc_logs::Dataset;
 use gvc_stats::quantile;
 use gvc_telemetry::{Histogram, SpanTimer, Telemetry};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Pair-record slices below this size are swept sequentially
 /// (thread spawn outweighs the work).
 const PARALLEL_THRESHOLD_RECORDS: usize = 50_000;
 
-/// One session as a half-open index range into the store's record
-/// slab. All records of a range belong to the same server pair and
-/// are start-ordered.
+/// One session as a half-open index range into the store's columns.
+/// All records of a range belong to the same server pair and are
+/// start-ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionRange {
     /// First record index (inclusive).
@@ -66,38 +69,35 @@ impl SessionRange {
     }
 }
 
-/// A borrowed view of one session: the range plus the shared store,
+/// A borrowed view of one session: its slices of the store's columns,
 /// giving the same accessors as [`crate::sessions::Session`] without
-/// owning the records.
+/// owning any record.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionView<'a> {
-    records: &'a [TransferRecord],
+    start_us: &'a [i64],
+    end_us: &'a [i64],
+    size_bytes: &'a [u64],
 }
 
-impl<'a> SessionView<'a> {
+impl SessionView<'_> {
     /// Number of transfers.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.start_us.len()
     }
 
     /// True when empty (never produced by the engine).
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The member transfers, in start order.
-    pub fn records(&self) -> &'a [TransferRecord] {
-        self.records
+        self.start_us.is_empty()
     }
 
     /// Session start: first transfer's start (unix µs).
     pub fn start_unix_us(&self) -> i64 {
-        self.records.first().map_or(0, |r| r.start_unix_us)
+        self.start_us.first().copied().unwrap_or(0)
     }
 
     /// Session end: latest transfer end (unix µs).
     pub fn end_unix_us(&self) -> i64 {
-        self.records.iter().map(TransferRecord::end_unix_us).max().unwrap_or(0)
+        self.end_us.iter().copied().max().unwrap_or(0)
     }
 
     /// Wall-clock duration, seconds.
@@ -107,7 +107,7 @@ impl<'a> SessionView<'a> {
 
     /// Total payload, bytes.
     pub fn size_bytes(&self) -> u64 {
-        self.records.iter().map(|r| r.size_bytes).sum()
+        self.size_bytes.iter().sum()
     }
 
     /// Effective session throughput, Mbps; `None` for an
@@ -122,95 +122,89 @@ impl<'a> SessionView<'a> {
     }
 }
 
-/// The shared record store behind a sweep: all records of a dataset,
-/// re-sorted so that each server pair's transfers are contiguous and
-/// start-ordered, with anonymized (ungroupable) records in a tail
-/// region. Building it is the only O(n log n) step; every analysis
-/// after that works on index ranges.
+/// The columnar session index of a dataset: the start, end and size
+/// of every groupable record, re-sorted so that each server pair's
+/// transfers are contiguous and start-ordered. Records with an
+/// anonymized remote are not sessionizable and only counted. Building
+/// it is the only O(n log n) step; every analysis after that works on
+/// index ranges.
 #[derive(Debug, Clone)]
 pub struct SessionStore {
-    /// The slab: groupable records (pair-contiguous, start-sorted)
-    /// followed by the ungroupable tail.
-    records: Arc<[TransferRecord]>,
-    /// Half-open index ranges, one per (server, remote) pair, in
-    /// first-seen order.
+    /// Start of each groupable record, unix µs.
+    start_us: Vec<i64>,
+    /// End of each groupable record, unix µs (same order).
+    end_us: Vec<i64>,
+    /// Payload of each groupable record, bytes (same order).
+    size_bytes: Vec<u64>,
+    /// Half-open index ranges over the columns, one per
+    /// (server, remote) pair, in first-seen order.
     pairs: Vec<(u32, u32)>,
-    /// Length of the groupable prefix.
-    groupable: u32,
+    /// Every record of the dataset, sessionizable or not.
+    total: usize,
+    /// [`Dataset::throughputs_mbps`]: the transfer-throughput
+    /// multiset behind q3 and Tables I/II. Every record but the
+    /// degenerate ones contributes.
+    throughputs_mbps: Vec<f64>,
 }
 
 impl SessionStore {
-    /// Builds a store from a dataset (records are cloned once).
+    /// Builds the store from a dataset. Records are read, not copied.
     pub fn from_dataset(ds: &Dataset) -> SessionStore {
-        SessionStore::from_records(ds.records().to_vec())
-    }
-
-    /// Builds a store taking ownership of `records` (no clones).
-    pub fn from_records(records: Vec<TransferRecord>) -> SessionStore {
-        // Pair ids in first-seen order, so layout is deterministic.
-        let mut ids: Vec<u32> = Vec::with_capacity(records.len());
-        {
-            let mut by_key: HashMap<(&str, &str), u32> = HashMap::new();
-            for r in &records {
-                let id = match r.pair_key() {
-                    None => u32::MAX,
-                    Some(k) => {
-                        let next = by_key.len() as u32;
-                        *by_key.entry(k).or_insert(next)
-                    }
-                };
-                ids.push(id);
+        let records = ds.records();
+        // (pair id, record index) of every groupable record; pair ids
+        // in first-seen order, so the layout is deterministic.
+        let mut by_key: HashMap<(&str, &str), u32> = HashMap::new();
+        let mut order: Vec<(u32, u32)> = Vec::with_capacity(records.len());
+        for (i, r) in records.iter().enumerate() {
+            if let Some(k) = r.pair_key() {
+                let next = by_key.len() as u32;
+                order.push((*by_key.entry(k).or_insert(next), i as u32));
             }
         }
-        let mut order: Vec<u32> = (0..records.len() as u32).collect();
-        order.sort_by_key(|&i| {
+        order.sort_by_key(|&(id, i)| {
             let r = &records[i as usize];
-            (ids[i as usize], r.start_unix_us, r.duration_us)
+            (id, r.start_unix_us, r.duration_us)
         });
-        // Gather into the slab without cloning any record.
-        let mut slots: Vec<Option<TransferRecord>> = records.into_iter().map(Some).collect();
-        // `order` is a permutation of 0..len, so every take succeeds
-        // and the slab keeps the full record count.
-        let slab: Vec<TransferRecord> = order
-            .iter()
-            .filter_map(|&i| slots.get_mut(i as usize).and_then(Option::take))
-            .collect();
-        let mut pairs = Vec::new();
-        let mut groupable = slab.len() as u32;
+        let mut store = SessionStore {
+            start_us: Vec::with_capacity(order.len()),
+            end_us: Vec::with_capacity(order.len()),
+            size_bytes: Vec::with_capacity(order.len()),
+            pairs: Vec::with_capacity(by_key.len()),
+            total: records.len(),
+            throughputs_mbps: ds.throughputs_mbps(),
+        };
         let mut run_start = 0u32;
-        for w in 0..order.len() {
-            let id = ids[order[w] as usize];
-            if id == u32::MAX {
-                groupable = groupable.min(w as u32);
-                continue;
-            }
-            if w + 1 == order.len() || ids[order[w + 1] as usize] != id {
-                pairs.push((run_start, w as u32 + 1));
+        for (w, &(id, i)) in order.iter().enumerate() {
+            let r = &records[i as usize];
+            store.start_us.push(r.start_unix_us);
+            store.end_us.push(r.end_unix_us());
+            store.size_bytes.push(r.size_bytes);
+            if order.get(w + 1).is_none_or(|&(next, _)| next != id) {
+                store.pairs.push((run_start, w as u32 + 1));
                 run_start = w as u32 + 1;
             }
         }
-        SessionStore { records: slab.into(), pairs, groupable }
+        store
     }
 
-    /// Every record in the store (groupable prefix, then the
-    /// ungroupable tail).
-    pub fn records(&self) -> &[TransferRecord] {
-        &self.records
-    }
-
-    /// Total records.
+    /// Total records, sessionizable or not.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.total
     }
 
     /// True when no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.total == 0
+    }
+
+    /// Records inside sessions (every record with a remote).
+    pub fn grouped(&self) -> usize {
+        self.start_us.len()
     }
 
     /// Records with an anonymized remote (not sessionizable).
     pub fn ungroupable(&self) -> usize {
-        self.records.len() - self.groupable as usize
+        self.total - self.grouped()
     }
 
     /// Number of distinct (server, remote) pairs.
@@ -220,41 +214,40 @@ impl SessionStore {
 
     /// Zero/negative-duration records (no defined throughput).
     pub fn degenerate_records(&self) -> usize {
-        self.records.iter().filter(|r| r.is_degenerate()).count()
+        self.total - self.throughputs_mbps.len()
     }
 
     /// Per-transfer throughputs over all records with a defined
-    /// throughput — the same multiset as the post-degenerate-fix
-    /// [`Dataset::throughputs_mbps`], in store order.
-    pub fn throughputs_mbps(&self) -> Vec<f64> {
-        self.records
-            .iter()
-            .filter(|r| !r.is_degenerate())
-            .map(TransferRecord::throughput_mbps)
-            .collect()
+    /// throughput — [`Dataset::throughputs_mbps`], in dataset order.
+    pub fn throughputs_mbps(&self) -> &[f64] {
+        &self.throughputs_mbps
     }
 
     /// A borrowed view of the session covering `range`.
     pub fn session(&self, range: SessionRange) -> SessionView<'_> {
-        SessionView { records: &self.records[range.start as usize..range.end as usize] }
+        let (lo, hi) = (range.start as usize, range.end as usize);
+        SessionView {
+            start_us: &self.start_us[lo..hi],
+            end_us: &self.end_us[lo..hi],
+            size_bytes: &self.size_bytes[lo..hi],
+        }
     }
 
     /// Sessions at one gap value, as index ranges (pair order, then
-    /// start order). Runs in O(n); no records are cloned.
+    /// start order). Runs in O(n).
     pub fn sessions_at(&self, gap_s: f64) -> Vec<SessionRange> {
         let gap_us = gap_to_us(gap_s);
         let mut out = Vec::new();
         for &(lo, hi) in &self.pairs {
-            let recs = &self.records[lo as usize..hi as usize];
-            let Some(first) = recs.first() else { continue };
+            // Pair ranges are never empty.
             let mut session_start = lo;
-            let mut max_end = first.end_unix_us();
-            for (k, r) in recs.iter().enumerate().skip(1) {
-                if r.start_unix_us - max_end > gap_us {
-                    out.push(SessionRange { start: session_start, end: lo + k as u32 });
-                    session_start = lo + k as u32;
+            let mut max_end = self.end_us[lo as usize];
+            for k in lo + 1..hi {
+                if self.start_us[k as usize] - max_end > gap_us {
+                    out.push(SessionRange { start: session_start, end: k });
+                    session_start = k;
                 }
-                max_end = max_end.max(r.end_unix_us());
+                max_end = max_end.max(self.end_us[k as usize]);
             }
             out.push(SessionRange { start: session_start, end: hi });
         }
@@ -273,7 +266,7 @@ impl SessionStore {
         // q3 of the transfer-throughput distribution (degenerate
         // records excluded) — identical to what `vc_suitability`
         // derives from the dataset.
-        let q3_mbps = quantile(&self.throughputs_mbps(), 0.75).unwrap_or(0.0);
+        let q3_mbps = quantile(&self.throughputs_mbps, 0.75).unwrap_or(0.0);
         let ctx = SweepCtx {
             store: self,
             // Ascending gap order is what makes merges monotone;
@@ -288,7 +281,7 @@ impl SessionStore {
         };
         let aggs = sweep_pairs(&ctx, &self.pairs);
 
-        let total_transfers = self.groupable as usize;
+        let total_transfers = self.grouped();
         let gap_rows = gaps_s
             .iter()
             .enumerate()
@@ -494,24 +487,27 @@ fn sweep_pairs(ctx: &SweepCtx<'_>, pairs: &[(u32, u32)]) -> Vec<GapAgg> {
 /// boundary-gap order, and snapshot the running aggregate into each
 /// requested gap's slot as the walk passes it.
 fn sweep_pair(ctx: &SweepCtx<'_>, lo: u32, hi: u32, out: &mut [GapAgg]) {
-    let recs = &ctx.store.records[lo as usize..hi as usize];
-    let m = recs.len();
+    let (lo, hi) = (lo as usize, hi as usize);
+    let starts = &ctx.store.start_us[lo..hi];
+    let ends = &ctx.store.end_us[lo..hi];
+    let sizes = &ctx.store.size_bytes[lo..hi];
+    let m = starts.len();
     let n_delays = ctx.thresholds_s.len();
 
     // Prefix payload sums: any range's size in O(1).
     let mut psize = vec![0u64; m + 1];
-    for (i, r) in recs.iter().enumerate() {
-        psize[i + 1] = psize[i] + r.size_bytes;
+    for (i, &size) in sizes.iter().enumerate() {
+        psize[i + 1] = psize[i] + size;
     }
 
     // Boundary gaps: position k splits sessions at parameter g iff
     // start[k] − max(end[0..k]) > g.
     let mut boundaries: Vec<(i64, u32)> = Vec::with_capacity(m.saturating_sub(1));
-    let Some(first) = recs.first() else { return };
-    let mut max_end = first.end_unix_us();
-    for (k, r) in recs.iter().enumerate().skip(1) {
-        boundaries.push((r.start_unix_us - max_end, k as u32));
-        max_end = max_end.max(r.end_unix_us());
+    let Some(&first_end) = ends.first() else { return };
+    let mut max_end = first_end;
+    for (k, (&start, &end)) in starts.iter().zip(ends).enumerate().skip(1) {
+        boundaries.push((start - max_end, k as u32));
+        max_end = max_end.max(end);
     }
     boundaries.sort_unstable();
 
@@ -528,9 +524,9 @@ fn sweep_pair(ctx: &SweepCtx<'_>, lo: u32, hi: u32, out: &mut [GapAgg]) {
     agg.singles = m;
     agg.le2 = m;
     agg.max_transfers = 1;
-    for r in recs {
+    for &size in sizes {
         for (d, &thr) in ctx.thresholds_s.iter().enumerate() {
-            if ctx.suitable(r.size_bytes, thr) {
+            if ctx.suitable(size, thr) {
                 agg.suitable_sessions[d] += 1;
                 agg.suitable_transfers[d] += 1;
             }
@@ -584,8 +580,8 @@ mod tests {
     use super::*;
     use crate::gap_sensitivity::GapRow;
     use crate::sessions::group_sessions;
-    use crate::vc_suitability::vc_suitability;
-    use gvc_logs::{TransferRecord, TransferType};
+    use crate::vc_suitability::{vc_suitability, DEFAULT_OVERHEAD_FACTOR};
+    use gvc_logs::{CollectorModel, TransferRecord, TransferType};
     use proptest::prelude::*;
 
     fn rec(start_s: f64, dur_s: f64, size: u64, remote: Option<&str>) -> TransferRecord {
@@ -648,15 +644,27 @@ mod tests {
         assert_eq!(store.len(), 7);
         assert_eq!(store.n_pairs(), 2);
         assert_eq!(store.ungroupable(), 1);
-        // Pair ranges cover the groupable prefix exactly.
-        let covered: usize = store.pairs.iter().map(|&(l, h)| (h - l) as usize).sum();
-        assert_eq!(covered, 6);
-        for &(l, h) in &store.pairs {
-            let recs = &store.records()[l as usize..h as usize];
-            let key = recs[0].pair_key();
-            assert!(recs.iter().all(|r| r.pair_key() == key));
-            assert!(recs.windows(2).all(|w| w[0].start_unix_us <= w[1].start_unix_us));
+        // Only the groupable records have columns, and the pair
+        // ranges tile them exactly, in first-seen pair order.
+        assert_eq!(store.grouped(), 6);
+        assert_eq!(store.end_us.len(), 6);
+        assert_eq!(store.size_bytes.len(), 6);
+        assert_eq!(store.pairs, vec![(0, 3), (3, 6)]);
+        // Each pair's rows are its records, start-ordered.
+        for (&(l, h), remote) in store.pairs.iter().zip(["a", "b"]) {
+            let (l, h) = (l as usize, h as usize);
+            let mut want: Vec<(i64, i64, u64)> = ds
+                .records()
+                .iter()
+                .filter(|r| r.remote.as_deref() == Some(remote))
+                .map(|r| (r.start_unix_us, r.end_unix_us(), r.size_bytes))
+                .collect();
+            want.sort_unstable();
+            let got: Vec<(i64, i64, u64)> =
+                (l..h).map(|k| (store.start_us[k], store.end_us[k], store.size_bytes[k])).collect();
+            assert_eq!(got, want, "pair {remote}");
         }
+        assert_eq!(store.throughputs_mbps(), ds.throughputs_mbps().as_slice());
     }
 
     #[test]
@@ -720,6 +728,34 @@ mod tests {
         let result = sweep_dataset(&ds, &[60.0], &[60.0], 10.0);
         assert_eq!(result.degenerate_records, 1);
         assert!((result.q3_throughput_mbps - 8.0).abs() < 1e-9);
+    }
+
+    /// The central collector's lossy view barely moves the g = 60 s,
+    /// setup 60 s transfer share on one big 400-record session.
+    #[test]
+    fn collector_loss_stays_close_under_mild_loss() {
+        let ds = Dataset::from_records(
+            (0..400)
+                .map(|i| {
+                    TransferRecord::simple(
+                        TransferType::Retr,
+                        1_000_000_000,
+                        i * 5_000_000,
+                        4_000_000,
+                        "srv",
+                        Some("peer"),
+                    )
+                })
+                .collect(),
+        );
+        let model = CollectorModel { udp_loss: 0.05, disabled_servers: Default::default() };
+        let central = model.collect(&ds, 11);
+        let cell = |ds: &Dataset| {
+            sweep_dataset(ds, &[60.0], &[60.0], DEFAULT_OVERHEAD_FACTOR).cells[0].pct_transfers()
+        };
+        let (local, central) = (cell(&ds), cell(&central));
+        assert!(local > 90.0, "local {local}");
+        assert!((local - central).abs() < 15.0, "local {local} central {central}");
     }
 
     #[test]

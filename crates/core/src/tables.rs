@@ -6,7 +6,6 @@
 //! lower throughput" (§VI-A). Tables V–VII are plain transfer
 //! summaries over a filtered slice.
 
-use crate::sessions::SessionGrouping;
 use crate::sweep::SessionStore;
 use gvc_logs::{Dataset, EndpointKind};
 use gvc_stats::Summary;
@@ -23,25 +22,11 @@ pub struct SessionTable {
     pub transfer_throughput_mbps: Summary,
 }
 
-/// Builds Table I/II from a grouping and its source dataset.
-/// Returns `None` when either is empty.
-pub fn session_table(grouping: &SessionGrouping, ds: &Dataset) -> Option<SessionTable> {
-    let sizes: Vec<f64> = grouping.sessions.iter().map(|s| s.size_bytes() as f64 / 1e6).collect();
-    let durations: Vec<f64> =
-        grouping.sessions.iter().map(super::sessions::Session::duration_s).collect();
-    let throughputs = ds.throughputs_mbps();
-    Some(SessionTable {
-        session_size_mb: Summary::of(&sizes)?,
-        session_duration_s: Summary::of(&durations)?,
-        transfer_throughput_mbps: Summary::of(&throughputs)?,
-    })
-}
-
-/// Builds Table I/II from a [`SessionStore`] at one gap value —
-/// identical numbers to [`session_table`], but sessions are index
-/// ranges over the shared store instead of cloned record vectors.
-/// Returns `None` when the store is empty.
-pub fn session_table_from_store(store: &SessionStore, gap_s: f64) -> Option<SessionTable> {
+/// Builds Table I/II from a [`SessionStore`] at one gap value:
+/// sessions are index ranges over the store, never cloned records.
+/// Returns `None` when the store has no session or no transfer with
+/// a defined throughput.
+pub fn session_table(store: &SessionStore, gap_s: f64) -> Option<SessionTable> {
     let ranges = store.sessions_at(gap_s);
     let mut sizes = Vec::with_capacity(ranges.len());
     let mut durations = Vec::with_capacity(ranges.len());
@@ -53,7 +38,7 @@ pub fn session_table_from_store(store: &SessionStore, gap_s: f64) -> Option<Sess
     Some(SessionTable {
         session_size_mb: Summary::of(&sizes)?,
         session_duration_s: Summary::of(&durations)?,
-        transfer_throughput_mbps: Summary::of(&store.throughputs_mbps())?,
+        transfer_throughput_mbps: Summary::of(store.throughputs_mbps())?,
     })
 }
 
@@ -157,7 +142,7 @@ pub fn endpoint_type_table(ds: &Dataset) -> Vec<EndpointTypeRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sessions::group_sessions;
+    use crate::sessions::{group_sessions, Session};
     use gvc_logs::{TransferRecord, TransferType};
 
     fn rec(start_s: f64, dur_s: f64, size: u64) -> TransferRecord {
@@ -177,9 +162,8 @@ mod tests {
             rec(0.0, 10.0, 10_000_000),   // 10 MB, 8 Mbps
             rec(100.0, 10.0, 30_000_000), // 30 MB, 24 Mbps
         ]);
-        let g = group_sessions(&ds, 1.0);
-        assert_eq!(g.sessions.len(), 2);
-        let t = session_table(&g, &ds).unwrap();
+        let t = session_table(&SessionStore::from_dataset(&ds), 1.0).unwrap();
+        assert_eq!(t.session_size_mb.n, 2);
         assert_eq!(t.session_size_mb.min, 10.0);
         assert_eq!(t.session_size_mb.max, 30.0);
         assert_eq!(t.session_duration_s.mean, 10.0);
@@ -187,6 +171,8 @@ mod tests {
         assert_eq!(t.transfer_throughput_mbps.max, 24.0);
     }
 
+    /// The store-backed table equals the triple built straight from
+    /// the reference grouping.
     #[test]
     fn store_backed_table_matches_grouping_backed() {
         let ds = Dataset::from_records(vec![
@@ -196,22 +182,25 @@ mod tests {
         ]);
         let store = SessionStore::from_dataset(&ds);
         for &gap in &[0.0, 1.0, 60.0, 200.0] {
-            let a = session_table(&group_sessions(&ds, gap), &ds).unwrap();
-            let b = session_table_from_store(&store, gap).unwrap();
-            assert_eq!(a.session_size_mb, b.session_size_mb, "gap {gap}");
-            assert_eq!(a.session_duration_s, b.session_duration_s, "gap {gap}");
-            assert_eq!(a.transfer_throughput_mbps, b.transfer_throughput_mbps, "gap {gap}");
+            let oracle = group_sessions(&ds, gap);
+            let sizes: Vec<f64> =
+                oracle.sessions.iter().map(|s| s.size_bytes() as f64 / 1e6).collect();
+            let durations: Vec<f64> = oracle.sessions.iter().map(Session::duration_s).collect();
+            let t = session_table(&store, gap).unwrap();
+            assert_eq!(Some(t.session_size_mb), Summary::of(&sizes), "gap {gap}");
+            assert_eq!(Some(t.session_duration_s), Summary::of(&durations), "gap {gap}");
+            assert_eq!(
+                Some(t.transfer_throughput_mbps),
+                Summary::of(&ds.throughputs_mbps()),
+                "gap {gap}"
+            );
         }
-        assert!(
-            session_table_from_store(&SessionStore::from_dataset(&Dataset::new()), 60.0).is_none()
-        );
     }
 
     #[test]
     fn empty_dataset_gives_none() {
         let ds = Dataset::new();
-        let g = group_sessions(&ds, 1.0);
-        assert!(session_table(&g, &ds).is_none());
+        assert!(session_table(&SessionStore::from_dataset(&ds), 1.0).is_none());
         assert!(transfer_table(&ds).is_none());
     }
 

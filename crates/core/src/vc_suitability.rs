@@ -62,7 +62,9 @@ impl VcSuitability {
     }
 }
 
-/// Runs the Table IV analysis for one grouping and setup delay.
+/// Runs the Table IV analysis for one grouping and setup delay — the
+/// reference oracle that [`crate::sweep::SessionStore::sweep`] is held
+/// to cell for cell; production code reads sweep cells instead.
 ///
 /// `ds` supplies the transfer-throughput distribution (its q3 becomes
 /// the hypothetical session rate).
@@ -103,24 +105,11 @@ pub fn vc_suitability(
     }
 }
 
-/// The full Table IV grid: every (g, setup delay) combination, in
-/// `for g { for delay }` order.
-///
-/// Computed by one [`crate::sweep`] pass instead of one regrouping
-/// per gap value.
-pub fn vc_suitability_grid(
-    ds: &Dataset,
-    gaps_s: &[f64],
-    setup_delays_s: &[f64],
-    overhead_factor: f64,
-) -> Vec<VcSuitability> {
-    crate::sweep::sweep_dataset(ds, gaps_s, setup_delays_s, overhead_factor).cells
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sessions::group_sessions;
+    use crate::sweep::sweep_dataset;
     use gvc_logs::{TransferRecord, TransferType};
 
     /// One session of `n` transfers of `size` bytes each, plus enough
@@ -215,7 +204,7 @@ mod tests {
     #[test]
     fn grid_covers_all_combinations() {
         let ds = dataset(&[(1_000_000_000, 1000.0)]);
-        let grid = vc_suitability_grid(&ds, &[0.0, 60.0, 120.0], &[60.0, 0.05], 10.0);
+        let grid = sweep_dataset(&ds, &[0.0, 60.0, 120.0], &[60.0, 0.05], 10.0).cells;
         assert_eq!(grid.len(), 6);
         assert!(grid.iter().any(|c| c.gap_s == 0.0 && c.setup_delay_s == 60.0));
         assert!(grid.iter().any(|c| c.gap_s == 120.0 && c.setup_delay_s == 0.05));

@@ -74,77 +74,6 @@ impl CollectorModel {
     }
 }
 
-/// Quantifies how much a lossy collection perturbs the headline
-/// feasibility analysis: returns `(local_pct_transfers,
-/// central_pct_transfers)` for the g = 1 min / setup 1 min cell.
-pub fn robustness_check(local: &Dataset, model: &CollectorModel, seed: u64) -> (f64, f64) {
-    let central = model.collect(local, seed);
-    (
-        analysis_support::group_for_robustness(local),
-        analysis_support::group_for_robustness(&central),
-    )
-}
-
-/// Internal support so the robustness check does not depend on
-/// `gvc-core` (which depends on this crate): a minimal inline
-/// re-implementation of "fraction of transfers in ≥ 10-minute-capable
-/// sessions" sufficient for comparing local vs central views.
-pub(crate) mod analysis_support {
-    use crate::record::TransferRecord;
-    use crate::Dataset;
-    use std::collections::BTreeMap;
-
-    /// Fraction of transfers (0–100) living in sessions whose total
-    /// size at the dataset's q3 throughput would run ≥ 600 s.
-    pub fn group_for_robustness(ds: &Dataset) -> f64 {
-        if ds.is_empty() {
-            return 0.0;
-        }
-        let mut tps: Vec<f64> = ds.records().iter().map(TransferRecord::throughput_mbps).collect();
-        tps.sort_by(f64::total_cmp);
-        let q3 = tps[(tps.len() as f64 * 0.75) as usize % tps.len()];
-        let q3_bps = (q3 * 1e6).max(1.0);
-
-        let mut pairs: BTreeMap<(String, String), Vec<&TransferRecord>> = BTreeMap::new();
-        for r in ds.records() {
-            if let Some((s, p)) = r.pair_key() {
-                pairs.entry((s.to_owned(), p.to_owned())).or_default().push(r);
-            }
-        }
-        let gap_us = 60_000_000i64;
-        let mut suitable = 0usize;
-        let mut total = 0usize;
-        for (_, recs) in pairs {
-            let mut size = 0u64;
-            let mut count = 0usize;
-            let mut end = i64::MIN;
-            let mut flush = |size: &mut u64, count: &mut usize| {
-                total += *count;
-                if (*size as f64) * 8.0 / q3_bps >= 600.0 {
-                    suitable += *count;
-                }
-                *size = 0;
-                *count = 0;
-            };
-            for r in recs {
-                if count > 0 && r.start_unix_us - end > gap_us {
-                    flush(&mut size, &mut count);
-                    end = i64::MIN;
-                }
-                size += r.size_bytes;
-                count += 1;
-                end = end.max(r.end_unix_us());
-            }
-            flush(&mut size, &mut count);
-        }
-        if total == 0 {
-            0.0
-        } else {
-            suitable as f64 / total as f64 * 100.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,17 +129,6 @@ mod tests {
         let m = CollectorModel { udp_loss: 0.2, disabled_servers: HashSet::new() };
         assert_eq!(m.collect(&ds, 9), m.collect(&ds, 9));
         assert_ne!(m.collect(&ds, 9), m.collect(&ds, 10));
-    }
-
-    #[test]
-    fn robustness_check_stays_close_under_mild_loss() {
-        // One big session: the transfer-percentage metric barely moves
-        // when a few records drop.
-        let ds = dataset(400, "srv");
-        let m = CollectorModel { udp_loss: 0.05, disabled_servers: HashSet::new() };
-        let (local, central) = robustness_check(&ds, &m, 11);
-        assert!(local > 90.0, "local {local}");
-        assert!((local - central).abs() < 15.0, "local {local} central {central}");
     }
 
     #[test]

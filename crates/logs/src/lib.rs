@@ -19,7 +19,7 @@ pub mod record;
 pub mod snmp;
 
 pub use anonymize::anonymize_dataset;
-pub use collector::{robustness_check, CollectorModel};
+pub use collector::CollectorModel;
 pub use dataset::Dataset;
 pub use io::{parse_dataset, write_dataset, ParseError};
 pub use record::{EndpointKind, TransferRecord, TransferType};

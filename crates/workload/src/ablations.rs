@@ -11,13 +11,10 @@
 //! * [`isolation_sweep`] — general-purpose flow jitter with and
 //!   without α-flow virtual-queue isolation (positive #3);
 //! * [`setup_delay_sweep`] — VC-suitable session fraction as a
-//!   continuous function of setup delay (generalizes Table IV);
-//! * [`gap_sweep`] — session structure as a function of `g`
-//!   (generalizes Table III).
+//!   continuous function of setup delay (generalizes Table IV).
 
-use gvc_core::gap_sensitivity::{gap_sensitivity, GapRow};
-use gvc_core::sessions::group_sessions;
-use gvc_core::vc_suitability::{vc_suitability, VcSuitability, DEFAULT_OVERHEAD_FACTOR};
+use gvc_core::sweep::sweep_dataset;
+use gvc_core::vc_suitability::{VcSuitability, DEFAULT_OVERHEAD_FACTOR};
 use gvc_engine::SimSpan;
 use gvc_engine::SimTime;
 use gvc_gridftp::driver::Driver;
@@ -157,15 +154,9 @@ pub fn isolation_sweep(gp_util: f64, alpha_utils: &[f64]) -> Vec<IsolationPoint>
 }
 
 /// Suitability percentages over a continuous setup-delay sweep
-/// (g = 1 min grouping).
+/// (g = 1 min grouping): one sweep at a single gap.
 pub fn setup_delay_sweep(ds: &Dataset, delays_s: &[f64]) -> Vec<VcSuitability> {
-    let grouping = group_sessions(ds, 60.0);
-    delays_s.iter().map(|&d| vc_suitability(&grouping, ds, d, DEFAULT_OVERHEAD_FACTOR)).collect()
-}
-
-/// Session structure over a `g` sweep.
-pub fn gap_sweep(ds: &Dataset, gaps_s: &[f64]) -> Vec<GapRow> {
-    gap_sensitivity(ds, gaps_s)
+    sweep_dataset(ds, &[60.0], delays_s, DEFAULT_OVERHEAD_FACTOR).cells
 }
 
 /// One point of the call-blocking curve.

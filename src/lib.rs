@@ -68,7 +68,7 @@ pub use gvc_workload as workload;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use gvc_core::{feasibility_report, group_sessions, vc_suitability, FeasibilityReport};
+    pub use gvc_core::{feasibility_report, sweep_dataset, FeasibilityReport, SessionStore};
     pub use gvc_engine::{SimSpan, SimTime};
     pub use gvc_faults::{FaultPlan, RecoveryPolicy};
     pub use gvc_gridftp::{Driver, ServerCaps, SessionSpec, TransferJob};
