@@ -1,12 +1,13 @@
 //! Microbenchmarks of the fault/recovery subsystem.
 //!
 //! The headline comparison is `driver/no_recovery` vs
-//! `driver/inert_recovery`: an identical simulated workload run with
-//! the legacy single-shot circuit path and with the full recovery
-//! chain attached but given an inert fault plan. The two should be
-//! within noise of each other — recovery bookkeeping must cost
-//! nothing when nothing fails. The policy benches pin down the cost
-//! of a single decision on the hot retry path.
+//! `driver/inert_recovery`: an identical simulated workload run
+//! without a recovery policy (the driver's single-attempt policy) and
+//! with the default policy and an inert fault plan. Both take the same
+//! establishment routine, so the two should be within noise of each
+//! other — recovery bookkeeping must cost nothing when nothing fails.
+//! The policy benches pin down the cost of a single decision on the
+//! hot retry path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gvc_engine::SimTime;

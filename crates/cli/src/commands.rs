@@ -6,7 +6,9 @@ use gvc_core::vc_suitability::DEFAULT_OVERHEAD_FACTOR;
 use gvc_core::ResilienceSummary;
 use gvc_engine::SimTime;
 use gvc_faults::FaultPlan;
-use gvc_gridftp::{Driver, ServerCaps, SessionSpec, Shards, TransferJob, VcRequestSpec};
+use gvc_gridftp::{
+    Driver, DriverOutput, ServerCaps, SessionSpec, Shards, TransferJob, VcRequestSpec,
+};
 use gvc_logs::anonymize::{anonymize_dataset, AnonymizePolicy};
 use gvc_logs::{parse_dataset, write_dataset, Dataset};
 use gvc_net::NetworkSim;
@@ -404,17 +406,58 @@ pub(crate) fn parse_shards(a: &ParsedArgs) -> Result<Shards, CliError> {
     }
 }
 
+/// The study run `simulate` and `serve-metrics` share, parsed from
+/// `--seed`, `--jobs`, `--horizon`, `--faults` and `--shards`.
+pub(crate) struct StudyRun {
+    seed: u64,
+    jobs: usize,
+    horizon: SimTime,
+    faults: Option<FaultPlan>,
+    shards: Shards,
+}
+
+impl StudyRun {
+    /// Parses the shared flags; `default_jobs` is the command's own
+    /// `--jobs` default. A horizon the sim clock cannot hold is
+    /// refused here rather than panicking mid-run.
+    pub(crate) fn parse(a: &ParsedArgs, default_jobs: usize) -> Result<StudyRun, CliError> {
+        let seed: u64 = a.flag_or("seed", 42u64)?;
+        let jobs: usize = a.flag_or("jobs", default_jobs)?;
+        if jobs == 0 {
+            return Err(CliError("--jobs must be positive".into()));
+        }
+        let horizon_s: f64 = a.flag_or("horizon", 100_000.0)?;
+        let horizon =
+            SimTime::try_from_secs_f64(horizon_s).filter(|_| horizon_s > 0.0).ok_or_else(|| {
+                CliError("--horizon must be positive and within the sim clock's range".into())
+            })?;
+        let faults = a
+            .flags
+            .get("faults")
+            .map(|spec| FaultPlan::parse(spec).map_err(|e| CliError(e.to_string())))
+            .transpose()?;
+        Ok(StudyRun { seed, jobs, horizon, faults, shards: parse_shards(a)? })
+    }
+
+    /// Runs `d` to the horizon and, when a flight recorder is
+    /// attached, records per-link utilisation from the merged integer
+    /// SNMP bins, so the timeline stays shard-invariant.
+    pub(crate) fn run(&self, d: Driver, telemetry: &Telemetry) -> DriverOutput {
+        let result = d.run_sharded(self.horizon, self.shards);
+        if let Some(tl) = &telemetry.timeline {
+            result.sim.record_timeline(tl);
+        }
+        result
+    }
+}
+
 /// Builds the canonical study workload shared by `simulate` and
 /// `serve-metrics`: NERSC→ORNL over the study topology, one
 /// circuit-backed bulk session of `jobs` transfers plus standalone
 /// best-effort transfers, so kernel, IDC, transfer, and net activity
 /// all show up in a single instrumented run.
-pub(crate) fn study_driver(
-    seed: u64,
-    jobs: usize,
-    faults: Option<FaultPlan>,
-    telemetry: &Telemetry,
-) -> Driver {
+pub(crate) fn study_driver(run: &StudyRun, telemetry: &Telemetry) -> Driver {
+    let (seed, jobs) = (run.seed, run.jobs);
     let t = study_topology();
     let (nersc, ornl) = (t.dtn(Site::Nersc), t.dtn(Site::Ornl));
     let study_path = t.path(Site::Nersc, Site::Ornl);
@@ -439,8 +482,8 @@ pub(crate) fn study_driver(
             d.sim_mut().monitor_link(link);
         }
     }
-    if let Some(plan) = faults {
-        d = d.with_faults(plan);
+    if let Some(plan) = &run.faults {
+        d = d.with_faults(plan.clone());
     }
     let src = d.register_cluster("dtn.nersc.gov", nersc, ServerCaps::default(), 2);
     let dst = d.register_cluster("dtn.ornl.gov", ornl, ServerCaps::default(), 2);
@@ -465,30 +508,8 @@ fn cmd_simulate<W: Write>(
     telemetry: &Telemetry,
 ) -> Result<(), CliError> {
     let out = a.positional(1, "out")?.to_owned();
-    let seed: u64 = a.flag_or("seed", 42u64)?;
-    let jobs: usize = a.flag_or("jobs", 6usize)?;
-    let horizon: f64 = a.flag_or("horizon", 100_000.0)?;
-    if jobs == 0 {
-        return Err(CliError("--jobs must be positive".into()));
-    }
-    if !horizon.is_finite() || horizon <= 0.0 {
-        return Err(CliError("--horizon must be positive".into()));
-    }
-
-    let faults = a
-        .flags
-        .get("faults")
-        .map(|spec| FaultPlan::parse(spec).map_err(|e| CliError(e.to_string())))
-        .transpose()?;
-    let shards = parse_shards(a)?;
-
-    let d = study_driver(seed, jobs, faults, telemetry);
-    let result = d.run_sharded(SimTime::from_secs_f64(horizon), shards);
-    if let Some(tl) = &telemetry.timeline {
-        // Per-link utilization is derived once, from the merged
-        // integer SNMP bins, so the timeline stays shard-invariant.
-        result.sim.record_timeline(tl);
-    }
+    let run = StudyRun::parse(a, 6)?;
+    let result = run.run(study_driver(&run, telemetry), telemetry);
     let emit_phase = telemetry.perf.phase("report_emission");
     save(&out, &result.log)?;
     drop(emit_phase);

@@ -11,9 +11,7 @@
 //! non-zero when any rule fails.
 
 use crate::args::{CliError, ParsedArgs};
-use crate::commands::{parse_shards, study_driver};
-use gvc_engine::SimTime;
-use gvc_faults::FaultPlan;
+use crate::commands::{study_driver, StudyRun};
 use gvc_telemetry::{check_rules, parse_rules, sparkline, MetricsServer, Telemetry, TimelineDoc};
 use std::io::Write;
 use std::sync::Arc;
@@ -180,15 +178,7 @@ pub fn cmd_serve_metrics<W: Write>(
     telemetry: &Telemetry,
 ) -> Result<(), CliError> {
     let listen = a.str_flag_or("listen", "127.0.0.1:0").to_owned();
-    let seed: u64 = a.flag_or("seed", 42u64)?;
-    let jobs: usize = a.flag_or("jobs", 4usize)?;
-    let horizon: f64 = a.flag_or("horizon", 100_000.0)?;
-    if jobs == 0 {
-        return Err(CliError("--jobs must be positive".into()));
-    }
-    if !horizon.is_finite() || horizon <= 0.0 {
-        return Err(CliError("--horizon must be positive".into()));
-    }
+    let run = StudyRun::parse(a, 4)?;
     let max_requests = match a.flags.get("max-requests") {
         None => None,
         Some(v) => Some(
@@ -196,12 +186,6 @@ pub fn cmd_serve_metrics<W: Write>(
                 .map_err(|_| CliError(format!("bad value for --max-requests: {v:?}")))?,
         ),
     };
-    let faults = a
-        .flags
-        .get("faults")
-        .map(|spec| FaultPlan::parse(spec).map_err(|e| CliError(e.to_string())))
-        .transpose()?;
-    let shards = parse_shards(a)?;
 
     let server =
         MetricsServer::bind(&listen, Arc::clone(&telemetry.registry), telemetry.timeline.clone())
@@ -217,12 +201,9 @@ pub fn cmd_serve_metrics<W: Write>(
     // handles are shared with the driver's telemetry context. The
     // driver is built first, so its metric families are registered
     // before the first scrape is answered.
-    let d = study_driver(seed, jobs, faults, telemetry);
+    let d = study_driver(&run, telemetry);
     let handle = std::thread::spawn(move || server.serve_requests(max_requests));
-    let result = d.run_sharded(SimTime::from_secs_f64(horizon), shards);
-    if let Some(tl) = &telemetry.timeline {
-        result.sim.record_timeline(tl);
-    }
+    let result = run.run(d, telemetry);
     writeln!(w, "simulated {} transfers; endpoint stays live", result.log.len())?;
     match handle.join() {
         Ok(Ok(served)) => {

@@ -58,6 +58,50 @@ fn simulate_rejects_fault_times_past_the_sim_clock() {
     }
 }
 
+/// A horizon the sim clock cannot hold is refused by both commands
+/// that drive the study run, naming `--horizon`, instead of panicking.
+#[test]
+fn study_runs_reject_horizons_past_the_sim_clock() {
+    let log = tmp("huge-horizon.log");
+    let log = log.to_str().unwrap();
+    let cases: &[&[&str]] = &[
+        &["simulate", log, "--horizon", "1e300"],
+        &["simulate", log, "--horizon", "0"],
+        &["simulate", log, "--horizon", "inf"],
+        &["serve-metrics", "--max-requests", "0", "--horizon", "1e300"],
+        &["serve-metrics", "--max-requests", "0", "--horizon", "-1"],
+    ];
+    for args in cases {
+        let out = gvc().args(*args).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("--horizon"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+/// A run without faults requests its circuit through the same
+/// establishment routine as a faulted one, so `trace sessions` counts
+/// the single attempt rather than reporting none.
+#[test]
+fn trace_sessions_counts_the_attempt_of_a_run_without_faults() {
+    let log = tmp("plain-attempts.log");
+    let trace = tmp("plain-attempts.jsonl");
+    let out = gvc()
+        .args(["simulate", log.to_str().unwrap(), "--seed", "7", "--jobs", "3"])
+        .args(["--trace", trace.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = gvc().args(["trace", "sessions", trace.to_str().unwrap()]).output().expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let circuit_session = text.lines().find(|l| l.contains("session   0")).expect("session 0 row");
+    assert!(circuit_session.contains("3 transfers, 1 attempts"), "{text}");
+    std::fs::remove_file(&log).ok();
+    std::fs::remove_file(&trace).ok();
+}
+
 #[test]
 fn full_workflow_through_files() {
     let log = tmp("wf.log");

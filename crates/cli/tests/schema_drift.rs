@@ -2,17 +2,17 @@
 //! `docs/observability.md` must stay in lockstep with what the code
 //! actually emits.
 //!
-//! Two instrumented `gvc simulate --faults` runs (one retry-heavy,
-//! one forced onto the IP fallback path) together exercise every span
-//! name in the driver path. The test then asserts:
+//! Three instrumented `gvc simulate` runs (one retry-heavy, one
+//! forced onto the IP fallback path, one without faults) together
+//! exercise every span name in the driver path. The test then asserts:
 //!
 //! * every emitted event `kind` appears in the documented kind table;
 //! * the emitted span-name set equals the documented
 //!   "Span names (`gvc simulate`)" table exactly — a new or renamed
 //!   span without a docs row fails, and so does a documented span the
 //!   simulation no longer produces;
-//! * the interdomain-API span table matches the names pinned by the
-//!   `gvc-oscars` recovery-chain test.
+//! * the run without faults requests its circuit through the same
+//!   `vc.attempt` span as the faulted runs.
 
 use gvc_cli::{parse_flags, run_command};
 use std::collections::BTreeSet;
@@ -25,13 +25,15 @@ fn tmpfile(name: &str) -> String {
     p.to_string_lossy().into_owned()
 }
 
-/// Run `gvc simulate` in-process and return the (kinds, span names)
-/// observed in its trace file.
-fn simulate(tag: &str, faults: &str) -> (BTreeSet<String>, BTreeSet<String>) {
+/// Run `gvc simulate` in-process, with `--faults` when given, and
+/// return the (kinds, span names) observed in its trace file.
+fn simulate(tag: &str, faults: Option<&str>) -> (BTreeSet<String>, BTreeSet<String>) {
     let log = tmpfile(&format!("{tag}.log"));
     let trace = tmpfile(&format!("{tag}.jsonl"));
-    let argv =
-        ["simulate", &log, "--seed", "7", "--jobs", "3", "--faults", faults, "--trace", &trace];
+    let mut argv = vec!["simulate", &log, "--seed", "7", "--jobs", "3", "--trace", &trace];
+    if let Some(spec) = faults {
+        argv.extend(["--faults", spec]);
+    }
     let parsed =
         parse_flags(argv.iter().map(std::string::ToString::to_string)).expect("parse argv");
     let mut out = Vec::new();
@@ -83,17 +85,22 @@ fn emitted_trace_schema_matches_the_documentation() {
 
     let kinds_doc = documented(&doc, "Trace event schema", true);
     let spans_doc = documented(&doc, "Span names (`gvc simulate`)", true);
-    let api_doc = documented(&doc, "Span names (interdomain API)", true);
     assert!(kinds_doc.len() >= 20, "kind table parsed: {kinds_doc:?}");
     assert!(!spans_doc.is_empty(), "simulate span table parsed");
 
     // fail-first=1 exercises retry + established (vc.attempt, vc.backoff,
     // circuit.lifetime, idc.setup); fail-first=100 forces the fallback
-    // path (session.fallback). Union covers every driver span name.
-    let (k1, s1) = simulate("retry", "seed=1,fail-first=1");
-    let (k2, s2) = simulate("fallback", "seed=1,fail-first=100");
-    let kinds: BTreeSet<String> = k1.union(&k2).cloned().collect();
-    let spans: BTreeSet<String> = s1.union(&s2).cloned().collect();
+    // path (session.fallback); the plain run takes the single-attempt
+    // policy. Union covers every driver span name.
+    let (k1, s1) = simulate("retry", Some("seed=1,fail-first=1"));
+    let (k2, s2) = simulate("fallback", Some("seed=1,fail-first=100"));
+    let (k3, s3) = simulate("plain", None);
+    assert!(
+        s3.contains("session.vc_setup") && s3.contains("vc.attempt"),
+        "a run without faults must request its circuit through vc.attempt: {s3:?}"
+    );
+    let kinds: BTreeSet<String> = k1.iter().chain(&k2).chain(&k3).cloned().collect();
+    let spans: BTreeSet<String> = s1.iter().chain(&s2).chain(&s3).cloned().collect();
 
     for k in &kinds {
         assert!(
@@ -107,16 +114,6 @@ fn emitted_trace_schema_matches_the_documentation() {
         spans, spans_doc,
         "span names emitted by `gvc simulate --faults` must match the \
          \"Span names (`gvc simulate`)\" table in docs/observability.md"
-    );
-
-    let api_expected: BTreeSet<String> = ["idc.interdomain", "idc.attempt", "idc.backoff"]
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
-    assert_eq!(
-        api_doc, api_expected,
-        "interdomain span table must list the names emitted by \
-         gvc_oscars::create_circuit_with_recovery"
     );
 }
 

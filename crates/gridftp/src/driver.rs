@@ -84,6 +84,20 @@ impl DriverTelemetry {
     }
 }
 
+/// The policy a run without [`Driver::with_recovery`] or
+/// [`Driver::with_faults`] applies: one attempt with no setup deadline,
+/// after which the session gives the circuit up and runs over routed
+/// IP without counting as a fallback.
+const SINGLE_ATTEMPT: RecoveryPolicy = RecoveryPolicy {
+    max_retries: 0,
+    base_backoff_s: 0.0,
+    backoff_factor: 1.0,
+    max_backoff_s: 0.0,
+    jitter_frac: 0.0,
+    setup_deadline_s: f64::INFINITY,
+    fallback_to_ip: false,
+};
+
 /// Tag marking background flows (excluded from the usage log).
 pub const BACKGROUND_TAG: u64 = u64::MAX;
 
@@ -221,6 +235,8 @@ pub struct Driver {
     next_tag: u64,
     idc: Option<Idc>,
     faults: Option<FaultInjector>,
+    /// The configured recovery policy. `None` runs each circuit
+    /// request under [`SINGLE_ATTEMPT`] and reports no resilience.
     recovery: Option<RecoveryPolicy>,
     vc_requested: u64,
     vc_established: u64,
@@ -312,9 +328,9 @@ impl Driver {
         }
     }
 
-    /// Attaches a fault plan, returning `self`. Sessions requesting
-    /// circuits then run the recovery chain (default
-    /// [`RecoveryPolicy`] unless [`Driver::with_recovery`] set one).
+    /// Attaches a fault plan, returning `self`. Circuit requests then
+    /// retry and fall back under the default [`RecoveryPolicy`] unless
+    /// [`Driver::with_recovery`] set one.
     pub fn with_faults(mut self, plan: FaultPlan) -> Driver {
         self.faults = Some(FaultInjector::new(plan));
         if self.recovery.is_none() {
@@ -323,8 +339,8 @@ impl Driver {
         self
     }
 
-    /// Sets the circuit-recovery policy, returning `self`. Enables the
-    /// retry/backoff/fallback chain even without a fault plan.
+    /// Sets the circuit-recovery policy, returning `self`. Enables
+    /// retries, backoff and fallback even without a fault plan.
     pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Driver {
         self.recovery = Some(policy);
         self
@@ -526,11 +542,7 @@ impl Driver {
 
     fn start_session(&mut self, idx: usize) {
         let now = self.sim.now();
-        // Optional circuit for the session.
-        let (src, dst, vc_spec) = {
-            let s = &self.sessions[idx];
-            (s.src, s.dst, s.spec.vc)
-        };
+        let vc_spec = self.sessions[idx].spec.vc;
         if let Some(t) = &self.telemetry {
             t.tally(&t.sessions_started, series::DRIVER_SESSION_STARTS, now.micros());
             let (jobs, conc) = {
@@ -554,85 +566,34 @@ impl Driver {
         self.sessions[idx].span = session_span;
         self.sessions[idx].wait_span =
             self.tracer().span_enter(session_span, now.micros() as i64, "session.queue_wait");
-        if vc_spec.is_some() && self.idc.is_some() {
-            self.vc_requested += 1;
-            if self.recovery.is_some() {
-                // Recovery chain: bounded retries with backoff, then
-                // fallback to the routed IP path.
-                self.sessions[idx].vc_started = Some(now);
-                if self.try_establish_vc(idx) {
-                    return;
-                }
-            } else if let Some(vc) = vc_spec {
-                // Legacy single-shot path, kept bit-for-bit: no faults
-                // or recovery configured.
-                let vc_span = self.tracer().span_enter_with(
-                    session_span,
-                    now.micros() as i64,
-                    "session.vc_setup",
-                    |ev| ev.field("session", idx),
-                );
-                let req = ReservationRequest {
-                    src: self.clusters[src.0].node,
-                    dst: self.clusters[dst.0].node,
-                    rate_bps: vc.rate_bps,
-                    start: now,
-                    end: now + SimSpan::from_secs_f64(vc.max_duration_s),
-                };
-                // Provisioning a freshly admitted reservation cannot
-                // fail; if it somehow does, the session simply runs
-                // IP-routed.
-                let admitted = self.idc.as_mut().and_then(|idc| {
-                    let id = idc.create_reservation(req).ok()?;
-                    Some((id, idc.provision(id, now)))
-                });
-                let outcome = match admitted {
-                    Some((id, Ok(ready))) => {
-                        self.sessions[idx].vc = Some((id, ready, vc.rate_bps));
-                        self.vc_established += 1;
-                        if let Some(tl) = self.tl() {
-                            let setup_s = (ready - now).as_secs_f64();
-                            tl.observe(series::DRIVER_VC_SETUP, now.micros(), setup_s);
-                        }
-                        self.tracer().span_exit_with(vc_span, ready.micros() as i64, |ev| {
-                            ev.field("outcome", "established")
-                        });
-                        if vc.wait_for_circuit {
-                            self.pending.schedule(ready, Event::LaunchNext(idx));
-                            return;
-                        }
-                        self.launch_ready_jobs(idx);
-                        return;
-                    }
-                    Some((_, Err(_))) => "provision_error",
-                    None => "blocked",
-                };
-                self.tracer().span_exit_with(vc_span, now.micros() as i64, |ev| {
-                    ev.field("outcome", outcome)
-                });
-            }
+        if !self.try_establish_vc(idx) {
+            self.launch_ready_jobs(idx);
         }
-        self.launch_ready_jobs(idx);
     }
 
-    /// One circuit-establishment attempt under the recovery chain.
-    /// Returns `true` when job launch is deferred (waiting on the
-    /// circuit, either now provisioned or still being retried).
+    /// One circuit-establishment attempt: every circuit request, first
+    /// or retried, goes through here, and the recovery policy decides
+    /// what a failed attempt leads to. Returns `true` when job launch
+    /// is deferred (waiting on the circuit, either now provisioned or
+    /// still being retried).
     fn try_establish_vc(&mut self, idx: usize) -> bool {
         let now = self.sim.now();
         let (src, dst, vc) = {
             let s = &self.sessions[idx];
             (s.src, s.dst, s.spec.vc)
         };
-        let (Some(vc), Some(policy)) = (vc, self.recovery) else {
+        let Some(vc) = vc else {
             return false;
         };
         if self.idc.is_none() {
             return false;
         }
+        let policy = self.recovery.unwrap_or(SINGLE_ATTEMPT);
         self.sessions[idx].vc_attempts += 1;
         let attempt = self.sessions[idx].vc_attempts;
-        if self.sessions[idx].vc_span.is_none() {
+        if attempt == 1 {
+            self.vc_requested += 1;
+            self.sessions[idx].vc_started = Some(now);
             self.sessions[idx].vc_span = self.tracer().span_enter_with(
                 self.sessions[idx].span,
                 now.micros() as i64,
@@ -761,53 +722,45 @@ impl Driver {
                 // best-effort ones start IP-routed immediately.
                 vc.wait_for_circuit
             }
-            RecoveryAction::FallbackToIp => {
-                self.fallbacks += 1;
-                if let Some(t) = &self.telemetry {
-                    t.tally(&t.faults.fallback_ip, series::DRIVER_FALLBACKS, now.micros());
+            action => {
+                // The pursuit ends: either fall back to the routed IP
+                // path (tallied and marked as a fallback) or give the
+                // circuit up. Transfers run over IP either way.
+                let fell_back = action == RecoveryAction::FallbackToIp;
+                let outcome = if fell_back { "fallback_ip" } else { "giveup" };
+                if fell_back {
+                    self.fallbacks += 1;
+                    if let Some(t) = &self.telemetry {
+                        t.tally(&t.faults.fallback_ip, series::DRIVER_FALLBACKS, now.micros());
+                    }
                 }
                 self.record_recovery_latency(waited_s);
                 self.sessions[idx].vc_given_up = true;
                 self.tracer().span_exit_with(attempt_span, now.micros() as i64, |ev| {
-                    ev.field("outcome", "fallback_ip").field("reason", reason)
+                    ev.field("outcome", outcome).field("reason", reason)
                 });
                 self.tracer().span_exit_with(vc_span, now.micros() as i64, |ev| {
-                    ev.field("outcome", "fallback_ip")
+                    ev.field("outcome", outcome)
                 });
                 self.sessions[idx].vc_span = SpanId::NONE;
-                let marker = self.tracer().span_enter_with(
-                    self.sessions[idx].span,
-                    now.micros() as i64,
-                    "session.fallback",
-                    |ev| ev.field("session", idx).field("reason", reason),
-                );
-                self.tracer().span_exit(marker, now.micros() as i64);
+                if fell_back {
+                    let marker = self.tracer().span_enter_with(
+                        self.sessions[idx].span,
+                        now.micros() as i64,
+                        "session.fallback",
+                        |ev| ev.field("session", idx).field("reason", reason),
+                    );
+                    self.tracer().span_exit(marker, now.micros() as i64);
+                }
                 self.tracer().emit_with(|| {
-                    TraceEvent::new(now.micros() as i64, "recovery.fallback")
-                        .field("session", idx)
-                        .field("attempts", attempt)
-                        .field("reason", reason)
+                    let t_us = now.micros() as i64;
+                    let ev = if fell_back {
+                        TraceEvent::new(t_us, "recovery.fallback")
+                    } else {
+                        TraceEvent::new(t_us, "recovery.giveup")
+                    };
+                    ev.field("session", idx).field("attempts", attempt).field("reason", reason)
                 });
-                false
-            }
-            RecoveryAction::GiveUp => {
-                self.record_recovery_latency(waited_s);
-                self.sessions[idx].vc_given_up = true;
-                self.tracer().span_exit_with(attempt_span, now.micros() as i64, |ev| {
-                    ev.field("outcome", "giveup").field("reason", reason)
-                });
-                self.tracer().span_exit_with(vc_span, now.micros() as i64, |ev| {
-                    ev.field("outcome", "giveup")
-                });
-                self.sessions[idx].vc_span = SpanId::NONE;
-                self.tracer().emit_with(|| {
-                    TraceEvent::new(now.micros() as i64, "recovery.giveup")
-                        .field("session", idx)
-                        .field("attempts", attempt)
-                        .field("reason", reason)
-                });
-                // Transfers still run (the paper's workloads move with
-                // or without a circuit); only the circuit is abandoned.
                 false
             }
         }
@@ -2087,6 +2040,51 @@ mod tests {
             max_duration_s: 3600.0,
             wait_for_circuit: true,
         }
+    }
+
+    /// Without a recovery policy a circuit request gets one attempt: a
+    /// blocked request gives the circuit up, the transfer runs over IP,
+    /// and nothing is tallied as a fallback or reported as resilience.
+    #[test]
+    fn blocked_request_without_policy_gives_up_after_one_attempt() {
+        use gvc_telemetry::RingSink;
+        let (d, a, b) = vc_driver(7);
+        let ring = Arc::new(RingSink::new(16384));
+        let ctx = Telemetry::with_sink(ring.clone());
+        let mut d = d.with_telemetry(&ctx);
+        // Far more than any study link carries: admission blocks.
+        let vc = crate::session::VcRequestSpec { rate_bps: 1e15, ..vc_spec() };
+        d.schedule_session(
+            SimTime::ZERO,
+            a,
+            b,
+            SessionSpec::sequential(vec![job(64)], 0.0).with_vc(vc),
+        );
+        let out = d.run(SimTime::from_secs(100_000));
+        assert_eq!(out.log.len(), 1, "the transfer still runs, IP-routed");
+        assert!(out.resilience.is_none());
+        assert_eq!(out.idc_stats.unwrap().blocked, 1);
+        assert_eq!(ctx.registry.counter("fallback_ip_total", &[]).get(), 0);
+
+        let text: String = ring
+            .events()
+            .iter()
+            .map(gvc_telemetry::TraceEvent::to_json)
+            .collect::<Vec<_>>()
+            .join("\n");
+        let model = gvc_telemetry::TraceModel::from_text(&text).expect("trace parses");
+        let ends: Vec<(&str, &str)> = model
+            .records
+            .iter()
+            .filter(|r| r.kind == "span.end")
+            .filter_map(|r| Some((r.text("outcome")?, r.text("reason").unwrap_or(""))))
+            .collect();
+        assert_eq!(ends, vec![("giveup", "blocked"), ("giveup", "")], "vc.attempt, vc_setup");
+        assert!(model.records.iter().any(|r| r.kind == "recovery.giveup"));
+        let names: Vec<&str> = model.spans.iter().map(|s| s.name.as_str()).collect();
+        assert!(!names.contains(&"session.fallback"), "{names:?}");
+        let rows = gvc_telemetry::sessions(&model);
+        assert_eq!((rows[0].attempts, rows[0].fallback), (1, false));
     }
 
     #[test]

@@ -19,10 +19,7 @@
 
 use crate::idc::{BlockReason, Idc};
 use crate::reservation::{ReservationId, ReservationRequest};
-use gvc_engine::{SimSpan, SimTime};
-use gvc_faults::telemetry::FaultTelemetry;
-use gvc_faults::{FaultInjector, FaultKind, RecoveryAction, RecoveryPolicy};
-use gvc_telemetry::{SpanId, Telemetry, TraceEvent};
+use gvc_engine::SimTime;
 use gvc_topology::NodeId;
 use std::collections::HashMap;
 
@@ -208,181 +205,11 @@ impl InterDomainController {
         }
     }
 
-    /// Total reservations still open across every domain (leak check
-    /// for the resilience harness).
+    /// Total reservations still open across every domain (a leak
+    /// check: a blocked request must leave none behind).
     pub fn open_reservations(&self) -> usize {
         self.domains.iter().map(|d| d.idc.open_reservations()).sum()
     }
-
-    /// [`Self::create_circuit`] under a recovery policy: injected
-    /// signalling failures and setup timeouts (plus genuine admission
-    /// blocks) are retried with the policy's backoff, and exhausting
-    /// the budget falls back to the routed IP path when the policy
-    /// allows. Every failed attempt tears its partial circuit down —
-    /// no attempt ever leaks a reservation.
-    ///
-    /// Waiting is virtual: the returned outcome's `finished_at` is
-    /// `now` plus all backoff delays spent, which callers fold into
-    /// their own clocks. Faults, retries, fallbacks and the recovery
-    /// latency are counted, traced and windowed through `telemetry`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn create_circuit_with_recovery(
-        &mut self,
-        src_label: &str,
-        dst_label: &str,
-        rate_bps: f64,
-        start: SimTime,
-        end: SimTime,
-        now: SimTime,
-        policy: &RecoveryPolicy,
-        injector: &mut FaultInjector,
-        telemetry: &Telemetry,
-    ) -> RecoveryOutcome {
-        let faults = FaultTelemetry::new(telemetry);
-        let tracer = &telemetry.tracer;
-        let seed = injector.plan().seed;
-        let mut at = now;
-        let mut attempts = 0u32;
-        // The whole establishment sequence as one span, each attempt
-        // and each backoff wait as children.
-        let chain =
-            tracer.span_enter_with(SpanId::NONE, now.micros() as i64, "idc.interdomain", |ev| {
-                ev.field("rate_bps", rate_bps)
-            });
-        loop {
-            attempts += 1;
-            let attempt_span =
-                tracer.span_enter_with(chain, at.micros() as i64, "idc.attempt", |ev| {
-                    ev.field("attempt", u64::from(attempts))
-                });
-            let fault = injector.provision_fault();
-            let result = self.create_circuit(src_label, dst_label, rate_bps, start, end, at);
-            let failure = match (fault, result) {
-                (None, Ok(circuit)) => {
-                    let late = (circuit.ready_at - at).as_secs_f64() > policy.setup_deadline_s;
-                    if late {
-                        // A genuine (non-injected) setup timeout: the
-                        // chain answered too slowly to be useful.
-                        self.teardown(&circuit, at);
-                        AttemptFailure::Fault(FaultKind::SetupTimeout)
-                    } else {
-                        faults.recovery_latency.record((at - now).as_secs_f64());
-                        tracer.emit_with(|| {
-                            TraceEvent::new(at.micros() as i64, "recovery.established")
-                                .field("attempts", u64::from(attempts))
-                                .field("waited_s", (at - now).as_secs_f64())
-                        });
-                        tracer.span_exit(attempt_span, at.micros() as i64);
-                        tracer.span_exit_with(chain, at.micros() as i64, |ev| {
-                            ev.field("outcome", "established")
-                        });
-                        return RecoveryOutcome {
-                            result: CircuitResult::Established(circuit),
-                            attempts,
-                            finished_at: at,
-                        };
-                    }
-                }
-                (Some(kind), result) => {
-                    // Injected fault. If admission succeeded underneath
-                    // the failed signalling exchange, release it — the
-                    // provider side admitted state the client never
-                    // learned about.
-                    if let Ok(circuit) = result {
-                        self.teardown(&circuit, at);
-                    }
-                    faults.count_injected(kind, at.micros());
-                    tracer.emit_with(|| {
-                        TraceEvent::new(at.micros() as i64, "fault.injected")
-                            .field("fault", kind.as_str())
-                            .field("attempt", u64::from(attempts))
-                    });
-                    AttemptFailure::Fault(kind)
-                }
-                (None, Err(block)) => AttemptFailure::Blocked(block),
-            };
-
-            match policy.decide(seed, attempts) {
-                RecoveryAction::Retry { delay_s_micros } => {
-                    faults.retries.inc();
-                    tracer.emit_with(|| {
-                        TraceEvent::new(at.micros() as i64, "recovery.retry")
-                            .field("attempt", u64::from(attempts))
-                            .field("delay_s", delay_s_micros as f64 / 1e6)
-                    });
-                    tracer.span_exit(attempt_span, at.micros() as i64);
-                    let backoff = tracer.span_enter(chain, at.micros() as i64, "idc.backoff");
-                    at += SimSpan(delay_s_micros as i64);
-                    tracer.span_exit(backoff, at.micros() as i64);
-                }
-                RecoveryAction::FallbackToIp => {
-                    faults.fallback_ip.inc();
-                    faults.recovery_latency.record((at - now).as_secs_f64());
-                    tracer.emit_with(|| {
-                        TraceEvent::new(at.micros() as i64, "recovery.fallback")
-                            .field("attempts", u64::from(attempts))
-                    });
-                    tracer.span_exit(attempt_span, at.micros() as i64);
-                    tracer.span_exit_with(chain, at.micros() as i64, |ev| {
-                        ev.field("outcome", "fallback_ip")
-                    });
-                    return RecoveryOutcome {
-                        result: CircuitResult::FellBack(failure),
-                        attempts,
-                        finished_at: at,
-                    };
-                }
-                RecoveryAction::GiveUp => {
-                    faults.recovery_latency.record((at - now).as_secs_f64());
-                    tracer.emit_with(|| {
-                        TraceEvent::new(at.micros() as i64, "recovery.giveup")
-                            .field("attempts", u64::from(attempts))
-                    });
-                    tracer.span_exit(attempt_span, at.micros() as i64);
-                    tracer.span_exit_with(chain, at.micros() as i64, |ev| {
-                        ev.field("outcome", "giveup")
-                    });
-                    return RecoveryOutcome {
-                        result: CircuitResult::Abandoned(failure),
-                        attempts,
-                        finished_at: at,
-                    };
-                }
-            }
-        }
-    }
-}
-
-/// Why one establishment attempt failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AttemptFailure {
-    /// An injected fault (or a genuine setup timeout).
-    Fault(FaultKind),
-    /// The admission chain itself blocked the request.
-    Blocked(InterDomainBlock),
-}
-
-/// Terminal result of a recovered establishment sequence.
-#[derive(Debug, Clone)]
-pub enum CircuitResult {
-    /// The circuit came up.
-    Established(InterDomainCircuit),
-    /// Retries exhausted; the transfer should run over routed IP.
-    FellBack(AttemptFailure),
-    /// Retries exhausted and the policy forbids fallback.
-    Abandoned(AttemptFailure),
-}
-
-/// What [`InterDomainController::create_circuit_with_recovery`]
-/// reports back.
-#[derive(Debug, Clone)]
-pub struct RecoveryOutcome {
-    /// Established, fell back, or abandoned.
-    pub result: CircuitResult,
-    /// Establishment attempts made (≤ the policy's budget).
-    pub attempts: u32,
-    /// `now` plus all backoff waits spent.
-    pub finished_at: SimTime,
 }
 
 #[cfg(test)]
@@ -540,142 +367,6 @@ mod tests {
         let esnet_seg = c.domains[0].idc.reservation(ReservationId(0)).expect("was admitted");
         assert_eq!(esnet_seg.state, ReservationState::Released);
         assert_eq!(c.open_reservations(), 1, "only the fill may stay open");
-    }
-
-    #[test]
-    fn recovery_retries_then_establishes() {
-        use gvc_faults::{FaultInjector, FaultPlan, RecoveryPolicy};
-        let mut c = controller(10e9);
-        // First two attempts die on injected signalling failures; the
-        // third succeeds within the default budget of 4 attempts.
-        let plan = FaultPlan { fail_first_provisions: 2, ..FaultPlan::default() };
-        let mut inj = FaultInjector::new(plan);
-        let tel = Telemetry::metrics_only();
-        let out = c.create_circuit_with_recovery(
-            "ep-a",
-            "ep-b",
-            4e9,
-            t(0),
-            t(3600),
-            t(0),
-            &RecoveryPolicy::default(),
-            &mut inj,
-            &tel,
-        );
-        assert_eq!(out.attempts, 3);
-        assert!(matches!(out.result, CircuitResult::Established(_)));
-        assert!(out.finished_at > t(0), "backoff waits must advance the clock");
-        assert_eq!(tel.registry.counter("recovery_retries_total", &[]).get(), 2);
-        assert_eq!(tel.registry.counter("fallback_ip_total", &[]).get(), 0);
-        // The two failed attempts left nothing behind.
-        let CircuitResult::Established(circuit) = &out.result else { unreachable!() };
-        assert_eq!(c.open_reservations(), circuit.segments.len());
-    }
-
-    #[test]
-    fn recovery_chain_emits_paired_spans() {
-        use gvc_faults::{FaultInjector, FaultPlan, RecoveryPolicy};
-        use gvc_telemetry::{RingSink, TraceModel};
-        use std::sync::Arc;
-        let mut c = controller(10e9);
-        let plan = FaultPlan { fail_first_provisions: 2, ..FaultPlan::default() };
-        let mut inj = FaultInjector::new(plan);
-        let ring = Arc::new(RingSink::new(64));
-        let tel = Telemetry::with_sink(ring.clone());
-        let out = c.create_circuit_with_recovery(
-            "ep-a",
-            "ep-b",
-            4e9,
-            t(0),
-            t(3600),
-            t(0),
-            &RecoveryPolicy::default(),
-            &mut inj,
-            &tel,
-        );
-        assert_eq!(out.attempts, 3);
-        let text: String = ring
-            .events()
-            .iter()
-            .map(gvc_telemetry::TraceEvent::to_json)
-            .collect::<Vec<_>>()
-            .join("\n");
-        let model = TraceModel::from_text(&text).expect("parse own trace");
-        let names: Vec<&str> = model.spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "idc.interdomain",
-                "idc.attempt",
-                "idc.backoff",
-                "idc.attempt",
-                "idc.backoff",
-                "idc.attempt"
-            ]
-        );
-        // Every span closed, attempts/backoffs all children of the chain.
-        for s in &model.spans {
-            assert!(s.end_us.is_some(), "span {} never closed", s.name);
-            if s.name != "idc.interdomain" {
-                assert_eq!(s.parent, model.spans[0].id);
-            }
-        }
-        let chain = &model.spans[0];
-        assert_eq!(chain.end_us, Some(out.finished_at.micros() as i64));
-        let backoff_total: i64 = model
-            .spans
-            .iter()
-            .filter(|s| s.name == "idc.backoff")
-            .map(|s| s.end_us.unwrap_or(0) - s.start_us)
-            .sum();
-        assert_eq!(
-            backoff_total,
-            (out.finished_at - t(0)).0,
-            "backoff spans account for the whole virtual wait"
-        );
-    }
-
-    #[test]
-    fn recovery_exhaustion_falls_back_without_leaks() {
-        use gvc_faults::{FaultInjector, FaultPlan, RecoveryPolicy};
-        let mut c = controller(10e9);
-        let plan = FaultPlan { fail_first_provisions: 100, ..FaultPlan::default() };
-        let mut inj = FaultInjector::new(plan);
-        let tel = Telemetry::metrics_only();
-        let policy = RecoveryPolicy { max_retries: 2, ..RecoveryPolicy::default() };
-        let out = c.create_circuit_with_recovery(
-            "ep-a",
-            "ep-b",
-            4e9,
-            t(0),
-            t(3600),
-            t(0),
-            &policy,
-            &mut inj,
-            &tel,
-        );
-        assert_eq!(out.attempts, 3);
-        assert!(matches!(out.result, CircuitResult::FellBack(_)));
-        assert_eq!(tel.registry.counter("fallback_ip_total", &[]).get(), 1);
-        assert_eq!(c.open_reservations(), 0, "failed attempts leaked reservations");
-
-        // Same plan with fallback disabled: abandoned instead.
-        let mut inj2 =
-            FaultInjector::new(FaultPlan { fail_first_provisions: 100, ..FaultPlan::default() });
-        let strict = RecoveryPolicy { fallback_to_ip: false, ..policy };
-        let out2 = c.create_circuit_with_recovery(
-            "ep-a",
-            "ep-b",
-            4e9,
-            t(0),
-            t(3600),
-            t(0),
-            &strict,
-            &mut inj2,
-            &tel,
-        );
-        assert!(matches!(out2.result, CircuitResult::Abandoned(_)));
-        assert_eq!(c.open_reservations(), 0);
     }
 
     #[test]

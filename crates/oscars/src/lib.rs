@@ -25,9 +25,6 @@ pub mod setup;
 
 pub use calendar::{LinkCalendar, NetworkCalendar};
 pub use idc::{BlockReason, Idc, IdcError, IdcStats};
-pub use interdomain::{
-    AttemptFailure, CircuitResult, Domain, InterDomainBlock, InterDomainCircuit,
-    InterDomainController, RecoveryOutcome,
-};
+pub use interdomain::{Domain, InterDomainBlock, InterDomainCircuit, InterDomainController};
 pub use reservation::{Reservation, ReservationId, ReservationRequest, ReservationState};
 pub use setup::SetupDelayModel;

@@ -26,6 +26,15 @@ use std::fmt;
 
 use gvc_faults::FaultPlan;
 
+use crate::workload::{reservation_window_s, MAX_FILE_BYTES};
+
+/// Largest time value a synthetic workload may carry, seconds (about
+/// 31 700 years). It sits far inside the sim clock's microsecond
+/// range, so every instant and span the runner derives from a spec
+/// (horizon plus drain slack, flash start plus window, a session's
+/// reservation window) fits the clock.
+pub const MAX_SPEC_SECS: f64 = 1e12;
+
 /// A parse or validation failure, pinned to a spec line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
@@ -644,17 +653,27 @@ impl ScenarioSpec {
                     Some((l, v)) => parse_pos_f64(l, key, &v),
                     None => Ok(default),
                 };
+                let opt_secs = |wl: &mut Section, key: &str, default: f64| match wl.take(key) {
+                    Some((l, v)) => {
+                        let x = parse_pos_f64(l, key, &v)?;
+                        if x > MAX_SPEC_SECS {
+                            return err(l, format!("`{key}` must be at most {MAX_SPEC_SECS:e} s"));
+                        }
+                        Ok(x)
+                    }
+                    None => Ok(default),
+                };
                 let sessions = opt_u32(&mut wl, "sessions", d.sessions)?;
-                let horizon_s = opt_f64(&mut wl, "horizon_s", d.horizon_s)?;
+                let horizon_s = opt_secs(&mut wl, "horizon_s", d.horizon_s)?;
                 let mean_interarrival_s =
-                    opt_f64(&mut wl, "mean_interarrival_s", d.mean_interarrival_s)?;
-                let burst_period_s = opt_f64(&mut wl, "burst_period_s", d.burst_period_s)?;
+                    opt_secs(&mut wl, "mean_interarrival_s", d.mean_interarrival_s)?;
+                let burst_period_s = opt_secs(&mut wl, "burst_period_s", d.burst_period_s)?;
                 let burst_sessions = opt_u32(&mut wl, "burst_sessions", d.burst_sessions)?;
-                let burst_window_s = opt_f64(&mut wl, "burst_window_s", d.burst_window_s)?;
-                let flash_at_s = opt_f64(&mut wl, "flash_at_s", d.flash_at_s)?;
+                let burst_window_s = opt_secs(&mut wl, "burst_window_s", d.burst_window_s)?;
+                let flash_at_s = opt_secs(&mut wl, "flash_at_s", d.flash_at_s)?;
                 let transfers_per_session =
                     opt_u32(&mut wl, "transfers_per_session", d.transfers_per_session)?;
-                let gap_s = opt_f64(&mut wl, "gap_s", d.gap_s)?;
+                let gap_s = opt_secs(&mut wl, "gap_s", d.gap_s)?;
                 let median_size_mb = opt_f64(&mut wl, "median_size_mb", d.median_size_mb)?;
                 let mean_size_mb = opt_f64(&mut wl, "mean_size_mb", d.mean_size_mb)?;
                 let vc_fraction = match wl.take("vc_fraction") {
@@ -683,6 +702,16 @@ impl ScenarioSpec {
                 }
                 if mean_size_mb <= median_size_mb {
                     return err(wl.line, "`mean_size_mb` must exceed `median_size_mb`");
+                }
+                let worst_total_bytes = f64::from(transfers_per_session) * MAX_FILE_BYTES;
+                if reservation_window_s(worst_total_bytes, vc_rate_gbps * 1e9) > MAX_SPEC_SECS {
+                    return err(
+                        wl.line,
+                        format!(
+                            "`vc_rate_gbps` is too low: a session's circuit reservation window \
+                             could exceed {MAX_SPEC_SECS:e} s"
+                        ),
+                    );
                 }
                 WorkloadSpec::Synthetic(SyntheticWorkload {
                     profile: arrival,

@@ -19,6 +19,17 @@ use rand::Rng;
 use crate::spec::{ArrivalProfile, SyntheticWorkload};
 use crate::ScenarioError;
 
+/// Largest file a synthetic session draws, bytes (sizes are clamped
+/// to `[1 MB, 1 TB]`).
+pub const MAX_FILE_BYTES: f64 = 1e12;
+
+/// The reservation window a circuit-backed session asks for: 3x the
+/// at-rate transfer time of its `total_bytes` plus an hour of
+/// think/setup slack. Generous and deterministic.
+pub fn reservation_window_s(total_bytes: f64, rate_bps: f64) -> f64 {
+    3.0 * (total_bytes * 8.0) / rate_bps + 3_600.0
+}
+
 /// One session and when it arrives.
 pub struct ScheduledSession {
     /// Arrival time, seconds from epoch.
@@ -82,7 +93,7 @@ pub fn synth_sessions(
     for at_s in arrivals {
         let jobs: Vec<TransferJob> = (0..wl.transfers_per_session)
             .map(|_| {
-                let size = sizes.sample(&mut body_rng).clamp(1e6, 1e12) as u64;
+                let size = sizes.sample(&mut body_rng).clamp(1e6, MAX_FILE_BYTES) as u64;
                 TransferJob { size_bytes: size, ..TransferJob::default() }
             })
             .collect();
@@ -90,9 +101,7 @@ pub fn synth_sessions(
         let mut spec = SessionSpec::sequential(jobs, wl.gap_s).with_concurrency(wl.concurrency);
         if body_rng.gen::<f64>() < wl.vc_fraction {
             let rate_bps = wl.vc_rate_gbps * 1e9;
-            // Generous deterministic reservation window: 3x the
-            // at-rate transfer time plus an hour of think/setup slack.
-            let max_duration_s = 3.0 * (total_bytes as f64 * 8.0) / rate_bps + 3_600.0;
+            let max_duration_s = reservation_window_s(total_bytes as f64, rate_bps);
             spec = spec.with_vc(VcRequestSpec { rate_bps, max_duration_s, wait_for_circuit: true });
         }
         out.push(ScheduledSession { at_s, spec });

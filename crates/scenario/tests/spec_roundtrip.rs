@@ -311,6 +311,8 @@ fn semantic_validation_rejects_inconsistent_specs() {
         "[topology]\nkind = graph\n[node]\nname = a\nkind = host\n[node]\nname = b\nkind = host\n";
     let graph_clusters = "[cluster]\nname = ca\nnode = a\nservers = 1\n[cluster]\nname = cb\nnode = b\nservers = 1\n";
     let graph_wl = "[workload]\nprofile = steady\nsrc = ca\ndst = cb\n";
+    // Two study-site clusters and an open [workload] section.
+    let study_pair = "[topology]\nkind = study\n[cluster]\nname = c\nsite = nersc\nservers = 2\n[cluster]\nname = e\nsite = ornl\nservers = 2\n[workload]\n";
     let reject: &[(String, &str)] = &[
         // Paper workloads pair with the study topology and own their clusters.
         (
@@ -360,6 +362,19 @@ fn semantic_validation_rejects_inconsistent_specs() {
         (
             "[topology]\nkind = study\n[workload]\nprofile = paper-anl\n[expect]\nmax_setup_share = 1.5\n".to_string(),
             "must be within [0, 1]",
+        ),
+        // Times and circuit windows must fit the sim clock.
+        (
+            format!("{study_pair}profile = steady\nsrc = c\ndst = e\nhorizon_s = 1e300\n"),
+            "`horizon_s` must be at most",
+        ),
+        (
+            format!("{study_pair}profile = flash-crowd\nsrc = c\ndst = e\nflash_at_s = 1e300\n"),
+            "`flash_at_s` must be at most",
+        ),
+        (
+            format!("{study_pair}profile = steady\nsrc = c\ndst = e\nvc_rate_gbps = 1e-300\n"),
+            "`vc_rate_gbps` is too low",
         ),
         // Fault plans are validated at parse time.
         (
