@@ -3,11 +3,10 @@
 //! The workload is `gvc_bench::perfsuite::kernel_schedule_pop` — the
 //! exact function `gvc perf snapshot` measures — so criterion's
 //! elements/sec and the `BENCH_kernel.json` events/sec are the same
-//! quantity. Set `GVC_PERF_SNAPSHOT_DIR` to also drop a snapshot.
+//! quantity.
 
-use criterion::{criterion_group, Criterion, Throughput};
-use gvc_bench::perfsuite::{emit_snapshot_for_bench, kernel_schedule_pop, sharded_sim};
-use gvc_gridftp::Shards;
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use gvc_bench::perfsuite::kernel_schedule_pop;
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
@@ -20,28 +19,5 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
-// The sharded-kernel workload at shard counts 1 and auto: same
-// byte-identical output, different wall clock. Elements = transfers.
-fn bench_sharded_sim(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sharded_sim");
-    let sessions = 40usize;
-    g.throughput(Throughput::Elements(sessions as u64 * 4 * 3));
-    g.bench_function("shards_1", |b| {
-        b.iter(|| sharded_sim(sessions, Shards::Fixed(1)));
-    });
-    g.bench_function("shards_auto", |b| {
-        b.iter(|| sharded_sim(sessions, Shards::Auto));
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_event_queue, bench_sharded_sim);
-
-fn main() {
-    benches();
-    for name in ["kernel", "shard"] {
-        if let Some(path) = emit_snapshot_for_bench(name) {
-            println!("wrote perf snapshot {}", path.display());
-        }
-    }
-}
+criterion_group!(benches, bench_event_queue);
+criterion_main!(benches);

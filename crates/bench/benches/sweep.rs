@@ -9,12 +9,9 @@
 //! The dataset generator, grid, and engine workload come from
 //! `gvc_bench::perfsuite` — shared with `gvc perf snapshot` so
 //! criterion and `BENCH_sweep.json` measure the same records/sec.
-//! Set `GVC_PERF_SNAPSHOT_DIR` to also drop a snapshot.
 
-use criterion::{criterion_group, Criterion, Throughput};
-use gvc_bench::perfsuite::{
-    emit_snapshot_for_bench, engine_grid, synth_sweep_log, DELAYS_S, FACTOR, GAPS_S,
-};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use gvc_bench::perfsuite::{engine_grid, synth_sweep_log, DELAYS_S, FACTOR, GAPS_S};
 use gvc_core::sessions::group_sessions;
 use gvc_core::vc_suitability::vc_suitability;
 use gvc_logs::Dataset;
@@ -49,9 +46,4 @@ fn bench_sweep(c: &mut Criterion) {
 
 criterion_group!(benches, bench_sweep);
 
-fn main() {
-    benches();
-    if let Some(path) = emit_snapshot_for_bench("sweep") {
-        println!("wrote perf snapshot {}", path.display());
-    }
-}
+criterion_main!(benches);

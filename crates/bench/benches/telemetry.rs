@@ -2,7 +2,7 @@
 //!
 //! Three variants of the same driver run: no instrumentation at all,
 //! metrics registry attached (counters/histograms, no trace sink), and
-//! full tracing into an in-memory ring. The acceptance target is that
+//! full tracing into an in-memory buffer, drained every iteration. The acceptance target is that
 //! the uninstrumented run pays < 5% relative to the seed (telemetry
 //! disabled is a single `Option` branch per hot-path touch point), and
 //! these groups make the metrics/tracing cost itself visible.
@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gvc_engine::SimTime;
 use gvc_gridftp::{Driver, ServerCaps, SessionSpec, TransferJob};
 use gvc_net::NetworkSim;
-use gvc_telemetry::{RingSink, Telemetry};
+use gvc_telemetry::{BufferSink, Telemetry};
 use gvc_topology::{study_topology, Site};
 use std::sync::Arc;
 
@@ -39,9 +39,14 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         let ctx = Telemetry::metrics_only();
         b.iter(|| run_driver(Some(&ctx)));
     });
-    g.bench_function("ring_trace", |b| {
-        let ctx = Telemetry::with_sink(Arc::new(RingSink::new(1 << 16)));
-        b.iter(|| run_driver(Some(&ctx)));
+    g.bench_function("buffer_trace", |b| {
+        let sink = Arc::new(BufferSink::new());
+        let ctx = Telemetry::with_sink(sink.clone());
+        b.iter(|| {
+            let n = run_driver(Some(&ctx));
+            sink.take();
+            n
+        });
     });
     g.finish();
 }

@@ -11,21 +11,18 @@
 
 use gvc_core::sweep::SessionStore;
 use gvc_engine::{EventQueue, SimTime};
-use gvc_gridftp::{Driver, ServerCaps, SessionSpec, Shards, TransferJob};
 use gvc_logs::{Dataset, TransferRecord, TransferType};
 use gvc_net::fairshare::FairShareSolver;
-use gvc_net::{FlowDemand, NetworkSim};
+use gvc_net::FlowDemand;
 use gvc_scenario::{run_scenario, ScenarioSpec};
 use gvc_telemetry::parse_trace;
 use gvc_telemetry::perf::{measure_throughput, median, BenchMetric, PerfSnapshot};
 use gvc_tidy::{run_sources, RuleSet};
 use gvc_topology::{study_topology, Site};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// The snapshot names `gvc perf snapshot` produces, in emission order.
-pub const SNAPSHOT_NAMES: &[&str] =
-    &["kernel", "sweep", "analysis", "shard", "tidy", "scenario", "net"];
+pub const SNAPSHOT_NAMES: &[&str] = &["kernel", "sweep", "analysis", "tidy", "scenario", "net"];
 
 /// The committed `esnet-backbone` scenario spec, embedded so the
 /// snapshot measures exactly the workload the golden corpus gates
@@ -145,30 +142,6 @@ pub fn parse_trace_lines(text: &str) -> u64 {
     parse_trace(text).map_or(0, |records| records.len() as u64)
 }
 
-/// The sharded-kernel workload: `sessions_per_pair` four-job sessions
-/// on each of three hub-local disjoint site pairs (so the lane
-/// partition genuinely splits into three lanes), run end to end
-/// through the full driver at the given shard setting. Returns the
-/// number of transfers logged. The kernel's determinism contract
-/// makes the output byte-identical at every shard count, so the
-/// serial/auto metric pair measures pure wall-clock speedup.
-pub fn sharded_sim(sessions_per_pair: usize, shards: Shards) -> u64 {
-    let topo = study_topology();
-    let pairs = [(Site::Nersc, Site::Slac), (Site::Ornl, Site::Nics), (Site::Anl, Site::Bnl)];
-    let mut d = Driver::new(NetworkSim::new(topo.graph.clone(), 0), 97);
-    for (i, &(a, b)) in pairs.iter().enumerate() {
-        let src = d.register_cluster(&format!("src{i}"), topo.dtn(a), ServerCaps::default(), 2);
-        let dst = d.register_cluster(&format!("dst{i}"), topo.dtn(b), ServerCaps::default(), 2);
-        for s in 0..sessions_per_pair {
-            let jobs = vec![TransferJob { size_bytes: 64 << 20, ..TransferJob::default() }; 4];
-            let start = SimTime::from_secs(s as u64 * 120 + i as u64);
-            d.schedule_session(start, src, dst, SessionSpec::sequential(jobs, 1.0));
-        }
-    }
-    let out = d.run_sharded(SimTime::from_secs(100_000_000), shards);
-    out.log.len() as u64
-}
-
 /// A fair-share problem shaped like the ones the fluid simulator
 /// solves: `nflows` transfers between study-topology DTNs, each
 /// crossing its routed links plus both clusters' aggregate resources
@@ -233,8 +206,8 @@ pub fn net_solve(
 /// synthetic workload, faults, telemetry, flight recorder, golden
 /// serialization); returns the number of transfers produced, 0 on a
 /// run error (snapshot values then read as an obvious regression).
-pub fn scenario_transfers(spec: &ScenarioSpec, shards: Shards) -> u64 {
-    run_scenario(spec, shards).map_or(0, |o| {
+pub fn scenario_transfers(spec: &ScenarioSpec) -> u64 {
+    run_scenario(spec).map_or(0, |o| {
         std::hint::black_box(o.report_json.len() + o.timeline_json.map_or(0, |t| t.len()));
         o.report.n_transfers as u64
     })
@@ -311,8 +284,7 @@ fn throughput_metric(id: &str, unit: &str, items: u64, samples: Vec<f64>) -> Ben
 ///
 /// Standard sizes at `scale = 1.0`: kernel 200k events, sweep 200k
 /// records × the 8×4 grid, analysis 50k trace lines + 100k records,
-/// shard 160 sessions × 4 transfers × 3 lanes at shard counts 1 and
-/// auto, tidy 120 synthetic source files through the full v2 engine,
+/// tidy 120 synthetic source files through the full v2 engine,
 /// scenario one full `esnet-backbone` corpus run (scale-independent),
 /// net 20k fair-share solves at each of 1, 5 and 12 study-topology
 /// flows.
@@ -366,26 +338,6 @@ pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
                 rates,
             ));
         }
-        "shard" => {
-            // Lighter clamp than `scaled`: each unit is a whole
-            // four-transfer session through the full driver.
-            let sessions = ((160.0 * scale).round() as usize).max(2);
-            let (items, rates) =
-                measure_throughput(reps, || sharded_sim(sessions, Shards::Fixed(1)));
-            snap.metrics.push(throughput_metric(
-                "shard.sim.serial.transfers_per_sec",
-                "transfers/sec",
-                items,
-                rates,
-            ));
-            let (items, rates) = measure_throughput(reps, || sharded_sim(sessions, Shards::Auto));
-            snap.metrics.push(throughput_metric(
-                "shard.sim.auto.transfers_per_sec",
-                "transfers/sec",
-                items,
-                rates,
-            ));
-        }
         "tidy" => {
             let files = scaled(120, scale);
             let sources = synth_tidy_corpus(files);
@@ -403,8 +355,7 @@ pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
             // the cost of the run the golden gate re-executes on
             // every PR.
             let spec = ScenarioSpec::parse(ESNET_BACKBONE_SCN).ok()?;
-            let (items, rates) =
-                measure_throughput(reps, || scenario_transfers(&spec, Shards::Auto));
+            let (items, rates) = measure_throughput(reps, || scenario_transfers(&spec));
             snap.metrics.push(throughput_metric(
                 "scenario.run.transfers_per_sec",
                 "transfers/sec",
@@ -430,20 +381,6 @@ pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
         _ => return None,
     }
     Some(snap)
-}
-
-/// Bench-binary hook: when `GVC_PERF_SNAPSHOT_DIR` is set, re-measures
-/// the named workload through the shared snapshot writer and drops
-/// `BENCH_<name>.json` there, so a criterion run can leave the same
-/// artifact `gvc perf snapshot` would. Returns the written path.
-pub fn emit_snapshot_for_bench(name: &str) -> Option<PathBuf> {
-    // gvc-lint: allow(determinism-confinement) — host-side artifact routing only: the env var picks where BENCH_*.json lands and never feeds simulated results
-    let dir = PathBuf::from(std::env::var_os("GVC_PERF_SNAPSHOT_DIR")?);
-    std::fs::create_dir_all(&dir).ok()?;
-    let snap = run_snapshot(name, 3, 1.0)?;
-    let path = dir.join(format!("BENCH_{name}.json"));
-    snap.write(&path).ok()?;
-    Some(path)
 }
 
 #[cfg(test)]
@@ -512,11 +449,5 @@ mod tests {
     fn trace_workload_parses_every_line() {
         let text = synth_trace_jsonl(500);
         assert_eq!(parse_trace_lines(&text), 500);
-    }
-
-    #[test]
-    fn shard_workload_logs_every_transfer_at_any_shard_count() {
-        assert_eq!(sharded_sim(2, Shards::Fixed(1)), 24);
-        assert_eq!(sharded_sim(2, Shards::Auto), 24);
     }
 }

@@ -6,9 +6,7 @@ use gvc_core::vc_suitability::DEFAULT_OVERHEAD_FACTOR;
 use gvc_core::ResilienceSummary;
 use gvc_engine::SimTime;
 use gvc_faults::FaultPlan;
-use gvc_gridftp::{
-    Driver, DriverOutput, ServerCaps, SessionSpec, Shards, TransferJob, VcRequestSpec,
-};
+use gvc_gridftp::{Driver, DriverOutput, ServerCaps, SessionSpec, TransferJob, VcRequestSpec};
 use gvc_logs::anonymize::{anonymize_dataset, AnonymizePolicy};
 use gvc_logs::{parse_dataset, write_dataset, Dataset};
 use gvc_net::NetworkSim;
@@ -49,7 +47,7 @@ pub const COMMANDS: [(&str, &str, &str); 12] = [
     ),
     (
         "simulate",
-        "gvc simulate <out> [--seed 42] [--jobs 6] [--horizon 100000] [--faults <spec>] [--shards auto|N]",
+        "gvc simulate <out> [--seed 42] [--jobs 6] [--horizon 100000] [--faults <spec>]",
         "run the GridFTP-over-VC simulation and write its usage log",
     ),
     (
@@ -64,7 +62,7 @@ pub const COMMANDS: [(&str, &str, &str); 12] = [
     ),
     (
         "scenario",
-        "gvc scenario <run|record|diff|list> [name] [--dir scenarios] [--all] [--shards auto|N]",
+        "gvc scenario <run|record|diff|list> [name] [--dir scenarios] [--all]",
         "run declarative scenario specs against committed goldens",
     ),
     (
@@ -392,28 +390,13 @@ fn cmd_anonymize<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses the `--shards auto|N` flag shared by the simulation-running
-/// commands. Outputs are byte-identical for every shard count by the
-/// kernel's determinism contract, so the flag only tunes wall-clock
-/// time.
-pub(crate) fn parse_shards(a: &ParsedArgs) -> Result<Shards, CliError> {
-    match a.str_flag_or("shards", "auto") {
-        "auto" => Ok(Shards::Auto),
-        s => match s.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Shards::Fixed(n)),
-            _ => Err(CliError("--shards must be 'auto' or a positive integer".into())),
-        },
-    }
-}
-
 /// The study run `simulate` and `serve-metrics` share, parsed from
-/// `--seed`, `--jobs`, `--horizon`, `--faults` and `--shards`.
+/// `--seed`, `--jobs`, `--horizon` and `--faults`.
 pub(crate) struct StudyRun {
     seed: u64,
     jobs: usize,
     horizon: SimTime,
     faults: Option<FaultPlan>,
-    shards: Shards,
 }
 
 impl StudyRun {
@@ -436,14 +419,14 @@ impl StudyRun {
             .get("faults")
             .map(|spec| FaultPlan::parse(spec).map_err(|e| CliError(e.to_string())))
             .transpose()?;
-        Ok(StudyRun { seed, jobs, horizon, faults, shards: parse_shards(a)? })
+        Ok(StudyRun { seed, jobs, horizon, faults })
     }
 
     /// Runs `d` to the horizon and, when a flight recorder is
-    /// attached, records per-link utilisation from the merged integer
-    /// SNMP bins, so the timeline stays shard-invariant.
+    /// attached, records per-link utilisation from the integer SNMP
+    /// bins.
     pub(crate) fn run(&self, d: Driver, telemetry: &Telemetry) -> DriverOutput {
-        let result = d.run_sharded(self.horizon, self.shards);
+        let result = d.run(self.horizon);
         if let Some(tl) = &telemetry.timeline {
             result.sim.record_timeline(tl);
         }
@@ -967,29 +950,6 @@ mod tests {
         assert!(err.0.contains("--horizon"));
         let err = run(&["simulate", "/tmp/x.log", "--faults", "bogus=1"]).unwrap_err();
         assert!(err.0.contains("invalid fault spec"), "{}", err.0);
-        let err = run(&["simulate", "/tmp/x.log", "--shards", "0"]).unwrap_err();
-        assert!(err.0.contains("--shards"), "{}", err.0);
-        let err = run(&["simulate", "/tmp/x.log", "--shards", "many"]).unwrap_err();
-        assert!(err.0.contains("--shards"), "{}", err.0);
-    }
-
-    #[test]
-    fn simulate_log_identical_for_every_shards_value() {
-        let sim_run = |tag: &str, shards: &[&str]| {
-            let out_path = tmpfile(&format!("sim-shards-{tag}.log"));
-            let mut argv = vec!["simulate", &out_path, "--seed", "11", "--jobs", "4"];
-            argv.extend_from_slice(shards);
-            let msg = run(&argv).unwrap();
-            let log = std::fs::read_to_string(&out_path).unwrap();
-            std::fs::remove_file(&out_path).ok();
-            (msg, log)
-        };
-        let (msg, base) = sim_run("default", &[]);
-        assert!(msg.contains("wrote"), "{msg}");
-        for (tag, n) in [("one", "1"), ("four", "4"), ("auto", "auto")] {
-            let (_, log) = sim_run(tag, &["--shards", n]);
-            assert_eq!(base, log, "usage log differs with --shards {n}");
-        }
     }
 
     #[test]

@@ -9,21 +9,18 @@
 //! * `record` — regenerate and overwrite goldens after an intentional
 //!   behaviour change.
 //!
-//! Scenario outputs are deterministic per seed at every `--shards`
-//! value, including the sequential `--shards 1`, so the goldens gate
+//! Scenario outputs are byte-identical per seed, so the goldens gate
 //! both behaviour and the kernel's determinism contract.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use gvc_gridftp::Shards;
 use gvc_scenario::corpus::{self, CorpusEntry};
 use gvc_scenario::spec::WorkloadSpec;
 use gvc_scenario::{golden, run_scenario};
 use gvc_telemetry::Telemetry;
 
 use crate::args::{CliError, ParsedArgs};
-use crate::commands::parse_shards;
 
 fn corpus_dir(a: &ParsedArgs) -> PathBuf {
     PathBuf::from(a.str_flag_or("dir", "scenarios"))
@@ -88,10 +85,9 @@ fn cmd_list<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
 fn check_entry(
     dir: &Path,
     entry: &CorpusEntry,
-    shards: Shards,
     with_bounds: bool,
 ) -> Result<Vec<String>, CliError> {
-    let outcome = run_scenario(&entry.spec, shards).map_err(|e| CliError(e.to_string()))?;
+    let outcome = run_scenario(&entry.spec).map_err(|e| CliError(e.to_string()))?;
     let goldens = corpus::read_goldens(dir, &entry.name).map_err(|e| {
         CliError(format!(
             "{e}\n  (no goldens for {:?}? record them with `gvc scenario record {}`)",
@@ -137,7 +133,6 @@ pub fn cmd_scenario<W: Write>(
         return cmd_list(a, w);
     }
     let dir = corpus_dir(a);
-    let shards = parse_shards(a)?;
     let entries = select(a, &dir)?;
     let mut phase = telemetry.perf.phase("scenario_corpus");
     phase.items(entries.len() as u64);
@@ -145,8 +140,7 @@ pub fn cmd_scenario<W: Write>(
     match action.as_str() {
         "record" => {
             for e in &entries {
-                let outcome =
-                    run_scenario(&e.spec, shards).map_err(|err| CliError(err.to_string()))?;
+                let outcome = run_scenario(&e.spec).map_err(|err| CliError(err.to_string()))?;
                 for v in &outcome.violations {
                     writeln!(w, "warning: {}: bound: {v}", e.name)?;
                 }
@@ -172,7 +166,7 @@ pub fn cmd_scenario<W: Write>(
             let with_bounds = action == "run";
             let mut all_failures = Vec::new();
             for e in &entries {
-                let failures = check_entry(&dir, e, shards, with_bounds)?;
+                let failures = check_entry(&dir, e, with_bounds)?;
                 if failures.is_empty() {
                     writeln!(w, "ok {}", e.name)?;
                 } else {

@@ -4,11 +4,11 @@
 //!
 //! The timeline file is the canonical JSON the recorder in
 //! `gvc-telemetry` emits: windowed series over *simulation* time,
-//! byte-identical per seed at every shard count. `report` renders a
-//! per-series table with sparkline trends, `csv` re-exports the
-//! document as the recorder's CSV, and `check` evaluates declarative
-//! SLO burn rules (see `docs/timeline.md` for the grammar), exiting
-//! non-zero when any rule fails.
+//! byte-identical per seed. `report` renders a per-series table with
+//! sparkline trends, `csv` re-exports the document as the recorder's
+//! CSV, and `check` evaluates declarative SLO burn rules (see
+//! `docs/timeline.md` for the grammar), exiting non-zero when any rule
+//! fails.
 
 use crate::args::{CliError, ParsedArgs};
 use crate::commands::{study_driver, StudyRun};
@@ -239,10 +239,10 @@ mod tests {
 
     /// Runs the faulted study simulation with `--timeline`, returning
     /// (usage log bytes, timeline bytes).
-    fn faulted_run(tag: &str, extra: &[&str]) -> (String, String) {
+    fn faulted_run(tag: &str) -> (String, String) {
         let out = tmpfile(&format!("sim-{tag}.log"));
         let tl = tmpfile(&format!("sim-{tag}.json"));
-        let mut argv = vec![
+        let argv = [
             "simulate",
             &out,
             "--seed",
@@ -254,7 +254,6 @@ mod tests {
             "--timeline",
             &tl,
         ];
-        argv.extend_from_slice(extra);
         run(&argv).unwrap();
         let log = std::fs::read_to_string(&out).unwrap();
         let timeline = std::fs::read_to_string(&tl).unwrap();
@@ -264,13 +263,8 @@ mod tests {
     }
 
     #[test]
-    fn timeline_identical_for_every_shards_value_and_leaves_log_unchanged() {
-        let (log_base, tl_base) = faulted_run("base", &[]);
-        for n in ["1", "4", "auto"] {
-            let (log, tl) = faulted_run(&format!("s{n}"), &["--shards", n]);
-            assert_eq!(tl_base, tl, "timeline differs with --shards {n}");
-            assert_eq!(log_base, log, "usage log differs with --shards {n}");
-        }
+    fn timeline_covers_every_layer_and_leaves_log_unchanged() {
+        let (log_base, tl_base) = faulted_run("base");
         // Recording the timeline must not perturb the simulation: the
         // usage log matches a run without --timeline.
         let out = tmpfile("sim-no-tl.log");
@@ -295,7 +289,7 @@ mod tests {
 
     #[test]
     fn timeline_report_and_csv_render_recorded_series() {
-        let (_, tl_text) = faulted_run("report", &[]);
+        let (_, tl_text) = faulted_run("report");
         let tl = tmpfile("report-in.json");
         std::fs::write(&tl, &tl_text).unwrap();
         let report = run(&["timeline", "report", &tl]).unwrap();
@@ -312,7 +306,7 @@ mod tests {
 
     #[test]
     fn timeline_check_passes_and_fails_on_slo_rules() {
-        let (_, tl_text) = faulted_run("check", &[]);
+        let (_, tl_text) = faulted_run("check");
         let tl = tmpfile("check-in.json");
         std::fs::write(&tl, &tl_text).unwrap();
 

@@ -164,8 +164,8 @@ fn snapshot_then_gate_passes_end_to_end() {
         run(&["perf", "snapshot", "--out-dir", d, "--reps", "2", "--scale", "0.01"])
             .expect("snapshot");
     }
-    // All five standard suites landed, with the shared schema.
-    for name in ["kernel", "sweep", "analysis", "shard", "tidy"] {
+    // The standard suites landed, with the shared schema.
+    for name in ["kernel", "sweep", "analysis", "tidy"] {
         let snap = PerfSnapshot::load(dir.join("base").join(format!("BENCH_{name}.json")))
             .expect("load snapshot");
         assert_eq!(snap.name, name);
@@ -191,7 +191,7 @@ fn snapshot_then_gate_passes_end_to_end() {
 #[test]
 fn committed_baselines_re_render_byte_identically() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for name in ["analysis", "kernel", "net", "scenario", "shard", "sweep", "tidy"] {
+    for name in ["analysis", "kernel", "net", "scenario", "sweep", "tidy"] {
         let text = std::fs::read_to_string(root.join(format!("BENCH_{name}.json")))
             .expect("read committed baseline");
         let snap = PerfSnapshot::parse(&text).expect("parse committed baseline");

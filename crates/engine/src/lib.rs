@@ -16,10 +16,8 @@
 
 pub mod calendar;
 pub mod queue;
-pub mod shard;
 pub mod time;
 
 pub use calendar::{CivilDateTime, EPOCH_2009_UTC};
 pub use queue::EventQueue;
-pub use shard::{ResourcePartition, UnionFind};
 pub use time::{SimSpan, SimTime};

@@ -102,10 +102,8 @@ impl<E> EventQueue<E> {
     /// Instruments the calendar from `ctx`: push/pop counts and the
     /// depth high-water mark in its registry, a `kernel.queue_wait`
     /// span per entry (schedule → pop) through its tracer, and the
-    /// windowed schedule/dispatch counts in its flight recorder. Each
-    /// entry is scheduled and popped in exactly one shard lane, so the
-    /// lane-merged windows equal the unsharded run's. Counting starts
-    /// from the moment of attachment.
+    /// windowed schedule/dispatch counts in its flight recorder.
+    /// Counting starts from the moment of attachment.
     pub fn set_telemetry(&mut self, ctx: &Telemetry) {
         let registry = &ctx.registry;
         self.telemetry = Some(QueueTelemetry {
@@ -303,15 +301,15 @@ mod tests {
 
     #[test]
     fn queue_wait_spans_pair_schedule_with_pop() {
-        use gvc_telemetry::RingSink;
-        let ring = Arc::new(RingSink::new(16));
+        use gvc_telemetry::BufferSink;
+        let sink = Arc::new(BufferSink::new());
         let mut q = EventQueue::new();
-        q.set_telemetry(&Telemetry::with_sink(ring.clone()));
+        q.set_telemetry(&Telemetry::with_sink(sink.clone()));
         q.schedule(SimTime::from_secs(2), "a");
         q.schedule(SimTime::from_secs(1), "b");
         q.pop();
         q.pop();
-        let evs = ring.events();
+        let evs = sink.take();
         let kinds: Vec<&str> = evs.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["span.start", "span.start", "span.end", "span.end"]);
         // "b" pops first (t=1s) but was scheduled second (span 2).

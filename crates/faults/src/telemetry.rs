@@ -22,9 +22,7 @@ pub struct FaultTelemetry {
     /// `recovery_latency_seconds`: first attempt to final outcome
     /// (success or fallback), per session.
     pub recovery_latency: Arc<Histogram>,
-    /// Flight recorder for the `fault.injected` windowed series. Each
-    /// fault fires in exactly one shard lane, so the per-window sums
-    /// are shard-invariant.
+    /// Flight recorder for the `fault.injected` windowed series.
     timeline: Option<TimelineHandle>,
 }
 

@@ -10,7 +10,7 @@
 use crate::server::{ServerCaps, ServerCluster};
 use crate::session::SessionSpec;
 use crate::transfer::{prepare_transfer, FailureModel, PreparedTransfer, ServerNoise, TransferJob};
-use gvc_engine::{EventQueue, ResourcePartition, SimSpan, SimTime};
+use gvc_engine::{EventQueue, SimSpan, SimTime};
 use gvc_faults::telemetry::FaultTelemetry;
 use gvc_faults::{FaultInjector, FaultKind, FaultPlan, RecoveryAction, RecoveryPolicy};
 use gvc_logs::{Dataset, TransferRecord, TransferType};
@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// Driver hooks, built from a [`Telemetry`] context by
 /// [`Driver::with_telemetry`]. The context itself is kept: its tracer,
 /// flight recorder and perf recorder serve the driver, and it
-/// instruments a controller attached later and forks lane contexts.
+/// instruments a controller attached later.
 struct DriverTelemetry {
     ctx: Telemetry,
     /// `gridftp_sessions_started_total`.
@@ -101,41 +101,16 @@ const SINGLE_ATTEMPT: RecoveryPolicy = RecoveryPolicy {
 /// Tag marking background flows (excluded from the usage log).
 pub const BACKGROUND_TAG: u64 = u64::MAX;
 
-/// Worker-pool sizing for [`Driver::run_sharded`].
-///
-/// The lane *partition* never depends on this value — it only sets
-/// how many lanes execute at once — so a run's outputs are
-/// byte-identical for every setting, including `Fixed(1)`.
+/// The worker-count argument of [`Driver::run_sharded`], kept so
+/// callers of that older entry point still compile. Every study
+/// schedule is one event lane (all circuits share one OSCARS calendar),
+/// so no setting changes how a run executes or what it outputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shards {
     /// One worker per available CPU.
     Auto,
-    /// Exactly `n` workers (1 = lanes run sequentially, in order).
+    /// Exactly `n` workers.
     Fixed(usize),
-}
-
-impl Shards {
-    /// The worker count this setting resolves to on this host.
-    pub fn threads(self) -> usize {
-        match self {
-            Shards::Auto => {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            }
-            Shards::Fixed(n) => n.max(1),
-        }
-    }
-}
-
-/// Per-lane bookkeeping [`Driver::run_core`] reports alongside its
-/// output: what the coordinator needs to recompute pooled statistics
-/// (the recovery-latency mean cannot be rebuilt from per-lane means)
-/// and the lane's telemetry context, to absorb.
-struct LaneStats {
-    /// Kernel pops plus flow completions (perf-phase item count).
-    events: u64,
-    recovery_lat_sum_s: f64,
-    recovery_lat_n: u64,
-    telemetry: Option<Telemetry>,
 }
 
 /// Handle to a registered cluster.
@@ -255,16 +230,12 @@ pub struct Driver {
     log: Vec<TransferRecord>,
     tstat: Vec<TransferStat>,
     telemetry: Option<DriverTelemetry>,
-    /// The `driver.run` root span, opened by [`Driver::run_sharded`].
+    /// The `driver.run` root span, opened by [`Driver::run`].
     run_span: SpanId,
     /// The schedule in call order: every `schedule_*` call appends its
-    /// calendar event here and nothing else. A run partitions it into
-    /// lanes and each lane's calendar is filled from its own entries,
-    /// so the coordinator's calendar stays empty in a multi-lane run.
+    /// calendar event here and nothing else. [`Driver::run`] moves it
+    /// onto the calendar when the run starts.
     script: Vec<(SimTime, Event)>,
-    /// Set on lane sub-drivers: `(coordinator run span, lane index)`.
-    /// The lane's root span is then `driver.lane` under that parent.
-    lane_root: Option<(SpanId, usize)>,
 }
 
 impl Driver {
@@ -303,7 +274,6 @@ impl Driver {
             telemetry: None,
             run_span: SpanId::NONE,
             script: Vec::new(),
-            lane_root: None,
         }
     }
 
@@ -408,15 +378,6 @@ impl Driver {
         dst: ClusterId,
         spec: SessionSpec,
     ) {
-        let idx = self.push_session_slot(src, dst, spec);
-        self.script.push((at, Event::StartSession(idx)));
-    }
-
-    /// Registers a session's state without scheduling it. Lane
-    /// sub-drivers register *every* session slot — so global session
-    /// indices (and the RNG streams keyed on them) are preserved —
-    /// but run only the sessions their lane owns.
-    fn push_session_slot(&mut self, src: ClusterId, dst: ClusterId, spec: SessionSpec) -> usize {
         let idx = self.sessions.len();
         self.sessions.push(SessionState {
             spec,
@@ -433,7 +394,7 @@ impl Driver {
             wait_span: SpanId::NONE,
             vc_span: SpanId::NONE,
         });
-        idx
+        self.script.push((at, Event::StartSession(idx)));
     }
 
     /// Schedules a single transfer (a one-job session).
@@ -461,10 +422,7 @@ impl Driver {
         self.script.push((at, Event::ResizeCluster(cluster, n_servers)));
     }
 
-    /// The attached sim-time flight recorder, if any. Driver-side
-    /// series are all counters of 1.0 increments (or per-event
-    /// quantile observations), each fired in exactly one shard lane,
-    /// so the per-window merges are shard-invariant.
+    /// The attached sim-time flight recorder, if any.
     fn tl(&self) -> Option<&TimelineHandle> {
         self.telemetry.as_ref().and_then(|t| t.ctx.timeline.as_ref())
     }
@@ -1047,19 +1005,11 @@ impl Driver {
     }
 
     /// Runs to completion: processes every scheduled event and every
-    /// flow completion, then returns the usage log. This is the
-    /// one-worker sharded run, `run_sharded(limit, Shards::Fixed(1))`.
+    /// flow completion, then returns the usage log.
     ///
     /// `limit` bounds the simulation clock as a safety net against
     /// stalled flows.
-    pub fn run(self, limit: SimTime) -> DriverOutput {
-        self.run_sharded(limit, Shards::Fixed(1))
-    }
-
-    /// The drive loop proper over this driver's own script, also
-    /// reporting the lane-level stats the sharded coordinator needs to
-    /// pool runs.
-    fn run_core(mut self, limit: SimTime) -> (DriverOutput, LaneStats) {
+    pub fn run(mut self, limit: SimTime) -> DriverOutput {
         // The script goes on the calendar in call order before the
         // run's root span opens, so FIFO sequence numbers and
         // `kernel.queue_wait` span ids follow the `schedule_*` calls.
@@ -1072,13 +1022,7 @@ impl Driver {
         let mut perf_phase = perf.phase("simulate");
         let mut completions: u64 = 0;
         let start_us = self.sim.now().micros() as i64;
-        self.run_span = match self.lane_root {
-            Some((parent, lane)) => {
-                self.tracer()
-                    .span_enter_with(parent, start_us, "driver.lane", |ev| ev.field("lane", lane))
-            }
-            None => self.tracer().span_enter(SpanId::NONE, start_us, "driver.run"),
-        };
+        self.run_span = self.tracer().span_enter(SpanId::NONE, start_us, "driver.run");
         // Scheduled link flaps from the fault plan become calendar
         // events before anything else runs.
         let flap_windows: Vec<(usize, f64, f64)> = self
@@ -1151,290 +1095,26 @@ impl Driver {
                 0.0
             },
         });
-        let events = self.pending.dispatched() + completions;
-        perf_phase.items(events);
+        perf_phase.items(self.pending.dispatched() + completions);
         drop(perf_phase);
         self.tracer().flush();
-        let stats = LaneStats {
-            events,
-            recovery_lat_sum_s: self.recovery_lat_sum_s,
-            recovery_lat_n: self.recovery_lat_n,
-            telemetry: self.telemetry.map(|t| t.ctx),
-        };
         self.tstat.sort_by_key(|t| t.start_unix_us);
-        (
-            DriverOutput {
-                log: Dataset::from_records(self.log),
-                sim: self.sim,
-                idc_stats,
-                tstat: TstatReport { transfers: self.tstat },
-                resilience,
-                open_reservations,
-            },
-            stats,
-        )
-    }
-
-    /// Partitions the script into independent event lanes: a
-    /// union-find over the resources each scheduled item can touch —
-    /// its endpoint clusters, every link on its routed path, and (for
-    /// circuit-requesting sessions) the shared IDC calendar. Item `i`
-    /// is script entry `i`; the fault plan's link flaps follow. Items
-    /// in the same component must run in one lane; disjoint components
-    /// never interact and can run in parallel.
-    ///
-    /// The partition depends only on the workload and topology, never
-    /// on the shard count, which is what makes sharded outputs
-    /// byte-identical for every [`Shards`] setting.
-    fn lane_partition(&self) -> Vec<Vec<usize>> {
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-        enum LaneKey {
-            /// The OSCARS calendar: every circuit-requesting session
-            /// contends for the same reservable bandwidth, whatever
-            /// path CSPF ends up picking for it.
-            Idc,
-            Cluster(usize),
-            Link(u32),
-            Resource(u32),
-        }
-        let mut part = ResourcePartition::new();
-        // Sessions repeat a few cluster pairs (the full SLAC drive has
-        // about 10 000 over one pair), so each pair is routed once.
-        let mut routes: BTreeMap<(usize, usize), Option<Path>> = BTreeMap::new();
-        for (idx, (_, ev)) in self.script.iter().enumerate() {
-            match ev {
-                Event::StartSession(i) => {
-                    let s = &self.sessions[*i];
-                    let path = routes
-                        .entry((s.src.0, s.dst.0))
-                        .or_insert_with(|| self.path_between(s.src, s.dst));
-                    let links = path.iter().flat_map(|p| &p.links).map(|&l| LaneKey::Link(l.0));
-                    let idc = (s.spec.vc.is_some() && self.idc.is_some()).then_some(LaneKey::Idc);
-                    let ends = [LaneKey::Cluster(s.src.0), LaneKey::Cluster(s.dst.0)];
-                    part.add_item(idx, ends.into_iter().chain(links).chain(idc));
-                }
-                Event::InjectBackground(spec) => part.add_item(
-                    idx,
-                    spec.route
-                        .iter()
-                        .map(|&l| LaneKey::Link(l.0))
-                        .chain(spec.resources.iter().map(|&r| LaneKey::Resource(r.0))),
-                ),
-                Event::ResizeCluster(cluster, _) => {
-                    part.add_item(idx, [LaneKey::Cluster(cluster.0)]);
-                }
-                // Only `schedule_*` calls write the script; an event of
-                // any other class would touch nothing: its own lane.
-                _ => part.add_item(idx, None),
-            }
-        }
-        let n = self.script.len();
-        for (fi, flap) in self.faults.iter().flat_map(FaultInjector::link_flaps).enumerate() {
-            let key = flap
-                .link
-                .split_once("->")
-                .and_then(|(s, d)| self.sim.link_by_names(s, d))
-                .map(|l| LaneKey::Link(l.0));
-            part.add_item(n + fi, key);
-        }
-        part.lanes()
-    }
-
-    /// Number of independent event lanes the current schedule splits
-    /// into. With one lane, every [`Shards`] setting runs the same
-    /// single drive loop on the calling thread.
-    pub fn lane_count(&self) -> usize {
-        self.lane_partition().len().max(1)
-    }
-
-    /// Builds the sub-driver for one lane: a fresh simulator over the
-    /// same topology, every cluster and session slot registered in
-    /// global order (preserving ids and per-session RNG streams), the
-    /// lane's own link flaps, and a lane fork of the run's telemetry
-    /// context. Its script is dealt in afterwards by
-    /// [`Driver::run_sharded`].
-    fn build_lane(&self, k: usize, members: &[usize], parent: SpanId) -> Driver {
-        let n = self.script.len();
-        let mut sim = NetworkSim::new(self.sim.graph().clone(), self.sim.to_unix_us(SimTime::ZERO));
-        for link in self.sim.snmp().monitored_links() {
-            sim.monitor_link(link);
-        }
-        let mut lane = Driver::new(sim, self.seed);
-        // Each lane draws server noise from its own labelled stream;
-        // the label depends on the (shard-count-invariant) lane index,
-        // so every sharded run of a workload sees the same draws.
-        lane.rng = component_rng(self.seed, &format!("gridftp-driver/lane{k}"));
-        lane.tcp = self.tcp;
-        lane.noise = self.noise;
-        lane.failures = self.failures;
-        lane.control_overhead_s = self.control_overhead_s;
-        lane.recovery = self.recovery;
-        lane.lane_root = Some((parent, k));
-        // At most one lane contains circuit-requesting sessions (they
-        // all share the IDC lane key), so its fork keeps the
-        // controller's reservation-id numbering and sees every
-        // reservation.
-        let owns_vc = members.iter().any(|&i| {
-            matches!(self.script.get(i), Some((_, Event::StartSession(s)))
-                if self.sessions[*s].spec.vc.is_some())
-        });
-        if owns_vc {
-            lane.idc = self.idc.as_ref().map(Idc::fork);
-        }
-        if let Some(f) = &self.faults {
-            let mut plan = f.plan().clone();
-            // Only the lane's own flaps: flap indices re-number within
-            // the lane, matching the LinkFlap events its run schedules.
-            plan.link_flaps = members
-                .iter()
-                .filter_map(|&i| i.checked_sub(n))
-                .filter_map(|fi| f.plan().link_flaps.get(fi).cloned())
-                .collect();
-            lane.faults = Some(FaultInjector::new(plan));
-        }
-        if let Some(t) = &self.telemetry {
-            lane = lane.with_telemetry(&t.ctx.lane(k));
-        }
-        for c in &self.clusters {
-            lane.register_cluster(&c.name, c.node, c.caps, c.n_servers());
-        }
-        for s in &self.sessions {
-            lane.push_session_slot(s.src, s.dst, s.spec.clone());
-        }
-        lane
-    }
-
-    /// Runs the script as independent event lanes — potentially in
-    /// parallel — and merges the results through a deterministic,
-    /// lane-ordered fold.
-    ///
-    /// Determinism contract:
-    ///
-    /// * outputs are byte-identical for every `shards` value, including
-    ///   `Shards::Fixed(1)`, which runs the lanes one after another and
-    ///   is what [`Driver::run`] does;
-    /// * a schedule that partitions into a single lane (everything
-    ///   shares a path, which includes the paper's one-pair studies)
-    ///   runs this driver's own drive loop on the calling thread, with
-    ///   the `gridftp-driver` noise stream;
-    /// * a multi-lane schedule runs one sub-driver per lane, each
-    ///   drawing server noise from its own `gridftp-driver/lane{k}`
-    ///   stream, and the coordinator never touches its own calendar
-    ///   (see `docs/kernel.md`).
-    pub fn run_sharded(mut self, limit: SimTime, shards: Shards) -> DriverOutput {
-        let lanes = self.lane_partition();
-        if lanes.len() <= 1 {
-            return self.run_core(limit).0;
-        }
-        let perf = self.telemetry.as_ref().map(|t| t.ctx.perf.clone()).unwrap_or_default();
-        let mut perf_phase = perf.phase("simulate");
-        let lane_count = lanes.len();
-        let run_span = self.tracer().span_enter_with(
-            SpanId::NONE,
-            self.sim.now().micros() as i64,
-            "driver.run",
-            |ev| ev.field("lanes", lane_count),
-        );
-        let mut drivers: Vec<Driver> = lanes
-            .iter()
-            .enumerate()
-            .map(|(k, members)| self.build_lane(k, members, run_span))
-            .collect();
-        // Deal the script out in call order: each entry moves to the
-        // lane that owns it, so every lane's script keeps call order.
-        // Members past the script are link flaps, already placed.
-        let n = self.script.len();
-        let mut lane_of = vec![0; n];
-        for (k, members) in lanes.iter().enumerate() {
-            members.iter().filter(|&&i| i < n).for_each(|&i| lane_of[i] = k);
-        }
-        for (entry, k) in std::mem::take(&mut self.script).into_iter().zip(lane_of) {
-            drivers[k].script.push(entry);
-        }
-        let results = run_lanes(drivers, limit, shards.threads());
-        // Fold the lane contexts back in lane order: the trace is the
-        // coordinator's events, then each lane's buffer whole (the
-        // offline tools sort by timestamp where they need a global
-        // timeline), and metrics and timeline windows merge the same
-        // for every shard count and thread schedule.
-        if let Some(t) = &self.telemetry {
-            for lane in results.iter().filter_map(|(_, ls)| ls.telemetry.as_ref()) {
-                t.ctx.absorb_lane(lane);
-            }
-        }
-        let end_us = results.iter().map(|(o, _)| o.sim.now().micros() as i64).max().unwrap_or(0);
-        self.tracer().span_exit(run_span, end_us);
-        let mut records = Vec::new();
-        let mut transfers = Vec::new();
-        let mut idc_sum = gvc_oscars::IdcStats::default();
-        let mut open_sum = 0usize;
-        let mut events = 0u64;
-        let mut rep = ResilienceReport::default();
-        let (mut lat_sum, mut lat_n) = (0.0_f64, 0_u64);
-        for (o, ls) in results {
-            self.sim.absorb_snmp(o.sim.snmp());
-            self.sim.absorb_bg_snmp(o.sim.bg_snmp());
-            records.extend(o.log.into_records());
-            transfers.extend(o.tstat.transfers);
-            if let Some(s) = o.idc_stats {
-                idc_sum.requests += s.requests;
-                idc_sum.admitted += s.admitted;
-                idc_sum.blocked += s.blocked;
-            }
-            open_sum += o.open_reservations.unwrap_or(0);
-            if let Some(r) = o.resilience {
-                rep.vc_requested += r.vc_requested;
-                rep.vc_established += r.vc_established;
-                rep.faults_injected += r.faults_injected;
-                rep.retries += r.retries;
-                rep.fallbacks += r.fallbacks;
-                rep.preemptions += r.preemptions;
-            }
-            lat_sum += ls.recovery_lat_sum_s;
-            lat_n += ls.recovery_lat_n;
-            events += ls.events;
-        }
-        rep.mean_recovery_latency_s = if lat_n > 0 { lat_sum / lat_n as f64 } else { 0.0 };
-        perf_phase.items(events);
-        drop(perf_phase);
-        self.tracer().flush();
-        // Stable sort: equal start times keep lane-concatenation
-        // order, which is itself deterministic.
-        transfers.sort_by_key(|t| t.start_unix_us);
         DriverOutput {
-            log: Dataset::from_records(records),
+            log: Dataset::from_records(self.log),
             sim: self.sim,
-            idc_stats: self.idc.as_ref().map(|_| idc_sum),
-            tstat: TstatReport { transfers },
-            resilience: self.recovery.map(|_| rep),
-            open_reservations: self.idc.as_ref().map(|_| open_sum),
+            idc_stats,
+            tstat: TstatReport { transfers: self.tstat },
+            resilience,
+            open_reservations,
         }
     }
-}
 
-/// Executes lane sub-drivers, returning results in lane order. With
-/// more than one worker, lanes run via recursive `rayon::join` splits
-/// bounded by the worker budget; the halves concatenate back in lane
-/// order however execution interleaves, so results never depend on
-/// scheduling. With one worker, lanes run one after another, in lane
-/// order.
-fn run_lanes(lanes: Vec<Driver>, limit: SimTime, threads: usize) -> Vec<(DriverOutput, LaneStats)> {
-    fn go(
-        mut lanes: Vec<Driver>,
-        limit: SimTime,
-        workers: usize,
-    ) -> Vec<(DriverOutput, LaneStats)> {
-        if workers <= 1 || lanes.len() <= 1 {
-            return lanes.into_iter().map(|d| d.run_core(limit)).collect();
-        }
-        let right = lanes.split_off(lanes.len() / 2);
-        let (left_workers, right_workers) = (workers - workers / 2, workers / 2);
-        let (mut l, r) =
-            rayon::join(|| go(lanes, limit, left_workers), || go(right, limit, right_workers));
-        l.extend(r);
-        l
+    /// [`Driver::run`] under its earlier name, for callers that still
+    /// pass a [`Shards`] setting; the setting is ignored. The benchmark
+    /// harness under `perfbench/` calls this, and nothing else should.
+    pub fn run_sharded(self, limit: SimTime, _shards: Shards) -> DriverOutput {
+        self.run(limit)
     }
-    go(lanes, limit, threads)
 }
 
 /// Per-transfer connection statistics, in the spirit of the `tstat`
@@ -1695,13 +1375,13 @@ mod tests {
 
     #[test]
     fn telemetry_covers_kernel_idc_transfer_and_net() {
-        use gvc_telemetry::RingSink;
+        use gvc_telemetry::BufferSink;
         let t = study_topology();
         let (slac, bnl) = (t.dtn(Site::Slac), t.dtn(Site::Bnl));
         let idc = Idc::new(t.graph.clone(), SetupDelayModel::one_minute());
         let sim = NetworkSim::new(t.graph, 0);
-        let ring = Arc::new(RingSink::new(4096));
-        let ctx = Telemetry::with_sink(ring.clone());
+        let sink = Arc::new(BufferSink::new());
+        let ctx = Telemetry::with_sink(sink.clone());
         let mut d = Driver::new(sim, 7).with_idc(idc).with_telemetry(&ctx);
         let a = d.register_cluster("slac", slac, ServerCaps::default(), 1);
         let b = d.register_cluster("bnl", bnl, ServerCaps::default(), 1);
@@ -1734,7 +1414,7 @@ mod tests {
         assert_eq!(tp.count(), 3);
 
         // All four subsystem namespaces appear in the trace.
-        let kinds: std::collections::HashSet<&str> = ring.events().iter().map(|e| e.kind).collect();
+        let kinds: std::collections::HashSet<&str> = sink.take().iter().map(|e| e.kind).collect();
         for expected in [
             "kernel.event",
             "idc.admit",
@@ -1767,13 +1447,13 @@ mod tests {
 
     #[test]
     fn session_spans_nest_and_survive_the_offline_checks() {
-        use gvc_telemetry::RingSink;
+        use gvc_telemetry::BufferSink;
         let t = study_topology();
         let (slac, bnl) = (t.dtn(Site::Slac), t.dtn(Site::Bnl));
         let idc = Idc::new(t.graph.clone(), SetupDelayModel::one_minute());
         let sim = NetworkSim::new(t.graph, 0);
-        let ring = Arc::new(RingSink::new(16384));
-        let ctx = Telemetry::with_sink(ring.clone());
+        let sink = Arc::new(BufferSink::new());
+        let ctx = Telemetry::with_sink(sink.clone());
         let mut d = Driver::new(sim, 7)
             .with_idc(idc)
             .with_recovery(RecoveryPolicy::default())
@@ -1792,8 +1472,8 @@ mod tests {
         assert_eq!(out.log.len(), 2);
 
         // Round-trip the span stream through the offline toolchain.
-        let text: String = ring
-            .events()
+        let text: String = sink
+            .take()
             .iter()
             .map(gvc_telemetry::TraceEvent::to_json)
             .collect::<Vec<_>>()
@@ -1837,13 +1517,13 @@ mod tests {
     #[test]
     fn fallback_sessions_mark_the_fallback_span() {
         use gvc_faults::FaultPlan;
-        use gvc_telemetry::RingSink;
+        use gvc_telemetry::BufferSink;
         let t = study_topology();
         let (slac, bnl) = (t.dtn(Site::Slac), t.dtn(Site::Bnl));
         let idc = Idc::new(t.graph.clone(), SetupDelayModel::one_minute());
         let sim = NetworkSim::new(t.graph, 0);
-        let ring = Arc::new(RingSink::new(16384));
-        let ctx = Telemetry::with_sink(ring.clone());
+        let sink = Arc::new(BufferSink::new());
+        let ctx = Telemetry::with_sink(sink.clone());
         let mut d = Driver::new(sim, 11)
             .with_idc(idc)
             .with_faults(FaultPlan { fail_first_provisions: 100, ..FaultPlan::default() })
@@ -1863,8 +1543,8 @@ mod tests {
         let out = d.run(SimTime::from_secs(100_000));
         assert_eq!(out.log.len(), 1);
         assert_eq!(out.resilience.unwrap().fallbacks, 1);
-        let text: String = ring
-            .events()
+        let text: String = sink
+            .take()
             .iter()
             .map(gvc_telemetry::TraceEvent::to_json)
             .collect::<Vec<_>>()
@@ -2047,10 +1727,10 @@ mod tests {
     /// and nothing is tallied as a fallback or reported as resilience.
     #[test]
     fn blocked_request_without_policy_gives_up_after_one_attempt() {
-        use gvc_telemetry::RingSink;
+        use gvc_telemetry::BufferSink;
         let (d, a, b) = vc_driver(7);
-        let ring = Arc::new(RingSink::new(16384));
-        let ctx = Telemetry::with_sink(ring.clone());
+        let sink = Arc::new(BufferSink::new());
+        let ctx = Telemetry::with_sink(sink.clone());
         let mut d = d.with_telemetry(&ctx);
         // Far more than any study link carries: admission blocks.
         let vc = crate::session::VcRequestSpec { rate_bps: 1e15, ..vc_spec() };
@@ -2066,8 +1746,8 @@ mod tests {
         assert_eq!(out.idc_stats.unwrap().blocked, 1);
         assert_eq!(ctx.registry.counter("fallback_ip_total", &[]).get(), 0);
 
-        let text: String = ring
-            .events()
+        let text: String = sink
+            .take()
             .iter()
             .map(gvc_telemetry::TraceEvent::to_json)
             .collect::<Vec<_>>()
@@ -2327,350 +2007,5 @@ mod tests {
         assert_eq!(out.log.len(), 2);
         let tp: Vec<f64> = out.log.throughputs_mbps();
         assert!(tp[0] > tp[1] * 1.4, "before={} after={}", tp[0], tp[1]);
-    }
-
-    /// A three-lane workload: pairs local to different hubs never
-    /// share a link. `vc_pair` requests a circuit on the SLAC pair.
-    fn disjoint_pairs_driver(seed: u64, with_telemetry: Option<&Telemetry>, vc: bool) -> Driver {
-        let t = study_topology();
-        let pairs = [(Site::Nersc, Site::Slac), (Site::Ornl, Site::Nics), (Site::Anl, Site::Bnl)];
-        let dtns: Vec<(NodeId, NodeId)> =
-            pairs.iter().map(|&(x, y)| (t.dtn(x), t.dtn(y))).collect();
-        let mut d = Driver::new(NetworkSim::new(t.graph.clone(), 0), seed);
-        if vc {
-            d = d.with_idc(Idc::new(t.graph.clone(), SetupDelayModel::one_minute()));
-        }
-        if let Some(ctx) = with_telemetry {
-            d = d.with_telemetry(ctx);
-        }
-        let mut clusters = Vec::new();
-        for (i, &(x, y)) in dtns.iter().enumerate() {
-            let a = d.register_cluster(&format!("src{i}"), x, ServerCaps::default(), 2);
-            let b = d.register_cluster(&format!("dst{i}"), y, ServerCaps::default(), 2);
-            clusters.push((a, b));
-        }
-        for (i, &(a, b)) in clusters.iter().enumerate() {
-            let mut spec = SessionSpec::sequential(vec![job(256); 3], 1.0).with_concurrency(2);
-            if vc && i == 0 {
-                spec = spec.with_vc(vc_spec());
-            }
-            d.schedule_session(SimTime::from_secs(i as u64), a, b, spec);
-            d.schedule_transfer(SimTime::from_secs(30 + i as u64), a, b, job(64));
-        }
-        d
-    }
-
-    #[test]
-    fn lane_partition_separates_disjoint_pairs_and_merges_shared_paths() {
-        let d = disjoint_pairs_driver(11, None, false);
-        assert_eq!(d.lane_count(), 3, "hub-local pairs must not share a lane");
-        // The study pairs all cross the shared backbone: one lane, run
-        // by the driver's own drive loop.
-        let (mut d, a, b) = base_driver(11);
-        d.schedule_transfer(SimTime::ZERO, a, b, job(64));
-        assert_eq!(d.lane_count(), 1);
-    }
-
-    #[test]
-    fn sharded_single_lane_is_bit_identical_to_serial() {
-        let build = |_: ()| {
-            let (mut d, a, b) = base_driver(12);
-            d.schedule_session(
-                SimTime::ZERO,
-                a,
-                b,
-                SessionSpec::sequential(vec![job(128); 4], 2.0).with_concurrency(2),
-            );
-            d.schedule_transfer(SimTime::from_secs(7), a, b, job(256));
-            d
-        };
-        let serial = build(()).run(SimTime::from_secs(1_000_000));
-        let sharded = build(()).run_sharded(SimTime::from_secs(1_000_000), Shards::Auto);
-        assert_eq!(serial.log, sharded.log);
-        assert_eq!(serial.tstat.transfers, sharded.tstat.transfers);
-    }
-
-    /// The core determinism contract: a multi-lane schedule produces
-    /// byte-identical outputs at every shard count.
-    #[test]
-    fn sharded_outputs_identical_across_shard_counts() {
-        let run = |shards: Shards| {
-            let d = disjoint_pairs_driver(13, None, true);
-            assert!(d.lane_count() > 1, "workload must actually shard");
-            d.run_sharded(SimTime::from_secs(1_000_000), shards)
-        };
-        let one = run(Shards::Fixed(1));
-        let two = run(Shards::Fixed(2));
-        let many = run(Shards::Fixed(16));
-        let auto = run(Shards::Auto);
-        for other in [&two, &many, &auto] {
-            assert_eq!(one.log, other.log);
-            assert_eq!(one.tstat.transfers, other.tstat.transfers);
-            assert_eq!(one.idc_stats, other.idc_stats);
-            assert_eq!(one.open_reservations, other.open_reservations);
-            assert_eq!(one.resilience, other.resilience);
-        }
-        assert_eq!(one.open_reservations, Some(0), "no leaked reservations");
-        assert_eq!(one.log.len(), 3 * 4, "every pair's jobs logged");
-    }
-
-    #[test]
-    fn sharded_traces_and_metrics_identical_across_shard_counts() {
-        use gvc_telemetry::RingSink;
-        // The reproducible slice of an exposition: wall-clock handler
-        // timings vary run to run, everything else must not.
-        let canon_metrics = |ctx: &Telemetry| -> String {
-            ctx.registry
-                .render()
-                .lines()
-                .filter(|l| !l.contains("sim_event_handle_seconds"))
-                .map(|l| format!("{l}\n"))
-                .collect()
-        };
-        // Same filter as the CLI determinism suite: kernel.event
-        // records carry wall_us profiling samples.
-        let run = |shards: Shards| -> (String, String, Dataset) {
-            let ring = Arc::new(RingSink::new(65536));
-            let ctx = Telemetry::with_sink(ring.clone());
-            let d = disjoint_pairs_driver(14, Some(&ctx), true);
-            let out = d.run_sharded(SimTime::from_secs(1_000_000), shards);
-            let trace: String = ring
-                .events()
-                .iter()
-                .filter(|e| e.kind != "kernel.event")
-                .map(|e| format!("{}\n", e.to_json()))
-                .collect();
-            (trace, canon_metrics(&ctx), out.log)
-        };
-        let (trace1, metrics1, log1) = run(Shards::Fixed(1));
-        let (trace2, metrics2, log2) = run(Shards::Fixed(2));
-        let (trace_n, metrics_n, log_n) = run(Shards::Auto);
-        assert_eq!(trace1, trace2, "trace bytes differ between shard counts 1 and 2");
-        assert_eq!(trace1, trace_n, "trace bytes differ between shard counts 1 and auto");
-        assert_eq!(metrics1, metrics2);
-        assert_eq!(metrics1, metrics_n);
-        assert_eq!(log1, log2);
-        assert_eq!(log1, log_n);
-        assert!(trace1.contains("\"name\":\"driver.lane\""), "lane spans emitted");
-        assert!(trace1.contains("\"name\":\"driver.run\""), "coordinator span emitted");
-    }
-
-    #[test]
-    fn sharded_trace_survives_offline_checks_and_merged_metrics_add_up() {
-        use gvc_telemetry::{check, CheckConfig, RingSink, TraceModel};
-        let ring = Arc::new(RingSink::new(65536));
-        let ctx = Telemetry::with_sink(ring.clone());
-        let d = disjoint_pairs_driver(15, Some(&ctx), true);
-        let out = d.run_sharded(SimTime::from_secs(1_000_000), Shards::Auto);
-        assert_eq!(out.log.len(), 12);
-        let text: String = ring.events().iter().map(|e| format!("{}\n", e.to_json())).collect();
-        let model = TraceModel::from_text(&text).expect("parse merged trace");
-        let report = check(&model, &CheckConfig::default());
-        assert!(report.clean(), "merged trace violations: {:?}", report.violations);
-        // Lane registries folded into the coordinator's: lifecycle
-        // counters cover every session and transfer.
-        let reg = &ctx.registry;
-        assert_eq!(reg.counter("gridftp_sessions_started_total", &[]).get(), 6);
-        assert_eq!(reg.counter("gridftp_sessions_completed_total", &[]).get(), 6);
-        assert_eq!(reg.counter("gridftp_transfers_completed_total", &[]).get(), 12);
-        assert_eq!(reg.counter("idc_admitted_total", &[]).get(), 1);
-        // The coordinator never schedules: every event is scheduled and
-        // dispatched once, in its lane, and no queue-wait span is
-        // cancelled.
-        assert_eq!(
-            reg.counter("sim_events_scheduled_total", &[]).get(),
-            reg.counter("sim_events_dispatched_total", &[]).get()
-        );
-        assert!(!text.contains("\"cancelled\""), "cancelled spans in a drained run");
-    }
-
-    #[test]
-    fn sharded_faults_and_snmp_match_across_shard_counts() {
-        use gvc_faults::FaultPlan;
-        let t = study_topology();
-        let watch_a = t.path(Site::Nersc, Site::Slac).links[2];
-        let watch_b = t.path(Site::Ornl, Site::Nics).links[2];
-        let run = |shards: Shards| {
-            let mut d = disjoint_pairs_driver(16, None, true).with_faults(FaultPlan {
-                fail_first_provisions: 1,
-                link_flaps: vec![gvc_faults::LinkFlapSpec {
-                    link: "nash-cr->nics-pe".into(),
-                    at_s: 5.0,
-                    duration_s: 60.0,
-                    residual_frac: 0.25,
-                }],
-                ..FaultPlan::default()
-            });
-            d.sim_mut().monitor_link(watch_a);
-            d.sim_mut().monitor_link(watch_b);
-            d.run_sharded(SimTime::from_secs(1_000_000), shards)
-        };
-        let one = run(Shards::Fixed(1));
-        let many = run(Shards::Auto);
-        assert_eq!(one.log, many.log);
-        assert_eq!(one.resilience, many.resilience);
-        let r = one.resilience.expect("resilience report");
-        assert!(r.faults_injected >= 2, "provision fault + link flap: {r:?}");
-        for watch in [watch_a, watch_b] {
-            let (s1, s2) = (
-                one.sim.snmp().series(watch).expect("series"),
-                many.sim.snmp().series(watch).expect("series"),
-            );
-            assert_eq!(s1, s2, "SNMP series differ for link {watch:?}");
-            assert!(s1.total_bytes() > 0, "monitored link saw traffic");
-        }
-    }
-
-    /// The flight-recorder arm of the determinism contract: the
-    /// merged timeline (driver, kernel, IDC, fault, and derived SNMP
-    /// series alike) is byte-identical at every shard count, including
-    /// the sequential `Shards::Fixed(1)` run.
-    #[test]
-    fn sharded_timeline_bytes_identical_across_shard_counts() {
-        use gvc_faults::FaultPlan;
-        use gvc_telemetry::DEFAULT_WIDTH_US;
-        let t = study_topology();
-        let watch = t.path(Site::Nersc, Site::Slac).links[2];
-        let run = |shards: Shards| -> String {
-            let tl = TimelineHandle::new(DEFAULT_WIDTH_US);
-            let ctx = Telemetry::metrics_only().with_timeline(tl.clone());
-            let mut d = disjoint_pairs_driver(18, Some(&ctx), true)
-                .with_faults(FaultPlan { fail_first_provisions: 1, ..FaultPlan::default() });
-            d.sim_mut().monitor_link(watch);
-            let out = d.run_sharded(SimTime::from_secs(1_000_000), shards);
-            out.sim.record_timeline(&tl);
-            tl.to_json()
-        };
-        let one = run(Shards::Fixed(1));
-        let two = run(Shards::Fixed(2));
-        let auto = run(Shards::Auto);
-        assert_eq!(one, two, "timeline bytes differ between shard counts 1 and 2");
-        assert_eq!(one, auto, "timeline bytes differ between shard counts 1 and auto");
-        for name in [
-            series::KERNEL_SCHEDULED,
-            series::KERNEL_DISPATCHED,
-            series::DRIVER_SESSION_STARTS,
-            series::DRIVER_SESSION_COMPLETIONS,
-            series::DRIVER_TRANSFERS,
-            series::DRIVER_VC_SETUP,
-            series::FAULT_INJECTED,
-            series::OSCARS_OPEN_RESERVATIONS,
-            series::NET_LINK_UTIL,
-        ] {
-            assert!(one.contains(&format!("\"{name}")), "series {name} missing:\n{one}");
-        }
-    }
-
-    #[test]
-    fn sharded_background_and_resize_stay_on_their_lanes() {
-        use gvc_net::background::BackgroundArrival;
-        let t = study_topology();
-        let (nersc, slac) = (t.dtn(Site::Nersc), t.dtn(Site::Slac));
-        let (ornl, nics) = (t.dtn(Site::Ornl), t.dtn(Site::Nics));
-        // Cross traffic confined to the ORNL–NICS path: it shares only
-        // that pair's lane, like the resize of the ORNL cluster.
-        let bg_route = t.path(Site::Ornl, Site::Nics).links;
-        let run = |shards: Shards, ornl_side_items: bool| {
-            let mut d = Driver::new(NetworkSim::new(t.graph.clone(), 0), 17);
-            let a = d.register_cluster("nersc", nersc, ServerCaps::default(), 2);
-            let b = d.register_cluster("slac", slac, ServerCaps::default(), 2);
-            let c = d.register_cluster("ornl", ornl, ServerCaps::default(), 2);
-            let e = d.register_cluster("nics", nics, ServerCaps::default(), 2);
-            for (src, dst) in [(a, b), (c, e)] {
-                let spec = SessionSpec::sequential(vec![job(512); 2], 0.0);
-                d.schedule_session(SimTime::ZERO, src, dst, spec);
-            }
-            if ornl_side_items {
-                d.schedule_resize(SimTime::from_secs(1), c, 1);
-                d.schedule_background(
-                    (0..8)
-                        .map(|i| BackgroundArrival {
-                            at: SimTime::from_secs(i),
-                            spec: FlowSpec::best_effort(bg_route.clone(), 10e9),
-                        })
-                        .collect(),
-                );
-            }
-            assert!(d.lane_count() > 1, "the two pairs must run on separate lanes");
-            d.run_sharded(SimTime::from_secs(1_000_000), shards)
-        };
-        let one = run(Shards::Fixed(1), true);
-        let many = run(Shards::Fixed(8), true);
-        assert_eq!(one.log, many.log);
-        assert_eq!(one.tstat.transfers, many.tstat.transfers);
-        assert_eq!(one.log.len(), 4);
-        // The NERSC–SLAC lane never sees the ORNL-side items; the ORNL
-        // pair's transfers are slowed by them.
-        let quiet = run(Shards::Fixed(1), false);
-        let pair = |out: &DriverOutput, server: &str| -> Vec<TransferRecord> {
-            out.log.records().iter().filter(|r| r.server == server).cloned().collect()
-        };
-        assert_eq!(pair(&one, "nersc"), pair(&quiet, "nersc"));
-        assert_ne!(pair(&one, "ornl"), pair(&quiet, "ornl"));
-    }
-
-    proptest! {
-        /// Property form of the determinism contract: random session
-        /// shapes and fault plans over disjoint pairs produce
-        /// identical logs, tstat, and resilience at shard counts
-        /// 1, 2, and N.
-        #[test]
-        fn prop_sharded_equivalence_across_shard_counts(
-            seed in 0u64..500,
-            jobs_a in 1usize..4,
-            jobs_b in 1usize..4,
-            conc in 1u32..3,
-            gap_s in 0.0f64..3.0,
-            fail_first in 0u32..3,
-            with_vc in proptest::bool::ANY,
-        ) {
-            use gvc_faults::FaultPlan;
-            let run = |shards: Shards| {
-                let t = study_topology();
-                let tl = TimelineHandle::new(gvc_telemetry::DEFAULT_WIDTH_US);
-                let ctx = Telemetry::metrics_only().with_timeline(tl.clone());
-                let mut d = Driver::new(NetworkSim::new(t.graph.clone(), 0), seed)
-                    .with_telemetry(&ctx);
-                if with_vc {
-                    d = d.with_idc(Idc::new(t.graph.clone(), SetupDelayModel::one_minute()));
-                }
-                d = d.with_faults(FaultPlan {
-                    fail_first_provisions: fail_first,
-                    ..FaultPlan::default()
-                });
-                let a = d.register_cluster("nersc", t.dtn(Site::Nersc), ServerCaps::default(), 2);
-                let b = d.register_cluster("slac", t.dtn(Site::Slac), ServerCaps::default(), 2);
-                let c = d.register_cluster("ornl", t.dtn(Site::Ornl), ServerCaps::default(), 2);
-                let e = d.register_cluster("nics", t.dtn(Site::Nics), ServerCaps::default(), 2);
-                let mut spec_a =
-                    SessionSpec::sequential(vec![job(64); jobs_a], gap_s).with_concurrency(conc);
-                if with_vc {
-                    spec_a = spec_a.with_vc(vc_spec());
-                }
-                d.schedule_session(SimTime::ZERO, a, b, spec_a);
-                d.schedule_session(
-                    SimTime::from_secs(1),
-                    c,
-                    e,
-                    SessionSpec::sequential(vec![job(64); jobs_b], gap_s),
-                );
-                let out = d.run_sharded(SimTime::from_secs(1_000_000), shards);
-                out.sim.record_timeline(&tl);
-                (out, tl.to_json())
-            };
-            let (one, tl_one) = run(Shards::Fixed(1));
-            let (two, tl_two) = run(Shards::Fixed(2));
-            let (many, tl_many) = run(Shards::Fixed(9));
-            prop_assert_eq!(&one.log, &two.log);
-            prop_assert_eq!(&one.log, &many.log);
-            prop_assert_eq!(&one.tstat.transfers, &two.tstat.transfers);
-            prop_assert_eq!(&one.tstat.transfers, &many.tstat.transfers);
-            prop_assert_eq!(one.resilience, two.resilience);
-            prop_assert_eq!(one.resilience, many.resilience);
-            prop_assert_eq!(one.idc_stats, many.idc_stats);
-            prop_assert_eq!(one.open_reservations, many.open_reservations);
-            prop_assert_eq!(&tl_one, &tl_two);
-            prop_assert_eq!(&tl_one, &tl_many);
-        }
     }
 }

@@ -261,28 +261,14 @@ impl NetworkSim {
         self.background_tag = Some(tag);
     }
 
-    /// Folds another recorder's SNMP counters into this sim's (see
-    /// [`SnmpRecorder::absorb`]). Sharded runs use this to merge each
-    /// lane's counters back into the coordinator's sim.
-    pub fn absorb_snmp(&mut self, other: &SnmpRecorder) {
-        self.snmp.absorb(other);
-    }
-
-    /// Folds another recorder's background-only counters in (the
-    /// sharded-merge twin of [`NetworkSim::absorb_snmp`]).
-    pub fn absorb_bg_snmp(&mut self, other: &SnmpRecorder) {
-        self.bg_snmp.absorb(other);
-    }
-
-    /// Derives the per-link timeline series from the (merged) SNMP
-    /// counters: `net.link_util[<iface>]` and `net.bg_util[<iface>]`
-    /// as utilization fractions of link capacity per timeline window,
-    /// each counter bin distributed over the windows it overlaps.
+    /// Derives the per-link timeline series from the SNMP counters:
+    /// `net.link_util[<iface>]` and `net.bg_util[<iface>]` as
+    /// utilization fractions of link capacity per timeline window, each
+    /// counter bin distributed over the windows it overlaps.
     ///
-    /// Called exactly once after a run completes (after sharded lanes
-    /// are absorbed), so the series inherit the integer-bin shard
-    /// invariance of the recorder instead of depending on float
-    /// integration order. Utilization is relative to the link's
+    /// Called exactly once after a run completes, so the series come
+    /// from the recorder's integer byte bins instead of depending on
+    /// float integration order. Utilization is relative to the link's
     /// capacity at derivation time.
     pub fn record_timeline(&self, tl: &TimelineHandle) {
         let width_s = tl.width_us() as f64 / 1e6;
@@ -770,10 +756,10 @@ mod tests {
 
     #[test]
     fn telemetry_counts_recomputes_flows_and_snmp() {
-        use gvc_telemetry::RingSink;
+        use gvc_telemetry::BufferSink;
         let (mut sim, l) = sim_one_link();
-        let ring = Arc::new(RingSink::new(256));
-        let ctx = Telemetry::with_sink(ring.clone());
+        let sink = Arc::new(BufferSink::new());
+        let ctx = Telemetry::with_sink(sink.clone());
         let reg = &ctx.registry;
         sim.set_telemetry(&ctx);
         sim.monitor_link(l);
@@ -790,7 +776,7 @@ mod tests {
         let snmp = reg.counter("net_snmp_deposited_bytes_total", &[]).get();
         assert!((snmp as f64 - 1.5e9).abs() < 4.0, "snmp bytes {snmp}");
 
-        let kinds: std::collections::HashSet<&str> = ring.events().iter().map(|e| e.kind).collect();
+        let kinds: std::collections::HashSet<&str> = sink.take().iter().map(|e| e.kind).collect();
         assert!(kinds.contains("net.fairshare"));
         assert!(kinds.contains("net.snmp_deposit"));
     }

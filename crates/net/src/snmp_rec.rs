@@ -62,25 +62,6 @@ impl SnmpRecorder {
     pub fn monitored_links(&self) -> Vec<LinkId> {
         self.series.keys().copied().collect()
     }
-
-    /// Folds another recorder's counters into this one: interfaces
-    /// monitored by both add bin-by-bin, interfaces only monitored
-    /// there are adopted wholesale. Sharded runs deposit each lane's
-    /// bytes into a private recorder and fold them back in lane
-    /// order; bin addition is integer, so the result is independent
-    /// of fold order anyway.
-    pub fn absorb(&mut self, other: &SnmpRecorder) {
-        for link in other.monitored_links() {
-            let Some(theirs) = other.series(link) else {
-                continue;
-            };
-            if let Some(mine) = self.series.get_mut(&link) {
-                mine.absorb(theirs);
-            } else {
-                self.series.insert(link, theirs.clone());
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -104,22 +85,6 @@ mod tests {
         assert_eq!(s.total_bytes(), 600);
         assert_eq!(s.bytes_in_bin(0), 300);
         assert_eq!(s.bytes_in_bin(1), 300);
-    }
-
-    #[test]
-    fn absorb_merges_shared_and_adopts_new_interfaces() {
-        let mut a = SnmpRecorder::new();
-        a.monitor(LinkId(1), "x->y", 0);
-        a.deposit(LinkId(1), 0, 30_000_000, 300);
-        let mut b = SnmpRecorder::new();
-        b.monitor(LinkId(1), "x->y", 0);
-        b.monitor(LinkId(4), "y->z", 0);
-        b.deposit(LinkId(1), 0, 30_000_000, 100);
-        b.deposit(LinkId(4), 0, 30_000_000, 50);
-        a.absorb(&b);
-        assert_eq!(a.series(LinkId(1)).unwrap().total_bytes(), 400);
-        assert_eq!(a.series(LinkId(4)).unwrap().total_bytes(), 50);
-        assert_eq!(a.monitored_links(), vec![LinkId(1), LinkId(4)]);
     }
 
     #[test]

@@ -153,9 +153,7 @@ impl Idc {
     /// Instruments the controller from `ctx`: admission and
     /// provisioning metrics in its registry, `idc.*` events and
     /// `circuit.lifetime` spans through its tracer, and calendar
-    /// occupancy samples in its flight recorder. The IDC lives in
-    /// exactly one shard lane, so those samples are shard-invariant by
-    /// construction.
+    /// occupancy samples in its flight recorder.
     pub fn set_telemetry(&mut self, ctx: &Telemetry) {
         let registry = &ctx.registry;
         registry.describe("idc_requests_total", "createReservation calls received");
@@ -200,21 +198,6 @@ impl Idc {
     /// The setup-delay model in force.
     pub fn setup_model(&self) -> SetupDelayModel {
         self.setup
-    }
-
-    /// A fresh controller sharing this one's graph, setup model, and
-    /// reservable-fraction policy, with an empty calendar and ids
-    /// starting at 0.
-    ///
-    /// A sharded run hands the fork to the one lane that owns every
-    /// circuit-requesting session (they all share the IDC lane key),
-    /// so that lane numbers and admits reservations exactly as an
-    /// unforked controller would.
-    pub fn fork(&self) -> Idc {
-        Idc {
-            reservable_fraction: self.reservable_fraction,
-            ..Idc::new(self.graph.clone(), self.setup)
-        }
     }
 
     /// Admission statistics so far.
@@ -568,10 +551,10 @@ mod tests {
 
     #[test]
     fn telemetry_tracks_admissions_and_lifecycle() {
-        use gvc_telemetry::RingSink;
+        use gvc_telemetry::BufferSink;
         let (mut i, req) = idc();
-        let ring = Arc::new(RingSink::new(64));
-        let ctx = Telemetry::with_sink(ring.clone());
+        let sink = Arc::new(BufferSink::new());
+        let ctx = Telemetry::with_sink(sink.clone());
         let reg = &ctx.registry;
         i.set_telemetry(&ctx);
 
@@ -596,7 +579,8 @@ mod tests {
         assert_eq!(setup.count(), 1);
         assert!((setup.sum() - 60.0).abs() < 1e-9, "one-minute model");
 
-        let kinds: Vec<&str> = ring.events().iter().map(|e| e.kind).collect();
+        let events = sink.take();
+        let kinds: Vec<&str> = events.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
             vec![
@@ -612,8 +596,7 @@ mod tests {
                 "span.end", // circuit.lifetime closes at teardown
             ]
         );
-        let jsons: Vec<String> =
-            ring.events().iter().map(gvc_telemetry::TraceEvent::to_json).collect();
+        let jsons: Vec<String> = events.iter().map(gvc_telemetry::TraceEvent::to_json).collect();
         assert!(
             jsons[5].contains("\"name\":\"circuit.lifetime\"")
                 && jsons[5].contains("\"reservation\":0"),
@@ -621,8 +604,8 @@ mod tests {
             jsons[5]
         );
         assert!(jsons[6].contains("\"name\":\"idc.setup\""), "{}", jsons[6]);
-        assert_eq!(ring.events()[7].t_us, 60_000_000, "setup span ends at ready");
-        assert_eq!(ring.events()[9].t_us, 30_000_000, "circuit span ends at teardown");
+        assert_eq!(events[7].t_us, 60_000_000, "setup span ends at ready");
+        assert_eq!(events[9].t_us, 30_000_000, "circuit span ends at teardown");
         // Second admit on the same window fills the path to capacity.
         let util =
             reg.histogram("idc_path_utilization", &[], || Histogram::new(0.01, 1.6, 11)).snapshot();
@@ -714,20 +697,6 @@ mod tests {
             idc.provision(id, SimTime::from_secs(1)),
             Err(IdcError::InvalidState(id, ReservationState::Active))
         );
-    }
-
-    #[test]
-    fn fork_shares_policy_but_not_state() {
-        let (mut idc, req) = idc();
-        idc.create_reservation(req).unwrap();
-        let mut lane = idc.fork();
-        // Fresh calendar: the fork admits as if nothing were committed.
-        let id = lane.create_reservation(req).unwrap();
-        assert_eq!(id, ReservationId(0), "ids restart from 0");
-        assert_eq!(lane.stats(), IdcStats { requests: 1, admitted: 1, blocked: 0 });
-        assert_eq!(lane.setup_model(), idc.setup_model());
-        assert_eq!(idc.stats().requests, 1, "parent untouched");
-        assert_eq!(lane.open_reservations(), 1);
     }
 
     #[test]

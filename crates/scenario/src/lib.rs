@@ -18,7 +18,7 @@
 //! * [`runner`] — drives the full driver/faults/telemetry stack and
 //!   evaluates expectation bounds;
 //! * [`golden`] — canonical report JSON (wall-clock-free, so reruns
-//!   are byte-identical per seed at every shard count) and line-level
+//!   are byte-identical per seed) and line-level
 //!   diffs;
 //! * [`corpus`] — discovery and golden-file layout for a `scenarios/`
 //!   tree.

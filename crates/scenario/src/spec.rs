@@ -694,6 +694,21 @@ impl ScenarioSpec {
                 if burst_sessions == 0 {
                     return err(wl.line, "`burst_sessions` must be at least 1");
                 }
+                // A bursty schedule lands `burst_sessions` per pass; hold
+                // its session count to the ceiling `sessions` has.
+                let passes = (horizon_s / burst_period_s).ceil();
+                if arrival == ArrivalProfile::Bursty
+                    && passes * f64::from(burst_sessions) > f64::from(u32::MAX)
+                {
+                    return err(
+                        wl.line,
+                        format!(
+                            "`burst_period_s` is too short: {passes:e} passes of \
+                             {burst_sessions} sessions exceed {} sessions",
+                            u32::MAX
+                        ),
+                    );
+                }
                 if transfers_per_session == 0 {
                     return err(wl.line, "`transfers_per_session` must be at least 1");
                 }

@@ -6,7 +6,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use gvc_gridftp::driver::Shards;
 use gvc_scenario::{discover, run_scenario, CorpusEntry};
 
 fn corpus_dir() -> PathBuf {
@@ -33,7 +32,7 @@ fn stat(stats: &str, key: &str) -> u64 {
 fn maintenance_window_storyline_is_exact() {
     let entry = entry("maintenance-window");
     assert!(entry.spec.fault_plan.is_some(), "maintenance-window must carry a fault plan");
-    let outcome = run_scenario(&entry.spec, Shards::Auto).expect("run");
+    let outcome = run_scenario(&entry.spec).expect("run");
     assert!(outcome.violations.is_empty(), "storyline bounds must hold: {:?}", outcome.violations);
 
     // The spec's [expect] section pins the whole recovery ledger; the
@@ -71,13 +70,13 @@ fn maintenance_window_storyline_is_exact() {
     assert_eq!(stat(&golden, "open_reservations"), 0);
 }
 
-/// The same fault plan replayed at a different shard count tells the
-/// same story — fault injection rides the deterministic event order.
+/// The same fault plan replayed with the same seed tells the same
+/// story — fault injection rides the deterministic event order.
 #[test]
-fn maintenance_window_storyline_is_shard_invariant() {
+fn maintenance_window_storyline_replays_identically() {
     let entry = entry("maintenance-window");
-    let a = run_scenario(&entry.spec, Shards::Fixed(1)).expect("run");
-    let b = run_scenario(&entry.spec, Shards::Fixed(4)).expect("run");
+    let a = run_scenario(&entry.spec).expect("run");
+    let b = run_scenario(&entry.spec).expect("run");
     assert_eq!(a.stats_text, b.stats_text);
     assert_eq!(a.report_json, b.report_json);
 }
@@ -85,7 +84,7 @@ fn maintenance_window_storyline_is_shard_invariant() {
 #[test]
 fn interdomain_chain_closes_every_reservation() {
     let entry = entry("interdomain-chain");
-    let outcome = run_scenario(&entry.spec, Shards::Auto).expect("run");
+    let outcome = run_scenario(&entry.spec).expect("run");
     assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
     assert_eq!(
         stat(&outcome.stats_text, "interdomain_requested"),

@@ -390,6 +390,14 @@ fn semantic_validation_rejects_inconsistent_specs() {
             "error {err:?} for spec tail {tail:?} should mention {want:?}"
         );
     }
+    // A bursty schedule may not outgrow the ceiling `sessions` puts on
+    // the other profiles: 10^12 passes would exhaust memory in
+    // `synth_sessions`.
+    let pamela = include_str!("../../../scenarios/pamela-downlink.scn")
+        .replace("horizon_s = 17100", "horizon_s = 1000000")
+        .replace("burst_period_s = 5700", "burst_period_s = 0.000001");
+    let err = ScenarioSpec::parse(&pamela).expect_err("bursty session count overflows");
+    assert!(err.to_string().contains("`burst_period_s` is too short"), "{err}");
 }
 
 #[test]

@@ -231,20 +231,6 @@ impl Histogram {
         }
     }
 
-    /// Folds a snapshot of the *same layout* into this histogram:
-    /// per-bucket counts, the sample count, and the sum all add.
-    ///
-    /// # Panics
-    /// Panics on a layout mismatch.
-    fn absorb(&self, snap: &HistogramSnapshot) {
-        assert_eq!(self.layout, snap.layout, "histogram layout mismatch");
-        for (b, &c) in self.buckets.iter().zip(&snap.counts) {
-            b.fetch_add(c, Ordering::Relaxed);
-        }
-        self.count.fetch_add(snap.count(), Ordering::Relaxed);
-        self.add_sum(snap.sum);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -416,67 +402,6 @@ impl Registry {
             Metric::Histogram(h) => Arc::clone(h),
             // gvc-lint: allow(no-panic-in-lib) — fail fast on a type clash: returning a mismatched metric would corrupt series silently
             _ => panic!("metric {name} already registered with a different type"),
-        }
-    }
-
-    /// Folds every series of `other` into this registry: counters and
-    /// gauges add, histograms add per-bucket counts, sample counts,
-    /// and sums; help text is adopted for families this registry has
-    /// not described yet. Series missing here are created first.
-    ///
-    /// Sharded runs give each lane a private registry and fold them
-    /// back in lane order. The fixed fold order matters: histogram
-    /// sums are `f64` and float addition is not associative, so a
-    /// deterministic merge order is what keeps rendered expositions
-    /// byte-identical across shard counts and thread schedules.
-    ///
-    /// # Panics
-    /// Panics when a series exists in both registries with different
-    /// types (same contract as the getters).
-    pub fn merge_from(&self, other: &Registry) {
-        {
-            let theirs = other.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut ours = self.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (key, metric) in theirs.iter() {
-                match metric {
-                    Metric::Counter(c) => {
-                        let entry = ours
-                            .entry(key.clone())
-                            .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())));
-                        match entry {
-                            Metric::Counter(mine) => mine.add(c.get()),
-                            // gvc-lint: allow(no-panic-in-lib) — fail fast on a type clash: merging mismatched metrics would corrupt series silently
-                            _ => panic!("metric {} merged with a different type", key.name),
-                        }
-                    }
-                    Metric::Gauge(g) => {
-                        let entry = ours
-                            .entry(key.clone())
-                            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())));
-                        match entry {
-                            Metric::Gauge(mine) => mine.add(g.get()),
-                            // gvc-lint: allow(no-panic-in-lib) — fail fast on a type clash: merging mismatched metrics would corrupt series silently
-                            _ => panic!("metric {} merged with a different type", key.name),
-                        }
-                    }
-                    Metric::Histogram(h) => {
-                        let snap = h.snapshot();
-                        let entry = ours.entry(key.clone()).or_insert_with(|| {
-                            Metric::Histogram(Arc::new(Histogram::with_layout(snap.layout)))
-                        });
-                        match entry {
-                            Metric::Histogram(mine) => mine.absorb(&snap),
-                            // gvc-lint: allow(no-panic-in-lib) — fail fast on a type clash: merging mismatched metrics would corrupt series silently
-                            _ => panic!("metric {} merged with a different type", key.name),
-                        }
-                    }
-                }
-            }
-        }
-        let their_help = other.help.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut our_help = self.help.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for (name, text) in their_help.iter() {
-            our_help.entry(name.clone()).or_insert_with(|| text.clone());
         }
     }
 
@@ -678,58 +603,6 @@ mod tests {
         // Histogram families keep the classic shape.
         assert!(text.contains("# TYPE lat_seconds histogram"));
         assert!(text.contains("lat_seconds_bucket{ep=\"plain\",le=\"+Inf\"} 1"));
-    }
-
-    #[test]
-    fn merge_from_folds_all_metric_kinds() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.counter("jobs_total", &[("lane", "x")]).add(2);
-        b.counter("jobs_total", &[("lane", "x")]).add(3);
-        b.counter("only_in_b_total", &[]).inc();
-        a.gauge("depth", &[]).set(5);
-        b.gauge("depth", &[]).set(7);
-        a.histogram("lat_seconds", &[], Histogram::timing).record(0.5);
-        b.histogram("lat_seconds", &[], Histogram::timing).record(2.0);
-        b.describe("only_in_b_total", "from b");
-        a.describe("depth", "from a");
-        b.describe("depth", "ignored: a already described it");
-        a.merge_from(&b);
-        assert_eq!(a.counter("jobs_total", &[("lane", "x")]).get(), 5);
-        assert_eq!(a.counter("only_in_b_total", &[]).get(), 1);
-        assert_eq!(a.gauge("depth", &[]).get(), 12);
-        let h = a.histogram("lat_seconds", &[], Histogram::timing);
-        assert_eq!(h.count(), 2);
-        assert!((h.sum() - 2.5).abs() < 1e-12);
-        let text = a.render();
-        assert!(text.contains("# HELP only_in_b_total from b"), "{text}");
-        assert!(text.contains("# HELP depth from a"), "{text}");
-    }
-
-    #[test]
-    fn merge_from_is_order_deterministic() {
-        let make = || {
-            let r = Registry::new();
-            r.histogram("h_seconds", &[], Histogram::timing).record(0.125);
-            r
-        };
-        let (l1, l2) = (make(), make());
-        let (m1, m2) = (Registry::new(), Registry::new());
-        m1.merge_from(&l1);
-        m1.merge_from(&l2);
-        m2.merge_from(&l1);
-        m2.merge_from(&l2);
-        assert_eq!(m1.render(), m2.render());
-    }
-
-    #[test]
-    #[should_panic(expected = "different type")]
-    fn merge_from_type_conflict_panics() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.counter("m", &[]);
-        b.gauge("m", &[]);
-        a.merge_from(&b);
     }
 
     #[test]

@@ -229,7 +229,7 @@ pub struct BenchMetric {
 /// A named `BENCH_<name>.json` performance snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfSnapshot {
-    /// Snapshot name (`kernel`, `sweep`, `analysis`, `shard`).
+    /// Snapshot name (`kernel`, `sweep`, `analysis`, ...).
     pub name: String,
     /// Repetitions behind each metric's median.
     pub reps: u64,

@@ -114,7 +114,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::RingSink;
+    use crate::trace::BufferSink;
     use std::sync::Arc;
 
     #[test]
@@ -131,8 +131,8 @@ mod tests {
 
     #[test]
     fn ids_are_unique_across_clones_and_events_pair_up() {
-        let ring = Arc::new(RingSink::new(16));
-        let t = Tracer::to_sink(ring.clone());
+        let sink = Arc::new(BufferSink::new());
+        let t = Tracer::to_sink(sink.clone());
         let clone = t.clone();
         let a = t.span_enter(SpanId::NONE, 0, "driver.run");
         let b = clone.span_enter_with(a, 100, "session.run", |ev| ev.field("session", 0u64));
@@ -141,7 +141,7 @@ mod tests {
         assert_eq!(b, SpanId(2));
         clone.span_exit(b, 500);
         t.span_exit(a, 900);
-        let evs = ring.events();
+        let evs = sink.take();
         assert_eq!(evs.len(), 4);
         assert_eq!(evs[0].kind, "span.start");
         assert!(evs[1].to_json().contains("\"parent\":1"));
@@ -153,11 +153,11 @@ mod tests {
 
     #[test]
     fn exit_with_can_attach_outcome_fields() {
-        let ring = Arc::new(RingSink::new(4));
-        let t = Tracer::to_sink(ring.clone());
+        let sink = Arc::new(BufferSink::new());
+        let t = Tracer::to_sink(sink.clone());
         let id = t.span_enter(SpanId::NONE, 0, "session.vc_setup");
         t.span_exit_with(id, 60_000_000, |ev| ev.field("outcome", "established"));
-        let j = ring.events()[1].to_json();
+        let j = sink.take()[1].to_json();
         assert!(j.contains("\"outcome\":\"established\""), "{j}");
     }
 }

@@ -6,8 +6,7 @@
 //! simulation time in microseconds, aggregating into fixed-width
 //! windows (default 30 s, matching the paper's SNMP poll period).
 //!
-//! Three series kinds, chosen so every per-window cell merges
-//! **commutatively and associatively** across shard lanes:
+//! Three series kinds:
 //!
 //! * **counter** — an `f64` sum per window (`add` / `add_span`);
 //! * **gauge** — per-window `{sum, n, max}` of samples (`sample`),
@@ -15,18 +14,14 @@
 //! * **quantile** — a per-window log-bucketed histogram with the
 //!   layout and quantile estimate of [`crate::Histogram::timing`]
 //!   (`observe`), rendered as p50/p90/p99. Cells hold only integer
-//!   bucket counts — no float sample sum — so lane merges cannot
-//!   reorder float additions.
+//!   bucket counts, no float sample sum.
 //!
-//! Shard lanes each hold a private recorder; the coordinator absorbs
-//! them in deterministic lane order ([`TimelineRecorder::absorb`]),
-//! and every emitting subsystem is resource-confined to one lane, so
-//! the merged timeline is byte-identical at every shard count,
-//! `--shards 1` included. Two *derived* series — `kernel.queue_depth`
-//! and `driver.active_sessions` — are materialized at render time as
-//! cumulative differences of shard-invariant counters (a lane-local
-//! depth sample would not survive re-partitioning; the cumulative
-//! difference does).
+//! Every cell is a pure function of the calls made on it in event
+//! order, and the driver's event order is fixed by the seed, so the
+//! timeline is byte-identical per seed. Two *derived* series —
+//! `kernel.queue_depth` and `driver.active_sessions` — are
+//! materialized at render time as cumulative differences of recorded
+//! counters, so they cost nothing on the hot path.
 //!
 //! The canonical JSON rendering (`to_json`) is byte-stable and held
 //! as a scenario golden; [`TimelineDoc::parse`] reads it back for the
@@ -137,7 +132,7 @@ struct Series {
     windows: BTreeMap<u64, Cell>,
 }
 
-/// The windowed aggregation state for one run (or one shard lane).
+/// The windowed aggregation state for one run.
 #[derive(Clone, Debug)]
 pub struct TimelineRecorder {
     width_us: u64,
@@ -226,50 +221,13 @@ impl TimelineRecorder {
         }
     }
 
-    /// Folds `other` into this recorder. The merge is per-(series,
-    /// window) and commutative — counters add, gauges add sum/n and
-    /// take the max, quantile cells add bucket counts — so absorbing
-    /// lanes in deterministic lane order yields a timeline identical
-    /// to the unsharded run. Series with a conflicting kind are
-    /// skipped.
-    pub fn absorb(&mut self, other: &TimelineRecorder) {
-        for (name, theirs) in &other.series {
-            let mine = self
-                .series
-                .entry(name.clone())
-                .or_insert_with(|| Series { kind: theirs.kind, windows: BTreeMap::new() });
-            if mine.kind != theirs.kind {
-                continue;
-            }
-            for (&w, cell) in &theirs.windows {
-                match (mine.windows.entry(w).or_insert_with(|| cell_zero(theirs.kind)), cell) {
-                    (Cell::Counter(a), Cell::Counter(b)) => *a += b,
-                    (Cell::Gauge { sum, n, max }, Cell::Gauge { sum: bs, n: bn, max: bm }) => {
-                        *sum += bs;
-                        *n += bn;
-                        if *bm > *max {
-                            *max = *bm;
-                        }
-                    }
-                    (Cell::Quantile { counts }, Cell::Quantile { counts: bc }) => {
-                        for (a, b) in counts.iter_mut().zip(bc) {
-                            *a += b;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-
     /// True when no series has recorded anything.
     pub fn is_empty(&self) -> bool {
         self.series.is_empty()
     }
 
     /// The derived gauge series rendered alongside the recorded ones:
-    /// cumulative-difference depths that are shard-invariant because
-    /// their source counters are.
+    /// cumulative-difference depths of their source counters.
     fn derived(&self) -> Vec<(String, Series)> {
         let pairs: [(&str, &str, &str); 2] = [
             (series::KERNEL_QUEUE_DEPTH, series::KERNEL_SCHEDULED, series::KERNEL_DISPATCHED),
@@ -318,8 +276,7 @@ impl TimelineRecorder {
     }
 
     /// Canonical JSON rendering: fixed key order, one window object
-    /// per line, golden-style number formatting. Byte-stable per seed
-    /// at every shard count.
+    /// per line, golden-style number formatting. Byte-stable per seed.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(out, "{{\n  \"width_us\": {},\n  \"series\": [", self.width_us);
@@ -384,9 +341,8 @@ fn write_cell(out: &mut String, cell: &Cell) {
 }
 
 /// A cheap cloneable handle to a shared recorder — the `Option` every
-/// subsystem holds. The mutex is uncontended in practice (one lane,
-/// one writer); cross-lane merging goes through [`Self::absorb`] on
-/// the coordinator, never through shared writes.
+/// subsystem holds. The mutex is uncontended in practice: a run
+/// drives every subsystem from one thread.
 #[derive(Clone)]
 pub struct TimelineHandle(Arc<Mutex<TimelineRecorder>>);
 
@@ -423,15 +379,6 @@ impl TimelineHandle {
     /// Quantile observation; see [`TimelineRecorder::observe`].
     pub fn observe(&self, name: &str, t_us: u64, v: f64) {
         self.lock().observe(name, t_us, v);
-    }
-
-    /// Folds another handle's recorder into this one (no-op on self).
-    pub fn absorb(&self, other: &TimelineHandle) {
-        if Arc::ptr_eq(&self.0, &other.0) {
-            return;
-        }
-        let theirs = other.lock().clone();
-        self.lock().absorb(&theirs);
     }
 
     /// Canonical JSON of the recorder so far.
@@ -888,33 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_is_order_independent_and_matches_serial() {
-        let build = |pairs: &[(u64, f64)]| {
-            let mut r = TimelineRecorder::new(DEFAULT_WIDTH_US);
-            for &(t, v) in pairs {
-                r.add("kernel.dispatched", t, v);
-                r.sample("oscars.open_reservations", t, v);
-                r.observe("driver.vc_setup", t, v);
-            }
-            r
-        };
-        let a = build(&[(0, 1.0), (40_000_000, 2.0)]);
-        let b = build(&[(10, 3.0), (70_000_000, 4.0)]);
-        let serial = build(&[(0, 1.0), (40_000_000, 2.0), (10, 3.0), (70_000_000, 4.0)]);
-
-        let mut ab = TimelineRecorder::new(DEFAULT_WIDTH_US);
-        ab.absorb(&a);
-        ab.absorb(&b);
-        let mut ba = TimelineRecorder::new(DEFAULT_WIDTH_US);
-        ba.absorb(&b);
-        ba.absorb(&a);
-        assert_eq!(ab.to_json(), ba.to_json());
-        // Counter and quantile cells match the serial interleaving
-        // exactly; gauge sums here are exact dyadics too.
-        assert_eq!(ab.to_json(), serial.to_json());
-    }
-
-    #[test]
     fn series_names_are_escaped_and_parse_back() {
         let name = "net.link_util[a\"b\\c->d]";
         let mut r = TimelineRecorder::new(DEFAULT_WIDTH_US);
@@ -1040,10 +960,9 @@ mod tests {
     }
 
     #[test]
-    fn handle_absorb_self_is_noop_and_kind_conflicts_drop() {
+    fn handle_kind_conflicts_drop() {
         let h = TimelineHandle::new(DEFAULT_WIDTH_US);
         h.add("x.count", 0, 1.0);
-        h.absorb(&h.clone());
         assert!(h.to_json().contains("\"value\": 1"));
         // Kind conflict: the gauge op on an existing counter is dropped.
         h.sample("x.count", 0, 9.0);

@@ -13,7 +13,6 @@
 
 use crate::json::{Number, Quoted};
 use crate::metrics::Histogram;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -157,56 +156,11 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Bounded in-memory ring buffer keeping the most recent events
-/// (post-mortem debugging, assertions in tests).
-pub struct RingSink {
-    cap: usize,
-    buf: Mutex<VecDeque<TraceEvent>>,
-}
-
-impl RingSink {
-    /// A ring keeping at most `cap` events.
-    ///
-    /// # Panics
-    /// Panics when `cap` is zero.
-    pub fn new(cap: usize) -> RingSink {
-        assert!(cap > 0, "ring capacity must be positive");
-        RingSink { cap, buf: Mutex::new(VecDeque::with_capacity(cap)) }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.buf.lock().unwrap_or_else(std::sync::PoisonError::into_inner).iter().cloned().collect()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl TraceSink for RingSink {
-    fn emit(&self, ev: &TraceEvent) {
-        let mut b = self.buf.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if b.len() == self.cap {
-            b.pop_front();
-        }
-        b.push_back(ev.clone());
-    }
-}
-
 /// Unbounded in-memory sink retaining every event in emission order.
 ///
-/// Built for sharded runs: each lane traces into its own
-/// `BufferSink`, and the coordinator replays the buffers into the
-/// run's real sink in lane order, so the merged stream is a pure
-/// function of the lane contents — independent of how the lanes were
-/// interleaved on the host.
+/// The scenario runner traces into one, so a run's cost includes
+/// tracing without touching the filesystem; tests and benches drain it
+/// with [`BufferSink::take`] to inspect what a run emitted.
 #[derive(Default)]
 pub struct BufferSink {
     buf: Mutex<Vec<TraceEvent>>,
@@ -267,20 +221,6 @@ impl Tracer {
     /// A tracer writing into `sink`.
     pub fn to_sink(sink: Arc<dyn TraceSink>) -> Tracer {
         Tracer { sink: Some(sink), span_seq: Arc::default() }
-    }
-
-    /// A tracer writing into `sink` whose span ids start *after*
-    /// `span_id_base` (the first id handed out is `base + 1`).
-    ///
-    /// Sharded runs give each lane a disjoint id range so merged span
-    /// streams never collide, and — because the range depends only on
-    /// the lane's position, not on execution order — stay
-    /// byte-identical however the lanes were scheduled.
-    pub fn to_sink_with_span_base(sink: Arc<dyn TraceSink>, span_id_base: u64) -> Tracer {
-        Tracer {
-            sink: Some(sink),
-            span_seq: Arc::new(std::sync::atomic::AtomicU64::new(span_id_base)),
-        }
     }
 
     /// Is a sink attached? Hot paths may use this to skip building
@@ -378,18 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_most_recent() {
-        let ring = RingSink::new(3);
-        for i in 0..5 {
-            ring.emit(&TraceEvent::new(i, "k"));
-        }
-        let evs = ring.events();
-        assert_eq!(evs.len(), 3);
-        assert_eq!(evs[0].t_us, 2);
-        assert_eq!(evs[2].t_us, 4);
-    }
-
-    #[test]
     fn buffer_sink_retains_everything_and_drains() {
         let buf = BufferSink::new();
         for i in 0..100 {
@@ -401,17 +329,6 @@ mod tests {
         assert_eq!(evs[0].t_us, 0);
         assert_eq!(evs[99].t_us, 99);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn span_base_offsets_ids_without_colliding() {
-        use crate::span::SpanId;
-        let ring = Arc::new(RingSink::new(8));
-        let t = Tracer::to_sink_with_span_base(ring.clone(), 1u64 << 40);
-        let id = t.span_enter(SpanId::NONE, 0, "driver.lane");
-        assert_eq!(id, SpanId((1u64 << 40) + 1));
-        t.span_exit(id, 5);
-        assert_eq!(ring.len(), 2);
     }
 
     #[test]
@@ -428,12 +345,13 @@ mod tests {
 
     #[test]
     fn tracer_routes_to_sink() {
-        let ring = Arc::new(RingSink::new(8));
-        let t = Tracer::to_sink(ring.clone());
+        let buf = Arc::new(BufferSink::new());
+        let t = Tracer::to_sink(buf.clone());
         assert!(t.enabled());
         t.emit_with(|| TraceEvent::new(7, "idc.admit").field("id", 1u64));
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.events()[0].kind, "idc.admit");
+        let evs = buf.take();
+        assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].kind, "idc.admit");
     }
 
     #[test]

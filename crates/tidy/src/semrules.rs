@@ -9,9 +9,10 @@
 //!   `gvc-telemetry`, proven over the call graph (a wrapper two hops
 //!   away from `Instant::now()` is as nondeterministic as the probe
 //!   itself);
-//! * `lane-isolation` — crates the sharded driver fans out over hold
-//!   no shared mutable state, and types crossing a lane-spawn
-//!   boundary hold no non-`Send` interior mutability;
+//! * `lane-isolation` — simulation and analysis crates hold no shared
+//!   mutable state, and types crossing a parallel fan-out (a
+//!   `rayon::join` or `thread::scope` "lane") hold no non-`Send`
+//!   interior mutability;
 //! * `unordered-iteration-v2` — `HashMap`/`HashSet` values are
 //!   tracked through `let` bindings and workspace-fn returns into
 //!   presentation code, not just literal iteration sites.
@@ -265,17 +266,17 @@ impl WorkspaceRule for DeterminismConfinement {
     }
 }
 
-/// Crates the sharded driver fans event lanes out over: every lib
-/// crate except the host-facing telemetry crate.
+/// Crates whose work may run on parallel lanes (the `rayon::join`
+/// fan-outs in `gvc_core::sweep` and `gvc_bench::Scenarios::generate`
+/// today): every lib crate except the host-facing telemetry crate.
 fn lane_crates() -> Vec<&'static str> {
     LIB_CRATES.iter().copied().filter(|k| *k != "telemetry").collect()
 }
 
-/// Shared-mutable-state tokens banned in lane-fanned crates. Lane
-/// merge determinism (engine/shard.rs) relies on lanes being
-/// resource-disjoint: any cross-lane channel — locks, atomics,
-/// mutable statics, thread-locals — lets lane *timing* leak into
-/// results.
+/// Shared-mutable-state tokens banned in lane-fanned crates. A
+/// parallel fan-out stays deterministic only while its lanes share
+/// nothing mutable: any cross-lane channel — locks, atomics, mutable
+/// statics, thread-locals — lets lane *timing* leak into results.
 const SHARED_STATE_TOKENS: &[&str] = &[
     "static mut",
     "Mutex",

@@ -16,12 +16,12 @@ use gridftp_vc::faults::{FaultPlan, RecoveryPolicy};
 use gridftp_vc::gridftp::driver::DriverOutput;
 use gridftp_vc::gridftp::VcRequestSpec;
 use gridftp_vc::prelude::*;
-use gridftp_vc::telemetry::{RingSink, Telemetry, TraceEvent};
+use gridftp_vc::telemetry::{BufferSink, Telemetry, TraceEvent};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// One circuit-backed SLAC→BNL session of `jobs` 512 MB transfers
-/// under `plan`, traced into a ring buffer.
+/// under `plan`, traced into an in-memory buffer.
 fn run_traced(
     seed: u64,
     jobs: usize,
@@ -31,7 +31,7 @@ fn run_traced(
     let topo = study_topology();
     let sim = NetworkSim::new(topo.graph.clone(), seed as i64);
     let idc = Idc::new(topo.graph.clone(), SetupDelayModel::one_minute());
-    let sink = Arc::new(RingSink::new(65_536));
+    let sink = Arc::new(BufferSink::new());
     let ctx = Telemetry::with_sink(sink.clone());
     let mut d = Driver::new(sim, seed)
         .with_idc(idc)
@@ -49,7 +49,7 @@ fn run_traced(
     d.schedule_session(SimTime::ZERO, src, dst, spec);
     let out = d.run(SimTime::from_secs(500_000));
     ctx.tracer.flush();
-    (out, sink.events())
+    (out, sink.take())
 }
 
 /// The fault/recovery storyline of a trace, in emission order.
