@@ -41,6 +41,15 @@ pub const FACTOR: f64 = 10.0;
 /// and a congested one.
 pub const NET_SOLVE_FLOWS: [usize; 3] = [1, 5, 12];
 
+/// The largest suite size at `scale = 1.0`: the kernel suite's events
+/// and the sweep suite's records.
+const LARGEST_BASE: usize = 200_000;
+
+/// The largest scale at which no suite exceeds `u32::MAX` items.
+pub fn max_scale() -> f64 {
+    f64::from(u32::MAX) / LARGEST_BASE as f64
+}
+
 /// Scales a base workload size, clamped to stay meaningful.
 fn scaled(base: usize, scale: f64) -> usize {
     ((base as f64 * scale).round() as usize).max(16)
@@ -116,22 +125,32 @@ pub fn synth_analysis_log(n: usize, pairs: usize) -> Dataset {
 }
 
 /// A deterministic JSONL trace of `lines` records shaped like a
-/// `gvc simulate --trace` stream.
+/// `gvc simulate --trace` stream: `session.transfer` spans, each an
+/// opening and a closing record.
 pub fn synth_trace_jsonl(lines: usize) -> String {
     let mut out = String::with_capacity(lines * 96);
     for i in 0..lines {
-        let t_us = i as u64 * 1250;
-        let _ = writeln!(
-            out,
-            "{{\"t_us\":{t_us},\"kind\":\"transfer.complete\",\"tag\":{tag},\"session\":{sess},\
-             \"bytes\":{bytes},\"duration_s\":{dur},\"mbps\":{mbps},\"streams\":4,\
-             \"lossy\":false,\"failed\":false}}",
-            tag = i,
-            sess = i % 500,
-            bytes = 5_000_000 + (i % 100) * 100_000,
-            dur = 1.5 + (i % 7) as f64 * 0.25,
-            mbps = 80.0 + (i % 40) as f64,
-        );
+        let (k, span) = (i / 2, i / 2 + 2);
+        if i % 2 == 0 {
+            let _ = writeln!(
+                out,
+                "{{\"t_us\":{t_us},\"kind\":\"span.start\",\"span\":{span},\"parent\":1,\
+                 \"name\":\"session.transfer\",\"tag\":{k},\"session\":{sess},\
+                 \"bytes\":{bytes},\"streams\":4,\"stripes\":1}}",
+                t_us = k as u64 * 2500,
+                sess = k % 500,
+                bytes = 5_000_000 + (k % 100) * 100_000,
+            );
+        } else {
+            let _ = writeln!(
+                out,
+                "{{\"t_us\":{t_us},\"kind\":\"span.end\",\"span\":{span},\
+                 \"duration_s\":{dur},\"mbps\":{mbps},\"lossy\":false,\"failed\":false}}",
+                t_us = k as u64 * 2500 + 1250,
+                dur = 1.5 + (k % 7) as f64 * 0.25,
+                mbps = 80.0 + (k % 40) as f64,
+            );
+        }
     }
     out
 }
@@ -292,7 +311,7 @@ pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
     let mut snap = PerfSnapshot::new(name, reps);
     match name {
         "kernel" => {
-            let n = scaled(200_000, scale);
+            let n = scaled(LARGEST_BASE, scale);
             let (items, rates) = measure_throughput(reps, || kernel_schedule_pop(n));
             snap.metrics.push(throughput_metric(
                 "kernel.schedule_pop.events_per_sec",
@@ -302,7 +321,7 @@ pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
             ));
         }
         "sweep" => {
-            let n = scaled(200_000, scale);
+            let n = scaled(LARGEST_BASE, scale);
             let ds = synth_sweep_log(n, 64);
             let (items, rates) = measure_throughput(reps, || {
                 std::hint::black_box(engine_grid(&ds));

@@ -18,7 +18,7 @@
 //! or when a baseline metric vanished from the candidate.
 
 use crate::args::{CliError, ParsedArgs};
-use gvc_bench::perfsuite::{run_snapshot, SNAPSHOT_NAMES};
+use gvc_bench::perfsuite::{max_scale, run_snapshot, SNAPSHOT_NAMES};
 use gvc_telemetry::perf::{diff_snapshots, format_rate, gate_tolerance, PerfSnapshot};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -63,8 +63,12 @@ fn cmd_snapshot<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
     if reps == 0 {
         return Err(CliError("--reps must be positive".into()));
     }
-    if !scale.is_finite() || scale <= 0.0 {
-        return Err(CliError("--scale must be positive".into()));
+    if !(scale > 0.0 && scale <= max_scale()) {
+        return Err(CliError(format!(
+            "--scale must be positive and at most {} (suites are capped at {} items)",
+            max_scale(),
+            u32::MAX
+        )));
     }
     let suites = selected_suites(a)?;
     std::fs::create_dir_all(&out_dir)
@@ -219,8 +223,10 @@ mod tests {
     fn snapshot_validates_knobs() {
         let err = run(&["perf", "snapshot", "--reps", "0"]).unwrap_err();
         assert!(err.0.contains("--reps"), "{}", err.0);
-        let err = run(&["perf", "snapshot", "--scale", "-1"]).unwrap_err();
-        assert!(err.0.contains("--scale"), "{}", err.0);
+        for scale in ["-1", "NaN", "21475", "1e300"] {
+            let err = run(&["perf", "snapshot", "--scale", scale]).unwrap_err();
+            assert!(err.0.contains("--scale"), "{scale}: {}", err.0);
+        }
         let err = run(&["perf", "snapshot", "--only", "kernel,warp"]).unwrap_err();
         assert!(err.0.contains("unknown suite"), "{}", err.0);
     }

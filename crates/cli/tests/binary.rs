@@ -185,11 +185,14 @@ fn simulate_with_trace_emits_valid_jsonl_with_all_namespaces() {
         let kind = line.split("\"kind\":\"").nth(1).unwrap().split('"').next().unwrap();
         kinds.insert(kind.to_owned());
     }
-    // First record is the manifest; all four subsystem namespaces
-    // appear in one run.
+    // First record is the manifest; the IDC and the fluid simulator
+    // write their own kinds, and the kernel and the driver write spans.
     assert!(text.lines().next().unwrap().contains("run.manifest"));
-    for prefix in ["kernel.", "idc.", "transfer.", "net."] {
+    for prefix in ["idc.", "net.", "span."] {
         assert!(kinds.iter().any(|k| k.starts_with(prefix)), "no {prefix}* events in {kinds:?}");
+    }
+    for span in ["kernel.queue_wait", "session.run", "session.transfer"] {
+        assert!(text.contains(&format!("\"name\":\"{span}\"")), "no {span} span");
     }
     std::fs::remove_file(&log).ok();
     std::fs::remove_file(&trace).ok();

@@ -23,14 +23,12 @@ fn tmpdir(name: &str) -> PathBuf {
 }
 
 /// The reproducible body of a trace file: everything except the
-/// `run.manifest` line (wall-clock start stamp) and `kernel.event`
-/// profiling samples (`wall_us` measures real handler time).
+/// `run.manifest` line (wall-clock start stamp).
 fn trace_body(path: &Path) -> String {
     std::fs::read_to_string(path)
         .expect("read trace")
         .lines()
         .skip(1)
-        .filter(|l| !l.contains("\"kind\":\"kernel.event\""))
         .map(|l| format!("{l}\n"))
         .collect()
 }

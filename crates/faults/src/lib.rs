@@ -14,18 +14,16 @@
 //!   deterministic exponential backoff + jitter, a setup-timeout
 //!   deadline, and fallback to the routed IP path (the contingency
 //!   the paper itself assumes: transfers run today without circuits).
-//! * [`telemetry::FaultTelemetry`] — `fault_injected_total`,
-//!   `recovery_retries_total`, `fallback_ip_total`, and
-//!   `recovery_latency_seconds`, plus the `fault.*` / `recovery.*`
-//!   trace events the resilience harness asserts on, built from a
-//!   run's `Telemetry` context.
+//!
+//! The crate only decides; the GridFTP driver, which applies those
+//! decisions, counts and traces them (`fault_injected_total`,
+//! `recovery_*`, `fallback_ip_total`; `fault.*` / `recovery.*` events).
 //!
 //! The fault-spec grammar accepted by [`FaultPlan::parse`] (and the
 //! CLI's `--faults` flag) is documented in `docs/faults.md`.
 
 pub mod plan;
 pub mod policy;
-pub mod telemetry;
 
 pub use plan::{FaultInjector, FaultKind, FaultPlan, FaultSpecError, LinkFlapSpec};
 pub use policy::{PolicyError, RecoveryAction, RecoveryPolicy};

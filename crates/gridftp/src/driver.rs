@@ -11,7 +11,6 @@ use crate::server::{ServerCaps, ServerCluster};
 use crate::session::SessionSpec;
 use crate::transfer::{prepare_transfer, FailureModel, PreparedTransfer, ServerNoise, TransferJob};
 use gvc_engine::{EventQueue, SimSpan, SimTime};
-use gvc_faults::telemetry::FaultTelemetry;
 use gvc_faults::{FaultInjector, FaultKind, FaultPlan, RecoveryAction, RecoveryPolicy};
 use gvc_logs::{Dataset, TransferRecord, TransferType};
 use gvc_net::tcp::TcpModel;
@@ -48,13 +47,28 @@ struct DriverTelemetry {
     /// `sim_event_handle_seconds{class=...}`: wall time spent handling
     /// each script-event class, indexed like [`EVENT_CLASSES`].
     event_seconds: [Arc<Histogram>; 7],
-    /// Fault and recovery metrics.
-    faults: FaultTelemetry,
+    /// `fault_injected_total{kind=...}`, indexed like [`FaultKind::ALL`].
+    faults_injected: [Arc<Counter>; 5],
+    /// `recovery_retries_total`: establishment attempts retried.
+    retries: Arc<Counter>,
+    /// `fallback_ip_total`: sessions that gave up on a circuit and ran
+    /// over the routed IP path.
+    fallback_ip: Arc<Counter>,
+    /// `recovery_latency_seconds`: first attempt to final outcome
+    /// (success or fallback), per session.
+    recovery_latency: Arc<Histogram>,
 }
 
 impl DriverTelemetry {
     fn new(ctx: &Telemetry) -> DriverTelemetry {
         let reg = &ctx.registry;
+        reg.describe("fault_injected_total", "Injected faults, by kind");
+        reg.describe("recovery_retries_total", "Circuit establishment attempts retried");
+        reg.describe("fallback_ip_total", "Sessions that gave up on a circuit and ran over IP");
+        reg.describe(
+            "recovery_latency_seconds",
+            "First establishment attempt to final outcome, per session",
+        );
         DriverTelemetry {
             ctx: ctx.clone(),
             sessions_started: reg.counter("gridftp_sessions_started_total", &[]),
@@ -70,7 +84,11 @@ impl DriverTelemetry {
             event_seconds: EVENT_CLASSES.map(|class| {
                 reg.histogram("sim_event_handle_seconds", &[("class", class)], Histogram::timing)
             }),
-            faults: FaultTelemetry::new(ctx),
+            faults_injected: FaultKind::ALL
+                .map(|kind| reg.counter("fault_injected_total", &[("kind", kind.as_str())])),
+            retries: reg.counter("recovery_retries_total", &[]),
+            fallback_ip: reg.counter("fallback_ip_total", &[]),
+            recovery_latency: reg.histogram("recovery_latency_seconds", &[], Histogram::timing),
         }
     }
 
@@ -133,7 +151,7 @@ enum Event {
 }
 
 /// Script-event classes: the `class` label of
-/// `sim_event_handle_seconds` and of `kernel.event` traces.
+/// `sim_event_handle_seconds`.
 const EVENT_CLASSES: [&str; 7] = [
     "start_session",
     "launch_next",
@@ -228,7 +246,6 @@ pub struct Driver {
     /// delay during a run.
     routes: BTreeMap<(usize, usize), Option<Path>>,
     log: Vec<TransferRecord>,
-    tstat: Vec<TransferStat>,
     telemetry: Option<DriverTelemetry>,
     /// The `driver.run` root span, opened by [`Driver::run`].
     run_span: SpanId,
@@ -270,7 +287,6 @@ impl Driver {
             flap_orig: BTreeMap::new(),
             routes: BTreeMap::new(),
             log: Vec::new(),
-            tstat: Vec::new(),
             telemetry: None,
             run_span: SpanId::NONE,
             script: Vec::new(),
@@ -443,7 +459,7 @@ impl Driver {
         fields: impl FnOnce(TraceEvent) -> TraceEvent,
     ) {
         if let Some(t) = &self.telemetry {
-            t.faults.count_injected(kind, t_us);
+            t.tally(&t.faults_injected[kind as usize], series::FAULT_INJECTED, t_us);
             t.ctx.tracer.emit_with(|| {
                 fields(TraceEvent::new(t_us as i64, "fault.injected").field("fault", kind.as_str()))
             });
@@ -466,17 +482,11 @@ impl Driver {
             return;
         }
         let class = ev.class();
-        let t_us = self.sim.now().micros() as i64;
         let started = Stopwatch::start();
         self.handle_event(ev);
         let wall = started.elapsed_s();
         if let Some(t) = &self.telemetry {
             t.event_seconds[class].record(wall);
-            t.ctx.tracer.emit_with(|| {
-                TraceEvent::new(t_us, "kernel.event")
-                    .field("class", EVENT_CLASSES[class])
-                    .field("wall_us", wall * 1e6)
-            });
         }
     }
 
@@ -503,23 +513,19 @@ impl Driver {
         let vc_spec = self.sessions[idx].spec.vc;
         if let Some(t) = &self.telemetry {
             t.tally(&t.sessions_started, series::DRIVER_SESSION_STARTS, now.micros());
-            let (jobs, conc) = {
-                let s = &self.sessions[idx];
-                (s.spec.jobs.len(), s.spec.concurrency)
-            };
-            t.ctx.tracer.emit_with(|| {
-                TraceEvent::new(now.micros() as i64, "transfer.session_start")
-                    .field("session", idx)
-                    .field("jobs", jobs)
-                    .field("concurrency", conc)
-                    .field("vc", vc_spec.is_some())
-            });
         }
+        let spec = &self.sessions[idx].spec;
+        let (jobs, concurrency) = (spec.jobs.len(), spec.concurrency);
         let session_span = self.tracer().span_enter_with(
             self.run_span,
             now.micros() as i64,
             "session.run",
-            |ev| ev.field("session", idx).field("vc", vc_spec.is_some()),
+            |ev| {
+                ev.field("session", idx)
+                    .field("vc", vc_spec.is_some())
+                    .field("jobs", jobs)
+                    .field("concurrency", concurrency)
+            },
         );
         self.sessions[idx].span = session_span;
         self.sessions[idx].wait_span =
@@ -652,7 +658,7 @@ impl Driver {
             RecoveryAction::Retry { delay_s_micros } => {
                 self.retries += 1;
                 if let Some(t) = &self.telemetry {
-                    t.tally(&t.faults.retries, series::DRIVER_RETRIES, now.micros());
+                    t.tally(&t.retries, series::DRIVER_RETRIES, now.micros());
                 }
                 let delay_s = delay_s_micros as f64 / 1e6;
                 self.tracer().emit_with(|| {
@@ -689,7 +695,7 @@ impl Driver {
                 if fell_back {
                     self.fallbacks += 1;
                     if let Some(t) = &self.telemetry {
-                        t.tally(&t.faults.fallback_ip, series::DRIVER_FALLBACKS, now.micros());
+                        t.tally(&t.fallback_ip, series::DRIVER_FALLBACKS, now.micros());
                     }
                 }
                 self.record_recovery_latency(waited_s);
@@ -726,7 +732,7 @@ impl Driver {
 
     fn record_recovery_latency(&mut self, waited_s: f64) {
         if let Some(t) = &self.telemetry {
-            t.faults.recovery_latency.record(waited_s);
+            t.recovery_latency.record(waited_s);
         }
         self.recovery_lat_sum_s += waited_s;
         self.recovery_lat_n += 1;
@@ -877,28 +883,24 @@ impl Driver {
         let flow = self.sim.add_flow(spec);
         if let Some(t) = &self.telemetry {
             t.transfers_started.inc();
-            let (bytes, streams, stripes) =
-                (prepared.job.size_bytes, prepared.job.streams, prepared.job.stripes);
-            t.ctx.tracer.emit_with(|| {
-                TraceEvent::new(self.sim.now().micros() as i64, "transfer.start")
-                    .field("tag", tag)
-                    .field("session", idx)
-                    .field("bytes", bytes)
-                    .field("streams", streams)
-                    .field("stripes", stripes)
-            });
         }
         let t_us = self.sim.now().micros() as i64;
         if !self.sessions[idx].wait_span.is_none() {
             self.tracer().span_exit(self.sessions[idx].wait_span, t_us);
             self.sessions[idx].wait_span = SpanId::NONE;
         }
-        let bytes = prepared.job.size_bytes;
+        let job = &prepared.job;
         let span = self.tracer().span_enter_with(
             self.sessions[idx].span,
             t_us,
             "session.transfer",
-            |ev| ev.field("tag", tag).field("session", idx).field("bytes", bytes),
+            |ev| {
+                ev.field("tag", tag)
+                    .field("session", idx)
+                    .field("bytes", job.size_bytes)
+                    .field("streams", job.streams)
+                    .field("stripes", job.stripes)
+            },
         );
         self.in_flight.insert(
             tag,
@@ -930,13 +932,6 @@ impl Driver {
             TransferType::Retr => (&self.clusters[src.0].name, &self.clusters[dst.0].name),
             TransferType::Store => (&self.clusters[dst.0].name, &self.clusters[src.0].name),
         };
-        self.tstat.push(TransferStat {
-            start_unix_us: self.sim.to_unix_us(c.start),
-            session: idx,
-            num_streams: info.job.streams,
-            lossy: info.lossy,
-            failed: info.failed,
-        });
         self.log.push(TransferRecord {
             transfer_type: info.job.logged_as,
             size_bytes: info.job.size_bytes,
@@ -951,31 +946,26 @@ impl Driver {
             src_kind: Some(info.job.src_kind),
             dst_kind: Some(info.job.dst_kind),
         });
+        let duration_s = duration_us as f64 / 1e6;
+        let mbps = if duration_s > 0.0 {
+            info.job.size_bytes as f64 * 8.0 / duration_s / 1e6
+        } else {
+            0.0
+        };
         if let Some(t) = &self.telemetry {
-            let duration_s = duration_us as f64 / 1e6;
-            let mbps = if duration_s > 0.0 {
-                info.job.size_bytes as f64 * 8.0 / duration_s / 1e6
-            } else {
-                0.0
-            };
             t.tally(&t.transfers_completed, series::DRIVER_TRANSFERS, c.end.micros());
             t.transferred_bytes.add(info.job.size_bytes);
             t.throughput_mbps.record(mbps);
-            let (bytes, streams, lossy, failed) =
-                (info.job.size_bytes, info.job.streams, info.lossy, info.failed);
-            t.ctx.tracer.emit_with(|| {
-                TraceEvent::new(c.end.micros() as i64, "transfer.complete")
-                    .field("tag", c.tag)
-                    .field("session", idx)
-                    .field("bytes", bytes)
-                    .field("duration_s", duration_s)
-                    .field("mbps", mbps)
-                    .field("streams", streams)
-                    .field("lossy", lossy)
-                    .field("failed", failed)
-            });
         }
-        self.tracer().span_exit(info.span, c.end.micros() as i64);
+        // The span end is the transfer's trace record: the logged
+        // duration and rate, and whether a loss event hit it or it
+        // failed and restarted (the tstat check the paper plans, §VII-B).
+        self.tracer().span_exit_with(info.span, c.end.micros() as i64, |ev| {
+            ev.field("duration_s", duration_s)
+                .field("mbps", mbps)
+                .field("lossy", info.lossy)
+                .field("failed", info.failed)
+        });
 
         // Session bookkeeping: free a slot and continue after the gap.
         let s = &mut self.sessions[idx];
@@ -996,10 +986,6 @@ impl Driver {
             if let Some(t) = &self.telemetry {
                 let now_us = self.sim.now().micros();
                 t.tally(&t.sessions_completed, series::DRIVER_SESSION_COMPLETIONS, now_us);
-                t.ctx.tracer.emit_with(|| {
-                    TraceEvent::new(self.sim.now().micros() as i64, "transfer.session_complete")
-                        .field("session", idx)
-                });
             }
         }
     }
@@ -1098,12 +1084,10 @@ impl Driver {
         perf_phase.items(self.pending.dispatched() + completions);
         drop(perf_phase);
         self.tracer().flush();
-        self.tstat.sort_by_key(|t| t.start_unix_us);
         DriverOutput {
             log: Dataset::from_records(self.log),
             sim: self.sim,
             idc_stats,
-            tstat: TstatReport { transfers: self.tstat },
             resilience,
             open_reservations,
         }
@@ -1114,50 +1098,6 @@ impl Driver {
     /// harness under `perfbench/` calls this, and nothing else should.
     pub fn run_sharded(self, limit: SimTime, _shards: Shards) -> DriverOutput {
         self.run(limit)
-    }
-}
-
-/// Per-transfer connection statistics, in the spirit of the `tstat`
-/// tool the paper plans to use to test its rare-loss hypothesis
-/// (§VII-B): which transfers actually saw a loss event, and which
-/// failed and restarted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransferStat {
-    /// Start time, unix µs (aligns with the log's start order).
-    pub start_unix_us: i64,
-    /// Index of the session that ran this transfer.
-    pub session: usize,
-    /// Parallel streams used.
-    pub num_streams: u32,
-    /// Did a TCP loss event hit this transfer?
-    pub lossy: bool,
-    /// Did the transfer fail and restart mid-flight?
-    pub failed: bool,
-}
-
-/// The per-run connection report.
-#[derive(Debug, Clone, Default)]
-pub struct TstatReport {
-    /// One entry per logged transfer, in start order.
-    pub transfers: Vec<TransferStat>,
-}
-
-impl TstatReport {
-    /// Fraction of transfers that saw a loss event — the paper's
-    /// hypothesis is that this is tiny.
-    pub fn loss_fraction(&self) -> f64 {
-        if self.transfers.is_empty() {
-            return 0.0;
-        }
-        self.transfers.iter().filter(|t| t.lossy).count() as f64 / self.transfers.len() as f64
-    }
-
-    /// Fraction of transfers that failed and restarted.
-    pub fn failure_fraction(&self) -> f64 {
-        if self.transfers.is_empty() {
-            return 0.0;
-        }
-        self.transfers.iter().filter(|t| t.failed).count() as f64 / self.transfers.len() as f64
     }
 }
 
@@ -1202,8 +1142,6 @@ pub struct DriverOutput {
     pub sim: NetworkSim,
     /// IDC admission stats when circuits were in play.
     pub idc_stats: Option<gvc_oscars::IdcStats>,
-    /// Per-transfer loss/failure statistics (tstat-style).
-    pub tstat: TstatReport,
     /// Fault/recovery summary (when a recovery policy was active).
     pub resilience: Option<ResilienceReport>,
     /// Reservations still open at the IDC after the run — must be 0
@@ -1232,6 +1170,33 @@ mod tests {
 
     fn job(mb: u64) -> TransferJob {
         TransferJob { size_bytes: mb << 20, ..TransferJob::default() }
+    }
+
+    /// Runs `d` with a trace buffer attached and returns its output
+    /// with `(session, lossy, failed)` read off every
+    /// `session.transfer` span, in completion order.
+    fn run_traced(d: Driver, limit: SimTime) -> (DriverOutput, Vec<(u64, bool, bool)>) {
+        use gvc_telemetry::{BufferSink, Value};
+        let sink = Arc::new(BufferSink::new());
+        let out = d.with_telemetry(&Telemetry::with_sink(sink.clone())).run(limit);
+        let field = |ev: &TraceEvent, key: &str| {
+            ev.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone())
+        };
+        let mut session_of = BTreeMap::new();
+        let mut outcomes = Vec::new();
+        for ev in sink.take() {
+            let Some(Value::U64(span)) = field(&ev, "span") else { continue };
+            if ev.kind == "span.start" && field(&ev, "name") == Some("session.transfer".into()) {
+                if let Some(Value::U64(session)) = field(&ev, "session") {
+                    session_of.insert(span, session);
+                }
+            } else if let (Some(&session), Some(Value::Bool(lossy)), Some(Value::Bool(failed))) =
+                (session_of.get(&span), field(&ev, "lossy"), field(&ev, "failed"))
+            {
+                outcomes.push((session, lossy, failed));
+            }
+        }
+        (out, outcomes)
     }
 
     #[test]
@@ -1413,23 +1378,21 @@ mod tests {
             reg.histogram("gridftp_transfer_throughput_mbps", &[], Histogram::rate_mbps).snapshot();
         assert_eq!(tp.count(), 3);
 
-        // All four subsystem namespaces appear in the trace.
-        let kinds: std::collections::HashSet<&str> = sink.take().iter().map(|e| e.kind).collect();
-        for expected in [
-            "kernel.event",
-            "idc.admit",
-            "idc.provision",
-            "idc.teardown",
-            "transfer.session_start",
-            "transfer.start",
-            "transfer.complete",
-            "transfer.session_complete",
-            "net.fairshare",
-            "span.start",
-            "span.end",
-        ] {
-            assert!(kinds.contains(expected), "missing {expected}: {kinds:?}");
+        // The IDC and the fluid simulator write their own kinds; the
+        // kernel and the driver write spans only.
+        let events = sink.take();
+        let kinds: std::collections::HashSet<&str> = events.iter().map(|e| e.kind).collect();
+        let expected = ["idc.admit", "idc.teardown", "net.fairshare", "span.start", "span.end"];
+        for kind in expected {
+            assert!(kinds.contains(kind), "missing {kind}: {kinds:?}");
         }
+        // Each session and transfer fact is written once, on its span.
+        let jsons: Vec<String> = events.iter().map(TraceEvent::to_json).collect();
+        let count = |needle: &str| jsons.iter().filter(|j| j.contains(needle)).count();
+        assert_eq!(count("\"name\":\"session.run\",\"session\":0,\"vc\":true,\"jobs\":2"), 1);
+        assert_eq!(count("\"name\":\"session.transfer\""), 3);
+        assert_eq!(count("\"streams\":"), 3, "streams on the transfer span start only");
+        assert_eq!(count("\"lossy\":"), 3, "lossy on the transfer span end only");
 
         // The exposition text covers event-queue, admission, and
         // throughput metrics.
@@ -1601,7 +1564,7 @@ mod tests {
     }
 
     #[test]
-    fn tstat_reports_loss_and_failure_fractions() {
+    fn transfer_spans_report_loss_and_failure() {
         let (mut d, a, b) = base_driver(20);
         d = d.with_tcp(TcpModel { loss_probability: 1.0, ..TcpModel::default() }).with_failures(
             crate::transfer::FailureModel {
@@ -1612,11 +1575,10 @@ mod tests {
             },
         );
         d.schedule_session(SimTime::ZERO, a, b, SessionSpec::sequential(vec![job(64); 5], 0.0));
-        let out = d.run(SimTime::from_secs(1_000_000));
-        assert_eq!(out.tstat.transfers.len(), 5);
-        assert_eq!(out.tstat.loss_fraction(), 1.0);
-        assert_eq!(out.tstat.failure_fraction(), 1.0);
-        // And with everything off, both fractions are zero.
+        let (out, outcomes) = run_traced(d, SimTime::from_secs(1_000_000));
+        assert_eq!(out.log.len(), 5);
+        assert_eq!(outcomes, vec![(0, true, true); 5]);
+        // And with everything off, no transfer is lossy or failed.
         let (mut d2, a2, b2) = base_driver(20);
         d2 = d2.with_tcp(TcpModel { loss_probability: 0.0, ..TcpModel::default() }).with_failures(
             crate::transfer::FailureModel {
@@ -1625,9 +1587,8 @@ mod tests {
             },
         );
         d2.schedule_session(SimTime::ZERO, a2, b2, SessionSpec::sequential(vec![job(64); 5], 0.0));
-        let out2 = d2.run(SimTime::from_secs(1_000_000));
-        assert_eq!(out2.tstat.loss_fraction(), 0.0);
-        assert_eq!(out2.tstat.failure_fraction(), 0.0);
+        let (_, outcomes2) = run_traced(d2, SimTime::from_secs(1_000_000));
+        assert_eq!(outcomes2, vec![(0, false, false); 5]);
     }
 
     #[test]
@@ -1658,7 +1619,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
         /// Conservation: every scheduled job appears in the log exactly
         /// once, regardless of session shapes, concurrency, gaps, or
-        /// interleaving — and the tstat report stays aligned.
+        /// interleaving.
         #[test]
         fn prop_every_job_logged_once(
             sessions in proptest::collection::vec(
@@ -1687,7 +1648,6 @@ mod tests {
             }
             let out = d.run(SimTime::from_secs(100_000_000));
             prop_assert_eq!(out.log.len(), expected_sizes.len());
-            prop_assert_eq!(out.tstat.transfers.len(), expected_sizes.len());
             let mut logged: Vec<u64> =
                 out.log.records().iter().map(|r| r.size_bytes).collect();
             logged.sort_unstable();
@@ -1871,6 +1831,36 @@ mod tests {
     }
 
     #[test]
+    fn fault_counters_route_by_kind() {
+        use gvc_faults::FaultPlan;
+        let ctx = Telemetry::metrics_only();
+        let (d, a, b) = vc_driver(9);
+        let plan = FaultPlan {
+            fail_first_provisions: 2,
+            preempt_after_s: Some(5.0),
+            ..FaultPlan::default()
+        };
+        let mut d = d.with_telemetry(&ctx).with_faults(plan);
+        d.schedule_session(
+            SimTime::ZERO,
+            a,
+            b,
+            SessionSpec::sequential(vec![job(4096)], 0.0).with_vc(vc_spec()),
+        );
+        let out = d.run(SimTime::from_secs(1_000_000));
+        assert_eq!(out.resilience.unwrap().faults_injected, 3);
+        let text = ctx.registry.render();
+        for line in [
+            "# HELP fault_injected_total Injected faults, by kind",
+            "fault_injected_total{kind=\"signalling_failure\"} 2",
+            "fault_injected_total{kind=\"preemption\"} 1",
+            "fault_injected_total{kind=\"link_flap\"} 0",
+        ] {
+            assert!(text.contains(line), "exposition missing {line}:\n{text}");
+        }
+    }
+
+    #[test]
     fn forced_server_restarts_mark_transfers_failed() {
         use gvc_faults::FaultPlan;
         let (mut d, a, b) = base_driver(30);
@@ -1883,9 +1873,9 @@ mod tests {
                 marker_interval_s: 0.0,
             });
         d.schedule_session(SimTime::ZERO, a, b, SessionSpec::sequential(vec![job(64); 4], 0.0));
-        let out = d.run(SimTime::from_secs(1_000_000));
-        assert_eq!(out.tstat.transfers.len(), 4);
-        assert_eq!(out.tstat.failure_fraction(), 1.0);
+        let (out, outcomes) = run_traced(d, SimTime::from_secs(1_000_000));
+        assert_eq!(outcomes.len(), 4);
+        assert!(outcomes.iter().all(|&(_, _, failed)| failed), "{outcomes:?}");
         assert_eq!(out.resilience.unwrap().faults_injected, 4);
     }
 
@@ -1950,12 +1940,11 @@ mod tests {
                 b,
                 SessionSpec::sequential(vec![job(32); 6], 0.0),
             );
-            let out = d.run(SimTime::from_secs(10_000_000));
-            out.tstat
-                .transfers
-                .iter()
-                .filter(|t| t.session == 1)
-                .map(|t| t.failed)
+            let (_, outcomes) = run_traced(d, SimTime::from_secs(10_000_000));
+            outcomes
+                .into_iter()
+                .filter(|&(session, _, _)| session == 1)
+                .map(|(_, _, failed)| failed)
                 .collect::<Vec<bool>>()
         };
         let short = run(2);

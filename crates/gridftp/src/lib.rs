@@ -24,7 +24,7 @@ pub mod server;
 pub mod session;
 pub mod transfer;
 
-pub use driver::{Driver, DriverOutput, ResilienceReport, TransferStat, TstatReport};
+pub use driver::{Driver, DriverOutput, ResilienceReport};
 pub use server::{ServerCaps, ServerCluster};
 pub use session::{SessionSpec, VcRequestSpec};
 pub use transfer::{FailureModel, ServerNoise, TransferJob};

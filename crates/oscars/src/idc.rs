@@ -336,11 +336,6 @@ impl Idc {
         if let Some(t) = &self.telemetry {
             t.active.add(1);
             t.setup_delay.record((ready - now).as_secs_f64());
-            t.tracer.emit_with(|| {
-                TraceEvent::new(now.micros() as i64, "idc.provision")
-                    .field("id", id.0)
-                    .field("setup_s", (ready - now).as_secs_f64())
-            });
             // The circuit's whole life as a span (closed at teardown)
             // with the signalling delay as a child. The setup child's
             // end is known now, so it closes immediately at a future
@@ -588,7 +583,6 @@ mod tests {
                 "idc.admit",
                 "idc.block",
                 "idc.block",
-                "idc.provision",
                 "span.start", // circuit.lifetime opens at provision
                 "span.start", // idc.setup child ...
                 "span.end",   // ... closes at ready (future timestamp)
@@ -598,14 +592,20 @@ mod tests {
         );
         let jsons: Vec<String> = events.iter().map(gvc_telemetry::TraceEvent::to_json).collect();
         assert!(
-            jsons[5].contains("\"name\":\"circuit.lifetime\"")
-                && jsons[5].contains("\"reservation\":0"),
+            jsons[4].contains("\"name\":\"circuit.lifetime\"")
+                && jsons[4].contains("\"reservation\":0"),
+            "{}",
+            jsons[4]
+        );
+        // The setup span start is the provisioning record: reservation
+        // id and signalling delay.
+        assert!(
+            jsons[5].contains("\"name\":\"idc.setup\",\"reservation\":0,\"setup_s\":60"),
             "{}",
             jsons[5]
         );
-        assert!(jsons[6].contains("\"name\":\"idc.setup\""), "{}", jsons[6]);
-        assert_eq!(events[7].t_us, 60_000_000, "setup span ends at ready");
-        assert_eq!(events[9].t_us, 30_000_000, "circuit span ends at teardown");
+        assert_eq!(events[6].t_us, 60_000_000, "setup span ends at ready");
+        assert_eq!(events[8].t_us, 30_000_000, "circuit span ends at teardown");
         // Second admit on the same window fills the path to capacity.
         let util =
             reg.histogram("idc_path_utilization", &[], || Histogram::new(0.01, 1.6, 11)).snapshot();

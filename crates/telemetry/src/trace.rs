@@ -1,8 +1,8 @@
 //! Structured simulation tracing.
 //!
 //! Every event carries the simulation timestamp in microseconds
-//! (`t_us`), a dot-namespaced kind (`kernel.pop`, `idc.admit`,
-//! `transfer.complete`, `net.fairshare`), and flat key→value fields.
+//! (`t_us`), a dot-namespaced kind (`idc.admit`, `net.fairshare`,
+//! `span.start`), and flat key→value fields.
 //! The JSONL wire format — one JSON object per line — is specified in
 //! `docs/observability.md`.
 //!
@@ -81,7 +81,7 @@ impl From<String> for Value {
 pub struct TraceEvent {
     /// Simulation time, microseconds.
     pub t_us: i64,
-    /// Dot-namespaced event kind, e.g. `transfer.complete`.
+    /// Dot-namespaced event kind, e.g. `idc.admit`.
     pub kind: &'static str,
     /// Flat key→value payload.
     pub fields: Vec<(&'static str, Value)>,
@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn json_rendering_and_escaping() {
-        let ev = TraceEvent::new(1500, "transfer.complete")
+        let ev = TraceEvent::new(1500, "span.end")
             .field("bytes", 42u64)
             .field("mbps", 9.5)
             .field("server", "dtn\"1\".ncar.gov\n")
@@ -306,7 +306,7 @@ mod tests {
         let j = ev.to_json();
         assert_eq!(
             j,
-            "{\"t_us\":1500,\"kind\":\"transfer.complete\",\"bytes\":42,\"mbps\":9.5,\
+            "{\"t_us\":1500,\"kind\":\"span.end\",\"bytes\":42,\"mbps\":9.5,\
              \"server\":\"dtn\\\"1\\\".ncar.gov\\n\",\"lossy\":false,\"delta\":-3}"
         );
     }

@@ -6,11 +6,9 @@
 //! IDC reservation.
 //!
 //! Determinism contract: every trace line is a pure function of
-//! `(driver seed, fault plan, workload)` except `kernel.event`
-//! records, whose `wall_us` field is a real wall-clock profiling
-//! sample; those are filtered out before byte comparison (the CLI's
-//! `run.manifest` preamble carries a wall-clock stamp too, but it is
-//! only emitted by `gvc`, not by the driver).
+//! `(driver seed, fault plan, workload)`, so traces are compared
+//! whole. (The CLI's `run.manifest` preamble carries a wall-clock
+//! stamp, but only `gvc` emits it, not the driver.)
 
 use gridftp_vc::faults::{FaultPlan, RecoveryPolicy};
 use gridftp_vc::gridftp::driver::DriverOutput;
@@ -61,11 +59,10 @@ fn storyline(events: &[TraceEvent]) -> Vec<&'static str> {
         .collect()
 }
 
-/// Renders a trace as JSONL with the non-deterministic parts removed:
-/// `kernel.event` records carry real wall-clock handler timings.
-fn deterministic_jsonl(events: &[TraceEvent]) -> String {
+/// Renders a trace as JSONL, every record included.
+fn jsonl(events: &[TraceEvent]) -> String {
     let mut s = String::new();
-    for e in events.iter().filter(|e| e.kind != "kernel.event") {
+    for e in events {
         s.push_str(&e.to_json());
         s.push('\n');
     }
@@ -184,15 +181,15 @@ fn same_seed_reproduces_the_trace_byte_for_byte() {
     };
     let (_, a) = run_traced(7, 3, plan(), RecoveryPolicy::default());
     let (_, b) = run_traced(7, 3, plan(), RecoveryPolicy::default());
-    let ja = deterministic_jsonl(&a);
+    let ja = jsonl(&a);
     assert!(!ja.is_empty());
-    assert_eq!(ja, deterministic_jsonl(&b));
+    assert_eq!(ja, jsonl(&b));
 
     // A different plan seed perturbs the backoff jitter, so the
     // storyline survives but the bytes differ.
     let (_, c) = run_traced(7, 3, FaultPlan { seed: 12, ..plan() }, RecoveryPolicy::default());
     assert_eq!(storyline(&a), storyline(&c));
-    assert_ne!(ja, deterministic_jsonl(&c));
+    assert_ne!(ja, jsonl(&c));
 }
 
 proptest! {
@@ -237,6 +234,6 @@ proptest! {
 
         let (out2, ev2) = run_traced(driver_seed, 2, plan(), RecoveryPolicy::default());
         prop_assert_eq!(out2.open_reservations, Some(0));
-        prop_assert_eq!(deterministic_jsonl(&ev), deterministic_jsonl(&ev2));
+        prop_assert_eq!(jsonl(&ev), jsonl(&ev2));
     }
 }
