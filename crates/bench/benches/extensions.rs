@@ -1,12 +1,10 @@
-//! Benchmarks for the extension subsystems: HNTES classification, the
-//! reservation calendar, the packet-level queue simulator, and the
-//! variance decomposition.
+//! Benchmarks for the extension subsystems: HNTES classification and
+//! the packet-level queue simulator. IDC admission is timed by the
+//! `idc` suite of `gvc perf snapshot`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gvc_engine::SimTime;
 use gvc_hntes::{AlphaClassifier, FlowRecord, HntesController};
 use gvc_net::queue_sim::{simulate, Discipline, QueueSimConfig};
-use gvc_oscars::LinkCalendar;
 use gvc_topology::NodeId;
 
 fn synth_flows(n: usize) -> Vec<FlowRecord> {
@@ -41,27 +39,6 @@ fn bench_hntes(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_calendar(c: &mut Criterion) {
-    let mut g = c.benchmark_group("calendar");
-    for &n in &[100usize, 1_000] {
-        g.bench_function(format!("commit_peek_{n}"), |b| {
-            b.iter(|| {
-                let mut cal = LinkCalendar::new();
-                for i in 0..n as u64 {
-                    cal.commit(
-                        i,
-                        SimTime::from_secs(i * 10),
-                        SimTime::from_secs(i * 10 + 600),
-                        1e9,
-                    );
-                }
-                cal.peak_committed_bps(SimTime::ZERO, SimTime::from_secs(n as u64 * 10))
-            });
-        });
-    }
-    g.finish();
-}
-
 fn bench_queue_sim(c: &mut Criterion) {
     let mut g = c.benchmark_group("queue_sim");
     g.sample_size(10);
@@ -75,5 +52,5 @@ fn bench_queue_sim(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_hntes, bench_calendar, bench_queue_sim);
+criterion_group!(benches, bench_hntes, bench_queue_sim);
 criterion_main!(benches);

@@ -14,15 +14,18 @@ use gvc_engine::{EventQueue, SimTime};
 use gvc_logs::{Dataset, TransferRecord, TransferType};
 use gvc_net::fairshare::FairShareSolver;
 use gvc_net::FlowDemand;
+use gvc_oscars::{Idc, ReservationRequest, SetupDelayModel};
 use gvc_scenario::{run_scenario, ScenarioSpec};
-use gvc_telemetry::parse_trace;
 use gvc_telemetry::perf::{measure_throughput, median, BenchMetric, PerfSnapshot};
+use gvc_telemetry::{parse_trace, Telemetry, TimelineHandle};
 use gvc_tidy::{run_sources, RuleSet};
 use gvc_topology::{study_topology, Site};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// The snapshot names `gvc perf snapshot` produces, in emission order.
-pub const SNAPSHOT_NAMES: &[&str] = &["kernel", "sweep", "analysis", "tidy", "scenario", "net"];
+pub const SNAPSHOT_NAMES: &[&str] =
+    &["kernel", "sweep", "analysis", "tidy", "scenario", "net", "idc"];
 
 /// The committed `esnet-backbone` scenario spec, embedded so the
 /// snapshot measures exactly the workload the golden corpus gates
@@ -221,6 +224,48 @@ pub fn net_solve(
     solves
 }
 
+/// IDC admission as the driver drives it, on the study topology with
+/// a flight recorder attached (as the scenario runner attaches one):
+/// `cycles` requests for a 1 Gbps, one-hour circuit at `now`, each
+/// provisioned at once, with the oldest circuit torn down at `now`
+/// once eight are open. `now` advances 10 s per cycle, so windows
+/// overlap and the run's history grows with `cycles`. Returns the
+/// number of reservations admitted.
+pub fn idc_admit_teardown(cycles: usize) -> u64 {
+    const OPEN: usize = 8;
+    const PAIRS: [(Site, Site); 4] = [
+        (Site::Nersc, Site::Ornl),
+        (Site::Slac, Site::Bnl),
+        (Site::Ncar, Site::Nics),
+        (Site::Anl, Site::Nersc),
+    ];
+    let topo = study_topology();
+    let mut idc = Idc::new(topo.graph.clone(), SetupDelayModel::one_minute());
+    idc.set_telemetry(&Telemetry::metrics_only().with_timeline(TimelineHandle::new(30_000_000)));
+    let mut open = VecDeque::with_capacity(OPEN + 1);
+    for k in 0..cycles {
+        let now = SimTime::from_secs(k as u64 * 10);
+        let (a, b) = PAIRS[k % PAIRS.len()];
+        let req = ReservationRequest {
+            src: topo.dtn(a),
+            dst: topo.dtn(b),
+            rate_bps: 1e9,
+            start: now,
+            end: SimTime::from_secs(k as u64 * 10 + 3_600),
+        };
+        if let Ok(id) = idc.create_reservation(req) {
+            let _ = idc.provision(id, now);
+            open.push_back(id);
+        }
+        if open.len() > OPEN {
+            if let Some(id) = open.pop_front() {
+                let _ = idc.teardown(id, now);
+            }
+        }
+    }
+    idc.stats().admitted
+}
+
 /// One full scenario run through the corpus runner (spec topology,
 /// synthetic workload, faults, telemetry, flight recorder, golden
 /// serialization); returns the number of transfers produced, 0 on a
@@ -306,7 +351,7 @@ fn throughput_metric(id: &str, unit: &str, items: u64, samples: Vec<f64>) -> Ben
 /// tidy 120 synthetic source files through the full v2 engine,
 /// scenario one full `esnet-backbone` corpus run (scale-independent),
 /// net 20k fair-share solves at each of 1, 5 and 12 study-topology
-/// flows.
+/// flows, idc 20k admit/provision/teardown cycles.
 pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
     let mut snap = PerfSnapshot::new(name, reps);
     match name {
@@ -397,6 +442,16 @@ pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
                 ));
             }
         }
+        "idc" => {
+            let cycles = scaled(20_000, scale);
+            let (items, rates) = measure_throughput(reps, || idc_admit_teardown(cycles));
+            snap.metrics.push(throughput_metric(
+                "idc.admit_teardown.reservations_per_sec",
+                "reservations/sec",
+                items,
+                rates,
+            ));
+        }
         _ => return None,
     }
     Some(snap)
@@ -457,6 +512,12 @@ mod tests {
                 .collect();
             assert_eq!(solver.solve(&capacities), gvc_net::max_min_allocation(&cons, &flows));
         }
+    }
+
+    #[test]
+    fn idc_workload_admits_every_cycle() {
+        // Eight 1 G circuits never fill a 10 G link, so nothing blocks.
+        assert_eq!(idc_admit_teardown(500), 500);
     }
 
     #[test]

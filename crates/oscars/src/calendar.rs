@@ -7,6 +7,19 @@
 //! service is required when the requested circuit rate is a significant
 //! portion of link capacity if the network is to be operated at high
 //! utilization and with low call blocking probability" (§II).
+//!
+//! **The watermark contract.** A release takes a *watermark*: an
+//! instant before which no later query or commitment may start. The
+//! IDC passes the latest time at which it tore a reservation down, and
+//! simulated time only moves forward. Besides releasing its owner's
+//! windows, a release forgets every commitment on the link that ends at
+//! or before the watermark, so a calendar holds only the commitments a
+//! future window can still overlap: O(live reservations), not
+//! O(history). Forgetting them changes no answer: a query over
+//! `[start, end)` with `start >= watermark` already skips every
+//! commitment with `end <= start`, and `retain` keeps the survivors in
+//! their order, so the stable sort in [`LinkCalendar::peak_committed_bps`]
+//! sums the same events in the same order, bit for bit.
 
 use gvc_engine::SimTime;
 use gvc_topology::LinkId;
@@ -23,7 +36,7 @@ struct Commitment {
 }
 
 /// Bandwidth commitments on a single link.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkCalendar {
     commitments: Vec<Commitment>,
 }
@@ -83,25 +96,23 @@ impl LinkCalendar {
         self.commitments.push(Commitment { start, end, rate_bps, owner });
     }
 
-    /// Releases all commitments of `owner` from `at` onward: windows
-    /// entirely in the future disappear, the active one is truncated.
-    /// Returns the number of commitments affected.
-    pub fn release(&mut self, owner: u64, at: SimTime) -> usize {
+    /// Releases all commitments of `owner` from `watermark` onward and
+    /// forgets every commitment that ends at or before `watermark`
+    /// (see the module doc). Windows entirely in the future disappear;
+    /// the active one is truncated at `watermark`, so it ends there
+    /// and is forgotten too. Returns the number of `owner`'s
+    /// commitments that were future or active.
+    pub fn release(&mut self, owner: u64, watermark: SimTime) -> usize {
         let mut touched = 0;
-        self.commitments.retain_mut(|c| {
-            if c.owner != owner {
-                return true;
+        self.commitments.retain(|c| {
+            if c.end <= watermark {
+                return false;
             }
-            if c.start >= at {
+            if c.owner == owner {
                 touched += 1;
-                false // future window: drop entirely
-            } else if c.end > at {
-                touched += 1;
-                c.end = at; // active window: truncate
-                true
-            } else {
-                true // already past
+                return false;
             }
+            true
         });
         touched
     }
@@ -166,10 +177,12 @@ impl NetworkCalendar {
         }
     }
 
-    /// Releases `owner`'s commitments on the given links from `at`.
-    pub fn release_path(&mut self, owner: u64, path_links: &[LinkId], at: SimTime) {
+    /// Releases `owner`'s commitments on the given links from
+    /// `watermark`, forgetting what ended by then on those links
+    /// ([`LinkCalendar::release`]).
+    pub fn release_path(&mut self, owner: u64, path_links: &[LinkId], watermark: SimTime) {
         for &l in path_links {
-            self.link_mut(l).release(owner, at);
+            self.link_mut(l).release(owner, watermark);
         }
     }
 }
@@ -177,6 +190,7 @@ impl NetworkCalendar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -221,8 +235,22 @@ mod tests {
         let n = c.release(7, t(50));
         assert_eq!(n, 2);
         assert_eq!(c.committed_at(t(75)), 2e9); // truncated at 50
-        assert_eq!(c.committed_at(t(25)), 3e9); // history intact
+        assert_eq!(c.committed_at(t(50)), 2e9); // other owners intact
         assert_eq!(c.committed_at(t(250)), 2e9); // future dropped
+        assert_eq!(c.len(), 1, "the truncated window ended at the watermark");
+    }
+
+    #[test]
+    fn release_forgets_every_window_ended_by_the_watermark() {
+        let mut c = LinkCalendar::new();
+        c.commit(1, t(0), t(40), 1e9); // ended before the watermark
+        c.commit(2, t(0), t(50), 1e9); // ends exactly at it
+        c.commit(3, t(0), t(100), 2e9); // still open
+        c.commit(4, t(10), t(60), 4e9); // released below
+        assert_eq!(c.release(4, t(50)), 1);
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.committed_at(t(50)), 2e9);
+        assert_eq!(c.peak_committed_bps(t(50), t(200)), 2e9);
     }
 
     #[test]
@@ -256,7 +284,7 @@ mod tests {
         c.commit(3, t(100), t(200), 2e9);
         assert_eq!(c.release(3, t(100)), 1);
         assert!(c.is_empty());
-        assert_eq!(c.peak_committed_bps(t(0), t(300)), 0.0);
+        assert_eq!(c.peak_committed_bps(t(100), t(300)), 0.0);
     }
 
     #[test]
@@ -264,10 +292,11 @@ mod tests {
         let mut c = LinkCalendar::new();
         c.commit(4, t(0), t(100), 5e9);
         c.release(4, t(40));
-        assert_eq!(c.committed_at(t(39)), 5e9);
         assert_eq!(c.committed_at(t(40)), 0.0, "truncated end is exclusive");
         assert_eq!(c.peak_committed_bps(t(40), t(100)), 0.0);
-        assert_eq!(c.peak_committed_bps(t(0), t(100)), 5e9);
+        // A window starting at the watermark sees the freed capacity.
+        c.commit(5, t(40), t(100), 5e9);
+        assert_eq!(c.peak_committed_bps(t(40), t(100)), 5e9);
     }
 
     #[test]
@@ -315,5 +344,79 @@ mod tests {
     fn empty_window_panics() {
         let mut c = LinkCalendar::new();
         c.commit(1, t(10), t(10), 1e9);
+    }
+
+    /// The release the calendar had before the watermark contract, kept
+    /// as the oracle: it drops `owner`'s future windows, truncates the
+    /// active one at `at` and forgets nothing.
+    fn release_unpruned(cal: &mut LinkCalendar, owner: u64, at: SimTime) {
+        cal.commitments.retain_mut(|c| {
+            if c.owner != owner || c.end <= at {
+                true
+            } else if c.start >= at {
+                false
+            } else {
+                c.end = at;
+                true
+            }
+        });
+    }
+
+    proptest! {
+        /// Forgetting what ended by the watermark changes no answer:
+        /// after each release, every window starting at or after the
+        /// watermark sees the same peak and the same availability, bit
+        /// for bit, as on a calendar that forgets nothing. Ops are
+        /// `(kind, owner, first link, offset s, length s, rate units)`;
+        /// kind 0 and 1 commit on links `first..first + 2` from
+        /// `watermark + offset`, kind 2 releases there after advancing
+        /// the watermark by `offset / 4`.
+        #[test]
+        fn prop_pruned_calendar_matches_unpruned_oracle(
+            ops in proptest::collection::vec(
+                (0u8..3, 0u64..6, 0usize..3, 0u64..400, 1u64..600, 1u32..40),
+                1..80,
+            ),
+            queries in proptest::collection::vec((0u64..500, 1u64..700), 1..8),
+        ) {
+            let links = [LinkId(0), LinkId(1), LinkId(2), LinkId(3)];
+            let mut pruned = NetworkCalendar::new();
+            let mut oracle = NetworkCalendar::new();
+            let mut watermark_s = 0u64;
+            for &(kind, owner, first, offset, len, units) in &ops {
+                let path = &links[first..first + 2];
+                if kind < 2 {
+                    let (start, end) = (t(watermark_s + offset), t(watermark_s + offset + len));
+                    // Thirds of a gigabit, so sums round and their
+                    // order shows in the low bits.
+                    let rate = f64::from(units) * 1e9 / 3.0;
+                    pruned.commit_path(owner, path, start, end, rate);
+                    oracle.commit_path(owner, path, start, end, rate);
+                    continue;
+                }
+                watermark_s += offset / 4;
+                pruned.release_path(owner, path, t(watermark_s));
+                for &l in path {
+                    release_unpruned(oracle.link_mut(l), owner, t(watermark_s));
+                }
+                for &(qoff, qlen) in &queries {
+                    let (start, end) = (t(watermark_s + qoff), t(watermark_s + qoff + qlen));
+                    for &l in &links {
+                        let peak = |nc: &NetworkCalendar| {
+                            nc.link(l).map_or(0.0, |c| c.peak_committed_bps(start, end))
+                        };
+                        prop_assert_eq!(peak(&pruned).to_bits(), peak(&oracle).to_bits());
+                        prop_assert_eq!(
+                            pruned.available_bps(l, 10e9, start, end).to_bits(),
+                            oracle.available_bps(l, 10e9, start, end).to_bits()
+                        );
+                        let at = |nc: &NetworkCalendar| {
+                            nc.link(l).map_or(0.0, |c| c.committed_at(start))
+                        };
+                        prop_assert_eq!(at(&pruned).to_bits(), at(&oracle).to_bits());
+                    }
+                }
+            }
+        }
     }
 }

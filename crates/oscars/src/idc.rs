@@ -6,6 +6,14 @@
 //! let the network run at high utilization with low blocking). The
 //! reservable fraction of each link defaults to 100 % of line rate; a
 //! provider policy can cap it (e.g. reserve headroom for IP traffic).
+//!
+//! Admission costs O(live reservations), not O(history). The IDC keeps
+//! a *watermark*, the latest time at which a teardown released a
+//! reservation, and each release forgets the calendar commitments that
+//! ended by then (the contract is in [`crate::calendar`]). A request or
+//! probe whose window starts before the watermark is refused as
+//! [`BlockReason::InvalidRequest`]. Open reservations are indexed on
+//! their own, so occupancy samples never scan released ones.
 
 use crate::calendar::NetworkCalendar;
 use crate::reservation::{Reservation, ReservationId, ReservationRequest, ReservationState};
@@ -47,7 +55,8 @@ struct IdcTelemetry {
 /// Why a reservation was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockReason {
-    /// Malformed request (empty window, zero rate, same endpoints).
+    /// Malformed request (empty window, zero rate, same endpoints, or
+    /// a window starting before the calendar watermark).
     InvalidRequest(String),
     /// No path with sufficient spare bandwidth over the window.
     NoFeasiblePath,
@@ -125,6 +134,11 @@ pub struct Idc {
     /// Fraction of each link's line rate available to circuits.
     reservable_fraction: f64,
     reservations: HashMap<ReservationId, Reservation>,
+    /// Rate of every admitted reservation not yet torn down, by id.
+    open: BTreeMap<u64, f64>,
+    /// The latest `now` at which a teardown released a reservation;
+    /// the calendar has forgotten every commitment that ended by then.
+    watermark: SimTime,
     next_id: u64,
     stats: IdcStats,
     telemetry: Option<IdcTelemetry>,
@@ -143,6 +157,8 @@ impl Idc {
             setup,
             reservable_fraction: 1.0,
             reservations: HashMap::new(),
+            open: BTreeMap::new(),
+            watermark: SimTime::ZERO,
             next_id: 0,
             stats: IdcStats::default(),
             telemetry: None,
@@ -213,16 +229,22 @@ impl Idc {
         let Some(tl) = self.telemetry.as_ref().and_then(|t| t.timeline.as_ref()) else {
             return;
         };
-        let mut open: Vec<(u64, f64)> = self
-            .reservations
-            .values()
-            .filter(|r| r.state != ReservationState::Released)
-            .map(|r| (r.id.0, r.request.rate_bps))
-            .collect();
-        open.sort_unstable_by_key(|&(id, _)| id);
-        let reserved: f64 = open.iter().map(|&(_, bps)| bps).sum();
-        tl.sample(series::OSCARS_OPEN_RESERVATIONS, at.micros(), open.len() as f64);
+        let reserved: f64 = self.open.values().sum();
+        tl.sample(series::OSCARS_OPEN_RESERVATIONS, at.micros(), self.open.len() as f64);
         tl.sample(series::OSCARS_RESERVED_BPS, at.micros(), reserved);
+    }
+
+    /// Refuses a window starting before the watermark: the calendar
+    /// no longer knows what was committed there.
+    fn check_watermark(&self, start: SimTime) -> Result<(), String> {
+        if start < self.watermark {
+            return Err(format!(
+                "window starts at {} s, before the calendar watermark at {} s",
+                start.as_secs_f64(),
+                self.watermark.as_secs_f64()
+            ));
+        }
+        Ok(())
     }
 
     /// Processes a `createReservation`: CSPF over calendar
@@ -235,7 +257,7 @@ impl Idc {
         if let Some(t) = &self.telemetry {
             t.requests.inc();
         }
-        if let Err(e) = req.validate() {
+        if let Err(e) = req.validate().and_then(|()| self.check_watermark(req.start)) {
             self.stats.blocked += 1;
             if let Some(t) = &self.telemetry {
                 t.blocked_invalid.inc();
@@ -311,6 +333,7 @@ impl Idc {
                 ready_at: None,
             },
         );
+        self.open.insert(id.0, req.rate_bps);
         self.stats.admitted += 1;
         self.sample_timeline(req.start);
         Ok(id)
@@ -358,8 +381,9 @@ impl Idc {
     }
 
     /// Tears a reservation down at `now`, releasing its remaining
-    /// calendar window. Tearing down an already-released reservation
-    /// is a no-op (teardown is idempotent).
+    /// calendar window, and advances the watermark to `now` if that is
+    /// later. Tearing down an already-released reservation is a no-op
+    /// (teardown is idempotent).
     ///
     /// # Errors
     /// [`IdcError::UnknownReservation`] when `id` was never admitted.
@@ -370,7 +394,9 @@ impl Idc {
         }
         let was_active = r.state == ReservationState::Active;
         r.state = ReservationState::Released;
-        self.calendar.release_path(id.0, &r.path.links.clone(), now);
+        self.watermark = self.watermark.max(now);
+        self.calendar.release_path(id.0, &r.path.links, self.watermark);
+        self.open.remove(&id.0);
         if let Some(t) = &self.telemetry {
             if was_active {
                 t.active.add(-1);
@@ -396,12 +422,17 @@ impl Idc {
     /// reaches zero after every fault plan: anything else is a leaked
     /// reservation still holding calendar capacity.
     pub fn open_reservations(&self) -> usize {
-        self.reservations.values().filter(|r| r.state != ReservationState::Released).count()
+        self.open.len()
     }
 
     /// Spare reservable bandwidth between two endpoints over a window
     /// (what a client could still get).
-    pub fn probe_available_bps(&self, req: ReservationRequest) -> f64 {
+    ///
+    /// # Errors
+    /// [`BlockReason::InvalidRequest`] when the window starts before
+    /// the watermark.
+    pub fn probe_available_bps(&self, req: ReservationRequest) -> Result<f64, BlockReason> {
+        self.check_watermark(req.start).map_err(BlockReason::InvalidRequest)?;
         // Binary-search the admissible rate via CSPF feasibility.
         let (mut lo, mut hi) = (
             0.0f64,
@@ -425,14 +456,15 @@ impl Idc {
                 hi = mid;
             }
         }
-        lo
+        Ok(lo)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gvc_topology::{study_topology, Site};
+    use crate::calendar::LinkCalendar;
+    use gvc_topology::{study_topology, LinkId, Site};
 
     fn idc() -> (Idc, ReservationRequest) {
         let t = study_topology();
@@ -537,10 +569,10 @@ mod tests {
     #[test]
     fn probe_tracks_committed_bandwidth() {
         let (mut idc, req) = idc();
-        let free0 = idc.probe_available_bps(req);
+        let free0 = idc.probe_available_bps(req).unwrap();
         assert!((free0 - 10e9).abs() < 1e7, "{free0}");
         idc.create_reservation(req).unwrap();
-        let free1 = idc.probe_available_bps(req);
+        let free1 = idc.probe_available_bps(req).unwrap();
         assert!((free1 - 6e9).abs() < 1e7, "{free1}");
     }
 
@@ -715,5 +747,83 @@ mod tests {
         // Idempotent teardown does not underflow the count.
         idc.teardown(b, SimTime::from_secs(6)).unwrap();
         assert_eq!(idc.open_reservations(), 0);
+    }
+
+    /// Every link calendar, in link order (`None` for untouched links).
+    fn calendars(idc: &Idc) -> Vec<Option<LinkCalendar>> {
+        (0..idc.graph.link_count()).map(|k| idc.calendar.link(LinkId(k as u32)).cloned()).collect()
+    }
+
+    #[test]
+    fn windows_before_the_watermark_are_refused() {
+        let (mut i, req) = idc();
+        let ctx = Telemetry::metrics_only();
+        i.set_telemetry(&ctx);
+        let a = i.create_reservation(req).unwrap();
+        let _b = i.create_reservation(req).unwrap();
+        i.teardown(a, SimTime::from_secs(100)).unwrap();
+        let before = calendars(&i);
+
+        let early = ReservationRequest { start: SimTime::from_secs(99), ..req };
+        match i.create_reservation(early) {
+            Err(BlockReason::InvalidRequest(detail)) => {
+                assert!(detail.contains("watermark"), "{detail}");
+            }
+            other => panic!("expected invalid request, got {other:?}"),
+        }
+        assert!(matches!(i.probe_available_bps(early), Err(BlockReason::InvalidRequest(_))));
+        let blocked = ctx.registry.counter("idc_blocked_total", &[("reason", "invalid_request")]);
+        assert_eq!(blocked.get(), 1, "the probe is a query, not a request");
+        assert_eq!(i.stats().blocked, 1);
+        assert!(calendars(&i) == before, "a refusal leaves the calendar unchanged");
+
+        // A window starting at the watermark is served.
+        let at = ReservationRequest { start: SimTime::from_secs(100), ..req };
+        let free = i.probe_available_bps(at).unwrap();
+        assert!((free - 6e9).abs() < 1e7, "{free}");
+        assert!(i.create_reservation(at).is_ok());
+    }
+
+    #[test]
+    fn idempotent_teardown_leaves_the_watermark() {
+        let (mut i, req) = idc();
+        let a = i.create_reservation(req).unwrap();
+        i.teardown(a, SimTime::from_secs(5)).unwrap();
+        i.teardown(a, SimTime::from_secs(50)).unwrap();
+        let from_10 = ReservationRequest { start: SimTime::from_secs(10), ..req };
+        assert!(i.create_reservation(from_10).is_ok());
+    }
+
+    #[test]
+    fn calendars_hold_only_live_reservations() {
+        // Driver-shaped cycles: admit at `now`, provision, and tear the
+        // oldest of four overlapping circuits down as `now` advances,
+        // alternating between two site pairs.
+        let topo = study_topology();
+        let pairs = [(Site::Nersc, Site::Ornl), (Site::Slac, Site::Bnl)];
+        let mut i = Idc::new(topo.graph.clone(), SetupDelayModel::one_minute());
+        let mut open = std::collections::VecDeque::new();
+        for k in 0..2_000u64 {
+            let now = SimTime::from_secs(k * 10);
+            let (src, dst) = pairs[(k % 2) as usize];
+            let req = ReservationRequest {
+                src: topo.dtn(src),
+                dst: topo.dtn(dst),
+                rate_bps: 1e9,
+                start: now,
+                end: SimTime::from_secs(k * 10 + 3_600),
+            };
+            let id = i.create_reservation(req).expect("four 1 G circuits fit");
+            i.provision(id, now).unwrap();
+            open.push_back(id);
+            if open.len() > 4 {
+                i.teardown(open.pop_front().unwrap(), now).unwrap();
+            }
+            let live = i.open_reservations();
+            for cal in calendars(&i).into_iter().flatten() {
+                assert!(cal.len() <= live, "cycle {k}: {} commitments, {live} open", cal.len());
+            }
+        }
+        assert_eq!(i.stats().admitted, 2_000);
     }
 }

@@ -78,6 +78,9 @@ fn main() {
     );
 
     // How much bandwidth is still reservable NERSC->ORNL at 9h?
-    let probe = idc.probe_available_bps(req(Site::Nersc, Site::Ornl, 0.1, 9, 10));
+    // Nothing was torn down, so the calendar still knows every hour.
+    let probe = idc
+        .probe_available_bps(req(Site::Nersc, Site::Ornl, 0.1, 9, 10))
+        .expect("no teardown has moved the calendar watermark");
     println!("\nspare reservable NERSC->ORNL over 9-10h: {:.1} Gbps", probe / 1e9);
 }
