@@ -1,13 +1,13 @@
 //! The standard host-performance workload matrix behind
-//! `gvc perf snapshot` and the criterion benches.
+//! `gvc perf snapshot`.
 //!
 //! One definition of each hot-path workload (kernel schedule/pop,
-//! session-sweep grid, trace parsing, session grouping) shared by
-//! both measurement layers, so criterion's `Melem/s` lines and the
-//! `BENCH_*.json` snapshots never disagree about what a number means.
-//! All timing goes through [`gvc_telemetry::perf::measure_throughput`]
-//! — the bench crate itself is held to the determinism lint and never
-//! reads a clock directly.
+//! session-sweep grid, trace parsing, session grouping, fair-share
+//! solves, IDC admission, the tidy engine, a scenario run), each
+//! timed into one `BENCH_<suite>.json`. All timing goes through
+//! [`gvc_telemetry::perf::measure_throughput`] — the bench crate
+//! itself is held to the determinism lint and never reads a clock
+//! directly.
 
 use gvc_core::sweep::SessionStore;
 use gvc_engine::{EventQueue, SimTime};
@@ -30,19 +30,19 @@ pub const SNAPSHOT_NAMES: &[&str] =
 /// The committed `esnet-backbone` scenario spec, embedded so the
 /// snapshot measures exactly the workload the golden corpus gates
 /// (full driver + faults + telemetry + timeline stack end to end).
-pub const ESNET_BACKBONE_SCN: &str = include_str!("../../../scenarios/esnet-backbone.scn");
+const ESNET_BACKBONE_SCN: &str = include_str!("../../../scenarios/esnet-backbone.scn");
 
 /// The paper-sized sweep grid (Table III gaps × Table IV delays).
-pub const GAPS_S: [f64; 8] = [0.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0];
+const GAPS_S: [f64; 8] = [0.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0];
 /// Setup delays swept per gap.
-pub const DELAYS_S: [f64; 4] = [60.0, 5.0, 1.0, 0.05];
+const DELAYS_S: [f64; 4] = [60.0, 5.0, 1.0, 0.05];
 /// Circuit-worthiness overhead factor used across the suite.
-pub const FACTOR: f64 = 10.0;
+const FACTOR: f64 = 10.0;
 
 /// Flow counts of the `net` suite's fair-share problems: one transfer
 /// alone, a SLAC-like busy instant (5 flows per solve on average),
 /// and a congested one.
-pub const NET_SOLVE_FLOWS: [usize; 3] = [1, 5, 12];
+const NET_SOLVE_FLOWS: [usize; 3] = [1, 5, 12];
 
 /// The largest suite size at `scale = 1.0`: the kernel suite's events
 /// and the sweep suite's records.
@@ -59,9 +59,8 @@ fn scaled(base: usize, scale: f64) -> usize {
 }
 
 /// Kernel hot path: schedule `n` pseudo-randomly timed events, pop
-/// them all. Returns the number of events processed. Identical to the
-/// `event_queue/schedule_pop_*` criterion workload.
-pub fn kernel_schedule_pop(n: usize) -> u64 {
+/// them all. Returns the number of events processed.
+fn kernel_schedule_pop(n: usize) -> u64 {
     let mut q = EventQueue::<u64>::new();
     for i in 0..n as u64 {
         // Pseudo-random but fixed schedule times.
@@ -78,9 +77,8 @@ pub fn kernel_schedule_pop(n: usize) -> u64 {
 
 /// A synthetic log of `n` transfers across `pairs` server pairs, with
 /// enough spread in inter-arrival (and hence boundary gaps) that every
-/// grid gap changes the session structure. Identical to the criterion
-/// sweep bench's generator.
-pub fn synth_sweep_log(n: usize, pairs: usize) -> Dataset {
+/// grid gap changes the session structure.
+fn synth_sweep_log(n: usize, pairs: usize) -> Dataset {
     let recs: Vec<TransferRecord> = (0..n)
         .map(|i| {
             let pair = i % pairs;
@@ -103,14 +101,13 @@ pub fn synth_sweep_log(n: usize, pairs: usize) -> Dataset {
 
 /// The full grid through the sweep engine (store build included, so
 /// the measurement covers the engine's whole cost).
-pub fn engine_grid(ds: &Dataset) -> usize {
+fn engine_grid(ds: &Dataset) -> usize {
     let sweep = SessionStore::from_dataset(ds).sweep(&GAPS_S, &DELAYS_S, FACTOR);
     sweep.cells.len() + sweep.gap_rows.len()
 }
 
-/// A synthetic log shaped like the analysis benches' input: steady
-/// arrivals across `pairs` server pairs.
-pub fn synth_analysis_log(n: usize, pairs: usize) -> Dataset {
+/// A synthetic log of steady arrivals across `pairs` server pairs.
+fn synth_analysis_log(n: usize, pairs: usize) -> Dataset {
     let recs: Vec<TransferRecord> = (0..n)
         .map(|i| {
             let start = (i as i64) * 8_000_000;
@@ -130,7 +127,7 @@ pub fn synth_analysis_log(n: usize, pairs: usize) -> Dataset {
 /// A deterministic JSONL trace of `lines` records shaped like a
 /// `gvc simulate --trace` stream: `session.transfer` spans, each an
 /// opening and a closing record.
-pub fn synth_trace_jsonl(lines: usize) -> String {
+fn synth_trace_jsonl(lines: usize) -> String {
     let mut out = String::with_capacity(lines * 96);
     for i in 0..lines {
         let (k, span) = (i / 2, i / 2 + 2);
@@ -160,7 +157,7 @@ pub fn synth_trace_jsonl(lines: usize) -> String {
 
 /// Parses `text` with the offline trace parser, returning the line
 /// count processed.
-pub fn parse_trace_lines(text: &str) -> u64 {
+fn parse_trace_lines(text: &str) -> u64 {
     parse_trace(text).map_or(0, |records| records.len() as u64)
 }
 
@@ -171,7 +168,7 @@ pub fn parse_trace_lines(text: &str) -> u64 {
 /// and a circuit guarantee on every fourth flow. Returns the capacity
 /// table (links, then three resources per site) and the flows, whose
 /// constraint lists are sorted and duplicate-free.
-pub fn net_solve_problem(nflows: usize) -> (Vec<f64>, Vec<FlowDemand>) {
+fn net_solve_problem(nflows: usize) -> (Vec<f64>, Vec<FlowDemand>) {
     const PAIRS: [(Site, Site); 4] = [
         (Site::Nersc, Site::Ornl),
         (Site::Slac, Site::Bnl),
@@ -208,7 +205,7 @@ pub fn net_solve_problem(nflows: usize) -> (Vec<f64>, Vec<FlowDemand>) {
 /// Solves `problem` (from [`net_solve_problem`]) `solves` times on one
 /// warm workspace, as the simulator does at each arrival or departure.
 /// Returns `solves`.
-pub fn net_solve(
+fn net_solve(
     solver: &mut FairShareSolver,
     problem: &(Vec<f64>, Vec<FlowDemand>),
     solves: u64,
@@ -231,7 +228,7 @@ pub fn net_solve(
 /// once eight are open. `now` advances 10 s per cycle, so windows
 /// overlap and the run's history grows with `cycles`. Returns the
 /// number of reservations admitted.
-pub fn idc_admit_teardown(cycles: usize) -> u64 {
+fn idc_admit_teardown(cycles: usize) -> u64 {
     const OPEN: usize = 8;
     const PAIRS: [(Site, Site); 4] = [
         (Site::Nersc, Site::Ornl),
@@ -270,7 +267,7 @@ pub fn idc_admit_teardown(cycles: usize) -> u64 {
 /// synthetic workload, faults, telemetry, flight recorder, golden
 /// serialization); returns the number of transfers produced, 0 on a
 /// run error (snapshot values then read as an obvious regression).
-pub fn scenario_transfers(spec: &ScenarioSpec) -> u64 {
+fn scenario_transfers(spec: &ScenarioSpec) -> u64 {
     run_scenario(spec).map_or(0, |o| {
         std::hint::black_box(o.report_json.len() + o.timeline_json.map_or(0, |t| t.len()));
         o.report.n_transfers as u64
@@ -284,7 +281,7 @@ pub fn scenario_transfers(spec: &ScenarioSpec) -> u64 {
 /// four workspace rules run over a realistic shape. Pure arithmetic
 /// content — a scan of the corpus is violation-free, so the metric
 /// measures clean-path analysis cost.
-pub fn synth_tidy_corpus(files: usize) -> Vec<(String, String)> {
+fn synth_tidy_corpus(files: usize) -> Vec<(String, String)> {
     const CRATES: &[&str] = &["core", "engine", "net", "gridftp", "logs", "stats"];
     let mut out = Vec::with_capacity(files);
     for i in 0..files {
@@ -325,7 +322,7 @@ pub fn synth_tidy_corpus(files: usize) -> Vec<(String, String)> {
 
 /// Full v2 lint pass (parse → item graph → every rule) over the
 /// corpus; returns the number of source lines analyzed.
-pub fn tidy_analyze(sources: &[(String, String)]) -> u64 {
+fn tidy_analyze(sources: &[(String, String)]) -> u64 {
     let refs: Vec<(&str, &str)> = sources.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
     let report = run_sources(&refs, &RuleSet::v2());
     std::hint::black_box(report.violations.len() + report.suppressed.len());

@@ -4,7 +4,7 @@
 use gvc_cli::{parse_flags, run_command, COMMANDS};
 
 // Feature-gated counting allocator: `--features perf-alloc` makes the
-// `--perf` report include allocation counts. Off by default — the
+// `--perf` snapshot include allocation counts. Off by default — the
 // default binary keeps the system allocator untouched.
 #[cfg(feature = "perf-alloc")]
 #[global_allocator]
@@ -20,8 +20,8 @@ fn usage() {
     eprintln!("  {:<64} write structured JSONL trace events", "--trace <path>");
     eprintln!("  {:<64} print the metric exposition after the command", "--metrics");
     eprintln!("  {:<64} write the metric exposition to a file", "--metrics-out <path>");
-    eprintln!("  {:<64} print a host-performance report (phases, RSS)", "--perf");
-    eprintln!("  {:<64} write the host-performance report to a file", "--perf-out <path>");
+    eprintln!("  {:<64} print a host-performance snapshot (phases, RSS)", "--perf");
+    eprintln!("  {:<64} write that snapshot to a file for `gvc perf diff`", "--perf-out <path>");
     eprintln!("  {:<64} record sim-time windowed series to a file", "--timeline <path>");
 }
 

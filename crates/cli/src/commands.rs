@@ -695,8 +695,10 @@ fn cmd_trace<W: Write>(a: &ParsedArgs, w: &mut W, telemetry: &Telemetry) -> Resu
 /// `--metrics` appends the Prometheus-style exposition to the output
 /// once the command finishes, and `--metrics-out` writes that same
 /// exposition to a file instead. `--perf` appends a host-performance
-/// `PerfReport` (wall-clock phase timings, throughput, peak RSS) as
-/// JSON, and `--perf-out <path>` writes that report to a file.
+/// `PerfSnapshot` named after the command (per-phase wall-clock
+/// seconds and throughput, total seconds, peak RSS) as JSON, and
+/// `--perf-out <path>` writes that snapshot to a file for
+/// `gvc perf diff`.
 /// `--timeline <path>` attaches the sim-time flight recorder and
 /// writes its windowed-series JSON to the file once the command
 /// finishes (the `serve-metrics` command attaches it implicitly).
@@ -733,13 +735,14 @@ pub fn run_command<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> 
         ))),
     }?;
     telemetry.tracer.flush();
-    if let Some(report) = telemetry.perf.report() {
+    if let Some(report) = telemetry.perf.report(command) {
+        let json = report.to_json();
         if let Some(path) = a.flags.get("perf-out") {
-            std::fs::write(path, report.to_json())
+            std::fs::write(path, &json)
                 .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
         }
         if a.bool_flag("perf") {
-            write!(w, "{}", report.to_json())?;
+            write!(w, "{json}")?;
         }
     }
     if let Some(path) = a.flags.get("metrics-out") {

@@ -32,8 +32,9 @@
 //! `run.manifest` record), `--metrics` (append the Prometheus-style
 //! metric exposition to the output), `--metrics-out <path>` (write
 //! that exposition to a file), `--perf` (append a host-performance
-//! report: wall-clock phase timings, throughput, peak RSS),
-//! `--perf-out <path>` (write that report to a file), and
+//! snapshot: per-phase wall-clock seconds and throughput, total
+//! seconds, peak RSS), `--perf-out <path>` (write that snapshot to a
+//! file that `gvc perf diff` reads), and
 //! `--timeline <path>` (record the sim-time flight recorder's
 //! windowed series and write them as JSON). See
 //! `docs/observability.md` for the event schema, `docs/perf.md` for

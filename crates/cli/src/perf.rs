@@ -9,9 +9,9 @@
 //! ```
 //!
 //! `snapshot` measures the workloads defined in
-//! `gvc_bench::perfsuite` (the same functions the criterion benches
-//! time) and writes one `BENCH_<name>.json` per suite, stamped with a
-//! host fingerprint. `diff` compares two snapshot files and always
+//! `gvc_bench::perfsuite` and writes one `BENCH_<name>.json` per
+//! suite, stamped with a host fingerprint. `diff` compares two
+//! snapshot files (suite snapshots or `--perf-out` files) and always
 //! exits 0 — it is informational. `gate` compares every committed
 //! `BENCH_*.json` baseline against a candidate directory and fails
 //! (non-zero exit) on any regression beyond the slowdown threshold,
@@ -37,23 +37,31 @@ pub fn cmd_perf<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
 
 /// The suite names a `--only kernel,sweep` list selects, validated
 /// against [`SNAPSHOT_NAMES`]; the full set when the flag is absent.
+/// A list that names no suite is refused.
 fn selected_suites(a: &ParsedArgs) -> Result<Vec<&'static str>, CliError> {
-    match a.flags.get("only") {
-        None => Ok(SNAPSHOT_NAMES.to_vec()),
-        Some(raw) => raw
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(|want| {
-                SNAPSHOT_NAMES.iter().copied().find(|n| *n == want).ok_or_else(|| {
-                    CliError(format!(
-                        "--only: unknown suite {want:?} (want one of {})",
-                        SNAPSHOT_NAMES.join(", ")
-                    ))
-                })
+    let Some(raw) = a.flags.get("only") else {
+        return Ok(SNAPSHOT_NAMES.to_vec());
+    };
+    let suites = raw
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(|want| {
+            SNAPSHOT_NAMES.iter().copied().find(|n| *n == want).ok_or_else(|| {
+                CliError(format!(
+                    "--only: unknown suite {want:?} (want one of {})",
+                    SNAPSHOT_NAMES.join(", ")
+                ))
             })
-            .collect(),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if suites.is_empty() {
+        return Err(CliError(format!(
+            "--only names no suite (want one or more of {})",
+            SNAPSHOT_NAMES.join(", ")
+        )));
     }
+    Ok(suites)
 }
 
 fn cmd_snapshot<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
@@ -229,6 +237,10 @@ mod tests {
         }
         let err = run(&["perf", "snapshot", "--only", "kernel,warp"]).unwrap_err();
         assert!(err.0.contains("unknown suite"), "{}", err.0);
+        for only in [",", ""] {
+            let err = run(&["perf", "snapshot", "--only", only]).unwrap_err();
+            assert!(err.0.contains("--only names no suite"), "{only:?}: {}", err.0);
+        }
     }
 
     #[test]

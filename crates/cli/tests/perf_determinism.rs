@@ -1,10 +1,11 @@
 //! Host-performance observability must be a pure observer: turning
 //! `--perf` on must not change a single byte of simulation output,
-//! and the snapshot → diff → gate pipeline must detect an injected
-//! slowdown end to end.
+//! `gvc perf diff` must read what `--perf-out` writes, and the
+//! snapshot → diff → gate pipeline must detect an injected slowdown
+//! end to end.
 
 use gvc_cli::{parse_flags, run_command, CliError};
-use gvc_telemetry::perf::{PerfReport, PerfSnapshot};
+use gvc_telemetry::perf::PerfSnapshot;
 use std::path::{Path, PathBuf};
 
 fn run(v: &[&str]) -> Result<String, CliError> {
@@ -20,6 +21,24 @@ fn tmpdir(name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir
+}
+
+/// Splits a command's stdout into the output without the `--perf`
+/// snapshot block (a multi-line JSON object) and that snapshot.
+fn split_perf(out: &str) -> (String, PerfSnapshot) {
+    let start = out.find("{\n  \"schema\"").expect("perf snapshot on stdout");
+    let len = out[start..].find("\n}\n").expect("snapshot block closes") + "\n}\n".len();
+    let block = &out[start..start + len];
+    let snapshot = PerfSnapshot::parse(block).expect("parse stdout snapshot");
+    (format!("{}{}", &out[..start], &out[start + len..]), snapshot)
+}
+
+/// The item count on `snap`'s `phase.<name>.seconds` row; panics
+/// when the phase was not recorded.
+fn phase_items(snap: &PerfSnapshot, name: &str) -> u64 {
+    snap.metric(&format!("phase.{name}.seconds"))
+        .unwrap_or_else(|| panic!("no {name} phase in {snap:?}"))
+        .items
 }
 
 /// The reproducible body of a trace file: everything except the
@@ -81,26 +100,21 @@ fn perf_flag_changes_no_simulation_output_byte() {
     assert!(plain_trace.contains("\"kind\":\"span.start\""), "spans ran");
 
     // The command output itself is unchanged except for the appended
-    // perf report line.
-    let report_line = perf_out.lines().find(|l| l.starts_with('{')).expect("perf report on stdout");
-    let stripped: String =
-        perf_out.lines().filter(|l| !l.starts_with('{')).map(|l| format!("{l}\n")).collect();
+    // perf snapshot block.
+    let (stripped, report) = split_perf(&perf_out);
     assert_eq!(plain_out, stripped, "--perf changed the human output");
 
-    // The report is parseable, names the simulate phase, and the file
-    // copy round-trips through the same schema.
-    let report = PerfReport::parse(report_line).expect("parse stdout report");
-    assert!(report.phases.iter().any(|p| p.name == "simulate"), "{report:?}");
-    assert!(report.phases.iter().any(|p| p.name == "report_emission"), "{report:?}");
-    let sim = report.phases.iter().find(|p| p.name == "simulate").expect("simulate phase");
-    assert!(sim.items > 0, "simulate phase counts kernel events + completions");
-    assert!(sim.per_sec > 0.0);
-    assert!(report.total_seconds > 0.0);
-    let file_report = PerfReport::parse(
-        &std::fs::read_to_string(dir.join("perf.perf.json")).expect("perf-out file"),
-    )
-    .expect("parse perf-out report");
-    assert_eq!(file_report.phases.len(), report.phases.len());
+    // The snapshot names the command, holds the simulate and
+    // report_emission phases, and the file copy is the same schema.
+    assert_eq!((report.name.as_str(), report.reps), ("simulate", 1));
+    assert!(phase_items(&report, "simulate") > 0, "simulate counts kernel events + completions");
+    phase_items(&report, "report_emission");
+    let rate = report.metric("phase.simulate.items_per_sec").expect("simulate rate");
+    assert!(rate.value > 0.0 && rate.higher_is_better);
+    assert!(report.metric("run.total_seconds").is_some_and(|m| m.value > 0.0));
+    let file_report = PerfSnapshot::load(dir.join("perf.perf.json")).expect("perf-out file");
+    let ids = |s: &PerfSnapshot| s.metrics.iter().map(|m| m.id.clone()).collect::<Vec<_>>();
+    assert_eq!(ids(&file_report), ids(&report));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -129,15 +143,10 @@ fn generate_and_trace_commands_record_their_phases() {
     let log = dir.join("gen.log").to_string_lossy().into_owned();
     let out = run(&["generate", "ncar", &log, "--scale", "0.02", "--seed", "7", "--perf"])
         .expect("generate");
-    let report_line = out.lines().find(|l| l.starts_with('{')).expect("perf report");
-    let report = PerfReport::parse(report_line).expect("parse");
-    let gen = report
-        .phases
-        .iter()
-        .find(|p| p.name == "workload_generation")
-        .expect("workload_generation phase");
-    assert!(gen.items > 0, "generation counts records: {report:?}");
-    assert!(report.phases.iter().any(|p| p.name == "report_emission"), "{report:?}");
+    let (_, report) = split_perf(&out);
+    assert_eq!(report.name, "generate");
+    assert!(phase_items(&report, "workload_generation") > 0, "generation counts records");
+    phase_items(&report, "report_emission");
 
     // Trace analysis: profile a simulate trace with --perf on.
     let sim_log = dir.join("t.log").to_string_lossy().into_owned();
@@ -145,11 +154,42 @@ fn generate_and_trace_commands_record_their_phases() {
     run(&["simulate", &sim_log, "--seed", "7", "--jobs", "2", "--trace", &trace])
         .expect("simulate");
     let out = run(&["trace", "profile", &trace, "--perf"]).expect("trace profile");
-    let report_line = out.lines().find(|l| l.starts_with('{')).expect("perf report");
-    let report = PerfReport::parse(report_line).expect("parse");
-    let phase =
-        report.phases.iter().find(|p| p.name == "trace_analysis").expect("trace_analysis phase");
-    assert!(phase.items > 0, "analysis counts trace records: {report:?}");
+    let (_, report) = split_perf(&out);
+    assert!(phase_items(&report, "trace_analysis") > 0, "analysis counts trace records");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn perf_diff_reads_two_simulate_perf_out_files() {
+    let dir = tmpdir("diff");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    for tag in ["a", "b"] {
+        let (log, perf) = (path(&format!("{tag}.log")), path(&format!("{tag}.json")));
+        run(&["simulate", &log, "--seed", "7", "--jobs", "2", "--perf-out", &perf])
+            .expect("simulate");
+    }
+    let snap = PerfSnapshot::load(path("a.json")).expect("perf-out is a snapshot");
+    let phase_ids: Vec<&str> =
+        snap.metrics.iter().map(|m| m.id.as_str()).filter(|id| id.starts_with("phase.")).collect();
+    assert!(phase_ids.contains(&"phase.simulate.seconds"), "{phase_ids:?}");
+    assert!(phase_ids.contains(&"phase.report_emission.seconds"), "{phase_ids:?}");
+
+    let out = run(&["perf", "diff", &path("a.json"), &path("b.json")]).expect("perf diff exits 0");
+    let row_ids: Vec<&str> = out
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .filter(|id| id.starts_with("phase."))
+        .collect();
+    assert_eq!(row_ids, phase_ids, "one diff row per recorded phase metric:\n{out}");
+    assert!(!out.contains("missing_in"), "{out}");
+
+    // Against a suite baseline the diff only warns that the names
+    // differ: every row is unmatched and nothing fails.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let kernel = root.join("BENCH_kernel.json").to_string_lossy().into_owned();
+    let out = run(&["perf", "diff", &kernel, &path("a.json")]).expect("perf diff exits 0");
+    assert!(out.contains("warning: snapshot names differ: `kernel` vs `simulate`"), "{out}");
+    assert!(out.contains("missing_in_candidate") && out.contains("missing_in_baseline"), "{out}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

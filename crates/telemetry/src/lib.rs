@@ -64,7 +64,7 @@ pub use manifest::{fnv1a64, RunManifest};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use perf::{
     diff_snapshots, BenchMetric, DiffReport, DiffRow, DiffStatus, HostFingerprint, Perf,
-    PerfReport, PerfSnapshot, PhaseGuard,
+    PerfSnapshot, PhaseGuard,
 };
 pub use serve::MetricsServer;
 pub use span::SpanId;

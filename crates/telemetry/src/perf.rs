@@ -17,11 +17,12 @@
 //!   sweep, trace analysis, report emission) feeding the
 //!   `perf_phase_seconds`, `perf_events_per_second`,
 //!   `perf_peak_rss_bytes`, and `perf_allocations_total` Prometheus
-//!   families, folded into a serializable [`PerfReport`].
-//! * **Snapshots** — [`PerfSnapshot`]: a named set of throughput
-//!   metrics with a [`HostFingerprint`] (host, cpu count, rustc, git
-//!   sha), median-of-N timed by [`measure_throughput`], written as
-//!   `BENCH_<name>.json`.
+//!   families, and folded by [`Perf::report`] into a one-rep
+//!   [`PerfSnapshot`] that `gvc perf diff` reads.
+//! * **Snapshots** — [`PerfSnapshot`]: a named set of metrics with a
+//!   [`HostFingerprint`] (host, cpu count, rustc, git sha); a suite's
+//!   metrics are median-of-N timed by [`measure_throughput`] and
+//!   written as `BENCH_<name>.json`.
 //! * **Comparison** — [`diff_snapshots`]: per-metric tolerance
 //!   classification ([`DiffStatus`]) plus fingerprint-mismatch
 //!   warnings; the `gvc perf gate` exit code is derived from
@@ -206,8 +207,6 @@ fn git_sha_in(git: &Path) -> Option<String> {
 
 /// Schema tag written into every snapshot file.
 pub const SNAPSHOT_SCHEMA: &str = "gvc.perf.snapshot/v1";
-/// Schema tag written into every [`PerfReport`].
-pub const REPORT_SCHEMA: &str = "gvc.perf.report/v1";
 
 /// One measured throughput metric inside a snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -523,10 +522,14 @@ impl DiffReport {
     }
 }
 
-/// Formats a rate with an SI magnitude suffix (`12.3M`, `456k`).
+/// Formats a rate with an SI magnitude suffix (`12.3M`, `456k`); a
+/// magnitude below 1, such as a phase's seconds, keeps three
+/// significant digits (`4.20e-3`).
 pub fn format_rate(v: f64) -> String {
     let a = v.abs();
-    if a >= 1e9 {
+    if a > 0.0 && a < 1.0 {
+        format!("{v:.2e}")
+    } else if a >= 1e9 {
         format!("{:.2}G", v / 1e9)
     } else if a >= 1e6 {
         format!("{:.2}M", v / 1e6)
@@ -726,107 +729,17 @@ pub fn alloc_stats() -> Option<(u64, u64)> {
 // Phase recording
 // ---------------------------------------------------------------------------
 
-/// One completed phase inside a [`PerfReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfPhase {
-    /// Phase name (`workload_generation`, `simulate`, `sweep`,
-    /// `trace_analysis`, `report_emission`, `total`).
-    pub name: String,
-    /// Wall-clock seconds spent.
-    pub seconds: f64,
-    /// Work items processed (0 when the phase has no natural unit).
-    pub items: u64,
-    /// `items / seconds` (0 when `items` is 0).
-    pub per_sec: f64,
-}
-
-/// The serializable end-of-run host-performance report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfReport {
-    /// Completed phases, in completion order.
-    pub phases: Vec<PerfPhase>,
-    /// Wall-clock seconds since the recorder was created.
-    pub total_seconds: f64,
-    /// Peak RSS in bytes ([`peak_rss_bytes`]); `None` off-Linux.
-    pub peak_rss_bytes: Option<u64>,
-    /// Cumulative allocations ([`alloc_stats`]); `None` without the
-    /// `perf-alloc` feature.
-    pub allocations: Option<u64>,
-    /// Cumulative allocated bytes; `None` without `perf-alloc`.
-    pub allocated_bytes: Option<u64>,
-}
-
-impl PerfReport {
-    /// Renders the report as JSON (single line, trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(160 + self.phases.len() * 96);
-        let _ = write!(
-            out,
-            "{{\"schema\": {}, \"total_seconds\": {}",
-            Quoted(REPORT_SCHEMA),
-            Number(self.total_seconds)
-        );
-        let opt = |out: &mut String, v: Option<u64>| match v {
-            Some(x) => {
-                let _ = write!(out, "{x}");
-            }
-            None => out.push_str("null"),
-        };
-        out.push_str(", \"peak_rss_bytes\": ");
-        opt(&mut out, self.peak_rss_bytes);
-        out.push_str(", \"allocations\": ");
-        opt(&mut out, self.allocations);
-        out.push_str(", \"allocated_bytes\": ");
-        opt(&mut out, self.allocated_bytes);
-        out.push_str(", \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(
-                out,
-                "{sep}{{\"name\": {}, \"seconds\": {}, \"items\": {}, \"per_sec\": {}}}",
-                Quoted(&p.name),
-                Number(p.seconds),
-                p.items,
-                Number(p.per_sec)
-            );
-        }
-        out.push_str("]}\n");
-        out
-    }
-
-    /// Parses a report produced by [`PerfReport::to_json`].
-    pub fn parse(text: &str) -> Result<PerfReport, String> {
-        let v = Json::parse(text).map_err(|e| e.to_string())?;
-        let schema = v.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != REPORT_SCHEMA {
-            return Err(format!("unsupported report schema `{schema}` (want {REPORT_SCHEMA})"));
-        }
-        let mut phases = Vec::new();
-        for p in v.get("phases").and_then(Json::as_arr).unwrap_or(&[]) {
-            phases.push(PerfPhase {
-                name: p
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("phase missing `name`")?
-                    .to_string(),
-                seconds: p.get("seconds").and_then(Json::as_f64).unwrap_or(0.0),
-                items: p.get("items").and_then(Json::as_u64).unwrap_or(0),
-                per_sec: p.get("per_sec").and_then(Json::as_f64).unwrap_or(0.0),
-            });
-        }
-        Ok(PerfReport {
-            phases,
-            total_seconds: v.get("total_seconds").and_then(Json::as_f64).unwrap_or(0.0),
-            peak_rss_bytes: v.get("peak_rss_bytes").and_then(Json::as_u64),
-            allocations: v.get("allocations").and_then(Json::as_u64),
-            allocated_bytes: v.get("allocated_bytes").and_then(Json::as_u64),
-        })
-    }
+/// The running total of every closed phase with one name.
+struct PhaseTotal {
+    name: &'static str,
+    seconds: f64,
+    items: u64,
 }
 
 struct PerfRecorder {
     registry: Arc<Registry>,
-    phases: Mutex<Vec<PerfPhase>>,
+    /// One entry per phase name, in first-close order.
+    phases: Mutex<Vec<PhaseTotal>>,
     started: Stopwatch,
 }
 
@@ -897,23 +810,45 @@ impl Perf {
         }
     }
 
-    /// The report so far: completed phases, total wall time, peak RSS,
-    /// allocation tallies. `None` when disabled.
-    pub fn report(&self) -> Option<PerfReport> {
+    /// The run so far as a one-rep [`PerfSnapshot`] named `name` (the
+    /// subcommand), which `gvc perf diff` reads. Each phase gives
+    /// `phase.<phase>.seconds` and, when it counted items,
+    /// `phase.<phase>.items_per_sec`; a phase closed more than once is
+    /// one row of summed seconds and items. The run gives
+    /// `run.total_seconds`, `run.peak_rss_bytes` where procfs has it,
+    /// and `run.allocations` / `run.allocated_bytes` under
+    /// `perf-alloc`. `None` when disabled.
+    pub fn report(&self, name: &str) -> Option<PerfSnapshot> {
         let rec = self.rec.as_ref()?;
-        let phases = rec.phases.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
-        let (allocations, allocated_bytes) = match alloc_stats() {
-            Some((a, b)) => (Some(a), Some(b)),
-            None => (None, None),
-        };
-        Some(PerfReport {
-            phases,
-            total_seconds: rec.started.elapsed_s(),
-            peak_rss_bytes: peak_rss_bytes(),
-            allocations,
-            allocated_bytes,
-        })
+        // Read the run's own figures before the fingerprint probe
+        // spawns `rustc`.
+        let total_seconds = rec.started.elapsed_s();
+        let rss = peak_rss_bytes();
+        let allocs = alloc_stats();
+        let mut metrics = Vec::new();
+        for p in rec.phases.lock().unwrap_or_else(std::sync::PoisonError::into_inner).iter() {
+            let id = |what: &str| format!("phase.{}.{what}", p.name);
+            metrics.push(single(id("seconds"), "s", false, p.items, p.seconds));
+            if p.items > 0 {
+                let per_sec = p.items as f64 / p.seconds.max(1e-9);
+                metrics.push(single(id("items_per_sec"), "items/sec", true, p.items, per_sec));
+            }
+        }
+        metrics.push(single("run.total_seconds".into(), "s", false, 0, total_seconds));
+        if let Some(b) = rss {
+            metrics.push(single("run.peak_rss_bytes".into(), "bytes", false, 0, b as f64));
+        }
+        if let Some((n, b)) = allocs {
+            metrics.push(single("run.allocations".into(), "count", false, 0, n as f64));
+            metrics.push(single("run.allocated_bytes".into(), "bytes", false, 0, b as f64));
+        }
+        Some(PerfSnapshot { metrics, ..PerfSnapshot::new(name, 1) })
     }
+}
+
+/// A metric measured once: its one sample is its value.
+fn single(id: String, unit: &str, higher_is_better: bool, items: u64, value: f64) -> BenchMetric {
+    BenchMetric { id, unit: unit.to_string(), higher_is_better, items, value, samples: vec![value] }
 }
 
 /// Scoped phase timer handed out by [`Perf::phase`]; records on drop.
@@ -960,12 +895,14 @@ impl Drop for PhaseGuard {
             rec.registry.counter("perf_allocations_total", &[]).add(a1.saturating_sub(a0));
             rec.registry.counter("perf_allocated_bytes_total", &[]).add(b1.saturating_sub(b0));
         }
-        rec.phases.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(PerfPhase {
-            name: self.name.to_string(),
-            seconds,
-            items: self.items,
-            per_sec,
-        });
+        let mut phases = rec.phases.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        match phases.iter_mut().find(|p| p.name == self.name) {
+            Some(p) => {
+                p.seconds += seconds;
+                p.items += self.items;
+            }
+            None => phases.push(PhaseTotal { name: self.name, seconds, items: self.items }),
+        }
     }
 }
 
@@ -1145,6 +1082,8 @@ mod tests {
         assert_eq!(format_rate(1.25e6), "1.25M");
         assert_eq!(format_rate(4500.0), "4.5k");
         assert_eq!(format_rate(12.34), "12.3");
+        assert_eq!(format_rate(0.0042), "4.20e-3");
+        assert_eq!(format_rate(0.0), "0.0");
     }
 
     #[test]
@@ -1163,7 +1102,7 @@ mod tests {
             let mut g = p.phase("simulate");
             g.items(10);
         }
-        assert!(p.report().is_none());
+        assert!(p.report("simulate").is_none());
     }
 
     #[test]
@@ -1171,7 +1110,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let p = Perf::recording(&registry);
         assert!(p.enabled());
-        {
+        for _ in 0..2 {
             let mut g = p.phase("simulate");
             g.items(5);
             g.add_items(5);
@@ -1179,13 +1118,32 @@ mod tests {
         {
             let _g = p.phase("report_emission");
         }
-        let report = p.report().expect("report");
-        assert_eq!(report.phases.len(), 2);
-        let sim = report.phases.first().expect("phase");
-        assert_eq!(sim.name, "simulate");
-        assert_eq!(sim.items, 10);
-        assert!(sim.per_sec > 0.0);
-        assert!(report.total_seconds >= sim.seconds);
+        let report = p.report("simulate").expect("report");
+        assert_eq!((report.name.as_str(), report.reps), ("simulate", 1));
+        let ids: Vec<&str> = report.metrics.iter().map(|m| m.id.as_str()).collect();
+        // The repeated phase folds into one row; an itemless phase has
+        // no rate row.
+        assert_eq!(
+            ids.get(..4),
+            Some(
+                &[
+                    "phase.simulate.seconds",
+                    "phase.simulate.items_per_sec",
+                    "phase.report_emission.seconds",
+                    "run.total_seconds",
+                ][..]
+            ),
+            "{ids:?}"
+        );
+        let metric = |id: &str| report.metric(id).expect(id);
+        let sim = metric("phase.simulate.seconds");
+        assert_eq!(sim.items, 20);
+        assert!(!sim.higher_is_better && sim.unit == "s");
+        let rate = metric("phase.simulate.items_per_sec");
+        assert!(rate.higher_is_better && rate.value > 0.0);
+        assert!(metric("run.total_seconds").value >= sim.value);
+        assert_eq!(report.metric("run.peak_rss_bytes").is_some(), peak_rss_bytes().is_some());
+        assert_eq!(report.metric("run.allocations").is_some(), alloc_stats().is_some());
         let text = registry.render();
         assert!(text.contains("# TYPE perf_phase_seconds histogram"), "{text}");
         assert!(
@@ -1206,14 +1164,11 @@ mod tests {
             let mut g = p.phase("sweep");
             g.items(1234);
         }
-        let report = p.report().expect("report");
-        let text = report.to_json();
-        let back = PerfReport::parse(&text).expect("parse");
-        assert_eq!(back.phases, report.phases);
-        assert_eq!(back.peak_rss_bytes, report.peak_rss_bytes);
-        assert_eq!(back.allocations, report.allocations);
-        assert!((back.total_seconds - report.total_seconds).abs() < 1e-12);
-        assert!(PerfReport::parse("{\"schema\": \"nope\"}").is_err());
+        let report = p.report("sweep").expect("report");
+        let back = PerfSnapshot::parse(&report.to_json()).expect("parse");
+        assert_eq!(back, report);
+        // Two reports of one run diff clean against each other.
+        assert!(diff_snapshots(&report, &back, 0.0).is_clean());
     }
 
     #[cfg(feature = "perf-alloc")]

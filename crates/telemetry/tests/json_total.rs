@@ -1,16 +1,14 @@
 //! Property tests for the JSON reader and the three document formats
-//! built on it — trace JSONL ([`parse_trace`]), `BENCH_*.json`
-//! snapshots and `--perf` reports ([`PerfSnapshot`], [`PerfReport`]),
-//! and timelines ([`TimelineDoc`]). Every parser is total: arbitrary
+//! built on it — trace JSONL ([`parse_trace`]), `BENCH_*.json` and
+//! `--perf` snapshots ([`PerfSnapshot`]), and timelines ([`TimelineDoc`]). Every parser is total: arbitrary
 //! bytes, token soup, truncations, byte flips, and pathological
 //! nesting all return `Ok` or a typed error, never a panic. The
 //! writers and readers are mutual inverses.
 
 use gvc_telemetry::json::{Json, MAX_DEPTH};
-use gvc_telemetry::perf::PerfPhase;
 use gvc_telemetry::{
-    parse_trace, BenchMetric, HostFingerprint, PerfReport, PerfSnapshot, TimelineDoc,
-    TimelineRecorder, TraceEvent,
+    parse_trace, BenchMetric, HostFingerprint, PerfSnapshot, TimelineDoc, TimelineRecorder,
+    TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -25,9 +23,6 @@ fn parse_all(text: &str) -> Result<(), TestCaseError> {
         prop_assert!(!e.message.is_empty());
     }
     if let Err(e) = PerfSnapshot::parse(text) {
-        prop_assert!(!e.is_empty());
-    }
-    if let Err(e) = PerfReport::parse(text) {
         prop_assert!(!e.is_empty());
     }
     if let Err(e) = TimelineDoc::parse(text) {
@@ -52,7 +47,7 @@ fn valid_documents() -> Vec<String> {
     timeline.add("driver.transfers", 0, 2.0);
     timeline.sample("oscars.reserved_bps", 31_000_000, 2e9);
     timeline.observe("driver.vc_setup", 0, 60.0);
-    vec![trace, snapshot_fixture().to_json(), report_fixture().to_json(), timeline.to_json()]
+    vec![trace, snapshot_fixture().to_json(), timeline.to_json()]
 }
 
 fn fingerprint(host: &str, cpus: u64, created_unix_ms: u64) -> HostFingerprint {
@@ -81,21 +76,6 @@ fn snapshot_fixture() -> PerfSnapshot {
             value: 1.25e6,
             samples: vec![1.2e6, 1.25e6, 1.3e6],
         }],
-    }
-}
-
-fn report_fixture() -> PerfReport {
-    PerfReport {
-        phases: vec![PerfPhase {
-            name: "simulate".to_string(),
-            seconds: 0.5,
-            items: 1000,
-            per_sec: 2000.0,
-        }],
-        total_seconds: 0.75,
-        peak_rss_bytes: Some(1 << 30),
-        allocations: None,
-        allocated_bytes: None,
     }
 }
 
@@ -134,7 +114,6 @@ static TOKENS: &[&str] = &[
     "\"w\"",
     "\"schema\"",
     "\"gvc.perf.snapshot/v1\"",
-    "\"gvc.perf.report/v1\"",
     "\"metrics\"",
     "é",
     "😀",
@@ -176,7 +155,7 @@ proptest! {
     /// One flipped byte anywhere in a valid document never panics a
     /// parser.
     #[test]
-    fn single_byte_flips_never_panic(doc in 0usize..4, at in 0usize..4096, mask in 1u16..256) {
+    fn single_byte_flips_never_panic(doc in 0usize..3, at in 0usize..4096, mask in 1u16..256) {
         let docs = valid_documents();
         let mut raw = docs[doc].clone().into_bytes();
         let at = at % raw.len();
@@ -214,32 +193,6 @@ proptest! {
         let back = PerfSnapshot::parse(&snap.to_json()).map_err(TestCaseError::fail)?;
         prop_assert_eq!(back, snap);
     }
-
-    /// `--perf` reports survive `to_json` → `parse` exactly.
-    #[test]
-    fn report_round_trips(
-        name in proptest::collection::vec(0u64..CHARS_LEN, 1..16),
-        m in 0.0f64..1.0,
-        exp in -20i32..20,
-        items in 0u64..(i64::MAX as u64),
-        rss in 0u64..(i64::MAX as u64),
-        with_rss in proptest::bool::ANY,
-    ) {
-        let report = PerfReport {
-            phases: vec![PerfPhase {
-                name: text_of(&name),
-                seconds: float(m, exp),
-                items,
-                per_sec: float(m, -exp),
-            }],
-            total_seconds: float(m, exp),
-            peak_rss_bytes: with_rss.then_some(rss),
-            allocations: None,
-            allocated_bytes: (!with_rss).then_some(items),
-        };
-        let back = PerfReport::parse(&report.to_json()).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(back, report);
-    }
 }
 
 proptest! {
@@ -276,8 +229,7 @@ fn valid_documents_parse() {
     let docs = valid_documents();
     assert_eq!(parse_trace(&docs[0]).map(|r| r.len()), Ok(4));
     assert_eq!(PerfSnapshot::parse(&docs[1]), Ok(snapshot_fixture()));
-    assert_eq!(PerfReport::parse(&docs[2]), Ok(report_fixture()));
-    assert_eq!(TimelineDoc::parse(&docs[3]).map(|d| d.series.len()), Ok(3));
+    assert_eq!(TimelineDoc::parse(&docs[2]).map(|d| d.series.len()), Ok(3));
 }
 
 #[test]
@@ -290,7 +242,6 @@ fn ten_thousand_nested_brackets_are_rejected_not_overflowed() {
         let err = Json::parse(text).expect_err("unterminated nesting");
         assert_eq!(err.msg, "nesting too deep");
         assert!(PerfSnapshot::parse(text).is_err());
-        assert!(PerfReport::parse(text).is_err());
         assert!(TimelineDoc::parse(text).is_err());
         assert!(parse_trace(text).is_err());
     }

@@ -104,7 +104,7 @@ pub enum Root {
 
 /// External crate names that are *not* workspace libraries even
 /// though they are path roots in source.
-const EXTERNAL_ROOTS: &[&str] = &["std", "core", "alloc", "rand", "rayon", "proptest", "criterion"];
+const EXTERNAL_ROOTS: &[&str] = &["std", "core", "alloc", "rand", "rayon", "proptest"];
 
 /// Maps a path's first segment to its root, applying the file's
 /// `use` map and the workspace conventions. Returns the fully
