@@ -6,7 +6,7 @@ use gvc_core::vc_suitability::DEFAULT_OVERHEAD_FACTOR;
 use gvc_core::ResilienceSummary;
 use gvc_engine::SimTime;
 use gvc_faults::FaultPlan;
-use gvc_gridftp::{Driver, DriverOutput, ServerCaps, SessionSpec, TransferJob, VcRequestSpec};
+use gvc_gridftp::{Driver, ServerCaps, SessionSpec, TransferJob, VcRequestSpec};
 use gvc_logs::anonymize::{anonymize_dataset, AnonymizePolicy};
 use gvc_logs::{parse_dataset, write_dataset, Dataset};
 use gvc_net::NetworkSim;
@@ -22,7 +22,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// `(name, usage, description)` for every subcommand.
-pub const COMMANDS: [(&str, &str, &str); 12] = [
+pub const COMMANDS: [(&str, &str, &str); 11] = [
     ("summary", "gvc summary <log>", "descriptive statistics of a usage log"),
     ("sessions", "gvc sessions <log> [--gap 60]", "group transfers into sessions"),
     (
@@ -70,12 +70,6 @@ pub const COMMANDS: [(&str, &str, &str); 12] = [
         "gvc timeline <report|csv|check> <timeline.json> [--slo <rules>]",
         "report, export, or SLO-check a --timeline flight-recorder file",
     ),
-    (
-        "serve-metrics",
-        "gvc serve-metrics [--listen 127.0.0.1:0] [--seed 42] [--jobs 4] [--faults <spec>] \
-         [--max-requests N] [--addr-file <path>]",
-        "run the simulation with a live /metrics and /timeline.json endpoint",
-    ),
 ];
 
 /// Canonical argv reconstruction: positionals in order then sorted
@@ -91,42 +85,42 @@ fn config_string(a: &ParsedArgs) -> String {
 }
 
 /// Builds the telemetry context requested by the global `--trace
-/// <path>` / `--metrics` / `--perf` flags. The second element is true
-/// when any instrumentation was requested (otherwise the context is
-/// inert and nothing is attached to the subsystems).
-fn telemetry_from_flags(a: &ParsedArgs) -> Result<(Telemetry, bool), CliError> {
+/// <path>`, `--metrics`, `--metrics-out`, `--perf`/`--perf-out` and
+/// `--timeline` flags; without any of them the context is inert and
+/// nothing is attached to the subsystems.
+fn telemetry_from_flags(a: &ParsedArgs) -> Result<Telemetry, CliError> {
     let want_perf = a.bool_flag("perf") || a.flags.contains_key("perf-out");
-    let want_timeline = a.flags.contains_key("timeline")
-        || a.positional.first().is_some_and(|c| c == "serve-metrics");
-    let (mut telemetry, mut instrumented) = if let Some(path) = a.flags.get("trace") {
+    let want_timeline = a.flags.contains_key("timeline");
+    let mut telemetry = if let Some(path) = a.flags.get("trace") {
         let sink =
             JsonlSink::create(path).map_err(|e| CliError(format!("cannot create {path}: {e}")))?;
-        (Telemetry::with_sink(Arc::new(sink)), true)
+        Telemetry::with_sink(Arc::new(sink))
     } else if want_perf
         || want_timeline
         || a.bool_flag("metrics")
         || a.flags.contains_key("metrics-out")
     {
-        (Telemetry::metrics_only(), true)
+        Telemetry::metrics_only()
     } else {
-        (Telemetry::default(), false)
+        Telemetry::default()
     };
     if want_timeline {
-        // One sim-time flight recorder (default window width) serves
-        // both the `--timeline <path>` file and, for `serve-metrics`,
-        // the live `/timeline.json` endpoint.
         telemetry = telemetry.with_timeline(TimelineHandle::new(DEFAULT_WIDTH_US));
-        instrumented = true;
     }
     if want_perf {
-        return Ok((telemetry.with_perf(), true));
+        telemetry = telemetry.with_perf();
     }
-    Ok((telemetry, instrumented))
+    Ok(telemetry)
 }
 
-fn load(path: &str) -> Result<Dataset, CliError> {
+/// Parses the usage log at `path` inside the `log_load` perf phase,
+/// counting its records.
+fn load(path: &str, telemetry: &Telemetry) -> Result<Dataset, CliError> {
+    let mut phase = telemetry.perf.phase("log_load");
     let f = File::open(path).map_err(|e| CliError(format!("cannot open {path}: {e}")))?;
-    parse_dataset(BufReader::new(f)).map_err(|e| CliError(format!("{path}: {e}")))
+    let ds = parse_dataset(BufReader::new(f)).map_err(|e| CliError(format!("{path}: {e}")))?;
+    phase.items(ds.len() as u64);
+    Ok(ds)
 }
 
 fn save(path: &str, ds: &Dataset) -> Result<(), CliError> {
@@ -153,8 +147,8 @@ fn print_summary<W: Write>(
     Ok(())
 }
 
-fn cmd_summary<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
-    let ds = load(a.positional(1, "log")?)?;
+fn cmd_summary<W: Write>(a: &ParsedArgs, w: &mut W, telemetry: &Telemetry) -> Result<(), CliError> {
+    let ds = load(a.positional(1, "log")?, telemetry)?;
     writeln!(w, "{} transfers", ds.len())?;
     if ds.is_empty() {
         return Ok(());
@@ -196,8 +190,12 @@ fn check_factor(factor: f64) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_sessions<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
-    let ds = load(a.positional(1, "log")?)?;
+fn cmd_sessions<W: Write>(
+    a: &ParsedArgs,
+    w: &mut W,
+    telemetry: &Telemetry,
+) -> Result<(), CliError> {
+    let ds = load(a.positional(1, "log")?, telemetry)?;
     let gap: f64 = a.flag_or("gap", 60.0)?;
     check_durations("gap", &[gap])?;
     // One store behind both the g = --gap summary and the sensitivity
@@ -239,8 +237,12 @@ fn cmd_sessions<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_suitability<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
-    let ds = load(a.positional(1, "log")?)?;
+fn cmd_suitability<W: Write>(
+    a: &ParsedArgs,
+    w: &mut W,
+    telemetry: &Telemetry,
+) -> Result<(), CliError> {
+    let ds = load(a.positional(1, "log")?, telemetry)?;
     let gap: f64 = a.flag_or("gap", 60.0)?;
     let setup: f64 = a.flag_or("setup", 60.0)?;
     let factor: f64 = a.flag_or("factor", 10.0)?;
@@ -283,7 +285,7 @@ fn list_flag_or(a: &ParsedArgs, name: &str, default: &[f64]) -> Result<Vec<f64>,
 }
 
 fn cmd_sweep<W: Write>(a: &ParsedArgs, w: &mut W, telemetry: &Telemetry) -> Result<(), CliError> {
-    let ds = load(a.positional(1, "log")?)?;
+    let ds = load(a.positional(1, "log")?, telemetry)?;
     let gaps = list_flag_or(a, "gaps", &[0.0, 60.0, 120.0])?;
     let delays = list_flag_or(a, "delays", &[60.0, 0.05])?;
     let factor: f64 = a.flag_or("factor", 10.0)?;
@@ -375,7 +377,11 @@ fn cmd_generate<W: Write>(
     Ok(())
 }
 
-fn cmd_anonymize<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
+fn cmd_anonymize<W: Write>(
+    a: &ParsedArgs,
+    w: &mut W,
+    telemetry: &Telemetry,
+) -> Result<(), CliError> {
     let input = a.positional(1, "log")?.to_owned();
     let out = a.positional(2, "out")?.to_owned();
     let policy = match a.str_flag_or("policy", "drop") {
@@ -383,65 +389,23 @@ fn cmd_anonymize<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
         "pseudonym" => AnonymizePolicy::Pseudonym,
         other => return Err(CliError(format!("unknown --policy {other:?}"))),
     };
-    let ds = load(&input)?;
+    let ds = load(&input, telemetry)?;
     let anon = anonymize_dataset(&ds, policy);
     save(&out, &anon)?;
     writeln!(w, "wrote {} anonymized transfers to {out}", anon.len())?;
     Ok(())
 }
 
-/// The study run `simulate` and `serve-metrics` share, parsed from
-/// `--seed`, `--jobs`, `--horizon` and `--faults`.
-pub(crate) struct StudyRun {
+/// Builds the canonical study workload `simulate` runs: NERSC→ORNL
+/// over the study topology, one circuit-backed bulk session of `jobs`
+/// transfers plus standalone best-effort transfers, so kernel, IDC,
+/// transfer, and net activity all show up in a single instrumented run.
+fn study_driver(
     seed: u64,
     jobs: usize,
-    horizon: SimTime,
     faults: Option<FaultPlan>,
-}
-
-impl StudyRun {
-    /// Parses the shared flags; `default_jobs` is the command's own
-    /// `--jobs` default. A job count above the `u32::MAX` ceiling
-    /// scenario session counts have, or a horizon the sim clock cannot
-    /// hold, is refused here rather than panicking mid-run.
-    pub(crate) fn parse(a: &ParsedArgs, default_jobs: usize) -> Result<StudyRun, CliError> {
-        let seed: u64 = a.flag_or("seed", 42u64)?;
-        let jobs: usize = a.flag_or("jobs", default_jobs)?;
-        if jobs == 0 || u32::try_from(jobs).is_err() {
-            return Err(CliError(format!("--jobs must be between 1 and {}", u32::MAX)));
-        }
-        let horizon_s: f64 = a.flag_or("horizon", 100_000.0)?;
-        let horizon =
-            SimTime::try_from_secs_f64(horizon_s).filter(|_| horizon_s > 0.0).ok_or_else(|| {
-                CliError("--horizon must be positive and within the sim clock's range".into())
-            })?;
-        let faults = a
-            .flags
-            .get("faults")
-            .map(|spec| FaultPlan::parse(spec).map_err(|e| CliError(e.to_string())))
-            .transpose()?;
-        Ok(StudyRun { seed, jobs, horizon, faults })
-    }
-
-    /// Runs `d` to the horizon and, when a flight recorder is
-    /// attached, records per-link utilisation from the integer SNMP
-    /// bins.
-    pub(crate) fn run(&self, d: Driver, telemetry: &Telemetry) -> DriverOutput {
-        let result = d.run(self.horizon);
-        if let Some(tl) = &telemetry.timeline {
-            result.sim.record_timeline(tl);
-        }
-        result
-    }
-}
-
-/// Builds the canonical study workload shared by `simulate` and
-/// `serve-metrics`: NERSC→ORNL over the study topology, one
-/// circuit-backed bulk session of `jobs` transfers plus standalone
-/// best-effort transfers, so kernel, IDC, transfer, and net activity
-/// all show up in a single instrumented run.
-pub(crate) fn study_driver(run: &StudyRun, telemetry: &Telemetry) -> Driver {
-    let (seed, jobs) = (run.seed, run.jobs);
+    telemetry: &Telemetry,
+) -> Driver {
     let t = study_topology();
     let (nersc, ornl) = (t.dtn(Site::Nersc), t.dtn(Site::Ornl));
     let study_path = t.path(Site::Nersc, Site::Ornl);
@@ -466,8 +430,8 @@ pub(crate) fn study_driver(run: &StudyRun, telemetry: &Telemetry) -> Driver {
             d.sim_mut().monitor_link(link);
         }
     }
-    if let Some(plan) = &run.faults {
-        d = d.with_faults(plan.clone());
+    if let Some(plan) = faults {
+        d = d.with_faults(plan);
     }
     let src = d.register_cluster("dtn.nersc.gov", nersc, ServerCaps::default(), 2);
     let dst = d.register_cluster("dtn.ornl.gov", ornl, ServerCaps::default(), 2);
@@ -486,14 +450,36 @@ pub(crate) fn study_driver(run: &StudyRun, telemetry: &Telemetry) -> Driver {
     d
 }
 
+/// `gvc simulate <out>`: runs the study workload to `--horizon` and
+/// writes its usage log. A job count above the `u32::MAX` ceiling
+/// scenario session counts have, or a horizon the sim clock cannot
+/// hold, is refused before the run rather than panicking mid-run.
 fn cmd_simulate<W: Write>(
     a: &ParsedArgs,
     w: &mut W,
     telemetry: &Telemetry,
 ) -> Result<(), CliError> {
     let out = a.positional(1, "out")?.to_owned();
-    let run = StudyRun::parse(a, 6)?;
-    let result = run.run(study_driver(&run, telemetry), telemetry);
+    let seed: u64 = a.flag_or("seed", 42u64)?;
+    let jobs: usize = a.flag_or("jobs", 6usize)?;
+    if jobs == 0 || u32::try_from(jobs).is_err() {
+        return Err(CliError(format!("--jobs must be between 1 and {}", u32::MAX)));
+    }
+    let horizon_s: f64 = a.flag_or("horizon", 100_000.0)?;
+    let horizon =
+        SimTime::try_from_secs_f64(horizon_s).filter(|_| horizon_s > 0.0).ok_or_else(|| {
+            CliError("--horizon must be positive and within the sim clock's range".into())
+        })?;
+    let faults = a
+        .flags
+        .get("faults")
+        .map(|spec| FaultPlan::parse(spec).map_err(|e| CliError(e.to_string())))
+        .transpose()?;
+    let result = study_driver(seed, jobs, faults, telemetry).run(horizon);
+    if let Some(tl) = &telemetry.timeline {
+        // Per-link utilisation from the integer SNMP bins.
+        result.sim.record_timeline(tl);
+    }
     let emit_phase = telemetry.perf.phase("report_emission");
     save(&out, &result.log)?;
     drop(emit_phase);
@@ -701,11 +687,11 @@ fn cmd_trace<W: Write>(a: &ParsedArgs, w: &mut W, telemetry: &Telemetry) -> Resu
 /// `gvc perf diff`.
 /// `--timeline <path>` attaches the sim-time flight recorder and
 /// writes its windowed-series JSON to the file once the command
-/// finishes (the `serve-metrics` command attaches it implicitly).
+/// finishes.
 /// Without these flags the telemetry context is inert.
 pub fn run_command<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
     let command = a.positional(0, "command")?;
-    let (telemetry, _instrumented) = telemetry_from_flags(a)?;
+    let telemetry = telemetry_from_flags(a)?;
     let manifest = RunManifest::new(command, a.flag_or("seed", 42u64)?, &config_string(a));
     telemetry.tracer.emit_with(|| {
         TraceEvent::new(0, "run.manifest")
@@ -717,18 +703,17 @@ pub fn run_command<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> 
             .field("started_unix_ms", manifest.started_unix_ms as i64)
     });
     match command {
-        "summary" => cmd_summary(a, w),
-        "sessions" => cmd_sessions(a, w),
-        "suitability" => cmd_suitability(a, w),
+        "summary" => cmd_summary(a, w, &telemetry),
+        "sessions" => cmd_sessions(a, w, &telemetry),
+        "suitability" => cmd_suitability(a, w, &telemetry),
         "sweep" => cmd_sweep(a, w, &telemetry),
         "generate" => cmd_generate(a, w, &telemetry),
-        "anonymize" => cmd_anonymize(a, w),
+        "anonymize" => cmd_anonymize(a, w, &telemetry),
         "simulate" => cmd_simulate(a, w, &telemetry),
         "trace" => cmd_trace(a, w, &telemetry),
         "perf" => crate::perf::cmd_perf(a, w),
         "scenario" => crate::scenario::cmd_scenario(a, w, &telemetry),
         "timeline" => crate::timeline::cmd_timeline(a, w),
-        "serve-metrics" => crate::timeline::cmd_serve_metrics(a, w, &telemetry),
         other => Err(CliError(format!(
             "unknown command {other:?}; available: {}",
             COMMANDS.map(|(n, _, _)| n).join(", ")

@@ -23,8 +23,6 @@
 //!                                        regression gating
 //! gvc timeline <report|csv|check>        views and SLO burn checks over a
 //!                                        --timeline flight-recorder file
-//! gvc serve-metrics [--listen addr]      simulation run with a live /metrics
-//!                                        and /timeline.json scrape endpoint
 //! ```
 //!
 //! Every command also accepts the global observability flags

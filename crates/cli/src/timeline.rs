@@ -1,6 +1,5 @@
 //! `gvc timeline <report|csv|check>` — offline views of a
-//! `--timeline` flight-recorder file — plus `gvc serve-metrics`, the
-//! live scrape endpoint over a running simulation.
+//! `--timeline` flight-recorder file.
 //!
 //! The timeline file is the canonical JSON the recorder in
 //! `gvc-telemetry` emits: windowed series over *simulation* time,
@@ -11,10 +10,8 @@
 //! fails.
 
 use crate::args::{CliError, ParsedArgs};
-use crate::commands::{study_driver, StudyRun};
-use gvc_telemetry::{check_rules, parse_rules, sparkline, MetricsServer, Telemetry, TimelineDoc};
+use gvc_telemetry::{check_rules, parse_rules, sparkline, TimelineDoc};
 use std::io::Write;
-use std::sync::Arc;
 
 fn load_doc(path: &str) -> Result<TimelineDoc, CliError> {
     let text =
@@ -163,64 +160,11 @@ pub fn cmd_timeline<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError>
     }
 }
 
-/// `gvc serve-metrics`: runs the `simulate` workload with a live HTTP
-/// endpoint serving the Prometheus exposition on `/metrics` and the
-/// timeline-so-far on `/timeline.json`.
-///
-/// The endpoint binds before the simulation starts (`--listen`,
-/// default an ephemeral loopback port; `--addr-file` writes the bound
-/// address for scripted scrapes) and keeps serving after it finishes.
-/// With `--max-requests N` the command exits after answering `N`
-/// requests — the deterministic-exit mode the CI smoke test drives.
-pub fn cmd_serve_metrics<W: Write>(
-    a: &ParsedArgs,
-    w: &mut W,
-    telemetry: &Telemetry,
-) -> Result<(), CliError> {
-    let listen = a.str_flag_or("listen", "127.0.0.1:0").to_owned();
-    let run = StudyRun::parse(a, 4)?;
-    let max_requests = match a.flags.get("max-requests") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| CliError(format!("bad value for --max-requests: {v:?}")))?,
-        ),
-    };
-
-    let server =
-        MetricsServer::bind(&listen, Arc::clone(&telemetry.registry), telemetry.timeline.clone())
-            .map_err(|e| CliError(format!("cannot bind {listen}: {e}")))?;
-    let addr = server.local_addr().map_err(|e| CliError(format!("no local address: {e}")))?;
-    if let Some(path) = a.flags.get("addr-file") {
-        std::fs::write(path, addr.to_string())
-            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-    }
-    writeln!(w, "serving /metrics and /timeline.json on http://{addr}")?;
-    // Serve on a background thread while the simulation runs, so a
-    // scrape observes the run in flight; the registry and timeline
-    // handles are shared with the driver's telemetry context. The
-    // driver is built first, so its metric families are registered
-    // before the first scrape is answered.
-    let d = study_driver(&run, telemetry);
-    let handle = std::thread::spawn(move || server.serve_requests(max_requests));
-    let result = run.run(d, telemetry);
-    writeln!(w, "simulated {} transfers; endpoint stays live", result.log.len())?;
-    match handle.join() {
-        Ok(Ok(served)) => {
-            writeln!(w, "served {served} request(s)")?;
-            Ok(())
-        }
-        Ok(Err(e)) => Err(CliError(format!("serve error: {e}"))),
-        Err(_) => Err(CliError("metrics server thread panicked".into())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::args::parse_flags;
     use crate::commands::run_command;
     use crate::CliError;
-    use std::io::{Read as _, Write as _};
 
     fn run(v: &[&str]) -> Result<String, CliError> {
         let a = parse_flags(v.iter().map(std::string::ToString::to_string)).unwrap();
@@ -354,61 +298,5 @@ mod tests {
         let err = run(&["timeline", "prune", &tl]).unwrap_err();
         assert!(err.0.contains("unknown timeline subcommand"), "{}", err.0);
         std::fs::remove_file(&tl).ok();
-    }
-
-    /// One HTTP/1.0 request against `addr`; returns the full response.
-    fn http_get(addr: &str, path: &str) -> String {
-        let mut s = std::net::TcpStream::connect(addr).expect("connect");
-        write!(s, "GET {path} HTTP/1.0\r\n\r\n").expect("send");
-        let mut body = String::new();
-        s.read_to_string(&mut body).expect("read");
-        body
-    }
-
-    #[test]
-    fn serve_metrics_answers_scrapes_then_exits() {
-        let addr_file = tmpfile("serve.addr");
-        let addr_file_c = addr_file.clone();
-        // The command blocks until --max-requests scrapes arrive, so
-        // the client drives them from a second thread once the bound
-        // address shows up in --addr-file.
-        let client = std::thread::spawn(move || {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-            let addr = loop {
-                if let Ok(a) = std::fs::read_to_string(&addr_file_c) {
-                    if !a.is_empty() {
-                        break a;
-                    }
-                }
-                assert!(std::time::Instant::now() < deadline, "addr file never appeared");
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            };
-            let metrics = http_get(&addr, "/metrics");
-            let timeline = http_get(&addr, "/timeline.json");
-            (metrics, timeline)
-        });
-        let out = run(&[
-            "serve-metrics",
-            "--listen",
-            "127.0.0.1:0",
-            "--seed",
-            "7",
-            "--jobs",
-            "2",
-            "--max-requests",
-            "2",
-            "--addr-file",
-            &addr_file,
-        ])
-        .unwrap();
-        let (metrics, timeline) = client.join().expect("client");
-        std::fs::remove_file(&addr_file).ok();
-        assert!(out.contains("serving /metrics"), "{out}");
-        assert!(out.contains("served 2 request(s)"), "{out}");
-        assert!(metrics.contains("200 OK"), "{metrics}");
-        assert!(metrics.contains("text/plain; version=0.0.4"), "{metrics}");
-        assert!(metrics.contains("# TYPE"), "{metrics}");
-        assert!(timeline.contains("200 OK"), "{timeline}");
-        assert!(timeline.contains("\"width_us\""), "{timeline}");
     }
 }

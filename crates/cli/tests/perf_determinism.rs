@@ -148,6 +148,14 @@ fn generate_and_trace_commands_record_their_phases() {
     assert!(phase_items(&report, "workload_generation") > 0, "generation counts records");
     phase_items(&report, "report_emission");
 
+    // Log analysis: parsing the log is its own phase, counting records.
+    for command in ["summary", "sweep"] {
+        let out = run(&[command, &log, "--perf"]).expect(command);
+        let (_, report) = split_perf(&out);
+        assert_eq!(report.name, command);
+        assert!(phase_items(&report, "log_load") > 0, "{command} log_load counts records");
+    }
+
     // Trace analysis: profile a simulate trace with --perf on.
     let sim_log = dir.join("t.log").to_string_lossy().into_owned();
     let trace = dir.join("t.jsonl").to_string_lossy().into_owned();

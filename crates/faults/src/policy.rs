@@ -145,16 +145,6 @@ impl RecoveryPolicy {
     }
 }
 
-impl RecoveryAction {
-    /// The retry delay in seconds, if this is a retry.
-    pub fn retry_delay_s(&self) -> Option<f64> {
-        match self {
-            RecoveryAction::Retry { delay_s_micros } => Some(*delay_s_micros as f64 / 1e6),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

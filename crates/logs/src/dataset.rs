@@ -76,11 +76,6 @@ impl Dataset {
         Dataset { records: self.records.iter().filter(|r| r.num_streams == n).cloned().collect() }
     }
 
-    /// Transfers with the given stripe count.
-    pub fn filter_stripes(&self, n: u32) -> Dataset {
-        Dataset { records: self.records.iter().filter(|r| r.num_stripes == n).cloned().collect() }
-    }
-
     /// Transfers whose remote endpoint matches (sessionizable subset
     /// for one path).
     pub fn filter_pair(&self, server: &str, remote: &str) -> Dataset {
@@ -89,18 +84,6 @@ impl Dataset {
                 .records
                 .iter()
                 .filter(|r| r.server == server && r.remote.as_deref() == Some(remote))
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// Transfers starting in `[lo_us, hi_us)` unix microseconds.
-    pub fn filter_start(&self, lo_us: i64, hi_us: i64) -> Dataset {
-        Dataset {
-            records: self
-                .records
-                .iter()
-                .filter(|r| r.start_unix_us >= lo_us && r.start_unix_us < hi_us)
                 .cloned()
                 .collect(),
         }

@@ -31,11 +31,6 @@ impl SnmpRecorder {
         self.series.insert(link, SnmpSeries::thirty_second(name, origin_us));
     }
 
-    /// Starts monitoring with a custom bin width.
-    pub fn monitor_with_width(&mut self, link: LinkId, name: &str, origin_us: i64, width_us: i64) {
-        self.series.insert(link, SnmpSeries::new(name, origin_us, width_us));
-    }
-
     /// True when `link` is monitored.
     pub fn is_monitored(&self, link: LinkId) -> bool {
         self.series.contains_key(&link)

@@ -211,11 +211,6 @@ impl Idc {
         self
     }
 
-    /// The setup-delay model in force.
-    pub fn setup_model(&self) -> SetupDelayModel {
-        self.setup
-    }
-
     /// Admission statistics so far.
     pub fn stats(&self) -> IdcStats {
         self.stats

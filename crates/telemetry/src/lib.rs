@@ -25,9 +25,6 @@
 //!   windowed series ([`TimelineRecorder`]), SLO burn rules, and
 //!   canonical JSON/CSV renderings. Powers `gvc simulate --timeline`
 //!   and the `gvc timeline` subcommands.
-//! * [`serve`] — a minimal std-only HTTP scrape endpoint
-//!   ([`MetricsServer`]) exposing the registry on `/metrics` and the
-//!   timeline-so-far on `/timeline.json`.
 //!
 //! The trace-event schema and metric naming conventions are specified
 //! in `docs/observability.md` at the workspace root; the span
@@ -51,7 +48,6 @@ pub mod json;
 pub mod manifest;
 pub mod metrics;
 pub mod perf;
-pub mod serve;
 pub mod span;
 pub mod timeline;
 pub mod trace;
@@ -66,7 +62,6 @@ pub use perf::{
     diff_snapshots, BenchMetric, DiffReport, DiffRow, DiffStatus, HostFingerprint, Perf,
     PerfSnapshot, PhaseGuard,
 };
-pub use serve::MetricsServer;
 pub use span::SpanId;
 pub use timeline::{
     check_rules, parse_rule, parse_rules, sparkline, SeriesKind, SloOutcome, SloRule, TimelineDoc,

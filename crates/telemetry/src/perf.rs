@@ -13,9 +13,9 @@
 //! Three layers:
 //!
 //! * **Recording** — [`Perf`] / [`PhaseGuard`]: scoped wall-clock
-//!   timers around real program phases (workload generation, simulate,
-//!   sweep, trace analysis, report emission) feeding the
-//!   `perf_phase_seconds`, `perf_events_per_second`,
+//!   timers around real program phases (log loading, workload
+//!   generation, simulate, sweep, trace analysis, report emission)
+//!   feeding the `perf_phase_seconds`, `perf_events_per_second`,
 //!   `perf_peak_rss_bytes`, and `perf_allocations_total` Prometheus
 //!   families, and folded by [`Perf::report`] into a one-rep
 //!   [`PerfSnapshot`] that `gvc perf diff` reads.
@@ -347,11 +347,13 @@ pub fn median(xs: &[f64]) -> f64 {
 }
 
 /// Times `reps` runs of `work` (which returns the number of items it
-/// processed) and returns `(items, per-rep rates in items/sec)`. The
-/// first return's `items` is the last rep's count — the workload is
-/// expected to be identical across reps.
+/// processed) after one untimed warm-up run, so the coldest run never
+/// counts toward the median, and returns `(items, per-rep rates in
+/// items/sec)`. The first return's `items` is the last rep's count —
+/// the workload is expected to be identical across reps.
 pub fn measure_throughput(reps: u64, mut work: impl FnMut() -> u64) -> (u64, Vec<f64>) {
     let mut rates = Vec::with_capacity(reps as usize);
+    work();
     let mut items = 0u64;
     for _ in 0..reps.max(1) {
         let sw = Stopwatch::start();
@@ -940,7 +942,7 @@ mod tests {
             calls += 1;
             100
         });
-        assert_eq!(calls, 4);
+        assert_eq!(calls, 4 + 1, "one untimed warm-up call, then the timed reps");
         assert_eq!(items, 100);
         assert_eq!(rates.len(), 4);
         assert!(rates.iter().all(|r| *r > 0.0));

@@ -46,11 +46,6 @@ impl RuleSet {
         RuleSet { file_rules: default_rules(), workspace_rules: default_workspace_rules() }
     }
 
-    /// File rules only — the v1 surface, used by lexical fixtures.
-    pub fn file_only() -> RuleSet {
-        RuleSet { file_rules: default_rules(), workspace_rules: Vec::new() }
-    }
-
     /// Total number of registered rules.
     pub fn len(&self) -> usize {
         self.file_rules.len() + self.workspace_rules.len()
