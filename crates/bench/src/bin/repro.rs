@@ -7,20 +7,34 @@
 //! repro table4 fig8         # specific experiments
 //! repro --list              # available ids
 //! ```
+//!
+//! Any other `--` flag is refused with exit status 2, as is an
+//! unknown experiment id (after the known ones are printed).
 
-use gvc_bench::{run_experiment, Scale, Scenarios, EXPERIMENT_IDS};
+use gvc_bench::{run_experiments, Scale, Scenarios, EXPERIMENT_IDS};
+
+const USAGE: &str = "usage: repro [--full] [--list] [exp-id ... | all]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list") {
+    let (mut full, mut list, mut ids) = (false, false, Vec::new());
+    for arg in &args {
+        match arg.as_str() {
+            "--full" => full = true,
+            "--list" => list = true,
+            flag if flag.starts_with("--") => {
+                eprintln!("repro: unknown flag `{flag}`\n{USAGE}");
+                std::process::exit(2);
+            }
+            id => ids.push(id),
+        }
+    }
+    if list {
         for id in EXPERIMENT_IDS {
             println!("{id}");
         }
         return;
     }
-    let full = args.iter().any(|a| a == "--full");
-    let mut ids: Vec<&str> =
-        args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
     if ids.is_empty() || ids.contains(&"all") {
         ids = EXPERIMENT_IDS.to_vec();
     }
@@ -39,10 +53,10 @@ fn main() {
     );
 
     let mut unknown = Vec::new();
-    for id in ids {
-        match run_experiment(&scenarios, id) {
+    for (id, rendered) in ids.iter().zip(run_experiments(&scenarios, &ids)) {
+        match rendered {
             Some(out) => print!("{out}"),
-            None => unknown.push(id),
+            None => unknown.push(*id),
         }
     }
     if !unknown.is_empty() {

@@ -51,6 +51,36 @@ pub const EXPERIMENT_IDS: [&str; 30] = [
     "variance",
 ];
 
+/// Runs [`run_experiment`] for every id in `ids` on one scoped worker
+/// per available core, returning one result per id in input order.
+/// Worker `w` takes ids `w, w + n, w + 2n, …` of the `n` workers; the
+/// workers share nothing mutable and are joined in worker order, so the
+/// results are the same on any number of cores.
+pub fn run_experiments(s: &Scenarios, ids: &[&str]) -> Vec<Option<String>> {
+    let workers = std::thread::available_parallelism().map_or(1, usize::from).min(ids.len()).max(1);
+    let lane = |w: usize| -> Vec<(usize, Option<String>)> {
+        ids.iter()
+            .enumerate()
+            .skip(w)
+            .step_by(workers)
+            .map(|(k, id)| (k, run_experiment(s, id)))
+            .collect()
+    };
+    let lanes = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|w| scope.spawn(move || lane(w))).collect();
+        let mut lanes = vec![lane(0)];
+        for h in spawned {
+            lanes.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        lanes
+    });
+    let mut out = vec![None; ids.len()];
+    for (k, rendered) in lanes.into_iter().flatten() {
+        out[k] = rendered;
+    }
+    out
+}
+
 /// Runs one experiment by id; `None` for an unknown id.
 pub fn run_experiment(s: &Scenarios, id: &str) -> Option<String> {
     let out = match id {
@@ -846,14 +876,15 @@ fn collector_experiment(slac: &Dataset) -> String {
         "UDP loss", "records", "local metric", "central metric"
     );
     // The g = 1 min / setup 1 min transfer share; the local one is
-    // the same at every loss level.
-    let metric = |ds: &Dataset| {
-        sweep_dataset(ds, &[60.0], &[60.0], DEFAULT_OVERHEAD_FACTOR).cells[0].pct_transfers()
+    // the same at every loss level. Each central view is a store over
+    // the collector's keep-mask, so no record is cloned.
+    let metric = |store: &SessionStore| {
+        store.sweep(&[60.0], &[60.0], DEFAULT_OVERHEAD_FACTOR).cells[0].pct_transfers()
     };
-    let local_pct = metric(slac);
+    let local_pct = metric(&SessionStore::from_dataset(slac));
     for loss in [0.0, 0.02, 0.10, 0.30] {
         let model = CollectorModel { udp_loss: loss, disabled_servers: Default::default() };
-        let central = model.collect(slac, 42);
+        let central = SessionStore::from_dataset_masked(slac, &model.keep_mask(slac, 42));
         let central_pct = metric(&central);
         let _ = writeln!(
             o,
@@ -998,6 +1029,19 @@ mod tests {
     #[test]
     fn unknown_id_is_none() {
         assert!(run_experiment(scen(), "table99").is_none());
+    }
+
+    #[test]
+    fn run_experiments_matches_serial_runs_in_input_order() {
+        let s = scen();
+        let mut ids = EXPERIMENT_IDS.to_vec();
+        ids.insert(ids.len() / 2, "table99");
+        let results = run_experiments(s, &ids);
+        assert_eq!(results.len(), ids.len());
+        for (id, got) in ids.iter().zip(&results) {
+            assert_eq!(got, &run_experiment(s, id), "{id}");
+        }
+        assert!(results[ids.len() / 2].is_none());
     }
 
     #[test]

@@ -12,5 +12,5 @@ pub mod fmt;
 pub mod perfsuite;
 pub mod scenarios;
 
-pub use experiments::{run_experiment, EXPERIMENT_IDS};
+pub use experiments::{run_experiment, run_experiments, EXPERIMENT_IDS};
 pub use scenarios::{Scale, Scenarios};

@@ -60,43 +60,31 @@ pub struct Scenarios {
 }
 
 impl Scenarios {
-    /// Generates all four scenarios in parallel with fixed seeds.
+    /// Generates all four scenarios with fixed seeds on two lanes: one
+    /// runs SLAC, the largest leg at full scale, and the other runs
+    /// ORNL, NCAR and ANL in turn, which together take about as long.
+    /// On a two-core host, four concurrent legs only slowed SLAC, the
+    /// critical path (docs/perf.md, "Repro schedule").
     pub fn generate(scale: Scale) -> Scenarios {
-        let ((ncar, slac), (ornl, anl)) = rayon::join(
+        let (slac, (ornl, ncar, anl)) = rayon::join(
+            || slac_bnl::generate(slac_bnl::SlacBnlConfig { seed: 2012, scale: scale.slac() }),
             || {
-                rayon::join(
-                    || {
-                        ncar_nics::generate(ncar_nics::NcarNicsConfig {
-                            seed: 2009,
-                            scale: scale.ncar(),
-                        })
-                    },
-                    || {
-                        slac_bnl::generate(slac_bnl::SlacBnlConfig {
-                            seed: 2012,
-                            scale: scale.slac(),
-                        })
-                    },
-                )
-            },
-            || {
-                rayon::join(
-                    || {
-                        nersc_ornl::generate(NerscOrnlConfig {
-                            seed: 2010,
-                            n_transfers: scale.ornl_transfers(),
-                            background: 1.0,
-                        })
-                    },
-                    || {
-                        nersc_anl::generate(NerscAnlConfig {
-                            seed: 2012,
-                            scale: scale.anl(),
-                            production_sessions_per_day: 60.0,
-                            horizon_days: 50.0,
-                        })
-                    },
-                )
+                let ornl = nersc_ornl::generate(NerscOrnlConfig {
+                    seed: 2010,
+                    n_transfers: scale.ornl_transfers(),
+                    background: 1.0,
+                });
+                let ncar = ncar_nics::generate(ncar_nics::NcarNicsConfig {
+                    seed: 2009,
+                    scale: scale.ncar(),
+                });
+                let anl = nersc_anl::generate(NerscAnlConfig {
+                    seed: 2012,
+                    scale: scale.anl(),
+                    production_sessions_per_day: 60.0,
+                    horizon_days: 50.0,
+                });
+                (ornl, ncar, anl)
             },
         );
         Scenarios { scale, ncar, slac, ornl, anl }

@@ -150,12 +150,39 @@ pub struct SessionStore {
 impl SessionStore {
     /// Builds the store from a dataset. Records are read, not copied.
     pub fn from_dataset(ds: &Dataset) -> SessionStore {
+        SessionStore::build(ds, |_| true)
+    }
+
+    /// Builds the store of the records of `ds` whose `keep` flag is
+    /// set. For a start-ordered `ds` (as [`Dataset::from_records`]
+    /// leaves it) this is the store `from_dataset` builds from the
+    /// filtered dataset, without cloning a record. Pair ids are first-seen over
+    /// the kept records, and the throughputs come from the kept
+    /// non-degenerate ones.
+    ///
+    /// # Panics
+    /// If `keep` does not hold one flag per record.
+    pub fn from_dataset_masked(ds: &Dataset, keep: &[bool]) -> SessionStore {
+        assert_eq!(keep.len(), ds.len(), "one keep flag per record");
+        SessionStore::build(ds, |i| keep[i])
+    }
+
+    fn build(ds: &Dataset, keep: impl Fn(usize) -> bool) -> SessionStore {
         let records = ds.records();
         // (pair id, record index) of every groupable record; pair ids
         // in first-seen order, so the layout is deterministic.
         let mut by_key: HashMap<(&str, &str), u32> = HashMap::new();
         let mut order: Vec<(u32, u32)> = Vec::with_capacity(records.len());
+        let mut total = 0;
+        let mut throughputs_mbps = Vec::new();
         for (i, r) in records.iter().enumerate() {
+            if !keep(i) {
+                continue;
+            }
+            total += 1;
+            if !r.is_degenerate() {
+                throughputs_mbps.push(r.throughput_mbps());
+            }
             if let Some(k) = r.pair_key() {
                 let next = by_key.len() as u32;
                 order.push((*by_key.entry(k).or_insert(next), i as u32));
@@ -170,8 +197,8 @@ impl SessionStore {
             end_us: Vec::with_capacity(order.len()),
             size_bytes: Vec::with_capacity(order.len()),
             pairs: Vec::with_capacity(by_key.len()),
-            total: records.len(),
-            throughputs_mbps: ds.throughputs_mbps(),
+            total,
+            throughputs_mbps,
         };
         let mut run_start = 0u32;
         for (w, &(id, i)) in order.iter().enumerate() {
@@ -806,5 +833,87 @@ mod tests {
             prop_assert_eq!(&result.gap_rows, &legacy_rows(&ds, &gaps));
             prop_assert_eq!(&result.cells, &legacy_cells(&ds, &gaps, &delays, 10.0));
         }
+
+        /// A store over the collector's keep-mask is the store of the
+        /// collected dataset: same columns, pair layout and throughputs,
+        /// and bit-identical sweep cells, across several server pairs,
+        /// degenerate records and opted-out servers.
+        #[test]
+        fn prop_masked_store_equals_store_of_collected(
+            recs in proptest::collection::vec(
+                (0i64..20_000_000_000, 0i64..400_000_000, 0u64..5_000_000_000, 0u8..3, 0u8..3),
+                0..80,
+            ),
+            degenerate in proptest::collection::vec(0u8..8, 80),
+            disabled in proptest::collection::vec(0u8..4, 3),
+            udp_loss in 0.0f64..0.9,
+            seed in 0u64..1_000,
+            gaps in proptest::collection::vec(0.0f64..400.0, 1..5),
+            delays in proptest::collection::vec(0.0f64..100.0, 1..4),
+        ) {
+            let servers = ["s0", "s1", "s2"];
+            let remotes = [Some("r0"), Some("r1"), None];
+            let ds = Dataset::from_records(
+                recs.iter()
+                    .zip(&degenerate)
+                    .map(|(&(start, dur, size, srv, rem), &d)| {
+                        TransferRecord::simple(
+                            TransferType::Retr,
+                            size,
+                            start,
+                            // One record in eight has no duration.
+                            if d == 0 { 0 } else { dur },
+                            servers[srv as usize],
+                            remotes[rem as usize],
+                        )
+                    })
+                    .collect(),
+            );
+            let model = CollectorModel {
+                udp_loss,
+                // Each server opts out one time in four.
+                disabled_servers: servers
+                    .iter()
+                    .zip(&disabled)
+                    .filter(|&(_, &d)| d == 0)
+                    .map(|(s, _)| (*s).to_owned())
+                    .collect(),
+            };
+            let masked = SessionStore::from_dataset_masked(&ds, &model.keep_mask(&ds, seed));
+            let oracle = SessionStore::from_dataset(&model.collect(&ds, seed));
+            prop_assert_eq!(masked.len(), oracle.len());
+            prop_assert_eq!(&masked.start_us, &oracle.start_us);
+            prop_assert_eq!(&masked.end_us, &oracle.end_us);
+            prop_assert_eq!(&masked.size_bytes, &oracle.size_bytes);
+            prop_assert_eq!(&masked.pairs, &oracle.pairs);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(masked.throughputs_mbps()), bits(oracle.throughputs_mbps()));
+            let cell_bits = |r: SweepResult| {
+                r.cells
+                    .iter()
+                    .map(|c| {
+                        (
+                            c.setup_delay_s.to_bits(),
+                            c.gap_s.to_bits(),
+                            c.q3_throughput_mbps.to_bits(),
+                            c.suitable_sessions,
+                            c.total_sessions,
+                            c.suitable_transfers,
+                            c.total_transfers,
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            };
+            prop_assert_eq!(
+                cell_bits(masked.sweep(&gaps, &delays, 10.0)),
+                cell_bits(oracle.sweep(&gaps, &delays, 10.0))
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one keep flag per record")]
+    fn masked_store_rejects_a_short_mask() {
+        SessionStore::from_dataset_masked(&mixed_dataset(), &[true]);
     }
 }

@@ -42,24 +42,28 @@ impl CollectorModel {
         self
     }
 
-    /// Produces the central collector's view of a set of local logs:
-    /// records from disabled servers vanish entirely, the rest survive
-    /// independently with probability `1 − udp_loss`. Deterministic in
-    /// `seed`.
-    pub fn collect(&self, local: &Dataset, seed: u64) -> Dataset {
+    /// Which local records reach the central collector, one flag per
+    /// record of `local`: records from disabled servers never do, the
+    /// rest survive independently with probability `1 − udp_loss`.
+    /// Deterministic in `seed`; a disabled server's records draw
+    /// nothing from the stream.
+    pub fn keep_mask(&self, local: &Dataset, seed: u64) -> Vec<bool> {
         assert!((0.0..=1.0).contains(&self.udp_loss), "udp_loss must be a probability");
         let mut rng = component_rng(seed, "usage-collector");
         local
             .records()
             .iter()
-            .filter(|r| {
-                if self.disabled_servers.contains(&r.server) {
-                    return false;
-                }
-                rng.gen::<f64>() >= self.udp_loss
+            .map(|r| {
+                !self.disabled_servers.contains(&r.server) && rng.gen::<f64>() >= self.udp_loss
             })
-            .cloned()
             .collect()
+    }
+
+    /// Produces the central collector's view of a set of local logs:
+    /// the records [`CollectorModel::keep_mask`] keeps, in order.
+    pub fn collect(&self, local: &Dataset, seed: u64) -> Dataset {
+        let keep = self.keep_mask(local, seed);
+        local.records().iter().zip(keep).filter(|&(_, k)| k).map(|(r, _)| r.clone()).collect()
     }
 
     /// Expected surviving fraction for a dataset (ignoring disabled
@@ -78,6 +82,7 @@ impl CollectorModel {
 mod tests {
     use super::*;
     use crate::record::{TransferRecord, TransferType};
+    use proptest::prelude::*;
 
     fn dataset(n: usize, server: &str) -> Dataset {
         Dataset::from_records(
@@ -136,5 +141,75 @@ mod tests {
     fn invalid_loss_panics() {
         let m = CollectorModel { udp_loss: 1.5, disabled_servers: HashSet::new() };
         m.collect(&Dataset::new(), 0);
+    }
+
+    /// The collector as one filter pass, drawing once per record of a
+    /// reporting server: the stream `keep_mask` must reproduce.
+    fn reference_collect(m: &CollectorModel, local: &Dataset, seed: u64) -> Dataset {
+        let mut rng = component_rng(seed, "usage-collector");
+        local
+            .records()
+            .iter()
+            .filter(|r| !m.disabled_servers.contains(&r.server) && rng.gen::<f64>() >= m.udp_loss)
+            .cloned()
+            .collect()
+    }
+
+    proptest! {
+        /// `collect` is exactly the records its keep-mask flags, in
+        /// order, and both follow the one-draw-per-reporting-record
+        /// stream, over several server pairs, degenerate records and
+        /// opted-out servers.
+        #[test]
+        fn prop_collect_is_the_keep_mask_filter(
+            recs in proptest::collection::vec(
+                (0i64..10_000_000_000, 0i64..60_000_000, 0u8..3, 0u8..3),
+                0..80,
+            ),
+            disabled in proptest::collection::vec(any::<bool>(), 3),
+            udp_loss in 0.0f64..1.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let servers = ["s0", "s1", "s2"];
+            let remotes = [Some("r0"), Some("r1"), None];
+            let local = Dataset::from_records(
+                recs.iter()
+                    .map(|&(start, dur, srv, rem)| {
+                        TransferRecord::simple(
+                            TransferType::Retr,
+                            1_000_000,
+                            start,
+                            dur,
+                            servers[srv as usize],
+                            remotes[rem as usize],
+                        )
+                    })
+                    .collect(),
+            );
+            let m = CollectorModel {
+                udp_loss,
+                disabled_servers: servers
+                    .iter()
+                    .zip(&disabled)
+                    .filter(|&(_, &d)| d)
+                    .map(|(s, _)| (*s).to_owned())
+                    .collect(),
+            };
+            let keep = m.keep_mask(&local, seed);
+            prop_assert_eq!(keep.len(), local.len());
+            let filtered: Dataset = local
+                .records()
+                .iter()
+                .zip(&keep)
+                .filter(|&(_, &k)| k)
+                .map(|(r, _)| r.clone())
+                .collect();
+            let central = m.collect(&local, seed);
+            prop_assert_eq!(&central, &filtered);
+            prop_assert_eq!(&central, &reference_collect(&m, &local, seed));
+            for (r, &k) in local.records().iter().zip(&keep) {
+                prop_assert!(!(k && m.disabled_servers.contains(&r.server)));
+            }
+        }
     }
 }

@@ -266,9 +266,11 @@ impl WorkspaceRule for DeterminismConfinement {
     }
 }
 
-/// Crates whose work may run on parallel lanes (the `rayon::join`
-/// fan-outs in `gvc_core::sweep` and `gvc_bench::Scenarios::generate`
-/// today): every lib crate except the host-facing telemetry crate.
+/// Crates whose work may run on parallel lanes (today the
+/// `rayon::join` in `gvc_core::sweep`, the two generation lanes of
+/// `gvc_bench::Scenarios::generate` and the `thread::scope` experiment
+/// workers of `gvc_bench::run_experiments`): every lib crate except
+/// the host-facing telemetry crate.
 fn lane_crates() -> Vec<&'static str> {
     LIB_CRATES.iter().copied().filter(|k| *k != "telemetry").collect()
 }

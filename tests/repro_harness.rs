@@ -3,7 +3,7 @@
 //! paper reports, and `repro all`'s output is byte-identical to the
 //! committed `docs/repro_quick_output.txt`.
 
-use gvc_bench::{run_experiment, Scale, Scenarios, EXPERIMENT_IDS};
+use gvc_bench::{run_experiment, run_experiments, Scale, Scenarios, EXPERIMENT_IDS};
 use std::sync::OnceLock;
 
 fn scenarios() -> &'static Scenarios {
@@ -22,10 +22,11 @@ fn all_experiments_render_nonempty() {
 
 #[test]
 fn quick_output_matches_the_committed_file() {
-    let s = scenarios();
-    let actual: String = EXPERIMENT_IDS
-        .iter()
-        .map(|id| run_experiment(s, id).unwrap_or_else(|| panic!("unknown id {id}")))
+    // The parallel path `repro` prints.
+    let actual: String = run_experiments(scenarios(), &EXPERIMENT_IDS)
+        .into_iter()
+        .zip(EXPERIMENT_IDS)
+        .map(|(out, id)| out.unwrap_or_else(|| panic!("unknown id {id}")))
         .collect();
     let expected = include_str!("../docs/repro_quick_output.txt");
     if let Some(diff) = gvc_scenario::golden::line_diff(expected, &actual) {
