@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Any other `--` flag is refused with exit status 2, as is an
-//! unknown experiment id (after the known ones are printed).
+//! unknown experiment id, before any dataset is generated.
 
 use gvc_bench::{run_experiments, Scale, Scenarios, EXPERIMENT_IDS};
 
@@ -38,6 +38,12 @@ fn main() {
     if ids.is_empty() || ids.contains(&"all") {
         ids = EXPERIMENT_IDS.to_vec();
     }
+    let unknown: Vec<&str> =
+        ids.iter().copied().filter(|id| !EXPERIMENT_IDS.contains(id)).collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment ids: {unknown:?} (use --list)");
+        std::process::exit(2);
+    }
 
     let scale = if full { Scale::Full } else { Scale::Quick };
     eprintln!("generating scenarios at {scale:?} scale (seeds fixed; see DESIGN.md) ...");
@@ -52,15 +58,7 @@ fn main() {
         scenarios.anl.len()
     );
 
-    let mut unknown = Vec::new();
-    for (id, rendered) in ids.iter().zip(run_experiments(&scenarios, &ids)) {
-        match rendered {
-            Some(out) => print!("{out}"),
-            None => unknown.push(*id),
-        }
-    }
-    if !unknown.is_empty() {
-        eprintln!("unknown experiment ids: {unknown:?} (use --list)");
-        std::process::exit(2);
+    for out in run_experiments(&scenarios, &ids).into_iter().flatten() {
+        print!("{out}");
     }
 }

@@ -17,7 +17,7 @@ use gvc_net::FlowDemand;
 use gvc_oscars::{Idc, ReservationRequest, SetupDelayModel};
 use gvc_scenario::{run_scenario, ScenarioSpec};
 use gvc_telemetry::perf::{measure_throughput, median, BenchMetric, PerfSnapshot};
-use gvc_telemetry::{parse_trace, Telemetry, TimelineHandle};
+use gvc_telemetry::{parse_trace, Telemetry, TimelineHandle, Tracer};
 use gvc_tidy::{run_sources, RuleSet};
 use gvc_topology::{study_topology, Site};
 use std::collections::VecDeque;
@@ -268,7 +268,7 @@ fn idc_admit_teardown(cycles: usize) -> u64 {
 /// serialization); returns the number of transfers produced, 0 on a
 /// run error (snapshot values then read as an obvious regression).
 fn scenario_transfers(spec: &ScenarioSpec) -> u64 {
-    run_scenario(spec).map_or(0, |o| {
+    run_scenario(spec, Tracer::disabled_ref()).map_or(0, |o| {
         std::hint::black_box(o.report_json.len() + o.timeline_json.map_or(0, |t| t.len()));
         o.report.n_transfers as u64
     })

@@ -19,10 +19,13 @@ fn unknown_flag_is_refused_with_the_usage_line() {
 
 #[test]
 fn unknown_id_exits_2_and_names_it() {
-    let out = repro(&["table99"]);
+    let out = repro(&["table1", "table99"]);
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("table99"), "{err}");
+    // The id is refused before any dataset is built or table printed.
+    assert!(!err.contains("generating scenarios"), "{err}");
+    assert!(out.stdout.is_empty(), "no experiment may run");
 }
 
 #[test]

@@ -978,11 +978,27 @@ mod tests {
         assert!(msg.contains("1 faults injected, 1 retries"), "{msg}");
         assert!(msg.contains("open reservations after run: 0"), "{msg}");
         assert!(body1.contains("\"kind\":\"fault.injected\""), "trace missing fault.injected");
-        assert!(body1.contains("\"kind\":\"recovery.retry\""), "trace missing recovery.retry");
-        assert!(
-            body1.contains("\"kind\":\"recovery.established\""),
-            "trace missing recovery.established"
+        // The retry and the recovery are span ends: attempt 1 fails
+        // and retries, attempt 2 establishes, and so does the setup.
+        let model = gvc_telemetry::TraceModel::from_text(&body1).unwrap();
+        let ends: Vec<(&str, Option<&str>)> = model
+            .records
+            .iter()
+            .filter(|r| r.kind == "span.end")
+            .filter_map(|r| Some((r.text("outcome")?, r.text("reason"))))
+            .collect();
+        assert_eq!(
+            ends,
+            [("retry", Some("signalling_failure")), ("established", None), ("established", None)]
         );
+        let attempts: Vec<Option<i64>> = model
+            .spans
+            .iter()
+            .filter(|s| s.name == "vc.attempt")
+            .map(|s| s.fields.iter().find(|(k, _)| k == "attempt").and_then(|(_, v)| v.as_i64()))
+            .collect();
+        assert_eq!(attempts, [Some(1), Some(2)]);
+        assert!(model.spans.iter().any(|s| s.name == "vc.backoff"), "trace missing vc.backoff");
         // Span events carry only simulation time, so they are part of
         // the byte-identical body.
         assert!(body1.contains("\"kind\":\"span.start\""), "trace missing span.start");

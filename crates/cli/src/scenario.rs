@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use gvc_scenario::corpus::{self, CorpusEntry};
 use gvc_scenario::spec::WorkloadSpec;
 use gvc_scenario::{golden, run_scenario};
-use gvc_telemetry::Telemetry;
+use gvc_telemetry::{Telemetry, Tracer};
 
 use crate::args::{CliError, ParsedArgs};
 
@@ -86,8 +86,9 @@ fn check_entry(
     dir: &Path,
     entry: &CorpusEntry,
     with_bounds: bool,
+    tracer: &Tracer,
 ) -> Result<Vec<String>, CliError> {
-    let outcome = run_scenario(&entry.spec).map_err(|e| CliError(e.to_string()))?;
+    let outcome = run_scenario(&entry.spec, tracer).map_err(|e| CliError(e.to_string()))?;
     let goldens = corpus::read_goldens(dir, &entry.name).map_err(|e| {
         CliError(format!(
             "{e}\n  (no goldens for {:?}? record them with `gvc scenario record {}`)",
@@ -140,7 +141,8 @@ pub fn cmd_scenario<W: Write>(
     match action.as_str() {
         "record" => {
             for e in &entries {
-                let outcome = run_scenario(&e.spec).map_err(|err| CliError(err.to_string()))?;
+                let outcome = run_scenario(&e.spec, &telemetry.tracer)
+                    .map_err(|err| CliError(err.to_string()))?;
                 for v in &outcome.violations {
                     writeln!(w, "warning: {}: bound: {v}", e.name)?;
                 }
@@ -166,7 +168,7 @@ pub fn cmd_scenario<W: Write>(
             let with_bounds = action == "run";
             let mut all_failures = Vec::new();
             for e in &entries {
-                let failures = check_entry(&dir, e, with_bounds)?;
+                let failures = check_entry(&dir, e, with_bounds, &telemetry.tracer)?;
                 if failures.is_empty() {
                     writeln!(w, "ok {}", e.name)?;
                 } else {

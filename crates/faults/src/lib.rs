@@ -17,7 +17,8 @@
 //!
 //! The crate only decides; the GridFTP driver, which applies those
 //! decisions, counts and traces them (`fault_injected_total`,
-//! `recovery_*`, `fallback_ip_total`; `fault.*` / `recovery.*` events).
+//! `recovery_*`, `fallback_ip_total`; `fault.*` events and the
+//! `session.vc_setup` / `vc.attempt` / `vc.backoff` spans).
 //!
 //! The fault-spec grammar accepted by [`FaultPlan::parse`] (and the
 //! CLI's `--faults` flag) is documented in `docs/faults.md`.

@@ -633,12 +633,6 @@ impl Driver {
                 let waited_s =
                     self.sessions[idx].vc_started.map_or(0.0, |t0| (now - t0).as_secs_f64());
                 self.record_recovery_latency(waited_s);
-                self.tracer().emit_with(|| {
-                    TraceEvent::new(now.micros() as i64, "recovery.established")
-                        .field("session", idx)
-                        .field("attempts", attempt)
-                        .field("waited_s", waited_s)
-                });
             }
             if let Some(after_s) = self.faults.as_ref().and_then(FaultInjector::preempt_after_s) {
                 self.pending
@@ -660,14 +654,6 @@ impl Driver {
                 if let Some(t) = &self.telemetry {
                     t.tally(&t.retries, series::DRIVER_RETRIES, now.micros());
                 }
-                let delay_s = delay_s_micros as f64 / 1e6;
-                self.tracer().emit_with(|| {
-                    TraceEvent::new(now.micros() as i64, "recovery.retry")
-                        .field("session", idx)
-                        .field("attempt", attempt)
-                        .field("reason", reason)
-                        .field("delay_s", delay_s)
-                });
                 self.tracer().span_exit_with(attempt_span, now.micros() as i64, |ev| {
                     ev.field("outcome", "retry").field("reason", reason)
                 });
@@ -716,15 +702,6 @@ impl Driver {
                     );
                     self.tracer().span_exit(marker, now.micros() as i64);
                 }
-                self.tracer().emit_with(|| {
-                    let t_us = now.micros() as i64;
-                    let ev = if fell_back {
-                        TraceEvent::new(t_us, "recovery.fallback")
-                    } else {
-                        TraceEvent::new(t_us, "recovery.giveup")
-                    };
-                    ev.field("session", idx).field("attempts", attempt).field("reason", reason)
-                });
                 false
             }
         }
@@ -1720,7 +1697,6 @@ mod tests {
             .filter_map(|r| Some((r.text("outcome")?, r.text("reason").unwrap_or(""))))
             .collect();
         assert_eq!(ends, vec![("giveup", "blocked"), ("giveup", "")], "vc.attempt, vc_setup");
-        assert!(model.records.iter().any(|r| r.kind == "recovery.giveup"));
         let names: Vec<&str> = model.spans.iter().map(|s| s.name.as_str()).collect();
         assert!(!names.contains(&"session.fallback"), "{names:?}");
         let rows = gvc_telemetry::sessions(&model);

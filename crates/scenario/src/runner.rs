@@ -7,8 +7,6 @@
 //! way the outcome is byte-identical per seed, so its canonical
 //! serialization can be held as a golden.
 
-use std::sync::Arc;
-
 use gvc_core::{feasibility_report, FeasibilityReport, ResilienceSummary};
 use gvc_engine::SimTime;
 use gvc_faults::FaultPlan;
@@ -17,7 +15,7 @@ use gvc_gridftp::ServerCaps;
 use gvc_net::NetworkSim;
 use gvc_oscars::{Idc, InterDomainController, SetupDelayModel};
 use gvc_telemetry::json::Number;
-use gvc_telemetry::{BufferSink, CheckConfig, Telemetry, TimelineHandle, DEFAULT_WIDTH_US};
+use gvc_telemetry::{Telemetry, TimelineHandle, Tracer, DEFAULT_WIDTH_US};
 use gvc_workload::{builtin_generator, EPOCH_FEB_2012_US};
 
 use crate::spec::{PaperProfile, ScenarioSpec, WorkloadSpec};
@@ -41,15 +39,20 @@ pub struct ScenarioOutcome {
     /// `None` for paper profiles, which sample a calibrated generator
     /// instead of driving the simulation.
     pub timeline_json: Option<String>,
-    /// Expectation-bound and trace-check violations (empty = pass).
+    /// Expectation-bound violations (empty = pass).
     pub violations: Vec<String>,
 }
 
-/// Runs a scenario.
-pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome, ScenarioError> {
+/// Runs a scenario. Synthetic scenarios trace into `tracer` (pass
+/// [`Tracer::disabled`] for an untraced run); paper profiles sample a
+/// generator and emit nothing.
+pub fn run_scenario(
+    spec: &ScenarioSpec,
+    tracer: &Tracer,
+) -> Result<ScenarioOutcome, ScenarioError> {
     match &spec.workload {
         WorkloadSpec::Paper { profile, scale } => run_paper(spec, *profile, *scale),
-        WorkloadSpec::Synthetic(_) => run_synthetic(spec),
+        WorkloadSpec::Synthetic(_) => run_synthetic(spec, tracer),
     }
 }
 
@@ -89,18 +92,18 @@ fn push_headline(stats: &mut String, report: &FeasibilityReport) {
     }
 }
 
-fn run_synthetic(spec: &ScenarioSpec) -> Result<ScenarioOutcome, ScenarioError> {
+fn run_synthetic(spec: &ScenarioSpec, tracer: &Tracer) -> Result<ScenarioOutcome, ScenarioError> {
     let WorkloadSpec::Synthetic(wl) = &spec.workload else {
         return Err(ScenarioError::Run("synthetic runner wants a synthetic workload".into()));
     };
     let built = build(spec)?;
 
-    let sink = Arc::new(BufferSink::new());
     // The flight recorder aggregates purely in sim time, so its JSON
     // is as deterministic as the report and rides along as a third
     // golden for synthetic scenarios.
     let timeline = TimelineHandle::new(DEFAULT_WIDTH_US);
-    let telemetry = Telemetry::with_sink(sink.clone()).with_timeline(timeline.clone());
+    let telemetry = Telemetry { tracer: tracer.clone(), ..Telemetry::metrics_only() }
+        .with_timeline(timeline.clone());
 
     let idc = Idc::new(built.graph.clone(), SetupDelayModel::one_minute());
     let sim = NetworkSim::new(built.graph, EPOCH_FEB_2012_US);
@@ -198,24 +201,6 @@ fn run_synthetic(spec: &ScenarioSpec) -> Result<ScenarioOutcome, ScenarioError> 
         stats.push_str(&format!("interdomain_open_after {}\n", controller.open_reservations()));
     }
 
-    // Trace bound: only checked when the spec sets a budget, so
-    // benign heavy-setup scenarios don't trip the default.
-    let mut trace_violations = Vec::new();
-    if let Some(max_share) = spec.expect.max_setup_share {
-        let events = sink.take();
-        let mut text = String::new();
-        for e in &events {
-            text.push_str(&e.to_json());
-            text.push('\n');
-        }
-        let model = gvc_telemetry::TraceModel::from_text(&text)
-            .map_err(|e| ScenarioError::Run(format!("trace parse: {e}")))?;
-        let check = gvc_telemetry::check(&model, &CheckConfig { max_setup_share: max_share });
-        for v in check.violations {
-            trace_violations.push(format!("trace: {v}"));
-        }
-    }
-
     let mut violations =
         eval_expect(spec, &report, result.resilience.as_ref().map(|r| r.preemptions));
     if let Some(open) = result.open_reservations {
@@ -227,7 +212,6 @@ fn run_synthetic(spec: &ScenarioSpec) -> Result<ScenarioOutcome, ScenarioError> 
     } else if spec.expect.open_reservations.is_some() {
         violations.push("open_reservations expected but run reported none".to_string());
     }
-    violations.extend(trace_violations);
 
     let report_json = golden::report_json(&report);
     Ok(ScenarioOutcome {

@@ -295,8 +295,6 @@ pub struct ExpectSpec {
     /// Lower bound on the headline (60 s setup, 60 s gap) suitable
     /// session percentage.
     pub min_suitable_sessions_pct: Option<f64>,
-    /// Upper bound on the trace check's setup share.
-    pub max_setup_share: Option<f64>,
     /// Exact resilience storyline (fault scenarios).
     pub vc_requested: Option<u64>,
     /// Exact circuits established.
@@ -790,16 +788,6 @@ impl ScenarioSpec {
                     }
                     None => None,
                 };
-                let max_setup_share = match s.take("max_setup_share") {
-                    Some((l, v)) => {
-                        let x = parse_f64(l, "max_setup_share", &v)?;
-                        if !(0.0..=1.0).contains(&x) {
-                            return err(l, "`max_setup_share` must be within [0, 1]");
-                        }
-                        Some(x)
-                    }
-                    None => None,
-                };
                 let vc_requested = opt_u64(&mut s, "vc_requested")?;
                 let vc_established = opt_u64(&mut s, "vc_established")?;
                 let faults_injected = opt_u64(&mut s, "faults_injected")?;
@@ -812,7 +800,6 @@ impl ScenarioSpec {
                     min_transfers,
                     max_transfers,
                     min_suitable_sessions_pct,
-                    max_setup_share,
                     vc_requested,
                     vc_established,
                     faults_injected,
@@ -1018,9 +1005,6 @@ impl ScenarioSpec {
             }
             if let Some(v) = e.min_suitable_sessions_pct {
                 let _ = writeln!(s, "min_suitable_sessions_pct = {v}");
-            }
-            if let Some(v) = e.max_setup_share {
-                let _ = writeln!(s, "max_setup_share = {v}");
             }
             let storyline = [
                 ("vc_requested", e.vc_requested),

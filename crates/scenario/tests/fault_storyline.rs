@@ -7,6 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use gvc_scenario::{discover, run_scenario, CorpusEntry};
+use gvc_telemetry::Tracer;
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -32,7 +33,7 @@ fn stat(stats: &str, key: &str) -> u64 {
 fn maintenance_window_storyline_is_exact() {
     let entry = entry("maintenance-window");
     assert!(entry.spec.fault_plan.is_some(), "maintenance-window must carry a fault plan");
-    let outcome = run_scenario(&entry.spec).expect("run");
+    let outcome = run_scenario(&entry.spec, Tracer::disabled_ref()).expect("run");
     assert!(outcome.violations.is_empty(), "storyline bounds must hold: {:?}", outcome.violations);
 
     // The spec's [expect] section pins the whole recovery ledger; the
@@ -75,8 +76,8 @@ fn maintenance_window_storyline_is_exact() {
 #[test]
 fn maintenance_window_storyline_replays_identically() {
     let entry = entry("maintenance-window");
-    let a = run_scenario(&entry.spec).expect("run");
-    let b = run_scenario(&entry.spec).expect("run");
+    let a = run_scenario(&entry.spec, Tracer::disabled_ref()).expect("run");
+    let b = run_scenario(&entry.spec, Tracer::disabled_ref()).expect("run");
     assert_eq!(a.stats_text, b.stats_text);
     assert_eq!(a.report_json, b.report_json);
 }
@@ -84,7 +85,7 @@ fn maintenance_window_storyline_replays_identically() {
 #[test]
 fn interdomain_chain_closes_every_reservation() {
     let entry = entry("interdomain-chain");
-    let outcome = run_scenario(&entry.spec).expect("run");
+    let outcome = run_scenario(&entry.spec, Tracer::disabled_ref()).expect("run");
     assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
     assert_eq!(
         stat(&outcome.stats_text, "interdomain_requested"),
@@ -98,4 +99,32 @@ fn interdomain_chain_closes_every_reservation() {
         "multi-domain teardown must close every per-domain reservation"
     );
     assert_eq!(stat(&outcome.stats_text, "open_reservations"), 0);
+}
+
+/// A traced run writes the session-level record `gvc trace` reads,
+/// and tracing changes no golden: the sessions' rows add up to the
+/// run's recovery ledger.
+#[test]
+fn maintenance_window_traces_every_session() {
+    use gvc_telemetry::{BufferSink, CheckConfig, TraceModel};
+    use std::sync::Arc;
+
+    let entry = entry("maintenance-window");
+    let sink = Arc::new(BufferSink::new());
+    let traced = run_scenario(&entry.spec, &Tracer::to_sink(sink.clone())).expect("run");
+    let plain = run_scenario(&entry.spec, Tracer::disabled_ref()).expect("run");
+    assert_eq!(traced.report_json, plain.report_json);
+    assert_eq!(traced.stats_text, plain.stats_text);
+    assert_eq!(traced.timeline_json, plain.timeline_json);
+
+    let text: String = sink.take().iter().map(|e| e.to_json() + "\n").collect();
+    let model = TraceModel::from_text(&text).expect("trace parses");
+    let check = gvc_telemetry::check(&model, &CheckConfig::default());
+    assert!(check.clean(), "{:?}", check.violations);
+    let rows = gvc_telemetry::sessions(&model);
+    let r = plain.report.resilience.expect("fault scenario must report resilience");
+    assert_eq!(rows.len() as u64, r.vc_requested, "every session requests a circuit");
+    assert_eq!(rows.iter().filter(|row| row.fallback).count() as u64, r.fallbacks);
+    // Each retry is one more attempt than the session's last.
+    assert_eq!(rows.iter().map(|row| row.attempts).sum::<u64>(), r.retries + r.vc_requested);
 }

@@ -7,6 +7,7 @@ use std::path::{Path, PathBuf};
 
 use gvc_scenario::spec::WorkloadSpec;
 use gvc_scenario::{discover, line_diff, run_scenario};
+use gvc_telemetry::Tracer;
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -70,8 +71,8 @@ fn corpus_goldens_match() {
             .unwrap_or_else(|e| panic!("{}: missing golden report.json: {e}", entry.name));
         let want_stats = fs::read_to_string(golden_dir.join("stats.txt"))
             .unwrap_or_else(|e| panic!("{}: missing golden stats.txt: {e}", entry.name));
-        let run =
-            run_scenario(&entry.spec).unwrap_or_else(|e| panic!("{}: run failed: {e}", entry.name));
+        let run = run_scenario(&entry.spec, Tracer::disabled_ref())
+            .unwrap_or_else(|e| panic!("{}: run failed: {e}", entry.name));
         if let Some(diff) = line_diff(&want_report, &run.report_json) {
             panic!("{}: report.json drifted from golden:\n{diff}", entry.name);
         }
@@ -120,7 +121,7 @@ fn corpus_catches_a_perturbed_golden() {
         .expect("metro-ring must stay in the corpus");
     let golden =
         fs::read_to_string(dir.join("goldens/metro-ring/report.json")).expect("golden report.json");
-    let run = run_scenario(&entry.spec).expect("run");
+    let run = run_scenario(&entry.spec, Tracer::disabled_ref()).expect("run");
     assert_eq!(line_diff(&golden, &run.report_json), None, "golden must match before perturbing");
     let perturbed = golden.replacen("\"n_transfers\":", "\"n_transfers\":  ", 1);
     assert_ne!(perturbed, golden, "perturbation must change the text");

@@ -166,6 +166,10 @@ impl SpanNode {
 }
 
 /// A parsed trace with its span forest pulled out.
+///
+/// [`TraceModel::build`] also resolves the indexes the analyses join
+/// on (each span's parent, each reservation's admission), so they
+/// describe `records` and `spans` as built.
 #[derive(Debug, Clone, Default)]
 pub struct TraceModel {
     /// Every record, in file order.
@@ -178,6 +182,11 @@ pub struct TraceModel {
     pub duplicate_starts: Vec<u64>,
     /// Malformed span events (missing `span`/`name` fields).
     pub malformed: Vec<String>,
+    /// Index in `spans` of the span whose id is each span's `parent`
+    /// (`None` when no span started with that id).
+    parents: Vec<Option<usize>>,
+    /// Index in `records` of the first `idc.admit` per reservation id.
+    admits: BTreeMap<i64, usize>,
 }
 
 impl TraceModel {
@@ -236,9 +245,15 @@ impl TraceModel {
                         None => model.orphan_ends.push((t_us, id)),
                     }
                 }
+                "idc.admit" => {
+                    if let Some(id) = rec.int("id") {
+                        model.admits.entry(id).or_insert(ridx);
+                    }
+                }
                 _ => {}
             }
         }
+        model.parents = model.spans.iter().map(|s| by_id.get(&s.parent).copied()).collect();
         model
     }
 
@@ -254,25 +269,25 @@ impl TraceModel {
         self.spans.iter().map(|s| s.end_us.unwrap_or(s.start_us).max(s.start_us)).max().unwrap_or(0)
     }
 
-    fn index_by_id(&self) -> BTreeMap<u64, usize> {
-        self.spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect()
+    /// The next span up from `at` in a tree walk: none for roots
+    /// (`parent` 0), unknown parents and spans that parent themselves.
+    fn up(&self, at: usize) -> Option<usize> {
+        if self.spans.get(at)?.parent == 0 {
+            return None;
+        }
+        self.parents.get(at).copied().flatten().filter(|&p| p != at)
     }
 
-    /// Root ancestor index of each span (self-rooting on unknown
-    /// parents or cycles).
-    fn root_of(&self) -> Vec<usize> {
-        let by_id = self.index_by_id();
-        (0..self.spans.len())
+    /// Root ancestor index of each span: the first span up its chain
+    /// with no [`TraceModel::up`]. A chain caught in a parent cycle
+    /// has none; its walk stops after `spans.len() + 1` steps.
+    fn roots(&self) -> Vec<usize> {
+        let n = self.spans.len();
+        (0..n)
             .map(|mut at| {
-                for _ in 0..=self.spans.len() {
-                    let Some(span) = self.spans.get(at) else { break };
-                    if span.parent == 0 {
-                        break;
-                    }
-                    match by_id.get(&span.parent) {
-                        Some(&up) if up != at => at = up,
-                        _ => break,
-                    }
+                for _ in 0..=n {
+                    let Some(up) = self.up(at) else { break };
+                    at = up;
                 }
                 at
             })
@@ -309,7 +324,7 @@ pub struct MainTree {
 }
 
 /// Output of [`profile`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
     /// Phase rows, widest self-time first.
     pub rows: Vec<PhaseRow>,
@@ -328,8 +343,7 @@ pub fn profile(model: &TraceModel) -> Profile {
         return Profile::default();
     }
     let horizon = model.horizon_us();
-    let roots = model.root_of();
-    let by_id = model.index_by_id();
+    let roots = model.roots();
 
     // Group spans per tree, then attribute each tree's timeline to
     // its innermost open spans.
@@ -338,8 +352,9 @@ pub fn profile(model: &TraceModel) -> Profile {
         trees.entry(root).or_default().push(idx);
     }
     let mut self_us = vec![0i64; n];
+    let mut sweep = Sweep::new(n);
     for members in trees.values() {
-        attribute_tree(model, members, horizon, &by_id, &mut self_us);
+        sweep.attribute_tree(model, members, horizon, &mut self_us);
     }
 
     // Aggregate per name.
@@ -384,20 +399,16 @@ pub fn profile(model: &TraceModel) -> Profile {
 
     // Folded stacks from per-span self time.
     let mut folded: BTreeMap<String, i64> = BTreeMap::new();
-    for idx in 0..model.spans.len() {
-        let weight = self_us.get(idx).copied().unwrap_or(0);
+    for (idx, &weight) in self_us.iter().enumerate() {
         if weight == 0 {
             continue;
         }
         let mut stack = Vec::new();
-        let mut at = idx;
+        let mut at = Some(idx);
         for _ in 0..=n {
-            let Some(s) = model.spans.get(at) else { break };
-            stack.push(s.name.as_str());
-            match by_id.get(&s.parent) {
-                Some(&up) if s.parent != 0 && up != at => at = up,
-                _ => break,
-            }
+            let Some(i) = at else { break };
+            stack.push(model.spans[i].name.as_str());
+            at = model.up(i);
         }
         stack.reverse();
         *folded.entry(stack.join(";")).or_default() += weight;
@@ -405,100 +416,93 @@ pub fn profile(model: &TraceModel) -> Profile {
     Profile { rows, main, folded: folded.into_iter().collect() }
 }
 
-/// Sweeps one tree's boundaries, crediting each elementary interval
-/// to the open spans that have no open children (split evenly; the
-/// integer remainder goes to the lowest span ids, keeping the sum
-/// exact).
-fn attribute_tree(
-    model: &TraceModel,
-    members: &[usize],
-    horizon: i64,
-    by_id: &BTreeMap<u64, usize>,
-    self_us: &mut [i64],
-) {
-    // Zero-duration spans never occupy an interval.
-    let mut live: Vec<usize> = members
-        .iter()
-        .copied()
-        .filter(|&i| model.spans.get(i).is_some_and(|s| s.effective_end(horizon) > s.start_us))
-        .collect();
-    if live.is_empty() {
-        return;
+/// Per-span state of the boundary sweep, allocated once per profile
+/// and shared by its trees: a span is swept in one tree only, and what
+/// an earlier tree leaves on a parent outside the swept one credits no
+/// leaf of it.
+struct Sweep {
+    is_open: Vec<bool>,
+    /// Whether the span's opening was counted on its open parent.
+    counted: Vec<bool>,
+    open_children: Vec<usize>,
+}
+
+impl Sweep {
+    fn new(n: usize) -> Sweep {
+        Sweep { is_open: vec![false; n], counted: vec![false; n], open_children: vec![0; n] }
     }
-    live.sort_by_key(|&i| model.spans.get(i).map_or(0, |s| s.id));
 
-    let mut bounds: Vec<i64> = live
-        .iter()
-        .flat_map(|&i| {
-            let s = &model.spans[i];
-            [s.start_us, s.effective_end(horizon)]
-        })
-        .collect();
-    bounds.sort_unstable();
-    bounds.dedup();
+    /// Sweeps one tree's boundaries, crediting each elementary
+    /// interval to the open spans that have no open children (split
+    /// evenly; the integer remainder goes to the lowest span ids,
+    /// keeping the sum exact).
+    fn attribute_tree(
+        &mut self,
+        model: &TraceModel,
+        members: &[usize],
+        horizon: i64,
+        self_us: &mut [i64],
+    ) {
+        let spans = &model.spans;
+        // Zero-duration spans never occupy an interval. The rest open
+        // in (start, id) order, from a cursor over this list.
+        let mut live: Vec<usize> = members
+            .iter()
+            .copied()
+            .filter(|&i| spans[i].effective_end(horizon) > spans[i].start_us)
+            .collect();
+        if live.is_empty() {
+            return;
+        }
+        live.sort_by_key(|&i| (spans[i].start_us, spans[i].id));
 
-    let mut open: Vec<usize> = Vec::new();
-    let mut open_children = vec![0usize; model.spans.len()];
-    let mut counted = vec![false; model.spans.len()];
-    let mut is_open = vec![false; model.spans.len()];
-    let mut leaves: Vec<usize> = Vec::new();
-    for w in bounds.windows(2) {
-        let (t, next) = match w {
-            [a, b] => (*a, *b),
-            _ => continue,
-        };
-        // Close spans ending at t, then open spans starting at t.
-        open.retain(|&i| {
-            let done = model.spans.get(i).is_some_and(|s| s.effective_end(horizon) <= t);
-            if done {
-                if let Some(f) = is_open.get_mut(i) {
-                    *f = false;
-                }
-                if counted.get(i).copied().unwrap_or(false) {
-                    let parent = model.spans.get(i).map_or(0, |s| s.parent);
-                    if let Some(&p) = by_id.get(&parent) {
-                        if let Some(c) = open_children.get_mut(p) {
-                            *c = c.saturating_sub(1);
-                        }
+        let mut bounds: Vec<i64> = live
+            .iter()
+            .flat_map(|&i| [spans[i].start_us, spans[i].effective_end(horizon)])
+            .collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+
+        let mut next = 0;
+        let mut open: Vec<usize> = Vec::new();
+        let mut leaves: Vec<usize> = Vec::new();
+        for w in bounds.windows(2) {
+            let (t, until) = match w {
+                [a, b] => (*a, *b),
+                _ => continue,
+            };
+            // Close spans ending at t, then open spans starting at t.
+            open.retain(|&i| {
+                let done = spans[i].effective_end(horizon) <= t;
+                if done {
+                    self.is_open[i] = false;
+                    if let Some(p) = model.parents[i].filter(|_| self.counted[i]) {
+                        self.open_children[p] = self.open_children[p].saturating_sub(1);
                     }
                 }
-            }
-            !done
-        });
-        for &i in &live {
-            let Some(span) = model.spans.get(i) else { continue };
-            if span.start_us == t {
+                !done
+            });
+            while let Some(&i) = live.get(next).filter(|&&i| spans[i].start_us == t) {
+                next += 1;
                 open.push(i);
-                if let Some(f) = is_open.get_mut(i) {
-                    *f = true;
-                }
-                if let Some(&p) = by_id.get(&span.parent) {
-                    if is_open.get(p).copied().unwrap_or(false) {
-                        if let Some(c) = open_children.get_mut(p) {
-                            *c += 1;
-                        }
-                        if let Some(f) = counted.get_mut(i) {
-                            *f = true;
-                        }
-                    }
+                self.is_open[i] = true;
+                if let Some(p) = model.parents[i].filter(|&p| self.is_open[p]) {
+                    self.open_children[p] += 1;
+                    self.counted[i] = true;
                 }
             }
-        }
-        leaves.clear();
-        leaves.extend(
-            open.iter().copied().filter(|&i| open_children.get(i).copied().unwrap_or(0) == 0),
-        );
-        if leaves.is_empty() {
-            continue;
-        }
-        leaves.sort_by_key(|&i| model.spans.get(i).map_or(0, |s| s.id));
-        let len = next - t;
-        let k = leaves.len() as i64;
-        let share = len / k;
-        let rem = (len % k) as usize;
-        for (pos, &i) in leaves.iter().enumerate() {
-            if let Some(s) = self_us.get_mut(i) {
-                *s += share + i64::from(pos < rem);
+            leaves.clear();
+            leaves.extend(open.iter().copied().filter(|&i| self.open_children[i] == 0));
+            if leaves.is_empty() {
+                continue;
+            }
+            leaves.sort_by_key(|&i| spans[i].id);
+            let len = until - t;
+            let k = leaves.len() as i64;
+            let share = len / k;
+            let rem = (len % k) as usize;
+            for (pos, &i) in leaves.iter().enumerate() {
+                self_us[i] += share + i64::from(pos < rem);
             }
         }
     }
@@ -518,7 +522,7 @@ pub enum SessionPhase {
 }
 
 /// One session's timeline decomposition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionRow {
     /// The driver's session index, when recorded.
     pub session: Option<i64>,
@@ -550,13 +554,31 @@ pub struct SessionRow {
 /// *during* the queue wait) are not double-counted.
 #[must_use]
 pub fn sessions(model: &TraceModel) -> Vec<SessionRow> {
+    let spans = &model.spans;
     let horizon = model.horizon_us();
-    let roots = model.root_of();
-    let mut out = Vec::new();
-    for (idx, span) in model.spans.iter().enumerate() {
-        if span.name != "session.run" {
-            continue;
+    let roots = model.roots();
+    // Each session's descendants in its own tree, in span order: one
+    // walk up from every span credits each `session.run` on its chain.
+    let mut members: BTreeMap<usize, Vec<usize>> = (0..spans.len())
+        .filter(|&i| spans[i].name == "session.run")
+        .map(|i| (i, Vec::new()))
+        .collect();
+    let mut seen = vec![usize::MAX; spans.len()];
+    for m in 0..spans.len() {
+        seen[m] = m;
+        let mut at = m;
+        while let Some(up) = model.up(at).filter(|&up| seen[up] != m) {
+            seen[up] = m;
+            at = up;
+            if let Some(list) = members.get_mut(&up).filter(|_| roots[up] == roots[m]) {
+                list.push(m);
+            }
         }
+    }
+
+    let mut out = Vec::new();
+    for (idx, members) in members {
+        let span = &spans[idx];
         let start = span.start_us;
         let end = span.effective_end(horizon);
         let mut setup = Vec::new();
@@ -565,10 +587,7 @@ pub fn sessions(model: &TraceModel) -> Vec<SessionRow> {
         let mut transfers = 0u64;
         let mut attempts = 0u64;
         let mut fallback = false;
-        for (midx, member) in model.spans.iter().enumerate() {
-            if midx == idx || !descends(model, &roots, midx, idx) {
-                continue;
-            }
+        for member in members.iter().map(|&m| &spans[m]) {
             let iv = (member.start_us.max(start), member.effective_end(horizon).min(end));
             match member.name.as_str() {
                 "session.vc_setup" => setup.push(iv),
@@ -612,26 +631,6 @@ pub fn sessions(model: &TraceModel) -> Vec<SessionRow> {
     }
     out.sort_by_key(|r| (r.start_us, r.session));
     out
-}
-
-fn descends(model: &TraceModel, roots: &[usize], mut at: usize, ancestor: usize) -> bool {
-    // Quick reject: different trees cannot be related.
-    if roots.get(at) != roots.get(ancestor) {
-        return false;
-    }
-    let by_id = model.index_by_id();
-    for _ in 0..=model.spans.len() {
-        let Some(span) = model.spans.get(at) else { return false };
-        if span.parent == 0 {
-            return false;
-        }
-        match by_id.get(&span.parent) {
-            Some(&up) if up == ancestor => return true,
-            Some(&up) if up != at => at = up,
-            _ => return false,
-        }
-    }
-    false
 }
 
 /// Splits `[start, end)` into contiguous phase segments, with setup
@@ -689,7 +688,7 @@ impl Default for CheckConfig {
 }
 
 /// Outcome of [`check`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckReport {
     /// Human-readable violations; empty means the trace is sound.
     pub violations: Vec<String>,
@@ -724,8 +723,7 @@ pub fn check(model: &TraceModel, cfg: &CheckConfig) -> CheckReport {
     for (t_us, id) in &model.orphan_ends {
         report.violations.push(format!("span.end at t_us={t_us} for unknown span {id}"));
     }
-    let by_id = model.index_by_id();
-    for span in &model.spans {
+    for (span, parent) in model.spans.iter().zip(&model.parents) {
         match span.end_us {
             None => report.violations.push(format!(
                 "span {} ({}) started at t_us={} but never ended",
@@ -737,7 +735,7 @@ pub fn check(model: &TraceModel, cfg: &CheckConfig) -> CheckReport {
             )),
             Some(_) => {}
         }
-        if span.parent != 0 && !by_id.contains_key(&span.parent) {
+        if span.parent != 0 && parent.is_none() {
             report.violations.push(format!(
                 "span {} ({}) references unknown parent {}",
                 span.id, span.name, span.parent
@@ -754,9 +752,7 @@ pub fn check(model: &TraceModel, cfg: &CheckConfig) -> CheckReport {
             report.violations.push(format!("circuit span {} carries no reservation id", span.id));
             continue;
         };
-        let admit =
-            model.records.iter().find(|r| r.kind == "idc.admit" && r.int("id") == Some(rid));
-        let Some(admit) = admit else {
+        let Some(admit) = model.admits.get(&rid).and_then(|&r| model.records.get(r)) else {
             report.violations.push(format!(
                 "circuit span {} references reservation {rid} with no idc.admit event",
                 span.id
@@ -984,5 +980,506 @@ mod tests {
         assert!(check(&model, &CheckConfig { max_setup_share: 0.95 }).clean());
         let strict = check(&model, &CheckConfig { max_setup_share: 0.5 });
         assert!(strict.violations.join("\n").contains("circuit setup"), "{strict:?}");
+    }
+
+    const NAMES: [&str; 9] = [
+        "driver.run",
+        "session.run",
+        "session.queue_wait",
+        "session.vc_setup",
+        "vc.attempt",
+        "session.transfer",
+        "session.fallback",
+        "circuit.lifetime",
+        "kernel.queue_wait",
+    ];
+
+    /// Renders generated `(op, id, parent, name, t_us, extra)` tuples as
+    /// a trace. Ids below 12 repeat (duplicate starts; id 0 included)
+    /// and parents reach past them (unknown parents); a parent may
+    /// start later (forward references), point back into its own
+    /// subtree (cycles) or at itself. Ends may name unknown spans
+    /// (orphans) or never come (unfinished spans), and a start at its
+    /// end's time is zero-width.
+    fn forest_text(ops: &[(u8, u64, u64, usize, i64, i64)]) -> String {
+        ops.iter()
+            .map(|&(op, id, parent, name, t, extra)| match op {
+                0..=4 => format!(
+                    "{{\"t_us\":{t},\"kind\":\"span.start\",\"span\":{id},\"parent\":{parent},\
+                     \"name\":\"{}\",\"session\":{extra},\"reservation\":{extra}}}",
+                    NAMES[name % NAMES.len()]
+                ),
+                5..=7 => end_line(t, id),
+                8 => format!(
+                    "{{\"t_us\":{t},\"kind\":\"idc.admit\",\"id\":{extra},\"window_s\":{id}e-6}}"
+                ),
+                _ => format!("{{\"t_us\":{t},\"kind\":\"span.start\",\"span\":{id}}}"),
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    fn assert_matches_oracle(model: &TraceModel) {
+        assert_eq!(sessions(model), oracle::sessions(model));
+        assert_eq!(profile(model), oracle::profile(model));
+        for max_setup_share in [0.0, 0.5, 0.95] {
+            let cfg = CheckConfig { max_setup_share };
+            assert_eq!(check(model, &cfg), oracle::check(model, &cfg));
+        }
+    }
+
+    #[test]
+    fn indexed_analyses_match_the_oracle_on_cycles() {
+        // A two-cycle holding a session, a three-cycle with a tail
+        // feeding it, and a span parenting itself, beside a sound tree.
+        for odd in [false, true] {
+            let mut lines = vec![
+                span_line(0, 1, 2, "session.run"),
+                span_line(1, 2, 1, "driver.run"),
+                span_line(2, 3, 1, "session.vc_setup"),
+                span_line(3, 4, 6, "session.run"),
+                span_line(3, 5, 4, "session.transfer"),
+                span_line(4, 6, 5, "session.queue_wait"),
+                span_line(5, 7, 5, "vc.attempt"),
+                span_line(6, 8, 8, "session.run"),
+                span_line(0, 9, 0, "driver.run"),
+                span_line(2, 10, 9, "session.run"),
+                span_line(3, 11, 10, "session.transfer"),
+            ];
+            if odd {
+                // The cycle walks stop after `spans.len() + 1` steps,
+                // so the parity of the span count moves their roots.
+                lines.push(span_line(4, 12, 0, "kernel.queue_wait"));
+            }
+            lines.extend((1..=12).map(|id| end_line(20 + id as i64, id)));
+            assert_matches_oracle(&TraceModel::from_text(&lines.join("\n")).expect("model"));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// The indexed analyses agree with the oracle on hostile span
+        /// forests, and neither panics nor hangs on them.
+        #[test]
+        fn indexed_analyses_match_the_oracle(
+            ops in proptest::collection::vec((0u8..10, 0u64..12, 0u64..16, 0usize..9, 0i64..40, 0i64..4), 0..48),
+        ) {
+            assert_matches_oracle(&TraceModel::from_text(&forest_text(&ops)).expect("model"));
+        }
+    }
+
+    /// The unindexed analyses as they stood before `TraceModel::build`
+    /// resolved parents and admissions once: the oracle the indexed
+    /// code must match on any span forest.
+    mod oracle {
+        use super::super::{
+            partition, CheckConfig, CheckReport, MainTree, PhaseRow, Profile, SessionPhase,
+            SessionRow, TraceModel,
+        };
+        use std::collections::BTreeMap;
+
+        fn index_by_id(model: &TraceModel) -> BTreeMap<u64, usize> {
+            model.spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect()
+        }
+
+        /// Root ancestor index of each span (self-rooting on unknown
+        /// parents or cycles).
+        fn root_of(model: &TraceModel) -> Vec<usize> {
+            let by_id = index_by_id(model);
+            (0..model.spans.len())
+                .map(|mut at| {
+                    for _ in 0..=model.spans.len() {
+                        let Some(span) = model.spans.get(at) else { break };
+                        if span.parent == 0 {
+                            break;
+                        }
+                        match by_id.get(&span.parent) {
+                            Some(&up) if up != at => at = up,
+                            _ => break,
+                        }
+                    }
+                    at
+                })
+                .collect()
+        }
+
+        /// Computes the per-phase profile of a span forest.
+        pub(super) fn profile(model: &TraceModel) -> Profile {
+            let n = model.spans.len();
+            if n == 0 {
+                return Profile::default();
+            }
+            let horizon = model.horizon_us();
+            let roots = root_of(model);
+            let by_id = index_by_id(model);
+
+            // Group spans per tree, then attribute each tree's timeline to
+            // its innermost open spans.
+            let mut trees: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for (idx, &root) in roots.iter().enumerate() {
+                trees.entry(root).or_default().push(idx);
+            }
+            let mut self_us = vec![0i64; n];
+            for members in trees.values() {
+                attribute_tree(model, members, horizon, &by_id, &mut self_us);
+            }
+
+            // Aggregate per name.
+            let mut by_name: BTreeMap<&str, (u64, i64, i64)> = BTreeMap::new();
+            for (idx, span) in model.spans.iter().enumerate() {
+                let entry = by_name.entry(span.name.as_str()).or_default();
+                entry.0 += 1;
+                entry.1 += span.effective_end(horizon) - span.start_us;
+                entry.2 += self_us.get(idx).copied().unwrap_or(0);
+            }
+            let mut rows: Vec<PhaseRow> = by_name
+                .iter()
+                .map(|(name, &(count, total_us, s))| PhaseRow {
+                    name: (*name).to_string(),
+                    count,
+                    total_us,
+                    self_us: s,
+                })
+                .collect();
+            rows.sort_by(|a, b| b.self_us.cmp(&a.self_us).then_with(|| a.name.cmp(&b.name)));
+
+            // The main tree: a `driver.run` root when present, else the
+            // longest root span.
+            let main_root = trees
+                .keys()
+                .copied()
+                .filter(|&r| model.spans.get(r).is_some_and(|s| s.name == "driver.run"))
+                .chain(trees.keys().copied().max_by_key(|&r| {
+                    model.spans.get(r).map_or(0, |s| s.effective_end(horizon) - s.start_us)
+                }))
+                .next();
+            let main = main_root.and_then(|root| {
+                let span = model.spans.get(root)?;
+                let members = trees.get(&root)?;
+                Some(MainTree {
+                    name: span.name.clone(),
+                    start_us: span.start_us,
+                    end_us: span.effective_end(horizon),
+                    attributed_us: members
+                        .iter()
+                        .map(|&i| self_us.get(i).copied().unwrap_or(0))
+                        .sum(),
+                })
+            });
+
+            // Folded stacks from per-span self time.
+            let mut folded: BTreeMap<String, i64> = BTreeMap::new();
+            for idx in 0..model.spans.len() {
+                let weight = self_us.get(idx).copied().unwrap_or(0);
+                if weight == 0 {
+                    continue;
+                }
+                let mut stack = Vec::new();
+                let mut at = idx;
+                for _ in 0..=n {
+                    let Some(s) = model.spans.get(at) else { break };
+                    stack.push(s.name.as_str());
+                    match by_id.get(&s.parent) {
+                        Some(&up) if s.parent != 0 && up != at => at = up,
+                        _ => break,
+                    }
+                }
+                stack.reverse();
+                *folded.entry(stack.join(";")).or_default() += weight;
+            }
+            Profile { rows, main, folded: folded.into_iter().collect() }
+        }
+
+        /// Sweeps one tree's boundaries, crediting each elementary interval
+        /// to the open spans that have no open children (split evenly; the
+        /// integer remainder goes to the lowest span ids, keeping the sum
+        /// exact).
+        fn attribute_tree(
+            model: &TraceModel,
+            members: &[usize],
+            horizon: i64,
+            by_id: &BTreeMap<u64, usize>,
+            self_us: &mut [i64],
+        ) {
+            // Zero-duration spans never occupy an interval.
+            let mut live: Vec<usize> = members
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    model.spans.get(i).is_some_and(|s| s.effective_end(horizon) > s.start_us)
+                })
+                .collect();
+            if live.is_empty() {
+                return;
+            }
+            live.sort_by_key(|&i| model.spans.get(i).map_or(0, |s| s.id));
+
+            let mut bounds: Vec<i64> = live
+                .iter()
+                .flat_map(|&i| {
+                    let s = &model.spans[i];
+                    [s.start_us, s.effective_end(horizon)]
+                })
+                .collect();
+            bounds.sort_unstable();
+            bounds.dedup();
+
+            let mut open: Vec<usize> = Vec::new();
+            let mut open_children = vec![0usize; model.spans.len()];
+            let mut counted = vec![false; model.spans.len()];
+            let mut is_open = vec![false; model.spans.len()];
+            let mut leaves: Vec<usize> = Vec::new();
+            for w in bounds.windows(2) {
+                let (t, next) = match w {
+                    [a, b] => (*a, *b),
+                    _ => continue,
+                };
+                // Close spans ending at t, then open spans starting at t.
+                open.retain(|&i| {
+                    let done = model.spans.get(i).is_some_and(|s| s.effective_end(horizon) <= t);
+                    if done {
+                        if let Some(f) = is_open.get_mut(i) {
+                            *f = false;
+                        }
+                        if counted.get(i).copied().unwrap_or(false) {
+                            let parent = model.spans.get(i).map_or(0, |s| s.parent);
+                            if let Some(&p) = by_id.get(&parent) {
+                                if let Some(c) = open_children.get_mut(p) {
+                                    *c = c.saturating_sub(1);
+                                }
+                            }
+                        }
+                    }
+                    !done
+                });
+                for &i in &live {
+                    let Some(span) = model.spans.get(i) else { continue };
+                    if span.start_us == t {
+                        open.push(i);
+                        if let Some(f) = is_open.get_mut(i) {
+                            *f = true;
+                        }
+                        if let Some(&p) = by_id.get(&span.parent) {
+                            if is_open.get(p).copied().unwrap_or(false) {
+                                if let Some(c) = open_children.get_mut(p) {
+                                    *c += 1;
+                                }
+                                if let Some(f) = counted.get_mut(i) {
+                                    *f = true;
+                                }
+                            }
+                        }
+                    }
+                }
+                leaves.clear();
+                leaves.extend(
+                    open.iter()
+                        .copied()
+                        .filter(|&i| open_children.get(i).copied().unwrap_or(0) == 0),
+                );
+                if leaves.is_empty() {
+                    continue;
+                }
+                leaves.sort_by_key(|&i| model.spans.get(i).map_or(0, |s| s.id));
+                let len = next - t;
+                let k = leaves.len() as i64;
+                let share = len / k;
+                let rem = (len % k) as usize;
+                for (pos, &i) in leaves.iter().enumerate() {
+                    if let Some(s) = self_us.get_mut(i) {
+                        *s += share + i64::from(pos < rem);
+                    }
+                }
+            }
+        }
+
+        /// Decomposes every `session.run` span into setup / transfer / wait /
+        /// other time, priority-ordered so overlapping phases (setup happens
+        /// *during* the queue wait) are not double-counted.
+        pub(super) fn sessions(model: &TraceModel) -> Vec<SessionRow> {
+            let horizon = model.horizon_us();
+            let roots = root_of(model);
+            let mut out = Vec::new();
+            for (idx, span) in model.spans.iter().enumerate() {
+                if span.name != "session.run" {
+                    continue;
+                }
+                let start = span.start_us;
+                let end = span.effective_end(horizon);
+                let mut setup = Vec::new();
+                let mut transfer = Vec::new();
+                let mut wait = Vec::new();
+                let mut transfers = 0u64;
+                let mut attempts = 0u64;
+                let mut fallback = false;
+                for (midx, member) in model.spans.iter().enumerate() {
+                    if midx == idx || !descends(model, &roots, midx, idx) {
+                        continue;
+                    }
+                    let iv = (member.start_us.max(start), member.effective_end(horizon).min(end));
+                    match member.name.as_str() {
+                        "session.vc_setup" => setup.push(iv),
+                        "session.transfer" => {
+                            transfers += 1;
+                            transfer.push(iv);
+                        }
+                        "session.queue_wait" => wait.push(iv),
+                        "vc.attempt" => attempts += 1,
+                        "session.fallback" => fallback = true,
+                        _ => {}
+                    }
+                }
+                let segments = partition(start, end, &setup, &transfer, &wait);
+                let mut sums = [0i64; 4];
+                for &(a, b, phase) in &segments {
+                    let slot = match phase {
+                        SessionPhase::Setup => 0,
+                        SessionPhase::Transfer => 1,
+                        SessionPhase::Wait => 2,
+                        SessionPhase::Other => 3,
+                    };
+                    if let Some(s) = sums.get_mut(slot) {
+                        *s += b - a;
+                    }
+                }
+                let [setup_us, transfer_us, wait_us, other_us] = sums;
+                out.push(SessionRow {
+                    session: span
+                        .fields
+                        .iter()
+                        .find(|(k, _)| k == "session")
+                        .and_then(|(_, v)| v.as_i64()),
+                    start_us: start,
+                    end_us: end,
+                    setup_us,
+                    transfer_us,
+                    wait_us,
+                    other_us,
+                    transfers,
+                    attempts,
+                    fallback,
+                    segments,
+                });
+            }
+            out.sort_by_key(|r| (r.start_us, r.session));
+            out
+        }
+
+        fn descends(model: &TraceModel, roots: &[usize], mut at: usize, ancestor: usize) -> bool {
+            // Quick reject: different trees cannot be related.
+            if roots.get(at) != roots.get(ancestor) {
+                return false;
+            }
+            let by_id = index_by_id(model);
+            for _ in 0..=model.spans.len() {
+                let Some(span) = model.spans.get(at) else { return false };
+                if span.parent == 0 {
+                    return false;
+                }
+                match by_id.get(&span.parent) {
+                    Some(&up) if up == ancestor => return true,
+                    Some(&up) if up != at => at = up,
+                    _ => return false,
+                }
+            }
+            false
+        }
+
+        /// Structural assertions over a trace: span pairing, parent links,
+        /// circuit spans contained in their reservation windows, and the
+        /// setup-share bound.
+        pub(super) fn check(model: &TraceModel, cfg: &CheckConfig) -> CheckReport {
+            let mut report = CheckReport { spans: model.spans.len(), ..CheckReport::default() };
+            for msg in &model.malformed {
+                report.violations.push(format!("malformed span event: {msg}"));
+            }
+            for id in &model.duplicate_starts {
+                report.violations.push(format!("span {id} started twice"));
+            }
+            for (t_us, id) in &model.orphan_ends {
+                report.violations.push(format!("span.end at t_us={t_us} for unknown span {id}"));
+            }
+            let by_id = index_by_id(model);
+            for span in &model.spans {
+                match span.end_us {
+                    None => report.violations.push(format!(
+                        "span {} ({}) started at t_us={} but never ended",
+                        span.id, span.name, span.start_us
+                    )),
+                    Some(end) if end < span.start_us => report.violations.push(format!(
+                        "span {} ({}) ends at t_us={} before its start t_us={}",
+                        span.id, span.name, end, span.start_us
+                    )),
+                    Some(_) => {}
+                }
+                if span.parent != 0 && !by_id.contains_key(&span.parent) {
+                    report.violations.push(format!(
+                        "span {} ({}) references unknown parent {}",
+                        span.id, span.name, span.parent
+                    ));
+                }
+            }
+
+            // Circuit spans must not outlive their reservation windows. The
+            // admission event carries the window; join on the reservation id.
+            for span in model.spans.iter().filter(|s| s.name == "circuit.lifetime") {
+                let Some(rid) = span
+                    .fields
+                    .iter()
+                    .find(|(k, _)| k == "reservation")
+                    .and_then(|(_, v)| v.as_i64())
+                else {
+                    report
+                        .violations
+                        .push(format!("circuit span {} carries no reservation id", span.id));
+                    continue;
+                };
+                let admit = model
+                    .records
+                    .iter()
+                    .find(|r| r.kind == "idc.admit" && r.int("id") == Some(rid));
+                let Some(admit) = admit else {
+                    report.violations.push(format!(
+                        "circuit span {} references reservation {rid} with no idc.admit event",
+                        span.id
+                    ));
+                    continue;
+                };
+                report.circuits += 1;
+                let window_end =
+                    admit.t_us + (admit.num("window_s").unwrap_or(0.0) * 1e6).round() as i64;
+                if let Some(end) = span.end_us {
+                    if end > window_end + 1 {
+                        report.violations.push(format!(
+                            "circuit span {} for reservation {rid} ends at t_us={end}, outliving its \
+                             reservation window ending at t_us={window_end}",
+                            span.id
+                        ));
+                    }
+                }
+            }
+
+            // Setup share: the amortization bound the paper's Table IV is
+            // about — flag sessions whose circuit setup dominates.
+            for row in sessions(model) {
+                let dur = row.end_us - row.start_us;
+                if dur <= 0 {
+                    continue;
+                }
+                report.sessions += 1;
+                let share = row.setup_us as f64 / dur as f64;
+                if share > cfg.max_setup_share + 1e-9 {
+                    report.violations.push(format!(
+                        "session {} spends {:.1}% of its {:.1}s in circuit setup (bound {:.1}%)",
+                        row.session.map_or_else(|| "?".to_string(), |s| s.to_string()),
+                        share * 100.0,
+                        dur as f64 / 1e6,
+                        cfg.max_setup_share * 100.0
+                    ));
+                }
+            }
+            report
+        }
     }
 }

@@ -158,9 +158,8 @@ impl Drop for JsonlSink {
 
 /// Unbounded in-memory sink retaining every event in emission order.
 ///
-/// The scenario runner traces into one, so a run's cost includes
-/// tracing without touching the filesystem; tests drain it
-/// with [`BufferSink::take`] to inspect what a run emitted.
+/// Tests drain it with [`BufferSink::take`] to inspect what a run
+/// emitted.
 #[derive(Default)]
 pub struct BufferSink {
     buf: Mutex<Vec<TraceEvent>>,

@@ -1,6 +1,7 @@
 //! The deterministic resilience harness: drives the GridFTP driver
 //! through seeded fault plans via the public facade and asserts the
-//! *exact* fault/recovery event sequences the run emits, that the
+//! *exact* fault/recovery storylines the run traces (`fault.injected`
+//! events and the `vc.attempt` spans' outcomes), that the
 //! same seed reproduces the trace byte for byte, and that no fault
 //! plan — scheduled, probabilistic, or preemptive — ever leaks an
 //! IDC reservation.
@@ -50,13 +51,46 @@ fn run_traced(
     (out, sink.take())
 }
 
-/// The fault/recovery storyline of a trace, in emission order.
-fn storyline(events: &[TraceEvent]) -> Vec<&'static str> {
-    events
-        .iter()
-        .map(|e| e.kind)
-        .filter(|k| k.starts_with("fault.") || k.starts_with("recovery."))
-        .collect()
+/// The fault/recovery storyline of a trace, in emission order: each
+/// injected fault, and each `vc.attempt` span's end as
+/// `attempt <n> <outcome>`, followed by the failed attempt's reason.
+fn storyline(events: &[TraceEvent]) -> Vec<String> {
+    let mut attempts = std::collections::BTreeMap::new();
+    let mut out = Vec::new();
+    for e in events {
+        match e.kind {
+            "fault.injected" => out.push("fault.injected".to_string()),
+            "span.start" if field_str(e, "name") == Some("vc.attempt") => {
+                attempts.insert(field_u64(e, "span"), field_u64(e, "attempt").unwrap());
+            }
+            "span.end" => {
+                if let Some(n) = attempts.get(&field_u64(e, "span")) {
+                    let outcome = field_str(e, "outcome").unwrap();
+                    let reason = field_str(e, "reason").map_or(String::new(), |r| format!(" {r}"));
+                    out.push(format!("attempt {n} {outcome}{reason}"));
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// `(start, end)` of every span named `name`, in start order.
+fn intervals(events: &[TraceEvent], name: &str) -> Vec<(i64, i64)> {
+    let mut open = std::collections::BTreeMap::new();
+    let mut out = Vec::new();
+    for e in events {
+        if e.kind == "span.start" && field_str(e, "name") == Some(name) {
+            open.insert(field_u64(e, "span"), out.len());
+            out.push((e.t_us, i64::MIN));
+        } else if e.kind == "span.end" {
+            if let Some(&i) = open.get(&field_u64(e, "span")) {
+                out[i].1 = e.t_us;
+            }
+        }
+    }
+    out
 }
 
 /// Renders a trace as JSONL, every record included.
@@ -95,10 +129,10 @@ fn two_injected_failures_yield_the_exact_retry_storyline() {
         storyline(&events),
         vec![
             "fault.injected",
-            "recovery.retry",
+            "attempt 1 retry signalling_failure",
             "fault.injected",
-            "recovery.retry",
-            "recovery.established",
+            "attempt 2 retry signalling_failure",
+            "attempt 3 established",
         ],
     );
 
@@ -109,12 +143,15 @@ fn two_injected_failures_yield_the_exact_retry_storyline() {
         assert_eq!(field_str(f, "fault"), Some("signalling_failure"));
         assert_eq!(field_u64(f, "attempt"), Some(i as u64 + 1));
     }
-    let retries: Vec<&TraceEvent> = events.iter().filter(|e| e.kind == "recovery.retry").collect();
-    for r in &retries {
-        assert_eq!(field_str(r, "reason"), Some("signalling_failure"));
-    }
-    let established = events.iter().find(|e| e.kind == "recovery.established").unwrap();
-    assert_eq!(field_u64(established, "attempts"), Some(3));
+    // The circuit was pursued for the two backoff windows: the last
+    // attempt starts when the second one ends.
+    let setup = intervals(&events, "session.vc_setup");
+    let attempts = intervals(&events, "vc.attempt");
+    let backoffs = intervals(&events, "vc.backoff");
+    assert_eq!((setup.len(), attempts.len(), backoffs.len()), (1, 3, 2));
+    let waited = attempts[2].0 - setup[0].0;
+    assert_eq!(waited, backoffs.iter().map(|(a, b)| b - a).sum::<i64>());
+    assert!(waited > 0);
 
     let r = out.resilience.expect("recovery attached");
     assert_eq!((r.vc_established, r.retries, r.fallbacks), (1, 2, 0));
@@ -134,15 +171,16 @@ fn exhausted_retries_fall_back_to_routed_ip() {
         storyline(&events),
         vec![
             "fault.injected",
-            "recovery.retry",
+            "attempt 1 retry signalling_failure",
             "fault.injected",
-            "recovery.retry",
+            "attempt 2 retry signalling_failure",
             "fault.injected",
-            "recovery.retry",
+            "attempt 3 retry signalling_failure",
             "fault.injected",
-            "recovery.fallback",
+            "attempt 4 fallback_ip signalling_failure",
         ],
     );
+    assert_eq!(intervals(&events, "session.fallback").len(), 1);
 
     let r = out.resilience.expect("recovery attached");
     assert_eq!((r.vc_established, r.retries, r.fallbacks), (0, 3, 1));
@@ -158,10 +196,9 @@ fn preemption_tears_down_the_circuit_and_the_session_finishes() {
     let plan = FaultPlan { seed: 5, preempt_after_s: Some(5.0), ..FaultPlan::default() };
     let (out, events) = run_traced(7, 2, plan, RecoveryPolicy::default());
 
-    // A clean first establishment is silent (recovery.established is
-    // only emitted when recovery actually happened), so the whole
+    // The first attempt establishes cleanly, so the rest of the
     // storyline is the mid-reservation preemption.
-    assert_eq!(storyline(&events), vec!["fault.injected"]);
+    assert_eq!(storyline(&events), vec!["attempt 1 established", "fault.injected"]);
     let preempt = events.iter().rfind(|e| e.kind == "fault.injected").unwrap();
     assert_eq!(field_str(preempt, "fault"), Some("preemption"));
 
