@@ -3,7 +3,7 @@
 //!
 //! One definition of each hot-path workload (kernel schedule/pop,
 //! session-sweep grid, trace parsing, session grouping, fair-share
-//! solves, IDC admission, the tidy engine, a scenario run), each
+//! solves, IDC admission, a scenario run), each
 //! timed into one `BENCH_<suite>.json`. All timing goes through
 //! [`gvc_telemetry::perf::measure_throughput`] — the bench crate
 //! itself is held to the determinism lint and never reads a clock
@@ -18,14 +18,12 @@ use gvc_oscars::{Idc, ReservationRequest, SetupDelayModel};
 use gvc_scenario::{run_scenario, ScenarioSpec};
 use gvc_telemetry::perf::{measure_throughput, median, BenchMetric, PerfSnapshot};
 use gvc_telemetry::{parse_trace, Telemetry, TimelineHandle, Tracer};
-use gvc_tidy::{run_sources, RuleSet};
 use gvc_topology::{study_topology, Site};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// The snapshot names `gvc perf snapshot` produces, in emission order.
-pub const SNAPSHOT_NAMES: &[&str] =
-    &["kernel", "sweep", "analysis", "tidy", "scenario", "net", "idc"];
+pub const SNAPSHOT_NAMES: &[&str] = &["kernel", "sweep", "analysis", "scenario", "net", "idc"];
 
 /// The committed `esnet-backbone` scenario spec, embedded so the
 /// snapshot measures exactly the workload the golden corpus gates
@@ -274,61 +272,6 @@ fn scenario_transfers(spec: &ScenarioSpec) -> u64 {
     })
 }
 
-/// A deterministic synthetic workspace for the lint-engine snapshot:
-/// `files` sources spread across the lib crates, each with doc'd fns,
-/// a struct, and a cross-crate `use` chain (`helper_{i-1}` called from
-/// file `i`), so parsing, the item graph, call resolution, and all
-/// four workspace rules run over a realistic shape. Pure arithmetic
-/// content — a scan of the corpus is violation-free, so the metric
-/// measures clean-path analysis cost.
-fn synth_tidy_corpus(files: usize) -> Vec<(String, String)> {
-    const CRATES: &[&str] = &["core", "engine", "net", "gridftp", "logs", "stats"];
-    let mut out = Vec::with_capacity(files);
-    for i in 0..files {
-        let krate = CRATES[i % CRATES.len()];
-        let mut src = String::with_capacity(4096);
-        let _ = writeln!(src, "//! Synthetic lint workload file {i}.");
-        let _ = writeln!(src, "use std::collections::BTreeMap;");
-        if i > 0 {
-            let prev = CRATES[(i - 1) % CRATES.len()];
-            let _ = writeln!(src, "use gvc_{prev}::synth_{p}::helper_{p};", p = i - 1);
-        }
-        for f in 0..8u32 {
-            let _ = writeln!(src, "/// Deterministic mixer {f}.");
-            let _ = writeln!(src, "pub fn mix_{i}_{f}(x: u64, y: u64) -> u64 {{");
-            let _ = writeln!(src, "    let acc = x.wrapping_mul(2_654_435_761).rotate_left({f});");
-            let _ = writeln!(src, "    let fold = acc ^ y.wrapping_add({i});");
-            if i > 0 && f == 0 {
-                let _ = writeln!(src, "    let seed = helper_{}(fold);", i - 1);
-                let _ = writeln!(src, "    seed.wrapping_add(fold)");
-            } else {
-                let _ = writeln!(src, "    fold.rotate_right(9)");
-            }
-            let _ = writeln!(src, "}}");
-        }
-        let _ = writeln!(src, "/// Chain entry for the next file's mixer.");
-        let _ = writeln!(src, "pub fn helper_{i}(x: u64) -> u64 {{");
-        let _ = writeln!(src, "    mix_{i}_0(x, {i})");
-        let _ = writeln!(src, "}}");
-        let _ = writeln!(src, "/// Synthetic record type {i}.");
-        let _ = writeln!(src, "pub struct Rec{i} {{");
-        let _ = writeln!(src, "    pub key: u64,");
-        let _ = writeln!(src, "    pub hist: BTreeMap<u64, u64>,");
-        let _ = writeln!(src, "}}");
-        out.push((format!("crates/{krate}/src/synth_{i}.rs"), src));
-    }
-    out
-}
-
-/// Full v2 lint pass (parse → item graph → every rule) over the
-/// corpus; returns the number of source lines analyzed.
-fn tidy_analyze(sources: &[(String, String)]) -> u64 {
-    let refs: Vec<(&str, &str)> = sources.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
-    let report = run_sources(&refs, &RuleSet::v2());
-    std::hint::black_box(report.violations.len() + report.suppressed.len());
-    sources.iter().map(|(_, s)| s.lines().count() as u64).sum()
-}
-
 fn throughput_metric(id: &str, unit: &str, items: u64, samples: Vec<f64>) -> BenchMetric {
     BenchMetric {
         id: id.to_string(),
@@ -345,7 +288,6 @@ fn throughput_metric(id: &str, unit: &str, items: u64, samples: Vec<f64>) -> Ben
 ///
 /// Standard sizes at `scale = 1.0`: kernel 200k events, sweep 200k
 /// records × the 8×4 grid, analysis 50k trace lines + 100k records,
-/// tidy 120 synthetic source files through the full v2 engine,
 /// scenario one full `esnet-backbone` corpus run (scale-independent),
 /// net 20k fair-share solves at each of 1, 5 and 12 study-topology
 /// flows, idc 20k admit/provision/teardown cycles.
@@ -395,17 +337,6 @@ pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
             snap.metrics.push(throughput_metric(
                 "analysis.sessions_at.records_per_sec",
                 "records/sec",
-                items,
-                rates,
-            ));
-        }
-        "tidy" => {
-            let files = scaled(120, scale);
-            let sources = synth_tidy_corpus(files);
-            let (items, rates) = measure_throughput(reps, || tidy_analyze(&sources));
-            snap.metrics.push(throughput_metric(
-                "tidy.analyze.lines_per_sec",
-                "lines/sec",
                 items,
                 rates,
             ));
@@ -478,17 +409,6 @@ mod tests {
             let back = PerfSnapshot::parse(&snap.to_json()).expect("parse");
             assert_eq!(back, snap);
         }
-    }
-
-    #[test]
-    fn tidy_corpus_is_deterministic_and_scans_clean() {
-        let a = synth_tidy_corpus(12);
-        let b = synth_tidy_corpus(12);
-        assert_eq!(a, b, "corpus generation must be deterministic");
-        let refs: Vec<(&str, &str)> = a.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
-        let report = run_sources(&refs, &RuleSet::v2());
-        assert!(report.clean(), "{:#?}", report.violations);
-        assert_eq!(tidy_analyze(&a), a.iter().map(|(_, s)| s.lines().count() as u64).sum());
     }
 
     #[test]

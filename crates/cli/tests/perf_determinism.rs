@@ -211,7 +211,7 @@ fn snapshot_then_gate_passes_end_to_end() {
             .expect("snapshot");
     }
     // The standard suites landed, with the shared schema.
-    for name in ["kernel", "sweep", "analysis", "tidy"] {
+    for name in ["kernel", "sweep", "analysis"] {
         let snap = PerfSnapshot::load(dir.join("base").join(format!("BENCH_{name}.json")))
             .expect("load snapshot");
         assert_eq!(snap.name, name);
@@ -237,7 +237,7 @@ fn snapshot_then_gate_passes_end_to_end() {
 #[test]
 fn committed_baselines_re_render_byte_identically() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for name in ["analysis", "idc", "kernel", "net", "scenario", "sweep", "tidy"] {
+    for name in ["analysis", "idc", "kernel", "net", "scenario", "sweep"] {
         let text = std::fs::read_to_string(root.join(format!("BENCH_{name}.json")))
             .expect("read committed baseline");
         let snap = PerfSnapshot::parse(&text).expect("parse committed baseline");

@@ -22,6 +22,17 @@
 //! | [`report`] | finding (i): the headline feasibility numbers |
 //! | [`session_stats`] | §VI-A session call-outs + Table VIII trend fits |
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
+
 pub mod concurrency;
 pub mod factors;
 pub mod gap_sensitivity;

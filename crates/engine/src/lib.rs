@@ -14,6 +14,17 @@
 //!   analyses group transfers by wall-clock year (Table VIII) and by
 //!   time of day (Fig. 6).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
+
 pub mod calendar;
 pub mod queue;
 pub mod time;

@@ -42,8 +42,8 @@ impl SimTime {
     pub fn from_secs_f64(s: f64) -> SimTime {
         match SimTime::try_from_secs_f64(s) {
             Some(t) => t,
+            #[expect(clippy::panic, reason = "documented contract: reject bad float input loudly")]
             None => {
-                // gvc-lint: allow(no-panic-in-lib) — documented contract: reject bad float input loudly
                 panic!("SimTime must be finite, non-negative, and within u64 microseconds: got {s}")
             }
         }
@@ -131,7 +131,7 @@ impl SimSpan {
     pub fn from_secs_f64(s: f64) -> SimSpan {
         match SimSpan::try_from_secs_f64(s) {
             Some(d) => d,
-            // gvc-lint: allow(no-panic-in-lib) — documented contract: reject bad float input loudly
+            #[expect(clippy::panic, reason = "documented contract: reject bad float input loudly")]
             None => panic!("SimSpan must be finite and within i64 microseconds: got {s}"),
         }
     }

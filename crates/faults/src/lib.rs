@@ -23,6 +23,17 @@
 //! The fault-spec grammar accepted by [`FaultPlan::parse`] (and the
 //! CLI's `--faults` flag) is documented in `docs/faults.md`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
+
 pub mod plan;
 pub mod policy;
 

@@ -19,6 +19,17 @@
 //!   traffic, optional OSCARS circuits, and the fluid simulator, and
 //!   emitting the usage log the analyses consume.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
+
 pub mod driver;
 pub mod server;
 pub mod session;

@@ -155,7 +155,10 @@ pub struct PreparedTransfer {
 /// transfer fails must not depend on how many draws other sessions
 /// consumed first, or turning one session's shape changes another's
 /// failure outcomes.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "each input is an independent per-transfer fact; a struct would only rename them"
+)]
 pub fn prepare_transfer(
     graph: &Graph,
     path: &Path,

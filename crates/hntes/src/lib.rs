@@ -24,6 +24,17 @@
 //!   porcupine classification (§III), applied to fluid-simulator
 //!   completions via their tracked peak rates.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
+
 pub mod classifier;
 pub mod controller;
 pub mod experiment;

@@ -11,6 +11,17 @@
 //! serialization, the anonymizer, and the SNMP 30-second interface
 //! counter series used by §VII-C.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
+
 pub mod anonymize;
 pub mod collector;
 pub mod dataset;

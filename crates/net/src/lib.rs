@@ -27,6 +27,17 @@
 //!   validates the analytic model and measures tail (p99) jitter under
 //!   shared-FIFO vs isolated disciplines.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
+
 pub mod background;
 pub mod fairshare;
 pub mod flow;

@@ -17,6 +17,17 @@
 //! * [`idc`] — the controller: CSPF admission, provisioning,
 //!   teardown, blocking statistics.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
+
 pub mod calendar;
 pub mod idc;
 pub mod interdomain;

@@ -26,6 +26,17 @@
 //! The CLI surfaces all of it as `gvc scenario run|record|diff|list`;
 //! CI runs the committed corpus as a blocking matrix job.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
+
 use std::fmt;
 
 pub mod corpus;

@@ -26,7 +26,7 @@ fn cluster(name: &str, attach: AttachSpec, servers: u32, nic: f64) -> ClusterSpe
 /// Assembles a valid spec from primitive draws. `shape` picks one of
 /// four topology/workload combinations; the numeric draws feed the
 /// knobs so float round-tripping is exercised on arbitrary doubles.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one parameter per independent proptest draw")]
 fn build_spec(
     shape: u32,
     seed: u64,

@@ -14,6 +14,17 @@
 //! [`rng::child_seed`] so that adding a new consumer never perturbs an
 //! existing one.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
+
 pub mod boxplot;
 pub mod correlation;
 pub mod dist;

@@ -169,7 +169,12 @@ impl SpanNode {
 ///
 /// [`TraceModel::build`] also resolves the indexes the analyses join
 /// on (each span's parent, each reservation's admission), so they
-/// describe `records` and `spans` as built.
+/// describe `records` and `spans` as built. One file may hold several
+/// runs (`gvc scenario run --all --trace`), each numbering its
+/// reservations from 0, so admissions and circuits are joined within
+/// their run: the latest `driver.run` started before them in file
+/// order. (The IDC opens `circuit.lifetime` spans as roots, so no
+/// circuit has a `driver.run` ancestor to join on.)
 #[derive(Debug, Clone, Default)]
 pub struct TraceModel {
     /// Every record, in file order.
@@ -185,8 +190,12 @@ pub struct TraceModel {
     /// Index in `spans` of the span whose id is each span's `parent`
     /// (`None` when no span started with that id).
     parents: Vec<Option<usize>>,
-    /// Index in `records` of the first `idc.admit` per reservation id.
-    admits: BTreeMap<i64, usize>,
+    /// The latest `driver.run` id started before each span, in file
+    /// order.
+    runs: Vec<Option<u64>>,
+    /// Index in `records` of the first `idc.admit` per run and
+    /// reservation id.
+    admits: BTreeMap<(Option<u64>, i64), usize>,
 }
 
 impl TraceModel {
@@ -195,6 +204,7 @@ impl TraceModel {
     pub fn build(records: Vec<TraceRecord>) -> TraceModel {
         let mut model = TraceModel { records, ..TraceModel::default() };
         let mut by_id: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut run = None;
         for ridx in 0..model.records.len() {
             let Some(rec) = model.records.get(ridx) else { continue };
             match rec.kind.as_str() {
@@ -221,6 +231,10 @@ impl TraceModel {
                         .cloned()
                         .collect();
                     by_id.insert(id, model.spans.len());
+                    model.runs.push(run);
+                    if name == "driver.run" {
+                        run = Some(id);
+                    }
                     model.spans.push(SpanNode {
                         id,
                         parent,
@@ -247,7 +261,7 @@ impl TraceModel {
                 }
                 "idc.admit" => {
                     if let Some(id) = rec.int("id") {
-                        model.admits.entry(id).or_insert(ridx);
+                        model.admits.entry((run, id)).or_insert(ridx);
                     }
                 }
                 _ => {}
@@ -744,15 +758,17 @@ pub fn check(model: &TraceModel, cfg: &CheckConfig) -> CheckReport {
     }
 
     // Circuit spans must not outlive their reservation windows. The
-    // admission event carries the window; join on the reservation id.
-    for span in model.spans.iter().filter(|s| s.name == "circuit.lifetime") {
+    // admission event carries the window; join on the run and the
+    // reservation id.
+    for (at, span) in model.spans.iter().enumerate().filter(|(_, s)| s.name == "circuit.lifetime") {
         let Some(rid) =
             span.fields.iter().find(|(k, _)| k == "reservation").and_then(|(_, v)| v.as_i64())
         else {
             report.violations.push(format!("circuit span {} carries no reservation id", span.id));
             continue;
         };
-        let Some(admit) = model.admits.get(&rid).and_then(|&r| model.records.get(r)) else {
+        let key = (model.runs.get(at).copied().flatten(), rid);
+        let Some(admit) = model.admits.get(&key).and_then(|&r| model.records.get(r)) else {
             report.violations.push(format!(
                 "circuit span {} references reservation {rid} with no idc.admit event",
                 span.id
@@ -965,6 +981,41 @@ mod tests {
         let report =
             check(&TraceModel::from_text(&overlong).expect("model"), &CheckConfig::default());
         assert!(report.violations.join("\n").contains("outliving"), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn check_joins_circuits_within_their_run() {
+        // Two runs in one file, each numbering reservations from 0 with
+        // its own window: run 1 (100 s) holds a circuit that outlives
+        // it, run 2 (200 s) one that does not.
+        let admit = |window_s: u64| {
+            format!("{{\"t_us\":0,\"kind\":\"idc.admit\",\"id\":0,\"window_s\":{window_s}}}")
+        };
+        let circuit = |id: u64| {
+            format!(
+                "{{\"t_us\":10,\"kind\":\"span.start\",\"span\":{id},\"parent\":0,\
+                 \"name\":\"circuit.lifetime\",\"reservation\":0}}"
+            )
+        };
+        let text = [
+            span_line(0, 1, 0, "driver.run"),
+            admit(100),
+            circuit(2),
+            end_line(150_000_000, 2),
+            end_line(200_000_000, 1),
+            span_line(0, 3, 0, "driver.run"),
+            admit(200),
+            circuit(4),
+            end_line(150_000_000, 4),
+            end_line(200_000_000, 3),
+        ]
+        .join("\n");
+        let model = TraceModel::from_text(&text).expect("model");
+        let report = check(&model, &CheckConfig::default());
+        assert_eq!(report.circuits, 2);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].starts_with("circuit span 2 "), "{:?}", report.violations);
+        assert_eq!(report, oracle::check(&model, &CheckConfig::default()));
     }
 
     #[test]
@@ -1386,6 +1437,24 @@ mod tests {
             false
         }
 
+        /// The span id a well-formed `span.start` record `j` opens, with
+        /// its name.
+        fn start_at(model: &TraceModel, j: usize) -> Option<(u64, &str)> {
+            let rec = model.records.get(j).filter(|r| r.kind == "span.start")?;
+            Some((rec.int("span")? as u64, rec.text("name")?))
+        }
+
+        /// The `driver.run` in effect at record `r`: the latest whose
+        /// start record (the first well-formed start of its id) comes
+        /// before `r`.
+        fn run_at(model: &TraceModel, r: usize) -> Option<u64> {
+            (0..r).rev().find_map(|j| {
+                let (id, name) = start_at(model, j)?;
+                let first = (0..j).all(|k| start_at(model, k).is_none_or(|(other, _)| other != id));
+                (name == "driver.run" && first).then_some(id)
+            })
+        }
+
         /// Structural assertions over a trace: span pairing, parent links,
         /// circuit spans contained in their reservation windows, and the
         /// setup-share bound.
@@ -1422,7 +1491,7 @@ mod tests {
             }
 
             // Circuit spans must not outlive their reservation windows. The
-            // admission event carries the window; join on the reservation id.
+            // admission event carries the window; join on the run and the reservation id.
             for span in model.spans.iter().filter(|s| s.name == "circuit.lifetime") {
                 let Some(rid) = span
                     .fields
@@ -1435,10 +1504,15 @@ mod tests {
                         .push(format!("circuit span {} carries no reservation id", span.id));
                     continue;
                 };
-                let admit = model
-                    .records
-                    .iter()
-                    .find(|r| r.kind == "idc.admit" && r.int("id") == Some(rid));
+                // The run in effect at the span's (first well-formed)
+                // start record.
+                let start = (0..model.records.len())
+                    .find(|&j| start_at(model, j).is_some_and(|(id, _)| id == span.id));
+                let run = start.and_then(|j| run_at(model, j));
+                let admit = model.records.iter().enumerate().find(|&(r, rec)| {
+                    rec.kind == "idc.admit" && rec.int("id") == Some(rid) && run_at(model, r) == run
+                });
+                let admit = admit.map(|(_, rec)| rec);
                 let Some(admit) = admit else {
                     report.violations.push(format!(
                         "circuit span {} references reservation {rid} with no idc.admit event",

@@ -2,8 +2,8 @@
 //! the toolchain emits or reads back: trace JSONL lines
 //! ([`crate::trace`], [`crate::analyze`]), timeline documents
 //! ([`crate::timeline`]), `BENCH_*.json` snapshots and `--perf`
-//! reports ([`crate::perf`]), run manifests, scenario report goldens
-//! and `gvc-tidy --format json`.
+//! reports ([`crate::perf`]), run manifests and scenario report
+//! goldens.
 //!
 //! **Writing.** Emitters lay out their own keys and whitespace (each
 //! format is byte-pinned by a golden or a round-trip test) and render

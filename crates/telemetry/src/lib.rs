@@ -43,6 +43,19 @@
 //! assert!(registry.render().contains("idc_admitted_total 1"));
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the host boundary: provenance stamps, wall-time stopwatches and the perf fingerprint read the clock and the environment here, and nowhere else"
+)]
+
 pub mod analyze;
 pub mod json;
 pub mod manifest;

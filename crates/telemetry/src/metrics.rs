@@ -372,7 +372,11 @@ impl Registry {
         let mut m = self.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         match m.entry(key).or_insert_with(|| Metric::Counter(Arc::new(Counter::new()))) {
             Metric::Counter(c) => Arc::clone(c),
-            // gvc-lint: allow(no-panic-in-lib) — fail fast on a type clash: returning a mismatched metric would corrupt series silently
+            #[expect(
+                clippy::panic,
+                reason = "fail fast on a type clash: returning a mismatched metric would corrupt \
+                          series silently"
+            )]
             _ => panic!("metric {name} already registered with a different type"),
         }
     }
@@ -383,7 +387,11 @@ impl Registry {
         let mut m = self.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         match m.entry(key).or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new()))) {
             Metric::Gauge(g) => Arc::clone(g),
-            // gvc-lint: allow(no-panic-in-lib) — fail fast on a type clash: returning a mismatched metric would corrupt series silently
+            #[expect(
+                clippy::panic,
+                reason = "fail fast on a type clash: returning a mismatched metric would corrupt \
+                          series silently"
+            )]
             _ => panic!("metric {name} already registered with a different type"),
         }
     }
@@ -400,7 +408,11 @@ impl Registry {
         let mut m = self.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         match m.entry(key).or_insert_with(|| Metric::Histogram(Arc::new(make()))) {
             Metric::Histogram(h) => Arc::clone(h),
-            // gvc-lint: allow(no-panic-in-lib) — fail fast on a type clash: returning a mismatched metric would corrupt series silently
+            #[expect(
+                clippy::panic,
+                reason = "fail fast on a type clash: returning a mismatched metric would corrupt \
+                          series silently"
+            )]
             _ => panic!("metric {name} already registered with a different type"),
         }
     }

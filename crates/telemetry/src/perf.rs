@@ -2,9 +2,9 @@
 //! throughput rates, peak-RSS sampling, allocation tallies, and the
 //! `BENCH_*.json` snapshot / diff / gate layer behind `gvc perf`.
 //!
-//! Everything wall-clock lives here on purpose: the simulation crates
-//! are held to the `determinism` tidy rule, and this module is the one
-//! sanctioned place (besides the CLI) where the host's real clock,
+//! Everything wall-clock lives here on purpose: every other crate is
+//! held to clippy's `disallowed_methods` wall-clock ban, and this
+//! module is the one sanctioned place where the host's real clock,
 //! `/proc`, and the allocator may be observed. None of it feeds back
 //! into simulated results — the [`Perf`] handle follows the same
 //! zero-cost `Option` hook pattern as the tracer: a disabled handle

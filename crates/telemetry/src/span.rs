@@ -27,7 +27,7 @@
 //!
 //! The span-name tables live in `docs/observability.md`; names follow
 //! the same dot-namespaced lowercase convention as event kinds
-//! (enforced by the `trace-kind-naming` tidy rule).
+//! (enforced by the `trace-kind-naming` gvc-tidy rule).
 
 use crate::trace::{TraceEvent, Tracer};
 use std::sync::atomic::Ordering;

@@ -1,13 +1,12 @@
-//! Diagnostics: one violation per finding, renderable as a human
-//! `file:line:col` line or as a JSON object for machine consumers.
+//! Diagnostics: one violation per finding, rendered as a
+//! `file:line:col` line.
 
-use gvc_telemetry::json::Quoted;
 use std::fmt::Write as _;
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// The rule that fired (registry name, e.g. `no-panic-in-lib`).
+    /// The rule that fired (registry name, e.g. `literal-index`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -32,19 +31,6 @@ impl Violation {
         }
         s
     }
-
-    /// One JSON object (no trailing newline).
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"rule\":{},\"path\":{},\"line\":{},\"col\":{},\"message\":{},\"snippet\":{}}}",
-            Quoted(self.rule),
-            Quoted(&self.path),
-            self.line,
-            self.col,
-            Quoted(&self.message),
-            Quoted(&self.snippet)
-        )
-    }
 }
 
 #[cfg(test)]
@@ -54,31 +40,15 @@ mod tests {
     #[test]
     fn human_rendering_has_location_and_rule() {
         let v = Violation {
-            rule: "no-panic-in-lib",
+            rule: "literal-index",
             path: "crates/stats/src/summary.rs".into(),
             line: 38,
             col: 9,
-            message: "forbidden `.expect(`".into(),
-            snippet: "x.expect(\"boom\")".into(),
+            message: "literal slice index can panic".into(),
+            snippet: "let a = xs[0];".into(),
         };
         let h = v.render_human();
-        assert!(h.starts_with("crates/stats/src/summary.rs:38:9: [no-panic-in-lib]"));
-        assert!(h.contains("x.expect"));
-    }
-
-    #[test]
-    fn json_rendering_escapes() {
-        let v = Violation {
-            rule: "hygiene",
-            path: "a\\b.rs".into(),
-            line: 1,
-            col: 0,
-            message: "tab \"here\"".into(),
-            snippet: "\tx".into(),
-        };
-        let j = v.render_json();
-        assert!(j.contains("\"path\":\"a\\\\b.rs\""));
-        assert!(j.contains("\\\"here\\\""));
-        assert!(j.contains("\\tx"));
+        assert!(h.starts_with("crates/stats/src/summary.rs:38:9: [literal-index]"));
+        assert!(h.contains("xs[0]"));
     }
 }

@@ -10,7 +10,7 @@
 //! The scanner also derives two per-line facts the rules need:
 //!
 //! * **test regions** — lines inside a `#[cfg(test)]` or `#[test]`
-//!   item's brace block, where panic-family rules do not apply;
+//!   item's brace block, which the code rules skip;
 //! * **suppressions** — `// gvc-lint: allow(<rule>) — <justification>`
 //!   comments, which silence `<rule>` on the same and the following
 //!   line. A suppression without a justification is itself reported.
@@ -330,6 +330,11 @@ fn find_suppressions(raw: &[String]) -> Vec<Suppression> {
             continue;
         };
         let rule = inner[..close].trim().to_string();
+        // Rule names are kebab-case; prose placeholders such as
+        // `allow(<rule>)` in docs are not suppressions.
+        if rule.is_empty() || !rule.chars().all(|c| c.is_ascii_lowercase() || c == '-') {
+            continue;
+        }
         let justification = &inner[close + 1..];
         let justified = justification.chars().filter(|c| c.is_alphanumeric()).count() >= 10;
         out.push(Suppression { line: idx + 1, rule, justified });
@@ -466,19 +471,26 @@ mod tests {
 
     #[test]
     fn suppression_parsed_with_justification() {
-        let src = "// gvc-lint: allow(no-panic-in-lib) — poisoned locks cannot recover here\nx.unwrap();\n";
+        let src =
+            "// gvc-lint: allow(literal-index) — invariant: the list is never empty\nxs[0];\n";
         let f = SourceFile::parse("crates/core/src/x.rs", src);
         assert_eq!(f.suppressions.len(), 1);
         assert!(f.suppressions[0].justified);
-        assert!(f.is_suppressed("no-panic-in-lib", 2));
-        assert!(!f.is_suppressed("determinism", 2));
+        assert!(f.is_suppressed("literal-index", 2));
+        assert!(!f.is_suppressed("hygiene", 2));
+    }
+
+    #[test]
+    fn placeholder_rule_names_are_not_suppressions() {
+        let src = "//! write `gvc-lint: allow(<rule>) — <why>`; see `gvc-lint: allow(...)`\n";
+        assert!(SourceFile::parse("crates/core/src/x.rs", src).suppressions.is_empty());
     }
 
     #[test]
     fn bare_suppression_is_unjustified() {
-        let src = "x.unwrap(); // gvc-lint: allow(no-panic-in-lib)\n";
+        let src = "xs[0]; // gvc-lint: allow(literal-index)\n";
         let f = SourceFile::parse("crates/core/src/x.rs", src);
         assert!(!f.suppressions[0].justified);
-        assert!(f.is_suppressed("no-panic-in-lib", 1));
+        assert!(f.is_suppressed("literal-index", 1));
     }
 }

@@ -1,68 +1,17 @@
-//! The `gvc-tidy` binary: run the workspace static-analysis pass.
+//! The `gvc-tidy` binary: run the workspace's lexical lint pass.
 //!
 //! ```text
-//! gvc-tidy [--root <path>] [--format human|json] [--metrics <path>]
-//!          [--list-rules] [--perf]
+//! gvc-tidy [--root <path>] [--list-rules]
 //! ```
 //!
 //! Exit code 0 when the tree is clean, 1 on violations, 2 on usage or
-//! I/O errors. `--metrics` writes `tidy_*` counters (rules run, files
-//! scanned, violations and suppressed sites by rule) in Prometheus
-//! text exposition through the shared `gvc-telemetry` registry,
-//! alongside a `run.manifest` JSON line, so lint runs carry the same
-//! provenance as simulations. `--perf` prints a per-rule wall-time
-//! table to stderr so analyzer cost shows up in the perf trajectory.
+//! I/O errors.
 
-use gvc_telemetry::{Registry, RunManifest};
-use gvc_tidy::runner::{self, RuleSet};
-use std::io::Write;
+use gvc_tidy::{default_rules, runner};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Options {
-    root: PathBuf,
-    json: bool,
-    metrics: Option<PathBuf>,
-    list_rules: bool,
-    perf: bool,
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        root: workspace_root(),
-        json: false,
-        metrics: None,
-        list_rules: false,
-        perf: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => {
-                let v = it.next().ok_or("--root needs a path")?;
-                opts.root = PathBuf::from(v);
-            }
-            "--format" => match it.next().map(String::as_str) {
-                Some("human") => opts.json = false,
-                Some("json") => opts.json = true,
-                other => return Err(format!("--format must be human|json, got {other:?}")),
-            },
-            "--metrics" => {
-                let v = it.next().ok_or("--metrics needs a path")?;
-                opts.metrics = Some(PathBuf::from(v));
-            }
-            "--list-rules" => opts.list_rules = true,
-            "--perf" => opts.perf = true,
-            "--help" | "-h" => {
-                return Err("usage: gvc-tidy [--root <path>] [--format human|json] \
-                            [--metrics <path>] [--list-rules] [--perf]"
-                    .to_string())
-            }
-            other => return Err(format!("unknown flag {other}; see --help")),
-        }
-    }
-    Ok(opts)
-}
+const USAGE: &str = "usage: gvc-tidy [--root <path>] [--list-rules]";
 
 /// The workspace root: `$CARGO_MANIFEST_DIR/../..` when run via
 /// `cargo run -p gvc-tidy`, else the current directory.
@@ -72,102 +21,52 @@ fn workspace_root() -> PathBuf {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
+    let mut root = workspace_root();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--root" => match args.next() {
+                Some(v) => root = PathBuf::from(v),
+                None => {
+                    eprintln!("--root needs a path");
+                    return ExitCode::from(2);
+                }
+            },
+            "--list-rules" => {
+                for r in default_rules() {
+                    println!("{:<20} {}", r.name(), r.description());
+                }
+                return ExitCode::SUCCESS;
+            }
+            "--help" | "-h" => {
+                eprintln!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            other => {
+                eprintln!("unknown flag {other}; {USAGE}");
+                return ExitCode::from(2);
+            }
         }
-    };
-    let rules = RuleSet::v2();
-    if opts.list_rules {
-        for r in &rules.file_rules {
-            println!("{:<24} {}", r.name(), r.description());
-        }
-        for r in &rules.workspace_rules {
-            println!("{:<24} [workspace] {}", r.name(), r.description());
-        }
-        return ExitCode::SUCCESS;
     }
-    let report = match runner::run(&opts.root, &rules) {
+    let report = match runner::run(&root) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("gvc-tidy: scanning {} failed: {e}", opts.root.display());
+            eprintln!("gvc-tidy: scanning {} failed: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    // tidy_* counters through the shared telemetry registry, so lint
-    // runs render in the same exposition format as simulations.
-    let registry = Registry::new();
-    registry.counter("tidy_files_scanned_total", &[]).add(report.files_scanned as u64);
-    registry.counter("tidy_rules_run_total", &[]).add(report.rules_run as u64);
-    for r in &rules.file_rules {
-        registry.counter("tidy_violations_total", &[("rule", r.name())]);
+    for v in &report.violations {
+        println!("{}", v.render_human());
     }
-    for r in &rules.workspace_rules {
-        registry.counter("tidy_violations_total", &[("rule", r.name())]);
-    }
+    eprintln!(
+        "gvc-tidy: {} file(s), {} rule(s), {} violation(s), {} suppressed",
+        report.files_scanned,
+        default_rules().len(),
+        report.violations.len(),
+        report.suppressed.len()
+    );
     for (rule, n) in report.by_rule() {
-        registry.counter("tidy_violations_total", &[("rule", rule)]).add(n as u64);
-    }
-    for (rule, n) in report.suppressed_by_rule() {
-        registry.counter("tidy_suppressions_total", &[("rule", rule)]).add(n as u64);
-    }
-    if let Some(path) = &opts.metrics {
-        let manifest = RunManifest::new("gvc-tidy", 0, &format!("root={}", opts.root.display()));
-        let body = format!("{}\n{}\n", registry.render().trim_end(), manifest.to_json());
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("gvc-tidy: writing metrics to {} failed: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if opts.perf {
-        let mut table = String::from("gvc-tidy --perf (wall seconds per rule)");
-        for t in &report.timings {
-            table
-                .push_str(&format!("\n  {:<28} {:>9.6}s  {:>4} found", t.name, t.seconds, t.found));
-        }
-        let _ = writeln!(std::io::stderr(), "{table}");
-    }
-
-    if opts.json {
-        let render = |vs: &[gvc_tidy::Violation]| {
-            let mut out = String::from("[");
-            for (i, v) in vs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&v.render_json());
-            }
-            out.push(']');
-            out
-        };
-        println!(
-            "{{\"violations\":{},\"suppressed\":{}}}",
-            render(&report.violations),
-            render(&report.suppressed)
-        );
-    } else {
-        for v in &report.violations {
-            println!("{}", v.render_human());
-        }
-        let mut summary = format!(
-            "gvc-tidy: {} file(s), {} rule(s), {} violation(s), {} suppressed",
-            report.files_scanned,
-            report.rules_run,
-            report.violations.len(),
-            report.suppressed.len()
-        );
-        for (rule, n) in report.by_rule() {
-            summary.push_str(&format!("\n  {rule}: {n}"));
-        }
-        for (rule, n) in report.suppressed_by_rule() {
-            summary.push_str(&format!("\n  {rule}: {n} suppressed"));
-        }
-        let _ = writeln!(std::io::stderr(), "{summary}");
+        eprintln!("  {rule}: {n}");
     }
     if report.clean() {
         ExitCode::SUCCESS

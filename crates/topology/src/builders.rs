@@ -74,11 +74,11 @@ impl StudyTopology {
     }
 
     /// IP-routed path between two sites' DTNs.
+    #[expect(clippy::expect_used, reason = "connected by construction")]
     pub fn path(&self, from: Site, to: Site) -> Path {
         // study_topology() wires every campus onto the backbone and
         // `dtns` is private, so all site pairs stay connected.
         crate::dijkstra::shortest_path(&self.graph, self.dtn(from), self.dtn(to))
-            // gvc-lint: allow(no-panic-in-lib) — connected by construction
             .expect("study topology is connected")
     }
 

@@ -14,6 +14,17 @@
 //! hosting the four measured paths (NERSC–ORNL, NERSC–ANL, NCAR–NICS,
 //! SLAC–BNL).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
+
 pub mod builders;
 pub mod dijkstra;
 pub mod graph;

@@ -61,7 +61,7 @@ fn schedule_path_workload(
     label: &str,
 ) {
     let mut rng = component_rng(cfg.seed, label);
-    // gvc-lint: allow(no-panic-in-lib) — literal calibration has mean greater than median
+    #[expect(clippy::expect_used, reason = "literal calibration has mean greater than median")]
     let sizes = LogNormal::from_median_mean(400e6, 1.5e9).expect("valid calibration");
     for _ in 0..cfg.sessions_per_path {
         let start_s = rng.gen::<f64>() * (cfg.horizon_days * 86_400.0 - 60_000.0);

@@ -20,6 +20,17 @@
 //! Every generator takes a seed and a `scale` knob (1.0 = paper-sized
 //! datasets; tests use small scales), and is deterministic in both.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
+
 pub mod ablations;
 pub mod combined;
 pub mod ncar_nics;

@@ -67,6 +67,7 @@ fn pick_weighted(rng: &mut rand::rngs::SmallRng, options: &[(u32, f64)]) -> u32 
 /// Samples one file size (bytes): mostly small-to-medium lognormal
 /// files, with heavy 4 GB and 16 GB populations (the model-output
 /// archives the paper slices in Tables VII–IX).
+#[expect(clippy::expect_used, reason = "literal calibration has mean greater than median")]
 fn sample_file_size(rng: &mut rand::rngs::SmallRng) -> u64 {
     let r: f64 = rng.gen();
     if r < 0.035 {
@@ -79,10 +80,7 @@ fn sample_file_size(rng: &mut rand::rngs::SmallRng) -> u64 {
         // Bulk: median ~200 MB, mean ~900 MB, clipped to 4 GB (model
         // output files; the mean transfer must be ~1 GB+ for the
         // session-size marginals of Table I to hold).
-        (LogNormal::from_median_mean(300e6, 1_200e6)
-            // gvc-lint: allow(no-panic-in-lib) — literal calibration has mean greater than median
-            .expect("valid calibration")
-            .sample(rng) as u64)
+        (LogNormal::from_median_mean(300e6, 1_200e6).expect("valid calibration").sample(rng) as u64)
             .clamp(10_000, 4_000_000_000)
     }
 }

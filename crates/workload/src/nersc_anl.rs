@@ -94,10 +94,10 @@ pub fn generate(cfg: NerscAnlConfig) -> Dataset {
     for _ in 0..n_prod {
         let start_s = rng.gen::<f64>() * (horizon_days * 86_400.0 - 50_000.0);
         let n = 2 + (rng.gen::<f64>() * 8.0) as usize;
+        #[expect(clippy::expect_used, reason = "literal calibration has mean greater than median")]
         let jobs: Vec<TransferJob> = (0..n)
             .map(|_| TransferJob {
                 size_bytes: (LogNormal::from_median_mean(6e9, 20e9)
-                    // gvc-lint: allow(no-panic-in-lib) — literal calibration has mean greater than median
                     .expect("valid calibration")
                     .sample(&mut rng) as u64)
                     .clamp(100e6 as u64, 60e9 as u64),

@@ -1,37 +1,29 @@
-//! Meta-test: the workspace passes its own static-analysis suite.
+//! Meta-test: the workspace passes gvc-tidy's lexical rules.
 //!
-//! This keeps `cargo test` equivalent to the CI tidy gate — a
-//! violation introduced anywhere in the tree fails the test with the
-//! same `file:line:col` diagnostics `gvc-tidy` prints. Since tidy v2
-//! the run covers the workspace semantic rules (determinism
-//! confinement over the call graph, lane isolation,
-//! unordered-iteration dataflow) alongside the per-file rules, and
-//! the suppression budget is asserted to stay visible: every
-//! suppressed site must carry a justification and be counted.
+//! A violation of a kept rule introduced anywhere in the tree fails
+//! `cargo test` with the same `file:line:col` diagnostics `gvc-tidy`
+//! prints. The rules clippy holds (panics, output, host clocks, lane
+//! state) are gated by CI's blocking `cargo clippy --workspace
+//! --all-targets -- -D warnings`, not by this test.
 
-use gvc_tidy::runner::RuleSet;
-use gvc_tidy::{run, Violation};
+use gvc_tidy::{default_rules, run, Violation};
 use std::path::Path;
 
 #[test]
 fn workspace_is_tidy_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let rules = RuleSet::v2();
-    let report = run(root, &rules).expect("workspace scan");
+    let names: Vec<&str> = default_rules().iter().map(|r| r.name()).collect();
+    assert_eq!(
+        names,
+        ["literal-index", "ordered-iteration", "hygiene", "trace-kind-naming"],
+        "the kept rule set changed"
+    );
+    let report = run(root).expect("workspace scan");
     assert!(
         report.files_scanned > 50,
         "suspiciously small scan ({} files) — did the walk roots move?",
         report.files_scanned
     );
-    assert_eq!(report.rules_run, rules.len());
-    // All three v2 semantic rules must actually have run (a registry
-    // regression would silently drop workspace coverage).
-    for sem in ["determinism-confinement", "lane-isolation", "unordered-iteration-v2"] {
-        assert!(
-            report.timings.iter().any(|t| t.name == sem),
-            "semantic rule `{sem}` missing from the run"
-        );
-    }
     let rendered: Vec<String> = report.violations.iter().map(Violation::render_human).collect();
     assert!(
         report.clean(),
@@ -39,14 +31,10 @@ fn workspace_is_tidy_clean() {
         report.violations.len(),
         rendered.join("\n")
     );
-    // Suppressed sites are recorded, not dropped: the workspace
-    // carries a small, justified suppression budget and every entry
-    // is visible to the audit surface.
-    assert!(
-        !report.suppressed.is_empty(),
-        "expected the known justified suppressions to be recorded"
-    );
-    for v in &report.suppressed {
-        assert!(!v.path.is_empty() && v.line > 0, "suppressed site without a span: {v:?}");
-    }
+    // Suppressed sites are recorded, not dropped: the one justified
+    // suppression (a forwarding span name in gvc-telemetry) stays
+    // visible to the audit surface.
+    let suppressed: Vec<(&str, &str)> =
+        report.suppressed.iter().map(|v| (v.rule, v.path.as_str())).collect();
+    assert_eq!(suppressed, [("trace-kind-naming", "crates/telemetry/src/span.rs")]);
 }
