@@ -6,8 +6,8 @@
 //! solves, IDC admission, a scenario run), each
 //! timed into one `BENCH_<suite>.json`. All timing goes through
 //! [`gvc_telemetry::perf::measure_throughput`] — the bench crate
-//! itself is held to the determinism lint and never reads a clock
-//! directly.
+//! itself is held to clippy's `disallowed_methods` clock ban and never
+//! reads a clock directly.
 
 use gvc_core::sweep::SessionStore;
 use gvc_engine::{EventQueue, SimTime};

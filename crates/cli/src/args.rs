@@ -63,7 +63,7 @@ impl ParsedArgs {
 
 /// Flags that are switches: present or absent, never followed by a
 /// value. Everything else keeps the `--flag value` contract.
-pub const BOOL_FLAGS: &[&str] = &["metrics", "perf", "json", "all"];
+pub const BOOL_FLAGS: &[&str] = &["metrics", "perf", "all"];
 
 /// Splits argv into positionals and `--flag value` pairs.
 pub fn parse_flags<I: IntoIterator<Item = String>>(args: I) -> Result<ParsedArgs, CliError> {

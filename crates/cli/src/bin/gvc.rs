@@ -3,13 +3,6 @@
 
 use gvc_cli::{parse_flags, run_command, COMMANDS};
 
-// Feature-gated counting allocator: `--features perf-alloc` makes the
-// `--perf` snapshot include allocation counts. Off by default — the
-// default binary keeps the system allocator untouched.
-#[cfg(feature = "perf-alloc")]
-#[global_allocator]
-static ALLOC: gvc_telemetry::perf::CountingAlloc = gvc_telemetry::perf::CountingAlloc;
-
 fn usage() {
     eprintln!("gvc — GridFTP virtual-circuit study toolkit\n");
     eprintln!("commands:");

@@ -86,28 +86,20 @@ fn config_string(a: &ParsedArgs) -> String {
 
 /// Builds the telemetry context requested by the global `--trace
 /// <path>`, `--metrics`, `--metrics-out`, `--perf`/`--perf-out` and
-/// `--timeline` flags; without any of them the context is inert and
-/// nothing is attached to the subsystems.
+/// `--timeline` flags; without any of them no trace sink, flight
+/// recorder or perf recorder is attached to the subsystems.
 fn telemetry_from_flags(a: &ParsedArgs) -> Result<Telemetry, CliError> {
-    let want_perf = a.bool_flag("perf") || a.flags.contains_key("perf-out");
-    let want_timeline = a.flags.contains_key("timeline");
     let mut telemetry = if let Some(path) = a.flags.get("trace") {
         let sink =
             JsonlSink::create(path).map_err(|e| CliError(format!("cannot create {path}: {e}")))?;
         Telemetry::with_sink(Arc::new(sink))
-    } else if want_perf
-        || want_timeline
-        || a.bool_flag("metrics")
-        || a.flags.contains_key("metrics-out")
-    {
-        Telemetry::metrics_only()
     } else {
-        Telemetry::default()
+        Telemetry::metrics_only()
     };
-    if want_timeline {
+    if a.flags.contains_key("timeline") {
         telemetry = telemetry.with_timeline(TimelineHandle::new(DEFAULT_WIDTH_US));
     }
-    if want_perf {
+    if a.bool_flag("perf") || a.flags.contains_key("perf-out") {
         telemetry = telemetry.with_perf();
     }
     Ok(telemetry)
@@ -341,8 +333,9 @@ fn cmd_generate<W: Write>(
     let out = a.positional(2, "out")?.to_owned();
     let scale: f64 = a.flag_or("scale", 0.1)?;
     let seed: u64 = a.flag_or("seed", 42u64)?;
-    if scale <= 0.0 || scale.is_nan() {
-        return Err(CliError("--scale must be positive".into()));
+    if !(scale > 0.0 && scale <= gvc_workload::MAX_SCALE) {
+        let max = gvc_workload::MAX_SCALE;
+        return Err(CliError(format!("--scale must be positive and at most {max}")));
     }
     let mut gen_phase = telemetry.perf.phase("workload_generation");
     // Dispatch over the generator registry; the error path enumerates
@@ -828,7 +821,6 @@ mod tests {
         assert!(out.contains("g=  60.0s"), "{out}");
         assert!(out.contains("VC suitability"), "{out}");
         // Telemetry exposition rides along via --metrics.
-        assert!(out.contains("analysis_sweep_duration_seconds_count 1"), "{out}");
         assert!(out.contains("analysis_sweep_records_total 20"), "{out}");
         // The one-pass grid prints the same percentage the per-gap
         // suitability command computes.
@@ -876,6 +868,16 @@ mod tests {
         let err = run(&["generate", "ncar", &out_path, "--scale", "0.01"]).unwrap_err();
         assert!(err.0.contains("refusing to overwrite"));
         std::fs::remove_file(&out_path).ok();
+    }
+
+    #[test]
+    fn generate_refuses_scale_outside_its_bounds() {
+        let out_path = tmpfile("bad-scale.log");
+        for scale in ["0", "-1", "NaN", "inf", "11", "1e300"] {
+            let err = run(&["generate", "ncar", &out_path, "--scale", scale]).unwrap_err();
+            assert!(err.0.contains("--scale"), "{scale}: {}", err.0);
+        }
+        assert!(!std::path::Path::new(&out_path).exists(), "nothing was generated");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! gvc perf snapshot [--out-dir target/perf] [--reps 5] [--scale 1.0] [--only kernel,sweep]
-//! gvc perf diff <baseline.json> <candidate.json> [--tolerance 0.15] [--json]
-//! gvc perf gate [--baseline-dir .] [--candidate-dir target/perf] [--threshold 2.0] [--json]
+//! gvc perf diff <baseline.json> <candidate.json> [--tolerance 0.15]
+//! gvc perf gate [--baseline-dir .] [--candidate-dir target/perf] [--threshold 2.0]
 //! ```
 //!
 //! `snapshot` measures the workloads defined in
@@ -22,6 +22,11 @@ use gvc_bench::perfsuite::{max_scale, run_snapshot, SNAPSHOT_NAMES};
 use gvc_telemetry::perf::{diff_snapshots, format_rate, gate_tolerance, PerfSnapshot};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+
+/// The most repetitions `perf snapshot --reps` accepts: far above any
+/// useful median, and small enough that the per-rep sample buffer is
+/// never a memory hazard.
+const MAX_REPS: u64 = 1_000;
 
 /// Dispatches `gvc perf <snapshot|diff|gate>`.
 pub fn cmd_perf<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
@@ -68,8 +73,8 @@ fn cmd_snapshot<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
     let out_dir = PathBuf::from(a.str_flag_or("out-dir", "target/perf"));
     let reps: u64 = a.flag_or("reps", 5u64)?;
     let scale: f64 = a.flag_or("scale", 1.0)?;
-    if reps == 0 {
-        return Err(CliError("--reps must be positive".into()));
+    if !(1..=MAX_REPS).contains(&reps) {
+        return Err(CliError(format!("--reps must be between 1 and {MAX_REPS}")));
     }
     if !(scale > 0.0 && scale <= max_scale()) {
         return Err(CliError(format!(
@@ -111,12 +116,7 @@ fn cmd_diff<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
     if !tolerance.is_finite() || tolerance < 0.0 {
         return Err(CliError("--tolerance must be non-negative".into()));
     }
-    let report = diff_snapshots(&baseline, &candidate, tolerance);
-    if a.bool_flag("json") {
-        writeln!(w, "{}", report.to_json())?;
-    } else {
-        write!(w, "{}", report.render_human())?;
-    }
+    write!(w, "{}", diff_snapshots(&baseline, &candidate, tolerance).render_human())?;
     Ok(())
 }
 
@@ -166,11 +166,7 @@ fn cmd_gate<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
         let baseline = load_snapshot(&base_path.to_string_lossy())?;
         let candidate = load_snapshot(&cand_path.to_string_lossy())?;
         let report = diff_snapshots(&baseline, &candidate, tolerance);
-        if a.bool_flag("json") {
-            writeln!(w, "{}", report.to_json())?;
-        } else {
-            write!(w, "{}", report.render_human())?;
-        }
+        write!(w, "{}", report.render_human())?;
         for row in report.gate_failures() {
             failures.push(format!("{}: {} {}", file_name, row.id, row.status.token()));
         }
@@ -229,8 +225,10 @@ mod tests {
 
     #[test]
     fn snapshot_validates_knobs() {
-        let err = run(&["perf", "snapshot", "--reps", "0"]).unwrap_err();
-        assert!(err.0.contains("--reps"), "{}", err.0);
+        for reps in ["0", "1001", "18446744073709551615"] {
+            let err = run(&["perf", "snapshot", "--reps", reps]).unwrap_err();
+            assert!(err.0.contains("--reps"), "{reps}: {}", err.0);
+        }
         for scale in ["-1", "NaN", "21475", "1e300"] {
             let err = run(&["perf", "snapshot", "--scale", scale]).unwrap_err();
             assert!(err.0.contains("--scale"), "{scale}: {}", err.0);
@@ -303,9 +301,10 @@ mod tests {
         let cand_file = cand.join("BENCH_kernel.json").to_string_lossy().into_owned();
         let diff = run(&["perf", "diff", &base_file, &cand_file]).unwrap();
         assert!(diff.contains("regressed"), "{diff}");
-        let diff_json = run(&["perf", "diff", &base_file, &cand_file, "--json"]).unwrap();
-        assert!(diff_json.contains("\"status\": \"regressed\""), "{diff_json}");
-        assert!(diff_json.contains("\"clean\": false"), "{diff_json}");
+        // The human table is the diff's only rendering.
+        let argv = ["perf", "diff", &base_file, &cand_file, "--json"];
+        let err = parse_flags(argv.iter().map(std::string::ToString::to_string)).unwrap_err();
+        assert!(err.0.contains("--json requires a value"), "{}", err.0);
         let err = run(&[
             "perf",
             "gate",

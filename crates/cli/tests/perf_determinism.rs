@@ -119,25 +119,6 @@ fn perf_flag_changes_no_simulation_output_byte() {
 }
 
 #[test]
-fn perf_families_appear_in_metric_exposition() {
-    let dir = tmpdir("families");
-    let log = dir.join("m.log").to_string_lossy().into_owned();
-    let out = run(&["simulate", &log, "--seed", "7", "--jobs", "2", "--perf", "--metrics"])
-        .expect("simulate");
-    for family in [
-        "# TYPE perf_phase_seconds histogram",
-        "# TYPE perf_events_per_second gauge",
-        "# TYPE perf_peak_rss_bytes gauge",
-        "# TYPE perf_allocations_total counter",
-        "# TYPE perf_allocated_bytes_total counter",
-    ] {
-        assert!(out.contains(family), "exposition missing {family:?}:\n{out}");
-    }
-    assert!(out.contains("perf_phase_seconds_bucket{phase=\"simulate\""), "{out}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn generate_and_trace_commands_record_their_phases() {
     let dir = tmpdir("phases");
     let log = dir.join("gen.log").to_string_lossy().into_owned();

@@ -39,7 +39,7 @@ use crate::gap_sensitivity::GapRow;
 use crate::vc_suitability::VcSuitability;
 use gvc_logs::Dataset;
 use gvc_stats::quantile;
-use gvc_telemetry::{Histogram, SpanTimer, Telemetry};
+use gvc_telemetry::Telemetry;
 use std::collections::HashMap;
 
 /// Pair-record slices below this size are swept sequentially
@@ -354,8 +354,8 @@ impl SessionStore {
     }
 
     /// [`SessionStore::sweep`] instrumented with the telemetry spine:
-    /// a `analysis_sweep_duration_seconds` histogram sample plus
-    /// records/sessions/cells counters.
+    /// records/sessions/cells counters, and the `sweep` phase of a
+    /// `--perf` snapshot.
     pub fn sweep_with_telemetry(
         &self,
         gaps_s: &[f64],
@@ -363,10 +363,7 @@ impl SessionStore {
         overhead_factor: f64,
         telemetry: &Telemetry,
     ) -> SweepResult {
-        let hist =
-            telemetry.registry.histogram("analysis_sweep_duration_seconds", &[], Histogram::timing);
         let result = {
-            let _timer = SpanTimer::start(&hist);
             let mut perf_phase = telemetry.perf.phase("sweep");
             perf_phase.items(self.len() as u64);
             self.sweep(gaps_s, setup_delays_s, overhead_factor)
@@ -793,7 +790,6 @@ mod tests {
         let result = store.sweep_with_telemetry(&[0.0, 60.0], &[60.0, 0.05], 10.0, &telemetry);
         let rendered = telemetry.registry.render();
         assert!(rendered.contains("analysis_sweep_records_total 7"), "{rendered}");
-        assert!(rendered.contains("analysis_sweep_duration_seconds_count 1"), "{rendered}");
         let sessions: u64 = result.gap_rows.iter().map(|r| r.sessions as u64).sum();
         assert!(
             rendered.contains(&format!("analysis_sweep_sessions_total {sessions}")),

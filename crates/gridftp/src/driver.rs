@@ -177,13 +177,24 @@ impl Event {
     }
 }
 
+/// A session's provisioned circuit.
+#[derive(Clone, Copy)]
+struct Circuit {
+    id: ReservationId,
+    /// When the circuit became usable.
+    ready: SimTime,
+    /// The reservation window's end: the guarantee lapses here.
+    end: SimTime,
+    rate_bps: f64,
+}
+
 struct SessionState {
     spec: SessionSpec,
     src: ClusterId,
     dst: ClusterId,
     next_job: usize,
     in_flight: u32,
-    vc: Option<(ReservationId, SimTime, f64)>,
+    vc: Option<Circuit>,
     done: bool,
     /// Circuit-establishment attempts made so far (recovery path).
     vc_attempts: u32,
@@ -582,6 +593,7 @@ impl Driver {
         // faults also tear down anything the IDC admitted so a failed
         // attempt never leaks a reservation.
         let mut established: Option<(ReservationId, SimTime)> = None;
+        let window_end = req.end;
         let mut reason: &'static str = "";
         if let Some(idc) = self.idc.as_mut() {
             match idc.create_reservation(req) {
@@ -621,7 +633,8 @@ impl Driver {
                 ev.field("outcome", "established")
             });
             self.sessions[idx].vc_span = SpanId::NONE;
-            self.sessions[idx].vc = Some((id, ready, vc.rate_bps));
+            self.sessions[idx].vc =
+                Some(Circuit { id, ready, end: window_end, rate_bps: vc.rate_bps });
             self.vc_established += 1;
             if let Some(tl) = self.tl() {
                 // Setup latency = first attempt to circuit-ready,
@@ -730,7 +743,7 @@ impl Driver {
     /// best-effort; the session does not re-request.
     fn preempt_vc(&mut self, idx: usize) {
         let now = self.sim.now();
-        let Some((id, _, _)) = self.sessions[idx].vc else {
+        let Some(Circuit { id, .. }) = self.sessions[idx].vc else {
             return;
         };
         if self.sessions[idx].done {
@@ -851,13 +864,17 @@ impl Driver {
         let tag = self.next_tag;
         self.next_tag += 1;
         let mut spec = prepared.spec.with_tag(tag);
-        // Circuit guarantee, shared across the session's concurrency.
-        if let Some((_, ready, rate)) = self.sessions[idx].vc {
-            if self.sim.now() >= ready {
-                spec.min_rate_bps = rate / f64::from(self.sessions[idx].spec.concurrency);
-            }
+        // Circuit guarantee, shared across the session's concurrency,
+        // from the circuit's readiness to its window's end (a job
+        // launched after the end gets none).
+        let circuit = self.sessions[idx].vc.filter(|c| self.sim.now() >= c.ready);
+        if let Some(c) = circuit {
+            spec.min_rate_bps = c.rate_bps / f64::from(self.sessions[idx].spec.concurrency);
         }
         let flow = self.sim.add_flow(spec);
+        if let Some(c) = circuit {
+            self.sim.set_guarantee_end(flow, c.end);
+        }
         if let Some(t) = &self.telemetry {
             t.transfers_started.inc();
         }
@@ -954,7 +971,7 @@ impl Driver {
         } else if s.in_flight == 0 && !s.done {
             s.done = true;
             let session_span = s.span;
-            if let (Some((id, _, _)), Some(idc)) = (s.vc, self.idc.as_mut()) {
+            if let (Some(Circuit { id, .. }), Some(idc)) = (s.vc, self.idc.as_mut()) {
                 // The session owns this reservation, so it is known to
                 // the IDC; teardown is also idempotent.
                 let _ = idc.teardown(id, self.sim.now());
@@ -1313,6 +1330,63 @@ mod tests {
         assert!(out.log.records()[0].start_unix_us >= 60_000_000);
         let stats = out.idc_stats.unwrap();
         assert_eq!(stats.admitted, 1);
+    }
+
+    /// A circuit's guarantee ends with its reservation window: the
+    /// flow keeps running, now at its best-effort fair share, and the
+    /// circuit's span closes at the window's end, not at the session's.
+    #[test]
+    fn guarantee_lapses_to_fair_share_at_the_window_end() {
+        use gvc_telemetry::BufferSink;
+        let (d, a, b) = vc_driver(7);
+        let sink = Arc::new(BufferSink::new());
+        let ctx = Telemetry::with_sink(sink.clone());
+        // Almost no noise and no loss: both caps sit near 2.2 Gbps, far
+        // above the fair share, so after the lapse the two flows tie.
+        let mut d = d
+            .with_noise(ServerNoise { mean: 1.0, sd: 0.01 })
+            .with_tcp(TcpModel { loss_probability: 0.0, ..TcpModel::default() })
+            .with_telemetry(&ctx);
+        // Circuit ready at 60 s; its window ends at 300 s.
+        let vc =
+            crate::session::VcRequestSpec { rate_bps: 1.8e9, max_duration_s: 300.0, ..vc_spec() };
+        d.schedule_session(
+            SimTime::ZERO,
+            a,
+            b,
+            SessionSpec::sequential(vec![job(100_000)], 0.0).with_vc(vc),
+        );
+        d.schedule_session(SimTime::ZERO, a, b, SessionSpec::sequential(vec![job(100_000)], 0.0));
+        // The best-effort transfer launches first (tag 1); the circuit
+        // transfer waits for the circuit (tag 2).
+        d.sim_mut().trace_tag(1);
+        d.sim_mut().trace_tag(2);
+        let out = d.run(SimTime::from_secs(100_000));
+        assert_eq!(out.log.len(), 2);
+        let (be, vc) = (out.sim.trace(1).expect("tag 1"), out.sim.trace(2).expect("tag 2"));
+        assert_eq!(vc.points.first().map(|p| p.0), Some(SimTime::from_secs(60)));
+
+        let end = SimTime::from_secs(300);
+        let before = end - SimSpan(1);
+        // Inside the window the guarantee binds: the circuit flow runs
+        // above it and well above its competitor.
+        assert!(vc.rate_at(before) >= 1.8e9, "{vc:?}");
+        assert!(vc.rate_at(before) > 4.0 * be.rate_at(before), "{vc:?} {be:?}");
+        // From the window's end both share the bottleneck equally.
+        let (v, e) = (vc.rate_at(end), be.rate_at(end));
+        assert!(v < 1.8e9 && (v - e).abs() <= 1e-9 * e, "vc {v} vs best-effort {e}");
+
+        let text: String = sink
+            .take()
+            .iter()
+            .map(gvc_telemetry::TraceEvent::to_json)
+            .collect::<Vec<_>>()
+            .join("\n");
+        let model = gvc_telemetry::TraceModel::from_text(&text).expect("trace parses");
+        let circuit = model.spans.iter().find(|s| s.name == "circuit.lifetime").expect("circuit");
+        assert_eq!(circuit.end_us, Some(300_000_000), "{circuit:?}");
+        let report = gvc_telemetry::check(&model, &gvc_telemetry::CheckConfig::default());
+        assert!(report.clean(), "violations: {:?}", report.violations);
     }
 
     #[test]

@@ -73,6 +73,9 @@ struct FlowState {
     rate_bps: f64,
     peak_rate_bps: f64,
     started: SimTime,
+    /// When the flow's guarantee lapses; see
+    /// [`NetworkSim::set_guarantee_end`].
+    guarantee_end: Option<SimTime>,
 }
 
 /// The fluid network simulator over a [`Graph`].
@@ -105,6 +108,8 @@ pub struct NetworkSim {
     now: SimTime,
     rates_dirty: bool,
     snmp: SnmpRecorder,
+    /// Guarantees lapsed at their end so far.
+    guarantees_lapsed: u64,
     /// Background-tagged share of the same monitored interfaces:
     /// flows carrying [`NetworkSim::set_background_tag`]'s tag
     /// deposit here *in addition to* the main recorder, so the
@@ -134,6 +139,7 @@ impl NetworkSim {
             next_id: 0,
             now: SimTime::ZERO,
             rates_dirty: false,
+            guarantees_lapsed: 0,
             snmp: SnmpRecorder::new(),
             bg_snmp: SnmpRecorder::new(),
             background_tag: None,
@@ -326,6 +332,7 @@ impl NetworkSim {
                 rate_bps: 0.0,
                 peak_rate_bps: 0.0,
                 started: self.now,
+                guarantee_end: None,
             },
         );
         self.rates_dirty = true;
@@ -354,8 +361,8 @@ impl NetworkSim {
     }
 
     /// Updates a flow's circuit guarantee in place (used when an
-    /// OSCARS circuit is provisioned under an already-running
-    /// transfer).
+    /// OSCARS circuit is preempted under a running transfer); the
+    /// guarantee's end is unchanged.
     pub fn set_flow_guarantee(&mut self, id: FlowId, min_rate_bps: f64) -> bool {
         match self.flows.get_mut(&id) {
             Some(f) => {
@@ -365,6 +372,20 @@ impl NetworkSim {
             }
             None => false,
         }
+    }
+
+    /// Ends a flow's guarantee at `end`, its circuit's reservation
+    /// window: from then on the flow runs best-effort. The lapse is one
+    /// of the simulator's own instants, so the caller schedules nothing
+    /// for it; an `end` not after the current time drops the guarantee
+    /// now. `false` when the id is unknown (already completed).
+    pub fn set_guarantee_end(&mut self, id: FlowId, end: SimTime) -> bool {
+        let Some(f) = self.flows.get_mut(&id) else {
+            return false;
+        };
+        f.guarantee_end = Some(end);
+        self.lapse_guarantees();
+        true
     }
 
     fn recompute_if_dirty(&mut self) {
@@ -395,31 +416,56 @@ impl NetworkSim {
         self.rates_dirty = false;
     }
 
-    /// Earliest completion instant under current rates, if any flow is
-    /// progressing. Drivers use this to interleave their own event
-    /// queues with the simulator without ever running it backwards.
+    /// Earliest instant at which a flow completes under current rates
+    /// or a flow's guarantee lapses, if any. Drivers use this to
+    /// interleave their own event queues with the simulator without
+    /// ever running it backwards; a lapse needs no event of theirs.
     pub fn peek_completion(&mut self) -> Option<SimTime> {
         self.next_completion_time()
     }
 
-    /// Earliest completion instant under current rates, if any flow is
-    /// progressing.
+    /// Earliest instant at which a progressing flow completes under
+    /// current rates or a nonzero guarantee lapses, if any. A lapse
+    /// always lies after `now`: `set_guarantee_end` and `run_until`
+    /// drop a guarantee once its end is reached.
     fn next_completion_time(&mut self) -> Option<SimTime> {
         self.recompute_if_dirty();
+        let now = self.now;
         self.flows
             .values()
-            .filter(|f| f.rate_bps > 0.0)
-            .map(|f| {
-                let secs = f.remaining_bytes * 8.0 / f.rate_bps;
-                // Round *up* to ≥ 1 µs: rounding down (or to nearest)
-                // can predict an instant 1 µs before the true finish,
-                // so integrating exactly to the prediction would leave
-                // a sliver un-harvested; rounding up guarantees the
-                // flow crosses its finish line by the predicted time.
-                let span = SimSpan((secs * 1e6).ceil() as i64).max(SimSpan(1));
-                self.now + span
+            .filter_map(|f| {
+                let finish = (f.rate_bps > 0.0).then(|| {
+                    let secs = f.remaining_bytes * 8.0 / f.rate_bps;
+                    // Round *up* to ≥ 1 µs: rounding down (or to
+                    // nearest) can predict an instant 1 µs before the
+                    // true finish, so integrating exactly to the
+                    // prediction would leave a sliver un-harvested;
+                    // rounding up guarantees the flow crosses its
+                    // finish line by the predicted time.
+                    now + SimSpan((secs * 1e6).ceil() as i64).max(SimSpan(1))
+                });
+                let lapse = f.guarantee_end.filter(|_| f.spec.min_rate_bps > 0.0);
+                match (finish, lapse) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                }
             })
             .min()
+    }
+
+    /// Drops every guarantee whose end is not after `now`; its flow
+    /// runs best-effort from here.
+    fn lapse_guarantees(&mut self) {
+        for f in self.flows.values_mut() {
+            if f.guarantee_end.is_some_and(|end| end <= self.now) {
+                f.guarantee_end = None;
+                if f.spec.min_rate_bps > 0.0 {
+                    f.spec.min_rate_bps = 0.0;
+                    self.guarantees_lapsed += 1;
+                    self.rates_dirty = true;
+                }
+            }
+        }
     }
 
     /// Integrates progress and SNMP deposits from `now` to `t`
@@ -461,8 +507,8 @@ impl NetworkSim {
         self.now = t;
     }
 
-    /// Advances the clock to `t`, processing flow completions on the
-    /// way. Returns completions in time order.
+    /// Advances the clock to `t`, processing flow completions and
+    /// guarantee lapses on the way. Returns completions in time order.
     ///
     /// # Panics
     /// Panics when `t` is in the past.
@@ -496,6 +542,7 @@ impl NetworkSim {
                             tel.flows_active.set(self.flows.len() as i64);
                         }
                     }
+                    self.lapse_guarantees();
                 }
                 _ => {
                     self.integrate_to(t);
@@ -510,13 +557,13 @@ impl NetworkSim {
     pub fn drain(&mut self, limit: SimTime) -> Vec<FlowCompletion> {
         let mut out = Vec::new();
         while !self.flows.is_empty() {
-            let before = out.len();
+            let before = (out.len(), self.guarantees_lapsed);
             let target = match self.next_completion_time() {
                 Some(tc) if tc <= limit => tc,
                 _ => break,
             };
             out.extend(self.run_until(target));
-            if out.len() == before {
+            if (out.len(), self.guarantees_lapsed) == before {
                 break; // stalled
             }
         }
@@ -616,6 +663,25 @@ mod tests {
             sim.add_flow(FlowSpec::best_effort(vec![l], 1e12));
         }
         assert!((sim.flow_rate(vc).unwrap() - 6e9).abs() < 1e3);
+    }
+
+    #[test]
+    fn guarantee_lapses_at_its_end_without_a_caller_event() {
+        let (mut sim, l) = sim_one_link();
+        let end = SimTime::from_secs(5);
+        let vc = sim.add_flow(FlowSpec::best_effort(vec![l], 1e12).with_guarantee(6e9));
+        assert!(sim.set_guarantee_end(vc, end));
+        let be = sim.add_flow(FlowSpec::best_effort(vec![l], 1e12));
+        assert!((sim.flow_rate(vc).unwrap() - 7e9).abs() < 1e3, "guarantee binds");
+        // The lapse is the next instant the simulator reports.
+        assert_eq!(sim.peek_completion(), Some(end));
+        assert!(sim.run_until(end).is_empty());
+        assert!((sim.flow_rate(vc).unwrap() - 4e9).abs() < 1e3, "fair share after the end");
+        assert!((sim.flow_rate(be).unwrap() - 4e9).abs() < 1e3);
+        // A guarantee that has already ended is dropped at once.
+        let late = sim.add_flow(FlowSpec::best_effort(vec![l], 1e12).with_guarantee(6e9));
+        assert!(sim.set_guarantee_end(late, end));
+        assert!((sim.flow_rate(late).unwrap() - 8e9 / 3.0).abs() < 1e3);
     }
 
     #[test]

@@ -377,8 +377,10 @@ impl Idc {
 
     /// Tears a reservation down at `now`, releasing its remaining
     /// calendar window, and advances the watermark to `now` if that is
-    /// later. Tearing down an already-released reservation is a no-op
-    /// (teardown is idempotent).
+    /// later. The `circuit.lifetime` span closes at `now` or at the
+    /// window's end, whichever is earlier: a circuit never outlives its
+    /// reservation. Tearing down an already-released reservation is a
+    /// no-op (teardown is idempotent).
     ///
     /// # Errors
     /// [`IdcError::UnknownReservation`] when `id` was never admitted.
@@ -400,7 +402,7 @@ impl Idc {
                 TraceEvent::new(now.micros() as i64, "idc.teardown").field("id", id.0)
             });
             if let Some(span) = self.circuit_spans.remove(&id.0) {
-                t.tracer.span_exit(span, now.micros() as i64);
+                t.tracer.span_exit(span, now.min(r.request.end).micros() as i64);
             }
         }
         self.sample_timeline(now);

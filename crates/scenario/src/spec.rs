@@ -623,8 +623,9 @@ impl ScenarioSpec {
                 let scale = match wl.take("scale") {
                     Some((l, v)) => {
                         let x = parse_pos_f64(l, "scale", &v)?;
-                        if x > 10.0 {
-                            return err(l, "`scale` must be at most 10");
+                        if x > gvc_workload::MAX_SCALE {
+                            let max = gvc_workload::MAX_SCALE;
+                            return err(l, format!("`scale` must be at most {max}"));
                         }
                         x
                     }

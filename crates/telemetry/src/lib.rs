@@ -9,8 +9,7 @@
 //! * [`trace`] — structured simulation tracing: a [`TraceSink`] trait
 //!   with JSONL-file and in-memory buffer implementations, a cheap
 //!   cloneable [`Tracer`] handle whose disabled state is a single
-//!   branch, and [`SpanTimer`] scoped wall-clock timers feeding
-//!   histograms.
+//!   branch, and the [`Stopwatch`] host-time reader.
 //! * [`manifest`] — [`RunManifest`]: the RNG seed, config digest,
 //!   crate version, and wall-clock start of a run, so every emitted
 //!   report is reproducible-by-construction.
@@ -80,9 +79,7 @@ pub use timeline::{
     check_rules, parse_rule, parse_rules, sparkline, SeriesKind, SloOutcome, SloRule, TimelineDoc,
     TimelineHandle, TimelineRecorder, DEFAULT_WIDTH_US,
 };
-pub use trace::{
-    BufferSink, JsonlSink, SpanTimer, Stopwatch, TraceEvent, TraceSink, Tracer, Value,
-};
+pub use trace::{BufferSink, JsonlSink, Stopwatch, TraceEvent, TraceSink, Tracer, Value};
 
 use std::sync::Arc;
 
@@ -127,11 +124,10 @@ impl Telemetry {
         }
     }
 
-    /// Enables host-performance recording ([`perf`]) on this context,
-    /// bound to its registry.
+    /// Enables host-performance recording ([`perf`]) on this context.
     #[must_use]
     pub fn with_perf(mut self) -> Telemetry {
-        self.perf = Perf::recording(&self.registry);
+        self.perf = Perf::recording();
         self
     }
 
@@ -149,9 +145,3 @@ impl Default for Telemetry {
         Telemetry::metrics_only()
     }
 }
-
-// For this crate's own unit tests under `--features perf-alloc`,
-// install the counting allocator so `alloc_stats` moves.
-#[cfg(all(test, feature = "perf-alloc"))]
-#[global_allocator]
-static TEST_ALLOC: perf::CountingAlloc = perf::CountingAlloc;

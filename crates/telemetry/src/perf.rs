@@ -1,11 +1,11 @@
 //! Host-performance observability: wall-clock phase timers,
-//! throughput rates, peak-RSS sampling, allocation tallies, and the
-//! `BENCH_*.json` snapshot / diff / gate layer behind `gvc perf`.
+//! throughput rates, peak-RSS sampling, and the `BENCH_*.json`
+//! snapshot / diff / gate layer behind `gvc perf`.
 //!
 //! Everything wall-clock lives here on purpose: every other crate is
 //! held to clippy's `disallowed_methods` wall-clock ban, and this
-//! module is the one sanctioned place where the host's real clock,
-//! `/proc`, and the allocator may be observed. None of it feeds back
+//! module is the one sanctioned place where the host's real clock and
+//! `/proc` may be observed. None of it feeds back
 //! into simulated results — the [`Perf`] handle follows the same
 //! zero-cost `Option` hook pattern as the tracer: a disabled handle
 //! costs one branch per phase and records nothing.
@@ -14,11 +14,10 @@
 //!
 //! * **Recording** — [`Perf`] / [`PhaseGuard`]: scoped wall-clock
 //!   timers around real program phases (log loading, workload
-//!   generation, simulate, sweep, trace analysis, report emission)
-//!   feeding the `perf_phase_seconds`, `perf_events_per_second`,
-//!   `perf_peak_rss_bytes`, and `perf_allocations_total` Prometheus
-//!   families, and folded by [`Perf::report`] into a one-rep
-//!   [`PerfSnapshot`] that `gvc perf diff` reads.
+//!   generation, simulate, sweep, trace analysis, report emission),
+//!   folded by [`Perf::report`] into a one-rep [`PerfSnapshot`] that
+//!   `gvc perf diff` reads. The snapshot is all `--perf` records: no
+//!   phase is written to the metrics registry.
 //! * **Snapshots** — [`PerfSnapshot`]: a named set of metrics with a
 //!   [`HostFingerprint`] (host, cpu count, rustc, git sha); a suite's
 //!   metrics are median-of-N timed by [`measure_throughput`] and
@@ -29,7 +28,6 @@
 //!   [`DiffReport::gate_failures`].
 
 use crate::json::{Json, Number, Quoted};
-use crate::metrics::{Histogram, Registry};
 use crate::trace::Stopwatch;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -384,7 +382,8 @@ pub enum DiffStatus {
 }
 
 impl DiffStatus {
-    /// Stable lowercase token used in JSON output and tests.
+    /// Stable lowercase token printed in the `status` column and in
+    /// gate failures.
     pub fn token(self) -> &'static str {
         match self {
             DiffStatus::Ok => "ok",
@@ -444,43 +443,6 @@ impl DiffReport {
     /// True when nothing regressed or vanished.
     pub fn is_clean(&self) -> bool {
         self.gate_failures().is_empty()
-    }
-
-    /// Machine-readable JSON rendering.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 140);
-        let _ = write!(
-            out,
-            "{{\"baseline\": {}, \"candidate\": {}, \"tolerance\": {}, \"clean\": {}, \
-             \"warnings\": [",
-            Quoted(&self.baseline_name),
-            Quoted(&self.candidate_name),
-            Number(self.tolerance),
-            self.is_clean()
-        );
-        for (i, w) in self.warnings.iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(out, "{sep}{}", Quoted(w));
-        }
-        out.push_str("], \"rows\": [");
-        // An absent value renders as `null`, like a non-finite one.
-        let opt = |v: Option<f64>| Number(v.unwrap_or(f64::NAN));
-        for (i, r) in self.rows.iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(
-                out,
-                "{sep}{{\"id\": {}, \"unit\": {}, \"baseline\": {}, \"candidate\": {}, \
-                 \"ratio\": {}, \"status\": {}}}",
-                Quoted(&r.id),
-                Quoted(&r.unit),
-                opt(r.baseline),
-                opt(r.candidate),
-                opt(r.ratio),
-                Quoted(r.status.token())
-            );
-        }
-        out.push_str("]}");
-        out
     }
 
     /// Human-readable table rendering (the CLI prints this verbatim).
@@ -661,73 +623,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Allocation counting (feature `perf-alloc`)
-// ---------------------------------------------------------------------------
-
-/// A counting wrapper around the system allocator. Install it as the
-/// global allocator to make [`alloc_stats`] live:
-///
-/// ```ignore
-/// #[global_allocator]
-/// static ALLOC: gvc_telemetry::perf::CountingAlloc = gvc_telemetry::perf::CountingAlloc;
-/// ```
-#[cfg(feature = "perf-alloc")]
-// GlobalAlloc is inherently unsafe; the wrapper only tallies counters
-// around the system allocator (workspace-wide `unsafe_code` is deny,
-// not forbid, precisely so this one opt-in module can exist).
-#[allow(unsafe_code)]
-pub mod counting_alloc {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub(crate) static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-    pub(crate) static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-    /// The counting allocator (zero-sized; see module docs).
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-}
-
-#[cfg(feature = "perf-alloc")]
-pub use counting_alloc::CountingAlloc;
-
-/// Cumulative `(allocations, allocated bytes)` since process start.
-/// `None` unless the `perf-alloc` feature is enabled; zeros when the
-/// feature is on but [`CountingAlloc`] was not installed as the global
-/// allocator.
-pub fn alloc_stats() -> Option<(u64, u64)> {
-    #[cfg(feature = "perf-alloc")]
-    {
-        use std::sync::atomic::Ordering;
-        Some((
-            counting_alloc::ALLOCATIONS.load(Ordering::Relaxed),
-            counting_alloc::ALLOCATED_BYTES.load(Ordering::Relaxed),
-        ))
-    }
-    #[cfg(not(feature = "perf-alloc"))]
-    {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Phase recording
 // ---------------------------------------------------------------------------
 
@@ -739,7 +634,6 @@ struct PhaseTotal {
 }
 
 struct PerfRecorder {
-    registry: Arc<Registry>,
     /// One entry per phase name, in first-close order.
     phases: Mutex<Vec<PhaseTotal>>,
     started: Stopwatch,
@@ -759,34 +653,10 @@ impl Perf {
         Perf { rec: None }
     }
 
-    /// A live recorder feeding `registry`. Registers the `perf_*`
-    /// metric families up front so the exposition schema is stable
-    /// even before the first phase closes.
-    pub fn recording(registry: &Arc<Registry>) -> Perf {
-        registry.describe(
-            "perf_phase_seconds",
-            "Wall-clock seconds per program phase (host time, not simulation time)",
-        );
-        registry.describe(
-            "perf_events_per_second",
-            "Host throughput of the last completed phase, items per wall-clock second",
-        );
-        registry
-            .describe("perf_peak_rss_bytes", "Peak resident-set size (VmHWM), bytes; 0 off-Linux");
-        registry.describe(
-            "perf_allocations_total",
-            "Cumulative heap allocations (0 unless built with the perf-alloc feature)",
-        );
-        registry.describe(
-            "perf_allocated_bytes_total",
-            "Cumulative heap bytes allocated (0 unless built with the perf-alloc feature)",
-        );
-        registry.gauge("perf_peak_rss_bytes", &[]);
-        registry.counter("perf_allocations_total", &[]);
-        registry.counter("perf_allocated_bytes_total", &[]);
+    /// A live recorder.
+    pub fn recording() -> Perf {
         Perf {
             rec: Some(Arc::new(PerfRecorder {
-                registry: Arc::clone(registry),
                 phases: Mutex::new(Vec::new()),
                 started: Stopwatch::start(),
             })),
@@ -803,13 +673,7 @@ impl Perf {
     /// drops. Free when disabled.
     #[must_use]
     pub fn phase(&self, name: &'static str) -> PhaseGuard {
-        PhaseGuard {
-            rec: self.rec.clone(),
-            name,
-            items: 0,
-            alloc_at_open: alloc_stats(),
-            sw: Stopwatch::start(),
-        }
+        PhaseGuard { rec: self.rec.clone(), name, items: 0, sw: Stopwatch::start() }
     }
 
     /// The run so far as a one-rep [`PerfSnapshot`] named `name` (the
@@ -817,16 +681,14 @@ impl Perf {
     /// `phase.<phase>.seconds` and, when it counted items,
     /// `phase.<phase>.items_per_sec`; a phase closed more than once is
     /// one row of summed seconds and items. The run gives
-    /// `run.total_seconds`, `run.peak_rss_bytes` where procfs has it,
-    /// and `run.allocations` / `run.allocated_bytes` under
-    /// `perf-alloc`. `None` when disabled.
+    /// `run.total_seconds` and, where procfs has it,
+    /// `run.peak_rss_bytes`. `None` when disabled.
     pub fn report(&self, name: &str) -> Option<PerfSnapshot> {
         let rec = self.rec.as_ref()?;
         // Read the run's own figures before the fingerprint probe
         // spawns `rustc`.
         let total_seconds = rec.started.elapsed_s();
         let rss = peak_rss_bytes();
-        let allocs = alloc_stats();
         let mut metrics = Vec::new();
         for p in rec.phases.lock().unwrap_or_else(std::sync::PoisonError::into_inner).iter() {
             let id = |what: &str| format!("phase.{}.{what}", p.name);
@@ -839,10 +701,6 @@ impl Perf {
         metrics.push(single("run.total_seconds".into(), "s", false, 0, total_seconds));
         if let Some(b) = rss {
             metrics.push(single("run.peak_rss_bytes".into(), "bytes", false, 0, b as f64));
-        }
-        if let Some((n, b)) = allocs {
-            metrics.push(single("run.allocations".into(), "count", false, 0, n as f64));
-            metrics.push(single("run.allocated_bytes".into(), "bytes", false, 0, b as f64));
         }
         Some(PerfSnapshot { metrics, ..PerfSnapshot::new(name, 1) })
     }
@@ -858,7 +716,6 @@ pub struct PhaseGuard {
     rec: Option<Arc<PerfRecorder>>,
     name: &'static str,
     items: u64,
-    alloc_at_open: Option<(u64, u64)>,
     sw: Stopwatch,
 }
 
@@ -868,11 +725,6 @@ impl PhaseGuard {
     pub fn items(&mut self, n: u64) {
         self.items = n;
     }
-
-    /// Adds to the phase's item count.
-    pub fn add_items(&mut self, n: u64) {
-        self.items += n;
-    }
 }
 
 impl Drop for PhaseGuard {
@@ -881,22 +733,6 @@ impl Drop for PhaseGuard {
             return;
         };
         let seconds = self.sw.elapsed_s();
-        let per_sec = if self.items > 0 { self.items as f64 / seconds.max(1e-9) } else { 0.0 };
-        rec.registry
-            .histogram("perf_phase_seconds", &[("phase", self.name)], Histogram::timing)
-            .record(seconds);
-        if self.items > 0 {
-            rec.registry
-                .gauge("perf_events_per_second", &[("phase", self.name)])
-                .set(per_sec.round() as i64);
-        }
-        if let Some(rss) = peak_rss_bytes() {
-            rec.registry.gauge("perf_peak_rss_bytes", &[]).set_max(rss as i64);
-        }
-        if let (Some((a0, b0)), Some((a1, b1))) = (self.alloc_at_open, alloc_stats()) {
-            rec.registry.counter("perf_allocations_total", &[]).add(a1.saturating_sub(a0));
-            rec.registry.counter("perf_allocated_bytes_total", &[]).add(b1.saturating_sub(b0));
-        }
         let mut phases = rec.phases.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         match phases.iter_mut().find(|p| p.name == self.name) {
             Some(p) => {
@@ -1057,14 +893,10 @@ mod tests {
     }
 
     #[test]
-    fn diff_json_and_human_renderings() {
+    fn diff_human_rendering() {
         let base = snapshot("kernel", &[("a.x", 100.0)]);
         let cand = snapshot("kernel", &[("a.x", 50.0)]);
         let d = diff_snapshots(&base, &cand, 0.15);
-        let j = d.to_json();
-        assert!(j.contains("\"status\": \"regressed\""), "{j}");
-        assert!(j.contains("\"clean\": false"), "{j}");
-        Json::parse(&j).expect("diff json must parse");
         let h = d.render_human();
         assert!(h.contains("a.x"));
         assert!(h.contains("regressed"));
@@ -1109,13 +941,11 @@ mod tests {
 
     #[test]
     fn recorder_populates_families_and_report() {
-        let registry = Arc::new(Registry::new());
-        let p = Perf::recording(&registry);
+        let p = Perf::recording();
         assert!(p.enabled());
         for _ in 0..2 {
             let mut g = p.phase("simulate");
-            g.items(5);
-            g.add_items(5);
+            g.items(10);
         }
         {
             let _g = p.phase("report_emission");
@@ -1145,23 +975,17 @@ mod tests {
         assert!(rate.higher_is_better && rate.value > 0.0);
         assert!(metric("run.total_seconds").value >= sim.value);
         assert_eq!(report.metric("run.peak_rss_bytes").is_some(), peak_rss_bytes().is_some());
-        assert_eq!(report.metric("run.allocations").is_some(), alloc_stats().is_some());
-        let text = registry.render();
-        assert!(text.contains("# TYPE perf_phase_seconds histogram"), "{text}");
+        // Phase rows plus the two run rows: nothing else is recorded.
         assert!(
-            text.contains("perf_phase_seconds_bucket{phase=\"simulate\",le=\"+Inf\"}"),
-            "{text}"
+            ids.iter().all(|id| id.starts_with("phase.")
+                || ["run.total_seconds", "run.peak_rss_bytes"].contains(id)),
+            "{ids:?}"
         );
-        assert!(text.contains("# TYPE perf_events_per_second gauge"));
-        assert!(text.contains("# TYPE perf_peak_rss_bytes gauge"));
-        assert!(text.contains("# TYPE perf_allocations_total counter"));
-        assert!(text.contains("# TYPE perf_allocated_bytes_total counter"));
     }
 
     #[test]
     fn perf_report_json_round_trip() {
-        let registry = Arc::new(Registry::new());
-        let p = Perf::recording(&registry);
+        let p = Perf::recording();
         {
             let mut g = p.phase("sweep");
             g.items(1234);
@@ -1171,24 +995,5 @@ mod tests {
         assert_eq!(back, report);
         // Two reports of one run diff clean against each other.
         assert!(diff_snapshots(&report, &back, 0.0).is_clean());
-    }
-
-    #[cfg(feature = "perf-alloc")]
-    #[test]
-    fn alloc_stats_live_under_feature() {
-        // The test binary installs CountingAlloc (see lib.rs), so the
-        // counters move when we allocate.
-        let before = alloc_stats().expect("stats");
-        let v: Vec<u64> = (0..4096).collect();
-        let after = alloc_stats().expect("stats");
-        assert!(after.0 >= before.0);
-        assert!(after.1 > before.1, "allocated bytes must grow: {before:?} -> {after:?}");
-        drop(v);
-    }
-
-    #[cfg(not(feature = "perf-alloc"))]
-    #[test]
-    fn alloc_stats_none_without_feature() {
-        assert_eq!(alloc_stats(), None);
     }
 }

@@ -12,7 +12,6 @@
 //! leave tracing compiled into the kernel's hot loop.
 
 use crate::json::{Number, Quoted};
-use crate::metrics::Histogram;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -246,30 +245,10 @@ impl Tracer {
     }
 }
 
-/// Scoped wall-clock timer: records elapsed seconds into a histogram
-/// on drop. Used for per-event-class kernel timings.
-pub struct SpanTimer<'a> {
-    hist: &'a Histogram,
-    start: Instant,
-}
-
-impl<'a> SpanTimer<'a> {
-    /// Starts timing into `hist`.
-    pub fn start(hist: &'a Histogram) -> SpanTimer<'a> {
-        SpanTimer { hist, start: Instant::now() }
-    }
-}
-
-impl Drop for SpanTimer<'_> {
-    fn drop(&mut self) {
-        self.hist.record(self.start.elapsed().as_secs_f64());
-    }
-}
-
 /// Free-standing wall-clock stopwatch for self-instrumentation.
 ///
-/// Lives in `gvc-telemetry` deliberately: the simulation crates are
-/// held to the `determinism` lint (no ambient clocks), while measuring
+/// Lives in `gvc-telemetry` deliberately: every other crate is held to
+/// clippy's `disallowed_methods` ban on ambient clocks, while measuring
 /// how long the *host* took never feeds back into simulated results.
 /// Use this instead of reaching for `std::time::Instant` in lib code.
 pub struct Stopwatch {
@@ -369,14 +348,5 @@ mod tests {
         assert!(lines[0].starts_with("{\"t_us\":1"));
         assert!(lines[1].contains("\"x\":1"));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn span_timer_records_on_drop() {
-        let h = Histogram::timing();
-        {
-            let _t = SpanTimer::start(&h);
-        }
-        assert_eq!(h.count(), 1);
     }
 }

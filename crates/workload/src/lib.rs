@@ -41,6 +41,12 @@ pub mod slac_bnl;
 
 pub use registry::{builtin_generator, builtin_names, BuiltinGenerator, BUILTIN_GENERATORS};
 
+/// The largest `scale` a caller may ask a generator for: ten times the
+/// paper's datasets. `gvc generate --scale` and a scenario spec's
+/// `scale` key both refuse anything above it, because a generator
+/// sizes its session list from the scale before drawing a single one.
+pub const MAX_SCALE: f64 = 10.0;
+
 /// Unix microseconds for 2009-01-01T00:00:00Z — the NCAR window start
 /// and the default simulation epoch.
 pub const EPOCH_2009_US: i64 = 1_230_768_000_000_000;
