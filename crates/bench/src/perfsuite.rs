@@ -17,7 +17,7 @@ use gvc_net::FlowDemand;
 use gvc_oscars::{Idc, ReservationRequest, SetupDelayModel};
 use gvc_scenario::{run_scenario, ScenarioSpec};
 use gvc_telemetry::perf::{measure_throughput, median, BenchMetric, PerfSnapshot};
-use gvc_telemetry::{parse_trace, Telemetry, TimelineHandle, Tracer};
+use gvc_telemetry::{parse_trace, SpanId, Telemetry, TimelineHandle, Tracer};
 use gvc_topology::{study_topology, Site};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -249,7 +249,7 @@ fn idc_admit_teardown(cycles: usize) -> u64 {
             end: SimTime::from_secs(k as u64 * 10 + 3_600),
         };
         if let Ok(id) = idc.create_reservation(req) {
-            let _ = idc.provision(id, now);
+            let _ = idc.provision(id, now, SpanId::NONE);
             open.push_back(id);
         }
         if open.len() > OPEN {

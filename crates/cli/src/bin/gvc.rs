@@ -6,8 +6,8 @@ use gvc_cli::{parse_flags, run_command, COMMANDS};
 fn usage() {
     eprintln!("gvc — GridFTP virtual-circuit study toolkit\n");
     eprintln!("commands:");
-    for (_, usage, desc) in COMMANDS {
-        eprintln!("  {usage:<64} {desc}");
+    for c in &COMMANDS {
+        eprintln!("  {:<64} {}", c.usage, c.about);
     }
     eprintln!("\nglobal flags (any command):");
     eprintln!("  {:<64} write structured JSONL trace events", "--trace <path>");

@@ -21,56 +21,126 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-/// `(name, usage, description)` for every subcommand.
-pub const COMMANDS: [(&str, &str, &str); 11] = [
-    ("summary", "gvc summary <log>", "descriptive statistics of a usage log"),
-    ("sessions", "gvc sessions <log> [--gap 60]", "group transfers into sessions"),
-    (
-        "suitability",
-        "gvc suitability <log> [--gap 60] [--setup 60] [--factor 10]",
-        "the Table IV virtual-circuit feasibility analysis",
-    ),
-    (
-        "sweep",
-        "gvc sweep <log> [--gaps 0,60,120] [--delays 60,0.05] [--factor 10]",
-        "the full Table III/IV grid in one incremental pass",
-    ),
-    (
-        "generate",
-        "gvc generate <ncar|slac|anl|ornl> <out> [--scale 0.1] [--seed 42]",
-        "synthesize a calibrated dataset",
-    ),
-    (
-        "anonymize",
-        "gvc anonymize <log> <out> [--policy drop|pseudonym]",
-        "strip or pseudonymize remote endpoints",
-    ),
-    (
-        "simulate",
-        "gvc simulate <out> [--seed 42] [--jobs 6] [--horizon 100000] [--faults <spec>]",
-        "run the GridFTP-over-VC simulation and write its usage log",
-    ),
-    (
-        "trace",
-        "gvc trace <profile|sessions|check> <trace.jsonl> [--folded <out>] [--max-setup-share 0.95]",
-        "offline span analysis of a --trace JSONL file",
-    ),
-    (
-        "perf",
-        "gvc perf <snapshot|diff|gate> [--out-dir <dir>] [--tolerance 0.15] [--threshold 2.0]",
-        "host-performance snapshots, diffs, and the regression gate",
-    ),
-    (
-        "scenario",
-        "gvc scenario <run|record|diff|list> [name] [--dir scenarios] [--all]",
-        "run declarative scenario specs against committed goldens",
-    ),
-    (
-        "timeline",
-        "gvc timeline <report|csv|check> <timeline.json> [--slo <rules>]",
-        "report, export, or SLO-check a --timeline flight-recorder file",
-    ),
+/// One subcommand: its name, usage line, one-line description, and
+/// the flags it reads besides [`GLOBAL_FLAGS`].
+pub struct CommandSpec {
+    /// `gvc <name> …`.
+    pub name: &'static str,
+    /// The usage line `gvc --help` prints.
+    pub usage: &'static str,
+    /// One-line description.
+    pub about: &'static str,
+    /// Flag names (without `--`) the command accepts.
+    pub flags: &'static [&'static str],
+}
+
+/// Flags every command accepts: the telemetry outputs.
+pub const GLOBAL_FLAGS: [&str; 6] =
+    ["trace", "metrics", "metrics-out", "perf", "perf-out", "timeline"];
+
+/// Every subcommand, in `gvc --help` order.
+pub const COMMANDS: [CommandSpec; 11] = [
+    CommandSpec {
+        name: "summary",
+        usage: "gvc summary <log>",
+        about: "descriptive statistics of a usage log",
+        flags: &[],
+    },
+    CommandSpec {
+        name: "sessions",
+        usage: "gvc sessions <log> [--gap 60]",
+        about: "group transfers into sessions",
+        flags: &["gap"],
+    },
+    CommandSpec {
+        name: "suitability",
+        usage: "gvc suitability <log> [--gap 60] [--setup 60] [--factor 10]",
+        about: "the Table IV virtual-circuit feasibility analysis",
+        flags: &["gap", "setup", "factor"],
+    },
+    CommandSpec {
+        name: "sweep",
+        usage: "gvc sweep <log> [--gaps 0,60,120] [--delays 60,0.05] [--factor 10]",
+        about: "the full Table III/IV grid in one incremental pass",
+        flags: &["gaps", "delays", "factor"],
+    },
+    CommandSpec {
+        name: "generate",
+        usage: "gvc generate <ncar|slac|anl|ornl> <out> [--scale 0.1] [--seed 42]",
+        about: "synthesize a calibrated dataset",
+        // `--dir` names the corpus an unknown-scenario error lists.
+        flags: &["scale", "seed", "dir"],
+    },
+    CommandSpec {
+        name: "anonymize",
+        usage: "gvc anonymize <log> <out> [--policy drop|pseudonym]",
+        about: "strip or pseudonymize remote endpoints",
+        flags: &["policy"],
+    },
+    CommandSpec {
+        name: "simulate",
+        usage: "gvc simulate <out> [--seed 42] [--jobs 6] [--horizon 100000] [--faults <spec>]",
+        about: "run the GridFTP-over-VC simulation and write its usage log",
+        flags: &["seed", "jobs", "horizon", "faults"],
+    },
+    CommandSpec {
+        name: "trace",
+        usage: "gvc trace <profile|sessions|check> <trace.jsonl> [--folded <out>] [--max-setup-share 0.95]",
+        about: "offline span analysis of a --trace JSONL file",
+        flags: &["folded", "max-setup-share"],
+    },
+    CommandSpec {
+        name: "perf",
+        usage: "gvc perf <snapshot|diff|gate> [--out-dir <dir>] [--tolerance 0.15] [--threshold 2.0]",
+        about: "host-performance snapshots, diffs, and the regression gate",
+        flags: &[
+            "out-dir",
+            "reps",
+            "scale",
+            "only",
+            "tolerance",
+            "baseline-dir",
+            "candidate-dir",
+            "threshold",
+        ],
+    },
+    CommandSpec {
+        name: "scenario",
+        usage: "gvc scenario <run|record|diff|list> [name] [--dir scenarios] [--all]",
+        about: "run declarative scenario specs against committed goldens",
+        // `--shards` is accepted and ignored: a scenario runs on one
+        // lane, and benchmark set-ups still pass `--shards 1`.
+        flags: &["dir", "all", "shards"],
+    },
+    CommandSpec {
+        name: "timeline",
+        usage: "gvc timeline <report|csv|check> <timeline.json> [--slo <rules>]",
+        about: "report, export, or SLO-check a --timeline flight-recorder file",
+        flags: &["slo"],
+    },
 ];
+
+fn unknown_command(name: &str) -> CliError {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    CliError(format!("unknown command {name:?}; available: {}", names.join(", ")))
+}
+
+/// Refuses the first flag that neither `spec` nor [`GLOBAL_FLAGS`]
+/// lists, so a misspelt flag fails instead of running on a default.
+fn check_flags(a: &ParsedArgs, spec: &CommandSpec) -> Result<(), CliError> {
+    let known = |f: &str| spec.flags.contains(&f) || GLOBAL_FLAGS.contains(&f);
+    match a.flags.keys().find(|f| !known(f)) {
+        None => Ok(()),
+        Some(flag) => {
+            let own: Vec<String> = spec.flags.iter().map(|f| format!("--{f}")).collect();
+            let own = if own.is_empty() { "no flags".to_owned() } else { own.join(", ") };
+            Err(CliError(format!(
+                "unknown flag --{flag} for `gvc {}` (it takes {own}, plus the global flags)",
+                spec.name
+            )))
+        }
+    }
+}
 
 /// Canonical argv reconstruction: positionals in order then sorted
 /// `--flag=value` pairs, the string the manifest digest covers.
@@ -684,6 +754,9 @@ fn cmd_trace<W: Write>(a: &ParsedArgs, w: &mut W, telemetry: &Telemetry) -> Resu
 /// Without these flags the telemetry context is inert.
 pub fn run_command<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
     let command = a.positional(0, "command")?;
+    let spec =
+        COMMANDS.iter().find(|c| c.name == command).ok_or_else(|| unknown_command(command))?;
+    check_flags(a, spec)?;
     let telemetry = telemetry_from_flags(a)?;
     let manifest = RunManifest::new(command, a.flag_or("seed", 42u64)?, &config_string(a));
     telemetry.tracer.emit_with(|| {
@@ -707,10 +780,7 @@ pub fn run_command<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> 
         "perf" => crate::perf::cmd_perf(a, w),
         "scenario" => crate::scenario::cmd_scenario(a, w, &telemetry),
         "timeline" => crate::timeline::cmd_timeline(a, w),
-        other => Err(CliError(format!(
-            "unknown command {other:?}; available: {}",
-            COMMANDS.map(|(n, _, _)| n).join(", ")
-        ))),
+        other => Err(unknown_command(other)),
     }?;
     telemetry.tracer.flush();
     if let Some(report) = telemetry.perf.report(command) {
@@ -878,6 +948,33 @@ mod tests {
             assert!(err.0.contains("--scale"), "{scale}: {}", err.0);
         }
         assert!(!std::path::Path::new(&out_path).exists(), "nothing was generated");
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_naming_flag_and_command() {
+        // A misspelt seed used to run silently on the default seed 42.
+        let out_path = tmpfile("sead.log");
+        let err = run(&["simulate", &out_path, "--sead", "7", "--jobs", "2"]).unwrap_err();
+        assert!(err.0.contains("--sead") && err.0.contains("`gvc simulate`"), "{}", err.0);
+        assert!(!std::path::Path::new(&out_path).exists(), "refused before the run");
+        // `perf diff` lost `--json`; a valued `--json` used to be ignored.
+        let err = run(&["perf", "diff", "a.json", "b.json", "--json", "x"]).unwrap_err();
+        assert!(err.0.contains("--json") && err.0.contains("`gvc perf`"), "{}", err.0);
+        // A flag of one command is unknown to another.
+        let err = run(&["summary", "x.log", "--gap", "60"]).unwrap_err();
+        assert!(err.0.contains("--gap") && err.0.contains("no flags"), "{}", err.0);
+    }
+
+    #[test]
+    fn global_flags_and_ignored_shards_are_accepted() {
+        let dir = std::env::temp_dir().join(format!("gvc-cli-shards-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = dir.to_string_lossy().into_owned();
+        let metrics = tmpfile("shards.prom");
+        let out =
+            run(&["scenario", "list", "--dir", &dir, "--shards", "1", "--metrics-out", &metrics])
+                .unwrap();
+        assert!(out.contains("no *.scn specs"), "{out}");
     }
 
     #[test]

@@ -34,7 +34,9 @@
 //! seconds, peak RSS), `--perf-out <path>` (write that snapshot to a
 //! file that `gvc perf diff` reads), and
 //! `--timeline <path>` (record the sim-time flight recorder's
-//! windowed series and write them as JSON). See
+//! windowed series and write them as JSON). A flag that neither the
+//! command nor this global list names is refused, naming the flag and
+//! the command, before anything runs. See
 //! `docs/observability.md` for the event schema, `docs/perf.md` for
 //! the host-performance toolchain, `docs/trace-analysis.md` for the
 //! span toolchain, and `docs/timeline.md` for the flight recorder and

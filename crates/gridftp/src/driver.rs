@@ -595,13 +595,14 @@ impl Driver {
         let mut established: Option<(ReservationId, SimTime)> = None;
         let window_end = req.end;
         let mut reason: &'static str = "";
+        let run_span = self.run_span;
         if let Some(idc) = self.idc.as_mut() {
             match idc.create_reservation(req) {
                 Ok(id) => {
                     if injected.is_some() {
                         let _ = idc.teardown(id, now);
                     } else {
-                        match idc.provision(id, now) {
+                        match idc.provision(id, now, run_span) {
                             Ok(ready) if (ready - now).as_secs_f64() > policy.setup_deadline_s => {
                                 let _ = idc.teardown(id, now);
                                 reason = "setup_deadline";

@@ -11,9 +11,10 @@ use crate::flow::FlowSpec;
 use gvc_engine::SimTime;
 use gvc_stats::dist::{Distribution, Exponential, LogNormal};
 use gvc_stats::rng::component_rng;
-use gvc_topology::{Graph, NodeId, NodeKind};
+use gvc_topology::{Graph, LinkId, NodeId, NodeKind};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::collections::BTreeMap;
 
 /// Configuration for one background-traffic population.
 #[derive(Debug, Clone)]
@@ -59,6 +60,11 @@ pub struct BackgroundArrival {
 
 /// Generates Poisson background arrivals between random router pairs
 /// over `[0, horizon]`, deterministic in `seed`.
+///
+/// Each router pair's delay-shortest route is computed once, on the
+/// pair's first arrival, and reused: route choice draws nothing from
+/// the RNG, so the arrival stream is the same as routing every arrival
+/// afresh.
 pub fn generate_background(
     graph: &Graph,
     cfg: &BackgroundConfig,
@@ -82,6 +88,8 @@ pub fn generate_background(
     let Some(size) = LogNormal::from_median_mean(cfg.median_size_bytes, cfg.mean_size_bytes) else {
         return Vec::new();
     };
+    // Routes by router pair; an empty route stands for "no route".
+    let mut routes: BTreeMap<(NodeId, NodeId), Vec<LinkId>> = BTreeMap::new();
     let mut out = Vec::new();
     let mut t = 0.0f64;
     loop {
@@ -95,10 +103,10 @@ pub fn generate_background(
         let &[src, dst] = pair.as_slice() else {
             continue;
         };
-        let Some(path) = gvc_topology::shortest_path(graph, src, dst) else {
-            continue;
-        };
-        if path.links.is_empty() {
+        let route = routes.entry((src, dst)).or_insert_with(|| {
+            gvc_topology::shortest_path(graph, src, dst).map(|p| p.links).unwrap_or_default()
+        });
+        if route.is_empty() {
             continue;
         }
         let bytes = size.sample(&mut rng).max(1.0);
@@ -106,7 +114,7 @@ pub fn generate_background(
         let cap = cfg.rate_cap_bps * (0.1 + 0.9 * rng.gen::<f64>());
         out.push(BackgroundArrival {
             at,
-            spec: FlowSpec::best_effort(path.links, bytes).with_cap(cap).with_tag(cfg.tag),
+            spec: FlowSpec::best_effort(route.clone(), bytes).with_cap(cap).with_tag(cfg.tag),
         });
     }
     out
@@ -134,6 +142,35 @@ mod tests {
         assert_ne!(
             a.iter().map(|x| x.at).collect::<Vec<_>>(),
             c.iter().map(|x| x.at).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn each_arrival_takes_its_pairs_shortest_path() {
+        let t = study_topology();
+        let cfg = BackgroundConfig::default();
+        let arr = generate_background(&t.graph, &cfg, SimTime::from_secs(3600), 2010);
+        for a in &arr {
+            let (Some(&first), Some(&last)) = (a.spec.route.first(), a.spec.route.last()) else {
+                panic!("empty route at {:?}", a.at);
+            };
+            let (src, dst) = (t.graph.link(first).src, t.graph.link(last).dst);
+            let path = gvc_topology::shortest_path(&t.graph, src, dst).expect("routed pair");
+            assert_eq!(a.spec.route, path.links, "arrival at {:?}", a.at);
+        }
+        // Recorded from the generator that ran Dijkstra per arrival.
+        let ends = |a: &BackgroundArrival| {
+            let route: Vec<u32> = a.spec.route.iter().map(|l| l.0).collect();
+            (a.at.micros(), a.spec.size_bytes.to_bits(), route)
+        };
+        assert_eq!(arr.len(), 1798);
+        assert_eq!(
+            arr.first().map(ends),
+            Some((9_344_700, 3_128_463.232_095_323_5_f64.to_bits(), vec![34, 7, 8, 47]))
+        );
+        assert_eq!(
+            arr.last().map(ends),
+            Some((3_599_138_867, 7_274_819.174_127_859_f64.to_bits(), vec![7, 5, 3, 1, 11]))
         );
     }
 

@@ -111,6 +111,7 @@ impl IdcStats {
 /// ```
 /// use gvc_oscars::{Idc, ReservationRequest, SetupDelayModel};
 /// use gvc_engine::SimTime;
+/// use gvc_telemetry::SpanId;
 /// use gvc_topology::{study_topology, Site};
 ///
 /// let topo = study_topology();
@@ -124,7 +125,7 @@ impl IdcStats {
 ///         end: SimTime::from_secs(3600),
 ///     })
 ///     .expect("10 Gbps links have room for 4 Gbps");
-/// let ready = idc.provision(id, SimTime::ZERO).expect("scheduled");
+/// let ready = idc.provision(id, SimTime::ZERO, SpanId::NONE).expect("scheduled");
 /// assert_eq!(ready, SimTime::from_secs(60)); // the deployed 1-min setup
 /// ```
 pub struct Idc {
@@ -337,13 +338,20 @@ impl Idc {
     /// Signals provisioning of a scheduled reservation at `now`
     /// (automatic signalling just before start, or an explicit
     /// `createPath`). Returns the instant the circuit becomes usable
-    /// under the setup-delay model.
+    /// under the setup-delay model. The circuit's `circuit.lifetime`
+    /// span opens under `parent`: the caller's run span, or
+    /// [`SpanId::NONE`] for a root.
     ///
     /// # Errors
     /// [`IdcError::UnknownReservation`] when `id` was never admitted,
     /// [`IdcError::InvalidState`] when the reservation is already
     /// active or released.
-    pub fn provision(&mut self, id: ReservationId, now: SimTime) -> Result<SimTime, IdcError> {
+    pub fn provision(
+        &mut self,
+        id: ReservationId,
+        now: SimTime,
+        parent: SpanId,
+    ) -> Result<SimTime, IdcError> {
         let r = self.reservations.get_mut(&id).ok_or(IdcError::UnknownReservation(id))?;
         if !matches!(r.state, ReservationState::Scheduled | ReservationState::Provisioning) {
             return Err(IdcError::InvalidState(id, r.state));
@@ -358,12 +366,10 @@ impl Idc {
             // with the signalling delay as a child. The setup child's
             // end is known now, so it closes immediately at a future
             // timestamp — offline consumers sort by time.
-            let circuit = t.tracer.span_enter_with(
-                SpanId::NONE,
-                now.micros() as i64,
-                "circuit.lifetime",
-                |ev| ev.field("reservation", id.0),
-            );
+            let circuit =
+                t.tracer.span_enter_with(parent, now.micros() as i64, "circuit.lifetime", |ev| {
+                    ev.field("reservation", id.0)
+                });
             let setup = t.tracer.span_enter_with(circuit, now.micros() as i64, "idc.setup", |ev| {
                 ev.field("reservation", id.0).field("setup_s", (ready - now).as_secs_f64())
             });
@@ -526,7 +532,7 @@ mod tests {
     fn provisioning_sets_ready_per_model() {
         let (mut idc, req) = idc();
         let id = idc.create_reservation(req).unwrap();
-        let ready = idc.provision(id, SimTime::from_secs(0)).unwrap();
+        let ready = idc.provision(id, SimTime::from_secs(0), SpanId::NONE).unwrap();
         assert_eq!(ready, SimTime::from_secs(60));
         let r = idc.reservation(id).unwrap();
         assert_eq!(r.state, ReservationState::Active);
@@ -541,7 +547,7 @@ mod tests {
         req.end = SimTime::from_secs(2000);
         let id = idc.create_reservation(req).unwrap();
         // Provisioned early: usable only from the window start.
-        let ready = idc.provision(id, SimTime::from_secs(0)).unwrap();
+        let ready = idc.provision(id, SimTime::from_secs(0), SpanId::NONE).unwrap();
         assert_eq!(ready, SimTime::from_secs(1000));
     }
 
@@ -589,7 +595,7 @@ mod tests {
         bad.rate_bps = 0.0;
         assert!(i.create_reservation(bad).is_err());
 
-        i.provision(a, SimTime::ZERO).unwrap();
+        i.provision(a, SimTime::ZERO, SpanId::NONE).unwrap();
         i.teardown(a, SimTime::from_secs(30)).unwrap();
 
         assert_eq!(reg.counter("idc_requests_total", &[]).get(), 4);
@@ -701,7 +707,10 @@ mod tests {
         let _ = idc.create_reservation(req).unwrap();
         let ghost = ReservationId(999);
         assert_eq!(idc.teardown(ghost, SimTime::ZERO), Err(IdcError::UnknownReservation(ghost)));
-        assert_eq!(idc.provision(ghost, SimTime::ZERO), Err(IdcError::UnknownReservation(ghost)));
+        assert_eq!(
+            idc.provision(ghost, SimTime::ZERO, SpanId::NONE),
+            Err(IdcError::UnknownReservation(ghost))
+        );
     }
 
     #[test]
@@ -712,7 +721,7 @@ mod tests {
         let id = idc.create_reservation(req).unwrap();
         idc.teardown(id, SimTime::from_secs(1)).unwrap();
         assert_eq!(
-            idc.provision(id, SimTime::from_secs(2)),
+            idc.provision(id, SimTime::from_secs(2), SpanId::NONE),
             Err(IdcError::InvalidState(id, ReservationState::Released))
         );
     }
@@ -721,9 +730,9 @@ mod tests {
     fn double_provision_is_invalid_state() {
         let (mut idc, req) = idc();
         let id = idc.create_reservation(req).unwrap();
-        idc.provision(id, SimTime::ZERO).unwrap();
+        idc.provision(id, SimTime::ZERO, SpanId::NONE).unwrap();
         assert_eq!(
-            idc.provision(id, SimTime::from_secs(1)),
+            idc.provision(id, SimTime::from_secs(1), SpanId::NONE),
             Err(IdcError::InvalidState(id, ReservationState::Active))
         );
     }
@@ -735,7 +744,7 @@ mod tests {
         let a = idc.create_reservation(req).unwrap();
         let b = idc.create_reservation(req).unwrap();
         assert_eq!(idc.open_reservations(), 2);
-        idc.provision(a, SimTime::ZERO).unwrap();
+        idc.provision(a, SimTime::ZERO, SpanId::NONE).unwrap();
         assert_eq!(idc.open_reservations(), 2);
         idc.teardown(a, SimTime::from_secs(5)).unwrap();
         assert_eq!(idc.open_reservations(), 1);
@@ -811,7 +820,7 @@ mod tests {
                 end: SimTime::from_secs(k * 10 + 3_600),
             };
             let id = i.create_reservation(req).expect("four 1 G circuits fit");
-            i.provision(id, now).unwrap();
+            i.provision(id, now, SpanId::NONE).unwrap();
             open.push_back(id);
             if open.len() > 4 {
                 i.teardown(open.pop_front().unwrap(), now).unwrap();

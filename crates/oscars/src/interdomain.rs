@@ -20,6 +20,7 @@
 use crate::idc::{BlockReason, Idc};
 use crate::reservation::{ReservationId, ReservationRequest};
 use gvc_engine::SimTime;
+use gvc_telemetry::SpanId;
 use gvc_topology::NodeId;
 use std::collections::HashMap;
 
@@ -191,7 +192,7 @@ impl InterDomainController {
             // Freshly admitted above, so provisioning succeeds; a
             // hypothetical failure just leaves `ready_at` at the
             // slowest successfully signalled segment.
-            if let Ok(r) = self.domains[*d].idc.provision(*id, now) {
+            if let Ok(r) = self.domains[*d].idc.provision(*id, now, SpanId::NONE) {
                 ready_at = ready_at.max(r);
             }
         }

@@ -172,9 +172,10 @@ impl SpanNode {
 /// describe `records` and `spans` as built. One file may hold several
 /// runs (`gvc scenario run --all --trace`), each numbering its
 /// reservations from 0, so admissions and circuits are joined within
-/// their run: the latest `driver.run` started before them in file
-/// order. (The IDC opens `circuit.lifetime` spans as roots, so no
-/// circuit has a `driver.run` ancestor to join on.)
+/// their run. A circuit's run is its `driver.run` ancestor: the IDC
+/// opens `circuit.lifetime` under the run span it is handed. An
+/// admission is an event, not a span, so its run is the latest
+/// `driver.run` started before it in file order.
 #[derive(Debug, Clone, Default)]
 pub struct TraceModel {
     /// Every record, in file order.
@@ -190,9 +191,6 @@ pub struct TraceModel {
     /// Index in `spans` of the span whose id is each span's `parent`
     /// (`None` when no span started with that id).
     parents: Vec<Option<usize>>,
-    /// The latest `driver.run` id started before each span, in file
-    /// order.
-    runs: Vec<Option<u64>>,
     /// Index in `records` of the first `idc.admit` per run and
     /// reservation id.
     admits: BTreeMap<(Option<u64>, i64), usize>,
@@ -231,7 +229,6 @@ impl TraceModel {
                         .cloned()
                         .collect();
                     by_id.insert(id, model.spans.len());
-                    model.runs.push(run);
                     if name == "driver.run" {
                         run = Some(id);
                     }
@@ -760,6 +757,7 @@ pub fn check(model: &TraceModel, cfg: &CheckConfig) -> CheckReport {
     // Circuit spans must not outlive their reservation windows. The
     // admission event carries the window; join on the run and the
     // reservation id.
+    let roots = model.roots();
     for (at, span) in model.spans.iter().enumerate().filter(|(_, s)| s.name == "circuit.lifetime") {
         let Some(rid) =
             span.fields.iter().find(|(k, _)| k == "reservation").and_then(|(_, v)| v.as_i64())
@@ -767,7 +765,12 @@ pub fn check(model: &TraceModel, cfg: &CheckConfig) -> CheckReport {
             report.violations.push(format!("circuit span {} carries no reservation id", span.id));
             continue;
         };
-        let key = (model.runs.get(at).copied().flatten(), rid);
+        let run = roots
+            .get(at)
+            .and_then(|&root| model.spans.get(root))
+            .filter(|root| root.name == "driver.run")
+            .map(|root| root.id);
+        let key = (run, rid);
         let Some(admit) = model.admits.get(&key).and_then(|&r| model.records.get(r)) else {
             report.violations.push(format!(
                 "circuit span {} references reservation {rid} with no idc.admit event",
@@ -987,26 +990,28 @@ mod tests {
     fn check_joins_circuits_within_their_run() {
         // Two runs in one file, each numbering reservations from 0 with
         // its own window: run 1 (100 s) holds a circuit that outlives
-        // it, run 2 (200 s) one that does not.
+        // it, run 3 (200 s) one that does not. Run 1's circuit opens
+        // after run 3 has started, so only its `driver.run` ancestor,
+        // not file order, places it in run 1.
         let admit = |window_s: u64| {
             format!("{{\"t_us\":0,\"kind\":\"idc.admit\",\"id\":0,\"window_s\":{window_s}}}")
         };
-        let circuit = |id: u64| {
+        let circuit = |id: u64, run: u64| {
             format!(
-                "{{\"t_us\":10,\"kind\":\"span.start\",\"span\":{id},\"parent\":0,\
+                "{{\"t_us\":10,\"kind\":\"span.start\",\"span\":{id},\"parent\":{run},\
                  \"name\":\"circuit.lifetime\",\"reservation\":0}}"
             )
         };
         let text = [
             span_line(0, 1, 0, "driver.run"),
             admit(100),
-            circuit(2),
-            end_line(150_000_000, 2),
-            end_line(200_000_000, 1),
             span_line(0, 3, 0, "driver.run"),
             admit(200),
-            circuit(4),
+            circuit(2, 1),
+            circuit(4, 3),
+            end_line(150_000_000, 2),
             end_line(150_000_000, 4),
+            end_line(200_000_000, 1),
             end_line(200_000_000, 3),
         ]
         .join("\n");
@@ -1492,7 +1497,10 @@ mod tests {
 
             // Circuit spans must not outlive their reservation windows. The
             // admission event carries the window; join on the run and the reservation id.
-            for span in model.spans.iter().filter(|s| s.name == "circuit.lifetime") {
+            let roots = root_of(model);
+            for (at, span) in
+                model.spans.iter().enumerate().filter(|(_, s)| s.name == "circuit.lifetime")
+            {
                 let Some(rid) = span
                     .fields
                     .iter()
@@ -1504,11 +1512,10 @@ mod tests {
                         .push(format!("circuit span {} carries no reservation id", span.id));
                     continue;
                 };
-                // The run in effect at the span's (first well-formed)
-                // start record.
-                let start = (0..model.records.len())
-                    .find(|&j| start_at(model, j).is_some_and(|(id, _)| id == span.id));
-                let run = start.and_then(|j| run_at(model, j));
+                // The circuit's run is its `driver.run` root.
+                let run = Some(&model.spans[roots[at]])
+                    .filter(|root| root.name == "driver.run")
+                    .map(|root| root.id);
                 let admit = model.records.iter().enumerate().find(|&(r, rec)| {
                     rec.kind == "idc.admit" && rec.int("id") == Some(rid) && run_at(model, r) == run
                 });

@@ -10,9 +10,18 @@
 //!   directions;
 //! * backbone links lightly loaded: background traffic well under
 //!   half capacity, GridFTP dominating the counters during transfers.
+//!
+//! Background arrivals stop a day after the last test starts, or at
+//! the end of the simulated month if that is earlier. Every ORNL
+//! analysis reads the SNMP series only in the bins that overlap a
+//! logged test, and the drive is causal, so later background would
+//! move no byte that is read; it would only cost time. At the quick
+//! repro's 60 tests the background ends on day 16.3 with 235 729 of
+//! the month's 432 407 arrivals. At the paper's 145 the tests run past
+//! the month, so the whole month is driven.
 
 use crate::EPOCH_SEP_2010_US;
-use gvc_engine::SimTime;
+use gvc_engine::{SimSpan, SimTime};
 use gvc_gridftp::driver::Driver;
 use gvc_gridftp::{ServerCaps, TransferJob};
 use gvc_logs::{Dataset, EndpointKind, SnmpSeries, TransferType};
@@ -80,8 +89,10 @@ pub fn generate(cfg: NerscOrnlConfig) -> NerscOrnlOutput {
     let nersc = driver.register_cluster("dtn01.nersc.gov", topo.dtn(Site::Nersc), caps, 2);
     let ornl = driver.register_cluster("dtn.ccs.ornl.gov", topo.dtn(Site::Ornl), caps, 2);
 
-    // Light background load on the whole backbone.
-    let horizon = SimTime::from_secs_f64(30.0 * 86_400.0);
+    let tests = test_schedule(&cfg);
+    let horizon = SimTime::from_secs(HORIZON_S);
+    // Light background load on the whole backbone, scheduled before
+    // the tests so that FIFO ties keep their order.
     if cfg.background > 0.0 {
         // Calibrated to the study's regime: backbone links carry
         // little besides the science flows (Table XII's near-zero
@@ -94,23 +105,59 @@ pub fn generate(cfg: NerscOrnlConfig) -> NerscOrnlOutput {
             rate_cap_bps: 250e6,
             ..BackgroundConfig::default()
         };
-        driver.schedule_background(generate_background(&topo.graph, &bg_cfg, horizon, cfg.seed));
+        let end = background_end(&tests);
+        driver.schedule_background(generate_background(&topo.graph, &bg_cfg, end, cfg.seed));
+    }
+    for t in tests {
+        // STOR at NERSC = data flows ORNL -> NERSC.
+        let (src, dst) =
+            if t.job.logged_as == TransferType::Store { (ornl, nersc) } else { (nersc, ornl) };
+        driver.schedule_transfer(t.start, src, dst, t.job);
     }
 
-    // Test transfers: daily 2 AM and 8 AM slots over ~30 days, STOR
-    // and RETR alternating, until n_transfers are placed.
+    let out = driver.run(horizon);
+    let snmp = out.sim.snmp();
+    let collect = |links: &[LinkId]| -> Vec<SnmpSeries> {
+        links.iter().filter_map(|l| snmp.series(*l).cloned()).collect()
+    };
+    NerscOrnlOutput {
+        snmp_fwd: collect(&fwd_links),
+        snmp_rev: collect(&rev_links),
+        campus_nersc_out: collect(&campus_nersc),
+        campus_ornl_in: collect(&campus_ornl),
+        log: out.log,
+    }
+}
+
+/// The simulated month, seconds: the drive stops here.
+const HORIZON_S: u64 = 30 * 86_400;
+
+/// How long background traffic runs past the last test start,
+/// seconds: far longer than a 32 GB test takes.
+const BACKGROUND_TAIL_S: i64 = 86_400;
+
+/// One scheduled 32 GB test transfer.
+struct TestTransfer {
+    start: SimTime,
+    job: TransferJob,
+}
+
+/// Test transfers: daily 2 AM and 8 AM slots, STOR and RETR drawn at
+/// random, until `n_transfers` are placed. Drawn from the tests' own
+/// RNG stream, so the schedule does not depend on the background.
+fn test_schedule(cfg: &NerscOrnlConfig) -> Vec<TestTransfer> {
     let mut rng = component_rng(cfg.seed, "ornl-tests");
-    let mut placed = 0usize;
+    let mut out = Vec::with_capacity(cfg.n_transfers);
     let mut day = 0u64;
-    while placed < cfg.n_transfers {
+    while out.len() < cfg.n_transfers {
         for &hour in &[2.0f64, 8.0] {
-            if placed >= cfg.n_transfers {
+            if out.len() >= cfg.n_transfers {
                 break;
             }
             // 1-3 test transfers per slot, seconds apart.
             let per_slot = 1 + (rng.gen::<f64>() * 3.0) as usize;
             for k in 0..per_slot {
-                if placed >= cfg.n_transfers {
+                if out.len() >= cfg.n_transfers {
                     break;
                 }
                 let start_s = day as f64 * 86_400.0 + hour * 3600.0 + k as f64 * 600.0;
@@ -130,30 +177,19 @@ pub fn generate(cfg: NerscOrnlConfig) -> NerscOrnlOutput {
                     dst_kind: EndpointKind::Disk,
                     logged_as: if store { TransferType::Store } else { TransferType::Retr },
                 };
-                // STOR at NERSC = data flows ORNL -> NERSC.
-                if store {
-                    driver.schedule_transfer(SimTime::from_secs_f64(start_s), ornl, nersc, job);
-                } else {
-                    driver.schedule_transfer(SimTime::from_secs_f64(start_s), nersc, ornl, job);
-                }
-                placed += 1;
+                out.push(TestTransfer { start: SimTime::from_secs_f64(start_s), job });
             }
         }
         day += 1;
     }
+    out
+}
 
-    let out = driver.run(horizon);
-    let snmp = out.sim.snmp();
-    let collect = |links: &[LinkId]| -> Vec<SnmpSeries> {
-        links.iter().filter_map(|l| snmp.series(*l).cloned()).collect()
-    };
-    NerscOrnlOutput {
-        snmp_fwd: collect(&fwd_links),
-        snmp_rev: collect(&rev_links),
-        campus_nersc_out: collect(&campus_nersc),
-        campus_ornl_in: collect(&campus_ornl),
-        log: out.log,
-    }
+/// Where background arrivals stop: a day after the last test start,
+/// or the end of the simulated month if that is earlier.
+fn background_end(tests: &[TestTransfer]) -> SimTime {
+    let last_start = tests.iter().map(|t| t.start).max().unwrap_or(SimTime::ZERO);
+    (last_start + SimSpan::from_secs(BACKGROUND_TAIL_S)).min(SimTime::from_secs(HORIZON_S))
 }
 
 #[cfg(test)]
@@ -233,6 +269,32 @@ mod tests {
                 counted,
                 retr_bytes
             );
+        }
+    }
+
+    /// The experiments read each series only in the 30 s bins that
+    /// overlap a logged test. Every such bin closes by the background's
+    /// end, so stopping the background there moves no byte they read.
+    #[test]
+    fn every_read_bin_closes_before_the_background_ends() {
+        // The quick repro's 60, the corpus spec's 29 (scale 0.2) and
+        // the paper's 145, all at the repro seed.
+        for n_transfers in [60, 29, 145] {
+            let cfg = NerscOrnlConfig { seed: 2010, n_transfers, background: 1.0 };
+            let end = background_end(&test_schedule(&cfg));
+            let end_us = EPOCH_SEP_2010_US + end.micros() as i64;
+            let out = generate(cfg);
+            assert!(!out.log.is_empty());
+            let series = &out.snmp_fwd[0];
+            let width = series.bin_width_us;
+            for r in out.log.records() {
+                let last_bin = (r.end_unix_us() - series.origin_us) / width;
+                let closes_us = series.origin_us + (last_bin + 1) * width;
+                assert!(
+                    closes_us <= end_us,
+                    "{n_transfers} tests: bin closing at {closes_us} read past {end_us}"
+                );
+            }
         }
     }
 

@@ -8,6 +8,7 @@
 
 use gridftp_vc::oscars::{BlockReason, Idc, ReservationRequest, SetupDelayModel};
 use gridftp_vc::prelude::{SimTime, Site};
+use gridftp_vc::telemetry::SpanId;
 use gridftp_vc::topology::study_topology;
 
 fn main() {
@@ -63,7 +64,8 @@ fn main() {
     // against hardware signalling.
     if let Some(&id) = admitted.first() {
         let asked_at = hour(9);
-        let ready = idc.provision(id, asked_at).expect("admitted reservation provisions");
+        let ready =
+            idc.provision(id, asked_at, SpanId::NONE).expect("admitted reservation provisions");
         println!(
             "\nbatched IDC: asked {:.0}s -> usable at {:.0}s (setup delay {:.0}s)",
             asked_at.as_secs_f64(),
