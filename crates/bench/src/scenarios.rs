@@ -66,9 +66,8 @@ impl Scenarios {
     /// On a two-core host, four concurrent legs only slowed SLAC, the
     /// critical path (docs/perf.md, "Repro schedule").
     pub fn generate(scale: Scale) -> Scenarios {
-        let (slac, (ornl, ncar, anl)) = rayon::join(
-            || slac_bnl::generate(slac_bnl::SlacBnlConfig { seed: 2012, scale: scale.slac() }),
-            || {
+        let (slac, (ornl, ncar, anl)) = std::thread::scope(|scope| {
+            let rest = scope.spawn(|| {
                 let ornl = nersc_ornl::generate(NerscOrnlConfig {
                     seed: 2010,
                     n_transfers: scale.ornl_transfers(),
@@ -85,8 +84,11 @@ impl Scenarios {
                     horizon_days: 50.0,
                 });
                 (ornl, ncar, anl)
-            },
-        );
+            });
+            let slac =
+                slac_bnl::generate(slac_bnl::SlacBnlConfig { seed: 2012, scale: scale.slac() });
+            (slac, rest.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+        });
         Scenarios { scale, ncar, slac, ornl, anl }
     }
 

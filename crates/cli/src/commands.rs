@@ -68,8 +68,7 @@ pub const COMMANDS: [CommandSpec; 11] = [
         name: "generate",
         usage: "gvc generate <ncar|slac|anl|ornl> <out> [--scale 0.1] [--seed 42]",
         about: "synthesize a calibrated dataset",
-        // `--dir` names the corpus an unknown-scenario error lists.
-        flags: &["scale", "seed", "dir"],
+        flags: &["scale", "seed"],
     },
     CommandSpec {
         name: "anonymize",
@@ -409,28 +408,15 @@ fn cmd_generate<W: Write>(
     }
     let mut gen_phase = telemetry.perf.phase("workload_generation");
     // Dispatch over the generator registry; the error path enumerates
-    // what is actually available — the registered generators plus any
-    // corpus specs on disk — instead of a hardcoded list.
-    let ds = match gvc_workload::builtin_generator(&scenario) {
-        Some(g) => (g.generate)(seed, scale),
-        None => {
-            let mut msg = format!(
-                "unknown scenario {scenario:?} (want {}",
-                gvc_workload::builtin_names().join("|")
-            );
-            let corpus_names = gvc_scenario::discover(Path::new(a.str_flag_or("dir", "scenarios")))
-                .map(|es| es.into_iter().map(|e| e.name).collect::<Vec<_>>())
-                .unwrap_or_default();
-            if !corpus_names.is_empty() {
-                msg.push_str(&format!(
-                    "; corpus specs: {} — run those with `gvc scenario run <name>`",
-                    corpus_names.join("|")
-                ));
-            }
-            msg.push(')');
-            return Err(CliError(msg));
-        }
+    // the registered generators instead of a hardcoded list.
+    let Some(generator) = gvc_workload::builtin_generator(&scenario) else {
+        return Err(CliError(format!(
+            "unknown scenario {scenario:?} (want {}; corpus scenarios run with `gvc scenario \
+             run <name>`, see `gvc scenario list`)",
+            gvc_workload::builtin_names().join("|")
+        )));
     };
+    let ds = (generator.generate)(seed, scale);
     gen_phase.items(ds.len() as u64);
     drop(gen_phase);
     let emit_phase = telemetry.perf.phase("report_emission");
@@ -1302,5 +1288,7 @@ mod tests {
     fn bad_scenario_is_clean_error() {
         let err = run(&["generate", "mars", "/tmp/x.log"]).unwrap_err();
         assert!(err.0.contains("unknown scenario"));
+        assert!(err.0.contains("ncar|slac|anl|ornl"), "{}", err.0);
+        assert!(err.0.contains("gvc scenario list"), "{}", err.0);
     }
 }

@@ -42,9 +42,8 @@ pub enum CorrelationKind {
 /// degenerate record reads as 0.0 Mbps and lands in the bottom
 /// quartile rather than shifting every index after it).
 pub fn throughput_quartile_indices(ds: &Dataset) -> [Vec<usize>; 4] {
-    let q1 = quantile(&ds.throughputs_mbps(), 0.25).unwrap_or(0.0);
-    let q2 = quantile(&ds.throughputs_mbps(), 0.50).unwrap_or(0.0);
-    let q3 = quantile(&ds.throughputs_mbps(), 0.75).unwrap_or(0.0);
+    let defined = ds.throughputs_mbps();
+    let [q1, q2, q3] = [0.25, 0.50, 0.75].map(|p| quantile(&defined, p).unwrap_or(0.0));
     let tps: Vec<f64> =
         ds.records().iter().map(gvc_logs::TransferRecord::throughput_mbps).collect();
     let mut out: [Vec<usize>; 4] = Default::default();
@@ -63,46 +62,12 @@ pub fn throughput_quartile_indices(ds: &Dataset) -> [Vec<usize>; 4] {
     out
 }
 
-/// Computes the Table XI/XII correlations for one interface.
-pub fn router_correlation(
-    ds: &Dataset,
-    series: &SnmpSeries,
-    kind: CorrelationKind,
-) -> RouterCorrelation {
-    let gridftp: Vec<f64> = ds.records().iter().map(|r| r.size_bytes as f64).collect();
-    let snmp: Vec<f64> = ds
-        .records()
-        .iter()
-        .map(|r| {
-            let total = attributed_bytes(series, r.start_unix_us, r.end_unix_us());
-            match kind {
-                CorrelationKind::TotalBytes => total,
-                CorrelationKind::OtherFlows => total - r.size_bytes as f64,
-            }
-        })
-        .collect();
-
-    let quartiles = throughput_quartile_indices(ds);
-    let corr_of = |idx: &[usize]| {
-        let x: Vec<f64> = idx.iter().map(|&i| gridftp[i]).collect();
-        let y: Vec<f64> = idx.iter().map(|&i| snmp[i]).collect();
-        pearson(&x, &y)
-    };
-    RouterCorrelation {
-        interface: series.interface.clone(),
-        per_quartile: {
-            let [qa, qb, qc, qd] = &quartiles;
-            [corr_of(qa), corr_of(qb), corr_of(qc), corr_of(qd)]
-        },
-        overall: pearson(&gridftp, &snmp),
-    }
-}
-
-/// Directional variant: each transfer's bytes are attributed on the
-/// interface matching its direction ("the appropriate interfaces were
-/// used for each GridFTP transfer", §VII-C). `fwd` serves records for
-/// which `is_fwd` returns true (e.g. RETR), `rev` the rest; the two
-/// series must belong to the same router.
+/// Computes the Table XI/XII correlations for one router. Each
+/// transfer's bytes are attributed on the interface matching its
+/// direction ("the appropriate interfaces were used for each GridFTP
+/// transfer", §VII-C). `fwd` serves records for which `is_fwd` returns
+/// true (e.g. RETR), `rev` the rest; the two series must belong to the
+/// same router. A single-direction analysis passes one series as both.
 pub fn router_correlation_directional<F>(
     ds: &Dataset,
     fwd: &SnmpSeries,
@@ -142,21 +107,17 @@ where
     }
 }
 
-/// The full Table XI or XII: one column per monitored interface.
-pub fn correlation_table(
-    ds: &Dataset,
-    series: &[&SnmpSeries],
-    kind: CorrelationKind,
-) -> Vec<RouterCorrelation> {
-    series.iter().map(|s| router_correlation(ds, s, kind)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gvc_logs::{TransferRecord, TransferType};
 
     const S30: i64 = 30_000_000;
+
+    /// Every record attributed on `series`, whatever its direction.
+    fn one_series(ds: &Dataset, series: &SnmpSeries, kind: CorrelationKind) -> RouterCorrelation {
+        router_correlation_directional(ds, series, series, |_| true, kind)
+    }
 
     /// Transfers of varying size back to back; the SNMP series records
     /// exactly those bytes (dominant-flow regime) plus optional noise.
@@ -187,7 +148,7 @@ mod tests {
     #[test]
     fn dominant_flows_correlate_highly() {
         let (ds, series) = fixture(1_000_000);
-        let c = router_correlation(&ds, &series, CorrelationKind::TotalBytes);
+        let c = one_series(&ds, &series, CorrelationKind::TotalBytes);
         assert!(c.overall.unwrap() > 0.99, "{:?}", c.overall);
         for q in &c.per_quartile {
             assert!(q.unwrap() > 0.9, "{q:?}");
@@ -197,7 +158,7 @@ mod tests {
     #[test]
     fn other_flows_uncorrelated_when_constant_noise() {
         let (ds, series) = fixture(1_000_000);
-        let c = router_correlation(&ds, &series, CorrelationKind::OtherFlows);
+        let c = one_series(&ds, &series, CorrelationKind::OtherFlows);
         // Other-flow bytes are ~constant: correlation ~0 or undefined;
         // in any case far below the Table XI values.
         let overall = c.overall.unwrap_or(0.0).abs();
@@ -220,7 +181,8 @@ mod tests {
     fn table_covers_all_interfaces() {
         let (ds, s1) = fixture(0);
         let (_, s2) = fixture(5_000_000);
-        let t = correlation_table(&ds, &[&s1, &s2], CorrelationKind::TotalBytes);
+        let t: Vec<RouterCorrelation> =
+            [&s1, &s2].map(|s| one_series(&ds, s, CorrelationKind::TotalBytes)).into();
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].interface, "rt1");
     }
@@ -263,7 +225,7 @@ mod tests {
         assert!(c.overall.unwrap() > 0.99, "{:?}", c.overall);
         // Mono-series correlation is much weaker (half the records see
         // zero bytes).
-        let mono = router_correlation(&ds, &fwd, CorrelationKind::TotalBytes);
+        let mono = one_series(&ds, &fwd, CorrelationKind::TotalBytes);
         assert!(mono.overall.unwrap() < c.overall.unwrap());
     }
 
@@ -271,7 +233,7 @@ mod tests {
     fn empty_dataset_gives_none_correlations() {
         let ds = Dataset::new();
         let s = SnmpSeries::thirty_second("rt1", 0);
-        let c = router_correlation(&ds, &s, CorrelationKind::TotalBytes);
+        let c = one_series(&ds, &s, CorrelationKind::TotalBytes);
         assert!(c.overall.is_none());
         assert!(c.per_quartile.iter().all(Option::is_none));
     }

@@ -27,9 +27,9 @@
 //!   every Table III/IV aggregate incrementally: the whole grid costs
 //!   one sort plus O(n · |delays|) merge work, independent of
 //!   `|gaps|`.
-//! * Pairs are independent, so the merge walk runs in parallel across
-//!   server pairs (rayon), combining per-pair partial aggregates at
-//!   the end.
+//! * Pairs are independent: each pair's walk adds its running
+//!   aggregate into the shared per-gap slots, so the grid is the same
+//!   whatever order the pairs are walked in.
 //!
 //! The proptest in this module and the workload-level test in
 //! `tests/sweep_equivalence.rs` pin the engine to the reference
@@ -41,10 +41,6 @@ use gvc_logs::Dataset;
 use gvc_stats::quantile;
 use gvc_telemetry::Telemetry;
 use std::collections::HashMap;
-
-/// Pair-record slices below this size are swept sequentially
-/// (thread spawn outweighs the work).
-const PARALLEL_THRESHOLD_RECORDS: usize = 50_000;
 
 /// One session as a half-open index range into the store's columns.
 /// All records of a range belong to the same server pair and are
@@ -306,7 +302,12 @@ impl SessionStore {
             thresholds_s: setup_delays_s.iter().map(|&d| overhead_factor * d).collect(),
             q3_bps: q3_mbps * 1e6,
         };
-        let aggs = sweep_pairs(&ctx, &self.pairs);
+        // One aggregate per requested gap, indexed by the caller's
+        // gap positions.
+        let mut aggs = vec![GapAgg::zero(ctx.thresholds_s.len()); gaps_s.len()];
+        for &(lo, hi) in &self.pairs {
+            sweep_pair(&ctx, lo, hi, &mut aggs);
+        }
 
         let total_transfers = self.grouped();
         let gap_rows = gaps_s
@@ -467,7 +468,8 @@ impl GapAgg {
         }
     }
 
-    /// Adds `other` into `self` (cross-pair combination).
+    /// Adds `other` into `self`: a pair's running aggregate into the
+    /// slot summed over pairs.
     fn absorb(&mut self, other: &GapAgg) {
         self.sessions += other.sessions;
         self.singles += other.singles;
@@ -481,29 +483,6 @@ impl GapAgg {
             *a += b;
         }
     }
-}
-
-/// Sweeps a slice of pairs, splitting across threads when the record
-/// count justifies it. Returns one aggregate per requested gap
-/// (ascending-slot order matching `ctx.gap_order`'s output slots —
-/// i.e. indexed by the caller's original gap positions).
-fn sweep_pairs(ctx: &SweepCtx<'_>, pairs: &[(u32, u32)]) -> Vec<GapAgg> {
-    let total: usize = pairs.iter().map(|&(lo, hi)| (hi - lo) as usize).sum();
-    if pairs.len() > 1 && total > PARALLEL_THRESHOLD_RECORDS {
-        let mid = pairs.len() / 2;
-        let (mut a, b) =
-            rayon::join(|| sweep_pairs(ctx, &pairs[..mid]), || sweep_pairs(ctx, &pairs[mid..]));
-        for (x, y) in a.iter_mut().zip(&b) {
-            x.absorb(y);
-        }
-        return a;
-    }
-    let n_gaps = ctx.gap_order.len();
-    let mut out = vec![GapAgg::zero(ctx.thresholds_s.len()); n_gaps];
-    for &(lo, hi) in pairs {
-        sweep_pair(ctx, lo, hi, &mut out);
-    }
-    out
 }
 
 /// The monotone-merge walk over one pair's records: start from

@@ -1022,36 +1022,26 @@ impl Driver {
             self.pending.schedule(SimTime::from_secs_f64(at_s + duration_s), Event::LinkRestore(i));
         }
         loop {
-            let t_event = self.pending.peek_time();
-            let t_comp = self.sim.peek_completion();
-            // Which timeline advances next? Completions win ties so a
-            // freed slot is visible to the event sharing its instant.
-            let next_is_completion = match (t_event, t_comp) {
+            // One step per turn: pick the next instant, integrate to
+            // it, handle the flows that finished there, then dispatch
+            // the event if the instant was its. Completions win ties,
+            // so a freed slot is visible to the event sharing its
+            // instant.
+            let (t, event_turn) = match (self.pending.peek_time(), self.sim.peek_completion()) {
+                (Some(te), Some(tc)) if tc <= te => (tc, false),
+                (Some(te), _) => (te, true),
+                (None, Some(tc)) => (tc, false),
                 (None, None) => break,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some(te), Some(tc)) => tc <= te,
             };
-            if next_is_completion {
-                let Some(tc) = t_comp else { break };
-                if tc > limit {
-                    break;
-                }
-                let done = self.sim.run_until(tc);
-                completions += done.len() as u64;
-                for c in done {
-                    self.handle_completion(c);
-                }
-            } else {
-                let Some(te) = t_event else { break };
-                if te > limit {
-                    break;
-                }
-                let done = self.sim.run_until(te);
-                completions += done.len() as u64;
-                for c in done {
-                    self.handle_completion(c);
-                }
+            if t > limit {
+                break;
+            }
+            let done = self.sim.run_until(t);
+            completions += done.len() as u64;
+            for c in done {
+                self.handle_completion(c);
+            }
+            if event_turn {
                 if let Some((_, ev)) = self.pending.pop() {
                     self.dispatch(ev);
                 }
@@ -1207,6 +1197,56 @@ mod tests {
         assert!(r.throughput_mbps() > 50.0, "tp={}", r.throughput_mbps());
         assert_eq!(r.server, "dtn.nersc.gov");
         assert_eq!(r.remote.as_deref(), Some("dtn.ornl.gov"));
+    }
+
+    #[test]
+    fn completions_win_ties_with_calendar_events() {
+        use gvc_telemetry::{BufferSink, Value};
+        let traced = |second_at: Option<SimTime>| {
+            let (mut d, a, b) = base_driver(1);
+            d.schedule_transfer(SimTime::from_secs(10), a, b, job(1024));
+            if let Some(at) = second_at {
+                d.schedule_transfer(at, a, b, job(64));
+            }
+            let sink = Arc::new(BufferSink::new());
+            d.with_telemetry(&Telemetry::with_sink(sink.clone())).run(SimTime::from_secs(10_000));
+            sink.take()
+        };
+        let span_named = |ev: &TraceEvent, name: &str| {
+            let field = |key| ev.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone());
+            let Some(Value::U64(span)) = field("span") else { return None };
+            (ev.kind == "span.start" && field("name") == Some(name.into())).then_some(span)
+        };
+        let span_end = |trace: &[TraceEvent], span: u64| {
+            trace.iter().position(|ev| {
+                ev.kind == "span.end"
+                    && ev.fields.iter().any(|(k, v)| *k == "span" && *v == Value::U64(span))
+            })
+        };
+
+        // Alone, the transfer completes at `tc`.
+        let alone = traced(None);
+        let first = alone.iter().find_map(|ev| span_named(ev, "session.transfer")).expect("span");
+        let tc = alone[span_end(&alone, first).expect("transfer ends")].t_us;
+
+        // A second session starting at exactly `tc` sees the transfer
+        // already finished.
+        let tied = traced(Some(SimTime(tc as u64)));
+        let first = tied.iter().find_map(|ev| span_named(ev, "session.transfer")).expect("span");
+        let end = span_end(&tied, first).expect("transfer ends");
+        let second_run = tied
+            .iter()
+            .enumerate()
+            .filter(|(_, ev)| span_named(ev, "session.run").is_some())
+            .nth(1)
+            .map(|(i, _)| i)
+            .expect("second session.run");
+        assert_eq!(tied[end].t_us, tc);
+        assert_eq!(tied[second_run].t_us, tc);
+        assert!(
+            end < second_run,
+            "transfer ends at trace line {end}, second run starts at {second_run}"
+        );
     }
 
     #[test]

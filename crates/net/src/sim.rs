@@ -416,19 +416,13 @@ impl NetworkSim {
         self.rates_dirty = false;
     }
 
-    /// Earliest instant at which a flow completes under current rates
-    /// or a flow's guarantee lapses, if any. Drivers use this to
-    /// interleave their own event queues with the simulator without
-    /// ever running it backwards; a lapse needs no event of theirs.
-    pub fn peek_completion(&mut self) -> Option<SimTime> {
-        self.next_completion_time()
-    }
-
     /// Earliest instant at which a progressing flow completes under
-    /// current rates or a nonzero guarantee lapses, if any. A lapse
-    /// always lies after `now`: `set_guarantee_end` and `run_until`
-    /// drop a guarantee once its end is reached.
-    fn next_completion_time(&mut self) -> Option<SimTime> {
+    /// current rates or a nonzero guarantee lapses, if any. Drivers use
+    /// this to interleave their own event queues with the simulator
+    /// without ever running it backwards; a lapse needs no event of
+    /// theirs. A lapse always lies after `now`: `set_guarantee_end` and
+    /// `run_until` drop a guarantee once its end is reached.
+    pub fn peek_completion(&mut self) -> Option<SimTime> {
         self.recompute_if_dirty();
         let now = self.now;
         self.flows
@@ -516,7 +510,7 @@ impl NetworkSim {
         assert!(t >= self.now, "cannot run backwards");
         let mut out = Vec::new();
         loop {
-            match self.next_completion_time() {
+            match self.peek_completion() {
                 Some(tc) if tc <= t => {
                     self.integrate_to(tc);
                     // Harvest every flow that finished at tc.
@@ -558,7 +552,7 @@ impl NetworkSim {
         let mut out = Vec::new();
         while !self.flows.is_empty() {
             let before = (out.len(), self.guarantees_lapsed);
-            let target = match self.next_completion_time() {
+            let target = match self.peek_completion() {
                 Some(tc) if tc <= limit => tc,
                 _ => break,
             };

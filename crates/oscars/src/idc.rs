@@ -3,9 +3,8 @@
 //! Admission runs CSPF against the advance-reservation calendar: a
 //! request is admitted iff some path has spare reservable bandwidth ≥
 //! the requested rate over the whole window (§II: advance reservations
-//! let the network run at high utilization with low blocking). The
-//! reservable fraction of each link defaults to 100 % of line rate; a
-//! provider policy can cap it (e.g. reserve headroom for IP traffic).
+//! let the network run at high utilization with low blocking). Circuits
+//! may reserve each link up to its full line rate.
 //!
 //! Admission costs O(live reservations), not O(history). The IDC keeps
 //! a *watermark*, the latest time at which a teardown released a
@@ -132,8 +131,6 @@ pub struct Idc {
     graph: Graph,
     calendar: NetworkCalendar,
     setup: SetupDelayModel,
-    /// Fraction of each link's line rate available to circuits.
-    reservable_fraction: f64,
     reservations: HashMap<ReservationId, Reservation>,
     /// Rate of every admitted reservation not yet torn down, by id.
     open: BTreeMap<u64, f64>,
@@ -156,7 +153,6 @@ impl Idc {
             graph,
             calendar: NetworkCalendar::new(),
             setup,
-            reservable_fraction: 1.0,
             reservations: HashMap::new(),
             open: BTreeMap::new(),
             watermark: SimTime::ZERO,
@@ -200,16 +196,6 @@ impl Idc {
             tracer: ctx.tracer.clone(),
             timeline: ctx.timeline.clone(),
         });
-    }
-
-    /// Caps the reservable fraction of every link (policy headroom).
-    ///
-    /// # Panics
-    /// Panics unless `0 < fraction <= 1`.
-    pub fn with_reservable_fraction(mut self, fraction: f64) -> Idc {
-        assert!(fraction > 0.0 && fraction <= 1.0, "fraction must be in (0, 1]");
-        self.reservable_fraction = fraction;
-        self
     }
 
     /// Admission statistics so far.
@@ -268,9 +254,8 @@ impl Idc {
         }
         let calendar = &self.calendar;
         let graph = &self.graph;
-        let frac = self.reservable_fraction;
         let path = constrained_shortest_path(graph, req.src, req.dst, req.rate_bps, |l| {
-            calendar.available_bps(l, graph.link(l).capacity_bps * frac, req.start, req.end)
+            calendar.available_bps(l, graph.link(l).capacity_bps, req.start, req.end)
         });
         let Some(path) = path else {
             self.stats.blocked += 1;
@@ -296,7 +281,7 @@ impl Idc {
                 .links
                 .iter()
                 .map(|&l| {
-                    let cap = self.graph.link(l).capacity_bps * self.reservable_fraction;
+                    let cap = self.graph.link(l).capacity_bps;
                     let committed = self
                         .calendar
                         .link(l)
@@ -437,20 +422,12 @@ impl Idc {
     pub fn probe_available_bps(&self, req: ReservationRequest) -> Result<f64, BlockReason> {
         self.check_watermark(req.start).map_err(BlockReason::InvalidRequest)?;
         // Binary-search the admissible rate via CSPF feasibility.
-        let (mut lo, mut hi) = (
-            0.0f64,
-            self.graph.links().iter().map(|l| l.capacity_bps).fold(0.0, f64::max)
-                * self.reservable_fraction,
-        );
+        let (mut lo, mut hi) =
+            (0.0f64, self.graph.links().iter().map(|l| l.capacity_bps).fold(0.0, f64::max));
         for _ in 0..40 {
             let mid = (lo + hi) / 2.0;
             let feasible = constrained_shortest_path(&self.graph, req.src, req.dst, mid, |l| {
-                self.calendar.available_bps(
-                    l,
-                    self.graph.link(l).capacity_bps * self.reservable_fraction,
-                    req.start,
-                    req.end,
-                )
+                self.calendar.available_bps(l, self.graph.link(l).capacity_bps, req.start, req.end)
             })
             .is_some();
             if feasible {
@@ -549,24 +526,6 @@ mod tests {
         // Provisioned early: usable only from the window start.
         let ready = idc.provision(id, SimTime::from_secs(0), SpanId::NONE).unwrap();
         assert_eq!(ready, SimTime::from_secs(1000));
-    }
-
-    #[test]
-    fn reservable_fraction_policy() {
-        let t = study_topology();
-        let req = ReservationRequest {
-            src: t.dtn(Site::Slac),
-            dst: t.dtn(Site::Bnl),
-            rate_bps: 6e9,
-            start: SimTime::ZERO,
-            end: SimTime::from_secs(60),
-        };
-        let mut idc = Idc::new(t.graph, SetupDelayModel::hardware()).with_reservable_fraction(0.5);
-        // 6 G > 50 % of 10 G: blocked.
-        assert_eq!(idc.create_reservation(req), Err(BlockReason::NoFeasiblePath));
-        let mut ok = req;
-        ok.rate_bps = 4e9;
-        assert!(idc.create_reservation(ok).is_ok());
     }
 
     #[test]

@@ -16,5 +16,7 @@ pub struct Outer {
 /// The lane-spawn site: its signature names `Outer`, so both the
 /// `Rc` field and the nested `RefCell` field are lane hazards.
 pub fn fan_out(outer: Outer) {
-    rayon::join(|| drop(&outer), || ());
+    std::thread::scope(|s| {
+        s.spawn(|| drop(&outer));
+    });
 }

@@ -52,10 +52,10 @@ pub fn kept(rule: &'static str, at: &'static str, line: usize) -> Home {
 }
 
 pub const SEND_BOUND: Home = Home::Compiler {
-    check: "the `Send` bound on `rayon::join`: a closure borrowing an `Rc`/`RefCell` holder is \
-            not `Send`",
-    file: "vendor/rayon/src/lib.rs",
-    text: "A: FnOnce() -> RA + Send,",
+    check: "the `Send` bound on `std::thread::Scope::spawn`: a closure borrowing an \
+            `Rc`/`RefCell` holder is not `Send`",
+    file: "crates/bench/src/scenarios.rs",
+    text: "std::thread::scope(",
 };
 
 pub fn table() -> Vec<Fixture> {

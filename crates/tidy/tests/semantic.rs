@@ -60,7 +60,7 @@ fn lane_isolation_flags_shared_state_tokens() {
 fn lane_isolation_follows_send_hazards_through_nested_fields() {
     // `fan_out(outer: Outer)` spawns lanes; `Outer` carries an `Rc`
     // directly (13) and a `RefCell` one struct deeper (7). The `Send`
-    // bound on `rayon::join` refuses both, however deep the field.
+    // bound on `Scope::spawn` refuses both, however deep the field.
     homes::assert_fixture_rows("sem/lane_send_boundary.rs", &[7, 13]);
 }
 

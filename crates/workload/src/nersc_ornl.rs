@@ -196,7 +196,7 @@ fn background_end(tests: &[TestTransfer]) -> SimTime {
 mod tests {
     use super::*;
     use gvc_core::snmp_attr::link_load_bps;
-    use gvc_core::snmp_corr::{router_correlation, CorrelationKind};
+    use gvc_core::snmp_corr::{router_correlation_directional, CorrelationKind};
 
     fn small() -> NerscOrnlOutput {
         generate(NerscOrnlConfig { seed: 4, n_transfers: 30, background: 1.0 })
@@ -238,7 +238,9 @@ mod tests {
     fn gridftp_dominates_the_counters() {
         let out = small();
         let retr = out.log.filter_type(TransferType::Retr);
-        let c = router_correlation(&retr, &out.snmp_fwd[2], CorrelationKind::TotalBytes);
+        let fwd = &out.snmp_fwd[2];
+        let c =
+            router_correlation_directional(&retr, fwd, fwd, |_| true, CorrelationKind::TotalBytes);
         assert!(c.overall.unwrap() > 0.5, "{:?}", c.overall);
     }
 
