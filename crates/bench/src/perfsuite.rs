@@ -12,7 +12,7 @@
 use gvc_core::sweep::SessionStore;
 use gvc_engine::{EventQueue, SimTime};
 use gvc_logs::{Dataset, TransferRecord, TransferType};
-use gvc_net::fairshare::FairShareSolver;
+use gvc_net::fairshare::{FairShareSolver, RouteClass};
 use gvc_net::FlowDemand;
 use gvc_oscars::{Idc, ReservationRequest, SetupDelayModel};
 use gvc_scenario::{run_scenario, ScenarioSpec};
@@ -201,18 +201,20 @@ fn net_solve_problem(nflows: usize) -> (Vec<f64>, Vec<FlowDemand>) {
 }
 
 /// Solves `problem` (from [`net_solve_problem`]) `solves` times on one
-/// warm workspace, as the simulator does at each arrival or departure.
-/// Returns `solves`.
+/// warm workspace, as the simulator does at each arrival or departure:
+/// each flow's route class is interned once, then every solve pushes
+/// the flows by class. Returns `solves`.
 fn net_solve(
     solver: &mut FairShareSolver,
     problem: &(Vec<f64>, Vec<FlowDemand>),
     solves: u64,
 ) -> u64 {
     let (capacities, flows) = problem;
+    let classes: Vec<RouteClass> = flows.iter().map(|f| solver.intern(&f.constraints)).collect();
     for _ in 0..solves {
         solver.clear();
-        for f in flows {
-            solver.push_flow(&f.constraints, f.min_rate_bps, f.max_rate_bps);
+        for (f, &class) in flows.iter().zip(&classes) {
+            solver.push_flow(class, f.min_rate_bps, f.max_rate_bps);
         }
         std::hint::black_box(solver.solve(capacities));
     }

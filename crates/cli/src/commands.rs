@@ -184,10 +184,27 @@ fn load(path: &str, telemetry: &Telemetry) -> Result<Dataset, CliError> {
     Ok(ds)
 }
 
-fn save(path: &str, ds: &Dataset) -> Result<(), CliError> {
+/// The usage log `a`'s command writes, if it writes one.
+fn output_log(a: &ParsedArgs) -> Option<&str> {
+    let at = match a.positional.first()?.as_str() {
+        "generate" | "anonymize" => 2,
+        "simulate" => 1,
+        _ => return None,
+    };
+    a.positional.get(at).map(String::as_str)
+}
+
+/// Refuses an output log that already exists. `run_command` checks
+/// before any work or any telemetry file; `save` checks again.
+fn refuse_existing(path: &str) -> Result<(), CliError> {
     if Path::new(path).exists() {
         return Err(CliError(format!("{path} already exists; refusing to overwrite")));
     }
+    Ok(())
+}
+
+fn save(path: &str, ds: &Dataset) -> Result<(), CliError> {
+    refuse_existing(path)?;
     let f = File::create(path).map_err(|e| CliError(format!("cannot create {path}: {e}")))?;
     let mut w = BufWriter::new(f);
     write_dataset(&mut w, ds)?;
@@ -743,6 +760,9 @@ pub fn run_command<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> 
     let spec =
         COMMANDS.iter().find(|c| c.name == command).ok_or_else(|| unknown_command(command))?;
     check_flags(a, spec)?;
+    if let Some(out) = output_log(a) {
+        refuse_existing(out)?;
+    }
     let telemetry = telemetry_from_flags(a)?;
     let manifest = RunManifest::new(command, a.flag_or("seed", 42u64)?, &config_string(a));
     telemetry.tracer.emit_with(|| {
@@ -923,6 +943,15 @@ mod tests {
         std::fs::write(&out_path, "precious").unwrap();
         let err = run(&["generate", "ncar", &out_path, "--scale", "0.01"]).unwrap_err();
         assert!(err.0.contains("refusing to overwrite"));
+        // `simulate` and `anonymize` refuse too, before any work and
+        // before `--trace` creates its file.
+        let trace = tmpfile("no-overwrite.jsonl");
+        let err = run(&["simulate", &out_path, "--jobs", "50", "--trace", &trace]).unwrap_err();
+        assert!(err.0.contains("refusing to overwrite"), "{}", err.0);
+        assert!(!std::path::Path::new(&trace).exists(), "no trace was written");
+        let err = run(&["anonymize", "missing.log", &out_path]).unwrap_err();
+        assert!(err.0.contains("refusing to overwrite"), "{}", err.0);
+        assert_eq!(std::fs::read_to_string(&out_path).unwrap(), "precious");
         std::fs::remove_file(&out_path).ok();
     }
 

@@ -104,10 +104,13 @@ fn perf_flag_changes_no_simulation_output_byte() {
     let (stripped, report) = split_perf(&perf_out);
     assert_eq!(plain_out, stripped, "--perf changed the human output");
 
-    // The snapshot names the command, holds the simulate and
-    // report_emission phases, and the file copy is the same schema.
+    // The snapshot names the command, holds the simulate, fairshare
+    // and report_emission phases, and the file copy is the same schema.
     assert_eq!((report.name.as_str(), report.reps), ("simulate", 1));
     assert!(phase_items(&report, "simulate") > 0, "simulate counts kernel events + completions");
+    let solves = plain_trace.matches("\"kind\":\"net.fairshare\"").count() as u64;
+    assert!(solves > 0);
+    assert_eq!(phase_items(&report, "fairshare"), solves, "one fairshare item per solve");
     phase_items(&report, "report_emission");
     let rate = report.metric("phase.simulate.items_per_sec").expect("simulate rate");
     assert!(rate.value > 0.0 && rate.higher_is_better);

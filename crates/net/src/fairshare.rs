@@ -11,8 +11,12 @@
 //!
 //! [`FairShareSolver`] is the reusable workspace the fluid simulator
 //! owns: it allocates nothing once warm and only visits the
-//! constraints the current flows cross. [`max_min_allocation`] is the
-//! one-shot convenience form over a fresh workspace.
+//! constraints the current flows cross. Flows name their constraint
+//! list by [`RouteClass`]: the workspace interns each distinct list
+//! once, so the flows of one route (GridFTP transfers between the same
+//! two servers) share one list and one set of per-round checks.
+//! [`max_min_allocation`] is the one-shot convenience form over a fresh
+//! workspace.
 //!
 //! # Bit-identity
 //!
@@ -20,13 +24,37 @@
 //! the textbook dense formulation (every constraint, every flow, counts
 //! rebuilt each round), so its output is identical bit for bit — the
 //! test suite holds it to that against a dense oracle. Only
-//! order-independent work is reorganised: untouched constraints never
-//! bound an increment, the minimum over strictly positive candidates
-//! does not depend on scan order, and active counts are decremented as
-//! flows freeze instead of being rebuilt. Solving disconnected
-//! components separately would *not* be bit-identical: each round's
-//! increment is the minimum over all flows, so splitting changes how
-//! the accumulated rates round.
+//! order-independent work is reorganised:
+//!
+//! - Untouched constraints never bound an increment, and the minimum
+//!   over strictly positive candidates does not depend on scan order.
+//! - Active counts are decremented as flows freeze instead of being
+//!   rebuilt.
+//! - A round subtracts its increment from a constraint once per active
+//!   flow crossing it. The subtrahends are all equal, so subtracting
+//!   `counts[c]` times per constraint is the per-flow loop's sequence.
+//! - A zero starting allocation is not subtracted: `x - 0.0 == x` for
+//!   every `x`, signed zeros included.
+//! - Saturation freezes every active flow on a saturated constraint,
+//!   so it is decided once per route class, not once per flow.
+//! - **Dominated constraints are dropped.** Two constraints crossed by
+//!   the same set of present route classes are crossed by exactly the
+//!   same flows, so they receive the same subtractions in the same
+//!   order, in the initial subtraction and in every round, and the same
+//!   clamps at zero. Rounding is monotone (`a <= b` implies
+//!   `fl(a - d) <= fl(b - d)`, `fl(a / n) <= fl(b / n)` and
+//!   `a.max(0.0) <= b.max(0.0)`), so the one with the least remaining
+//!   capacity after the initial subtraction stays lowest for the whole
+//!   solve: it alone can set an increment (the minimum is exact) or
+//!   saturate first. The others are dropped for the filling rounds; the
+//!   over-admission pass, whose sums differ per constraint, and the
+//!   initial subtraction keep the full lists.
+//!
+//! Solving disconnected components separately would *not* be
+//! bit-identical: each round's increment is the minimum over all flows,
+//! so splitting changes how the accumulated rates round.
+
+use std::collections::HashMap;
 
 /// Index of a capacity constraint in the solver's constraint table.
 pub type ConstraintIx = usize;
@@ -51,26 +79,49 @@ pub struct FlowDemand {
     pub max_rate_bps: f64,
 }
 
+/// A constraint list interned by [`FairShareSolver::intern`]: every
+/// flow pushed with the same class crosses the same constraints. Valid
+/// only for the workspace that interned it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RouteClass(usize);
+
 /// Tolerance for saturation tests. Absolute, in the allocation's rate
 /// unit; tiny relative to any real capacity.
 const EPS: f64 = 1e-9;
 
-/// One pushed flow: its constraint list is `cons[start..end]`.
+/// Marks an unset per-class or per-group slot.
+const NONE: usize = usize::MAX;
+
+/// One pushed flow: its class, as an index into `class_span`.
 #[derive(Debug, Clone, Copy)]
 struct FlowSlot {
-    start: usize,
-    end: usize,
+    class: usize,
     min_rate_bps: f64,
     max_rate_bps: f64,
 }
 
+/// Per-solve state of one route class some pushed flow belongs to.
+#[derive(Debug, Clone, Copy)]
+struct PresentClass {
+    /// The class's full list is `class_cons[at..end]`.
+    at: usize,
+    end: usize,
+    /// Its undominated constraints are `kept_cons[kept_at..kept_end]`.
+    kept_at: usize,
+    kept_end: usize,
+    /// Flows of the class still growing.
+    active: usize,
+}
+
 /// A reusable max-min solver workspace.
 ///
-/// Push the problem's flows with [`FairShareSolver::push_flow`], then
-/// call [`FairShareSolver::solve`] with the capacity table; call
-/// [`FairShareSolver::clear`] before the next problem. Buffers keep
-/// their capacity across problems, so a warm workspace solves without
-/// allocating.
+/// Intern each distinct constraint list once with
+/// [`FairShareSolver::intern`]; push the problem's flows with
+/// [`FairShareSolver::push_flow`], then call
+/// [`FairShareSolver::solve`] with the capacity table; call
+/// [`FairShareSolver::clear`] before the next problem. Interned classes
+/// and every buffer's capacity survive `clear`, so a warm workspace
+/// solves without allocating.
 ///
 /// ```
 /// use gvc_net::fairshare::FairShareSolver;
@@ -78,19 +129,30 @@ struct FlowSlot {
 /// let mut solver = FairShareSolver::new();
 /// // Link 0 (10 units) carries both flows; link 1 (4 units) only the
 /// // second, which is bottlenecked there.
-/// solver.push_flow(&[0], 0.0, f64::INFINITY);
-/// solver.push_flow(&[0, 1], 0.0, f64::INFINITY);
+/// let (wide, narrow) = (solver.intern(&[0]), solver.intern(&[0, 1]));
+/// solver.push_flow(wide, 0.0, f64::INFINITY);
+/// solver.push_flow(narrow, 0.0, f64::INFINITY);
 /// assert_eq!(solver.solve(&[10.0, 4.0]), &[6.0, 4.0]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FairShareSolver {
-    /// Every pushed flow's constraint list, concatenated.
-    cons: Vec<ConstraintIx>,
+    /// Interned lists and their classes.
+    classes: HashMap<Box<[ConstraintIx]>, RouteClass>,
+    /// Every class's list, concatenated: class `k` crosses
+    /// `class_cons[a..b]` for `(a, b) = class_span[k]`.
+    class_cons: Vec<ConstraintIx>,
+    class_span: Vec<(usize, usize)>,
+    /// Per class, its index in `present` during a solve, else `NONE`.
+    class_pos: Vec<usize>,
     flows: Vec<FlowSlot>,
-    /// Per-flow rate (the result) and growth flag.
+    /// Per-flow rate (the result) and index into `present`.
     alloc: Vec<f64>,
-    active: Vec<bool>,
-    /// Per-flow merge cursor and membership scratch for the
+    flow_pos: Vec<usize>,
+    /// The flows still growing, in push order.
+    live: Vec<usize>,
+    /// The classes of the pushed flows, in order of first push.
+    present: Vec<PresentClass>,
+    /// Per present class: merge cursor and membership scratch for the
     /// over-admission pass.
     cursor: Vec<usize>,
     member: Vec<bool>,
@@ -99,8 +161,19 @@ pub struct FairShareSolver {
     remaining: Vec<f64>,
     counts: Vec<usize>,
     seen: Vec<bool>,
+    group: Vec<usize>,
     /// The constraints crossed by at least one flow.
     touched: Vec<ConstraintIx>,
+    /// Per group of constraints crossed by the same classes: the group
+    /// it splits into for the class being refined (`split_by` names
+    /// that class) and the constraint kept for it.
+    split: Vec<usize>,
+    split_by: Vec<usize>,
+    rep: Vec<ConstraintIx>,
+    /// The undominated constraints, and each present class's share of
+    /// them, concatenated.
+    kept: Vec<ConstraintIx>,
+    kept_cons: Vec<ConstraintIx>,
 }
 
 impl FairShareSolver {
@@ -109,32 +182,45 @@ impl FairShareSolver {
         FairShareSolver::default()
     }
 
-    /// Forgets the pushed flows, keeping every buffer's capacity.
-    pub fn clear(&mut self) {
-        self.cons.clear();
-        self.flows.clear();
-    }
-
-    /// Adds a flow crossing `constraints` with a guaranteed minimum and
-    /// a maximum rate (`f64::INFINITY` for uncapped).
+    /// The class of flows crossing `constraints`, interning the list on
+    /// first sight. Indices are checked against the capacity table at
+    /// [`FairShareSolver::solve`].
     ///
     /// # Panics
     /// Panics unless `constraints` is strictly increasing (sorted,
     /// without duplicates); [`max_min_allocation`] normalises for
     /// callers holding unsorted lists.
-    pub fn push_flow(
-        &mut self,
-        constraints: &[ConstraintIx],
-        min_rate_bps: f64,
-        max_rate_bps: f64,
-    ) {
+    pub fn intern(&mut self, constraints: &[ConstraintIx]) -> RouteClass {
+        if let Some(&class) = self.classes.get(constraints) {
+            return class;
+        }
         assert!(
             constraints.windows(2).all(|w| w.first() < w.last()),
             "constraint list must be sorted and duplicate-free"
         );
-        let start = self.cons.len();
-        self.cons.extend_from_slice(constraints);
-        self.flows.push(FlowSlot { start, end: self.cons.len(), min_rate_bps, max_rate_bps });
+        let class = RouteClass(self.class_span.len());
+        let at = self.class_cons.len();
+        self.class_cons.extend_from_slice(constraints);
+        self.class_span.push((at, self.class_cons.len()));
+        self.class_pos.push(NONE);
+        self.classes.insert(constraints.into(), class);
+        class
+    }
+
+    /// Forgets the pushed flows, keeping the interned classes and every
+    /// buffer's capacity.
+    pub fn clear(&mut self) {
+        self.flows.clear();
+    }
+
+    /// Adds a flow of route `class` with a guaranteed minimum and a
+    /// maximum rate (`f64::INFINITY` for uncapped).
+    ///
+    /// # Panics
+    /// Panics when `class` was not interned by this workspace.
+    pub fn push_flow(&mut self, class: RouteClass, min_rate_bps: f64, max_rate_bps: f64) {
+        assert!(class.0 < self.class_span.len(), "route class of another workspace");
+        self.flows.push(FlowSlot { class: class.0, min_rate_bps, max_rate_bps });
     }
 
     /// Solves the pushed flows against `capacities` (bps, indexed by
@@ -150,32 +236,69 @@ impl FairShareSolver {
     /// Panics when a flow names a constraint outside `capacities`.
     pub fn solve(&mut self, capacities: &[f64]) -> &[f64] {
         let FairShareSolver {
-            cons,
+            classes: _,
+            class_cons,
+            class_span,
+            class_pos,
             flows,
             alloc,
-            active,
+            flow_pos,
+            live,
+            present,
             cursor,
             member,
             remaining,
             counts,
             seen,
+            group,
             touched,
+            split,
+            split_by,
+            rep,
+            kept,
+            kept_cons,
         } = self;
         if seen.len() < capacities.len() {
             remaining.resize(capacities.len(), 0.0);
             counts.resize(capacities.len(), 0);
             seen.resize(capacities.len(), false);
+            group.resize(capacities.len(), 0);
         }
 
-        // Touch only the constraints some flow crosses.
+        // The classes present, in order of first push.
+        present.clear();
+        flow_pos.clear();
+        for f in flows.iter() {
+            if class_pos[f.class] == NONE {
+                class_pos[f.class] = present.len();
+                let (at, end) = class_span[f.class];
+                present.push(PresentClass { at, end, kept_at: 0, kept_end: 0, active: 0 });
+            }
+            flow_pos.push(class_pos[f.class]);
+        }
+        for f in flows.iter() {
+            class_pos[f.class] = NONE;
+        }
+
+        // Touch only the constraints some flow crosses, each in the one
+        // group the dominance pass below starts from.
         touched.clear();
-        for &c in cons.iter() {
-            assert!(c < capacities.len(), "constraint index out of range");
-            if !seen[c] {
-                seen[c] = true;
-                touched.push(c);
-                remaining[c] = capacities[c];
-                counts[c] = 0;
+        let mut negative = false;
+        for pc in present.iter() {
+            let cs = &class_cons[pc.at..pc.end];
+            assert!(
+                cs.last().is_none_or(|&c| c < capacities.len()),
+                "constraint index out of range"
+            );
+            for &c in cs {
+                if !seen[c] {
+                    seen[c] = true;
+                    touched.push(c);
+                    remaining[c] = capacities[c];
+                    counts[c] = 0;
+                    group[c] = 0;
+                    negative |= capacities[c] < 0.0;
+                }
             }
         }
         for &c in touched.iter() {
@@ -188,116 +311,167 @@ impl FairShareSolver {
         // Scale guarantees down where over-admitted. With every
         // starting allocation zero no committed sum can exceed a
         // non-negative capacity, so the pass is skipped.
-        if alloc.iter().any(|&a| a != 0.0) || touched.iter().any(|&c| capacities[c] < 0.0) {
+        if negative || alloc.iter().any(|&a| a != 0.0) {
             // Constraints in ascending order, as each scaling sees the
-            // allocations earlier constraints left. Every flow list is
-            // sorted, so a per-flow cursor finds the flows crossing
-            // each constraint in one merge.
+            // allocations earlier constraints left. Every class list is
+            // sorted, so a per-class cursor finds the classes crossing
+            // each constraint in one merge; the sum runs over flows in
+            // push order.
             touched.sort_unstable();
             cursor.clear();
-            cursor.extend(flows.iter().map(|f| f.start));
+            cursor.extend(present.iter().map(|pc| pc.at));
             for &c in touched.iter() {
                 member.clear();
-                member.extend(flows.iter().zip(cursor.iter_mut()).map(|(f, at)| {
-                    let hit = *at < f.end && cons.get(*at) == Some(&c);
+                member.extend(present.iter().zip(cursor.iter_mut()).map(|(pc, at)| {
+                    let hit = *at < pc.end && class_cons.get(*at) == Some(&c);
                     if hit {
                         *at += 1;
                     }
                     hit
                 }));
-                let committed: f64 =
-                    alloc.iter().zip(member.iter()).filter(|(_, &m)| m).map(|(&a, _)| a).sum();
+                let committed: f64 = alloc
+                    .iter()
+                    .zip(flow_pos.iter())
+                    .filter(|(_, &p)| member[p])
+                    .map(|(&a, _)| a)
+                    .sum();
                 if committed > capacities[c] {
                     let scale = capacities[c] / committed;
-                    for (a, _) in alloc.iter_mut().zip(member.iter()).filter(|(_, &m)| m) {
+                    for (a, _) in alloc.iter_mut().zip(flow_pos.iter()).filter(|(_, &p)| member[p])
+                    {
                         *a *= scale;
                     }
                 }
             }
         }
 
-        for (f, &a) in flows.iter().zip(alloc.iter()) {
-            for &c in &cons[f.start..f.end] {
+        for (&a, &p) in alloc.iter().zip(flow_pos.iter()) {
+            // `x - 0.0 == x`: a zero allocation subtracts nothing.
+            if a.to_bits() == 0 {
+                continue;
+            }
+            let pc = &present[p];
+            for &c in &class_cons[pc.at..pc.end] {
                 remaining[c] -= a;
             }
         }
+
+        // Group the touched constraints by the classes crossing them:
+        // start from one group and split each group by each class.
+        split.clear();
+        split_by.clear();
+        split.push(NONE);
+        split_by.push(NONE);
+        for (p, pc) in present.iter().enumerate() {
+            for &c in &class_cons[pc.at..pc.end] {
+                let g = group[c];
+                if split_by[g] != p {
+                    split_by[g] = p;
+                    split[g] = split.len();
+                    split.push(NONE);
+                    split_by.push(NONE);
+                }
+                group[c] = split[g];
+            }
+        }
+        // Clamp at zero, and keep the constraint with the least
+        // remaining capacity in each group (the first of equals).
+        rep.clear();
+        rep.resize(split.len(), NONE);
         for &c in touched.iter() {
             remaining[c] = remaining[c].max(0.0);
+            let r = &mut rep[group[c]];
+            if *r == NONE || remaining[c] < remaining[*r] {
+                *r = c;
+            }
+        }
+        kept.clear();
+        kept.extend(touched.iter().copied().filter(|&c| rep[group[c]] == c));
+        kept_cons.clear();
+        for pc in present.iter_mut() {
+            pc.kept_at = kept_cons.len();
+            kept_cons
+                .extend(class_cons[pc.at..pc.end].iter().copied().filter(|&c| rep[group[c]] == c));
+            pc.kept_end = kept_cons.len();
         }
 
         // Active = can still grow: below max and on no saturated
         // constraint. Flows with no constraints get their cap
         // immediately (nothing to share against); infinite caps
         // degrade to zero extra.
-        active.clear();
-        let mut n_active = 0usize;
-        for (f, a) in flows.iter().zip(alloc.iter_mut()) {
-            let cs = &cons[f.start..f.end];
-            if cs.is_empty() {
+        live.clear();
+        for (i, (f, a)) in flows.iter().zip(alloc.iter_mut()).enumerate() {
+            let pc = &mut present[flow_pos[i]];
+            if pc.at == pc.end {
                 if f.max_rate_bps.is_finite() {
                     *a = f.max_rate_bps;
                 }
-                active.push(false);
                 continue;
             }
-            let grows = *a + EPS < f.max_rate_bps && cs.iter().all(|&c| remaining[c] > EPS);
-            if grows {
-                n_active += 1;
-                for &c in cs {
-                    counts[c] += 1;
-                }
+            if *a + EPS < f.max_rate_bps
+                && kept_cons[pc.kept_at..pc.kept_end].iter().all(|&c| remaining[c] > EPS)
+            {
+                pc.active += 1;
+                live.push(i);
             }
-            active.push(grows);
+        }
+        for pc in present.iter() {
+            for &c in &kept_cons[pc.kept_at..pc.kept_end] {
+                counts[c] += pc.active;
+            }
         }
 
-        while n_active > 0 {
+        while !live.is_empty() {
             // Largest uniform increment before a constraint saturates
             // or a flow hits its cap. Every candidate is strictly
             // positive, so the scan order cannot change the minimum.
             let mut delta = f64::INFINITY;
-            for &c in touched.iter() {
+            for &c in kept.iter() {
                 if counts[c] > 0 {
                     delta = delta.min(remaining[c] / counts[c] as f64);
                 }
             }
-            for ((f, &a), _) in
-                flows.iter().zip(alloc.iter()).zip(active.iter()).filter(|(_, &on)| on)
-            {
-                delta = delta.min(f.max_rate_bps - a);
+            for &i in live.iter() {
+                delta = delta.min(flows[i].max_rate_bps - alloc[i]);
             }
             if !delta.is_finite() || delta <= 0.0 {
                 break;
             }
 
-            for ((f, a), on) in flows.iter().zip(alloc.iter_mut()).zip(active.iter_mut()) {
-                if !*on {
-                    continue;
-                }
-                *a += delta;
-                let cs = &cons[f.start..f.end];
-                for &c in cs {
+            for &c in kept.iter() {
+                for _ in 0..counts[c] {
                     remaining[c] -= delta;
                 }
-                if *a + EPS >= f.max_rate_bps {
-                    *on = false;
-                    n_active -= 1;
-                    for &c in cs {
-                        counts[c] -= 1;
-                    }
-                }
             }
-            for &c in touched.iter() {
+            live.retain(|&i| {
+                let a = &mut alloc[i];
+                *a += delta;
+                if *a + EPS < flows[i].max_rate_bps {
+                    return true;
+                }
+                let pc = &mut present[flow_pos[i]];
+                pc.active -= 1;
+                for &c in &kept_cons[pc.kept_at..pc.kept_end] {
+                    counts[c] -= 1;
+                }
+                false
+            });
+            for &c in kept.iter() {
                 remaining[c] = remaining[c].max(0.0);
             }
-            for (f, on) in flows.iter().zip(active.iter_mut()) {
-                let cs = &cons[f.start..f.end];
-                if *on && cs.iter().any(|&c| remaining[c] <= EPS) {
-                    *on = false;
-                    n_active -= 1;
+            let mut frozen = false;
+            for pc in present.iter_mut().filter(|pc| pc.active > 0) {
+                let cs = &kept_cons[pc.kept_at..pc.kept_end];
+                if cs.iter().any(|&c| remaining[c] <= EPS) {
                     for &c in cs {
-                        counts[c] -= 1;
+                        counts[c] -= pc.active;
                     }
+                    pc.active = 0;
+                    frozen = true;
                 }
+            }
+            if frozen {
+                live.retain(|&i| present[flow_pos[i]].active > 0);
             }
         }
 
@@ -320,7 +494,8 @@ pub fn max_min_allocation(constraints: &[CapacityConstraint], flows: &[FlowDeman
         cs.clone_from(&f.constraints);
         cs.sort_unstable();
         cs.dedup();
-        solver.push_flow(&cs, f.min_rate_bps, f.max_rate_bps);
+        let class = solver.intern(&cs);
+        solver.push_flow(class, f.min_rate_bps, f.max_rate_bps);
     }
     solver.solve(&capacities).to_vec()
 }
@@ -681,14 +856,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "sorted and duplicate-free")]
     fn unsorted_push_panics() {
-        FairShareSolver::new().push_flow(&[2, 1], 0.0, 1.0);
+        FairShareSolver::new().intern(&[2, 1]);
     }
 
     #[test]
     #[should_panic(expected = "constraint index out of range")]
     fn out_of_range_constraint_panics() {
         let mut solver = FairShareSolver::new();
-        solver.push_flow(&[3], 0.0, 1.0);
+        let class = solver.intern(&[3]);
+        solver.push_flow(class, 0.0, 1.0);
         solver.solve(&[1.0]);
     }
 
@@ -725,10 +901,105 @@ mod tests {
                     cs.clone_from(&f.constraints);
                     cs.sort_unstable();
                     cs.dedup();
-                    solver.push_flow(&cs, f.min_rate_bps, f.max_rate_bps);
+                    let class = solver.intern(&cs);
+                    solver.push_flow(class, f.min_rate_bps, f.max_rate_bps);
                 }
                 prop_assert_eq!(bits(solver.solve(&capacities)), want.clone(), "{:?} {:?}", cons, flows);
                 prop_assert_eq!(bits(&max_min_allocation(&cons, &flows)), want);
+            }
+        }
+    }
+
+    /// Raw draws for one route-class problem: capacities, then per
+    /// class a constraint mask, then per flow its class, guarantee and
+    /// cap.
+    type ClassDraw = (Vec<(u8, f64)>, Vec<u16>, Vec<(usize, (u8, f64), (u8, f64))>);
+
+    /// Builds a problem whose flows draw their lists from a few shared
+    /// classes, so most constraints share their set of crossing classes
+    /// with others and are dominated. Class `k`'s list is the set bits
+    /// of its mask over the constraint table. With `spread` the mask is
+    /// `k + 1` and flow `i` takes class `i`, so over at least 7
+    /// constraints up to 127 distinct classes are all present.
+    /// Capacities come from few small values (equal and unequal
+    /// dominated constraints), zero and infinity.
+    fn class_problem(
+        (cap_draws, masks, flow_draws): &ClassDraw,
+        spread: bool,
+    ) -> (Vec<CapacityConstraint>, Vec<FlowDemand>) {
+        let constraints: Vec<CapacityConstraint> = cap_draws
+            .iter()
+            .map(|&(k, v)| CapacityConstraint {
+                capacity_bps: match k {
+                    0 => 0.0,
+                    1 => f64::INFINITY,
+                    2 | 3 => (v / 4.0).floor(),
+                    _ => v,
+                },
+            })
+            .collect();
+        let n = constraints.len();
+        let lists: Vec<Vec<ConstraintIx>> = masks
+            .iter()
+            .enumerate()
+            .map(|(k, &m)| {
+                let m = if spread { k + 1 } else { usize::from(m) };
+                (0..n).filter(|&c| m >> c & 1 == 1).collect()
+            })
+            .collect();
+        let demands = flow_draws
+            .iter()
+            .enumerate()
+            .map(|(i, &(k, (gk, gv), (mk, mv)))| FlowDemand {
+                constraints: lists[if spread { i } else { k } % lists.len()].clone(),
+                min_rate_bps: if gk % 2 == 0 { 0.0 } else { rate(gk / 2, gv, gv) },
+                max_rate_bps: rate(mk, mv, f64::INFINITY),
+            })
+            .collect();
+        (constraints, demands)
+    }
+
+    fn class_draws(
+        constraints: std::ops::Range<usize>,
+        classes: std::ops::Range<usize>,
+        flows: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = ClassDraw> {
+        (
+            proptest::collection::vec((0u8..6, 0.0f64..40.0), constraints),
+            proptest::collection::vec(0u16..256, classes),
+            proptest::collection::vec(
+                (0usize..1024, (0u8..8, 0.0f64..12.0), (0u8..5, 0.1f64..15.0)),
+                flows,
+            ),
+        )
+    }
+
+    proptest! {
+        /// The solver is bit-identical to the dense oracle on problems
+        /// built from shared route classes, where dropping dominated
+        /// constraints does the most: few classes over many
+        /// constraints, and (with `spread`) up to 120 distinct classes
+        /// present at once, more than a one-word mask holds. Guarantees
+        /// over-admit often enough to run the scaling pass. One
+        /// workspace solves the whole sequence, so classes interned by
+        /// an earlier problem are reused or left absent.
+        #[test]
+        fn prop_route_classes_bit_identical_to_dense_oracle(
+            few in proptest::collection::vec(class_draws(1..9, 1..4, 0..14), 1..5),
+            many in class_draws(7..9, 65..121, 121..160),
+        ) {
+            let mut solver = FairShareSolver::new();
+            let problems = few.iter().map(|d| class_problem(d, false))
+                .chain(std::iter::once(class_problem(&many, true)));
+            for (cons, flows) in problems {
+                let want = bits(&dense_oracle(&cons, &flows));
+                let capacities: Vec<f64> = cons.iter().map(|c| c.capacity_bps).collect();
+                solver.clear();
+                for f in &flows {
+                    let class = solver.intern(&f.constraints);
+                    solver.push_flow(class, f.min_rate_bps, f.max_rate_bps);
+                }
+                prop_assert_eq!(bits(solver.solve(&capacities)), want, "{:?} {:?}", cons, flows);
             }
         }
     }

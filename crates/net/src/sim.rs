@@ -11,12 +11,12 @@
 //! [`NetworkSim::run_until`]: advance to `t`, harvesting any flow
 //! completions on the way, then inject the next external event.
 
-use crate::fairshare::{ConstraintIx, FairShareSolver};
+use crate::fairshare::{ConstraintIx, FairShareSolver, RouteClass};
 use crate::flow::{FlowCompletion, FlowId, FlowSpec, ResourceId};
 use crate::snmp_rec::SnmpRecorder;
 use gvc_engine::{SimSpan, SimTime};
 use gvc_telemetry::timeline::series;
-use gvc_telemetry::{Counter, Gauge, Telemetry, TimelineHandle, TraceEvent, Tracer};
+use gvc_telemetry::{Counter, Gauge, Perf, Telemetry, TimelineHandle, TraceEvent, Tracer};
 use gvc_topology::{Graph, LinkId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -65,10 +65,9 @@ const DONE_EPS_BYTES: f64 = 0.5;
 
 struct FlowState {
     spec: FlowSpec,
-    /// The flow's route links and resources as indices into
-    /// [`NetworkSim`]'s capacity table, sorted and deduplicated once at
-    /// injection.
-    constraints: Vec<ConstraintIx>,
+    /// The solver's class for the flow's route links and resources,
+    /// interned once at injection.
+    class: RouteClass,
     remaining_bytes: f64,
     rate_bps: f64,
     peak_rate_bps: f64,
@@ -101,7 +100,8 @@ pub struct NetworkSim {
     /// The solver's capacity table: one entry per graph link (indexed
     /// by `LinkId`), then one per registered resource.
     capacities: Vec<f64>,
-    /// Max-min workspace, reused by every recomputation.
+    /// Max-min workspace, reused by every recomputation; it holds the
+    /// route classes of every flow injected so far.
     solver: FairShareSolver,
     flows: BTreeMap<FlowId, FlowState>,
     next_id: u64,
@@ -124,6 +124,9 @@ pub struct NetworkSim {
     traces: HashMap<u64, FlowTrace>,
     traced_tags: std::collections::HashSet<u64>,
     telemetry: Option<NetTelemetry>,
+    /// Host-time recorder for the `fairshare` phase (disabled unless
+    /// [`NetworkSim::set_telemetry`] passes a live one).
+    perf: Perf,
 }
 
 impl NetworkSim {
@@ -147,12 +150,16 @@ impl NetworkSim {
             traces: HashMap::new(),
             traced_tags: std::collections::HashSet::new(),
             telemetry: None,
+            perf: Perf::disabled(),
         }
     }
 
     /// Instruments the simulator from `ctx`: flow and solver counters
-    /// in its registry, `net.*` events through its tracer.
+    /// in its registry, `net.*` events through its tracer, and each
+    /// rate recomputation as one item of its perf recorder's
+    /// `fairshare` phase.
     pub fn set_telemetry(&mut self, ctx: &Telemetry) {
+        self.perf = ctx.perf.clone();
         let registry = &ctx.registry;
         self.telemetry = Some(NetTelemetry {
             recomputations: registry.counter("net_fairshare_recomputations_total", &[]),
@@ -321,12 +328,13 @@ impl NetworkSim {
         }
         constraints.sort_unstable();
         constraints.dedup();
+        let class = self.solver.intern(&constraints);
         let id = FlowId(self.next_id);
         self.next_id += 1;
         self.flows.insert(
             id,
             FlowState {
-                constraints,
+                class,
                 remaining_bytes: spec.size_bytes,
                 spec,
                 rate_bps: 0.0,
@@ -399,9 +407,11 @@ impl NetworkSim {
                 TraceEvent::new(self.now.micros() as i64, "net.fairshare").field("flows", n_flows)
             });
         }
+        let mut phase = self.perf.phase("fairshare");
+        phase.items(1);
         self.solver.clear();
         for f in self.flows.values() {
-            self.solver.push_flow(&f.constraints, f.spec.min_rate_bps, f.spec.max_rate_bps);
+            self.solver.push_flow(f.class, f.spec.min_rate_bps, f.spec.max_rate_bps);
         }
         let alloc = self.solver.solve(&self.capacities);
         let now = self.now;

@@ -670,10 +670,11 @@ impl Perf {
     }
 
     /// Opens a phase timer; the phase is recorded when the guard
-    /// drops. Free when disabled.
+    /// drops. Free when disabled: the clock is read only when a
+    /// recorder is attached.
     #[must_use]
     pub fn phase(&self, name: &'static str) -> PhaseGuard {
-        PhaseGuard { rec: self.rec.clone(), name, items: 0, sw: Stopwatch::start() }
+        PhaseGuard { timing: self.rec.clone().map(|rec| (rec, Stopwatch::start())), name, items: 0 }
     }
 
     /// The run so far as a one-rep [`PerfSnapshot`] named `name` (the
@@ -713,10 +714,10 @@ fn single(id: String, unit: &str, higher_is_better: bool, items: u64, value: f64
 
 /// Scoped phase timer handed out by [`Perf::phase`]; records on drop.
 pub struct PhaseGuard {
-    rec: Option<Arc<PerfRecorder>>,
+    /// The recorder and the phase's start, or nothing when disabled.
+    timing: Option<(Arc<PerfRecorder>, Stopwatch)>,
     name: &'static str,
     items: u64,
-    sw: Stopwatch,
 }
 
 impl PhaseGuard {
@@ -729,10 +730,10 @@ impl PhaseGuard {
 
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
-        let Some(rec) = &self.rec else {
+        let Some((rec, sw)) = &self.timing else {
             return;
         };
-        let seconds = self.sw.elapsed_s();
+        let seconds = sw.elapsed_s();
         let mut phases = rec.phases.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         match phases.iter_mut().find(|p| p.name == self.name) {
             Some(p) => {
@@ -934,6 +935,7 @@ mod tests {
         assert!(!p.enabled());
         {
             let mut g = p.phase("simulate");
+            assert!(g.timing.is_none(), "a disabled phase holds no stopwatch");
             g.items(10);
         }
         assert!(p.report("simulate").is_none());
