@@ -819,7 +819,7 @@ fn taxonomy_experiment() -> String {
         42,
     );
     let science = topo.path(Site::Slac, Site::Bnl);
-    let mut arrivals: Vec<(SimTime, FlowSpec)> = bg.into_iter().map(|a| (a.at, a.spec)).collect();
+    let mut arrivals: Vec<(SimTime, FlowSpec)> = bg.iter().map(|a| (a.at, a.spec())).collect();
     // Science transfers arrive in overlapping triples: 3 x 5 Gbps
     // demand on a 10 Gbps path squeezes them below their cap while
     // together, and they burst to the cap as siblings finish — large

@@ -105,7 +105,7 @@ impl Scenarios {
     /// The NERSC server's full log (tests + production), the
     /// concurrency universe for Figs. 7–8.
     pub fn nersc_server_log(&self) -> Dataset {
-        self.anl.filter(|r| r.server == "dtn01.nersc.gov")
+        self.anl.filter(|r| &*r.server == "dtn01.nersc.gov")
     }
 }
 

@@ -194,6 +194,27 @@ fn output_log(a: &ParsedArgs) -> Option<&str> {
     a.positional.get(at).map(String::as_str)
 }
 
+/// Refuses two outputs of one run at the same path: the second writer
+/// would replace the first one's file, or the log's overwrite check
+/// would fail only after the whole run. `run_command` checks before any
+/// work or any telemetry file.
+fn refuse_shared_outputs(a: &ParsedArgs) -> Result<(), CliError> {
+    let flags = ["trace", "metrics-out", "perf-out", "timeline"]
+        .into_iter()
+        .filter_map(|f| a.flags.get(f).map(|p| (format!("--{f}"), p.as_str())));
+    let outputs: Vec<(String, &str)> =
+        output_log(a).map(|p| ("the output log".to_owned(), p)).into_iter().chain(flags).collect();
+    for (i, (what, path)) in outputs.iter().enumerate() {
+        if let Some((other, _)) = outputs[..i].iter().find(|(_, p)| Path::new(p) == Path::new(path))
+        {
+            return Err(CliError(format!(
+                "{other} and {what} both write {path}; give each output its own path"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Refuses an output log that already exists. `run_command` checks
 /// before any work or any telemetry file; `save` checks again.
 fn refuse_existing(path: &str) -> Result<(), CliError> {
@@ -760,6 +781,7 @@ pub fn run_command<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> 
     let spec =
         COMMANDS.iter().find(|c| c.name == command).ok_or_else(|| unknown_command(command))?;
     check_flags(a, spec)?;
+    refuse_shared_outputs(a)?;
     if let Some(out) = output_log(a) {
         refuse_existing(out)?;
     }
@@ -953,6 +975,23 @@ mod tests {
         assert!(err.0.contains("refusing to overwrite"), "{}", err.0);
         assert_eq!(std::fs::read_to_string(&out_path).unwrap(), "precious");
         std::fs::remove_file(&out_path).ok();
+    }
+
+    #[test]
+    fn equal_output_paths_are_refused_before_any_file() {
+        let same = tmpfile("same-output");
+        for argv in [
+            vec!["simulate", &same, "--jobs", "5", "--trace", &same],
+            vec!["generate", "ncar", &same, "--scale", "0.01", "--timeline", &same],
+            vec!["simulate", &same, "--jobs", "5", "--perf-out", &same],
+            vec!["summary", "missing.log", "--trace", &same, "--metrics-out", &same],
+            vec!["simulate", "other.log", "--jobs", "5", "--timeline", &same, "--perf-out", &same],
+        ] {
+            let err = run(&argv).unwrap_err();
+            assert!(err.0.contains("give each output its own path"), "{argv:?}: {}", err.0);
+            assert!(!std::path::Path::new(&same).exists(), "{argv:?} created a file");
+        }
+        assert!(!std::path::Path::new("other.log").exists());
     }
 
     #[test]

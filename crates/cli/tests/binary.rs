@@ -40,6 +40,20 @@ fn unknown_command_exits_1_with_message() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 }
 
+/// A trace aimed at the output log is refused before the run, and no
+/// file is left where the log was asked for.
+#[test]
+fn simulate_refuses_a_trace_at_the_log_path() {
+    let same = tmp("same.log");
+    let path = same.to_str().unwrap();
+    let out =
+        gvc().args(["simulate", path, "--jobs", "5", "--trace", path]).output().expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("give each output its own path"), "{err}");
+    assert!(!same.exists(), "a file was created at {path}");
+}
+
 /// Fault-plan times past the simulation clock are refused at parse
 /// time with a typed error instead of panicking the driver.
 #[test]

@@ -37,7 +37,7 @@ fn active_at(ds: &Dataset, server: &str, t: i64) -> Vec<usize> {
     ds.records()
         .iter()
         .enumerate()
-        .filter(|(_, r)| r.server == server && r.start_unix_us <= t && r.end_unix_us() > t)
+        .filter(|(_, r)| &*r.server == server && r.start_unix_us <= t && r.end_unix_us() > t)
         .map(|(i, _)| i)
         .collect()
 }

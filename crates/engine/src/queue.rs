@@ -1,11 +1,21 @@
 //! The event calendar.
 //!
-//! A min-heap keyed on `(time, sequence)` where `sequence` is a
+//! Events are keyed on `(time, sequence)` where `sequence` is a
 //! monotone counter assigned at scheduling time, so simultaneous events
 //! pop in the order they were scheduled. That FIFO guarantee is what
 //! makes whole-simulation runs deterministic: the paper's SLAC–BNL
 //! sessions start many transfers at the same instant (negative session
 //! gaps), and their relative order must not depend on heap internals.
+//!
+//! Two stores hold the pending events: a min-heap for events scheduled
+//! one at a time, and a *script*, a batch handed over whole by
+//! [`EventQueue::schedule_script`], stable-sorted by time and walked by
+//! a cursor. `pop` takes the earlier head of the two by
+//! `(time, sequence)`. The batch takes consecutive sequence numbers,
+//! so every heap entry's number is either below all of the script's or
+//! above them, and comparing with the script's first number decides a
+//! tie exactly as one heap holding everything would. The script pays
+//! neither the heap's per-entry sift nor a copy of its events.
 
 use crate::time::{SimSpan, SimTime};
 use gvc_telemetry::timeline::series;
@@ -73,6 +83,14 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// The pending rest of the [`EventQueue::schedule_script`] batch,
+    /// in pop order.
+    script: std::vec::IntoIter<(SimTime, E)>,
+    /// The script's `kernel.queue_wait` spans, in the same order; empty
+    /// when no tracer is attached.
+    script_spans: std::vec::IntoIter<SpanId>,
+    /// The sequence number of the script's first entry.
+    script_seq: u64,
     seq: u64,
     now: SimTime,
     /// Lifetime pop count, kept unconditionally (no telemetry needed)
@@ -92,6 +110,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
+            script: Vec::new().into_iter(),
+            script_spans: Vec::new().into_iter(),
+            script_seq: 0,
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -141,9 +162,63 @@ impl<E> EventQueue<E> {
         self.seq += 1;
         if let Some(t) = &self.telemetry {
             t.scheduled.inc();
-            t.depth_hwm.set_max(self.heap.len() as i64);
+            t.depth_hwm.set_max(self.len() as i64);
             if let Some(tl) = &t.timeline {
                 tl.add(series::KERNEL_SCHEDULED, self.now.micros(), 1.0);
+            }
+        }
+    }
+
+    /// Schedules a batch as if each `(at, event)` went to
+    /// [`EventQueue::schedule`] in order: the same sequence numbers,
+    /// `kernel.queue_wait` spans (opened in call order), counters,
+    /// depth high-water mark and `kernel.scheduled` window, so ties
+    /// resolve as they would. The batch is stable-sorted by time in its
+    /// own vector and walked as a cursor beside the heap. A batch given
+    /// while an earlier one is still pending goes onto the heap.
+    ///
+    /// # Panics
+    /// Panics if any `at` is before the current clock.
+    pub fn schedule_script(&mut self, mut script: Vec<(SimTime, E)>) {
+        if !self.script.as_slice().is_empty() {
+            for (at, event) in script {
+                self.schedule(at, event);
+            }
+            return;
+        }
+        let now = self.now;
+        if let Some(at) = script.iter().map(|e| e.0).min() {
+            assert!(at >= now, "cannot schedule into the past: at={at} now={now}");
+        }
+        let n = script.len();
+        let spans = match &self.telemetry {
+            Some(t) if t.tracer.enabled() => {
+                let t_us = now.micros() as i64;
+                let opened: Vec<SpanId> = (0..n)
+                    .map(|_| t.tracer.span_enter(SpanId::NONE, t_us, "kernel.queue_wait"))
+                    .collect();
+                // The stable sort below orders the batch as its unique
+                // `(time, call index)` keys do.
+                let mut order: Vec<(SimTime, usize)> =
+                    script.iter().map(|e| e.0).zip(0..).collect();
+                order.sort_unstable();
+                order.into_iter().map(|(_, i)| opened[i]).collect()
+            }
+            _ => Vec::new(),
+        };
+        script.sort_by_key(|e| e.0);
+        self.script = script.into_iter();
+        self.script_spans = spans.into_iter();
+        self.script_seq = self.seq;
+        self.seq += n as u64;
+        if let Some(t) = &self.telemetry {
+            t.scheduled.add(n as u64);
+            t.depth_hwm.set_max(self.len() as i64);
+            if let Some(tl) = &t.timeline {
+                if n > 0 {
+                    // One add of `n` sums exactly as `n` adds of 1 do.
+                    tl.add(series::KERNEL_SCHEDULED, now.micros(), n as f64);
+                }
             }
         }
     }
@@ -155,26 +230,42 @@ impl<E> EventQueue<E> {
         self.schedule(at, event);
     }
 
+    /// The earliest pending time, and whether the script holds it.
+    fn head(&self) -> Option<(SimTime, bool)> {
+        match (self.script.as_slice().first(), self.heap.peek()) {
+            (Some(&(at, _)), Some(h)) => {
+                Some(if (at, self.script_seq) < (h.at, h.seq) { (at, true) } else { (h.at, false) })
+            }
+            (Some(&(at, _)), None) => Some((at, true)),
+            (None, h) => h.map(|h| (h.at, false)),
+        }
+    }
+
     /// Pops the earliest event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| {
-            debug_assert!(e.at >= self.now);
-            self.now = e.at;
-            self.popped += 1;
-            if let Some(t) = &self.telemetry {
-                t.dispatched.inc();
-                t.tracer.span_exit(e.span, e.at.micros() as i64);
-                if let Some(tl) = &t.timeline {
-                    tl.add(series::KERNEL_DISPATCHED, e.at.micros(), 1.0);
-                }
+        let (at, event, span) = if self.head()?.1 {
+            let (at, event) = self.script.next()?;
+            (at, event, self.script_spans.next().unwrap_or(SpanId::NONE))
+        } else {
+            let e = self.heap.pop()?;
+            (e.at, e.event, e.span)
+        };
+        debug_assert!(at >= self.now);
+        self.now = at;
+        self.popped += 1;
+        if let Some(t) = &self.telemetry {
+            t.dispatched.inc();
+            t.tracer.span_exit(span, at.micros() as i64);
+            if let Some(tl) = &t.timeline {
+                tl.add(series::KERNEL_DISPATCHED, at.micros(), 1.0);
             }
-            (e.at, e.event)
-        })
+        }
+        Some((at, event))
     }
 
     /// Timestamp of the next event without popping.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.head().map(|(at, _)| at)
     }
 
     /// Total events popped over the queue's lifetime (independent of
@@ -185,12 +276,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.script.len() + self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.script.as_slice().is_empty() && self.heap.is_empty()
     }
 }
 
@@ -237,6 +328,15 @@ mod tests {
         q.schedule(SimTime::from_secs(10), ());
         q.pop();
         q.schedule(SimTime::from_secs(5), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn scripting_past_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(10), ());
+        q.pop();
+        q.schedule_script(vec![(SimTime::from_secs(12), ()), (SimTime::from_secs(5), ())]);
     }
 
     #[test]
@@ -320,7 +420,95 @@ mod tests {
         assert!(evs[0].to_json().contains("\"name\":\"kernel.queue_wait\""));
     }
 
+    /// One queue's observable behaviour: the pop sequence, then
+    /// `dispatched()`, the three kernel metrics, every trace event
+    /// (the `kernel.queue_wait` span pairs) and the timeline JSON.
+    type Observed = (Vec<(SimTime, u32)>, u64, [i64; 3], Vec<String>, Option<String>);
+
+    /// Schedules `pre` singly, then `script` (as one batch when
+    /// `batched`, else singly), then replays `ops`: 0 and 1 pop, and
+    /// `2 + d` schedules a fresh event `d` seconds after the clock.
+    fn drive(batched: bool, traced: bool, pre: &[u64], script: &[u64], ops: &[u64]) -> Observed {
+        use gvc_telemetry::{BufferSink, TimelineHandle};
+        let sink = Arc::new(BufferSink::new());
+        let mut q = EventQueue::new();
+        let ctx = Telemetry::with_sink(sink.clone()).with_timeline(TimelineHandle::new(2_000_000));
+        if traced {
+            q.set_telemetry(&ctx);
+        }
+        let mut id = 0u32;
+        let mut next_id = || {
+            id += 1;
+            id
+        };
+        for &t in pre {
+            q.schedule(SimTime::from_secs(t), next_id());
+        }
+        let script: Vec<(SimTime, u32)> =
+            script.iter().map(|&t| (SimTime::from_secs(t), next_id())).collect();
+        if batched {
+            q.schedule_script(script);
+        } else {
+            for (at, e) in script {
+                q.schedule(at, e);
+            }
+        }
+        let mut popped = Vec::new();
+        for &op in ops {
+            if op < 2 {
+                popped.extend(q.pop());
+            } else {
+                q.schedule(q.now() + SimSpan::from_secs(op as i64 - 2), next_id());
+            }
+        }
+        popped.extend(std::iter::from_fn(|| q.pop()));
+        let reg = &ctx.registry;
+        let counts = [
+            reg.counter("sim_events_scheduled_total", &[]).get() as i64,
+            reg.counter("sim_events_dispatched_total", &[]).get() as i64,
+            reg.gauge("sim_event_queue_depth_hwm", &[]).get(),
+        ];
+        let events = sink.take().iter().map(gvc_telemetry::TraceEvent::to_json).collect();
+        let timeline = ctx.timeline.as_ref().map(TimelineHandle::to_json);
+        (popped, q.dispatched(), counts, events, timeline)
+    }
+
+    #[test]
+    fn script_ties_follow_call_order_then_dynamic_schedules() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(1), "pre");
+        q.schedule_script(vec![
+            (SimTime::from_secs(1), "s1"),
+            (SimTime::ZERO, "s0"),
+            (SimTime::from_secs(1), "s2"),
+        ]);
+        q.schedule(SimTime::from_secs(1), "dyn");
+        assert_eq!(q.len(), 5);
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["s0", "pre", "s1", "s2", "dyn"]);
+        assert!(q.is_empty());
+    }
+
     proptest! {
+        /// A batched script behaves exactly as scheduling each of its
+        /// entries on the heap, in call order: same pops, same counts,
+        /// same `kernel.queue_wait` spans, same timeline. Times come
+        /// from a narrow range, so script entries tie with each other,
+        /// with earlier single schedules and with dynamic schedules at
+        /// one instant.
+        #[test]
+        fn prop_script_cursor_matches_heap(
+            traced in proptest::bool::ANY,
+            pre in proptest::collection::vec(0u64..6, 0..4),
+            script in proptest::collection::vec(0u64..8, 0..40),
+            ops in proptest::collection::vec(0u64..5, 0..60),
+        ) {
+            prop_assert_eq!(
+                drive(true, traced, &pre, &script, &ops),
+                drive(false, traced, &pre, &script, &ops)
+            );
+        }
+
         /// Any batch of scheduled events pops in nondecreasing time
         /// order, and equal-time events pop in insertion order.
         #[test]

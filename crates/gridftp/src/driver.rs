@@ -13,8 +13,9 @@ use crate::transfer::{prepare_transfer, FailureModel, PreparedTransfer, ServerNo
 use gvc_engine::{EventQueue, SimSpan, SimTime};
 use gvc_faults::{FaultInjector, FaultKind, FaultPlan, RecoveryAction, RecoveryPolicy};
 use gvc_logs::{Dataset, TransferRecord, TransferType};
+use gvc_net::background::BackgroundArrival;
 use gvc_net::tcp::TcpModel;
-use gvc_net::{FlowCompletion, FlowId, FlowSpec, NetworkSim};
+use gvc_net::{FlowCompletion, FlowId, NetworkSim};
 use gvc_oscars::{Idc, ReservationId, ReservationRequest};
 use gvc_stats::rng::component_rng;
 use gvc_telemetry::timeline::series;
@@ -138,7 +139,10 @@ pub struct ClusterId(pub usize);
 enum Event {
     StartSession(usize),
     LaunchNext(usize),
-    InjectBackground(Box<FlowSpec>),
+    /// Inject background arrival `i`, an index into the driver's
+    /// arrivals: a script of 432 407 arrivals must not hold a spec
+    /// each.
+    InjectBackground(usize),
     ResizeCluster(ClusterId, u32),
     /// Re-attempt circuit establishment for a session (recovery).
     RetryVc(usize),
@@ -261,9 +265,12 @@ pub struct Driver {
     /// The `driver.run` root span, opened by [`Driver::run`].
     run_span: SpanId,
     /// The schedule in call order: every `schedule_*` call appends its
-    /// calendar event here and nothing else. [`Driver::run`] moves it
-    /// onto the calendar when the run starts.
+    /// calendar event here and nothing else. [`Driver::run`] hands it
+    /// to the calendar as one batch when the run starts.
     script: Vec<(SimTime, Event)>,
+    /// Every scheduled background arrival, as generated; its flow spec
+    /// is built when the arrival is dispatched.
+    background: Vec<BackgroundArrival>,
 }
 
 impl Driver {
@@ -301,6 +308,7 @@ impl Driver {
             telemetry: None,
             run_span: SpanId::NONE,
             script: Vec::new(),
+            background: Vec::new(),
         }
     }
 
@@ -437,10 +445,15 @@ impl Driver {
 
     /// Schedules background flows (from
     /// [`gvc_net::background::generate_background`]).
-    pub fn schedule_background(&mut self, arrivals: Vec<gvc_net::background::BackgroundArrival>) {
-        for a in arrivals {
-            let spec = a.spec.with_tag(BACKGROUND_TAG);
-            self.script.push((a.at, Event::InjectBackground(Box::new(spec))));
+    pub fn schedule_background(&mut self, arrivals: Vec<BackgroundArrival>) {
+        let first = self.background.len();
+        self.script
+            .extend(arrivals.iter().zip(first..).map(|(a, i)| (a.at, Event::InjectBackground(i))));
+        // The first batch keeps the generator's allocation as it is.
+        if self.background.is_empty() {
+            self.background = arrivals;
+        } else {
+            self.background.extend(arrivals);
         }
     }
 
@@ -505,8 +518,8 @@ impl Driver {
         match ev {
             Event::StartSession(idx) => self.start_session(idx),
             Event::LaunchNext(idx) => self.launch_ready_jobs(idx),
-            Event::InjectBackground(spec) => {
-                self.sim.add_flow(*spec);
+            Event::InjectBackground(i) => {
+                self.sim.add_flow(self.background[i].spec().with_tag(BACKGROUND_TAG));
             }
             Event::ResizeCluster(id, n) => {
                 let c = &mut self.clusters[id.0];
@@ -932,8 +945,8 @@ impl Driver {
             size_bytes: info.job.size_bytes,
             start_unix_us: self.sim.to_unix_us(c.start),
             duration_us,
-            server: server.clone(),
-            remote: Some(remote.clone()),
+            server: Arc::clone(server),
+            remote: Some(Arc::clone(remote)),
             num_streams: info.job.streams,
             num_stripes: info.job.stripes,
             tcp_buffer_bytes: info.job.tcp_buffer_bytes,
@@ -991,12 +1004,10 @@ impl Driver {
     /// `limit` bounds the simulation clock as a safety net against
     /// stalled flows.
     pub fn run(mut self, limit: SimTime) -> DriverOutput {
-        // The script goes on the calendar in call order before the
-        // run's root span opens, so FIFO sequence numbers and
-        // `kernel.queue_wait` span ids follow the `schedule_*` calls.
-        for (at, ev) in std::mem::take(&mut self.script) {
-            self.pending.schedule(at, ev);
-        }
+        // The script goes on the calendar before the run's root span
+        // opens, so FIFO sequence numbers and `kernel.queue_wait` span
+        // ids follow the `schedule_*` calls.
+        self.pending.schedule_script(std::mem::take(&mut self.script));
         // Host-perf phase around the whole drive loop; items = kernel
         // pops + flow completions. Disabled handle = one branch here.
         let perf = self.telemetry.as_ref().map(|t| t.ctx.perf.clone()).unwrap_or_default();
@@ -1185,17 +1196,28 @@ mod tests {
     }
 
     #[test]
+    fn script_events_stay_unboxed() {
+        // A boxed spec or an inline route in `InjectBackground` would
+        // grow every entry of a 432 407-arrival script.
+        assert!(std::mem::size_of::<Event>() <= 16);
+    }
+
+    #[test]
     fn single_transfer_produces_one_record() {
         let (mut d, a, b) = base_driver(1);
         d.schedule_transfer(SimTime::from_secs(10), a, b, job(1024));
+        let names = (Arc::clone(&d.cluster(a).name), Arc::clone(&d.cluster(b).name));
         let out = d.run(SimTime::from_secs(10_000));
         assert_eq!(out.log.len(), 1);
         let r = &out.log.records()[0];
+        // The record shares its clusters' names.
+        assert!(Arc::ptr_eq(&r.server, &names.0));
+        assert!(Arc::ptr_eq(r.remote.as_ref().expect("remote"), &names.1));
         assert_eq!(r.size_bytes, 1024 << 20);
         assert_eq!(r.start_unix_us, 10_000_000);
         assert!(r.duration_us > 0);
         assert!(r.throughput_mbps() > 50.0, "tp={}", r.throughput_mbps());
-        assert_eq!(r.server, "dtn.nersc.gov");
+        assert_eq!(&*r.server, "dtn.nersc.gov");
         assert_eq!(r.remote.as_deref(), Some("dtn.ornl.gov"));
     }
 
@@ -1321,7 +1343,7 @@ mod tests {
         d.schedule_transfer(SimTime::ZERO, a, b, j);
         let out = d.run(SimTime::from_secs(10_000));
         let r = &out.log.records()[0];
-        assert_eq!(r.server, "dtn.ornl.gov");
+        assert_eq!(&*r.server, "dtn.ornl.gov");
         assert_eq!(r.remote.as_deref(), Some("dtn.nersc.gov"));
     }
 

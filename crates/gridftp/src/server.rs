@@ -12,6 +12,7 @@
 
 use gvc_net::{NetworkSim, ResourceId};
 use gvc_topology::NodeId;
+use std::sync::Arc;
 
 /// Per-server capacities, bits per second.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,8 +56,9 @@ impl Default for ServerCaps {
 /// A site's GridFTP cluster registered with the simulator.
 #[derive(Debug, Clone)]
 pub struct ServerCluster {
-    /// Server domain name as it appears in usage logs.
-    pub name: String,
+    /// Server domain name as it appears in usage logs; each logged
+    /// record shares it.
+    pub name: Arc<str>,
     /// The topology node terminating this cluster's transfers.
     pub node: NodeId,
     /// Per-server capacities.
@@ -84,7 +86,7 @@ impl ServerCluster {
         let agg = sim.add_resource(caps.node_cap_bps * n);
         let disk_read = sim.add_resource(caps.disk_read_bps * n);
         let disk_write = sim.add_resource(caps.disk_write_bps * n);
-        ServerCluster { name: name.to_owned(), node, caps, n_servers, agg, disk_read, disk_write }
+        ServerCluster { name: name.into(), node, caps, n_servers, agg, disk_read, disk_write }
     }
 
     /// Current server count.

@@ -10,6 +10,7 @@
 
 use crate::Dataset;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How to anonymize the remote endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +22,9 @@ pub enum AnonymizePolicy {
     Pseudonym,
 }
 
-/// Applies a policy to a dataset, returning the anonymized copy.
+/// Applies a policy to a dataset, returning the anonymized copy. The
+/// copy shares its names: each pseudonym is one `Arc<str>` for all the
+/// records of its remote.
 pub fn anonymize_dataset(ds: &Dataset, policy: AnonymizePolicy) -> Dataset {
     match policy {
         AnonymizePolicy::Drop => ds
@@ -34,7 +37,7 @@ pub fn anonymize_dataset(ds: &Dataset, policy: AnonymizePolicy) -> Dataset {
             })
             .collect(),
         AnonymizePolicy::Pseudonym => {
-            let mut mapping: HashMap<String, String> = HashMap::new();
+            let mut mapping: HashMap<Arc<str>, Arc<str>> = HashMap::new();
             let mut next = 0usize;
             ds.records()
                 .iter()
@@ -43,9 +46,9 @@ pub fn anonymize_dataset(ds: &Dataset, policy: AnonymizePolicy) -> Dataset {
                     if let Some(remote) = r.remote.take() {
                         let pseudo = mapping.entry(remote).or_insert_with(|| {
                             next += 1;
-                            format!("peer-{next}")
+                            format!("peer-{next}").into()
                         });
-                        r.remote = Some(pseudo.clone());
+                        r.remote = Some(Arc::clone(pseudo));
                     }
                     r
                 })

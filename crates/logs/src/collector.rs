@@ -54,7 +54,7 @@ impl CollectorModel {
             .records()
             .iter()
             .map(|r| {
-                !self.disabled_servers.contains(&r.server) && rng.gen::<f64>() >= self.udp_loss
+                !self.disabled_servers.contains(&*r.server) && rng.gen::<f64>() >= self.udp_loss
             })
             .collect()
     }
@@ -73,7 +73,7 @@ impl CollectorModel {
             return 0.0;
         }
         let reporting =
-            local.records().iter().filter(|r| !self.disabled_servers.contains(&r.server)).count();
+            local.records().iter().filter(|r| !self.disabled_servers.contains(&*r.server)).count();
         reporting as f64 / local.len() as f64 * (1.0 - self.udp_loss)
     }
 }
@@ -124,7 +124,7 @@ mod tests {
         ds.extend(dataset(30, "optout"));
         let m = CollectorModel::default().with_disabled("optout");
         let central = m.collect(&ds, 3);
-        assert!(central.records().iter().all(|r| r.server == "reports"));
+        assert!(central.records().iter().all(|r| &*r.server == "reports"));
         assert!(m.expected_yield(&ds) < 0.5);
     }
 
@@ -150,7 +150,7 @@ mod tests {
         local
             .records()
             .iter()
-            .filter(|r| !m.disabled_servers.contains(&r.server) && rng.gen::<f64>() >= m.udp_loss)
+            .filter(|r| !m.disabled_servers.contains(&*r.server) && rng.gen::<f64>() >= m.udp_loss)
             .cloned()
             .collect()
     }
@@ -208,7 +208,7 @@ mod tests {
             prop_assert_eq!(&central, &filtered);
             prop_assert_eq!(&central, &reference_collect(&m, &local, seed));
             for (r, &k) in local.records().iter().zip(&keep) {
-                prop_assert!(!(k && m.disabled_servers.contains(&r.server)));
+                prop_assert!(!(k && m.disabled_servers.contains(&*r.server)));
             }
         }
     }

@@ -83,7 +83,7 @@ impl Dataset {
             records: self
                 .records
                 .iter()
-                .filter(|r| r.server == server && r.remote.as_deref() == Some(remote))
+                .filter(|r| &*r.server == server && r.remote.as_deref() == Some(remote))
                 .cloned()
                 .collect(),
         }

@@ -13,8 +13,10 @@
 
 use crate::record::{EndpointKind, TransferRecord, TransferType};
 use crate::Dataset;
+use std::collections::HashSet;
 use std::fmt;
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 /// The header line identifying the format version.
 pub const HEADER: &str = "# gvc-transfer-log v1";
@@ -63,8 +65,25 @@ pub fn format_record(r: &TransferRecord) -> String {
     )
 }
 
-/// Parses one log line (without newline).
-pub fn parse_record(line: &str) -> Result<TransferRecord, String> {
+/// The endpoint names seen so far in one parse, each allocated once
+/// and shared by every record that carries it.
+#[derive(Default)]
+struct Names(HashSet<Arc<str>>);
+
+impl Names {
+    fn intern(&mut self, name: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get(name) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = name.into();
+        self.0.insert(Arc::clone(&shared));
+        shared
+    }
+}
+
+/// Parses one log line (without newline), taking its names from
+/// `names`.
+fn parse_record(line: &str, names: &mut Names) -> Result<TransferRecord, String> {
     let fields: Vec<&str> = line.split('|').collect();
     let n_fields = fields.len();
     let Ok(
@@ -84,8 +103,8 @@ pub fn parse_record(line: &str) -> Result<TransferRecord, String> {
     if f_server.is_empty() {
         return Err("empty server name".to_owned());
     }
-    let server = f_server.to_owned();
-    let remote = if f_remote == "-" { None } else { Some(f_remote.to_owned()) };
+    let server = names.intern(f_server);
+    let remote = if f_remote == "-" { None } else { Some(names.intern(f_remote)) };
     let num_streams = parse_num(f_streams, "streams")? as u32;
     let num_stripes = parse_num(f_stripes, "stripes")? as u32;
     let tcp_buffer_bytes = parse_num(f_buf, "tcp buffer")? as u64;
@@ -135,9 +154,11 @@ pub fn write_dataset<W: Write>(w: &mut W, ds: &Dataset) -> std::io::Result<()> {
 
 /// Parses a dataset written by [`write_dataset`]. Blank lines and
 /// additional `#` comments are skipped; the header is optional (so
-/// hand-built fixtures stay easy).
+/// hand-built fixtures stay easy). Records share their endpoint names:
+/// each distinct name is allocated once per parse.
 pub fn parse_dataset<R: BufRead>(r: R) -> Result<Dataset, ParseError> {
     let mut records = Vec::new();
+    let mut names = Names::default();
     for (idx, line) in r.lines().enumerate() {
         let line =
             line.map_err(|e| ParseError { line: idx + 1, reason: format!("io error: {e}") })?;
@@ -145,7 +166,10 @@ pub fn parse_dataset<R: BufRead>(r: R) -> Result<Dataset, ParseError> {
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        records.push(parse_record(trimmed).map_err(|reason| ParseError { line: idx + 1, reason })?);
+        records.push(
+            parse_record(trimmed, &mut names)
+                .map_err(|reason| ParseError { line: idx + 1, reason })?,
+        );
     }
     Ok(Dataset::from_records(records))
 }
@@ -173,7 +197,7 @@ mod tests {
     fn record_round_trip() {
         let r = rec();
         let line = format_record(&r);
-        assert_eq!(parse_record(&line).unwrap(), r);
+        assert_eq!(parse_record(&line, &mut Names::default()).unwrap(), r);
     }
 
     #[test]
@@ -203,6 +227,19 @@ mod tests {
     }
 
     #[test]
+    fn parsed_records_share_their_names() {
+        let text =
+            "STOR|1|0|1|a|b|1|1|0|0|-|-\nRETR|1|1|1|b|a|1|1|0|0|-|-\nSTOR|1|2|1|a|-|1|1|0|0|-|-\n";
+        let ds = parse_dataset(text.as_bytes()).unwrap();
+        let r = ds.records();
+        let (a, b) = (&r[0].server, r[0].remote.as_ref().unwrap());
+        assert!(Arc::ptr_eq(a, r[1].remote.as_ref().unwrap()));
+        assert!(Arc::ptr_eq(b, &r[1].server));
+        assert!(Arc::ptr_eq(a, &r[2].server));
+        assert_eq!(r[2].remote, None);
+    }
+
+    #[test]
     fn comments_and_blanks_skipped() {
         let text = format!("{HEADER}\n\n# comment\n{}\n", format_record(&rec()));
         let ds = parse_dataset(text.as_bytes()).unwrap();
@@ -221,20 +258,20 @@ mod tests {
     fn bad_transfer_type_rejected() {
         let mut line = format_record(&rec());
         line.replace_range(0..4, "XFER");
-        assert!(parse_record(&line).is_err());
+        assert!(parse_record(&line, &mut Names::default()).is_err());
     }
 
     #[test]
     fn bad_number_rejected() {
         let line = "STOR|notanumber|0|0|s|-|1|1|0|0|-|-";
-        let err = parse_record(line).unwrap_err();
+        let err = parse_record(line, &mut Names::default()).unwrap_err();
         assert!(err.contains("bad size"));
     }
 
     #[test]
     fn empty_server_rejected() {
         let line = "STOR|1|0|0||-|1|1|0|0|-|-";
-        assert!(parse_record(line).is_err());
+        assert!(parse_record(line, &mut Names::default()).is_err());
     }
 
     proptest! {
@@ -258,7 +295,7 @@ mod tests {
             r.num_streams = streams;
             r.num_stripes = stripes;
             let line = format_record(&r);
-            prop_assert_eq!(parse_record(&line).unwrap(), r);
+            prop_assert_eq!(parse_record(&line, &mut Names::default()).unwrap(), r);
         }
     }
 }

@@ -6,6 +6,12 @@
 //! flows between router pairs so that (a) SNMP counters contain
 //! *something* besides the measured transfers and (b) the Table XII
 //! "other flows" correlation has a real signal to be near zero about.
+//!
+//! A month of ORNL background is 432 407 arrivals over a few dozen
+//! router pairs, so an arrival is kept compact: its route is the
+//! pair's one shared `Arc<[LinkId]>`, and the [`FlowSpec`] it stands
+//! for (with its own route `Vec`) is built by
+//! [`BackgroundArrival::spec`] only when the flow is injected.
 
 use crate::flow::FlowSpec;
 use gvc_engine::SimTime;
@@ -15,6 +21,7 @@ use gvc_topology::{Graph, LinkId, NodeId, NodeKind};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Configuration for one background-traffic population.
 #[derive(Debug, Clone)]
@@ -54,8 +61,25 @@ impl Default for BackgroundConfig {
 pub struct BackgroundArrival {
     /// Injection instant.
     pub at: SimTime,
-    /// The flow to inject.
-    pub spec: FlowSpec,
+    /// Links traversed, in order; shared by every arrival of the same
+    /// router pair.
+    pub route: Arc<[LinkId]>,
+    /// Payload, bytes.
+    pub size_bytes: f64,
+    /// Rate cap, bps.
+    pub cap_bps: f64,
+    /// The configuration's tag.
+    pub tag: u64,
+}
+
+impl BackgroundArrival {
+    /// The best-effort flow this arrival injects: its route, size, cap
+    /// and tag, no guarantee and no endpoint resources.
+    pub fn spec(&self) -> FlowSpec {
+        FlowSpec::best_effort(self.route.to_vec(), self.size_bytes)
+            .with_cap(self.cap_bps)
+            .with_tag(self.tag)
+    }
 }
 
 /// Generates Poisson background arrivals between random router pairs
@@ -89,7 +113,7 @@ pub fn generate_background(
         return Vec::new();
     };
     // Routes by router pair; an empty route stands for "no route".
-    let mut routes: BTreeMap<(NodeId, NodeId), Vec<LinkId>> = BTreeMap::new();
+    let mut routes: BTreeMap<(NodeId, NodeId), Arc<[LinkId]>> = BTreeMap::new();
     let mut out = Vec::new();
     let mut t = 0.0f64;
     loop {
@@ -104,7 +128,8 @@ pub fn generate_background(
             continue;
         };
         let route = routes.entry((src, dst)).or_insert_with(|| {
-            gvc_topology::shortest_path(graph, src, dst).map(|p| p.links).unwrap_or_default()
+            gvc_topology::shortest_path(graph, src, dst)
+                .map_or_else(|| Arc::from([]), |p| p.links.into())
         });
         if route.is_empty() {
             continue;
@@ -114,7 +139,10 @@ pub fn generate_background(
         let cap = cfg.rate_cap_bps * (0.1 + 0.9 * rng.gen::<f64>());
         out.push(BackgroundArrival {
             at,
-            spec: FlowSpec::best_effort(route.clone(), bytes).with_cap(cap).with_tag(cfg.tag),
+            route: Arc::clone(route),
+            size_bytes: bytes,
+            cap_bps: cap,
+            tag: cfg.tag,
         });
     }
     out
@@ -135,8 +163,8 @@ mod tests {
         assert!(!a.is_empty());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.at, y.at);
-            assert_eq!(x.spec.size_bytes, y.spec.size_bytes);
-            assert_eq!(x.spec.route, y.spec.route);
+            assert_eq!(x.size_bytes, y.size_bytes);
+            assert_eq!(x.route, y.route);
         }
         let c = generate_background(&t.graph, &cfg, SimTime::from_secs(600), 2);
         assert_ne!(
@@ -151,17 +179,17 @@ mod tests {
         let cfg = BackgroundConfig::default();
         let arr = generate_background(&t.graph, &cfg, SimTime::from_secs(3600), 2010);
         for a in &arr {
-            let (Some(&first), Some(&last)) = (a.spec.route.first(), a.spec.route.last()) else {
+            let (Some(&first), Some(&last)) = (a.route.first(), a.route.last()) else {
                 panic!("empty route at {:?}", a.at);
             };
             let (src, dst) = (t.graph.link(first).src, t.graph.link(last).dst);
             let path = gvc_topology::shortest_path(&t.graph, src, dst).expect("routed pair");
-            assert_eq!(a.spec.route, path.links, "arrival at {:?}", a.at);
+            assert_eq!(*a.route, *path.links, "arrival at {:?}", a.at);
         }
         // Recorded from the generator that ran Dijkstra per arrival.
         let ends = |a: &BackgroundArrival| {
-            let route: Vec<u32> = a.spec.route.iter().map(|l| l.0).collect();
-            (a.at.micros(), a.spec.size_bytes.to_bits(), route)
+            let route: Vec<u32> = a.route.iter().map(|l| l.0).collect();
+            (a.at.micros(), a.size_bytes.to_bits(), route)
         };
         assert_eq!(arr.len(), 1798);
         assert_eq!(
@@ -198,11 +226,14 @@ mod tests {
         let cfg = BackgroundConfig::default();
         let arr = generate_background(&t.graph, &cfg, SimTime::from_secs(120), 3);
         for a in &arr {
-            assert!(a.spec.max_rate_bps <= cfg.rate_cap_bps + 1.0);
-            assert!(a.spec.max_rate_bps > 0.0);
-            assert_eq!(a.spec.tag, cfg.tag);
-            assert_eq!(a.spec.min_rate_bps, 0.0);
-            assert!(!a.spec.route.is_empty());
+            let spec = a.spec();
+            assert!(spec.max_rate_bps <= cfg.rate_cap_bps + 1.0);
+            assert!(spec.max_rate_bps > 0.0);
+            assert_eq!(spec.tag, cfg.tag);
+            assert_eq!(spec.min_rate_bps, 0.0);
+            assert!(spec.resources.is_empty());
+            assert_eq!(spec.size_bytes, a.size_bytes);
+            assert_eq!(spec.route, *a.route);
         }
     }
 
@@ -212,7 +243,7 @@ mod tests {
         let arr =
             generate_background(&t.graph, &BackgroundConfig::default(), SimTime::from_secs(600), 5);
         for a in &arr {
-            for &l in &a.spec.route {
+            for &l in a.route.iter() {
                 let link = t.graph.link(l);
                 for n in [link.src, link.dst] {
                     assert!(
@@ -223,6 +254,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn arrivals_are_compact_and_share_their_pairs_route() {
+        // A re-embedded `FlowSpec` or a re-owned route would grow each
+        // of a month's 432 407 ORNL arrivals.
+        assert!(std::mem::size_of::<BackgroundArrival>() <= 48);
+        let t = study_topology();
+        let arr =
+            generate_background(&t.graph, &BackgroundConfig::default(), SimTime::from_secs(600), 5);
+        let mut first: BTreeMap<&[LinkId], &Arc<[LinkId]>> = BTreeMap::new();
+        for a in &arr {
+            let shared = first.entry(&a.route).or_insert(&a.route);
+            assert!(Arc::ptr_eq(shared, &a.route), "route {:?} allocated twice", a.route);
+        }
+        assert!(first.len() < arr.len());
     }
 
     #[test]

@@ -226,7 +226,7 @@ mod tests {
         });
         let targets = mem_mem_tests(&ds);
         // Concurrency is computed against the NERSC server's full log.
-        let nersc_log = ds.filter(|r| r.server == "dtn01.nersc.gov");
+        let nersc_log = ds.filter(|r| &*r.server == "dtn01.nersc.gov");
         let analysis = gvc_core::concurrency::prediction_analysis(&nersc_log, &targets, None);
         let rho = analysis.rho.unwrap();
         assert!(rho > 0.2, "rho {rho} too weak");

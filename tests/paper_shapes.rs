@@ -111,7 +111,7 @@ fn finding_v_server_resources_drive_variance() {
     assert!(median(EndpointCategory::DiskDisk) < median(EndpointCategory::DiskMem));
 
     let targets = nersc_anl::mem_mem_tests(&ds);
-    let server_log = ds.filter(|r| r.server == "dtn01.nersc.gov");
+    let server_log = ds.filter(|r| &*r.server == "dtn01.nersc.gov");
     let analysis = gridftp_vc::core::concurrency::prediction_analysis(&server_log, &targets, None);
     let rho = analysis.rho.expect("defined");
     assert!(rho > 0.2, "Eq. 2 prediction rho {rho:.2}");
