@@ -6,7 +6,9 @@ use gvc_core::vc_suitability::DEFAULT_OVERHEAD_FACTOR;
 use gvc_core::ResilienceSummary;
 use gvc_engine::SimTime;
 use gvc_faults::FaultPlan;
-use gvc_gridftp::{Driver, ServerCaps, SessionSpec, TransferJob, VcRequestSpec};
+use gvc_gridftp::{
+    reservation_window_s, Driver, ServerCaps, SessionSpec, TransferJob, VcRequestSpec,
+};
 use gvc_logs::anonymize::{anonymize_dataset, AnonymizePolicy};
 use gvc_logs::{parse_dataset, write_dataset, Dataset};
 use gvc_net::NetworkSim;
@@ -525,11 +527,11 @@ fn study_driver(
 
     let job = |mb: u64| TransferJob { size_bytes: mb << 20, ..TransferJob::default() };
     let bulk: Vec<TransferJob> = (0..jobs).map(|i| job(256 + 128 * (i as u64 % 4))).collect();
-    let spec = SessionSpec::sequential(bulk, 1.0).with_vc(VcRequestSpec {
-        rate_bps: 1e9,
-        max_duration_s: 3600.0,
-        wait_for_circuit: true,
-    });
+    let spec = SessionSpec::sequential(bulk, 1.0);
+    // The window covers the session's bytes at the circuit's rate, as
+    // the scenario workloads size theirs.
+    let max_duration_s = reservation_window_s(spec.total_bytes() as f64, 1e9);
+    let spec = spec.with_vc(VcRequestSpec { rate_bps: 1e9, max_duration_s });
     d.schedule_session(SimTime::ZERO, src, dst, spec);
     for i in 0..jobs.div_ceil(2) {
         d.schedule_transfer(SimTime::from_secs(30 + 60 * i as u64), src, dst, job(128));
@@ -604,7 +606,7 @@ fn cmd_simulate<W: Write>(
         writeln!(
             w,
             "setup amortization under failures: {:.2}x one clean setup",
-            summary.setup_amortization_factor()
+            summary.attempts_per_session()
         )?;
         if let Some(open) = result.open_reservations {
             writeln!(w, "open reservations after run: {open}")?;

@@ -82,21 +82,15 @@ impl ResilienceSummary {
     }
 
     /// Mean establishment attempts per circuit-requesting session
-    /// (1.0 with no retries).
+    /// (1.0 with no retries). Each retry pays the signalling again, so
+    /// this is also the multiple by which the setup cost a session must
+    /// amortize ("session >= factor x setup") rises under failures.
     pub fn attempts_per_session(&self) -> f64 {
         if self.vc_requested == 0 {
             1.0
         } else {
             1.0 + self.retries as f64 / self.vc_requested as f64
         }
-    }
-
-    /// How much the setup cost a session must amortize grows under
-    /// failures: each retry pays the signalling again, so the
-    /// suitability bar ("session >= factor x setup") effectively
-    /// rises by this multiple.
-    pub fn setup_amortization_factor(&self) -> f64 {
-        self.attempts_per_session()
     }
 }
 
@@ -261,7 +255,7 @@ mod tests {
         assert!((got.session_success_rate() - 0.75).abs() < 1e-12);
         // 6 retries over 4 sessions: 2.5 attempts each on average, so
         // the amortization bar rises 2.5x.
-        assert!((got.setup_amortization_factor() - 2.5).abs() < 1e-12);
+        assert!((got.attempts_per_session() - 2.5).abs() < 1e-12);
         // No circuit requests => vacuous success, unchanged bar.
         let idle = ResilienceSummary { vc_requested: 0, vc_established: 0, ..rs };
         assert!((idle.session_success_rate() - 1.0).abs() < 1e-12);

@@ -19,9 +19,7 @@ use gvc_net::{FlowCompletion, FlowId, NetworkSim};
 use gvc_oscars::{Idc, ReservationId, ReservationRequest};
 use gvc_stats::rng::component_rng;
 use gvc_telemetry::timeline::series;
-use gvc_telemetry::{
-    Counter, Histogram, SpanId, Stopwatch, Telemetry, TimelineHandle, TraceEvent, Tracer,
-};
+use gvc_telemetry::{Counter, Histogram, SpanId, Stopwatch, Telemetry, TraceEvent, Tracer};
 use gvc_topology::{LinkId, NodeId, Path};
 use rand::rngs::SmallRng;
 use std::collections::BTreeMap;
@@ -185,11 +183,87 @@ impl Event {
 #[derive(Clone, Copy)]
 struct Circuit {
     id: ReservationId,
-    /// When the circuit became usable.
-    ready: SimTime,
     /// The reservation window's end: the guarantee lapses here.
     end: SimTime,
     rate_bps: f64,
+}
+
+/// Why a circuit-establishment attempt failed: the `reason` on its
+/// `vc.attempt` end and on a `session.fallback` marker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FailReason {
+    /// The IDC refused admission.
+    Blocked,
+    /// The IDC admitted the request but could not provision it.
+    ProvisionError,
+    /// The circuit would be ready only after the policy's setup deadline.
+    SetupDeadline,
+    /// The fault plan failed the attempt.
+    Fault(FaultKind),
+}
+
+impl FailReason {
+    fn as_str(self) -> &'static str {
+        match self {
+            FailReason::Blocked => "blocked",
+            FailReason::ProvisionError => "provision_error",
+            FailReason::SetupDeadline => "setup_deadline",
+            FailReason::Fault(kind) => kind.as_str(),
+        }
+    }
+}
+
+/// How a circuit pursuit ended: the `outcome` on `session.vc_setup`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PursuitOutcome {
+    /// The circuit came up.
+    Established,
+    /// The policy's retries ran out; the session runs over routed IP.
+    FallbackIp,
+    /// The policy allows no fallback; the session runs over IP anyway.
+    GiveUp,
+}
+
+impl PursuitOutcome {
+    fn as_str(self) -> &'static str {
+        match self {
+            PursuitOutcome::Established => "established",
+            PursuitOutcome::FallbackIp => "fallback_ip",
+            PursuitOutcome::GiveUp => "giveup",
+        }
+    }
+}
+
+/// One session's pursuit of its circuit, from the first establishment
+/// attempt to its outcome. The run's [`ResilienceReport`] is a fold
+/// over these.
+#[derive(Default)]
+struct Pursuit {
+    /// Establishment attempts made.
+    attempts: u32,
+    /// When the first attempt was made.
+    started: SimTime,
+    /// Retries the policy decided, counted when decided: a retry still
+    /// due when the run stops counts.
+    retries: u32,
+    /// The outcome and when it was decided; `None` while pending.
+    outcome: Option<(PursuitOutcome, SimTime)>,
+    /// The last failed attempt's reason.
+    last_failure: Option<FailReason>,
+    /// The `session.vc_setup` span, open while the pursuit is pending.
+    span: SpanId,
+}
+
+impl Pursuit {
+    /// First attempt to outcome, seconds, for a pursuit that needed
+    /// recovery: one that ended without a circuit, or got one only
+    /// after a retry.
+    fn recovery_latency_s(&self) -> Option<f64> {
+        match self.outcome? {
+            (PursuitOutcome::Established, _) if self.attempts == 1 => None,
+            (_, at) => Some((at - self.started).as_secs_f64()),
+        }
+    }
 }
 
 struct SessionState {
@@ -200,19 +274,12 @@ struct SessionState {
     in_flight: u32,
     vc: Option<Circuit>,
     done: bool,
-    /// Circuit-establishment attempts made so far (recovery path).
-    vc_attempts: u32,
-    /// When the first establishment attempt was made.
-    vc_started: Option<SimTime>,
-    /// The session stopped pursuing a circuit (fallback, give-up, or
-    /// preemption); retries must not resurrect it.
-    vc_given_up: bool,
+    /// The circuit pursuit, if the session asked an attached IDC for one.
+    pursuit: Option<Pursuit>,
     /// `session.run` span, open for the session's whole lifetime.
     span: SpanId,
     /// `session.queue_wait` span, open until the first job launches.
     wait_span: SpanId,
-    /// `session.vc_setup` span, open while a circuit is being pursued.
-    vc_span: SpanId,
 }
 
 struct InFlight {
@@ -246,14 +313,6 @@ pub struct Driver {
     /// The configured recovery policy. `None` runs each circuit
     /// request under [`SINGLE_ATTEMPT`] and reports no resilience.
     recovery: Option<RecoveryPolicy>,
-    vc_requested: u64,
-    vc_established: u64,
-    /// Establishment attempts retried.
-    retries: u64,
-    /// Sessions that fell back to the routed IP path.
-    fallbacks: u64,
-    recovery_lat_sum_s: f64,
-    recovery_lat_n: u64,
     /// Original capacity of each currently-flapped link, by flap index.
     flap_orig: BTreeMap<usize, (LinkId, f64)>,
     /// Memoised [`Driver::path_between`] per `(src, dst)` cluster pair.
@@ -275,11 +334,7 @@ pub struct Driver {
 
 impl Driver {
     /// A driver over `sim`, seeded deterministically.
-    pub fn new(mut sim: NetworkSim, seed: u64) -> Driver {
-        // Background flows carry a reserved tag; telling the simulator
-        // lets its parallel SNMP recorder split out the background
-        // share for the `net.bg_util` timeline series.
-        sim.set_background_tag(BACKGROUND_TAG);
+    pub fn new(sim: NetworkSim, seed: u64) -> Driver {
         Driver {
             sim,
             tcp: TcpModel::default(),
@@ -296,12 +351,6 @@ impl Driver {
             idc: None,
             faults: None,
             recovery: None,
-            vc_requested: 0,
-            vc_established: 0,
-            retries: 0,
-            fallbacks: 0,
-            recovery_lat_sum_s: 0.0,
-            recovery_lat_n: 0,
             flap_orig: BTreeMap::new(),
             routes: BTreeMap::new(),
             log: Vec::new(),
@@ -328,6 +377,13 @@ impl Driver {
         let Some(t) = &self.telemetry else { return };
         self.pending.set_telemetry(&t.ctx);
         self.sim.set_telemetry(&t.ctx);
+        if t.ctx.timeline.is_some() {
+            // Background flows carry a reserved tag; telling the
+            // simulator lets a parallel SNMP recorder split out the
+            // background share for the timeline's `net.bg_util` series,
+            // its only reader.
+            self.sim.set_background_tag(BACKGROUND_TAG);
+        }
         if let Some(idc) = self.idc.as_mut() {
             idc.set_telemetry(&t.ctx);
         }
@@ -422,12 +478,9 @@ impl Driver {
             in_flight: 0,
             vc: None,
             done: false,
-            vc_attempts: 0,
-            vc_started: None,
-            vc_given_up: false,
+            pursuit: None,
             span: SpanId::NONE,
             wait_span: SpanId::NONE,
-            vc_span: SpanId::NONE,
         });
         self.script.push((at, Event::StartSession(idx)));
     }
@@ -460,11 +513,6 @@ impl Driver {
     /// Schedules a cluster resize (the frost 3 → 2 → 1 shrink).
     pub fn schedule_resize(&mut self, at: SimTime, cluster: ClusterId, n_servers: u32) {
         self.script.push((at, Event::ResizeCluster(cluster, n_servers)));
-    }
-
-    /// The attached sim-time flight recorder, if any.
-    fn tl(&self) -> Option<&TimelineHandle> {
-        self.telemetry.as_ref().and_then(|t| t.ctx.timeline.as_ref())
     }
 
     /// The run's tracer; disabled (zero-cost) unless telemetry is
@@ -525,7 +573,7 @@ impl Driver {
                 let c = &mut self.clusters[id.0];
                 c.resize(&mut self.sim, n);
             }
-            Event::RetryVc(idx) => self.retry_vc(idx),
+            Event::RetryVc(idx) => self.try_establish_vc(idx),
             Event::PreemptVc(idx) => self.preempt_vc(idx),
             Event::LinkFlap(i) => self.apply_link_flap(i),
             Event::LinkRestore(i) => self.restore_link(i),
@@ -534,19 +582,18 @@ impl Driver {
 
     fn start_session(&mut self, idx: usize) {
         let now = self.sim.now();
-        let vc_spec = self.sessions[idx].spec.vc;
         if let Some(t) = &self.telemetry {
             t.tally(&t.sessions_started, series::DRIVER_SESSION_STARTS, now.micros());
         }
         let spec = &self.sessions[idx].spec;
-        let (jobs, concurrency) = (spec.jobs.len(), spec.concurrency);
+        let (wants_vc, jobs, concurrency) = (spec.vc.is_some(), spec.jobs.len(), spec.concurrency);
         let session_span = self.tracer().span_enter_with(
             self.run_span,
             now.micros() as i64,
             "session.run",
             |ev| {
                 ev.field("session", idx)
-                    .field("vc", vc_spec.is_some())
+                    .field("vc", wants_vc)
                     .field("jobs", jobs)
                     .field("concurrency", concurrency)
             },
@@ -554,135 +601,99 @@ impl Driver {
         self.sessions[idx].span = session_span;
         self.sessions[idx].wait_span =
             self.tracer().span_enter(session_span, now.micros() as i64, "session.queue_wait");
-        if !self.try_establish_vc(idx) {
+        if !wants_vc || self.idc.is_none() {
             self.launch_ready_jobs(idx);
+            return;
         }
+        let span = self.tracer().span_enter_with(
+            session_span,
+            now.micros() as i64,
+            "session.vc_setup",
+            |ev| ev.field("session", idx),
+        );
+        self.sessions[idx].pursuit = Some(Pursuit { started: now, span, ..Pursuit::default() });
+        self.try_establish_vc(idx);
     }
 
-    /// One circuit-establishment attempt: every circuit request, first
-    /// or retried, goes through here, and the recovery policy decides
-    /// what a failed attempt leads to. Returns `true` when job launch
-    /// is deferred (waiting on the circuit, either now provisioned or
-    /// still being retried).
-    fn try_establish_vc(&mut self, idx: usize) -> bool {
+    /// One circuit-establishment attempt of session `idx`'s pending
+    /// pursuit: every attempt, first or retried, goes through here, and
+    /// the recovery policy decides what a failed one leads to. The
+    /// session's jobs wait for the outcome: they launch when the circuit
+    /// is ready, or at once over routed IP when the pursuit ends without
+    /// one.
+    fn try_establish_vc(&mut self, idx: usize) {
         let now = self.sim.now();
-        let (src, dst, vc) = {
-            let s = &self.sessions[idx];
-            (s.src, s.dst, s.spec.vc)
+        let s = &mut self.sessions[idx];
+        let (src, dst) = (self.clusters[s.src.0].node, self.clusters[s.dst.0].node);
+        let (Some(vc), Some(p)) = (s.spec.vc, s.pursuit.as_mut().filter(|p| p.outcome.is_none()))
+        else {
+            return;
         };
-        let Some(vc) = vc else {
-            return false;
-        };
-        if self.idc.is_none() {
-            return false;
-        }
+        p.attempts += 1;
+        let (attempt, vc_span) = (p.attempts, p.span);
         let policy = self.recovery.unwrap_or(SINGLE_ATTEMPT);
-        self.sessions[idx].vc_attempts += 1;
-        let attempt = self.sessions[idx].vc_attempts;
-        if attempt == 1 {
-            self.vc_requested += 1;
-            self.sessions[idx].vc_started = Some(now);
-            self.sessions[idx].vc_span = self.tracer().span_enter_with(
-                self.sessions[idx].span,
-                now.micros() as i64,
-                "session.vc_setup",
-                |ev| ev.field("session", idx),
-            );
-        }
-        let vc_span = self.sessions[idx].vc_span;
         let attempt_span =
             self.tracer().span_enter_with(vc_span, now.micros() as i64, "vc.attempt", |ev| {
                 ev.field("session", idx).field("attempt", attempt)
             });
         let injected = self.faults.as_mut().and_then(FaultInjector::provision_fault);
-        let req = ReservationRequest {
-            src: self.clusters[src.0].node,
-            dst: self.clusters[dst.0].node,
-            rate_bps: vc.rate_bps,
-            start: now,
-            end: now + SimSpan::from_secs_f64(vc.max_duration_s),
-        };
-        // `reason` labels the failed attempt in the trace; injected
-        // faults also tear down anything the IDC admitted so a failed
-        // attempt never leaks a reservation.
-        let mut established: Option<(ReservationId, SimTime)> = None;
-        let window_end = req.end;
-        let mut reason: &'static str = "";
+        let end = now + SimSpan::from_secs_f64(vc.max_duration_s);
+        let req = ReservationRequest { src, dst, rate_bps: vc.rate_bps, start: now, end };
         let run_span = self.run_span;
-        if let Some(idc) = self.idc.as_mut() {
-            match idc.create_reservation(req) {
-                Ok(id) => {
-                    if injected.is_some() {
-                        let _ = idc.teardown(id, now);
-                    } else {
-                        match idc.provision(id, now, run_span) {
-                            Ok(ready) if (ready - now).as_secs_f64() > policy.setup_deadline_s => {
-                                let _ = idc.teardown(id, now);
-                                reason = "setup_deadline";
-                            }
-                            Ok(ready) => established = Some((id, ready)),
-                            Err(_) => reason = "provision_error",
-                        }
-                    }
-                }
-                Err(_) => {
-                    if injected.is_none() {
-                        reason = "blocked";
-                    }
-                }
+        // A pursuit only begins with a controller attached.
+        let Some(idc) = self.idc.as_mut() else { return };
+        let result = match (idc.create_reservation(req), injected) {
+            // An injected fault tears down anything the IDC admitted,
+            // so a failed attempt never leaks a reservation.
+            (Ok(id), Some(kind)) => {
+                let _ = idc.teardown(id, now);
+                Err(FailReason::Fault(kind))
             }
-        }
+            (Err(_), Some(kind)) => Err(FailReason::Fault(kind)),
+            (Err(_), None) => Err(FailReason::Blocked),
+            (Ok(id), None) => match idc.provision(id, now, run_span) {
+                Ok(ready) if (ready - now).as_secs_f64() > policy.setup_deadline_s => {
+                    let _ = idc.teardown(id, now);
+                    Err(FailReason::SetupDeadline)
+                }
+                Ok(ready) => Ok((id, ready)),
+                Err(_) => Err(FailReason::ProvisionError),
+            },
+        };
         if let Some(kind) = injected {
-            reason = kind.as_str();
             self.fault_injected(kind, now.micros(), |ev| {
                 ev.field("session", idx).field("attempt", attempt)
             });
         }
 
-        if let Some((id, ready)) = established {
-            self.tracer().span_exit_with(attempt_span, now.micros() as i64, |ev| {
-                ev.field("outcome", "established")
-            });
-            self.tracer().span_exit_with(vc_span, ready.micros() as i64, |ev| {
-                ev.field("outcome", "established")
-            });
-            self.sessions[idx].vc_span = SpanId::NONE;
-            self.sessions[idx].vc =
-                Some(Circuit { id, ready, end: window_end, rate_bps: vc.rate_bps });
-            self.vc_established += 1;
-            if let Some(tl) = self.tl() {
-                // Setup latency = first attempt to circuit-ready,
-                // including provisioning delay and any backoff waits.
-                let t0 = self.sessions[idx].vc_started.unwrap_or(now);
-                tl.observe(series::DRIVER_VC_SETUP, now.micros(), (ready - t0).as_secs_f64());
-            }
-            if attempt > 1 {
-                let waited_s =
-                    self.sessions[idx].vc_started.map_or(0.0, |t0| (now - t0).as_secs_f64());
-                self.record_recovery_latency(waited_s);
-            }
-            if let Some(after_s) = self.faults.as_ref().and_then(FaultInjector::preempt_after_s) {
-                self.pending
-                    .schedule(ready + SimSpan::from_secs_f64(after_s), Event::PreemptVc(idx));
-            }
-            if vc.wait_for_circuit {
+        let reason = match result {
+            Ok((id, ready)) => {
+                self.tracer().span_exit_with(attempt_span, now.micros() as i64, |ev| {
+                    ev.field("outcome", "established")
+                });
+                self.conclude_pursuit(idx, PursuitOutcome::Established, ready);
+                self.sessions[idx].vc = Some(Circuit { id, end, rate_bps: vc.rate_bps });
+                if let Some(after_s) = self.faults.as_ref().and_then(FaultInjector::preempt_after_s)
+                {
+                    self.pending
+                        .schedule(ready + SimSpan::from_secs_f64(after_s), Event::PreemptVc(idx));
+                }
                 self.pending.schedule(ready, Event::LaunchNext(idx));
-                return true;
+                return;
             }
-            return false;
-        }
-
-        // The attempt failed; ask the policy what happens next.
+            Err(reason) => reason,
+        };
+        let Some(p) = self.sessions[idx].pursuit.as_mut() else { return };
+        p.last_failure = Some(reason);
         let seed = self.faults.as_ref().map_or(self.seed, |f| f.plan().seed);
-        let waited_s = self.sessions[idx].vc_started.map_or(0.0, |t0| (now - t0).as_secs_f64());
-        match policy.decide(seed, attempt) {
+        let outcome = match policy.decide(seed, attempt) {
             RecoveryAction::Retry { delay_s_micros } => {
-                self.retries += 1;
+                p.retries += 1;
                 if let Some(t) = &self.telemetry {
                     t.tally(&t.retries, series::DRIVER_RETRIES, now.micros());
                 }
                 self.tracer().span_exit_with(attempt_span, now.micros() as i64, |ev| {
-                    ev.field("outcome", "retry").field("reason", reason)
+                    ev.field("outcome", "retry").field("reason", reason.as_str())
                 });
                 // The backoff window's end is decided now, so the span
                 // closes immediately with a future timestamp.
@@ -692,63 +703,53 @@ impl Driver {
                     "vc.backoff",
                     |ev| ev.field("session", idx).field("attempt", attempt),
                 );
-                self.tracer()
-                    .span_exit(backoff, (now + SimSpan(delay_s_micros as i64)).micros() as i64);
-                self.pending.schedule(now + SimSpan(delay_s_micros as i64), Event::RetryVc(idx));
-                // Blocking sessions keep waiting through retries;
-                // best-effort ones start IP-routed immediately.
-                vc.wait_for_circuit
+                let retry_at = now + SimSpan(delay_s_micros as i64);
+                self.tracer().span_exit(backoff, retry_at.micros() as i64);
+                self.pending.schedule(retry_at, Event::RetryVc(idx));
+                return;
             }
-            action => {
-                // The pursuit ends: either fall back to the routed IP
-                // path (tallied and marked as a fallback) or give the
-                // circuit up. Transfers run over IP either way.
-                let fell_back = action == RecoveryAction::FallbackToIp;
-                let outcome = if fell_back { "fallback_ip" } else { "giveup" };
-                if fell_back {
-                    self.fallbacks += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.tally(&t.fallback_ip, series::DRIVER_FALLBACKS, now.micros());
-                    }
-                }
-                self.record_recovery_latency(waited_s);
-                self.sessions[idx].vc_given_up = true;
-                self.tracer().span_exit_with(attempt_span, now.micros() as i64, |ev| {
-                    ev.field("outcome", outcome).field("reason", reason)
-                });
-                self.tracer().span_exit_with(vc_span, now.micros() as i64, |ev| {
-                    ev.field("outcome", outcome)
-                });
-                self.sessions[idx].vc_span = SpanId::NONE;
-                if fell_back {
-                    let marker = self.tracer().span_enter_with(
-                        self.sessions[idx].span,
-                        now.micros() as i64,
-                        "session.fallback",
-                        |ev| ev.field("session", idx).field("reason", reason),
-                    );
-                    self.tracer().span_exit(marker, now.micros() as i64);
-                }
-                false
-            }
-        }
+            RecoveryAction::FallbackToIp => PursuitOutcome::FallbackIp,
+            RecoveryAction::GiveUp => PursuitOutcome::GiveUp,
+        };
+        // The pursuit ends without a circuit: the jobs run over IP.
+        self.tracer().span_exit_with(attempt_span, now.micros() as i64, |ev| {
+            ev.field("outcome", outcome.as_str()).field("reason", reason.as_str())
+        });
+        self.conclude_pursuit(idx, outcome, now);
+        self.launch_ready_jobs(idx);
     }
 
-    fn record_recovery_latency(&mut self, waited_s: f64) {
-        if let Some(t) = &self.telemetry {
-            t.recovery_latency.record(waited_s);
+    /// Ends session `idx`'s pursuit with `outcome`, decided now:
+    /// `session.vc_setup` closes at `setup_end` (the circuit's
+    /// readiness, or now), and the outcome is counted in the metrics.
+    fn conclude_pursuit(&mut self, idx: usize, outcome: PursuitOutcome, setup_end: SimTime) {
+        let now = self.sim.now();
+        let Some(p) = self.sessions[idx].pursuit.as_mut() else { return };
+        p.outcome = Some((outcome, now));
+        let (span, started, latency_s) = (p.span, p.started, p.recovery_latency_s());
+        let reason = p.last_failure.map_or("", FailReason::as_str);
+        let session_span = self.sessions[idx].span;
+        self.tracer().span_exit_with(span, setup_end.micros() as i64, |ev| {
+            ev.field("outcome", outcome.as_str())
+        });
+        let Some(t) = &self.telemetry else { return };
+        if let Some(latency_s) = latency_s {
+            t.recovery_latency.record(latency_s);
         }
-        self.recovery_lat_sum_s += waited_s;
-        self.recovery_lat_n += 1;
-    }
-
-    fn retry_vc(&mut self, idx: usize) {
-        let s = &self.sessions[idx];
-        if s.done || s.vc_given_up || s.vc.is_some() {
-            return;
+        if let (PursuitOutcome::Established, Some(tl)) = (outcome, &t.ctx.timeline) {
+            // Setup latency: first attempt to circuit-ready, including
+            // provisioning delay and any backoff waits.
+            tl.observe(series::DRIVER_VC_SETUP, now.micros(), (setup_end - started).as_secs_f64());
         }
-        if !self.try_establish_vc(idx) {
-            self.launch_ready_jobs(idx);
+        if outcome == PursuitOutcome::FallbackIp {
+            t.tally(&t.fallback_ip, series::DRIVER_FALLBACKS, now.micros());
+            let marker = t.ctx.tracer.span_enter_with(
+                session_span,
+                now.micros() as i64,
+                "session.fallback",
+                |ev| ev.field("session", idx).field("reason", reason),
+            );
+            t.ctx.tracer.span_exit(marker, now.micros() as i64);
         }
     }
 
@@ -757,21 +758,14 @@ impl Driver {
     /// best-effort; the session does not re-request.
     fn preempt_vc(&mut self, idx: usize) {
         let now = self.sim.now();
-        let Some(Circuit { id, .. }) = self.sessions[idx].vc else {
-            return;
-        };
-        if self.sessions[idx].done {
-            return;
-        }
+        let s = &self.sessions[idx];
+        let Some(Circuit { id, .. }) = s.vc.filter(|_| !s.done) else { return };
         if let Some(idc) = self.idc.as_mut() {
             let _ = idc.teardown(id, now);
         }
         self.sessions[idx].vc = None;
-        self.sessions[idx].vc_given_up = true;
-        let flows: Vec<FlowId> =
-            self.in_flight.values().filter(|f| f.session == idx).map(|f| f.flow).collect();
-        for fid in flows {
-            self.sim.set_flow_guarantee(fid, 0.0);
+        for f in self.in_flight.values().filter(|f| f.session == idx) {
+            self.sim.set_flow_guarantee(f.flow, 0.0);
         }
         if let Some(f) = self.faults.as_mut() {
             f.note(FaultKind::Preemption);
@@ -879,9 +873,9 @@ impl Driver {
         self.next_tag += 1;
         let mut spec = prepared.spec.with_tag(tag);
         // Circuit guarantee, shared across the session's concurrency,
-        // from the circuit's readiness to its window's end (a job
-        // launched after the end gets none).
-        let circuit = self.sessions[idx].vc.filter(|c| self.sim.now() >= c.ready);
+        // until its window's end (a job launched after the end gets
+        // none). A circuit session's jobs launch once it is ready.
+        let circuit = self.sessions[idx].vc;
         if let Some(c) = circuit {
             spec.min_rate_bps = c.rate_bps / f64::from(self.sessions[idx].spec.concurrency);
         }
@@ -1017,20 +1011,11 @@ impl Driver {
         self.run_span = self.tracer().span_enter(SpanId::NONE, start_us, "driver.run");
         // Scheduled link flaps from the fault plan become calendar
         // events before anything else runs.
-        let flap_windows: Vec<(usize, f64, f64)> = self
-            .faults
-            .as_ref()
-            .map(|f| {
-                f.link_flaps()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, flap)| (i, flap.at_s, flap.duration_s))
-                    .collect()
-            })
-            .unwrap_or_default();
-        for (i, at_s, duration_s) in flap_windows {
+        let flaps = self.faults.as_ref().map_or(&[][..], FaultInjector::link_flaps);
+        for (i, flap) in flaps.iter().enumerate() {
+            let (at_s, until_s) = (flap.at_s, flap.at_s + flap.duration_s);
             self.pending.schedule(SimTime::from_secs_f64(at_s), Event::LinkFlap(i));
-            self.pending.schedule(SimTime::from_secs_f64(at_s + duration_s), Event::LinkRestore(i));
+            self.pending.schedule(SimTime::from_secs_f64(until_s), Event::LinkRestore(i));
         }
         loop {
             // One step per turn: pick the next instant, integrate to
@@ -1061,22 +1046,7 @@ impl Driver {
         self.tracer().span_exit(self.run_span, self.sim.now().micros() as i64);
         let idc_stats = self.idc.as_ref().map(gvc_oscars::Idc::stats);
         let open_reservations = self.idc.as_ref().map(Idc::open_reservations);
-        let resilience = self.recovery.map(|_| ResilienceReport {
-            vc_requested: self.vc_requested,
-            vc_established: self.vc_established,
-            faults_injected: self.faults.as_ref().map_or(0, FaultInjector::injected_total),
-            retries: self.retries,
-            fallbacks: self.fallbacks,
-            preemptions: self
-                .faults
-                .as_ref()
-                .map_or(0, |f| f.injected_count(FaultKind::Preemption)),
-            mean_recovery_latency_s: if self.recovery_lat_n > 0 {
-                self.recovery_lat_sum_s / self.recovery_lat_n as f64
-            } else {
-                0.0
-            },
-        });
+        let resilience = self.recovery.map(|_| self.resilience());
         perf_phase.items(self.pending.dispatched() + completions);
         drop(perf_phase);
         self.tracer().flush();
@@ -1087,6 +1057,35 @@ impl Driver {
             resilience,
             open_reservations,
         }
+    }
+
+    /// The run's resilience ledger: a fold over the sessions' circuit
+    /// pursuits, in session order, plus the injector's fault counts.
+    fn resilience(&self) -> ResilienceReport {
+        let faults = self.faults.as_ref();
+        let mut r = ResilienceReport {
+            faults_injected: faults.map_or(0, FaultInjector::injected_total),
+            preemptions: faults.map_or(0, |f| f.injected_count(FaultKind::Preemption)),
+            ..ResilienceReport::default()
+        };
+        let (mut latency_sum_s, mut recovered) = (0.0, 0u64);
+        for p in self.sessions.iter().filter_map(|s| s.pursuit.as_ref()) {
+            r.vc_requested += 1;
+            r.retries += u64::from(p.retries);
+            match p.outcome {
+                Some((PursuitOutcome::Established, _)) => r.vc_established += 1,
+                Some((PursuitOutcome::FallbackIp, _)) => r.fallbacks += 1,
+                _ => {}
+            }
+            if let Some(latency_s) = p.recovery_latency_s() {
+                latency_sum_s += latency_s;
+                recovered += 1;
+            }
+        }
+        if recovered > 0 {
+            r.mean_recovery_latency_s = latency_sum_s / recovered as f64;
+        }
+        r
     }
 
     /// [`Driver::run`] under its earlier name, for callers that still
@@ -1371,6 +1370,42 @@ mod tests {
         assert!(snmp.total_bytes() >= 128 << 20);
     }
 
+    /// Only the timeline's `net.bg_util` series reads the background
+    /// share, so a run without a timeline records none.
+    #[test]
+    fn background_recorder_fills_only_under_a_timeline() {
+        use gvc_telemetry::{TimelineHandle, DEFAULT_WIDTH_US};
+        let bg_bytes = |ctx: Option<Telemetry>| {
+            let t = study_topology();
+            let watch = t.path(Site::Nersc, Site::Ornl).links[2];
+            let mut sim = NetworkSim::new(t.graph.clone(), 0);
+            sim.monitor_link(watch);
+            let mut d = Driver::new(sim, 6);
+            if let Some(ctx) = &ctx {
+                d = d.with_telemetry(ctx);
+            }
+            let horizon = SimTime::from_secs(600);
+            d.schedule_background(generate_background(
+                &t.graph,
+                &BackgroundConfig::default(),
+                horizon,
+                6,
+            ));
+            let out = d.run(SimTime::from_secs(100_000));
+            let bytes = |rec: &gvc_net::snmp_rec::SnmpRecorder| {
+                rec.series(watch).map_or(0, gvc_logs::SnmpSeries::total_bytes)
+            };
+            (bytes(out.sim.snmp()), bytes(out.sim.bg_snmp()))
+        };
+        let timeline =
+            Telemetry::metrics_only().with_timeline(TimelineHandle::new(DEFAULT_WIDTH_US));
+        let (all, bg) = bg_bytes(Some(timeline));
+        assert!(all > 0, "background crosses the watched link");
+        assert_eq!(bg, all, "every byte on it is background");
+        assert_eq!(bg_bytes(None), (all, 0));
+        assert_eq!(bg_bytes(Some(Telemetry::metrics_only())), (all, 0));
+    }
+
     #[test]
     fn vc_session_gets_guarantee_and_waits_for_setup() {
         let t = study_topology();
@@ -1380,12 +1415,8 @@ mod tests {
         let mut d = Driver::new(sim, 7).with_idc(idc);
         let a = d.register_cluster("slac", slac, ServerCaps::default(), 1);
         let b = d.register_cluster("bnl", bnl, ServerCaps::default(), 1);
-        let spec =
-            SessionSpec::sequential(vec![job(512)], 0.0).with_vc(crate::session::VcRequestSpec {
-                rate_bps: 1e9,
-                max_duration_s: 3600.0,
-                wait_for_circuit: true,
-            });
+        let spec = SessionSpec::sequential(vec![job(512)], 0.0)
+            .with_vc(crate::session::VcRequestSpec { rate_bps: 1e9, max_duration_s: 3600.0 });
         d.schedule_session(SimTime::ZERO, a, b, spec);
         let out = d.run(SimTime::from_secs(100_000));
         assert_eq!(out.log.len(), 1);
@@ -1411,8 +1442,7 @@ mod tests {
             .with_tcp(TcpModel { loss_probability: 0.0, ..TcpModel::default() })
             .with_telemetry(&ctx);
         // Circuit ready at 60 s; its window ends at 300 s.
-        let vc =
-            crate::session::VcRequestSpec { rate_bps: 1.8e9, max_duration_s: 300.0, ..vc_spec() };
+        let vc = crate::session::VcRequestSpec { rate_bps: 1.8e9, max_duration_s: 300.0 };
         d.schedule_session(
             SimTime::ZERO,
             a,
@@ -1464,13 +1494,8 @@ mod tests {
         let mut d = Driver::new(sim, 7).with_idc(idc).with_telemetry(&ctx);
         let a = d.register_cluster("slac", slac, ServerCaps::default(), 1);
         let b = d.register_cluster("bnl", bnl, ServerCaps::default(), 1);
-        let spec = SessionSpec::sequential(vec![job(512), job(256)], 1.0).with_vc(
-            crate::session::VcRequestSpec {
-                rate_bps: 1e9,
-                max_duration_s: 3600.0,
-                wait_for_circuit: true,
-            },
-        );
+        let spec = SessionSpec::sequential(vec![job(512), job(256)], 1.0)
+            .with_vc(crate::session::VcRequestSpec { rate_bps: 1e9, max_duration_s: 3600.0 });
         d.schedule_session(SimTime::ZERO, a, b, spec);
         d.schedule_transfer(SimTime::from_secs(10), a, b, job(128));
         let out = d.run(SimTime::from_secs(100_000));
@@ -1537,13 +1562,8 @@ mod tests {
             .with_telemetry(&ctx);
         let a = d.register_cluster("slac", slac, ServerCaps::default(), 1);
         let b = d.register_cluster("bnl", bnl, ServerCaps::default(), 1);
-        let spec = SessionSpec::sequential(vec![job(512), job(256)], 1.0).with_vc(
-            crate::session::VcRequestSpec {
-                rate_bps: 1e9,
-                max_duration_s: 3600.0,
-                wait_for_circuit: true,
-            },
-        );
+        let spec = SessionSpec::sequential(vec![job(512), job(256)], 1.0)
+            .with_vc(crate::session::VcRequestSpec { rate_bps: 1e9, max_duration_s: 3600.0 });
         d.schedule_session(SimTime::ZERO, a, b, spec);
         let out = d.run(SimTime::from_secs(100_000));
         assert_eq!(out.log.len(), 2);
@@ -1611,11 +1631,8 @@ mod tests {
             SimTime::ZERO,
             a,
             b,
-            SessionSpec::sequential(vec![job(64)], 0.0).with_vc(crate::session::VcRequestSpec {
-                rate_bps: 1e9,
-                max_duration_s: 3600.0,
-                wait_for_circuit: true,
-            }),
+            SessionSpec::sequential(vec![job(64)], 0.0)
+                .with_vc(crate::session::VcRequestSpec { rate_bps: 1e9, max_duration_s: 3600.0 }),
         );
         let out = d.run(SimTime::from_secs(100_000));
         assert_eq!(out.log.len(), 1);
@@ -1789,11 +1806,7 @@ mod tests {
     }
 
     fn vc_spec() -> crate::session::VcRequestSpec {
-        crate::session::VcRequestSpec {
-            rate_bps: 1e9,
-            max_duration_s: 3600.0,
-            wait_for_circuit: true,
-        }
+        crate::session::VcRequestSpec { rate_bps: 1e9, max_duration_s: 3600.0 }
     }
 
     /// Without a recovery policy a circuit request gets one attempt: a
@@ -1887,6 +1900,61 @@ mod tests {
         assert_eq!(r.fallbacks, 1);
         assert_eq!(r.session_success_rate(), 0.0);
         assert_eq!(out.open_reservations, Some(0), "no leaked reservations");
+    }
+
+    /// The ledger counts a retry when the policy decides it, so one
+    /// still due when the run reaches its limit counts, as it does in
+    /// `recovery_retries_total`.
+    #[test]
+    fn a_retry_due_after_the_limit_still_counts() {
+        use gvc_faults::FaultPlan;
+        let ctx = Telemetry::metrics_only();
+        let (d, a, b) = vc_driver(7);
+        let mut d = d
+            .with_telemetry(&ctx)
+            .with_faults(FaultPlan { fail_first_provisions: 1, ..FaultPlan::default() });
+        d.schedule_session(
+            SimTime::ZERO,
+            a,
+            b,
+            SessionSpec::sequential(vec![job(256)], 0.0).with_vc(vc_spec()),
+        );
+        // The first attempt fails at 0 s; its retry is due after the
+        // default backoff, at least 3.75 s later.
+        let out = d.run(SimTime::from_secs(1));
+        assert_eq!(out.log.len(), 0, "the session still waits for its circuit");
+        let r = out.resilience.expect("recovery configured");
+        assert_eq!((r.vc_requested, r.vc_established, r.retries, r.fallbacks), (1, 0, 1, 0));
+        assert_eq!(r.mean_recovery_latency_s, 0.0, "a pending pursuit has no latency yet");
+        assert_eq!(ctx.registry.counter("recovery_retries_total", &[]).get(), r.retries);
+    }
+
+    /// The reasons a failed attempt can carry are the ones
+    /// docs/observability.md lists, plus the injected fault kinds.
+    #[test]
+    fn failure_reasons_match_the_docs() {
+        use FailReason::{Blocked, Fault, ProvisionError, SetupDeadline};
+        const NAMED: [FailReason; 3] = [Blocked, ProvisionError, SetupDeadline];
+        // A new variant fails to compile here until it is classified,
+        // and a named one fails below until the docs list it.
+        match Blocked {
+            Blocked | ProvisionError | SetupDeadline => {}
+            Fault(_) => {}
+        }
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/observability.md");
+        let doc = std::fs::read_to_string(path).expect("docs/observability.md");
+        let doc = doc.split_whitespace().collect::<Vec<_>>().join(" ");
+        let list = doc
+            .split("The failed attempt's `reason` (")
+            .nth(1)
+            .and_then(|rest| rest.split(')').next())
+            .expect("the docs list the failed attempt's reasons");
+        let documented: Vec<&str> = list.split('`').skip(1).step_by(2).collect();
+        assert_eq!(documented, NAMED.map(FailReason::as_str));
+        assert!(list.ends_with("or the injected fault kind"), "{list}");
+        for kind in FaultKind::ALL {
+            assert_eq!(Fault(kind).as_str(), kind.as_str());
+        }
     }
 
     #[test]

@@ -37,5 +37,5 @@ pub mod transfer;
 
 pub use driver::{Driver, DriverOutput, ResilienceReport};
 pub use server::{ServerCaps, ServerCluster};
-pub use session::{SessionSpec, VcRequestSpec};
+pub use session::{reservation_window_s, SessionSpec, VcRequestSpec};
 pub use transfer::{FailureModel, ServerNoise, TransferJob};

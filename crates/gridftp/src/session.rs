@@ -11,17 +11,22 @@
 
 use crate::transfer::TransferJob;
 
-/// A circuit request attached to a session.
+/// A circuit request attached to a session. The script blocks until
+/// the circuit is usable, or the pursuit of it ends, before starting
+/// its first transfer: the Table IV usage pattern.
 #[derive(Debug, Clone, Copy)]
 pub struct VcRequestSpec {
     /// Guaranteed rate to reserve, bps.
     pub rate_bps: f64,
     /// Reservation window length, seconds (from session start).
     pub max_duration_s: f64,
-    /// Whether the script blocks until the circuit is usable before
-    /// starting its first transfer (the Table IV usage pattern), or
-    /// starts best-effort and upgrades.
-    pub wait_for_circuit: bool,
+}
+
+/// The reservation window a circuit-backed session asks for: 3x the
+/// at-rate transfer time of its `total_bytes` plus an hour of
+/// think/setup slack. Generous and deterministic.
+pub fn reservation_window_s(total_bytes: f64, rate_bps: f64) -> f64 {
+    3.0 * (total_bytes * 8.0) / rate_bps + 3_600.0
 }
 
 /// A batch script: an ordered list of file transfers between one
@@ -67,16 +72,6 @@ impl SessionSpec {
     pub fn total_bytes(&self) -> u64 {
         self.jobs.iter().map(|j| j.size_bytes).sum()
     }
-
-    /// Number of transfers.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// True when the script has no jobs.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -91,21 +86,18 @@ mod tests {
         ];
         let s = SessionSpec::sequential(jobs, 1.0);
         assert_eq!(s.total_bytes(), 300);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
+        assert_eq!(s.jobs.len(), 2);
         assert_eq!(s.concurrency, 1);
     }
 
     #[test]
     fn builders() {
-        let s = SessionSpec::sequential(vec![], 0.0).with_concurrency(4).with_vc(VcRequestSpec {
-            rate_bps: 1e9,
-            max_duration_s: 600.0,
-            wait_for_circuit: true,
-        });
+        let s = SessionSpec::sequential(vec![], 0.0)
+            .with_concurrency(4)
+            .with_vc(VcRequestSpec { rate_bps: 1e9, max_duration_s: 600.0 });
         assert_eq!(s.concurrency, 4);
         assert!(s.vc.is_some());
-        assert!(s.is_empty());
+        assert!(s.jobs.is_empty());
     }
 
     #[test]

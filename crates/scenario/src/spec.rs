@@ -25,8 +25,9 @@
 use std::fmt;
 
 use gvc_faults::FaultPlan;
+use gvc_gridftp::reservation_window_s;
 
-use crate::workload::{reservation_window_s, MAX_FILE_BYTES};
+use crate::workload::MAX_FILE_BYTES;
 
 /// Largest time value a synthetic workload may carry, seconds (about
 /// 31 700 years). It sits far inside the sim clock's microsecond

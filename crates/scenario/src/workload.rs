@@ -11,7 +11,7 @@
 //!   short ground-contact window;
 //! * **flash-crowd** — one thundering herd inside a single window.
 
-use gvc_gridftp::{SessionSpec, TransferJob, VcRequestSpec};
+use gvc_gridftp::{reservation_window_s, SessionSpec, TransferJob, VcRequestSpec};
 use gvc_stats::dist::{Distribution, Exponential, LogNormal, UniformRange};
 use gvc_stats::rng::component_rng;
 use rand::Rng;
@@ -22,13 +22,6 @@ use crate::ScenarioError;
 /// Largest file a synthetic session draws, bytes (sizes are clamped
 /// to `[1 MB, 1 TB]`).
 pub const MAX_FILE_BYTES: f64 = 1e12;
-
-/// The reservation window a circuit-backed session asks for: 3x the
-/// at-rate transfer time of its `total_bytes` plus an hour of
-/// think/setup slack. Generous and deterministic.
-pub fn reservation_window_s(total_bytes: f64, rate_bps: f64) -> f64 {
-    3.0 * (total_bytes * 8.0) / rate_bps + 3_600.0
-}
 
 /// One session and when it arrives.
 pub struct ScheduledSession {
@@ -97,12 +90,11 @@ pub fn synth_sessions(
                 TransferJob { size_bytes: size, ..TransferJob::default() }
             })
             .collect();
-        let total_bytes: u64 = jobs.iter().map(|j| j.size_bytes).sum();
         let mut spec = SessionSpec::sequential(jobs, wl.gap_s).with_concurrency(wl.concurrency);
         if body_rng.gen::<f64>() < wl.vc_fraction {
             let rate_bps = wl.vc_rate_gbps * 1e9;
-            let max_duration_s = reservation_window_s(total_bytes as f64, rate_bps);
-            spec = spec.with_vc(VcRequestSpec { rate_bps, max_duration_s, wait_for_circuit: true });
+            let max_duration_s = reservation_window_s(spec.total_bytes() as f64, rate_bps);
+            spec = spec.with_vc(VcRequestSpec { rate_bps, max_duration_s });
         }
         out.push(ScheduledSession { at_s, spec });
     }

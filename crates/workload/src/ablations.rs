@@ -109,7 +109,6 @@ pub fn vc_variance_experiment(
             spec = spec.with_vc(VcRequestSpec {
                 rate_bps: guarantee_bps,
                 max_duration_s: horizon.as_secs_f64(),
-                wait_for_circuit: true,
             });
         }
         driver.schedule_session(SimTime::from_secs_f64(60.0), slac, bnl, spec);

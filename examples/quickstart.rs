@@ -46,11 +46,8 @@ fn main() {
         SimTime::from_secs(3600),
         slac,
         bnl,
-        SessionSpec::sequential(jobs, 2.0).with_vc(VcRequestSpec {
-            rate_bps: 4e9,
-            max_duration_s: 1800.0,
-            wait_for_circuit: true,
-        }),
+        SessionSpec::sequential(jobs, 2.0)
+            .with_vc(VcRequestSpec { rate_bps: 4e9, max_duration_s: 1800.0 }),
     );
 
     // 5. Run and inspect the usage log (the record set of paper §II).

@@ -66,7 +66,7 @@ fn log_round_trips_through_text_serialization() {
 
 #[test]
 fn vc_session_defers_start_and_is_admitted() {
-    let vc = VcRequestSpec { rate_bps: 3e9, max_duration_s: 3600.0, wait_for_circuit: true };
+    let vc = VcRequestSpec { rate_bps: 3e9, max_duration_s: 3600.0 };
     let out = run_session(3, Some(vc));
     assert_eq!(out.log.len(), 3);
     let stats = out.idc_stats.expect("idc attached");

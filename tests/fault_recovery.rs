@@ -40,11 +40,8 @@ fn run_traced(
     let src = d.register_cluster("dtn.slac", topo.dtn(Site::Slac), ServerCaps::default(), 2);
     let dst = d.register_cluster("dtn.bnl", topo.dtn(Site::Bnl), ServerCaps::default(), 2);
     let bulk = vec![TransferJob { size_bytes: 512 << 20, ..TransferJob::default() }; jobs];
-    let spec = SessionSpec::sequential(bulk, 1.0).with_vc(VcRequestSpec {
-        rate_bps: 1e9,
-        max_duration_s: 7200.0,
-        wait_for_circuit: true,
-    });
+    let spec = SessionSpec::sequential(bulk, 1.0)
+        .with_vc(VcRequestSpec { rate_bps: 1e9, max_duration_s: 7200.0 });
     d.schedule_session(SimTime::ZERO, src, dst, spec);
     let out = d.run(SimTime::from_secs(500_000));
     ctx.tracer.flush();
