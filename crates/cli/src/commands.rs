@@ -539,6 +539,18 @@ fn study_driver(
     d
 }
 
+/// `simulate`'s `--faults` plan, parsed and checked against the study
+/// topology it runs on, so a flap on a link the topology lacks is
+/// refused rather than silently skipped.
+fn simulate_faults(a: &ParsedArgs) -> Result<Option<FaultPlan>, CliError> {
+    let Some(spec) = a.flags.get("faults") else { return Ok(None) };
+    let graph = study_topology().graph;
+    let plan = FaultPlan::parse(spec)
+        .and_then(|p| p.check_flap_links(|s, d| graph.link_by_names(s, d).is_some()).map(|()| p))
+        .map_err(|e| CliError(e.to_string()))?;
+    Ok(Some(plan))
+}
+
 /// `gvc simulate <out>`: runs the study workload to `--horizon` and
 /// writes its usage log. A job count above the `u32::MAX` ceiling
 /// scenario session counts have, or a horizon the sim clock cannot
@@ -547,6 +559,7 @@ fn cmd_simulate<W: Write>(
     a: &ParsedArgs,
     w: &mut W,
     telemetry: &Telemetry,
+    faults: Option<FaultPlan>,
 ) -> Result<(), CliError> {
     let out = a.positional(1, "out")?.to_owned();
     let seed: u64 = a.flag_or("seed", 42u64)?;
@@ -559,11 +572,6 @@ fn cmd_simulate<W: Write>(
         SimTime::try_from_secs_f64(horizon_s).filter(|_| horizon_s > 0.0).ok_or_else(|| {
             CliError("--horizon must be positive and within the sim clock's range".into())
         })?;
-    let faults = a
-        .flags
-        .get("faults")
-        .map(|spec| FaultPlan::parse(spec).map_err(|e| CliError(e.to_string())))
-        .transpose()?;
     let result = study_driver(seed, jobs, faults, telemetry).run(horizon);
     if let Some(tl) = &telemetry.timeline {
         // Per-link utilisation from the integer SNMP bins.
@@ -787,6 +795,8 @@ pub fn run_command<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> 
     if let Some(out) = output_log(a) {
         refuse_existing(out)?;
     }
+    // Checked before `--trace` creates its file.
+    let faults = if command == "simulate" { simulate_faults(a)? } else { None };
     let telemetry = telemetry_from_flags(a)?;
     let manifest = RunManifest::new(command, a.flag_or("seed", 42u64)?, &config_string(a));
     telemetry.tracer.emit_with(|| {
@@ -805,7 +815,7 @@ pub fn run_command<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> 
         "sweep" => cmd_sweep(a, w, &telemetry),
         "generate" => cmd_generate(a, w, &telemetry),
         "anonymize" => cmd_anonymize(a, w, &telemetry),
-        "simulate" => cmd_simulate(a, w, &telemetry),
+        "simulate" => cmd_simulate(a, w, &telemetry, faults),
         "trace" => cmd_trace(a, w, &telemetry),
         "perf" => crate::perf::cmd_perf(a, w),
         "scenario" => crate::scenario::cmd_scenario(a, w, &telemetry),

@@ -72,6 +72,27 @@ fn simulate_rejects_fault_times_past_the_sim_clock() {
     }
 }
 
+/// A flap on a link the study topology lacks (here a typo for
+/// `kans-cr`) is refused by name before any work, instead of running
+/// with the flap silently skipped; neither the log nor the trace is
+/// created.
+#[test]
+fn simulate_refuses_a_flap_on_an_unknown_link() {
+    let log = tmp("unknown-flap.log");
+    let trace = tmp("unknown-flap.jsonl");
+    let out = gvc()
+        .args(["simulate", log.to_str().unwrap(), "--seed", "7", "--jobs", "3"])
+        .args(["--faults", "seed=1,flap=denv-cr->kans@40+30*0.2"])
+        .args(["--trace", trace.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("\"denv-cr->kans\""), "{err}");
+    assert!(!log.exists(), "a log was written");
+    assert!(!trace.exists(), "a trace was written");
+}
+
 /// A horizon that is not positive or that the sim clock cannot hold
 /// is refused by `simulate`, naming `--horizon`, instead of panicking.
 #[test]

@@ -33,11 +33,6 @@ pub fn by_stripes(ds: &Dataset) -> Vec<FactorRow> {
     group_by(ds, |r| i64::from(r.num_stripes))
 }
 
-/// Groups transfers by stream count (the §VII-B factor).
-pub fn by_streams(ds: &Dataset) -> Vec<FactorRow> {
-    group_by(ds, |r| i64::from(r.num_streams))
-}
-
 /// Fraction of throughput variance explained by a grouping factor
 /// (η², the between-group sum of squares over the total): the
 /// quantitative answer to §VII's question of which of the candidate
@@ -139,13 +134,6 @@ mod tests {
         // Median rises with stripes.
         assert!(rows[2].throughput_mbps.median > rows[0].throughput_mbps.median);
         assert_eq!(rows[2].throughput_mbps.n, 2);
-    }
-
-    #[test]
-    fn streams_grouping() {
-        let ds = Dataset::from_records(vec![rec(Y2010, 2.0, 1, 1), rec(Y2010 + 5, 2.0, 1, 8)]);
-        let rows = by_streams(&ds);
-        assert_eq!(rows.iter().map(|r| r.key).collect::<Vec<_>>(), vec![1, 8]);
     }
 
     #[test]

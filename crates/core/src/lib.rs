@@ -20,7 +20,6 @@
 //! | [`concurrency`] | Eq. 2, Figs. 7, 8 (concurrent-transfer prediction) |
 //! | [`scatter`] | Fig. 2 (throughput vs file size) |
 //! | [`report`] | finding (i): the headline feasibility numbers |
-//! | [`session_stats`] | §VI-A session call-outs + Table VIII trend fits |
 
 #![deny(
     clippy::unwrap_used,
@@ -38,7 +37,6 @@ pub mod factors;
 pub mod gap_sensitivity;
 pub mod report;
 pub mod scatter;
-pub mod session_stats;
 pub mod sessions;
 pub mod snmp_attr;
 pub mod snmp_corr;

@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn degenerate_records_surfaced() {
-        let mut recs = dataset().into_records();
+        let mut recs = dataset().records().to_vec();
         recs.push(TransferRecord::simple(
             TransferType::Retr,
             1_000,
@@ -215,7 +215,6 @@ mod tests {
         // Same dataset and grid => same digest (wall clock may differ).
         let again = feasibility_report(&dataset());
         assert_eq!(r.manifest.config_digest, again.manifest.config_digest);
-        assert!(r.manifest.summary_line().contains("tool=feasibility-report"));
     }
 
     #[test]

@@ -69,7 +69,8 @@ impl Session {
     /// it with a session that moved no data. Callers that want a
     /// best-effort rate anyway can fall back to the summed transfer
     /// durations via the member records.
-    pub fn effective_throughput_mbps(&self) -> Option<f64> {
+    #[cfg(test)]
+    fn effective_throughput_mbps(&self) -> Option<f64> {
         let d = self.duration_s();
         if d <= 0.0 {
             None
@@ -91,11 +92,6 @@ pub struct SessionGrouping {
 }
 
 impl SessionGrouping {
-    /// Total transfers inside sessions.
-    pub fn grouped_transfers(&self) -> usize {
-        self.sessions.iter().map(Session::len).sum()
-    }
-
     /// Sessions with exactly one transfer (Table III column).
     pub fn single_transfer_sessions(&self) -> usize {
         self.sessions.iter().filter(|s| s.len() == 1).count()
@@ -265,7 +261,7 @@ mod tests {
             Dataset::from_records(vec![rec(0.0, 10.0, 100, None), rec(1.0, 10.0, 100, Some("p"))]);
         let g = group_sessions(&ds, 60.0);
         assert_eq!(g.ungroupable, 1);
-        assert_eq!(g.grouped_transfers(), 1);
+        assert_eq!(g.sessions.iter().map(Session::len).sum::<usize>(), 1);
     }
 
     #[test]
@@ -324,7 +320,7 @@ mod tests {
             let n = recs.len();
             let ds = Dataset::from_records(recs);
             let grouping = group_sessions(&ds, g);
-            prop_assert_eq!(grouping.grouped_transfers(), n);
+            prop_assert_eq!(grouping.sessions.iter().map(Session::len).sum::<usize>(), n);
             // Inside each session, every transfer (except the first)
             // starts within g of the running max end.
             for s in &grouping.sessions {

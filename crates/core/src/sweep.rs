@@ -105,17 +105,6 @@ impl SessionView<'_> {
     pub fn size_bytes(&self) -> u64 {
         self.size_bytes.iter().sum()
     }
-
-    /// Effective session throughput, Mbps; `None` for an
-    /// instantaneous (zero-wall-duration) session.
-    pub fn effective_throughput_mbps(&self) -> Option<f64> {
-        let d = self.duration_s();
-        if d <= 0.0 {
-            None
-        } else {
-            Some(self.size_bytes() as f64 * 8.0 / d / 1e6)
-        }
-    }
 }
 
 /// The columnar session index of a dataset: the start, end and size

@@ -9,26 +9,6 @@ use gvc_logs::Dataset;
 use gvc_stats::Summary;
 use std::collections::BTreeMap;
 
-/// One scatter point: (fractional start hour, throughput Mbps).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeOfDayPoint {
-    /// Start hour of day, 0.0 ≤ h < 24.0 (UTC).
-    pub hour: f64,
-    /// Transfer throughput, Mbps.
-    pub throughput_mbps: f64,
-}
-
-/// The Fig. 6 scatter.
-pub fn time_of_day_scatter(ds: &Dataset) -> Vec<TimeOfDayPoint> {
-    ds.records()
-        .iter()
-        .map(|r| TimeOfDayPoint {
-            hour: r.start_civil().hour_of_day(),
-            throughput_mbps: r.throughput_mbps(),
-        })
-        .collect()
-}
-
 /// Per-start-hour throughput summaries (integer hour buckets), for
 /// the "some of the transfers at 2 AM appear to have received higher
 /// levels of throughput, but there is significant variance within each
@@ -60,16 +40,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_maps_hours() {
-        let ds = Dataset::from_records(vec![rec(2, 100.0), rec(8, 200.0)]);
-        let pts = time_of_day_scatter(&ds);
-        assert_eq!(pts.len(), 2);
-        assert!((pts[0].hour - 2.0).abs() < 1e-9);
-        assert!((pts[1].hour - 8.0).abs() < 1e-9);
-        assert!(pts[0].throughput_mbps > pts[1].throughput_mbps);
-    }
-
-    #[test]
     fn hour_buckets() {
         let ds = Dataset::from_records(vec![rec(2, 100.0), rec(2, 110.0), rec(8, 150.0)]);
         let rows = by_hour(&ds);
@@ -81,7 +51,6 @@ mod tests {
 
     #[test]
     fn empty() {
-        assert!(time_of_day_scatter(&Dataset::new()).is_empty());
         assert!(by_hour(&Dataset::new()).is_empty());
     }
 }

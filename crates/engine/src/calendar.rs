@@ -9,8 +9,6 @@
 //! days-from-civil / civil-from-days algorithms (Howard Hinnant's
 //! `chrono`-compatible formulation), so leap years are handled exactly.
 
-use crate::time::SimTime;
-
 /// Unix timestamp (seconds) of 2009-01-01T00:00:00Z, the default
 /// simulation epoch: the NCAR–NICS dataset spans 2009–2011.
 pub const EPOCH_2009_UTC: i64 = 1_230_768_000;
@@ -32,22 +30,7 @@ pub struct CivilDateTime {
     pub second: u32,
 }
 
-/// Days since 1970-01-01 for a civil date (valid for all practical
-/// years; proleptic Gregorian).
-pub fn days_from_civil(year: i32, month: u32, day: u32) -> i64 {
-    debug_assert!((1..=12).contains(&month));
-    debug_assert!((1..=31).contains(&day));
-    let y = i64::from(year) - i64::from(month <= 2);
-    let era = if y >= 0 { y } else { y - 399 } / 400;
-    let yoe = y - era * 400; // [0, 399]
-    let mp = i64::from((month + 9) % 12); // [0, 11], March = 0
-    let doy = (153 * mp + 2) / 5 + i64::from(day) - 1; // [0, 365]
-    let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
-    era * 146_097 + doe - 719_468
-}
-
-/// Civil date for days since 1970-01-01 (inverse of
-/// [`days_from_civil`]).
+/// Civil date for days since 1970-01-01 (proleptic Gregorian).
 pub fn civil_from_days(z: i64) -> (i32, u32, u32) {
     let z = z + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
@@ -77,24 +60,6 @@ impl CivilDateTime {
         }
     }
 
-    /// Converts civil time back to a unix timestamp (seconds, UTC).
-    pub fn to_unix(self) -> i64 {
-        days_from_civil(self.year, self.month, self.day) * 86_400
-            + i64::from(self.hour) * 3600
-            + i64::from(self.minute) * 60
-            + i64::from(self.second)
-    }
-
-    /// Converts a simulation instant under the given epoch.
-    pub fn from_sim(t: SimTime, epoch_unix: i64) -> CivilDateTime {
-        CivilDateTime::from_unix(epoch_unix + t.as_secs() as i64)
-    }
-
-    /// Fractional hour of day (Fig. 6's x-axis), e.g. 02:30:00 → 2.5.
-    pub fn hour_of_day(self) -> f64 {
-        f64::from(self.hour) + f64::from(self.minute) / 60.0 + f64::from(self.second) / 3600.0
-    }
-
     /// ISO 8601 rendering (`2010-09-14T02:00:00Z`), the format the log
     /// writer uses for start times.
     pub fn iso8601(self) -> String {
@@ -103,40 +68,26 @@ impl CivilDateTime {
             self.year, self.month, self.day, self.hour, self.minute, self.second
         )
     }
-
-    /// Parses the ISO 8601 rendering produced by [`Self::iso8601`].
-    pub fn parse_iso8601(s: &str) -> Option<CivilDateTime> {
-        let b = s.as_bytes();
-        const SEPS: [(usize, u8); 6] =
-            [(4, b'-'), (7, b'-'), (10, b'T'), (13, b':'), (16, b':'), (19, b'Z')];
-        if b.len() != 20 || SEPS.iter().any(|&(i, ch)| b.get(i) != Some(&ch)) {
-            return None;
-        }
-        let num = |r: std::ops::Range<usize>| s.get(r).and_then(|t| t.parse::<u32>().ok());
-        let dt = CivilDateTime {
-            year: num(0..4)? as i32,
-            month: num(5..7)?,
-            day: num(8..10)?,
-            hour: num(11..13)?,
-            minute: num(14..16)?,
-            second: num(17..19)?,
-        };
-        if !(1..=12).contains(&dt.month)
-            || !(1..=31).contains(&dt.day)
-            || dt.hour > 23
-            || dt.minute > 59
-            || dt.second > 59
-        {
-            return None;
-        }
-        Some(dt)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Days since 1970-01-01 for a civil date (valid for all practical
+    /// years; proleptic Gregorian).
+    fn days_from_civil(year: i32, month: u32, day: u32) -> i64 {
+        debug_assert!((1..=12).contains(&month));
+        debug_assert!((1..=31).contains(&day));
+        let y = i64::from(year) - i64::from(month <= 2);
+        let era = if y >= 0 { y } else { y - 399 } / 400;
+        let yoe = y - era * 400; // [0, 399]
+        let mp = i64::from((month + 9) % 12); // [0, 11], March = 0
+        let doy = (153 * mp + 2) / 5 + i64::from(day) - 1; // [0, 365]
+        let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
+        era * 146_097 + doe - 719_468
+    }
 
     #[test]
     fn epoch_2009_is_jan_first() {
@@ -172,27 +123,17 @@ mod tests {
 
     #[test]
     fn sim_time_mapping() {
-        let t = SimTime::from_secs(86_400 + 2 * 3600); // day 2, 02:00
-        let dt = CivilDateTime::from_sim(t, EPOCH_2009_UTC);
+        // Day 2 of the simulation epoch, 02:00.
+        let dt = CivilDateTime::from_unix(EPOCH_2009_UTC + 86_400 + 2 * 3600);
         assert_eq!((dt.year, dt.month, dt.day, dt.hour), (2009, 1, 2, 2));
-        assert!((dt.hour_of_day() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn iso8601_round_trip() {
         let dt = CivilDateTime { year: 2010, month: 9, day: 14, hour: 2, minute: 0, second: 59 };
-        let s = dt.iso8601();
-        assert_eq!(s, "2010-09-14T02:00:59Z");
-        assert_eq!(CivilDateTime::parse_iso8601(&s), Some(dt));
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(CivilDateTime::parse_iso8601("not a date!").is_none());
-        assert!(CivilDateTime::parse_iso8601("2010-13-01T00:00:00Z").is_none());
-        assert!(CivilDateTime::parse_iso8601("2010-01-01T25:00:00Z").is_none());
-        assert!(CivilDateTime::parse_iso8601("2010-01-01 00:00:00Z").is_none());
-        assert!(CivilDateTime::parse_iso8601("").is_none());
+        let ts = days_from_civil(2010, 9, 14) * 86_400 + 2 * 3600 + 59;
+        assert_eq!(CivilDateTime::from_unix(ts), dt);
+        assert_eq!(dt.iso8601(), "2010-09-14T02:00:59Z");
     }
 
     proptest! {
@@ -204,18 +145,15 @@ mod tests {
             prop_assert_eq!(days_from_civil(y, m, d), z);
         }
 
-        /// Unix second round trip through CivilDateTime.
+        /// Unix second round trip through CivilDateTime's fields.
         #[test]
         fn prop_unix_round_trip(ts in 0i64..2_000_000_000) {
             let dt = CivilDateTime::from_unix(ts);
-            prop_assert_eq!(dt.to_unix(), ts);
-        }
-
-        /// ISO rendering always parses back to the same value.
-        #[test]
-        fn prop_iso_round_trip(ts in 0i64..2_000_000_000) {
-            let dt = CivilDateTime::from_unix(ts);
-            prop_assert_eq!(CivilDateTime::parse_iso8601(&dt.iso8601()), Some(dt));
+            let back = days_from_civil(dt.year, dt.month, dt.day) * 86_400
+                + i64::from(dt.hour) * 3600
+                + i64::from(dt.minute) * 60
+                + i64::from(dt.second);
+            prop_assert_eq!(back, ts);
         }
     }
 }

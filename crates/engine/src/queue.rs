@@ -17,7 +17,7 @@
 //! tie exactly as one heap holding everything would. The script pays
 //! neither the heap's per-entry sift nor a copy of its events.
 
-use crate::time::{SimSpan, SimTime};
+use crate::time::SimTime;
 use gvc_telemetry::timeline::series;
 use gvc_telemetry::{Counter, Gauge, SpanId, Telemetry, TimelineHandle, Tracer};
 use std::cmp::Ordering;
@@ -225,7 +225,8 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` after `delay` (clamped to `now` for negative
     /// delays).
-    pub fn schedule_in(&mut self, delay: SimSpan, event: E) {
+    #[cfg(test)]
+    fn schedule_in(&mut self, delay: crate::time::SimSpan, event: E) {
         let at = (self.now + delay).max(self.now);
         self.schedule(at, event);
     }
@@ -288,6 +289,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimSpan;
     use proptest::prelude::*;
 
     #[test]

@@ -79,11 +79,6 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
-    /// Whole seconds since epoch (truncating).
-    pub fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Saturating instant + span (clamps at the epoch for negative
     /// overshoot).
     pub fn offset(self, span: SimSpan) -> SimTime {
@@ -171,11 +166,6 @@ impl SimSpan {
     /// Seconds as `f64`.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// True when negative (concurrent-start session gaps).
-    pub fn is_negative(self) -> bool {
-        self.0 < 0
     }
 
     /// Absolute value.
@@ -289,7 +279,6 @@ mod tests {
         let b = SimTime::from_secs(12);
         assert_eq!(b - a, SimSpan::from_secs(2));
         assert_eq!(a - b, SimSpan::from_secs(-2));
-        assert!((a - b).is_negative());
     }
 
     #[test]

@@ -67,6 +67,14 @@ pub struct LinkFlapSpec {
     pub residual_frac: f64,
 }
 
+impl LinkFlapSpec {
+    /// The link's endpoint names, `(src, dst)`; `None` for a name
+    /// without the `->` arrow, which [`FaultPlan::parse`] refuses.
+    pub fn endpoints(&self) -> Option<(&str, &str)> {
+        self.link.split_once("->")
+    }
+}
+
 /// A deterministic fault plan: scheduled + probabilistic faults under
 /// one seed. `FaultPlan::default()` injects nothing.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,8 +155,8 @@ fn parse_flap(value: &str) -> Result<LinkFlapSpec, FaultSpecError> {
         ))
     };
     let (link, rest) = value.rsplit_once('@').ok_or_else(err)?;
-    if link.is_empty() {
-        return Err(err());
+    if !link.split_once("->").is_some_and(|(src, dst)| !src.is_empty() && !dst.is_empty()) {
+        return Err(FaultSpecError(format!("flap: link must be SRC->DST, got {link:?}")));
     }
     let (at, rest) = rest.split_once('+').ok_or_else(err)?;
     let (dur, residual) = match rest.split_once('*') {
@@ -238,14 +246,26 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// True when the plan can never inject anything.
-    pub fn is_inert(&self) -> bool {
-        self.fail_first_provisions == 0
-            && self.provision_failure_p == 0.0
-            && self.setup_timeout_p == 0.0
-            && self.preempt_after_s.is_none()
-            && self.link_flaps.is_empty()
-            && self.server_restart_p == 0.0
+    /// Refuses a plan that flaps a link the topology lacks: parsing
+    /// cannot see the topology, and the driver would skip such a flap
+    /// without a word. `has_link(src, dst)` answers for the topology
+    /// the plan will run on.
+    ///
+    /// # Errors
+    /// [`FaultSpecError`] naming the first flap link `has_link` rejects.
+    pub fn check_flap_links(
+        &self,
+        has_link: impl Fn(&str, &str) -> bool,
+    ) -> Result<(), FaultSpecError> {
+        for flap in &self.link_flaps {
+            if !flap.endpoints().is_some_and(|(src, dst)| has_link(src, dst)) {
+                return Err(FaultSpecError(format!(
+                    "flap: no link {:?} in the topology",
+                    flap.link
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -349,7 +369,6 @@ mod tests {
 
     #[test]
     fn default_plan_is_inert() {
-        assert!(FaultPlan::default().is_inert());
         let mut inj = FaultInjector::new(FaultPlan::default());
         for _ in 0..100 {
             assert_eq!(inj.provision_fault(), None);
@@ -377,7 +396,7 @@ mod tests {
         assert!((flap.at_s - 120.0).abs() < 1e-12);
         assert!((flap.duration_s - 30.0).abs() < 1e-12);
         assert!((flap.residual_frac - 0.1).abs() < 1e-12);
-        assert!(!plan.is_inert());
+        assert_ne!(plan, FaultPlan::default());
     }
 
     #[test]
@@ -387,10 +406,23 @@ mod tests {
         assert!(FaultPlan::parse("provision-p=nan").is_err());
         assert!(FaultPlan::parse("fail-first=-1").is_err());
         assert!(FaultPlan::parse("flap=nolink").is_err());
+        assert!(FaultPlan::parse("flap=foo@1+2").is_err());
+        assert!(FaultPlan::parse("flap=a->@1+2").is_err());
         assert!(FaultPlan::parse("flap=a->b@5").is_err());
         assert!(FaultPlan::parse("flap=a->b@-1+5").is_err());
         assert!(FaultPlan::parse("preempt-after=0").is_err());
         assert!(FaultPlan::parse("seed").is_err());
+    }
+
+    #[test]
+    fn flap_links_are_checked_against_the_topology() {
+        let plan = FaultPlan::parse("flap=a->b@1+2,flap=b->c@3+4").unwrap();
+        let known = |src: &str, dst: &str| (src, dst) == ("a", "b") || (src, dst) == ("b", "c");
+        assert_eq!(plan.check_flap_links(known), Ok(()));
+        let only_ab = |src: &str, dst: &str| (src, dst) == ("a", "b");
+        let err = plan.check_flap_links(only_ab).unwrap_err();
+        assert!(err.0.contains("\"b->c\""), "{err}");
+        assert_eq!(FaultPlan::default().check_flap_links(|_, _| false), Ok(()));
     }
 
     #[test]
@@ -405,8 +437,8 @@ mod tests {
 
     #[test]
     fn parse_empty_is_inert() {
-        assert!(FaultPlan::parse("").unwrap().is_inert());
-        assert!(FaultPlan::parse(" , ,").unwrap().is_inert());
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
+        assert_eq!(FaultPlan::parse(" , ,").unwrap(), FaultPlan::default());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! total. Arbitrary bytes, token soup, every truncation and byte flips
 //! of valid specs all return a plan or a typed [`FaultSpecError`],
 //! never a panic — and every accepted plan is one the driver can run:
-//! its probabilities are probabilities and its flap and preemption
-//! times fit the simulation clock.
+//! its probabilities are probabilities, its flaps name `SRC->DST`
+//! links, and its flap and preemption times fit the simulation clock.
 
 use gvc_engine::{SimSpan, SimTime};
 use gvc_faults::{FaultPlan, FaultSpecError};
@@ -18,6 +18,8 @@ fn check(text: &str) -> Result<(), TestCaseError> {
                 prop_assert!((0.0..=1.0).contains(&p), "probability {p} from {text:?}");
             }
             for flap in &plan.link_flaps {
+                let arrow = flap.endpoints().is_some_and(|(s, d)| !s.is_empty() && !d.is_empty());
+                prop_assert!(arrow, "flap link {:?} from {text:?}", flap.link);
                 prop_assert!((0.0..=1.0).contains(&flap.residual_frac), "{text:?}");
                 prop_assert!(SimTime::try_from_secs_f64(flap.at_s).is_some(), "{text:?}");
                 prop_assert!(
@@ -53,6 +55,7 @@ static TOKENS: &[&str] = &[
     "preempt-after=",
     "flap=",
     "a->b@",
+    "foo@",
     "->",
     "@",
     "+",

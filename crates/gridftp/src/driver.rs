@@ -420,7 +420,8 @@ impl Driver {
     }
 
     /// Overrides the failure/restart model, returning `self`.
-    pub fn with_failures(mut self, failures: FailureModel) -> Driver {
+    #[cfg(test)]
+    fn with_failures(mut self, failures: FailureModel) -> Driver {
         self.failures = failures;
         self
     }
@@ -777,7 +778,7 @@ impl Driver {
         let Some(flap) = self.faults.as_ref().and_then(|f| f.link_flaps().get(i).cloned()) else {
             return;
         };
-        let Some((src, dst)) = flap.link.split_once("->") else {
+        let Some((src, dst)) = flap.endpoints() else {
             return;
         };
         let Some(lid) = self.sim.link_by_names(src, dst) else {

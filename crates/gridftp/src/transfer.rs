@@ -127,10 +127,9 @@ impl FailureModel {
 /// Everything needed to turn a [`TransferJob`] into a [`FlowSpec`] and
 /// later into a logged record.
 pub struct PreparedTransfer {
-    /// The flow to inject.
+    /// The flow to inject; its `max_rate_bps` is the steady-state cap
+    /// the slow-start penalty was computed from.
     pub spec: FlowSpec,
-    /// Steady-state cap used for the slow-start penalty calculation.
-    pub steady_cap_bps: f64,
     /// Extra logged time: slow-start ramp + control-channel overhead
     /// (+ failure recovery when the transfer fails mid-flight).
     pub overhead_s: f64,
@@ -202,7 +201,6 @@ pub fn prepare_transfer(
     let ss = tcp.ramp_penalty_s(job.size_bytes as f64, cap, rtt, job.streams);
     PreparedTransfer {
         spec,
-        steady_cap_bps: cap,
         overhead_s: ss + control_overhead_s + failure_penalty,
         lossy,
         failed: failure_penalty > 0.0,
@@ -273,7 +271,7 @@ mod tests {
         );
         let rtt = f.path.rtt_s(f.sim.graph());
         let expected = (4u64 << 20) as f64 * 8.0 / rtt;
-        assert!((p.steady_cap_bps - expected).abs() / expected < 1e-9);
+        assert!((p.spec.max_rate_bps - expected).abs() / expected < 1e-9);
     }
 
     #[test]
@@ -300,7 +298,7 @@ mod tests {
             &mut component_rng(1, "fail"),
         );
         // 8 x 4 MiB over ~70 ms RTT far exceeds the 2.4 Gbps node cap.
-        assert!((p.steady_cap_bps - 2.4e9).abs() < 1e3, "{}", p.steady_cap_bps);
+        assert!((p.spec.max_rate_bps - 2.4e9).abs() < 1e3, "{}", p.spec.max_rate_bps);
     }
 
     #[test]
@@ -340,7 +338,7 @@ mod tests {
             &mut rng2,
             &mut component_rng(1, "fail"),
         );
-        assert!(disk.steady_cap_bps < mem.steady_cap_bps);
+        assert!(disk.spec.max_rate_bps < mem.spec.max_rate_bps);
         assert_eq!(disk.spec.resources.len(), 3); // agg x2 + disk write
         assert_eq!(mem.spec.resources.len(), 2);
     }
@@ -388,7 +386,7 @@ mod tests {
             &mut rng2,
             &mut component_rng(1, "fail"),
         );
-        assert!(three.steady_cap_bps > 2.0 * one.steady_cap_bps);
+        assert!(three.spec.max_rate_bps > 2.0 * one.spec.max_rate_bps);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::classifier::AlphaClassifier;
 use crate::flowrec::FlowRecord;
 use gvc_topology::NodeId;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// One installed redirection rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,12 +101,6 @@ impl HntesController {
         }
         (redirected, missed, false_pos)
     }
-
-    /// The pairs currently installed, as an ordered set (for
-    /// provisioning the matching LSP mesh).
-    pub fn pair_set(&self) -> BTreeSet<(NodeId, NodeId)> {
-        self.rules.keys().map(|r| (r.ingress, r.egress)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +177,7 @@ mod tests {
     fn pair_set_matches_rules() {
         let mut c = HntesController::new(AlphaClassifier::default());
         c.observe_interval(&[alpha(1, 2, 0), alpha(3, 4, 0), alpha(1, 2, 0)], 0);
-        let pairs: Vec<_> = c.pair_set().into_iter().collect();
+        let pairs: Vec<_> = c.rules().iter().map(|r| (r.ingress, r.egress)).collect();
         assert_eq!(pairs, vec![(NodeId(1), NodeId(2)), (NodeId(3), NodeId(4))]);
         assert_eq!(c.rules().len(), 2);
     }

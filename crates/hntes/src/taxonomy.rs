@@ -56,14 +56,11 @@ pub struct FlowTags {
     pub porcupine: bool,
 }
 
-/// Thresholds and the classified population.
+/// The classified population.
 #[derive(Debug, Clone)]
 pub struct TaxonomyReport {
     /// Per-flow tags, input order.
     pub tags: Vec<FlowTags>,
-    /// `mean + k·σ` thresholds per dimension
-    /// (bytes, duration, rate, burstiness).
-    pub thresholds: (f64, f64, f64, f64),
 }
 
 impl TaxonomyReport {
@@ -135,7 +132,7 @@ pub fn classify(flows: &[FlowDims], k: f64) -> TaxonomyReport {
             porcupine: f.burstiness > t_burst,
         })
         .collect();
-    TaxonomyReport { tags, thresholds: (t_bytes, t_dur, t_rate, t_burst) }
+    TaxonomyReport { tags }
 }
 
 #[cfg(test)]

@@ -48,11 +48,6 @@ impl Dataset {
         &self.records
     }
 
-    /// Consumes into the record vector.
-    pub fn into_records(self) -> Vec<TransferRecord> {
-        self.records
-    }
-
     /// Transfers whose size lies in `[lo, hi)` bytes — the paper's
     /// "32 GB transfers" / "[16, 17) GB" / "[4, 5) GB" slices.
     pub fn filter_size(&self, lo: u64, hi: u64) -> Dataset {
@@ -69,24 +64,6 @@ impl Dataset {
     /// Transfers of one direction.
     pub fn filter_type(&self, t: TransferType) -> Dataset {
         Dataset { records: self.records.iter().filter(|r| r.transfer_type == t).cloned().collect() }
-    }
-
-    /// Transfers with the given stream count.
-    pub fn filter_streams(&self, n: u32) -> Dataset {
-        Dataset { records: self.records.iter().filter(|r| r.num_streams == n).cloned().collect() }
-    }
-
-    /// Transfers whose remote endpoint matches (sessionizable subset
-    /// for one path).
-    pub fn filter_pair(&self, server: &str, remote: &str) -> Dataset {
-        Dataset {
-            records: self
-                .records
-                .iter()
-                .filter(|r| &*r.server == server && r.remote.as_deref() == Some(remote))
-                .cloned()
-                .collect(),
-        }
     }
 
     /// Retains transfers matching an arbitrary predicate.
@@ -172,9 +149,10 @@ mod tests {
     #[test]
     fn stream_filter() {
         let d = Dataset::from_records(vec![rec(0, 1, 1), rec(1, 1, 8), rec(2, 1, 8)]);
-        assert_eq!(d.filter_streams(8).len(), 2);
-        assert_eq!(d.filter_streams(1).len(), 1);
-        assert_eq!(d.filter_streams(4).len(), 0);
+        let streams = |n: u32| d.filter(|r| r.num_streams == n).len();
+        assert_eq!(streams(8), 2);
+        assert_eq!(streams(1), 1);
+        assert_eq!(streams(4), 0);
     }
 
     #[test]
@@ -182,7 +160,7 @@ mod tests {
         let mut anon = rec(0, 1, 1);
         anon.remote = None;
         let d = Dataset::from_records(vec![anon, rec(1, 1, 1)]);
-        assert_eq!(d.filter_pair("s", "r").len(), 1);
+        assert_eq!(d.filter(|r| r.pair_key() == Some(("s", "r"))).len(), 1);
     }
 
     #[test]

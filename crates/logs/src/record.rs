@@ -106,11 +106,6 @@ impl TransferRecord {
         self.duration_us as f64 / 1e6
     }
 
-    /// Start time in seconds since the unix epoch.
-    pub fn start_unix_s(&self) -> f64 {
-        self.start_unix_us as f64 / 1e6
-    }
-
     /// End time (start + duration), microseconds since the unix epoch.
     pub fn end_unix_us(&self) -> i64 {
         self.start_unix_us + self.duration_us

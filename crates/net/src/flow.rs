@@ -52,7 +52,8 @@ impl FlowSpec {
     }
 
     /// Sets a circuit guarantee, returning `self`.
-    pub fn with_guarantee(mut self, min_rate_bps: f64) -> FlowSpec {
+    #[cfg(test)]
+    pub(crate) fn with_guarantee(mut self, min_rate_bps: f64) -> FlowSpec {
         self.min_rate_bps = min_rate_bps;
         self
     }

@@ -53,11 +53,6 @@ impl FlowTrace {
     pub fn rate_at(&self, t: SimTime) -> f64 {
         self.points.iter().take_while(|(at, _)| *at <= t).last().map_or(0.0, |&(_, r)| r)
     }
-
-    /// Number of rate changes recorded.
-    pub fn changes(&self) -> usize {
-        self.points.len()
-    }
 }
 
 /// Bytes below which a flow counts as finished (guards float error).
@@ -243,9 +238,7 @@ impl NetworkSim {
 
     /// Looks up a directed link by its endpoint names (`src`, `dst`).
     pub fn link_by_names(&self, src: &str, dst: &str) -> Option<LinkId> {
-        let s = self.graph.node_by_name(src)?;
-        let d = self.graph.node_by_name(dst)?;
-        self.graph.out_links(s).iter().copied().find(|&l| self.graph.link(l).dst == d)
+        self.graph.link_by_names(src, dst)
     }
 
     /// Starts SNMP monitoring of `link` (30-second bins, labelled by
@@ -310,7 +303,8 @@ impl NetworkSim {
     }
 
     /// Number of active flows.
-    pub fn active_flows(&self) -> usize {
+    #[cfg(test)]
+    fn active_flows(&self) -> usize {
         self.flows.len()
     }
 
@@ -353,7 +347,8 @@ impl NetworkSim {
 
     /// Aborts a flow, returning the bytes it had moved. `None` when
     /// the id is unknown (already completed).
-    pub fn remove_flow(&mut self, id: FlowId) -> Option<f64> {
+    #[cfg(test)]
+    fn remove_flow(&mut self, id: FlowId) -> Option<f64> {
         let st = self.flows.remove(&id)?;
         self.rates_dirty = true;
         if let Some(t) = &self.telemetry {
@@ -791,7 +786,7 @@ mod tests {
         sim.drain(SimTime::from_secs(100));
         let trace = sim.trace(7).expect("traced");
         // Alone (8G), shared (4G), alone again (8G).
-        assert_eq!(trace.changes(), 3, "{:?}", trace.points);
+        assert_eq!(trace.points.len(), 3, "{:?}", trace.points);
         assert!((trace.rate_at(SimTime::from_secs_f64(0.5)) - 8e9).abs() < 1e3);
         assert!((trace.rate_at(SimTime::from_secs_f64(1.5)) - 4e9).abs() < 1e3);
         assert_eq!(trace.rate_at(SimTime::ZERO.max(SimTime(0))), 8e9);

@@ -31,11 +31,6 @@ impl SnmpRecorder {
         self.series.insert(link, SnmpSeries::thirty_second(name, origin_us));
     }
 
-    /// True when `link` is monitored.
-    pub fn is_monitored(&self, link: LinkId) -> bool {
-        self.series.contains_key(&link)
-    }
-
     /// Deposits `bytes` spread over `[start_us, end_us)` unix
     /// microseconds onto `link`. Returns the bytes actually recorded
     /// (0 when the link is unmonitored).
@@ -68,7 +63,6 @@ mod tests {
         let mut r = SnmpRecorder::new();
         r.deposit(LinkId(0), 0, 10, 100);
         assert!(r.series(LinkId(0)).is_none());
-        assert!(!r.is_monitored(LinkId(0)));
     }
 
     #[test]

@@ -85,7 +85,8 @@ impl LinkCalendar {
     }
 
     /// Committed bandwidth at instant `t`.
-    pub fn committed_at(&self, t: SimTime) -> f64 {
+    #[cfg(test)]
+    fn committed_at(&self, t: SimTime) -> f64 {
         self.commitments.iter().filter(|c| c.start <= t && c.end > t).map(|c| c.rate_bps).sum()
     }
 

@@ -69,7 +69,8 @@ pub struct Reservation {
 
 impl Reservation {
     /// True while the circuit can carry traffic at instant `t`.
-    pub fn usable_at(&self, t: SimTime) -> bool {
+    #[cfg(test)]
+    pub(crate) fn usable_at(&self, t: SimTime) -> bool {
         self.state == ReservationState::Active
             && self.ready_at.is_some_and(|r| t >= r)
             && t < self.request.end

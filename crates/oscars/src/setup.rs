@@ -60,15 +60,6 @@ impl SetupDelayModel {
             }
         }
     }
-
-    /// The nominal delay the analysis should budget for (the paper's
-    /// "setup delay" scalar): the fixed value, or the batch interval.
-    pub fn nominal_delay(self) -> SimSpan {
-        match self {
-            SetupDelayModel::Fixed(d) => d,
-            SetupDelayModel::Batched { interval } => interval,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -97,9 +88,12 @@ mod tests {
 
     #[test]
     fn nominal_delays() {
-        assert_eq!(SetupDelayModel::one_minute().nominal_delay(), SimSpan::from_mins(1));
-        assert_eq!(SetupDelayModel::esnet_deployed().nominal_delay(), SimSpan::from_mins(1));
-        assert_eq!(SetupDelayModel::hardware().nominal_delay(), SimSpan::from_millis(50));
+        // The presets carry the paper's setup-delay scalars: 1 min
+        // flat, 1-min batches, and the 50 ms hardware bound.
+        assert_eq!(SetupDelayModel::one_minute(), SetupDelayModel::Fixed(SimSpan::from_mins(1)));
+        let batched = SetupDelayModel::Batched { interval: SimSpan::from_mins(1) };
+        assert_eq!(SetupDelayModel::esnet_deployed(), batched);
+        assert_eq!(SetupDelayModel::hardware(), SetupDelayModel::Fixed(SimSpan::from_millis(50)));
     }
 
     proptest! {

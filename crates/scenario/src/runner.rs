@@ -9,7 +9,6 @@
 
 use gvc_core::{feasibility_report, FeasibilityReport, ResilienceSummary};
 use gvc_engine::SimTime;
-use gvc_faults::FaultPlan;
 use gvc_gridftp::driver::Driver;
 use gvc_gridftp::ServerCaps;
 use gvc_net::NetworkSim;
@@ -108,9 +107,7 @@ fn run_synthetic(spec: &ScenarioSpec, tracer: &Tracer) -> Result<ScenarioOutcome
     let idc = Idc::new(built.graph.clone(), SetupDelayModel::one_minute());
     let sim = NetworkSim::new(built.graph, EPOCH_FEB_2012_US);
     let mut driver = Driver::new(sim, spec.seed).with_idc(idc).with_telemetry(&telemetry);
-    if let Some(plan) = &spec.fault_plan {
-        let plan =
-            FaultPlan::parse(plan).map_err(|e| ScenarioError::Run(format!("fault plan: {e}")))?;
+    if let Some(plan) = built.faults {
         driver = driver.with_faults(plan);
     }
 

@@ -7,6 +7,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use gvc_faults::FaultPlan;
 use gvc_oscars::{Domain, Idc, SetupDelayModel};
 use gvc_topology::{study_topology, Graph, NodeId, NodeKind, Site};
 
@@ -23,6 +24,8 @@ pub struct BuiltTopology {
     /// probe (`src-dtn` lives in the first domain, `dst-dtn` in the
     /// last).
     pub chain_domains: Vec<Domain>,
+    /// The spec's fault plan, its flap links checked against `graph`.
+    pub faults: Option<FaultPlan>,
 }
 
 fn run_err<T>(message: impl Into<String>) -> Result<T, ScenarioError> {
@@ -38,7 +41,8 @@ fn hub_name(domain: u32, hub: u32) -> String {
     format!("d{domain}-h{hub}")
 }
 
-/// Resolves a spec's topology and cluster attachments.
+/// Resolves a spec's topology, cluster attachments and fault plan. A
+/// flap on a link the topology lacks is refused here, before the run.
 pub fn build(spec: &ScenarioSpec) -> Result<BuiltTopology, ScenarioError> {
     let (graph, chain_domains) = match &spec.topology {
         TopologySpec::Study => (study_topology().graph, Vec::new()),
@@ -90,7 +94,17 @@ pub fn build(spec: &ScenarioSpec) -> Result<BuiltTopology, ScenarioError> {
         }
         attach.insert(c.name.clone(), node);
     }
-    Ok(BuiltTopology { graph, attach, chain_domains })
+    let faults = spec
+        .fault_plan
+        .as_deref()
+        .map(|plan| {
+            FaultPlan::parse(plan).and_then(|p| {
+                p.check_flap_links(|s, d| graph.link_by_names(s, d).is_some()).map(|()| p)
+            })
+        })
+        .transpose()
+        .map_err(|e| ScenarioError::Run(format!("fault plan: {e}")))?;
+    Ok(BuiltTopology { graph, attach, chain_domains, faults })
 }
 
 /// The flat chain graph plus per-domain IDC views.

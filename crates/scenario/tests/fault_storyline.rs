@@ -6,7 +6,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use gvc_scenario::{discover, run_scenario, CorpusEntry};
+use gvc_scenario::{discover, run_scenario, CorpusEntry, ScenarioSpec};
 use gvc_telemetry::Tracer;
 
 fn corpus_dir() -> PathBuf {
@@ -27,6 +27,21 @@ fn stat(stats: &str, key: &str) -> u64 {
         .lines()
         .find_map(|l| l.strip_prefix(key).and_then(|rest| rest.trim().parse().ok()))
         .unwrap_or_else(|| panic!("stats must carry `{key}`:\n{stats}"))
+}
+
+/// A spec whose flap names a link its topology lacks (here the
+/// maintenance window's flap with a typo) parses, but is refused by
+/// name before the run instead of running with the flap skipped.
+#[test]
+fn a_flap_on_an_unknown_link_is_refused() {
+    let text = fs::read_to_string(corpus_dir().join("maintenance-window.scn")).expect("read");
+    let typo = text.replace("flap=chic-cr->nash-cr@", "flap=chic-cr->nash@");
+    assert_ne!(typo, text, "the spec must carry the chic-cr->nash-cr flap");
+    let spec = ScenarioSpec::parse(&typo).expect("the plan's grammar is valid");
+    let Err(err) = run_scenario(&spec, Tracer::disabled_ref()) else {
+        panic!("a flap on an unknown link must be refused");
+    };
+    assert!(err.to_string().contains("\"chic-cr->nash\""), "{err}");
 }
 
 #[test]

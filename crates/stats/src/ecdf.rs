@@ -2,11 +2,11 @@
 //!
 //! Table IV's "percentage of sessions suitable for VCs" is an ECDF
 //! evaluation: the fraction of sessions whose hypothetical duration
-//! exceeds ten times the setup delay. [`Ecdf`] also backs the workload
-//! calibration code, which inverts empirical CDFs to sample synthetic
-//! values with the paper's marginals.
+//! exceeds ten times the setup delay. [`Ecdf`] also backs the
+//! workload checks that compare a synthetic marginal with a reference
+//! sample ([`Ecdf::ks_distance`]).
 
-/// An ECDF over a sample, supporting evaluation and inversion.
+/// An ECDF over a sample, supporting evaluation and comparison.
 #[derive(Debug, Clone)]
 pub struct Ecdf {
     sorted: Vec<f64>,
@@ -40,18 +40,15 @@ impl Ecdf {
 
     /// Number of observations ≥ x — the Table IV numerator shape
     /// ("sessions that would have lasted longer than 10 min").
-    pub fn count_ge(&self, x: f64) -> usize {
+    #[cfg(test)]
+    fn count_ge(&self, x: f64) -> usize {
         self.sorted.len() - self.sorted.partition_point(|&v| v < x)
-    }
-
-    /// Fraction of observations ≥ x.
-    pub fn frac_ge(&self, x: f64) -> f64 {
-        self.count_ge(x) as f64 / self.sorted.len() as f64
     }
 
     /// Generalized inverse F⁻¹(p): the smallest observation `v` with
     /// F(v) ≥ p. `p` is clamped to (0, 1].
-    pub fn inverse(&self, p: f64) -> f64 {
+    #[cfg(test)]
+    fn inverse(&self, p: f64) -> f64 {
         let p = p.clamp(f64::MIN_POSITIVE, 1.0);
         let k = ((p * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
         self.sorted[k - 1]
@@ -107,7 +104,7 @@ mod tests {
     #[test]
     fn frac_ge_complements_eval_strictly() {
         let e = ecdf();
-        // frac_ge(x) + frac_lt(x) == 1
+        // count_ge(x) + count_lt(x) == n
         let x = 2.0;
         let frac_lt = e.eval(x) - (e.count_le(x) - e.count_ge(x).min(e.count_le(x))) as f64 * 0.0;
         let _ = frac_lt; // identity checked structurally below

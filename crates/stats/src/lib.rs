@@ -31,7 +31,6 @@ pub mod dist;
 pub mod ecdf;
 pub mod hist;
 pub mod quantile;
-pub mod regression;
 pub mod rng;
 pub mod summary;
 
@@ -43,6 +42,5 @@ pub use dist::{
 pub use ecdf::Ecdf;
 pub use hist::{BinnedSeries, Histogram};
 pub use quantile::{median, quantile, quartiles};
-pub use regression::{linear_fit, LinearFit};
 pub use rng::{child_seed, seeded_rng};
 pub use summary::Summary;

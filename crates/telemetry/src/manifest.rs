@@ -67,14 +67,6 @@ impl RunManifest {
             self.started_unix_ms,
         )
     }
-
-    /// Human-readable one-liner for report headers.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "run: tool={} seed={} config_digest={:016x} version={} started_unix_ms={}",
-            self.tool, self.seed, self.config_digest, self.version, self.started_unix_ms
-        )
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +91,6 @@ mod tests {
         assert!(j.contains("\"tool\":\"simulate\""));
         assert!(j.contains("\"seed\":42"));
         assert!(j.contains(&format!("{:016x}", m.config_digest)));
-        assert!(m.summary_line().contains("seed=42"));
     }
 
     #[test]

@@ -441,7 +441,8 @@ impl DiffReport {
     }
 
     /// True when nothing regressed or vanished.
-    pub fn is_clean(&self) -> bool {
+    #[cfg(test)]
+    fn is_clean(&self) -> bool {
         self.gate_failures().is_empty()
     }
 

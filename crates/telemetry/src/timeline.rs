@@ -609,10 +609,6 @@ pub struct SloOutcome {
     pub series: String,
     /// Windows evaluated.
     pub windows: u64,
-    /// Windows satisfying the comparison.
-    pub passing: u64,
-    /// Required percentage of passing windows.
-    pub required_pct: f64,
     /// Whether the rule held.
     pub pass: bool,
     /// Human-readable verdict detail.
@@ -742,8 +738,6 @@ pub fn check_rules(doc: &TimelineDoc, rules: &[SloRule]) -> Vec<SloOutcome> {
                 rule: rule.raw.clone(),
                 series: s.name.clone(),
                 windows: total,
-                passing,
-                required_pct: rule.min_pct,
                 pass,
                 detail: format!(
                     "{passing}/{total} windows have {key} {} {} (need {}%)",
@@ -758,8 +752,6 @@ pub fn check_rules(doc: &TimelineDoc, rules: &[SloRule]) -> Vec<SloOutcome> {
                 rule: rule.raw.clone(),
                 series: rule.series.clone(),
                 windows: 0,
-                passing: 0,
-                required_pct: rule.min_pct,
                 pass: false,
                 detail: format!("no timeline series matches {:?}", rule.series),
             });

@@ -74,12 +74,6 @@ fn is_ident(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// Blanks comment text and string/char-literal contents, preserving
-/// line structure and the position of every code character.
-pub fn mask(content: &str) -> String {
-    mask_impl(content, true)
-}
-
 fn mask_impl(content: &str, mask_comments: bool) -> String {
     let b: Vec<char> = content.chars().collect();
     let mut out = String::with_capacity(content.len());
@@ -345,6 +339,12 @@ fn find_suppressions(raw: &[String]) -> Vec<Suppression> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Blanks comment text and string/char-literal contents, preserving
+    /// line structure and the position of every code character.
+    fn mask(content: &str) -> String {
+        mask_impl(content, true)
+    }
 
     #[test]
     fn masks_line_and_doc_comments() {

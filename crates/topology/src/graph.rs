@@ -159,6 +159,13 @@ impl Graph {
         &self.out_links[node.0 as usize]
     }
 
+    /// Looks up a directed link by its endpoint names (`src`, `dst`).
+    pub fn link_by_names(&self, src: &str, dst: &str) -> Option<LinkId> {
+        let s = self.node_by_name(src)?;
+        let d = self.node_by_name(dst)?;
+        self.out_links(s).iter().copied().find(|&l| self.link(l).dst == d)
+    }
+
     /// Overrides the capacity of one link (fault injection: link
     /// flaps and restoration). Unlike [`Graph::add_link`], a zero
     /// capacity is allowed here — it models a hard outage.

@@ -53,12 +53,6 @@ impl Path {
         self.links.iter().map(|&l| graph.link(l).capacity_bps).fold(f64::INFINITY, f64::min)
     }
 
-    /// Bandwidth-delay product in bytes for this path at its bottleneck
-    /// rate.
-    pub fn bdp_bytes(&self, graph: &Graph) -> f64 {
-        self.bottleneck_bps(graph) * self.rtt_s(graph) / 8.0
-    }
-
     /// Interior nodes visited (excluding `src`, including every router
     /// between the endpoints, excluding `dst`).
     pub fn interior_nodes(&self, graph: &Graph) -> Vec<NodeId> {
@@ -99,7 +93,6 @@ mod tests {
         assert!((p.one_way_delay_s(&g) - 0.040).abs() < 1e-12);
         assert!((p.rtt_s(&g) - 0.080).abs() < 1e-12);
         assert!((p.bottleneck_bps(&g) - 1e9).abs() < 1.0);
-        assert!((p.bdp_bytes(&g) - 1e9 * 0.080 / 8.0).abs() < 1.0);
         assert_eq!(p.interior_nodes(&g), vec![b]);
         assert_eq!(p.describe(&g), "a -> b -> c");
     }
@@ -137,7 +130,8 @@ mod tests {
         let b = g.add_node("bnl", NodeKind::Host);
         let l = g.add_link(s, b, 10e9, 0.040);
         let p = Path::new(&g, s, b, vec![l]);
-        let bdp_mib = p.bdp_bytes(&g) / (1 << 20) as f64;
+        let bdp_bytes = p.bottleneck_bps(&g) * p.rtt_s(&g) / 8.0;
+        let bdp_mib = bdp_bytes / (1 << 20) as f64;
         assert!((bdp_mib - 95.367).abs() < 0.01, "got {bdp_mib}");
     }
 }

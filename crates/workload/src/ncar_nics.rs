@@ -2,9 +2,12 @@
 //!
 //! Paper facts reproduced in shape:
 //!
-//! * 52 454 transfers grouped (g = 1 min) into 211 sessions, 32 of
-//!   them single-transfer; the largest session has ~19 000 transfers
-//!   (Table III);
+//! * the paper's 52 454 transfers grouped (g = 1 min) into 211
+//!   sessions, 32 of them single-transfer, the largest with ~19 000
+//!   transfers (Table III). The counts are targets: at scale 1 and
+//!   its default seed the generator produces 150 799 transfers in 209
+//!   sessions (722 per session, against the paper's 249; 27 of them
+//!   single-transfer, the largest 19 043);
 //! * heavy 16 GB and 4 GB transfer populations (87 % of the top-5 %
 //!   sizes — Table VII) with stripes 1–3;
 //! * the `frost` cluster shrinks 3 → 2 → 1 servers across
@@ -29,8 +32,8 @@ use rand::Rng;
 pub struct NcarNicsConfig {
     /// RNG seed.
     pub seed: u64,
-    /// Fraction of the paper's session count to generate (1.0 ≈ 211
-    /// sessions / ~50 k transfers).
+    /// Fraction of the paper's session count to generate (1.0 schedules
+    /// 211 sessions, which carry ~150 k transfers).
     pub scale: f64,
 }
 
@@ -94,8 +97,10 @@ fn sample_session_len(rng: &mut rand::rngs::SmallRng, scale: f64) -> usize {
     let n = if r < 0.15 {
         1.0 // single-transfer sessions (32 of 211)
     } else if r < 0.88 {
-        // Directory moves: tens to hundreds of files (the mean
-        // session carries ~250 transfers: 52 454 / 211).
+        // Directory moves: tens to hundreds of files. The paper's
+        // mean session, ~250 transfers (52 454 / 211), is the target;
+        // with shape < 1 the capped draws overshoot it (the module
+        // docs give the produced counts).
         Pareto::new(12.0, 0.85).sample(rng).min(2_000.0)
     } else {
         // Campaign sessions: hundreds to ~19k transfers.

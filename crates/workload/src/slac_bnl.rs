@@ -2,9 +2,13 @@
 //!
 //! Paper facts reproduced in shape:
 //!
-//! * ~1.02 M transfers in ~10 200 sessions at g = 1 min, with a
-//!   30 153-transfer monster session (Table III) and 78.4 % of
-//!   transfers inside VC-suitable sessions (Table IV);
+//! * the paper's ~1.02 M transfers in ~10 200 sessions at g = 1 min,
+//!   with a 30 153-transfer monster session (Table III) and 78.4 % of
+//!   transfers inside VC-suitable sessions (Table IV). The counts are
+//!   targets the session-length tail overshoots: at its default seed
+//!   the generator produces 242 535 transfers in 934 sessions at
+//!   g = 1 min at scale 0.1 (the repro's size), and 3 710 104
+//!   transfers at scale 1;
 //! * 84.6 % of transfers use multiple (8) parallel TCP streams, the
 //!   rest one (§VII-B);
 //! * file sizes are small-skewed (median session ≈ 1.1 GB), so the
@@ -30,8 +34,8 @@ use rand::Rng;
 pub struct SlacBnlConfig {
     /// RNG seed.
     pub seed: u64,
-    /// Fraction of the paper's ~10 200 sessions (1.0 ≈ 1 M transfers —
-    /// use release builds; tests run at 0.002–0.01).
+    /// Fraction of the paper's ~10 200 sessions (1.0 produces ~3.7 M
+    /// transfers — use release builds; tests run at 0.002–0.01).
     pub scale: f64,
 }
 
@@ -49,9 +53,13 @@ fn sample_file_size(rng: &mut rand::rngs::SmallRng) -> u64 {
         .clamp(100_000, 4_200_000_000)
 }
 
-/// Session lengths: right-skewed, tail to ~30 k (the mean session
-/// carries ~100 transfers: 1 021 999 / 10 199). `scale` caps only the
-/// campaign tail.
+/// Session lengths: right-skewed, tail to ~30 k. The paper's mean,
+/// ~100 transfers per session (1 021 999 / 10 199), is the target;
+/// the Pareto shapes are ≤ 1, so the capped draws land far above it.
+/// At the default seed, scale 0.1 draws 242 535 transfers over 1 021
+/// scheduled sessions (238 each; 260 per session once grouped at
+/// g = 1 min), and scale 1 draws 3 710 104 over 10 201 (364 each).
+/// `scale` caps only the campaign tail.
 fn sample_session_len(rng: &mut rand::rngs::SmallRng, scale: f64) -> usize {
     let r: f64 = rng.gen();
     let n = if r < 0.08 {
@@ -159,9 +167,10 @@ mod tests {
     fn stream_mix_matches_paper() {
         let ds = small();
         assert!(ds.len() > 200, "{}", ds.len());
-        let multi = ds.filter_streams(8).len() as f64 / ds.len() as f64;
+        let streams = |n: u32| ds.records().iter().filter(|r| r.num_streams == n).count();
+        let multi = streams(8) as f64 / ds.len() as f64;
         assert!((0.6..1.0).contains(&multi), "multi-stream share {multi}");
-        assert!(!ds.filter_streams(1).is_empty());
+        assert!(streams(1) > 0);
     }
 
     #[test]
