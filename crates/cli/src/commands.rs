@@ -9,7 +9,7 @@ use gvc_faults::FaultPlan;
 use gvc_gridftp::{
     reservation_window_s, Driver, ServerCaps, SessionSpec, TransferJob, VcRequestSpec,
 };
-use gvc_logs::anonymize::{anonymize_dataset, AnonymizePolicy};
+use gvc_logs::anonymize::{anonymize, AnonymizePolicy};
 use gvc_logs::{parse_dataset, write_dataset, Dataset};
 use gvc_net::NetworkSim;
 use gvc_oscars::{Idc, SetupDelayModel};
@@ -478,8 +478,7 @@ fn cmd_anonymize<W: Write>(
         "pseudonym" => AnonymizePolicy::Pseudonym,
         other => return Err(CliError(format!("unknown --policy {other:?}"))),
     };
-    let ds = load(&input, telemetry)?;
-    let anon = anonymize_dataset(&ds, policy);
+    let anon = anonymize(load(&input, telemetry)?, policy);
     save(&out, &anon)?;
     writeln!(w, "wrote {} anonymized transfers to {out}", anon.len())?;
     Ok(())
@@ -797,6 +796,8 @@ pub fn run_command<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> 
     }
     // Checked before `--trace` creates its file.
     let faults = if command == "simulate" { simulate_faults(a)? } else { None };
+    let scenarios =
+        if command == "scenario" { crate::scenario::checked_entries(a)? } else { Vec::new() };
     let telemetry = telemetry_from_flags(a)?;
     let manifest = RunManifest::new(command, a.flag_or("seed", 42u64)?, &config_string(a));
     telemetry.tracer.emit_with(|| {
@@ -818,7 +819,7 @@ pub fn run_command<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> 
         "simulate" => cmd_simulate(a, w, &telemetry, faults),
         "trace" => cmd_trace(a, w, &telemetry),
         "perf" => crate::perf::cmd_perf(a, w),
-        "scenario" => crate::scenario::cmd_scenario(a, w, &telemetry),
+        "scenario" => crate::scenario::cmd_scenario(a, w, &telemetry, scenarios),
         "timeline" => crate::timeline::cmd_timeline(a, w),
         other => Err(unknown_command(other)),
     }?;

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 
 use gvc_scenario::corpus::{self, CorpusEntry};
 use gvc_scenario::spec::WorkloadSpec;
-use gvc_scenario::{golden, run_scenario};
+use gvc_scenario::{golden, run_scenario, topo};
 use gvc_telemetry::{Telemetry, Tracer};
 
 use crate::args::{CliError, ParsedArgs};
@@ -124,17 +124,35 @@ fn check_entry(
     Ok(failures)
 }
 
+/// The specs a `run`, `record` or `diff` names (none for `list`), each
+/// parsed and each synthetic one's topology built, so that a bad spec
+/// or a flap on an unknown link is refused before `run_command` opens
+/// any telemetry file.
+pub fn checked_entries(a: &ParsedArgs) -> Result<Vec<CorpusEntry>, CliError> {
+    if a.positional(1, "run|record|diff|list")? == "list" {
+        return Ok(Vec::new());
+    }
+    let entries = select(a, &corpus_dir(a))?;
+    for e in &entries {
+        if matches!(e.spec.workload, WorkloadSpec::Synthetic(_)) {
+            topo::build(&e.spec).map_err(|err| CliError(err.to_string()))?;
+        }
+    }
+    Ok(entries)
+}
+
+/// Runs `action` over `entries`, the specs [`checked_entries`] returned.
 pub fn cmd_scenario<W: Write>(
     a: &ParsedArgs,
     w: &mut W,
     telemetry: &Telemetry,
+    entries: Vec<CorpusEntry>,
 ) -> Result<(), CliError> {
     let action = a.positional(1, "run|record|diff|list")?.to_owned();
     if action == "list" {
         return cmd_list(a, w);
     }
     let dir = corpus_dir(a);
-    let entries = select(a, &dir)?;
     let mut phase = telemetry.perf.phase("scenario_corpus");
     phase.items(entries.len() as u64);
 

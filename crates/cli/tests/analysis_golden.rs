@@ -7,6 +7,11 @@
 //! record unsessionizable) and a mixed log: NCAR plus SLAC plus the
 //! anonymized records plus two zero-duration records, so one store
 //! holds several pairs, an ungroupable tail and degenerate records.
+//!
+//! The written logs are held too: the two generated logs, the
+//! anonymized copy and a pseudonymized copy of the mixed log (two
+//! remotes, first seen in start-time order) must equal the files under
+//! `tests/fixtures/` byte for byte.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -29,6 +34,25 @@ fn path_str(p: &Path) -> &str {
     p.to_str().expect("utf8 path")
 }
 
+/// Requires the log at `p` to equal `tests/fixtures/<fixture>` byte
+/// for byte, naming the first line that differs.
+fn assert_matches_fixture(p: &Path, fixture: &str) {
+    let want_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(fixture);
+    let want = std::fs::read(&want_path).expect("read fixture");
+    let got = std::fs::read(p).expect("read log");
+    if got != want {
+        let (got, want) = (String::from_utf8_lossy(&got), String::from_utf8_lossy(&want));
+        let at = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+        panic!(
+            "{} drifted from {fixture}: {} vs {} lines, first difference at line {}",
+            p.display(),
+            got.lines().count(),
+            want.lines().count(),
+            at.map_or_else(|| "past the shorter file".to_owned(), |i| (i + 1).to_string())
+        );
+    }
+}
+
 /// Records of a log file without its header line.
 fn body(p: &Path) -> String {
     let text = std::fs::read_to_string(p).expect("read log");
@@ -44,8 +68,13 @@ fn analysis_commands_match_golden() {
         let _ = std::fs::remove_file(&p);
         p
     };
-    let (ncar, anon, slac, mixed) =
-        (log("ncar.log"), log("anon.log"), log("slac.log"), log("mixed.log"));
+    let (ncar, anon, slac, mixed, pseudonyms) = (
+        log("ncar.log"),
+        log("anon.log"),
+        log("slac.log"),
+        log("mixed.log"),
+        log("mixed-pseudonym.log"),
+    );
     gvc(&["generate", "ncar", path_str(&ncar), "--scale", "0.02", "--seed", "1"]);
     gvc(&["anonymize", path_str(&ncar), path_str(&anon)]);
     gvc(&["generate", "slac", path_str(&slac), "--scale", "0.002", "--seed", "1"]);
@@ -57,6 +86,11 @@ fn analysis_commands_match_golden() {
         DEGENERATE_LINES
     );
     std::fs::write(&mixed, mixed_text).expect("write mixed");
+    gvc(&["anonymize", path_str(&mixed), path_str(&pseudonyms), "--policy", "pseudonym"]);
+    assert_matches_fixture(&ncar, "ncar.log");
+    assert_matches_fixture(&slac, "slac.log");
+    assert_matches_fixture(&anon, "ncar-anon.log");
+    assert_matches_fixture(&pseudonyms, "mixed-pseudonym.log");
 
     let runs: &[(&str, &Path, &[&str])] = &[
         ("ncar.log", &ncar, &["sessions"]),

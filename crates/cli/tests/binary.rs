@@ -93,6 +93,28 @@ fn simulate_refuses_a_flap_on_an_unknown_link() {
     assert!(!trace.exists(), "a trace was written");
 }
 
+/// A scenario spec whose flap names a link its topology lacks is
+/// refused by name before `--trace` creates its file.
+#[test]
+fn scenario_run_refuses_a_flap_on_an_unknown_link_before_tracing() {
+    let dir = tmp("unknown-flap-corpus");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let spec = include_str!("../../../scenarios/maintenance-window.scn")
+        .replace("chic-cr->nash-cr", "chic-cr->nash");
+    std::fs::write(dir.join("maintenance-window.scn"), spec).expect("write spec");
+    let trace = dir.join("run.jsonl");
+    let out = gvc()
+        .args(["scenario", "run", "maintenance-window", "--dir", dir.to_str().unwrap()])
+        .args(["--trace", trace.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("\"chic-cr->nash\""), "{err}");
+    assert!(!trace.exists(), "a trace was written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A horizon that is not positive or that the sim clock cannot hold
 /// is refused by `simulate`, naming `--horizon`, instead of panicking.
 #[test]

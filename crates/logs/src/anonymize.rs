@@ -22,39 +22,39 @@ pub enum AnonymizePolicy {
     Pseudonym,
 }
 
-/// Applies a policy to a dataset, returning the anonymized copy. The
-/// copy shares its names: each pseudonym is one `Arc<str>` for all the
-/// records of its remote.
-pub fn anonymize_dataset(ds: &Dataset, policy: AnonymizePolicy) -> Dataset {
+/// Applies a policy to a dataset in place, reusing its records: the
+/// anonymized dataset shares its names, each pseudonym one `Arc<str>`
+/// for all the records of its remote.
+pub fn anonymize(mut ds: Dataset, policy: AnonymizePolicy) -> Dataset {
     match policy {
-        AnonymizePolicy::Drop => ds
-            .records()
-            .iter()
-            .cloned()
-            .map(|mut r| {
+        AnonymizePolicy::Drop => {
+            for r in &mut ds.records {
                 r.remote = None;
-                r
-            })
-            .collect(),
+            }
+        }
         AnonymizePolicy::Pseudonym => {
             let mut mapping: HashMap<Arc<str>, Arc<str>> = HashMap::new();
             let mut next = 0usize;
-            ds.records()
-                .iter()
-                .cloned()
-                .map(|mut r| {
-                    if let Some(remote) = r.remote.take() {
-                        let pseudo = mapping.entry(remote).or_insert_with(|| {
-                            next += 1;
-                            format!("peer-{next}").into()
-                        });
-                        r.remote = Some(Arc::clone(pseudo));
-                    }
-                    r
-                })
-                .collect()
+            for r in &mut ds.records {
+                if let Some(remote) = r.remote.take() {
+                    let pseudo = mapping.entry(remote).or_insert_with(|| {
+                        next += 1;
+                        format!("peer-{next}").into()
+                    });
+                    r.remote = Some(Arc::clone(pseudo));
+                }
+            }
         }
     }
+    // A dataset built by `push` may be out of order; hand back start-time
+    // order either way (a linear pass when already sorted).
+    ds.sort();
+    ds
+}
+
+/// Applies a policy to a copy of a dataset; see [`anonymize`].
+pub fn anonymize_dataset(ds: &Dataset, policy: AnonymizePolicy) -> Dataset {
+    anonymize(ds.clone(), policy)
 }
 
 #[cfg(test)]
@@ -96,6 +96,20 @@ mod tests {
         };
         assert_eq!(count(&orig, Some("alpha")), count(&a, Some("peer-1")));
         assert_eq!(count(&orig, Some("beta")), count(&a, Some("peer-2")));
+    }
+
+    #[test]
+    fn pushed_dataset_comes_back_in_start_order() {
+        let mut pushed = Dataset::new();
+        for r in ds().records().iter().rev() {
+            pushed.push(r.clone());
+        }
+        let a = anonymize(pushed, AnonymizePolicy::Pseudonym);
+        let starts: Vec<i64> = a.records().iter().map(|r| r.start_unix_us).collect();
+        assert_eq!(starts, vec![0, 1, 2, 3]);
+        // Pseudonyms follow the order the records were pushed in.
+        let remotes: Vec<Option<&str>> = a.records().iter().map(|r| r.remote.as_deref()).collect();
+        assert_eq!(remotes, vec![Some("peer-1"), Some("peer-2"), Some("peer-1"), None]);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::record::{TransferRecord, TransferType};
 /// e.g. "the SLAC–BNL data set").
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
-    records: Vec<TransferRecord>,
+    pub(crate) records: Vec<TransferRecord>,
 }
 
 impl Dataset {

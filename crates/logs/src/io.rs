@@ -6,6 +6,13 @@
 //! integers) so datasets round-trip exactly, and diff-friendly so
 //! generated datasets can be inspected and committed as fixtures.
 //!
+//! Both directions stream with no per-line allocation: the parser
+//! reads each line into one reused byte buffer and cuts it into a
+//! fixed array of twelve `&str` fields, and the writer formats each
+//! record's fields straight into the `Write`. Only the endpoint names
+//! are allocated, once per distinct name. A malformed line fails with
+//! its 1-based line number and reason, invalid UTF-8 included.
+//!
 //! ```text
 //! # gvc-transfer-log v1
 //! STOR|34359738368|1284429600000000|120500000|dtn1.nersc.gov|-|8|1|4194304|262144|disk|disk
@@ -15,11 +22,15 @@ use crate::record::{EndpointKind, TransferRecord, TransferType};
 use crate::Dataset;
 use std::collections::HashSet;
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
 /// The header line identifying the format version.
 pub const HEADER: &str = "# gvc-transfer-log v1";
+
+/// The reason a line that is not UTF-8 fails with: the text of the
+/// `io::Error` that `BufRead::lines` reports for it.
+const INVALID_UTF8: &str = "io error: stream did not contain valid UTF-8";
 
 /// A parse failure with its 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,9 +57,10 @@ fn kind_token(v: Option<EndpointKind>) -> &'static str {
     v.map_or("-", EndpointKind::token)
 }
 
-/// Writes one record as a log line (no trailing newline).
-pub fn format_record(r: &TransferRecord) -> String {
-    format!(
+/// Writes one record as a log line, newline included.
+fn write_record<W: Write>(w: &mut W, r: &TransferRecord) -> io::Result<()> {
+    writeln!(
+        w,
         "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
         r.transfer_type.token(),
         r.size_bytes,
@@ -84,14 +96,19 @@ impl Names {
 /// Parses one log line (without newline), taking its names from
 /// `names`.
 fn parse_record(line: &str, names: &mut Names) -> Result<TransferRecord, String> {
-    let fields: Vec<&str> = line.split('|').collect();
-    let n_fields = fields.len();
-    let Ok(
-        [f_type, f_size, f_start, f_dur, f_server, f_remote, f_streams, f_stripes, f_buf, f_block, f_src, f_dst],
-    ) = <[&str; 12]>::try_from(fields)
-    else {
+    let mut fields = [""; 12];
+    let mut n_fields = 0;
+    for field in line.split('|') {
+        if let Some(slot) = fields.get_mut(n_fields) {
+            *slot = field;
+        }
+        n_fields += 1;
+    }
+    if n_fields != 12 {
         return Err(format!("expected 12 fields, got {n_fields}"));
-    };
+    }
+    let [f_type, f_size, f_start, f_dur, f_server, f_remote, f_streams, f_stripes, f_buf, f_block, f_src, f_dst] =
+        fields;
     let parse_num = |s: &str, what: &str| -> Result<i64, String> {
         s.parse::<i64>().map_err(|_| format!("bad {what}: {s:?}"))
     };
@@ -144,10 +161,10 @@ fn parse_record(line: &str, names: &mut Names) -> Result<TransferRecord, String>
 /// write_dataset(&mut buf, &ds).unwrap();
 /// assert_eq!(parse_dataset(&buf[..]).unwrap(), ds);
 /// ```
-pub fn write_dataset<W: Write>(w: &mut W, ds: &Dataset) -> std::io::Result<()> {
+pub fn write_dataset<W: Write>(w: &mut W, ds: &Dataset) -> io::Result<()> {
     writeln!(w, "{HEADER}")?;
     for r in ds.records() {
-        writeln!(w, "{}", format_record(r))?;
+        write_record(w, r)?;
     }
     Ok(())
 }
@@ -156,20 +173,22 @@ pub fn write_dataset<W: Write>(w: &mut W, ds: &Dataset) -> std::io::Result<()> {
 /// additional `#` comments are skipped; the header is optional (so
 /// hand-built fixtures stay easy). Records share their endpoint names:
 /// each distinct name is allocated once per parse.
-pub fn parse_dataset<R: BufRead>(r: R) -> Result<Dataset, ParseError> {
+pub fn parse_dataset<R: BufRead>(mut r: R) -> Result<Dataset, ParseError> {
     let mut records = Vec::new();
     let mut names = Names::default();
-    for (idx, line) in r.lines().enumerate() {
-        let line =
-            line.map_err(|e| ParseError { line: idx + 1, reason: format!("io error: {e}") })?;
+    let mut buf = Vec::new();
+    for line_no in 1.. {
+        let err = |reason: String| ParseError { line: line_no, reason };
+        buf.clear();
+        if r.read_until(b'\n', &mut buf).map_err(|e| err(format!("io error: {e}")))? == 0 {
+            break;
+        }
+        let line = std::str::from_utf8(&buf).map_err(|_| err(INVALID_UTF8.to_owned()))?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        records.push(
-            parse_record(trimmed, &mut names)
-                .map_err(|reason| ParseError { line: idx + 1, reason })?,
-        );
+        records.push(parse_record(trimmed, &mut names).map_err(err)?);
     }
     Ok(Dataset::from_records(records))
 }
@@ -178,6 +197,14 @@ pub fn parse_dataset<R: BufRead>(r: R) -> Result<Dataset, ParseError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One record's log line, without its newline.
+    fn format_record(r: &TransferRecord) -> String {
+        let mut buf = Vec::new();
+        write_record(&mut buf, r).unwrap();
+        buf.pop();
+        String::from_utf8(buf).unwrap()
+    }
 
     fn rec() -> TransferRecord {
         let mut r = TransferRecord::simple(

@@ -23,11 +23,6 @@ impl Ecdf {
         Some(Ecdf { sorted })
     }
 
-    /// Sample size.
-    pub fn n(&self) -> usize {
-        self.sorted.len()
-    }
-
     /// F(x) = fraction of observations ≤ x.
     pub fn eval(&self, x: f64) -> f64 {
         self.count_le(x) as f64 / self.sorted.len() as f64
@@ -52,11 +47,6 @@ impl Ecdf {
         let p = p.clamp(f64::MIN_POSITIVE, 1.0);
         let k = ((p * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
         self.sorted[k - 1]
-    }
-
-    /// The sorted sample backing this ECDF.
-    pub fn sample(&self) -> &[f64] {
-        &self.sorted
     }
 
     /// Two-sample Kolmogorov–Smirnov distance `sup |F_a − F_b|` —
@@ -102,13 +92,10 @@ mod tests {
     }
 
     #[test]
-    fn frac_ge_complements_eval_strictly() {
+    fn count_ge_and_count_lt_partition_the_sample() {
         let e = ecdf();
-        // count_ge(x) + count_lt(x) == n
         let x = 2.0;
-        let frac_lt = e.eval(x) - (e.count_le(x) - e.count_ge(x).min(e.count_le(x))) as f64 * 0.0;
-        let _ = frac_lt; // identity checked structurally below
-        assert_eq!(e.count_ge(x) + e.sample().iter().filter(|&&v| v < x).count(), e.n());
+        assert_eq!(e.count_ge(x) + e.sorted.iter().filter(|&&v| v < x).count(), e.sorted.len());
     }
 
     #[test]

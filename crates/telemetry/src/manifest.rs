@@ -7,7 +7,6 @@
 //! alongside trace/metrics output, so a result can always be traced
 //! back to the exact inputs that produced it.
 
-use crate::json::Quoted;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// FNV-1a 64-bit digest — stable, dependency-free, good enough to
@@ -55,7 +54,9 @@ impl RunManifest {
     }
 
     /// One JSON object (the `run.manifest` trace event payload shape).
-    pub fn to_json(&self) -> String {
+    #[cfg(test)]
+    fn to_json(&self) -> String {
+        use crate::json::Quoted;
         format!(
             "{{\"tool\":{},\"seed\":{},\"config_digest\":\"{:016x}\",\"config\":{},\
              \"version\":{},\"started_unix_ms\":{}}}",
